@@ -203,17 +203,12 @@ impl SchemeId {
             SchemeId::MultiInterval => {
                 Box::new(MultiIntervalScheme::build_with_dists(g, dists)?)
             }
-            SchemeId::Landmark => {
-                // Same default landmark count as `LandmarkScheme::build`.
-                let n = g.node_count();
-                let count = ((n as f64) * (n.max(2) as f64).log2()).sqrt().ceil() as usize;
-                Box::new(LandmarkScheme::build_with_dists(
-                    g,
-                    dists,
-                    LANDMARK_SEED,
-                    count.clamp(1, n),
-                )?)
-            }
+            SchemeId::Landmark => Box::new(LandmarkScheme::build_with_dists(
+                g,
+                dists,
+                LANDMARK_SEED,
+                LandmarkScheme::default_count(g.node_count()),
+            )?),
             SchemeId::IaCompact => {
                 Box::new(IaCompactScheme::build_with_dists(g, PortAssignment::sorted(g), dists)?)
             }
@@ -277,7 +272,7 @@ impl SchemeId {
     }
 
     /// The registry entry with a given CLI/report name — the inverse of
-    /// [`SchemeId::name`], used by `ort profile`/`ort bench-gate`.
+    /// [`SchemeId::name`], used by `ort profile`/`ort report`.
     #[must_use]
     pub fn from_name(name: &str) -> Option<SchemeId> {
         SchemeId::ALL.iter().copied().find(|id| id.name() == name)

@@ -9,8 +9,8 @@ use crate::bounds::{self, InstanceBounds};
 use crate::differential::{aggregate, diff_graph, GraphDiff};
 use crate::enumerate::{connected_graphs_upto, expected_count};
 use crate::fuzz::{fuzz_all_kinds, FuzzOutcome};
-use crate::json::Json;
 use crate::registry::SchemeId;
+use ort_telemetry::json::Json;
 use ort_routing::snapshot::SchemeKind;
 
 /// Configuration of a conformance run. `Default` is the CI profile.

@@ -14,7 +14,7 @@
 //!
 //! The decomposition is exact by construction:
 //! `routing + permutation + label = ` [`RoutingScheme::total_size_bits`].
-//! The perf-regression gate (`ort bench-gate`) compares these numbers
+//! The regression gate (`ort report`) re-measures and compares these numbers
 //! *exactly* across runs — any drift is a correctness bug in a scheme's
 //! encoder, never measurement noise.
 

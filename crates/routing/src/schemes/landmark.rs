@@ -64,9 +64,15 @@ impl LandmarkScheme {
     /// Returns [`SchemeError::Disconnected`] for disconnected graphs or
     /// [`SchemeError::Precondition`] for graphs with fewer than 2 nodes.
     pub fn build(g: &Graph, seed: u64) -> Result<Self, SchemeError> {
-        let n = g.node_count();
+        Self::build_with_landmark_count(g, seed, Self::default_count(g.node_count()))
+    }
+
+    /// The default landmark count `⌈√(n·log₂ n)⌉`, clamped to `[1, n]`
+    /// (1 for graphs too small to route, which every builder refuses).
+    #[must_use]
+    pub fn default_count(n: usize) -> usize {
         let count = ((n as f64) * (n.max(2) as f64).log2()).sqrt().ceil() as usize;
-        Self::build_with_landmark_count(g, seed, count.clamp(1, n))
+        count.clamp(1, n.max(1))
     }
 
     /// Builds the scheme with an explicit landmark count.

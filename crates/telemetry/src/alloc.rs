@@ -340,6 +340,14 @@ mod tests {
         assert_eq!(installed(), cfg!(feature = "alloc"));
     }
 
+    /// Other tests in this process allocate and free concurrently, and
+    /// the counters are process-global, so a stray free can land inside a
+    /// measured window. A measurement is retried a few times; a real
+    /// accounting bug fails every attempt.
+    fn holds_within_retries(mut attempt: impl FnMut() -> bool) -> bool {
+        (0..8).any(|_| attempt())
+    }
+
     #[test]
     fn live_and_peak_track_a_large_allocation() {
         if !installed() {
@@ -347,14 +355,19 @@ mod tests {
             assert_eq!(peak_bytes(), 0);
             return;
         }
-        let before = live_bytes();
-        let buf = vec![0u8; 1 << 20];
-        assert!(live_bytes() >= before + (1 << 20), "live must include the buffer");
-        assert!(peak_bytes() >= live_bytes(), "peak is a high-water mark of live");
-        let peak_with_buf = peak_bytes();
-        drop(buf);
-        assert!(live_bytes() < before + (1 << 20), "freeing must drop live");
-        assert!(peak_bytes() >= peak_with_buf, "peak never decreases within a run");
+        let tracked = holds_within_retries(|| {
+            let before = live_bytes();
+            let buf = vec![0u8; 1 << 20];
+            let with_buf = live_bytes();
+            let peak_with_buf = peak_bytes();
+            std::hint::black_box(&buf);
+            drop(buf);
+            with_buf >= before + (1 << 20)
+                && peak_with_buf >= with_buf
+                && live_bytes() < before + (1 << 20)
+                && peak_bytes() >= peak_with_buf
+        });
+        assert!(tracked, "live must include the buffer, drop on free; peak never decreases");
         assert!(total_allocations() > 0);
     }
 
@@ -366,20 +379,16 @@ mod tests {
             assert_eq!(r.region_peak_bytes, 0);
             return;
         }
-        // Other tests in this process allocate concurrently, so assert
-        // bounds rather than exact equality here; the exact single-thread
-        // round-trip is pinned in tests/observability.rs.
-        let span = mem_span("test.alloc.span");
-        let keep = vec![0u8; 1 << 18];
-        let scratch = vec![0u8; 1 << 19];
-        drop(scratch);
-        let r = span.finish();
-        assert!(r.net_bytes >= (1 << 18), "region retained the kept buffer: {r:?}");
-        assert!(
-            r.region_peak_bytes >= (1 << 18) + (1 << 19),
-            "region peak saw both buffers live: {r:?}"
-        );
-        drop(keep);
+        let bracketed = holds_within_retries(|| {
+            let span = mem_span("test.alloc.span");
+            let keep = vec![0u8; 1 << 18];
+            let scratch = vec![0u8; 1 << 19];
+            drop(scratch);
+            let r = span.finish();
+            std::hint::black_box(&keep);
+            r.net_bytes >= (1 << 18) && r.region_peak_bytes >= (1 << 18) + (1 << 19)
+        });
+        assert!(bracketed, "region must retain the kept buffer and see both buffers live");
         assert!(last_record("test.alloc.span").is_some());
     }
 

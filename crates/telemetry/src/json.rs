@@ -1,8 +1,11 @@
-//! A minimal JSON value with stable, deterministic serialization — the
-//! workspace is offline, so no serde; the conformance report only needs
+//! The workspace's one JSON implementation: a minimal value with stable,
+//! deterministic serialization and the parser that reads it back. The
+//! workspace is offline, so no serde; results files, the JSONL telemetry
+//! stream ([`crate::sink::parse_jsonl`]) and `ort report` only need
 //! objects, arrays, strings, numbers, booleans and null.
 
 use std::fmt;
+use std::num::IntErrorKind;
 
 /// A JSON value. Object keys keep insertion order (deterministic output).
 #[derive(Debug, Clone)]
@@ -30,14 +33,15 @@ impl Json {
         Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 
-    /// Parses a JSON document — the inverse of [`Json::pretty`], used by
-    /// `ort bench-gate` to read checked-in baselines back. Numbers with a
-    /// decimal point or exponent become [`Json::Num`]; bare integers that
-    /// fit an `i64` become [`Json::Int`].
+    /// Parses a JSON document — the inverse of [`Json::pretty`] and
+    /// [`Json::compact`]. Numbers with a decimal point or exponent become
+    /// [`Json::Num`]; bare integers become [`Json::Int`].
     ///
     /// # Errors
     ///
     /// Returns a message naming the byte offset of the first syntax error.
+    /// A bare integer outside the `i64` range is an error naming the
+    /// number, never a silent rounding to a float.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
         p.skip_ws();
@@ -376,10 +380,14 @@ impl Parser<'_> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
         if is_float {
-            text.parse().map(Json::Num).map_err(|_| format!("bad number at byte {start}"))
-        } else {
-            text.parse().map(Json::Int).map_err(|_| format!("bad number at byte {start}"))
+            return text.parse().map(Json::Num).map_err(|_| format!("bad number at byte {start}"));
         }
+        text.parse().map(Json::Int).map_err(|e| match e.kind() {
+            IntErrorKind::PosOverflow | IntErrorKind::NegOverflow => {
+                format!("integer {text} out of i64 range at byte {start}")
+            }
+            _ => format!("bad number at byte {start}"),
+        })
     }
 }
 
@@ -467,7 +475,7 @@ mod tests {
     }
 
     #[test]
-    fn parse_reads_checked_in_bench_shape() {
+    fn parse_reads_single_line_records() {
         let doc = "{\n  \"bench\": \"apsp\",\n  \"results\": [\n    {\"engine\": \"queue_serial\", \"n\": 128, \"ms\": 1.021}\n  ]\n}\n";
         let v = Json::parse(doc).unwrap();
         let first = &v.get("results").and_then(Json::as_arr).unwrap()[0];

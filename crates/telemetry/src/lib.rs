@@ -26,6 +26,9 @@
 //!   counters, [`alloc::MemSpan`] attribution regions, and an
 //!   allocation-size distribution — the measured side of every analytic
 //!   `peak_bytes` claim.
+//! * **JSON** ([`json`]) — the workspace's one JSON value type and
+//!   parser, shared by the JSONL sink, every results file and
+//!   `ort report`.
 //!
 //! # Determinism contract
 //!
@@ -72,6 +75,7 @@
 pub mod alloc;
 pub mod counter;
 pub mod hist;
+pub mod json;
 pub mod recorder;
 pub mod sink;
 pub mod span;

@@ -10,7 +10,7 @@
 //! reads in exact causal order even after wrap-around.
 //!
 //! Anomaly triggers ([`anomaly`]) — scheme refusals, stretch-cap
-//! breaches, hop-limit deaths, bench-gate failures, the panic hook —
+//! breaches, hop-limit deaths, `ort report` failures, the panic hook —
 //! write a JSONL post-mortem through the `postmortem:<path>` entry of
 //! the standard `ORT_TELEMETRY` sink list (see
 //! [`crate::configured_sinks`]); with no such sink configured the

@@ -15,6 +15,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::hist::HistData;
+use crate::json::Json;
 use crate::span::{FieldValue, SpanRecord};
 
 /// Per-path aggregate used while building the summary tree:
@@ -315,35 +316,38 @@ pub fn parse_jsonl(stream: &str) -> Result<ParsedSnapshot, String> {
         if line.is_empty() {
             continue;
         }
-        let v = json_parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let obj = v.as_obj().ok_or_else(|| format!("line {}: not an object", lineno + 1))?;
-        let typ = get_str(obj, "type").ok_or_else(|| format!("line {}: no type", lineno + 1))?;
+        let obj = Json::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
+        if !matches!(obj, Json::Obj(_)) {
+            return Err(format!("line {}: not an object", lineno + 1));
+        }
+        let get_str = |key: &str| obj.get(key).and_then(Json::as_str).map(str::to_string);
+        let get_num = |key: &str| obj.get(key).and_then(as_u64);
+        let typ = get_str("type").ok_or_else(|| format!("line {}: no type", lineno + 1))?;
         match typ.as_str() {
             "span" => {
-                let path = get(obj, "path")
-                    .and_then(MiniJson::as_arr)
+                let path = obj
+                    .get("path")
+                    .and_then(Json::as_arr)
                     .ok_or_else(|| format!("line {}: span without path", lineno + 1))?
                     .iter()
-                    .map(|x| x.as_str().ok_or("non-string path segment".to_string()))
+                    .map(|x| x.as_str().map(str::to_string).ok_or("non-string path segment"))
                     .collect::<Result<Vec<_>, _>>()
                     .map_err(|e| format!("line {}: {e}", lineno + 1))?;
-                let fields = get(obj, "fields")
-                    .and_then(MiniJson::as_obj)
-                    .map(|fs| {
-                        fs.iter()
-                            .map(|(k, v)| {
-                                let f = match v {
-                                    MiniJson::Num(x) => ParsedField::Int(*x),
-                                    MiniJson::Str(s) => ParsedField::Str(s.clone()),
-                                    _ => ParsedField::Int(0),
-                                };
-                                (k.clone(), f)
-                            })
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                let start = get_num(obj, "start").unwrap_or(0);
-                let end = get_num(obj, "end").unwrap_or(0);
+                let fields = match obj.get("fields") {
+                    Some(Json::Obj(fs)) => fs
+                        .iter()
+                        .map(|(k, v)| {
+                            let f = match v {
+                                Json::Str(s) => ParsedField::Str(s.clone()),
+                                v => ParsedField::Int(as_u64(v).unwrap_or(0)),
+                            };
+                            (k.clone(), f)
+                        })
+                        .collect(),
+                    _ => Vec::new(),
+                };
+                let start = get_num("start").unwrap_or(0);
+                let end = get_num("end").unwrap_or(0);
                 if end < start {
                     return Err(format!(
                         "line {}: span end {end} precedes start {start}",
@@ -352,17 +356,17 @@ pub fn parse_jsonl(stream: &str) -> Result<ParsedSnapshot, String> {
                 }
                 out.spans.push(ParsedSpan {
                     path,
-                    ns: get_num(obj, "ns").unwrap_or(0),
+                    ns: get_num("ns").unwrap_or(0),
                     start,
                     end,
-                    thread: get_num(obj, "thread").unwrap_or(0),
+                    thread: get_num("thread").unwrap_or(0),
                     fields,
                 });
             }
             "counter" | "gauge" => {
-                let name = get_str(obj, "name")
+                let name = get_str("name")
                     .ok_or_else(|| format!("line {}: {typ} without name", lineno + 1))?;
-                let value = get_num(obj, "value")
+                let value = get_num("value")
                     .ok_or_else(|| format!("line {}: {typ} without value", lineno + 1))?;
                 if typ == "counter" {
                     out.counters.push((name, value));
@@ -371,23 +375,27 @@ pub fn parse_jsonl(stream: &str) -> Result<ParsedSnapshot, String> {
                 }
             }
             "hist" => {
-                let name = get_str(obj, "name")
+                let name = get_str("name")
                     .ok_or_else(|| format!("line {}: hist without name", lineno + 1))?;
-                let buckets = get(obj, "buckets")
-                    .and_then(MiniJson::as_arr)
+                let buckets = obj
+                    .get("buckets")
+                    .and_then(Json::as_arr)
                     .ok_or_else(|| format!("line {}: hist without buckets", lineno + 1))?
                     .iter()
                     .map(|pair| match pair.as_arr() {
-                        Some([MiniJson::Num(i), MiniJson::Num(c)]) => Ok((*i as usize, *c)),
+                        Some([i, c]) => as_u64(i)
+                            .zip(as_u64(c))
+                            .map(|(i, c)| (i as usize, c))
+                            .ok_or_else(|| format!("line {}: malformed hist bucket", lineno + 1)),
                         _ => Err(format!("line {}: malformed hist bucket", lineno + 1)),
                     })
                     .collect::<Result<Vec<_>, _>>()?;
                 out.hists.push(HistData {
                     name,
-                    timing: get_bool(obj, "timing").unwrap_or(false),
-                    count: get_num(obj, "count").unwrap_or(0),
-                    sum: get_num(obj, "sum").unwrap_or(0),
-                    max: get_num(obj, "max").unwrap_or(0),
+                    timing: matches!(obj.get("timing"), Some(Json::Bool(true))),
+                    count: get_num("count").unwrap_or(0),
+                    sum: get_num("sum").unwrap_or(0),
+                    max: get_num("max").unwrap_or(0),
                     buckets,
                 });
             }
@@ -398,205 +406,12 @@ pub fn parse_jsonl(stream: &str) -> Result<ParsedSnapshot, String> {
 }
 
 fn write_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    out.push_str(&Json::Str(s.to_string()).compact());
 }
 
-// ── A minimal JSON reader, scoped to what the emitter above writes:
-// objects, arrays, strings with the escapes we emit, and unsigned
-// integers. Kept private; the workspace-wide parser lives in
-// ort-conformance's json module.
-
-enum MiniJson {
-    Str(String),
-    Num(u64),
-    Bool(bool),
-    Arr(Vec<MiniJson>),
-    Obj(Vec<(String, MiniJson)>),
-}
-
-impl MiniJson {
-    fn as_str(&self) -> Option<String> {
-        match self {
-            MiniJson::Str(s) => Some(s.clone()),
-            _ => None,
-        }
-    }
-    fn as_arr(&self) -> Option<&[MiniJson]> {
-        match self {
-            MiniJson::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-    fn as_obj(&self) -> Option<&[(String, MiniJson)]> {
-        match self {
-            MiniJson::Obj(o) => Some(o),
-            _ => None,
-        }
-    }
-}
-
-fn get<'a>(obj: &'a [(String, MiniJson)], key: &str) -> Option<&'a MiniJson> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn get_str(obj: &[(String, MiniJson)], key: &str) -> Option<String> {
-    get(obj, key).and_then(MiniJson::as_str)
-}
-
-fn get_num(obj: &[(String, MiniJson)], key: &str) -> Option<u64> {
-    match get(obj, key) {
-        Some(MiniJson::Num(x)) => Some(*x),
-        _ => None,
-    }
-}
-
-fn get_bool(obj: &[(String, MiniJson)], key: &str) -> Option<bool> {
-    match get(obj, key) {
-        Some(MiniJson::Bool(x)) => Some(*x),
-        _ => None,
-    }
-}
-
-fn json_parse(s: &str) -> Result<MiniJson, String> {
-    let bytes: Vec<char> = s.chars().collect();
-    let mut pos = 0;
-    let v = parse_value(&bytes, &mut pos)?;
-    skip_ws(&bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing characters at {pos}"));
-    }
-    Ok(v)
-}
-
-fn skip_ws(b: &[char], pos: &mut usize) {
-    while *pos < b.len() && b[*pos].is_whitespace() {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[char], pos: &mut usize) -> Result<MiniJson, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some('"') => parse_string(b, pos).map(MiniJson::Str),
-        Some('[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&']') {
-                *pos += 1;
-                return Ok(MiniJson::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(',') => *pos += 1,
-                    Some(']') => {
-                        *pos += 1;
-                        return Ok(MiniJson::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some('{') => {
-            *pos += 1;
-            let mut pairs = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&'}') {
-                *pos += 1;
-                return Ok(MiniJson::Obj(pairs));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                skip_ws(b, pos);
-                if b.get(*pos) != Some(&':') {
-                    return Err(format!("expected ':' at {pos}", pos = *pos));
-                }
-                *pos += 1;
-                pairs.push((key, parse_value(b, pos)?));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(',') => *pos += 1,
-                    Some('}') => {
-                        *pos += 1;
-                        return Ok(MiniJson::Obj(pairs));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some('t') if b[*pos..].starts_with(&['t', 'r', 'u', 'e']) => {
-            *pos += 4;
-            Ok(MiniJson::Bool(true))
-        }
-        Some('f') if b[*pos..].starts_with(&['f', 'a', 'l', 's', 'e']) => {
-            *pos += 5;
-            Ok(MiniJson::Bool(false))
-        }
-        Some(c) if c.is_ascii_digit() => {
-            let start = *pos;
-            while b.get(*pos).is_some_and(char::is_ascii_digit) {
-                *pos += 1;
-            }
-            let text: String = b[start..*pos].iter().collect();
-            text.parse().map(MiniJson::Num).map_err(|_| format!("bad number '{text}'"))
-        }
-        other => Err(format!("unexpected {other:?} at {pos}", pos = *pos)),
-    }
-}
-
-fn parse_string(b: &[char], pos: &mut usize) -> Result<String, String> {
-    if b.get(*pos) != Some(&'"') {
-        return Err(format!("expected '\"' at {pos}", pos = *pos));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    while let Some(&c) = b.get(*pos) {
-        *pos += 1;
-        match c {
-            '"' => return Ok(out),
-            '\\' => {
-                let esc = b.get(*pos).copied().ok_or("dangling escape")?;
-                *pos += 1;
-                match esc {
-                    '"' => out.push('"'),
-                    '\\' => out.push('\\'),
-                    'n' => out.push('\n'),
-                    'r' => out.push('\r'),
-                    't' => out.push('\t'),
-                    'u' => {
-                        if *pos + 4 > b.len() {
-                            return Err("truncated \\u escape".into());
-                        }
-                        let hex: String = b[*pos..*pos + 4].iter().collect();
-                        *pos += 4;
-                        let code =
-                            u32::from_str_radix(&hex, 16).map_err(|_| "bad \\u escape digits")?;
-                        out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                    }
-                    other => return Err(format!("unknown escape '\\{other}'")),
-                }
-            }
-            c => out.push(c),
-        }
-    }
-    Err("unterminated string".into())
+/// A non-negative integer field as the `u64` the emitter wrote.
+fn as_u64(v: &Json) -> Option<u64> {
+    v.as_i64().and_then(|i| u64::try_from(i).ok())
 }
 
 #[cfg(test)]
@@ -653,6 +468,18 @@ mod tests {
         assert!(parse_jsonl("{\"type\":\"counter\",\"name\":\"x\"}").is_err());
         // Blank lines are fine.
         assert!(parse_jsonl("\n\n").unwrap().spans.is_empty());
+    }
+
+    #[test]
+    fn jsonl_counters_round_trip_to_i64_max_and_name_larger_values() {
+        let mut snap = sample();
+        snap.counters = vec![("big", i64::MAX as u64)];
+        assert_eq!(parse_jsonl(&snap.jsonl()).expect("i64::MAX fits"), snap.to_parsed());
+        // One past i64::MAX cannot be held exactly by the shared JSON
+        // integer, so the reader refuses it by name instead of rounding.
+        snap.counters = vec![("big", i64::MAX as u64 + 1)];
+        let err = parse_jsonl(&snap.jsonl()).expect_err("u64 above i64::MAX must not round");
+        assert!(err.starts_with("line 3: integer 9223372036854775808 out of i64 range"), "{err}");
     }
 
     #[test]

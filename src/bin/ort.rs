@@ -7,27 +7,27 @@
 //! ort profile <scheme> [--n N] [--seed S] [--mem]
 //!                                         instrumented run: spans + bit accounting,
 //!                                         --mem audits measured vs claimed memory
-//! ort bench [--out p] [--max-n N]         APSP engine snapshot (dense + sparse)
-//! ort bench-build [--out p] [--max-n N] [--schemes a,b]
-//!                                         scheme-construction snapshot (banded vs full)
-//! ort bench-gate [--record] [--mem]       bit-drift + perf-regression gate
-//!                                         (--mem adds the allocator-audit probes)
+//! ort save    <scheme> <n> <seed> <file>  write a scheme snapshot
+//! ort load    <file> <src> <dst>          route one message from a snapshot
 //! ort conformance [out.json]              run the full conformance suite
 //! ort resilience  [--verbose] [out.json]  fault-intensity sweep over all schemes
 //! ort churn [--out p] [--max-n N]         continuous-churn repair sweep
-
 //! ort trace <scheme> --n N --seed S [--src A --dst B | --worst]
 //!                                         capture one walk, explain its stretch
 //! ort report [--dir d] [--out p] [--baseline p]
-//!                                         cross-run regression observatory
+//!                                         the regression gate: check table over
+//!                                         results/ plus fresh bit, memory and
+//!                                         repair probes
 //! ort schemes                             list available schemes
 //! ort --version                           build info (features, telemetry state)
 //! ```
 //!
 //! Graphs are seeded `G(n, 1/2)` samples, so every invocation is
-//! reproducible. Set `ORT_TELEMETRY=summary` (or `jsonl:<path>`,
-//! `folded:<path>`) to attach telemetry sinks to any subcommand; every
-//! exit path — success or error — flushes them.
+//! reproducible. Speed is measured by the benchmark of record,
+//! `examples/ortbench`, not by a subcommand here. Set
+//! `ORT_TELEMETRY=summary` (or `jsonl:<path>`, `folded:<path>`) to
+//! attach telemetry sinks to any subcommand; every exit path — success
+//! or error — flushes them.
 
 use std::process::ExitCode;
 
@@ -37,7 +37,7 @@ use optimal_routing_tables::graphs::{generators, Graph};
 use optimal_routing_tables::kolmogorov::deficiency::CompressorSuite;
 use optimal_routing_tables::routing::scheme::RoutingScheme;
 use optimal_routing_tables::routing::verify;
-use optimal_routing_tables::{gate, manifest, profile};
+use optimal_routing_tables::{manifest, profile};
 
 fn build_scheme(name: &str, g: &Graph) -> Result<Box<dyn RoutingScheme>, String> {
     SchemeId::from_name(name)
@@ -52,10 +52,6 @@ fn usage() -> ExitCode {
     eprintln!("  ort build   <scheme> <n> <seed>");
     eprintln!("  ort route   <scheme> <n> <seed> <src> <dst>");
     eprintln!("  ort profile <scheme> [--n N] [--seed S] [--mem]  (default n=128 seed=1)");
-    eprintln!("  ort bench   [--out p] [--max-n N]        (default results/BENCH_apsp.json)");
-    eprintln!("  ort bench-build [--out p] [--max-n N] [--schemes a,b]");
-    eprintln!("                                           (default results/BENCH_build.json)");
-    eprintln!("  ort bench-gate [--record] [--mem] [--baseline p] [--bench p] [--build p] [--churn p]");
     eprintln!("  ort save    <scheme> <n> <seed> <file>   (snapshot-capable schemes)");
     eprintln!("  ort load    <file> <src> <dst>");
     eprintln!("  ort conformance [out.json]               (default results/CONFORMANCE.json)");
@@ -178,6 +174,13 @@ fn run() -> Result<(), String> {
                 for p in &outcome.problems {
                     eprintln!("regression: {p}");
                 }
+                // A gate failure is exactly the moment a post-mortem
+                // matters: freeze the flight recorder's recent history.
+                optimal_routing_tables::telemetry::recorder::anomaly(
+                    "report_failure",
+                    outcome.problems.len() as u64,
+                    0,
+                );
                 Err(format!("report: FAIL ({} regressions)", outcome.problems.len()))
             }
         }
@@ -207,116 +210,6 @@ fn run() -> Result<(), String> {
             };
             print!("{}", report.text);
             Ok(())
-        }
-        Some("bench") => {
-            use optimal_routing_tables::bench;
-            let (flags, positional) = parse_flags(&args[1..], &["out", "max-n"])?;
-            if !positional.is_empty() {
-                return Err(format!("unexpected argument '{}'", positional[0]));
-            }
-            let mut opts = bench::BenchOptions::default();
-            for (flag, value) in flags {
-                match flag.as_str() {
-                    "out" => opts.out_path = value,
-                    "max-n" => opts.max_n = value.parse().map_err(|_| "invalid --max-n")?,
-                    _ => unreachable!("parse_flags filters"),
-                }
-            }
-            let out = opts.out_path.clone();
-            let records = bench::run(&opts)?;
-            print!("{}", bench::summary(&records, &out));
-            Ok(())
-        }
-        Some("bench-build") => {
-            use optimal_routing_tables::bench_build;
-            let (flags, positional) = parse_flags(&args[1..], &["out", "max-n", "schemes"])?;
-            if !positional.is_empty() {
-                return Err(format!("unexpected argument '{}'", positional[0]));
-            }
-            let mut opts = bench_build::BenchBuildOptions::default();
-            for (flag, value) in flags {
-                match flag.as_str() {
-                    "out" => opts.out_path = value,
-                    "max-n" => opts.max_n = value.parse().map_err(|_| "invalid --max-n")?,
-                    "schemes" => {
-                        opts.schemes = value
-                            .split(',')
-                            .map(|name| {
-                                SchemeId::from_name(name.trim()).ok_or_else(|| {
-                                    format!("unknown scheme '{name}'; try `ort schemes`")
-                                })
-                            })
-                            .collect::<Result<_, _>>()?;
-                    }
-                    _ => unreachable!("parse_flags filters"),
-                }
-            }
-            let out = opts.out_path.clone();
-            let records = bench_build::run(&opts)?;
-            print!("{}", bench_build::summary(&records, &out));
-            Ok(())
-        }
-        Some("bench-gate") => {
-            let mut record = false;
-            let mut mem = false;
-            let mut baseline = gate::DEFAULT_BASELINE.to_string();
-            let mut bench = Some(gate::DEFAULT_BENCH.to_string());
-            let mut build = Some(gate::DEFAULT_BUILD_BENCH.to_string());
-            let mut churn = Some(gate::DEFAULT_CHURN.to_string());
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--record" => record = true,
-                    "--mem" => mem = true,
-                    "--baseline" => {
-                        baseline = it.next().ok_or("--baseline needs a path")?.clone();
-                    }
-                    "--bench" => {
-                        let p = it.next().ok_or("--bench needs a path (or 'none')")?;
-                        bench = (p != "none").then(|| p.clone());
-                    }
-                    "--build" => {
-                        let p = it.next().ok_or("--build needs a path (or 'none')")?;
-                        build = (p != "none").then(|| p.clone());
-                    }
-                    "--churn" => {
-                        let p = it.next().ok_or("--churn needs a path (or 'none')")?;
-                        churn = (p != "none").then(|| p.clone());
-                    }
-                    other => return Err(format!("unknown argument '{other}'")),
-                }
-            }
-            if record {
-                gate::record(&gate::GateConfig::default(), &baseline)?;
-                println!("wrote {baseline}");
-                return Ok(());
-            }
-            let report = gate::check_all(
-                &baseline,
-                bench.as_deref(),
-                build.as_deref(),
-                churn.as_deref(),
-                mem,
-            )?;
-            for line in &report.lines {
-                println!("{line}");
-            }
-            if report.pass() {
-                println!("bench-gate: PASS");
-                Ok(())
-            } else {
-                for f in &report.failures {
-                    eprintln!("regression: {f}");
-                }
-                // A gate failure is exactly the moment a post-mortem
-                // matters: freeze the flight recorder's recent history.
-                optimal_routing_tables::telemetry::recorder::anomaly(
-                    "bench_gate_failure",
-                    report.failures.len() as u64,
-                    0,
-                );
-                Err(format!("bench-gate: FAIL ({} regressions)", report.failures.len()))
-            }
         }
         Some("certify") => {
             let n: usize = parse(args.get(1), "n")?;
@@ -349,18 +242,12 @@ fn run() -> Result<(), String> {
             println!("{name} on G({n}, 1/2) seed {seed} [model {}]", scheme.model());
             println!("total size: {} bits ({:.2} bits/n²)",
                 scheme.total_size_bits(),
-                scheme.total_size_bits() as f64 / (n * n) as f64);
-            let sizes: Vec<usize> = (0..n).map(|u| scheme.charged_size_bits(u)).collect();
-            println!(
-                "per node: min {} / median {} / max {}",
-                sizes.iter().min().unwrap(),
-                {
-                    let mut s = sizes.clone();
-                    s.sort_unstable();
-                    s[n / 2]
-                },
-                sizes.iter().max().unwrap()
-            );
+                scheme.total_size_bits() as f64 / (n * n).max(1) as f64);
+            let mut sizes: Vec<usize> = (0..n).map(|u| scheme.charged_size_bits(u)).collect();
+            sizes.sort_unstable();
+            if let (Some(min), Some(max)) = (sizes.first(), sizes.last()) {
+                println!("per node: min {min} / median {} / max {max}", sizes[n / 2]);
+            }
             let report = verify::verify_scheme_sampled(&g, scheme.as_ref(), if n >= 256 { 7 } else { 1 })
                 .map_err(|e| e.to_string())?;
             println!(

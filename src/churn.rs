@@ -25,9 +25,9 @@
 //! The report (`results/CHURN.json`) contains **no wall-clock timings**:
 //! every field is a deterministic function of `(topology, config, seed)`,
 //! so the file is byte-identical under any `ORT_THREADS` setting and
-//! with telemetry sinks on or off. The repair-vs-rebuild *speed* gate is
-//! measured fresh by `ort bench-gate` (see `gate::check_all`), never
-//! read from this file.
+//! with telemetry sinks on or off. The repair-vs-rebuild *speed* check is
+//! measured fresh by `ort report` (the repair probe in [`crate::gate`]),
+//! never read from this file.
 //!
 //! [`ChurnPlan`]: ort_simnet::churn::ChurnPlan
 //! [`RepairableScheme`]: ort_routing::repair::RepairableScheme
@@ -35,7 +35,7 @@
 //! [`BitBreakdown`]: ort_routing::accounting::BitBreakdown
 //! [`VerifyReport`]: ort_routing::verify::VerifyReport
 
-use ort_conformance::json::Json;
+use ort_telemetry::json::Json;
 use ort_graphs::{generators, Graph};
 use ort_routing::accounting::BitBreakdown;
 use ort_routing::repair::RepairableScheme;
@@ -129,12 +129,7 @@ fn cell_specs(max_n: usize) -> Vec<CellSpec> {
         cells.push(CellSpec {
             name: "sparse4096",
             graph_desc: "power_law(4096, m=2, gamma=2.5)",
-            g0: generators::power_law_seeded(
-                4096,
-                crate::bench::SPARSE_M,
-                crate::bench::SPARSE_GAMMA,
-                CHURN_SEED,
-            ),
+            g0: generators::power_law_seeded(4096, 2, 2.5, CHURN_SEED),
             steps: 12,
             full_verify: false,
             probe_stride: 31,

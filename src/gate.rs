@@ -1,1197 +1,741 @@
-//! `ort bench-gate` — the perf-regression and bit-drift gate.
+//! The check table behind `ort report`: every regression check the
+//! workspace makes outside the benchmark of record, as rows of one
+//! declarative table ([`ROWS`]).
 //!
-//! The gate re-measures every registry scheme on the baseline's seeded
-//! `G(n, 1/2)` graphs and compares against two checked-in documents:
+//! A [`Row`] names a **source**, a **JSON path** into it, and a **rule**:
 //!
-//! * `results/TELEMETRY_BASELINE.json` — per-`(scheme, n)` bit
-//!   breakdowns ([`BitBreakdown`]: routing / port-permutation / label
-//!   bits) and median build wall-clock. **Bit comparisons are exact** —
-//!   table sizes are deterministic functions of the graph, so any drift
-//!   is an encoder change, never noise. Timing comparisons are
-//!   *normalized*: each scheme's fresh/baseline ratio is compared to the
-//!   run-wide median ratio, so a uniformly slower or faster machine
-//!   cancels out and only a *relative* regression beyond the baseline's
-//!   `tolerance` (default 25%) fails the gate. Sub-millisecond baselines
-//!   are skipped as noise.
-//! * `results/BENCH_apsp.json` — the APSP engine snapshot. The gate
-//!   re-times the default engine against the queue-serial baseline on
-//!   the same graph and fails if the normalized default-engine time
-//!   (default ms / queue ms, machine speed cancels) regressed by more
-//!   than the tolerance. The large-`n` sparse regime gets the same
-//!   treatment at `n = 4096` (tiled vs queue), plus two static checks on
-//!   the snapshot itself: tiled must beat bitset, and the compact store's
-//!   peak bytes must stay at least 2x below the `u32` full matrix.
+//! * Sources ([`Source`]) are the checked-in results files, the
+//!   provenance `ort report` derives for each of them (schema, stored and
+//!   recomputed digest, history ledger), and three fresh probes: the
+//!   12-scheme bit breakdown on `gnp_half(n, 1)` at n = 64/128/256, the
+//!   allocator memory probes, and the single-link repair-vs-cold-rebuild
+//!   floor.
+//! * A path is dot-separated keys. `*` fans the row out over every member
+//!   of an object or element of an array (elements are named by their
+//!   `"name"` field when they have one, else by index), `#` is the length
+//!   of an array, and `+` sums the rest of the path over an array. A
+//!   missing key resolves to `null`.
+//! * [`Rule::Exact`] records the value in `REPORT.json`, where a later
+//!   `ort report --baseline` requires it bit-for-bit; [`Rule::Bound`]
+//!   judges the fresh value on its own and records nothing, so the
+//!   report stays free of machine- and feature-dependent numbers.
 //!
-//! `record` writes a fresh baseline; `check` compares and reports.
+//! Timing is measured and gated end to end by the benchmark of record
+//! (`examples/ortbench`), never against a number recorded here. The one
+//! clock read in this module is the repair probe, a ratio of two timings
+//! taken back to back in the same process.
 
 use std::time::Instant;
 
-use ort_conformance::json::Json;
 use ort_conformance::registry::SchemeId;
-use ort_graphs::generators;
+use ort_graphs::oracle::{BandedOracle, Distances};
 use ort_graphs::paths::{Apsp, ApspEngine};
+use ort_graphs::{generators, Graph};
 use ort_routing::accounting::BitBreakdown;
+use ort_routing::repair::RepairableScheme;
+use ort_telemetry::json::Json;
 
-/// Default baseline path, checked in next to the other result documents.
-pub const DEFAULT_BASELINE: &str = "results/TELEMETRY_BASELINE.json";
-/// Default APSP snapshot path (written by `ort-bench`'s `apsp_snapshot`).
-pub const DEFAULT_BENCH: &str = "results/BENCH_apsp.json";
-/// Default scheme-construction snapshot path (written by `ort bench-build`).
-pub const DEFAULT_BUILD_BENCH: &str = "results/BENCH_build.json";
-/// Default churn report path (written by `ort churn`).
-pub const DEFAULT_CHURN: &str = "results/CHURN.json";
+use crate::manifest::SCHEMA_VERSION;
 
-/// Minimum speedup of a patched single-link repair over a cold
-/// full-table rebuild at [`CHURN_GATE_N`] nodes. Below this the
-/// incremental path has lost its reason to exist.
-pub const REPAIR_SPEEDUP_FLOOR: f64 = 5.0;
-/// Graph size for the fresh repair-vs-rebuild measurement.
-pub const CHURN_GATE_N: usize = 4096;
-
-/// Graph size for the fresh banded-oracle memory probe (`--mem`).
+/// Graph sizes of the bit-breakdown probe (`gnp_half(n, BITS_SEED)`).
+pub const BITS_SIZES: [usize; 3] = [64, 128, 256];
+/// Generator seed of the bit-breakdown probe.
+pub const BITS_SEED: u64 = 1;
+/// Graph size for the banded-oracle memory probe.
 pub const MEM_BANDED_N: usize = 4096;
-/// Graph size for the fresh compact-width APSP memory probe (`--mem`).
+/// Graph size for the compact-width APSP memory probe.
 pub const MEM_APSP_N: usize = 1024;
 /// Multiplicative headroom a measured region peak may sit above its
-/// analytic claim before the memory gate calls it unaccounted
-/// allocation. The claims are guaranteed lower bounds, so anything the
-/// model omits (allocator rounding, per-tile transients) must fit here.
+/// analytic claim. The claims are guaranteed lower bounds, so anything
+/// the model omits (allocator rounding, per-tile transients) must fit.
 pub const MEM_SLACK: f64 = 1.25;
-/// Absolute headroom added on top of [`MEM_SLACK`]: size-independent
+/// Absolute headroom on top of [`MEM_SLACK`]: size-independent
 /// transients such as hist registration and span bookkeeping.
-pub const MEM_ABS_SLACK: u64 = 256 * 1024;
+pub const MEM_ABS_SLACK: i64 = 256 * 1024;
+/// Graph size for the repair-vs-rebuild probe.
+pub const REPAIR_N: usize = 4096;
+/// Minimum speedup of a patched single-link repair over a cold
+/// full-table rebuild at [`REPAIR_N`] nodes. Below this the incremental
+/// path has lost its reason to exist.
+pub const REPAIR_SPEEDUP_FLOOR: f64 = 5.0;
 
-/// Measurement plan: sizes, graph seed, timing repetitions, and the
-/// relative timing tolerance stored into (and read back from) the
-/// baseline document.
-#[derive(Debug, Clone)]
-pub struct GateConfig {
-    /// Graph sizes to measure (`G(n, 1/2)` each).
-    pub sizes: Vec<usize>,
-    /// Generator seed shared by all sizes.
-    pub seed: u64,
-    /// Build repetitions per scheme; the median is recorded.
-    pub reps: usize,
-    /// Allowed relative timing regression (0.25 = 25%).
-    pub tolerance: f64,
+/// Where a row's document comes from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Source {
+    /// The provenance of every results file: an object keyed by file
+    /// name holding the manifest's `schema` and `digest`, the
+    /// `payload_digest` recomputed from the file, and the
+    /// `history_digest` of its last `HISTORY.jsonl` line.
+    Provenance,
+    /// A checked-in results file, by name. Rows on an absent file are
+    /// skipped; a baseline comparison then reports their values missing.
+    File(&'static str),
+    /// Fresh: [`bits_probe`].
+    Bits,
+    /// Fresh: [`mem_probe`].
+    Mem,
+    /// Fresh: [`repair_probe`].
+    Repair,
 }
 
-impl Default for GateConfig {
-    fn default() -> Self {
-        GateConfig { sizes: vec![64, 128, 256], seed: 1, reps: 5, tolerance: 0.25 }
-    }
-}
-
-/// One `(scheme, n)` measurement: the exact bit decomposition and the
-/// median build time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Measurement {
-    /// Registry name of the scheme.
-    pub scheme: &'static str,
-    /// Graph size.
-    pub n: usize,
-    /// Routing-function bits (excluding the port permutation).
-    pub routing_bits: usize,
-    /// Port-permutation (Lehmer) bits.
-    pub port_permutation_bits: usize,
-    /// Charged label bits (model γ only).
-    pub label_bits: usize,
-    /// Total charged bits — always the sum of the three shares.
-    pub total_bits: usize,
-    /// Largest per-node total.
-    pub max_node_bits: usize,
-    /// Median wall-clock of `reps` builds, in milliseconds.
-    pub build_ms_median: f64,
-    /// Fastest of the `reps` builds, in milliseconds. Not stored in the
-    /// baseline document; the comparison uses the fresh *floor* against
-    /// the baseline *median*, so a transient busy phase during the fresh
-    /// run cannot fail the gate, while a real slowdown (which moves the
-    /// floor too) still does.
-    pub build_ms_min: f64,
-}
-
-/// The gate's verdict: informational lines plus hard failures.
-#[derive(Debug, Default)]
-pub struct GateReport {
-    /// Progress/summary lines (always printed).
-    pub lines: Vec<String>,
-    /// Failures; empty means the gate passes.
-    pub failures: Vec<String>,
-}
-
-impl GateReport {
-    /// Whether the gate passed.
+impl Source {
+    /// The name failures and `REPORT.json` use for this source.
     #[must_use]
-    pub fn pass(&self) -> bool {
-        self.failures.is_empty()
+    pub fn name(self) -> &'static str {
+        match self {
+            Source::Provenance => "results",
+            Source::File(name) => name,
+            Source::Bits => "probe:bits",
+            Source::Mem => "probe:mem",
+            Source::Repair => "probe:repair",
+        }
     }
 }
 
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
+/// A [`Rule::Bound`] check's judgement of one selected value.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Verdict {
+    /// Holds; a non-empty note is printed.
+    Pass(String),
+    /// Cannot be judged in this build (the reason is printed).
+    Skip(&'static str),
+    /// Broken; the message becomes a problem.
+    Fail(String),
 }
 
-/// Builds and times every registry scheme per the config.
+/// How a row judges what its path selects.
+#[derive(Debug, Clone, Copy)]
+pub enum Rule {
+    /// Recorded in `REPORT.json`; must equal the `--baseline` report.
+    Exact,
+    /// A named check on the fresh value alone.
+    Bound(&'static str, fn(&Json) -> Verdict),
+}
+
+/// One check: a source, a JSON path into it, and a rule.
+#[derive(Debug, Clone, Copy)]
+pub struct Row {
+    /// Where the document comes from.
+    pub source: Source,
+    /// What the row selects (see the module docs for `*`, `#`, `+`).
+    pub path: &'static str,
+    /// How the selection is judged.
+    pub rule: Rule,
+}
+
+const fn exact(source: Source, path: &'static str) -> Row {
+    Row { source, path, rule: Rule::Exact }
+}
+
+/// A [`Rule::Bound`] row named after its check function.
+macro_rules! bound {
+    ($source:expr, $path:literal, $check:ident) => {
+        Row { source: $source, path: $path, rule: Rule::Bound(stringify!($check), $check) }
+    };
+}
+
+const CONFORMANCE: Source = Source::File("CONFORMANCE.json");
+const RESILIENCE: Source = Source::File("RESILIENCE.json");
+const DIAGNOSTICS: Source = Source::File("RESILIENCE_DIAGNOSTICS.json");
+const CHURN: Source = Source::File("CHURN.json");
+
+/// The table `ort report` runs.
+pub const ROWS: &[Row] = &[
+    bound!(Source::Provenance, "*", stamped_at_current_schema),
+    bound!(Source::Provenance, "*", digest_recomputes),
+    bound!(Source::Provenance, "*", history_agrees),
+    exact(Source::Provenance, "*.digest"),
+    exact(CONFORMANCE, "pass"),
+    exact(CONFORMANCE, "violations.#"),
+    exact(CONFORMANCE, "schemes_covered.#"),
+    exact(CONFORMANCE, "differential_exhaustive.#"),
+    exact(CONFORMANCE, "differential_sweeps.#"),
+    exact(CONFORMANCE, "fuzz.total_mutations"),
+    exact(CONFORMANCE, "fuzz.panics"),
+    exact(RESILIENCE, "pass"),
+    exact(RESILIENCE, "violations.#"),
+    exact(RESILIENCE, "cells.#"),
+    exact(RESILIENCE, "refusals.#"),
+    exact(RESILIENCE, "cells.+.pairs"),
+    exact(RESILIENCE, "cells.+.delivered"),
+    exact(RESILIENCE, "hists.*"),
+    exact(DIAGNOSTICS, "violations.#"),
+    exact(DIAGNOSTICS, "avoidable_exemplars.#"),
+    bound!(CHURN, "pass", is_true),
+    bound!(CHURN, "cells.*", byte_identical_throughout),
+    bound!(CHURN, "cells.+.repair.patches", positive),
+    bound!(CHURN, "cells", has_a_cell_at_1024),
+    exact(CHURN, "pass"),
+    exact(CHURN, "violations.#"),
+    exact(CHURN, "cells.#"),
+    exact(CHURN, "cells.*.events_applied"),
+    exact(CHURN, "cells.*.checks.byte_identical_steps"),
+    exact(CHURN, "cells.*.checks.verify_equal_steps"),
+    exact(CHURN, "hists.*"),
+    exact(Source::Bits, "*.*"),
+    exact(Source::Mem, "*.claimed_peak_bytes"),
+    bound!(Source::Mem, "*", claim_brackets_measured),
+    bound!(Source::Mem, "apsp", half_the_u32_matrix),
+    bound!(Source::Repair, "single_link", repair_beats_rebuild),
+];
+
+/// Every `(concrete path, value)` that `path` selects in `doc`, in
+/// document order; see the module docs for the path syntax.
+#[must_use]
+pub fn select(doc: &Json, path: &str) -> Vec<(String, Json)> {
+    let segs: Vec<&str> = path.split('.').filter(|s| !s.is_empty()).collect();
+    let mut out = Vec::new();
+    walk(doc, &segs, String::new(), &mut out);
+    out
+}
+
+fn walk(v: &Json, segs: &[&str], at: String, out: &mut Vec<(String, Json)>) {
+    let join = |k: &str| if at.is_empty() { k.to_string() } else { format!("{at}.{k}") };
+    let Some((&seg, rest)) = segs.split_first() else {
+        out.push((at, v.clone()));
+        return;
+    };
+    match seg {
+        "*" => {
+            for (k, child) in members(v) {
+                walk(child, rest, join(&k), out);
+            }
+        }
+        "#" => out.push((join("#"), v.as_arr().map_or(Json::Null, |a| Json::Int(a.len() as i64)))),
+        "+" => {
+            let mut terms = Vec::new();
+            for (_, child) in members(v) {
+                walk(child, rest, String::new(), &mut terms);
+            }
+            let sum = terms.iter().filter_map(|(_, t)| t.as_i64()).sum();
+            out.push((join(&segs.join(".")), Json::Int(sum)));
+        }
+        key => walk(v.get(key).unwrap_or(&Json::Null), rest, join(key), out),
+    }
+}
+
+/// The named children of an object or array.
+fn members(v: &Json) -> Vec<(String, &Json)> {
+    match v {
+        Json::Obj(pairs) => pairs.iter().map(|(k, c)| (k.clone(), c)).collect(),
+        Json::Arr(items) => items
+            .iter()
+            .enumerate()
+            .map(|(i, c)| {
+                (c.get("name").and_then(Json::as_str).map_or(i.to_string(), str::to_string), c)
+            })
+            .collect(),
+        _ => Vec::new(),
+    }
+}
+
+fn int(v: &Json, key: &str) -> Option<i64> {
+    v.get(key).and_then(Json::as_i64)
+}
+
+fn stamped_at_current_schema(v: &Json) -> Verdict {
+    match int(v, "schema") {
+        None => Verdict::Fail("no manifest (unstamped results file)".into()),
+        Some(SCHEMA_VERSION) => Verdict::Pass(String::new()),
+        Some(s) => Verdict::Fail(format!("manifest schema {s}, expected {SCHEMA_VERSION}")),
+    }
+}
+
+fn digest_recomputes(v: &Json) -> Verdict {
+    match (v.get("digest").and_then(Json::as_str), v.get("payload_digest").and_then(Json::as_str)) {
+        (Some(stored), Some(payload)) if stored == payload => Verdict::Pass(String::new()),
+        (Some(stored), Some(payload)) => Verdict::Fail(format!(
+            "digest: payload hashes to {payload}, manifest says {stored} — the file was \
+             modified after it was written"
+        )),
+        _ => Verdict::Skip("unstamped: no digest to recompute"),
+    }
+}
+
+fn history_agrees(v: &Json) -> Verdict {
+    let stored = v.get("digest").and_then(Json::as_str);
+    match v.get("history_digest").and_then(Json::as_str) {
+        None => Verdict::Fail("history: no HISTORY.jsonl line for this file".into()),
+        Some(h) if Some(h) == stored => Verdict::Pass(String::new()),
+        Some(h) => Verdict::Fail(format!(
+            "history: last trajectory digest {h} != manifest digest {}",
+            stored.unwrap_or("null")
+        )),
+    }
+}
+
+fn is_true(v: &Json) -> Verdict {
+    match v {
+        Json::Bool(true) => Verdict::Pass(String::new()),
+        other => Verdict::Fail(format!("{}, expected true", other.compact())),
+    }
+}
+
+fn positive(v: &Json) -> Verdict {
+    match v.as_i64() {
+        Some(x) if x > 0 => Verdict::Pass(String::new()),
+        _ => Verdict::Fail(format!("{}, expected > 0", v.compact())),
+    }
+}
+
+fn byte_identical_throughout(cell: &Json) -> Verdict {
+    let applied = int(cell, "events_applied").unwrap_or(-1);
+    let identical = cell.get("checks").and_then(|c| int(c, "byte_identical_steps")).unwrap_or(-2);
+    if applied <= 0 {
+        Verdict::Fail("applied no events".into())
+    } else if identical != applied {
+        Verdict::Fail(format!(
+            "byte-identical on {identical} of {applied} steps — repair diverged from cold rebuild"
+        ))
+    } else {
+        Verdict::Pass(String::new())
+    }
+}
+
+fn has_a_cell_at_1024(cells: &Json) -> Verdict {
+    let large =
+        cells.as_arr().unwrap_or(&[]).iter().any(|c| int(c, "n0").is_some_and(|n| n >= 1024));
+    if large {
+        Verdict::Pass(String::new())
+    } else {
+        Verdict::Fail("no cell at n ≥ 1024 — regenerate with `ort churn`".into())
+    }
+}
+
+/// `claim ≤ measured ≤ MEM_SLACK · claim + MEM_ABS_SLACK`: the analytic
+/// `peak_bytes` is a true lower bound and nothing unmodelled is live.
+fn claim_brackets_measured(v: &Json) -> Verdict {
+    let claim = int(v, "claimed_peak_bytes").unwrap_or(0);
+    let Some(measured) = int(v, "measured_peak_bytes") else {
+        return Verdict::Skip("allocator instrumentation compiled out");
+    };
+    let cap = (claim as f64 * MEM_SLACK) as i64 + MEM_ABS_SLACK;
+    if measured < claim {
+        Verdict::Fail(format!(
+            "measured peak {measured} B under the analytic claim {claim} B — peak_bytes \
+             overstates what the run allocates"
+        ))
+    } else if measured > cap {
+        Verdict::Fail(format!(
+            "measured peak {measured} B exceeds the analytic claim {claim} B beyond slack \
+             (cap {cap} B) — an unmodelled buffer is live"
+        ))
+    } else {
+        Verdict::Pass(format!(
+            "claimed {claim} B, measured {measured} B ({:.3}x, cap {cap} B)",
+            measured as f64 / claim.max(1) as f64
+        ))
+    }
+}
+
+/// The compact store's width win, in allocator-observed bytes.
+fn half_the_u32_matrix(v: &Json) -> Verdict {
+    let u32_full = int(v, "u32_full_bytes").unwrap_or(0);
+    let Some(measured) = int(v, "measured_peak_bytes") else {
+        return Verdict::Skip("allocator instrumentation compiled out");
+    };
+    if measured * 2 > u32_full {
+        Verdict::Fail(format!(
+            "measured peak {measured} B not 2x below the u32 full matrix ({u32_full} B)"
+        ))
+    } else {
+        Verdict::Pass(format!(
+            "{:.1}x below the u32 full matrix",
+            u32_full as f64 / measured.max(1) as f64
+        ))
+    }
+}
+
+fn repair_beats_rebuild(v: &Json) -> Verdict {
+    let num = |k: &str| v.get(k).and_then(Json::as_f64).unwrap_or(0.0);
+    let (repair, rebuild, speedup) = (num("repair_ms"), num("rebuild_ms"), num("speedup"));
+    let line = format!("repair {repair:.2} ms vs cold rebuild {rebuild:.1} ms: {speedup:.0}x");
+    if speedup >= REPAIR_SPEEDUP_FLOOR {
+        Verdict::Pass(line)
+    } else {
+        Verdict::Fail(format!(
+            "{line}, floor {REPAIR_SPEEDUP_FLOOR}x — the incremental path has collapsed"
+        ))
+    }
+}
+
+/// The sparse probe graph: `power_law(n, m = 2, γ = 2.5)`, seed 1.
+fn sparse(n: usize) -> Graph {
+    generators::power_law_seeded(n, 2, 2.5, 1)
+}
+
+fn int_json(x: usize) -> Json {
+    Json::Int(x as i64)
+}
+
+/// Builds every registry scheme on `gnp_half(n, BITS_SEED)` for each of
+/// [`BITS_SIZES`] and returns `{ "<n>": { "<scheme>": { routing,
+/// port_permutation, label, total, max_node } } }` — exact bit counts,
+/// deterministic functions of the graph.
 ///
 /// # Errors
 ///
-/// Returns a message if any scheme refuses one of the baseline graphs —
-/// the gate's graphs are chosen so every scheme accepts them, so a
-/// refusal is itself a regression.
-pub fn measure(cfg: &GateConfig) -> Result<Vec<Measurement>, String> {
-    let _span = ort_telemetry::span("gate.measure");
-    let mut out = Vec::new();
-    for &n in &cfg.sizes {
-        let g = generators::gnp_half(n, cfg.seed);
+/// Names the scheme that refused a probe graph; the graphs are chosen so
+/// every scheme accepts them, so a refusal is itself a regression.
+pub fn bits_probe() -> Result<Json, String> {
+    let _span = ort_telemetry::span("gate.bits");
+    let mut sizes = Vec::new();
+    for n in BITS_SIZES {
+        let g = generators::gnp_half(n, BITS_SEED);
+        let mut schemes = Vec::new();
         for id in SchemeId::ALL {
-            let mut times = Vec::with_capacity(cfg.reps);
-            let mut built = None;
-            for _ in 0..cfg.reps.max(1) {
-                let t = Instant::now();
-                let scheme = id.build(&g).map_err(|e| {
-                    format!("{} refused G({n}, 1/2) seed {}: {e}", id.name(), cfg.seed)
-                })?;
-                times.push(t.elapsed().as_secs_f64() * 1e3);
-                built = Some(scheme);
-            }
-            let floor = times.iter().copied().fold(f64::INFINITY, f64::min);
-            let scheme = built.expect("reps >= 1");
+            let scheme = id
+                .build(&g)
+                .map_err(|e| format!("{} refused G({n}, 1/2) seed {BITS_SEED}: {e}", id.name()))?;
             let b = BitBreakdown::of(scheme.as_ref());
-            out.push(Measurement {
-                scheme: id.name(),
-                n,
-                routing_bits: b.routing_bits(),
-                port_permutation_bits: b.port_permutation_bits(),
-                label_bits: b.label_bits(),
-                total_bits: b.total(),
-                max_node_bits: b.max_node_bits(),
-                build_ms_median: median(times),
-                build_ms_min: floor,
-            });
+            schemes.push((
+                id.name().to_string(),
+                Json::obj(vec![
+                    ("routing", int_json(b.routing_bits())),
+                    ("port_permutation", int_json(b.port_permutation_bits())),
+                    ("label", int_json(b.label_bits())),
+                    ("total", int_json(b.total())),
+                    ("max_node", int_json(b.max_node_bits())),
+                ]),
+            ));
         }
+        sizes.push((n.to_string(), Json::Obj(schemes)));
     }
-    Ok(out)
+    Ok(Json::Obj(sizes))
 }
 
-/// The `--mem` probes: deterministic single-threaded measurements from
-/// the instrumented allocator, comparable across hosts because the
-/// accounting is in requested bytes and the allocation pattern of a
-/// serial run is a pure function of the graph.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MemProbes {
-    /// Analytic [`BandedOracle::peak_bytes`] claim at [`MEM_BANDED_N`].
-    pub banded_claimed: u64,
-    /// Measured region peak of one full banded sweep at [`MEM_BANDED_N`].
-    pub banded_measured: u64,
-    /// Measured region peak of one serial compact-width APSP at
-    /// [`MEM_APSP_N`].
-    pub apsp_measured: u64,
-    /// The historical `u32` full-matrix footprint at [`MEM_APSP_N`] the
-    /// compact store is held against.
-    pub apsp_u32_full: u64,
-}
-
-/// Runs the fresh memory probes, or `None` when the instrumented
-/// allocator is compiled out (`--no-default-features`).
+/// The allocator memory probes, each run serially:
+///
+/// * `banded` — one full ascending sweep of a [`BandedOracle`] over the
+///   sparse graph at [`MEM_BANDED_N`] (the oracle is built outside the
+///   region, so the region holds exactly what `peak_bytes` models: one
+///   band plus the tiled engine's scratch);
+/// * `apsp` — one compact-width tiled APSP at [`MEM_APSP_N`], claimed as
+///   its store plus scratch and held against the `u32` full matrix.
+///
+/// Claims are analytic and always present; `measured_peak_bytes` only
+/// when the instrumented allocator is compiled in.
 #[must_use]
-pub fn measure_mem() -> Option<MemProbes> {
-    use ort_graphs::oracle::{BandedOracle, Distances};
-    if !ort_telemetry::alloc::installed() {
-        return None;
-    }
+pub fn mem_probe() -> Json {
     let _span = ort_telemetry::span("gate.mem");
+    let measured = |rec: ort_telemetry::MemSpanRecord| {
+        let peak = Json::Int(rec.region_peak_bytes as i64);
+        ort_telemetry::alloc::installed().then_some(("measured_peak_bytes", peak))
+    };
 
-    // Probe 1: the streaming oracle's one-band contract, measured. The
-    // oracle (and its graph clone) is built outside the region so the
-    // region peak is exactly what `peak_bytes` models: one band of
-    // compact cells plus the tiled engine's scratch.
-    let g = generators::power_law_seeded(
-        MEM_BANDED_N,
-        crate::bench::SPARSE_M,
-        crate::bench::SPARSE_GAMMA,
-        crate::bench::BENCH_SEED,
-    );
     let band_rows = ApspEngine::tile_sources(MEM_BANDED_N);
-    let banded = BandedOracle::with_engine(g.clone(), band_rows, ApspEngine::Tiled);
-    let banded_claimed = banded.peak_bytes() as u64;
+    let banded = BandedOracle::with_engine(sparse(MEM_BANDED_N), band_rows, ApspEngine::Tiled);
     let region = ort_telemetry::alloc::mem_span("gate.mem.banded");
-    let mut u = 0;
-    while u < MEM_BANDED_N {
+    for u in (0..MEM_BANDED_N).step_by(band_rows) {
         std::hint::black_box(banded.distance(u, 0));
-        u += band_rows;
     }
-    let banded_measured = region.finish().region_peak_bytes;
+    let mut banded_doc =
+        vec![("n", int_json(MEM_BANDED_N)), ("claimed_peak_bytes", int_json(banded.peak_bytes()))];
+    banded_doc.extend(measured(region.finish()));
     drop(banded);
-    drop(g);
 
-    // Probe 2: the compact-width APSP store, measured against the
-    // historical u32 full matrix — the u8-vs-u32 width win must survive
-    // in allocator-observed bytes, not only in the analytic model.
-    let g = generators::power_law_seeded(
-        MEM_APSP_N,
-        crate::bench::SPARSE_M,
-        crate::bench::SPARSE_GAMMA,
-        crate::bench::BENCH_SEED,
-    );
+    let g = sparse(MEM_APSP_N);
     let region = ort_telemetry::alloc::mem_span("gate.mem.apsp");
     let apsp = Apsp::compute_serial_with_engine(&g, ApspEngine::Tiled);
-    let apsp_measured = region.finish().region_peak_bytes;
-    drop(apsp);
-
-    Some(MemProbes {
-        banded_claimed,
-        banded_measured,
-        apsp_measured,
-        apsp_u32_full: (MEM_APSP_N * MEM_APSP_N * 4) as u64,
-    })
-}
-
-/// The memory gate (`ort bench-gate --mem`): three checks against the
-/// fresh [`measure_mem`] probes.
-///
-/// 1. **One-band contract, measured.** The banded oracle's analytic
-///    `peak_bytes` must be a true lower bound on the measured sweep peak
-///    (`claimed ≤ measured`), and the measured peak must not exceed the
-///    claim beyond [`MEM_SLACK`]`×` plus [`MEM_ABS_SLACK`] — either
-///    direction failing means the analytic model and the allocator
-///    disagree about what streaming costs.
-/// 2. **Width ratio.** The measured compact-width APSP peak must stay at
-///    least 2× below the historical `u32` full matrix.
-/// 3. **No regression.** Both measured peaks are compared against the
-///    `mem` section recorded in the baseline document; growth beyond the
-///    baseline tolerance fails the gate.
-///
-/// Overshoot freezes the flight recorder
-/// ([`ort_telemetry::recorder::anomaly`]) so the postmortem JSONL sink,
-/// when attached, captures the run that broke the contract.
-fn check_mem(doc: &Json, tolerance: f64, report: &mut GateReport) {
-    let Some(p) = measure_mem() else {
-        report
-            .lines
-            .push("mem: allocator instrumentation compiled out; memory gate skipped".into());
-        return;
-    };
-
-    let cap = (p.banded_claimed as f64 * MEM_SLACK) as u64 + MEM_ABS_SLACK;
-    report.lines.push(format!(
-        "mem: banded n={MEM_BANDED_N} claimed {} B, measured {} B ({:.2}x, cap {} B)",
-        p.banded_claimed,
-        p.banded_measured,
-        p.banded_measured as f64 / p.banded_claimed.max(1) as f64,
-        cap
-    ));
-    if p.banded_measured < p.banded_claimed {
-        report.failures.push(format!(
-            "mem: banded n={MEM_BANDED_N} measured peak {} B under the analytic claim {} B — \
-             peak_bytes overstates what the sweep allocates",
-            p.banded_measured, p.banded_claimed
-        ));
-    } else if p.banded_measured > cap {
-        ort_telemetry::recorder::anomaly("mem_gate_overshoot", p.banded_measured, cap);
-        report.failures.push(format!(
-            "mem: banded n={MEM_BANDED_N} measured peak {} B exceeds the analytic claim {} B \
-             beyond slack (cap {} B) — the one-band streaming contract broke in measured bytes",
-            p.banded_measured, p.banded_claimed, cap
-        ));
-    }
-
-    if p.apsp_measured * 2 > p.apsp_u32_full {
-        ort_telemetry::recorder::anomaly("mem_gate_overshoot", p.apsp_measured, p.apsp_u32_full / 2);
-        report.failures.push(format!(
-            "mem: apsp n={MEM_APSP_N} measured peak {} B not 2x below the u32 full matrix \
-             ({} B) — the compact-width memory win no longer shows up in measured bytes",
-            p.apsp_measured, p.apsp_u32_full
-        ));
-    } else {
-        report.lines.push(format!(
-            "mem: apsp n={MEM_APSP_N} measured peak {} B holds {:.1}x below the u32 matrix",
-            p.apsp_measured,
-            p.apsp_u32_full as f64 / p.apsp_measured.max(1) as f64
-        ));
-    }
-
-    let Some(mem) = doc.get("mem") else {
-        report.failures.push(
-            "mem: baseline has no 'mem' section — re-record with an instrumented build \
-             (`ort bench-gate --record`)"
-                .into(),
-        );
-        return;
-    };
-    for (key, fresh) in [("banded", p.banded_measured), ("apsp", p.apsp_measured)] {
-        let base = mem
-            .get(key)
-            .and_then(|s| s.get("measured_peak_bytes"))
-            .and_then(Json::as_i64)
-            .and_then(|i| u64::try_from(i).ok());
-        let Some(base) = base else {
-            report.failures.push(format!(
-                "mem: baseline 'mem.{key}' is missing 'measured_peak_bytes' — re-record"
-            ));
-            continue;
-        };
-        let allowed = (base as f64 * (1.0 + tolerance)) as u64;
-        if fresh > allowed {
-            ort_telemetry::recorder::anomaly("mem_gate_overshoot", fresh, allowed);
-            report.failures.push(format!(
-                "mem: {key} measured peak regressed {:.0}% over the recorded baseline \
-                 ({base} B -> {fresh} B, tolerance {:.0}%)",
-                (fresh as f64 / base as f64 - 1.0) * 100.0,
-                tolerance * 100.0
-            ));
-        } else {
-            report.lines.push(format!(
-                "mem: {key} measured peak {fresh} B within baseline {base} B (+{:.0}% allowed)",
-                tolerance * 100.0
-            ));
-        }
-    }
-}
-
-/// Renders measurements as the baseline document. The `mem` section is
-/// present only when the recording build carried the instrumented
-/// allocator; its measured values sit on their own pretty-printed lines
-/// so `manifest::mask_volatile` strips them from byte-identity diffs.
-#[must_use]
-pub fn to_json(cfg: &GateConfig, measurements: &[Measurement], mem: Option<&MemProbes>) -> Json {
-    let mut fields = vec![
-        ("suite", Json::Str("telemetry-baseline".into())),
-        ("graph", Json::Str("gnp_half(n, seed)".into())),
-        ("unit", Json::Str("bits exact; ms median wall clock".into())),
-        ("seed", Json::Int(cfg.seed as i64)),
-        ("reps", Json::Int(cfg.reps as i64)),
-        ("tolerance", Json::Num(cfg.tolerance)),
-        ("sizes", Json::Arr(cfg.sizes.iter().map(|&n| Json::Int(n as i64)).collect())),
+    let rec = region.finish();
+    let mut apsp_doc = vec![
+        ("n", int_json(MEM_APSP_N)),
         (
-            "entries",
-            Json::Arr(
-                measurements
-                    .iter()
-                    .map(|m| {
-                        Json::obj(vec![
-                            ("scheme", Json::Str(m.scheme.into())),
-                            ("n", Json::Int(m.n as i64)),
-                            (
-                                "bits",
-                                Json::obj(vec![
-                                    ("routing", Json::Int(m.routing_bits as i64)),
-                                    (
-                                        "port_permutation",
-                                        Json::Int(m.port_permutation_bits as i64),
-                                    ),
-                                    ("label", Json::Int(m.label_bits as i64)),
-                                    ("total", Json::Int(m.total_bits as i64)),
-                                    ("max_node", Json::Int(m.max_node_bits as i64)),
-                                ]),
-                            ),
-                            ("build_ms_median", Json::Num(m.build_ms_median)),
-                        ])
-                    })
-                    .collect(),
-            ),
+            "claimed_peak_bytes",
+            int_json(apsp.heap_bytes() + ApspEngine::Tiled.scratch_bytes(&g, MEM_APSP_N)),
         ),
+        ("u32_full_bytes", int_json(MEM_APSP_N * MEM_APSP_N * 4)),
     ];
-    if let Some(p) = mem {
-        fields.push((
-            "mem",
-            Json::obj(vec![
-                (
-                    "banded",
-                    Json::obj(vec![
-                        ("n", Json::Int(MEM_BANDED_N as i64)),
-                        ("claimed_peak_bytes", Json::Int(p.banded_claimed as i64)),
-                        ("measured_peak_bytes", Json::Int(p.banded_measured as i64)),
-                    ]),
-                ),
-                (
-                    "apsp",
-                    Json::obj(vec![
-                        ("n", Json::Int(MEM_APSP_N as i64)),
-                        ("u32_full_bytes", Json::Int(p.apsp_u32_full as i64)),
-                        ("measured_peak_bytes", Json::Int(p.apsp_measured as i64)),
-                    ]),
-                ),
-            ]),
-        ));
-    }
-    Json::obj(fields)
+    apsp_doc.extend(measured(rec));
+    Json::obj(vec![("banded", Json::obj(banded_doc)), ("apsp", Json::obj(apsp_doc))])
 }
 
-/// Measures per the config and writes the baseline to `path`.
+/// Times a provably local link toggle through
+/// [`RepairableScheme`](ort_routing::repair::RepairableScheme) against a
+/// cold full-table build at [`REPAIR_N`] nodes. The link is a chord
+/// between two pendants of one hub, so its dirty set is exactly its two
+/// endpoints — the most localised delta a connected graph admits. The
+/// cold side is the repairable scheme's own construction (one APSP plus
+/// the table loop, the work of a rebuild from scratch); the repair side
+/// is the best of three toggles after a warm one. Noise can only slow
+/// the single cold build, which makes the ratio more lenient, never
+/// flakier.
 ///
 /// # Errors
 ///
-/// Returns a message if measurement or the write fails.
-pub fn record(cfg: &GateConfig, path: &str) -> Result<(), String> {
-    let measurements = measure(cfg)?;
-    let mem = measure_mem();
-    let payload = to_json(cfg, &measurements, mem.as_ref());
-    let sizes = cfg.sizes.iter().map(ToString::to_string).collect::<Vec<_>>().join(",");
-    crate::manifest::write_stamped(
-        path,
-        &payload,
-        &crate::manifest::RunInfo::new(
-            "bench-gate",
-            format!("record sizes={sizes} reps={} tolerance={}", cfg.reps, cfg.tolerance),
-            cfg.seed.to_string(),
-        ),
-    )
-}
-
-fn field_usize(v: &Json, key: &str, ctx: &str) -> Result<usize, String> {
-    v.get(key)
-        .and_then(Json::as_i64)
-        .and_then(|i| usize::try_from(i).ok())
-        .ok_or_else(|| format!("baseline: {ctx}: missing or invalid '{key}'"))
-}
-
-/// Parses a baseline document back into its config and measurements.
-///
-/// # Errors
-///
-/// Returns a message naming the first malformed field.
-pub fn parse_baseline(doc: &Json) -> Result<(GateConfig, Vec<Measurement>), String> {
-    let seed = doc
-        .get("seed")
-        .and_then(Json::as_i64)
-        .ok_or("baseline: missing 'seed'")? as u64;
-    let reps = field_usize(doc, "reps", "header")?;
-    let tolerance =
-        doc.get("tolerance").and_then(Json::as_f64).ok_or("baseline: missing 'tolerance'")?;
-    let sizes = doc
-        .get("sizes")
-        .and_then(Json::as_arr)
-        .ok_or("baseline: missing 'sizes'")?
-        .iter()
-        .map(|v| v.as_i64().and_then(|i| usize::try_from(i).ok()))
-        .collect::<Option<Vec<usize>>>()
-        .ok_or("baseline: invalid 'sizes'")?;
-    let entries = doc.get("entries").and_then(Json::as_arr).ok_or("baseline: missing 'entries'")?;
-    let mut measurements = Vec::with_capacity(entries.len());
-    for e in entries {
-        let name = e.get("scheme").and_then(Json::as_str).ok_or("baseline: entry missing 'scheme'")?;
-        let id = SchemeId::from_name(name)
-            .ok_or_else(|| format!("baseline: unknown scheme '{name}'"))?;
-        let n = field_usize(e, "n", name)?;
-        let bits = e.get("bits").ok_or_else(|| format!("baseline: {name}: missing 'bits'"))?;
-        measurements.push(Measurement {
-            scheme: id.name(),
-            n,
-            routing_bits: field_usize(bits, "routing", name)?,
-            port_permutation_bits: field_usize(bits, "port_permutation", name)?,
-            label_bits: field_usize(bits, "label", name)?,
-            total_bits: field_usize(bits, "total", name)?,
-            max_node_bits: field_usize(bits, "max_node", name)?,
-            build_ms_median: e
-                .get("build_ms_median")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("baseline: {name}: missing 'build_ms_median'"))?,
-            build_ms_min: f64::NAN,
-        });
-    }
-    Ok((GateConfig { sizes, seed, reps, tolerance }, measurements))
-}
-
-/// Compares a fresh measurement against a parsed baseline. Pure — no I/O,
-/// no clocks beyond what `fresh` already contains — so tests can feed it
-/// synthetic values.
-#[must_use]
-pub fn compare(
-    baseline: &[Measurement],
-    fresh: &[Measurement],
-    tolerance: f64,
-) -> GateReport {
-    let mut report = GateReport::default();
-    let mut ratios = Vec::new();
-    for base in baseline {
-        let Some(now) = fresh.iter().find(|m| m.scheme == base.scheme && m.n == base.n) else {
-            report
-                .failures
-                .push(format!("{} n={}: present in baseline, not measured", base.scheme, base.n));
-            continue;
-        };
-        for (what, b, f) in [
-            ("routing bits", base.routing_bits, now.routing_bits),
-            ("port-permutation bits", base.port_permutation_bits, now.port_permutation_bits),
-            ("label bits", base.label_bits, now.label_bits),
-            ("total bits", base.total_bits, now.total_bits),
-            ("max node bits", base.max_node_bits, now.max_node_bits),
-        ] {
-            if b != f {
-                report.failures.push(format!(
-                    "{} n={}: {what} drifted: baseline {b}, fresh {f}",
-                    base.scheme, base.n
-                ));
-            }
-        }
-        if base.build_ms_median >= 1.0 {
-            ratios.push((base, now, now.build_ms_min / base.build_ms_median));
-        }
-    }
-    for now in fresh {
-        if !baseline.iter().any(|m| m.scheme == now.scheme && m.n == now.n) {
-            report.failures.push(format!(
-                "{} n={}: measured but absent from baseline — re-record it",
-                now.scheme, now.n
-            ));
-        }
-    }
-
-    // Normalize machine speed out: a uniformly slower host moves every
-    // ratio together, so only ratios above the run-wide median by more
-    // than the tolerance indicate a per-scheme regression.
-    if ratios.is_empty() {
-        report.lines.push("timing: no baseline entry reaches 1 ms; timing gate skipped".into());
-    } else {
-        let med = median(ratios.iter().map(|&(_, _, r)| r).collect());
-        report.lines.push(format!(
-            "timing: {} comparable entries, run-wide median ratio {med:.2}",
-            ratios.len()
-        ));
-        for (base, now, r) in &ratios {
-            if *r > med * (1.0 + tolerance) {
-                report.failures.push(format!(
-                    "{} n={}: build regressed {:.0}% beyond the run median \
-                     (baseline median {:.3} ms, fresh floor {:.3} ms, tolerance {:.0}%)",
-                    base.scheme,
-                    base.n,
-                    (r / med - 1.0) * 100.0,
-                    base.build_ms_median,
-                    now.build_ms_min,
-                    tolerance * 100.0
-                ));
-            }
-        }
-    }
-    report
-}
-
-/// Best-of-`reps` wall-clock milliseconds (after one warmup call).
-fn best_ms<F: FnMut()>(mut f: F, reps: usize) -> f64 {
-    f();
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
-
-/// Checks the fresh bitset-vs-queue serial APSP ratio against the
-/// checked-in snapshot at `n = 256`. Both engines run single-threaded,
-/// so both host speed *and* host core count cancel in the quotient —
-/// only a change to the engines themselves can move it.
-fn check_apsp_snapshot(doc: &Json, tolerance: f64, report: &mut GateReport) {
-    // n = 512 keeps both measurements in the milliseconds, where a
-    // best-of-7 minimum is stable; at 256 the bitset engine is so fast
-    // (~0.3 ms) that scheduler jitter alone can breach the tolerance.
-    const N: usize = 512;
-    let ms_of = |engine: &str| -> Option<f64> {
-        doc.get("results")?.as_arr()?.iter().find_map(|r| {
-            (r.get("engine")?.as_str()? == engine
-                && usize::try_from(r.get("n")?.as_i64()?) == Ok(N))
-            .then(|| r.get("ms").and_then(Json::as_f64))
-            .flatten()
-        })
-    };
-    let (Some(base_queue), Some(base_bitset)) = (ms_of("queue_serial"), ms_of("bitset_serial"))
-    else {
-        report
-            .failures
-            .push(format!("apsp snapshot: no n={N} queue_serial/bitset_serial entries"));
-        return;
-    };
-    let _span = ort_telemetry::span("gate.apsp");
-    let g = generators::gnp_half(N, 1);
-    // Interleave the engines so each pair shares one load phase of the
-    // host, then take the *minimum ratio* across pairs: common-mode noise
-    // (a busy neighbour slowing both engines) cancels inside a pair, and
-    // the min picks the calmest pair. Measuring each engine in its own
-    // window instead lets a noise phase inflate only one side.
-    let mut fresh_norm = f64::INFINITY;
-    let mut fresh_queue = f64::INFINITY;
-    let mut fresh_bitset = f64::INFINITY;
-    drop(std::hint::black_box(Apsp::compute_serial_with_engine(&g, ApspEngine::Queue)));
-    for _ in 0..5 {
-        let q = best_ms(
-            || drop(std::hint::black_box(Apsp::compute_serial_with_engine(&g, ApspEngine::Queue))),
-            1,
-        );
-        let b = best_ms(
-            || drop(std::hint::black_box(Apsp::compute_serial_with_engine(&g, ApspEngine::Bitset))),
-            10,
-        );
-        fresh_queue = fresh_queue.min(q);
-        fresh_bitset = fresh_bitset.min(b);
-        fresh_norm = fresh_norm.min(b / q);
-    }
-    let base_norm = base_bitset / base_queue;
-    report.lines.push(format!(
-        "apsp n={N}: bitset/queue serial ratio baseline {base_norm:.4}, fresh {fresh_norm:.4} \
-         (best queue {fresh_queue:.3} ms, best bitset {fresh_bitset:.3} ms)"
-    ));
-    if fresh_norm > base_norm * (1.0 + tolerance) {
-        report.failures.push(format!(
-            "apsp n={N}: bitset engine regressed {:.0}% vs queue baseline (tolerance {:.0}%)",
-            (fresh_norm / base_norm - 1.0) * 100.0,
-            tolerance * 100.0
-        ));
-    }
-}
-
-/// Checks the large-`n` sparse regime against the snapshot at `n = 4096`.
-///
-/// Static (snapshot-only) checks first: the tiled engine must beat the
-/// bitset engine on the checked-in numbers, and the compact distance
-/// store must hold the memory contract (peak oracle bytes at least 2x
-/// below the historical `u32` full matrix). Then one fresh measurement:
-/// the tiled/queue serial ratio on the same sparse power-law graph,
-/// compared to the snapshot's ratio — both engines single-threaded, so
-/// host speed cancels in the quotient.
-fn check_apsp_scale(doc: &Json, tolerance: f64, report: &mut GateReport) {
-    const N: usize = 4096;
-    let results = doc.get("results").and_then(Json::as_arr);
-    let rec = |engine: &str| -> Option<&Json> {
-        results?.iter().find(|r| {
-            r.get("engine").and_then(Json::as_str) == Some(engine)
-                && r.get("n").and_then(Json::as_i64) == Some(N as i64)
-        })
-    };
-    let (Some(queue), Some(bitset), Some(tiled)) =
-        (rec("queue_serial"), rec("bitset_serial"), rec("tiled_serial"))
-    else {
-        report.failures.push(format!(
-            "apsp scale: no n={N} sparse queue/bitset/tiled entries in the snapshot — \
-             regenerate with `ort bench`"
-        ));
-        return;
-    };
-    let ms = |r: &Json| r.get("ms").and_then(Json::as_f64);
-    let (Some(base_queue), Some(base_bitset), Some(base_tiled)) =
-        (ms(queue), ms(bitset), ms(tiled))
-    else {
-        report.failures.push(format!("apsp scale: an n={N} sparse entry is missing 'ms'"));
-        return;
-    };
-    if base_tiled >= base_bitset {
-        report.failures.push(format!(
-            "apsp scale: snapshot shows tiled ({base_tiled:.1} ms) not beating bitset \
-             ({base_bitset:.1} ms) at n={N} sparse — the tiled engine lost its regime"
-        ));
-    }
-    if let Some(peak) = tiled.get("peak_bytes").and_then(Json::as_i64) {
-        let u32_full = (N * N * 4) as i64;
-        if peak * 2 > u32_full {
-            report.failures.push(format!(
-                "apsp scale: tiled peak {peak} B exceeds half the u32 full matrix \
-                 ({u32_full} B) at n={N} — the compact-store memory contract broke"
-            ));
-        } else {
-            report.lines.push(format!(
-                "apsp scale: compact store holds {:.1}x below the u32 matrix at n={N}",
-                u32_full as f64 / peak as f64
-            ));
-        }
-    } else {
-        report.failures.push(format!("apsp scale: tiled n={N}: missing 'peak_bytes'"));
-    }
-
-    let _span = ort_telemetry::span("gate.apsp_scale");
-    let g = generators::power_law_seeded(
-        N,
-        crate::bench::SPARSE_M,
-        crate::bench::SPARSE_GAMMA,
-        crate::bench::BENCH_SEED,
-    );
-    // Same interleave-and-take-the-min-ratio discipline as the dense
-    // check: each pair shares one load phase, the min picks the calmest.
-    let mut fresh_norm = f64::INFINITY;
-    let mut fresh_queue = f64::INFINITY;
-    let mut fresh_tiled = f64::INFINITY;
-    drop(std::hint::black_box(Apsp::compute_serial_with_engine(&g, ApspEngine::Tiled)));
-    for _ in 0..3 {
-        let q = best_ms(
-            || drop(std::hint::black_box(Apsp::compute_serial_with_engine(&g, ApspEngine::Queue))),
-            1,
-        );
-        let t = best_ms(
-            || drop(std::hint::black_box(Apsp::compute_serial_with_engine(&g, ApspEngine::Tiled))),
-            1,
-        );
-        fresh_queue = fresh_queue.min(q);
-        fresh_tiled = fresh_tiled.min(t);
-        fresh_norm = fresh_norm.min(t / q);
-    }
-    let base_norm = base_tiled / base_queue;
-    report.lines.push(format!(
-        "apsp n={N} sparse: tiled/queue serial ratio baseline {base_norm:.4}, fresh \
-         {fresh_norm:.4} (best queue {fresh_queue:.3} ms, best tiled {fresh_tiled:.3} ms)"
-    ));
-    if fresh_norm > base_norm * (1.0 + tolerance) {
-        report.failures.push(format!(
-            "apsp n={N} sparse: tiled engine regressed {:.0}% vs queue baseline (tolerance {:.0}%)",
-            (fresh_norm / base_norm - 1.0) * 100.0,
-            tolerance * 100.0
-        ));
-    }
-}
-
-/// Checks the scheme-construction snapshot (`results/BENCH_build.json`).
-///
-/// Static (snapshot-only) checks first:
-///
-/// * Every banded record must hold the streaming memory contract — peak
-///   distance bytes of at most one band (`band_rows · n` cells of at
-///   most 4 bytes), never the full matrix.
-/// * Banded builds must not thrash the band cache: at most two
-///   ascending passes (landmark's pass structure) plus the connectivity
-///   row, i.e. `bands_computed ≤ 2·⌈n/band_rows⌉ + 2`.
-/// * The acceptance sizes must be present: theorem1, full-table,
-///   interval and landmark all banded-built at `n = 16384`.
-///
-/// Then one fresh measurement: the banded/full build-time ratio for the
-/// full table at `n = 1024` on the sparse power-law graph, compared to
-/// the snapshot's ratio — both single-host runs, so machine speed
-/// cancels in the quotient (same discipline as [`check_apsp_scale`]).
-fn check_build_scale(doc: &Json, tolerance: f64, report: &mut GateReport) {
-    const SCALE_N: usize = 16384;
-    const FRESH_N: usize = 1024;
-    let Some(results) = doc.get("results").and_then(Json::as_arr) else {
-        report.failures.push("build scale: snapshot has no 'results' array".into());
-        return;
-    };
-    let field = |r: &Json, name: &str| r.get(name).and_then(Json::as_i64);
-
-    let mut banded_records = 0usize;
-    for r in results {
-        let (Some(n), Some(band_rows), Some(peak)) =
-            (field(r, "n"), field(r, "band_rows"), field(r, "peak_bytes"))
-        else {
-            report
-                .failures
-                .push("build scale: a record is missing n/band_rows/peak_bytes".into());
-            return;
-        };
-        if band_rows >= n {
-            continue; // full-matrix comparison row
-        }
-        banded_records += 1;
-        let scheme = r.get("scheme").and_then(Json::as_str).unwrap_or("?");
-        let band_cap = 4 * band_rows * n; // one band of ≤ 4-byte cells
-        if peak > band_cap {
-            report.failures.push(format!(
-                "build scale: {scheme} n={n} banded peak {peak} B exceeds one \
-                 band ({band_cap} B) — the streaming memory contract broke"
-            ));
-        }
-        if let Some(bands) = field(r, "bands_computed") {
-            let cap = 2 * ((n + band_rows - 1) / band_rows) + 2;
-            if bands > cap {
-                report.failures.push(format!(
-                    "build scale: {scheme} n={n} computed {bands} bands (cap {cap}) — \
-                     the builder thrashed the band cache"
-                ));
-            }
-        }
-    }
-    report.lines.push(format!(
-        "build scale: {banded_records} banded records hold the one-band memory contract"
-    ));
-
-    for required in ["theorem1", "full-table", "interval", "landmark"] {
-        let present = results.iter().any(|r| {
-            r.get("scheme").and_then(Json::as_str) == Some(required)
-                && field(r, "n") == Some(SCALE_N as i64)
-                && field(r, "band_rows").is_some_and(|b| b < SCALE_N as i64)
-        });
-        if !present {
-            report.failures.push(format!(
-                "build scale: no banded n={SCALE_N} record for {required} — \
-                 regenerate with `ort bench-build`"
-            ));
-        }
-    }
-
-    let full_table = |band: bool| -> Option<f64> {
-        results
-            .iter()
-            .find(|r| {
-                r.get("scheme").and_then(Json::as_str) == Some("full-table")
-                    && r.get("graph").and_then(Json::as_str) == Some("power_law")
-                    && field(r, "n") == Some(FRESH_N as i64)
-                    && (field(r, "band_rows") < Some(FRESH_N as i64)) == band
-            })
-            .and_then(|r| r.get("build_ms").and_then(Json::as_f64))
-    };
-    let (Some(base_banded), Some(base_full)) = (full_table(true), full_table(false)) else {
-        report.failures.push(format!(
-            "build scale: no full-table n={FRESH_N} power_law banded/full pair in the \
-             snapshot — regenerate with `ort bench-build`"
-        ));
-        return;
-    };
-
-    let _span = ort_telemetry::span("gate.build_scale");
-    let g = generators::power_law_seeded(
-        FRESH_N,
-        crate::bench::SPARSE_M,
-        crate::bench::SPARSE_GAMMA,
-        crate::bench::BENCH_SEED,
-    );
-    // Interleave-and-take-the-min-ratio, as in the APSP scale check.
-    let mut fresh_norm = f64::INFINITY;
-    let band_rows = crate::bench_build::BAND_ROWS;
-    drop(std::hint::black_box(SchemeId::FullTable.build(&g).expect("full-table build")));
-    for _ in 0..3 {
-        let full = best_ms(
-            || drop(std::hint::black_box(SchemeId::FullTable.build(&g).expect("build"))),
-            1,
-        );
-        let banded = best_ms(
-            || {
-                let oracle = ort_graphs::oracle::BandedOracle::new(g.clone(), band_rows);
-                drop(std::hint::black_box(
-                    SchemeId::FullTable.build_with_dists(&g, &oracle).expect("banded build"),
-                ));
-            },
-            1,
-        );
-        fresh_norm = fresh_norm.min(banded / full);
-    }
-    let base_norm = base_banded / base_full;
-    report.lines.push(format!(
-        "build n={FRESH_N} sparse: full-table banded/full ratio baseline {base_norm:.3}, \
-         fresh {fresh_norm:.3}"
-    ));
-    // The snapshot ratio is itself noisy, so the gate allows double the
-    // configured drift before calling a regression — this is a coarse
-    // "banded construction did not fall off a cliff" tripwire, not a
-    // micro-benchmark.
-    if fresh_norm > base_norm * (1.0 + 2.0 * tolerance) {
-        report.failures.push(format!(
-            "build n={FRESH_N} sparse: banded full-table build regressed {:.0}% vs \
-             full-matrix baseline ratio (tolerance {:.0}%)",
-            (fresh_norm / base_norm - 1.0) * 100.0,
-            2.0 * tolerance * 100.0
-        ));
-    }
-}
-
-/// Churn gate: static checks on the checked-in `results/CHURN.json`
-/// (written by `ort churn`) plus a fresh repair-vs-rebuild speed
-/// measurement.
-///
-/// The static half re-asserts what the sweep already judged — the
-/// document must self-report `pass`, every applied event must have left
-/// the repaired scheme byte-identical to a cold build, the in-place
-/// patch path must actually have run, and a cell at `n ≥ 1024` must be
-/// present (the smoke configuration is not allowed to shrink the
-/// checked-in artifact).
-///
-/// The fresh half measures the one claim the deterministic document
-/// cannot carry: at `n = `[`CHURN_GATE_N`], toggling a provably local
-/// link (a chord between two pendant nodes hanging off the same hub —
-/// its dirty set is exactly the two endpoints) through
-/// [`RepairableScheme`] must be at least [`REPAIR_SPEEDUP_FLOOR`]×
-/// faster than rebuilding the full-table scheme from scratch.
-/// Interleave-and-take-the-min, as in the other scale checks.
-///
-/// [`RepairableScheme`]: ort_routing::repair::RepairableScheme
-fn check_churn(doc: &Json, report: &mut GateReport) {
-    use ort_routing::repair::RepairableScheme;
-    use ort_routing::schemes::full_table::FullTableScheme;
-
-    // --- static checks on the checked-in document ---
-    if !matches!(doc.get("pass"), Some(Json::Bool(true))) {
-        report.failures.push("churn: checked-in report does not self-report pass".into());
-    }
-    let Some(cells) = doc.get("cells").and_then(Json::as_arr) else {
-        report.failures.push("churn: report has no 'cells' array".into());
-        return;
-    };
-    let mut patches_total = 0i64;
-    let mut has_large_cell = false;
-    for cell in cells {
-        let name = cell.get("name").and_then(Json::as_str).unwrap_or("?");
-        let applied = cell.get("events_applied").and_then(Json::as_i64).unwrap_or(-1);
-        let byte_ok = cell
-            .get("checks")
-            .and_then(|c| c.get("byte_identical_steps"))
-            .and_then(Json::as_i64)
-            .unwrap_or(-2);
-        if applied <= 0 {
-            report.failures.push(format!("churn: cell {name} applied no events"));
-        }
-        if byte_ok != applied {
-            report.failures.push(format!(
-                "churn: cell {name} byte-identical on {byte_ok} of {applied} steps — \
-                 repair diverged from cold rebuild"
-            ));
-        }
-        patches_total += cell
-            .get("repair")
-            .and_then(|r| r.get("patches"))
-            .and_then(Json::as_i64)
-            .unwrap_or(0);
-        has_large_cell |= cell.get("n0").and_then(Json::as_i64).is_some_and(|n| n >= 1024);
-    }
-    if patches_total == 0 {
-        report.failures.push("churn: no cell exercised the in-place patch path".into());
-    }
-    if !has_large_cell {
-        report.failures.push(
-            "churn: no cell at n ≥ 1024 in the checked-in report — regenerate with `ort churn`"
-                .into(),
-        );
-    }
-    report.lines.push(format!(
-        "churn: {} cells, {patches_total} in-place patches, byte-identical throughout",
-        cells.len()
-    ));
-
-    // --- fresh repair-vs-rebuild measurement ---
-    let _span = ort_telemetry::span("gate.churn");
-    let mut g = generators::power_law_seeded(
-        CHURN_GATE_N - 2,
-        crate::bench::SPARSE_M,
-        crate::bench::SPARSE_GAMMA,
-        crate::bench::BENCH_SEED,
-    );
-    // Two pendants x, y off node 0: toggling the chord {x, y} changes
-    // only d(x, y) (2 ↔ 1), so the repair's dirty set is exactly {x, y}
-    // — the most localized delta a connected graph admits.
+/// Returns the first construction or repair error.
+pub fn repair_probe() -> Result<Json, String> {
+    let _span = ort_telemetry::span("gate.repair");
+    let mut g = sparse(REPAIR_N - 2);
     let x = g.add_node();
     let y = g.add_node();
-    g.add_edge(x, 0).expect("pendant link");
-    g.add_edge(y, 0).expect("pendant link");
-    let mut repairable = RepairableScheme::full_table(g.clone()).expect("churn gate build");
-    // Warm both directions of the toggle once.
-    repairable.add_link(x, y).expect("toggle on");
-    repairable.remove_link(x, y).expect("toggle off");
-    let mut repair_ms = f64::INFINITY;
-    let mut rebuild_ms = f64::INFINITY;
-    for _ in 0..3 {
+    g.add_edge(x, 0).map_err(|e| e.to_string())?;
+    g.add_edge(y, 0).map_err(|e| e.to_string())?;
+    let t = Instant::now();
+    let mut scheme = RepairableScheme::full_table(g).map_err(|e| e.to_string())?;
+    let rebuild_ms = t.elapsed().as_secs_f64() * 1e3;
+    let mut toggle = || -> Result<f64, String> {
         let t = Instant::now();
-        repairable.add_link(x, y).expect("toggle on");
-        repairable.remove_link(x, y).expect("toggle off");
-        repair_ms = repair_ms.min(t.elapsed().as_secs_f64() * 1000.0 / 2.0);
-        rebuild_ms = rebuild_ms.min(best_ms(
-            || drop(std::hint::black_box(FullTableScheme::build(&g).expect("cold build"))),
-            1,
-        ));
+        scheme.add_link(x, y).map_err(|e| e.to_string())?;
+        scheme.remove_link(x, y).map_err(|e| e.to_string())?;
+        Ok(t.elapsed().as_secs_f64() * 1e3 / 2.0)
+    };
+    toggle()?;
+    let mut repair_ms = f64::INFINITY;
+    for _ in 0..3 {
+        repair_ms = repair_ms.min(toggle()?);
     }
-    let speedup = rebuild_ms / repair_ms.max(1e-6);
-    report.lines.push(format!(
-        "churn n={CHURN_GATE_N}: single-link repair {repair_ms:.2} ms vs cold rebuild \
-         {rebuild_ms:.1} ms — {speedup:.0}x"
-    ));
-    if speedup < REPAIR_SPEEDUP_FLOOR {
-        report.failures.push(format!(
-            "churn n={CHURN_GATE_N}: single-link repair only {speedup:.1}x faster than a cold \
-             rebuild (floor {REPAIR_SPEEDUP_FLOOR}x) — the incremental path has collapsed"
-        ));
+    Ok(Json::obj(vec![(
+        "single_link",
+        Json::obj(vec![
+            ("n", int_json(REPAIR_N)),
+            ("repair_ms", Json::Num(repair_ms)),
+            ("rebuild_ms", Json::Num(rebuild_ms)),
+            ("speedup", Json::Num(rebuild_ms / repair_ms.max(1e-6))),
+        ]),
+    )]))
+}
+
+/// The documents a table run reads: the two on-disk sources, and the
+/// probes, each run at most once and only if a row asks for it.
+#[derive(Debug)]
+pub struct Docs {
+    provenance: Json,
+    files: Vec<(String, Json)>,
+    probes: Vec<(Source, Option<Json>)>,
+}
+
+impl Docs {
+    /// The [`Source::Provenance`] document and every parsed results
+    /// file by name; probes run on first use.
+    #[must_use]
+    pub fn new(provenance: Json, files: Vec<(String, Json)>) -> Self {
+        Docs { provenance, files, probes: Vec::new() }
+    }
+
+    fn get(&mut self, source: Source, problems: &mut Vec<String>) -> Option<&Json> {
+        match source {
+            Source::Provenance => Some(&self.provenance),
+            Source::File(name) => self.files.iter().find(|(n, _)| n == name).map(|(_, d)| d),
+            probe => {
+                if !self.probes.iter().any(|(s, _)| *s == probe) {
+                    let fresh = match probe {
+                        Source::Bits => bits_probe(),
+                        Source::Mem => Ok(mem_probe()),
+                        _ => repair_probe(),
+                    };
+                    let fresh = fresh.map_err(|e| problems.push(format!("{}: {e}", probe.name())));
+                    self.probes.push((probe, fresh.ok()));
+                }
+                self.probes.iter().find(|(s, _)| *s == probe).and_then(|(_, d)| d.as_ref())
+            }
+        }
     }
 }
 
-/// The full gate: loads the baseline (and, when given, the APSP
-/// snapshot), re-measures, and compares.
-///
-/// # Errors
-///
-/// Returns a message if a document cannot be read or parsed, or a
-/// measurement fails outright; comparison failures are reported in the
-/// returned [`GateReport`] instead.
-pub fn check(baseline_path: &str, bench_path: Option<&str>) -> Result<GateReport, String> {
-    check_all(baseline_path, bench_path, None, None, false)
+/// What a table run found.
+#[derive(Debug)]
+pub struct Evaluation {
+    /// Every `Exact` value, as `{ source: { concrete path: value } }` —
+    /// the `exact` section of `REPORT.json`. Objects and arrays are
+    /// recorded as their compact serialization, one line per field.
+    pub exact: Json,
+    /// One human-readable line per row.
+    pub lines: Vec<String>,
+    /// Every failed check, each naming its source and path.
+    pub problems: Vec<String>,
 }
 
-/// As [`check`], additionally checking the scheme-construction snapshot
-/// (`results/BENCH_build.json`) and the churn report
-/// (`results/CHURN.json`) when given, and the memory gate
-/// ([`check_mem`]) when `mem` is set — the `ort bench-gate` entry
-/// point.
-///
-/// # Errors
-///
-/// As [`check`].
-pub fn check_all(
-    baseline_path: &str,
-    bench_path: Option<&str>,
-    build_path: Option<&str>,
-    churn_path: Option<&str>,
-    mem: bool,
-) -> Result<GateReport, String> {
-    let _span = ort_telemetry::span("gate.check");
-    let text = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read {baseline_path}: {e} (run `ort bench-gate --record`)"))?;
-    let doc = Json::parse(&text).map_err(|e| format!("{baseline_path}: {e}"))?;
-    let (cfg, baseline) = parse_baseline(&doc)?;
-    let fresh = measure(&cfg)?;
-    let mut report = compare(&baseline, &fresh, cfg.tolerance);
-    report.lines.insert(
-        0,
-        format!(
-            "bench-gate: {} entries at sizes {:?}, seed {}, tolerance {:.0}%",
-            baseline.len(),
-            cfg.sizes,
-            cfg.seed,
-            cfg.tolerance * 100.0
-        ),
-    );
-    if let Some(path) = bench_path {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let bench = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-        check_apsp_snapshot(&bench, cfg.tolerance, &mut report);
-        check_apsp_scale(&bench, cfg.tolerance, &mut report);
+/// Runs `rows` over `docs`.
+#[must_use]
+pub fn evaluate(rows: &[Row], docs: &mut Docs) -> Evaluation {
+    let mut exact: Vec<(String, Json)> = Vec::new();
+    let mut lines = Vec::new();
+    let mut problems = Vec::new();
+    for row in rows {
+        let src = row.source.name();
+        let Some(doc) = docs.get(row.source, &mut problems) else {
+            continue;
+        };
+        let hits = select(doc, row.path);
+        let summary = match row.rule {
+            Rule::Exact => {
+                let at = match exact.iter().position(|(s, _)| s == src) {
+                    Some(i) => i,
+                    None => {
+                        exact.push((src.to_string(), Json::Obj(Vec::new())));
+                        exact.len() - 1
+                    }
+                };
+                let Json::Obj(fields) = &mut exact[at].1 else {
+                    unreachable!("sources are objects")
+                };
+                for (path, v) in &hits {
+                    let v = match v {
+                        Json::Obj(_) | Json::Arr(_) => Json::Str(v.compact()),
+                        scalar => scalar.clone(),
+                    };
+                    fields.push((path.clone(), v));
+                }
+                match hits.as_slice() {
+                    [(_, v)] => v.compact(),
+                    _ => format!("{} values", hits.len()),
+                }
+            }
+            Rule::Bound(_, check) => {
+                let mut notes = Vec::new();
+                for (path, v) in &hits {
+                    match check(v) {
+                        Verdict::Pass(note) if note.is_empty() => {}
+                        Verdict::Pass(note) => notes.push(format!("{path}: {note}")),
+                        Verdict::Skip(why) => notes.push(format!("{path}: skipped, {why}")),
+                        Verdict::Fail(why) => problems.push(format!("{src}: {path}: {why}")),
+                    }
+                }
+                if notes.is_empty() {
+                    format!("{} checked", hits.len())
+                } else {
+                    notes.join("; ")
+                }
+            }
+        };
+        let rule = match row.rule {
+            Rule::Exact => "exact",
+            Rule::Bound(name, _) => name,
+        };
+        lines.push(format!("{rule:<26} {src:<28} {:<38} {summary}", row.path));
     }
-    if let Some(path) = build_path {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let build = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-        check_build_scale(&build, cfg.tolerance, &mut report);
+    Evaluation { exact: Json::Obj(exact), lines, problems }
+}
+
+/// Compares a fresh [`Evaluation::exact`] against a baseline report's:
+/// every recorded value must match bit-for-bit, and the two must record
+/// the same fields. Each drift names its source and path.
+#[must_use]
+pub fn compare(baseline: &Json, fresh: &Json) -> Vec<String> {
+    let mut problems = Vec::new();
+    let lookup =
+        |doc: &Json, src: &str, path: &str| doc.get(src).and_then(|s| s.get(path)).cloned();
+    for (src, fields) in members(baseline) {
+        for (path, b) in members(fields) {
+            match lookup(fresh, &src, &path) {
+                None => problems.push(format!("{src}: {path}: in the baseline, missing now")),
+                Some(f) if f.compact() != b.compact() => problems.push(format!(
+                    "{src}: {path}: baseline {}, fresh {}",
+                    b.compact(),
+                    f.compact()
+                )),
+                Some(_) => {}
+            }
+        }
     }
-    if let Some(path) = churn_path {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let churn = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-        check_churn(&churn, &mut report);
+    for (src, fields) in members(fresh) {
+        for (path, _) in members(fields) {
+            if lookup(baseline, &src, &path).is_none() {
+                problems.push(format!(
+                    "{src}: {path}: absent from the baseline — regenerate REPORT.json"
+                ));
+            }
+        }
     }
-    if mem {
-        check_mem(&doc, cfg.tolerance, &mut report);
-    }
-    Ok(report)
+    problems
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn meas(scheme: &'static str, n: usize, total: usize, ms: f64) -> Measurement {
-        Measurement {
-            scheme,
-            n,
-            routing_bits: total,
-            port_permutation_bits: 0,
-            label_bits: 0,
-            total_bits: total,
-            max_node_bits: total / n.max(1),
-            build_ms_median: ms,
-            build_ms_min: ms,
-        }
+    fn bits(total: i64) -> Json {
+        Json::obj(vec![(
+            "probe:bits",
+            Json::obj(vec![
+                ("64.theorem1", Json::Str(format!("{{\"total\":{total}}}"))),
+                ("64.theorem2", Json::Str("{\"total\":800}".into())),
+            ]),
+        )])
     }
 
     #[test]
     fn compare_passes_on_identical_measurements() {
-        let base = vec![meas("theorem1", 64, 1000, 2.0), meas("theorem2", 64, 800, 4.0)];
-        let report = compare(&base, &base.clone(), 0.25);
-        assert!(report.pass(), "failures: {:?}", report.failures);
+        assert!(compare(&bits(1000), &bits(1000)).is_empty());
     }
 
     #[test]
     fn compare_fails_on_any_bit_drift() {
-        let base = vec![meas("theorem1", 64, 1000, 2.0)];
-        let mut fresh = base.clone();
-        fresh[0].total_bits += 1;
-        let report = compare(&base, &fresh, 0.25);
-        assert!(!report.pass());
-        assert!(report.failures.iter().any(|f| f.contains("total bits drifted")));
-    }
-
-    #[test]
-    fn compare_normalizes_uniform_slowdowns_but_catches_relative_ones() {
-        let base = vec![
-            meas("theorem1", 64, 1000, 2.0),
-            meas("theorem2", 64, 800, 4.0),
-            meas("theorem3", 64, 600, 3.0),
-        ];
-        // Uniformly 3x slower machine: all ratios move together — pass.
-        let mut uniform = base.clone();
-        for m in &mut uniform {
-            m.build_ms_median *= 3.0;
-            m.build_ms_min *= 3.0;
-        }
-        assert!(compare(&base, &uniform, 0.25).pass());
-        // One scheme alone regresses 2x — fail.
-        let mut relative = base.clone();
-        relative[2].build_ms_median *= 2.0;
-        relative[2].build_ms_min *= 2.0;
-        let report = compare(&base, &relative, 0.25);
-        assert!(report.failures.iter().any(|f| f.contains("theorem3")));
+        let problems = compare(&bits(1000), &bits(1001));
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].starts_with("probe:bits: 64.theorem1: baseline"), "{problems:?}");
     }
 
     #[test]
     fn compare_flags_missing_and_extra_entries() {
-        let base = vec![meas("theorem1", 64, 1000, 2.0)];
-        let fresh = vec![meas("theorem2", 64, 800, 2.0)];
-        let report = compare(&base, &fresh, 0.25);
-        assert_eq!(report.failures.len(), 2);
+        let base = Json::obj(vec![("probe:bits", Json::obj(vec![("64.theorem1", Json::Int(1))]))]);
+        let fresh = Json::obj(vec![("probe:bits", Json::obj(vec![("64.theorem2", Json::Int(1))]))]);
+        let problems = compare(&base, &fresh);
+        assert_eq!(problems.len(), 2, "{problems:?}");
+        assert!(problems[0].contains("64.theorem1: in the baseline, missing now"));
+        assert!(problems[1].contains("64.theorem2: absent from the baseline"));
     }
 
     #[test]
     fn baseline_document_round_trips() {
-        let cfg = GateConfig { sizes: vec![16], seed: 3, reps: 2, tolerance: 0.5 };
-        let ms = vec![meas("theorem1", 16, 512, 1.25)];
-        let probes = MemProbes {
-            banded_claimed: 1000,
-            banded_measured: 1100,
-            apsp_measured: 2000,
-            apsp_u32_full: 4096,
-        };
-        let doc = to_json(&cfg, &ms, Some(&probes));
-        let (cfg2, ms2) = parse_baseline(&Json::parse(&doc.pretty()).unwrap()).unwrap();
-        assert_eq!(cfg2.sizes, cfg.sizes);
-        assert_eq!(cfg2.seed, cfg.seed);
-        assert_eq!(cfg2.reps, cfg.reps);
-        assert!((cfg2.tolerance - cfg.tolerance).abs() < 1e-12);
-        assert_eq!(ms2.len(), 1);
-        assert_eq!(ms2[0].scheme, ms[0].scheme);
-        assert_eq!(ms2[0].total_bits, ms[0].total_bits);
-        assert!((ms2[0].build_ms_median - ms[0].build_ms_median).abs() < 1e-12);
-        assert!(ms2[0].build_ms_min.is_nan(), "the floor is not persisted");
-        // The mem section survives the round trip and its measured lines
-        // are exactly what mask_volatile strips.
-        let parsed = Json::parse(&doc.pretty()).unwrap();
-        let banded = parsed.get("mem").and_then(|m| m.get("banded")).unwrap();
-        assert_eq!(banded.get("measured_peak_bytes").and_then(Json::as_i64), Some(1100));
-        let masked = crate::manifest::mask_volatile(&doc.pretty());
-        assert!(!masked.contains("measured_peak_bytes"));
-        assert!(masked.contains("claimed_peak_bytes"));
+        // The exact section survives being written into REPORT.json and
+        // parsed back as the next run's baseline.
+        let doc = Json::obj(vec![
+            ("theorem1", Json::obj(vec![("total", Json::Int(6653)), ("label", Json::Int(0))])),
+            ("cells", Json::Arr(vec![Json::obj(vec![("name", Json::Str("gnp32".into()))])])),
+        ]);
+        let rows = [exact(Source::Bits, "*"), exact(Source::Bits, "cells.#")];
+        let mut docs = Docs::new(Json::Null, Vec::new());
+        docs.probes.push((Source::Bits, Some(doc)));
+        let eval = evaluate(&rows, &mut docs);
+        assert!(eval.problems.is_empty(), "{:?}", eval.problems);
+        let back = Json::parse(&eval.exact.pretty()).expect("recorded values parse");
+        assert!(compare(&back, &eval.exact).is_empty());
+        assert_eq!(
+            back.get("probe:bits").and_then(|b| b.get("theorem1")).and_then(Json::as_str),
+            Some("{\"total\":6653,\"label\":0}")
+        );
     }
 
     #[test]
     fn mem_gate_flags_an_injected_regression() {
-        // Upper-bound (cap) behaviour is exercised end-to-end by the
-        // spawned-binary test in tests/observability.rs, where no
-        // parallel test can inflate the shared watermark; here only the
-        // pollution-proof directions are asserted.
-        let Some(p) = measure_mem() else {
-            return; // allocator compiled out: nothing to audit
+        let probe = |measured: i64| {
+            Json::obj(vec![
+                ("claimed_peak_bytes", Json::Int(1 << 20)),
+                ("measured_peak_bytes", Json::Int(measured)),
+                ("u32_full_bytes", Json::Int(4 << 20)),
+            ])
         };
-        // The analytic claim is a guaranteed lower bound on the measured
-        // sweep peak — concurrent tests can only push measured higher.
-        assert!(
-            p.banded_measured >= p.banded_claimed,
-            "claim {} above measured {}",
-            p.banded_claimed,
-            p.banded_measured
-        );
+        assert!(matches!(claim_brackets_measured(&probe(1 << 20)), Verdict::Pass(_)));
+        // A doubled footprint breaks the cap; a claim above what was
+        // measured breaks the lower bound.
+        let fails_with = |measured: i64, why: &str| {
+            matches!(claim_brackets_measured(&probe(measured)), Verdict::Fail(m) if m.contains(why))
+        };
+        assert!(fails_with(2 << 20, "beyond slack"));
+        assert!(fails_with(1 << 19, "under the analytic claim"));
+        assert!(matches!(half_the_u32_matrix(&probe(3 << 20)), Verdict::Fail(_)));
+        // Compiled-out instrumentation skips instead of failing.
+        let unmeasured = Json::obj(vec![("claimed_peak_bytes", Json::Int(1 << 20))]);
+        assert!(matches!(claim_brackets_measured(&unmeasured), Verdict::Skip(_)));
+    }
 
-        // A halved baseline (the injected 2x regression) must fail: the
-        // fresh measurement sits at least at the analytic claim, well
-        // above half of any previous truthful measurement plus tolerance.
-        let cfg = GateConfig::default();
-        let halved = MemProbes {
-            banded_measured: p.banded_measured / 2,
-            apsp_measured: p.apsp_measured / 2,
-            ..p.clone()
+    #[test]
+    fn paths_fan_out_count_and_sum() {
+        let doc = Json::parse(
+            r#"{"cells": [{"name": "a", "n": 2, "c": {"k": 1}}, {"n": 3, "c": {"k": 4}}]}"#,
+        )
+        .unwrap();
+        let names = |p: &str| {
+            select(&doc, p)
+                .into_iter()
+                .map(|(k, v)| format!("{k}={}", v.compact()))
+                .collect::<Vec<_>>()
         };
-        let doc = to_json(&cfg, &[], Some(&halved));
-        let mut report = GateReport::default();
-        check_mem(&Json::parse(&doc.pretty()).unwrap(), cfg.tolerance, &mut report);
-        assert!(!report.pass());
-        assert!(report.failures.iter().any(|f| f.contains("regressed")));
+        assert_eq!(names("cells.#"), ["cells.#=2"]);
+        assert_eq!(names("cells.*.n"), ["cells.a.n=2", "cells.1.n=3"]);
+        assert_eq!(names("cells.+.c.k"), ["cells.+.c.k=5"]);
+        assert_eq!(names("cells.*.missing"), ["cells.a.missing=null", "cells.1.missing=null"]);
     }
 }

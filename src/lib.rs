@@ -20,18 +20,10 @@
 //!   fuzzer, and machine-checked Table 1 bound suite behind
 //!   `ort conformance` and `results/CONFORMANCE.json`.
 //!
-//! Four CLI-facing modules live in this crate directly:
+//! Seven CLI-facing modules live in this crate directly:
 //!
-//! * [`bench`] — the APSP engine snapshot behind `ort bench` and
-//!   `results/BENCH_apsp.json` (dense + sparse large-`n` workloads, with
-//!   tile size, cell width and peak oracle bytes per record).
-//! * [`bench_build`] — the scheme-construction snapshot behind
-//!   `ort bench-build` and `results/BENCH_build.json` (banded vs
-//!   full-matrix build time and peak distance bytes at `n` up to 16384).
 //! * [`profile`] — the instrumented single-scheme run behind
 //!   `ort profile` (span tree, counters, per-node bit accounting).
-//! * [`gate`] — the bit-drift and perf-regression gate behind
-//!   `ort bench-gate` and `results/TELEMETRY_BASELINE.json`.
 //! * [`trace`] — the capture-and-explain run behind `ort trace`
 //!   (per-message route tracing with hop-by-hop stretch attribution).
 //! * [`sweep`] — the fault-intensity sweep behind `ort resilience`,
@@ -43,9 +35,14 @@
 //! * [`manifest`] — run manifests: every results file carries provenance
 //!   (subcommand, args, seeds, payload digest, thread/feature state) and
 //!   appends a one-line summary to `results/HISTORY.jsonl`.
-//! * [`report`] — the cross-run regression observatory behind
-//!   `ort report` and `results/REPORT.json` (aggregates results files,
-//!   machine-checks bit-exact fields and gated ratios across runs).
+//! * [`gate`] — the declarative check table: `(source, JSON path,
+//!   Exact | Bound)` rows over the results files and three fresh probes
+//!   (bit breakdown, allocator memory, repair vs rebuild).
+//! * [`report`] — `ort report` and `results/REPORT.json`: runs the check
+//!   table and compares its exact values against a baseline report.
+//!
+//! Speed is measured end to end by the benchmark of record,
+//! `examples/ortbench` (see its README), not by this crate.
 //!
 //! # Quickstart
 //!
@@ -75,8 +72,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod bench;
-pub mod bench_build;
 pub mod churn;
 pub mod gate;
 pub mod manifest;

@@ -2,12 +2,11 @@
 //! `results/HISTORY.jsonl` trajectory those stamps feed.
 //!
 //! Every `ort` subcommand that writes a results JSON goes through
-//! [`write_stamped`] (payloads built as [`Json`]) or
-//! [`write_stamped_raw`] (the bench writers, which emit raw text). Both:
+//! [`write_stamped`], which:
 //!
 //! 1. compute an FNV-1a 64 digest of the *payload* serialization (the
 //!    document without its manifest) — the catch-all fingerprint the
-//!    cross-run observatory (`ort report`) compares;
+//!    regression gate (`ort report`) compares;
 //! 2. prepend a `manifest` object: schema version, subcommand, semantic
 //!    args, seeds, the digest, then the *volatile* provenance fields —
 //!    `threads` (from `ORT_THREADS`), `features`, `telemetry`, `build`;
@@ -27,7 +26,7 @@
 //! `args` records only *semantic* parameters (`max_n=1024`), never
 //! output paths, which would differ per invocation.
 
-use ort_conformance::json::Json;
+use ort_telemetry::json::Json;
 
 /// Manifest schema version; bumped when the manifest shape changes.
 pub const SCHEMA_VERSION: i64 = 1;
@@ -37,32 +36,13 @@ pub const SCHEMA_VERSION: i64 = 1;
 /// these keys; everything else must match exactly.
 pub const VOLATILE_KEYS: [&str; 4] = ["threads", "features", "telemetry", "build"];
 
-/// Volatile *payload* keys: fields that subcommands emit inside the
-/// payload (not the manifest) yet legitimately vary with the machine or
-/// the compiled feature set — `host_cores` (machine parallelism, bench
-/// headers) and `measured_peak_bytes` (allocator-measured peaks; exact
-/// requested bytes depend on the allocation pattern of the build, and
-/// absent entirely with instrumentation compiled out). Each is kept on
-/// its own pretty-printed line by its writer so [`mask_volatile`] can
-/// drop it without touching any exact field (masked text is only ever
-/// diffed against other masked text, never parsed). The payload
-/// digest is computed over the *raw* payload (measured values included),
-/// so a file is always self-consistent; only cross-environment diffs
-/// apply the mask.
-pub const VOLATILE_PAYLOAD_KEYS: [&str; 2] = ["host_cores", "measured_peak_bytes"];
-
 /// Drops every line carrying a volatile manifest key — the line filter
 /// CI and the sink byte-identity test apply to *both* sides before
 /// diffing results files.
 #[must_use]
 pub fn mask_volatile(text: &str) -> String {
     text.lines()
-        .filter(|line| {
-            !VOLATILE_KEYS
-                .iter()
-                .chain(VOLATILE_PAYLOAD_KEYS.iter())
-                .any(|k| line.contains(&format!("\"{k}\":")))
-        })
+        .filter(|line| !VOLATILE_KEYS.iter().any(|k| line.contains(&format!("\"{k}\":"))))
         .map(|line| format!("{line}\n"))
         .collect()
 }
@@ -236,35 +216,6 @@ pub fn write_stamped(out_path: &str, payload: &Json, info: &RunInfo) -> Result<(
     append_history(out_path, info, &digest)
 }
 
-/// As [`write_stamped`] for writers that build their JSON as raw text
-/// (the bench snapshots): the manifest block is spliced in directly
-/// after the document's opening `{`, re-indented to depth 1. The digest
-/// covers the original `payload_text`.
-///
-/// # Errors
-///
-/// Fails if `payload_text` is not an object document, or on I/O errors.
-pub fn write_stamped_raw(out_path: &str, payload_text: &str, info: &RunInfo) -> Result<(), String> {
-    let digest = digest_of(payload_text);
-    let rest = payload_text
-        .trim_start()
-        .strip_prefix('{')
-        .ok_or("raw results payload must be a JSON object")?;
-    let manifest = manifest_json(info, &digest).pretty();
-    // Re-indent the manifest's pretty form (depth 0) to sit at depth 1.
-    let mut block = String::from("{\n  \"manifest\": ");
-    for (i, line) in manifest.trim_end().lines().enumerate() {
-        if i > 0 {
-            block.push_str("\n  ");
-        }
-        block.push_str(line);
-    }
-    block.push(',');
-    ensure_parent(std::path::Path::new(out_path))?;
-    std::fs::write(out_path, format!("{block}{rest}")).map_err(|e| e.to_string())?;
-    append_history(out_path, info, &digest)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,26 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn raw_splice_parses_and_preserves_payload() {
-        let payload = "{\n  \"bench\": \"apsp\",\n  \"results\": []\n}\n";
-        let dir = std::env::temp_dir().join("ort-manifest-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("RAW.json");
-        write_stamped_raw(out.to_str().unwrap(), payload, &info()).unwrap();
-        let text = std::fs::read_to_string(&out).unwrap();
-        let doc = Json::parse(&text).expect("spliced document parses");
-        assert_eq!(doc.get("bench").and_then(Json::as_str), Some("apsp"));
-        let digest = doc.get("manifest").unwrap().get("digest").unwrap().as_str().unwrap();
-        assert_eq!(digest, digest_of(payload));
-        // History picked up the write.
-        let history = std::fs::read_to_string(dir.join("HISTORY.jsonl")).unwrap();
-        let last = history.lines().last().unwrap();
-        assert!(last.contains("\"file\":\"RAW.json\"") || last.contains("\"file\": \"RAW.json\""));
-        assert!(last.contains(&digest_of(payload)));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn history_line_has_no_volatile_fields() {
         let line = history_line("X.json", &info(), "fnv64:0000000000000000");
         for k in VOLATILE_KEYS {
@@ -341,22 +272,5 @@ mod tests {
             ort_telemetry::alloc::installed(),
             "{s}"
         );
-    }
-
-    #[test]
-    fn masking_strips_volatile_payload_lines_and_nothing_else() {
-        // A two-line bench-style record: the measured field sits on its
-        // own continuation line, exactly as the bench writers emit it, so
-        // masking removes just that line.
-        let text = "{\n  \"results\": [\n    { \"n\": 64, \"peak_bytes\": 4096,\n      \"measured_peak_bytes\": 5000 },\n    { \"n\": 128, \"peak_bytes\": 8192 }\n  ],\n  \"host_cores\": 8\n}\n";
-        let masked = mask_volatile(text);
-        for k in VOLATILE_PAYLOAD_KEYS {
-            assert!(text.contains(&format!("\"{k}\":")), "{k} present before mask");
-            assert!(!masked.contains(&format!("\"{k}\":")), "{k} must be masked");
-        }
-        // The quote-prefixed match keeps the analytic field intact: the
-        // substring `peak_bytes` alone must not trigger the filter.
-        assert_eq!(masked.matches("\"peak_bytes\":").count(), 2, "{masked}");
-        assert!(masked.contains("\"results\":"), "{masked}");
     }
 }

@@ -1,45 +1,25 @@
-//! The cross-run regression observatory behind `ort report`.
+//! `ort report`: the one regression gate outside the benchmark of record.
 //!
 //! Reads every stamped results file in a directory (plus the
-//! `HISTORY.jsonl` trajectory next to them), re-verifies each file's
-//! provenance, extracts the *named* quantities the workspace guards, and
-//! writes the aggregate to `results/REPORT.json`:
-//!
-//! * **digest** — each file's payload is re-hashed and must match the
-//!   digest its own manifest recorded at write time; a single flipped
-//!   bit anywhere in a payload fails the run naming the file;
-//! * **history** — the last `HISTORY.jsonl` line for each file must
-//!   carry the same digest (the trajectory and the tree agree);
-//! * **exact fields** — per-subcommand extractions that may never move
-//!   without an intentional regeneration: conformance counts and the
-//!   pass verdict, resilience delivery totals and its deterministic
-//!   inline histograms, churn byte-identity counts, per-scheme bit
-//!   totals from the telemetry baseline, bench table sizes;
-//! * **gated ratios** — quantities that are measured, not derived
-//!   (bench speedups): compared against the baseline within
-//!   [`RATIO_TOLERANCE`], not bit-exactly.
-//!
-//! With `--baseline <REPORT.json>` the fresh extraction is compared
-//! field-by-field against a previous report; any drift in an exact
-//! field (or an out-of-tolerance ratio) fails the run *naming the
-//! field*. CI runs exactly that against the checked-in report, so a
-//! regression anywhere in `results/` is caught with a message that says
-//! where.
+//! `HISTORY.jsonl` trajectory next to them), derives each file's
+//! provenance (schema, stored and recomputed payload digest, last
+//! history digest), and runs the declarative check table of
+//! [`crate::gate`] over those documents and three fresh probes. The
+//! table's `Exact` values land in `results/REPORT.json`; with
+//! `--baseline <REPORT.json>` every one of them must equal the
+//! baseline's, and any drift fails the run naming the source and JSON
+//! path. CI runs exactly that against the checked-in report.
 //!
 //! The report's own manifest is reduced to fully deterministic fields
-//! (schema, subcommand, digest) — `REPORT.json` is byte-identical under
-//! any `ORT_THREADS`, feature set, or telemetry sink configuration,
-//! because everything in it comes from the checked-in file *contents*.
+//! (schema, subcommand, digest), and no `Bound` measurement is recorded,
+//! so `REPORT.json` is byte-identical under any `ORT_THREADS`, feature
+//! set, or telemetry sink configuration.
 
+use crate::gate::{self, Docs, Row};
 use crate::manifest::{self, SCHEMA_VERSION};
-use ort_conformance::json::Json;
+use ort_telemetry::json::Json;
 
-/// Relative tolerance for gated ratios (bench speedups) when comparing
-/// against a baseline report. Wall-clock ratios wobble with the host;
-/// a halved speedup is a finding, a 20% wobble is not.
-pub const RATIO_TOLERANCE: f64 = 0.5;
-
-/// Options for one observatory run.
+/// Options for one `ort report` run.
 #[derive(Debug, Clone)]
 pub struct ReportOptions {
     /// Directory holding the stamped results files.
@@ -68,12 +48,12 @@ pub struct ReportOutcome {
     pub report: Json,
     /// Human-readable summary table.
     pub table: String,
-    /// Every failed check / regression, each naming its field.
+    /// Every failed check / regression, each naming its source and path.
     pub problems: Vec<String>,
 }
 
 /// Serializes one deterministic value-domain histogram for a results
-/// payload: exact counts, sparse buckets — the form the observatory
+/// payload: exact counts, sparse buckets — the form `ort report`
 /// compares byte-for-byte.
 #[must_use]
 pub fn hist_json(h: &ort_telemetry::HistData) -> Json {
@@ -100,8 +80,7 @@ pub fn hist_json(h: &ort_telemetry::HistData) -> Json {
 /// The manifest is always the first key and always flat, so its block
 /// is exactly the lines from `"manifest": {` through the first `},` at
 /// depth 1 — removing them textually reconstructs the pre-stamp payload
-/// byte-for-byte (which a JSON round-trip would not, for the bench
-/// files' single-line records).
+/// byte-for-byte, so even a whitespace-only hand edit changes the digest.
 #[must_use]
 pub fn unstamp(text: &str) -> Option<(Json, String)> {
     let lines: Vec<&str> = text.lines().collect();
@@ -123,140 +102,26 @@ pub fn unstamp(text: &str) -> Option<(Json, String)> {
     Some((m, payload))
 }
 
-fn i64_at(doc: &Json, path: &[&str]) -> Option<i64> {
-    let mut v = doc;
-    for k in path {
-        v = v.get(k)?;
-    }
-    v.as_i64()
-}
-
-fn arr_len(doc: &Json, key: &str) -> i64 {
-    doc.get(key).and_then(Json::as_arr).map_or(0, |a| a.len() as i64)
-}
-
-fn pass_of(doc: &Json) -> Json {
-    match doc.get("pass") {
-        Some(Json::Bool(b)) => Json::Bool(*b),
-        _ => Json::Null,
-    }
-}
-
-/// The inline `hists` section (if any) as per-name compact strings —
-/// strict string equality is exactly "the deterministic histograms must
-/// match", and a failure names the histogram.
-fn hist_fields(doc: &Json) -> Vec<(String, Json)> {
-    let Some(Json::Obj(hists)) = doc.get("hists") else {
-        return Vec::new();
+/// The [`Source::Provenance`](crate::gate::Source::Provenance) entry of
+/// one results file: its manifest's schema and digest, the digest its
+/// payload recomputes to, and the digest of its last history line.
+fn provenance(name: &str, text: &str, history: &[Json]) -> Json {
+    let history_digest = history
+        .iter()
+        .rev()
+        .find(|h| h.get("file").and_then(Json::as_str) == Some(name))
+        .and_then(|h| h.get("digest").cloned())
+        .unwrap_or(Json::Null);
+    let Some((m, payload)) = unstamp(text) else {
+        return Json::obj(vec![("schema", Json::Null), ("history_digest", history_digest)]);
     };
-    hists.iter().map(|(name, h)| (name.clone(), Json::Str(h.compact()))).collect()
-}
-
-/// Sums an integer field over the `results` array of a bench file.
-fn sum_over(doc: &Json, arr: &str, field: &str) -> i64 {
-    doc.get(arr)
-        .and_then(Json::as_arr)
-        .map_or(0, |a| a.iter().filter_map(|r| r.get(field).and_then(Json::as_i64)).sum())
-}
-
-/// The per-subcommand exact extraction — every value here must be
-/// byte-stable across regenerations.
-fn exact_fields(subcommand: &str, doc: &Json) -> Json {
-    let mut out: Vec<(String, Json)> = Vec::new();
-    let mut push = |k: &str, v: Json| out.push((k.to_string(), v));
-    match subcommand {
-        "conformance" => {
-            push("pass", pass_of(doc));
-            push("violations", Json::Int(arr_len(doc, "violations")));
-            push("schemes_covered", Json::Int(arr_len(doc, "schemes_covered")));
-            push("exhaustive_graphs", Json::Int(arr_len(doc, "differential_exhaustive")));
-            push("sweeps", Json::Int(arr_len(doc, "differential_sweeps")));
-            push(
-                "fuzz_mutations",
-                Json::Int(i64_at(doc, &["fuzz", "total_mutations"]).unwrap_or(-1)),
-            );
-            push("fuzz_panics", Json::Int(i64_at(doc, &["fuzz", "panics"]).unwrap_or(-1)));
-        }
-        "resilience" => {
-            push("pass", pass_of(doc));
-            push("violations", Json::Int(arr_len(doc, "violations")));
-            push("cells", Json::Int(arr_len(doc, "cells")));
-            push("refusals", Json::Int(arr_len(doc, "refusals")));
-            let cells = doc.get("cells").and_then(Json::as_arr).unwrap_or(&[]);
-            let total = |f: &str| -> i64 {
-                cells.iter().filter_map(|c| c.get(f).and_then(Json::as_i64)).sum()
-            };
-            push("pairs_total", Json::Int(total("pairs")));
-            push("delivered_total", Json::Int(total("delivered")));
-            for (name, h) in hist_fields(doc) {
-                push(&format!("hist.{name}"), h);
-            }
-        }
-        "resilience-diagnostics" => {
-            push("violations", Json::Int(arr_len(doc, "violations")));
-            push("exemplars", Json::Int(arr_len(doc, "avoidable_exemplars")));
-        }
-        "churn" => {
-            push("pass", pass_of(doc));
-            push("violations", Json::Int(arr_len(doc, "violations")));
-            push("cells", Json::Int(arr_len(doc, "cells")));
-            for cell in doc.get("cells").and_then(Json::as_arr).unwrap_or(&[]) {
-                let name = cell.get("name").and_then(Json::as_str).unwrap_or("?");
-                let summary = Json::obj(vec![
-                    (
-                        "events_applied",
-                        Json::Int(i64_at(cell, &["events_applied"]).unwrap_or(-1)),
-                    ),
-                    (
-                        "byte_identical_steps",
-                        Json::Int(i64_at(cell, &["checks", "byte_identical_steps"]).unwrap_or(-1)),
-                    ),
-                    (
-                        "verify_equal_steps",
-                        Json::Int(i64_at(cell, &["checks", "verify_equal_steps"]).unwrap_or(-1)),
-                    ),
-                ]);
-                push(&format!("cell.{name}"), Json::Str(summary.compact()));
-            }
-            for (name, h) in hist_fields(doc) {
-                push(&format!("hist.{name}"), h);
-            }
-        }
-        "bench-gate" => {
-            push("entries", Json::Int(arr_len(doc, "entries")));
-            for e in doc.get("entries").and_then(Json::as_arr).unwrap_or(&[]) {
-                let scheme = e.get("scheme").and_then(Json::as_str).unwrap_or("?");
-                let n = i64_at(e, &["n"]).unwrap_or(-1);
-                push(
-                    &format!("bits_total.{scheme}@{n}"),
-                    Json::Int(i64_at(e, &["bits", "total"]).unwrap_or(-1)),
-                );
-            }
-        }
-        "bench" => {
-            push("results", Json::Int(arr_len(doc, "results")));
-            push("peak_bytes_total", Json::Int(sum_over(doc, "results", "peak_bytes")));
-        }
-        "bench-build" => {
-            push("results", Json::Int(arr_len(doc, "results")));
-            push("table_bytes_total", Json::Int(sum_over(doc, "results", "table_bytes")));
-        }
-        _ => {}
-    }
-    Json::Obj(out)
-}
-
-/// The measured (non-exact) ratios the observatory gates with a
-/// tolerance instead of equality: any top-level numeric `speedup_*`.
-fn ratio_fields(doc: &Json) -> Json {
-    let Json::Obj(pairs) = doc else { return Json::Obj(Vec::new()) };
-    Json::Obj(
-        pairs
-            .iter()
-            .filter(|(k, v)| k.starts_with("speedup_") && v.as_f64().is_some())
-            .cloned()
-            .collect(),
-    )
+    let field = |k: &str| m.get(k).cloned().unwrap_or(Json::Null);
+    Json::obj(vec![
+        ("schema", field("schema")),
+        ("digest", field("digest")),
+        ("payload_digest", Json::Str(manifest::digest_of(&payload))),
+        ("history_digest", history_digest),
+    ])
 }
 
 fn read_history(dir: &std::path::Path) -> (Vec<Json>, Vec<String>) {
@@ -281,246 +146,93 @@ fn read_history(dir: &std::path::Path) -> (Vec<Json>, Vec<String>) {
     (lines, problems)
 }
 
-/// One results file's entry in the report.
-fn file_entry(
-    name: &str,
-    text: &str,
-    history: &[Json],
-    problems: &mut Vec<String>,
-) -> Json {
-    let Some((m, payload)) = unstamp(text) else {
-        problems.push(format!("{name}: no manifest (unstamped results file)"));
-        return Json::obj(vec![("file", Json::Str(name.into())), ("manifest", Json::Bool(false))]);
-    };
-    let subcommand = m.get("subcommand").and_then(Json::as_str).unwrap_or("?").to_string();
-    let schema = m.get("schema").and_then(Json::as_i64).unwrap_or(-1);
-    if schema != SCHEMA_VERSION {
-        problems.push(format!("{name}: manifest schema {schema}, expected {SCHEMA_VERSION}"));
-    }
-    let stored = m.get("digest").and_then(Json::as_str).unwrap_or("").to_string();
-    let recomputed = manifest::digest_of(&payload);
-    let digest_ok = stored == recomputed;
-    if !digest_ok {
-        problems.push(format!(
-            "{name}: digest: payload hashes to {recomputed}, manifest says {stored} — \
-             the file was modified after it was written"
-        ));
-    }
-    // The trajectory must agree with the tree: the newest history line
-    // for this file carries the digest the file itself claims.
-    let last = history
-        .iter()
-        .rev()
-        .find(|h| h.get("file").and_then(Json::as_str) == Some(name));
-    let history_ok = match last {
-        None => {
-            problems.push(format!("{name}: history: no HISTORY.jsonl line for this file"));
-            false
-        }
-        Some(h) => {
-            let hd = h.get("digest").and_then(Json::as_str).unwrap_or("");
-            if hd == stored {
-                true
-            } else {
-                problems.push(format!(
-                    "{name}: history: last trajectory digest {hd} != manifest digest {stored}"
-                ));
-                false
-            }
-        }
-    };
-    let doc = match Json::parse(text) {
-        Ok(d) => d,
-        Err(e) => {
-            problems.push(format!("{name}: unparseable: {e}"));
-            Json::Null
-        }
-    };
-    Json::obj(vec![
-        ("file", Json::Str(name.into())),
-        ("subcommand", Json::Str(subcommand.clone())),
-        ("schema", Json::Int(schema)),
-        ("digest", Json::Str(stored)),
-        ("digest_ok", Json::Bool(digest_ok)),
-        ("history_ok", Json::Bool(history_ok)),
-        ("exact", exact_fields(&subcommand, &doc)),
-        ("ratios", ratio_fields(&doc)),
-    ])
-}
-
-/// Compares the fresh `files` section against a baseline report.
-/// Exact fields (and digests) must match bit-for-bit; ratios must agree
-/// within [`RATIO_TOLERANCE`]. Every drift is reported by field name.
-fn compare_to_baseline(fresh: &Json, baseline: &Json, problems: &mut Vec<String>) {
-    let empty: &[Json] = &[];
-    let fresh_files = fresh.get("files").and_then(Json::as_arr).unwrap_or(empty);
-    let base_files = baseline.get("files").and_then(Json::as_arr).unwrap_or(empty);
-    let by_name = |name: &str, set: &[Json]| -> Option<Json> {
-        set.iter().find(|f| f.get("file").and_then(Json::as_str) == Some(name)).cloned()
-    };
-    for bf in base_files {
-        let name = bf.get("file").and_then(Json::as_str).unwrap_or("?").to_string();
-        let Some(ff) = by_name(&name, fresh_files) else {
-            problems.push(format!("{name}: tracked by the baseline report but missing now"));
-            continue;
-        };
-        // Digest: the catch-all. Any payload drift lands here even if no
-        // named extraction covers it.
-        let bd = bf.get("digest").and_then(Json::as_str).unwrap_or("");
-        let fd = ff.get("digest").and_then(Json::as_str).unwrap_or("");
-        if bd != fd {
-            problems.push(format!("{name}: digest: baseline {bd}, fresh {fd}"));
-        }
-        // Exact fields: bit-for-bit.
-        let base_exact = bf.get("exact").cloned().unwrap_or(Json::Obj(Vec::new()));
-        let fresh_exact = ff.get("exact").cloned().unwrap_or(Json::Obj(Vec::new()));
-        if let (Json::Obj(bp), Json::Obj(fp)) = (&base_exact, &fresh_exact) {
-            for (k, bv) in bp {
-                match fp.iter().find(|(fk, _)| fk == k) {
-                    None => problems.push(format!("{name}: exact.{k}: missing from fresh report")),
-                    Some((_, fv)) if fv.compact() != bv.compact() => problems.push(format!(
-                        "{name}: exact.{k}: baseline {}, fresh {}",
-                        bv.compact(),
-                        fv.compact()
-                    )),
-                    Some(_) => {}
-                }
-            }
-        }
-        // Ratios: within tolerance.
-        if let (Some(Json::Obj(bp)), Some(Json::Obj(fp))) = (bf.get("ratios"), ff.get("ratios")) {
-            for (k, bv) in bp {
-                let Some(b) = bv.as_f64() else { continue };
-                match fp.iter().find(|(fk, _)| fk == k).and_then(|(_, v)| v.as_f64()) {
-                    None => problems.push(format!("{name}: ratios.{k}: missing from fresh report")),
-                    Some(f) => {
-                        let rel = (f - b).abs() / b.abs().max(f64::EPSILON);
-                        if rel > RATIO_TOLERANCE {
-                            problems.push(format!(
-                                "{name}: ratios.{k}: baseline {b:?}, fresh {f:?} \
-                                 (drift {:.0}% > {:.0}%)",
-                                rel * 100.0,
-                                RATIO_TOLERANCE * 100.0
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn human_table(files: &[Json], history_lines: usize, problems: &[String]) -> String {
-    let mut t = String::new();
-    t.push_str(&format!(
-        "{:<34}{:<14}{:>7}  {:>6}  {:>7}  exact fields\n",
-        "file", "subcommand", "schema", "digest", "history"
-    ));
-    for f in files {
-        let get = |k: &str| f.get(k).and_then(Json::as_str).unwrap_or("?").to_string();
-        let ok = |k: &str| match f.get(k) {
-            Some(Json::Bool(true)) => "ok",
-            Some(Json::Bool(false)) => "FAIL",
-            _ => "-",
-        };
-        let exact_n = match f.get("exact") {
-            Some(Json::Obj(p)) => p.len(),
-            _ => 0,
-        };
-        t.push_str(&format!(
-            "{:<34}{:<14}{:>7}  {:>6}  {:>7}  {exact_n}\n",
-            get("file"),
-            get("subcommand"),
-            f.get("schema").and_then(Json::as_i64).unwrap_or(-1),
-            ok("digest_ok"),
-            ok("history_ok"),
-        ));
-    }
-    t.push_str(&format!(
-        "{} files, {history_lines} history lines, {} problem(s)\n",
-        files.len(),
-        problems.len()
-    ));
-    for p in problems {
-        t.push_str(&format!("  REGRESSION {p}\n"));
-    }
-    t
-}
-
-/// Runs the observatory: scan, verify, extract, compare, write.
+/// Runs the full check table ([`gate::ROWS`]): scan, verify, probe,
+/// compare, write.
 ///
 /// # Errors
 ///
-/// I/O failures reading the results directory or writing the report.
-/// Check failures and regressions are returned in
+/// I/O failures reading the results directory, the baseline, or writing
+/// the report. Check failures and regressions are returned in
 /// [`ReportOutcome::problems`], not as `Err` — the caller decides the
 /// exit code.
 pub fn run(opts: &ReportOptions) -> Result<ReportOutcome, String> {
+    check(opts, gate::ROWS)
+}
+
+/// As [`run`] with an explicit table, e.g. only the rows on checked-in
+/// files.
+///
+/// # Errors
+///
+/// As [`run`].
+pub fn check(opts: &ReportOptions, rows: &[Row]) -> Result<ReportOutcome, String> {
     let _span = ort_telemetry::span("report.run");
     let dir = std::path::Path::new(&opts.dir);
-    let mut problems = Vec::new();
-    let (history, mut history_problems) = read_history(dir);
-    problems.append(&mut history_problems);
-    // Every .json in the directory except the report itself (and any
-    // baseline the caller pointed at inside the same directory).
-    let skip = ["REPORT.json"];
+    let (history, mut problems) = read_history(dir);
+    // Every .json in the directory except the report itself.
     let mut names: Vec<String> = std::fs::read_dir(dir)
         .map_err(|e| format!("cannot read {}: {e}", dir.display()))?
         .filter_map(Result::ok)
         .filter_map(|e| e.file_name().into_string().ok())
-        .filter(|n| n.ends_with(".json") && !skip.contains(&n.as_str()))
+        .filter(|n| n.ends_with(".json") && n != "REPORT.json")
         .collect();
     names.sort();
+    let mut provenances = Vec::new();
     let mut files = Vec::new();
-    for name in &names {
-        let text = std::fs::read_to_string(dir.join(name)).map_err(|e| format!("{name}: {e}"))?;
-        files.push(file_entry(name, &text, &history, &mut problems));
+    for name in names {
+        let text = std::fs::read_to_string(dir.join(&name)).map_err(|e| format!("{name}: {e}"))?;
+        provenances.push((name.clone(), provenance(&name, &text, &history)));
+        match Json::parse(&text) {
+            Ok(doc) => files.push((name, doc)),
+            Err(e) => problems.push(format!("{name}: unparseable: {e}")),
+        }
     }
-    let partial = Json::obj(vec![
-        ("suite", Json::Str("ort report".into())),
-        ("files", Json::Arr(files.clone())),
-        ("history_lines", Json::Int(history.len() as i64)),
-    ]);
+    let eval = gate::evaluate(rows, &mut Docs::new(Json::Obj(provenances), files));
+    problems.extend(eval.problems);
     if let Some(base_path) = &opts.baseline {
-        let base_text = std::fs::read_to_string(base_path)
-            .map_err(|e| format!("baseline {base_path}: {e}"))?;
+        let base_text =
+            std::fs::read_to_string(base_path).map_err(|e| format!("baseline {base_path}: {e}"))?;
         let base = Json::parse(&base_text).map_err(|e| format!("baseline {base_path}: {e}"))?;
-        compare_to_baseline(&partial, &base, &mut problems);
+        let recorded = base.get("exact").cloned().unwrap_or(Json::Obj(Vec::new()));
+        problems.extend(gate::compare(&recorded, &eval.exact));
     }
-    let Json::Obj(mut payload_fields) = partial else { unreachable!() };
-    payload_fields.push((
-        "problems".to_string(),
-        Json::Arr(problems.iter().map(|p| Json::Str(p.clone())).collect()),
-    ));
-    payload_fields.push(("pass".to_string(), Json::Bool(problems.is_empty())));
-    let payload = Json::Obj(payload_fields);
+    let payload = Json::obj(vec![
+        ("suite", Json::Str("ort report".into())),
+        ("exact", eval.exact),
+        ("history_lines", Json::Int(history.len() as i64)),
+        ("problems", Json::Arr(problems.iter().map(|p| Json::Str(p.clone())).collect())),
+        ("pass", Json::Bool(problems.is_empty())),
+    ]);
     // The report's own manifest carries only fully deterministic fields —
     // REPORT.json must be byte-identical under any environment. The
     // digest covers the complete payload (verdict included), so the
     // schema test can re-verify REPORT.json like any other results file.
-    let report = Json::Obj(
-        std::iter::once((
-            "manifest".to_string(),
-            Json::obj(vec![
-                ("schema", Json::Int(SCHEMA_VERSION)),
-                ("subcommand", Json::Str("report".into())),
-                ("digest", Json::Str(manifest::digest_of(&payload.pretty()))),
-            ]),
-        ))
-        .chain(match payload {
-            Json::Obj(pairs) => pairs.into_iter(),
-            _ => unreachable!(),
-        })
-        .collect(),
-    );
+    let manifest = Json::obj(vec![
+        ("schema", Json::Int(SCHEMA_VERSION)),
+        ("subcommand", Json::Str("report".into())),
+        ("digest", Json::Str(manifest::digest_of(&payload.pretty()))),
+    ]);
+    let Json::Obj(mut fields) = payload else { unreachable!("built as an object") };
+    fields.insert(0, ("manifest".to_string(), manifest));
+    let report = Json::Obj(fields);
     std::fs::write(&opts.out, report.pretty()).map_err(|e| format!("{}: {e}", opts.out))?;
-    let table = human_table(&files, history.len(), &problems);
+    let mut table = eval.lines.join("\n");
+    table.push_str(&format!(
+        "\n{} rows, {} history lines, {} problem(s)\n",
+        rows.len(),
+        history.len(),
+        problems.len()
+    ));
+    for p in &problems {
+        table.push_str(&format!("  REGRESSION {p}\n"));
+    }
     Ok(ReportOutcome { report, table, problems })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::Source;
     use crate::manifest::RunInfo;
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -543,6 +255,12 @@ mod tests {
             &RunInfo::new("conformance", "exhaustive_n=6", "1,2,3"),
         )
         .unwrap();
+    }
+
+    /// The table without its probes: the unit tests judge files only.
+    fn file_rows() -> Vec<Row> {
+        let on_disk = |r: &&Row| matches!(r.source, Source::Provenance | Source::File(_));
+        gate::ROWS.iter().filter(on_disk).copied().collect()
     }
 
     fn opts(dir: &std::path::Path) -> ReportOptions {
@@ -569,7 +287,7 @@ mod tests {
     fn clean_directory_passes() {
         let dir = tmp("clean");
         write_sample(&dir);
-        let out = run(&opts(&dir)).unwrap();
+        let out = check(&opts(&dir), &file_rows()).unwrap();
         assert!(out.problems.is_empty(), "{:?}", out.problems);
         assert!(dir.join("REPORT.json").exists());
         // The emitted report parses and carries the reduced manifest.
@@ -590,7 +308,7 @@ mod tests {
         // Flip one payload bit: true → false.
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, text.replace("\"pass\": true", "\"pass\": false")).unwrap();
-        let out = run(&opts(&dir)).unwrap();
+        let out = check(&opts(&dir), &file_rows()).unwrap();
         assert!(
             out.problems.iter().any(|p| p.contains("CONFORMANCE.json") && p.contains("digest")),
             "{:?}",
@@ -604,7 +322,7 @@ mod tests {
         let dir = tmp("baseline");
         write_sample(&dir);
         let o = opts(&dir);
-        run(&o).unwrap(); // writes the baseline REPORT.json
+        check(&o, &file_rows()).unwrap(); // writes the baseline REPORT.json
         // Regenerate the results file with a different exact value, as a
         // legitimate (re-stamped) write — digests are self-consistent, so
         // only the baseline comparison can catch it.
@@ -625,17 +343,12 @@ mod tests {
             baseline: Some(dir.join("REPORT.json").to_str().unwrap().into()),
             ..o
         };
-        let out = run(&with_base).unwrap();
-        assert!(
-            out.problems.iter().any(|p| p.contains("exact.violations")),
-            "{:?}",
-            out.problems
-        );
-        assert!(
-            out.problems.iter().any(|p| p.contains("exact.pass")),
-            "{:?}",
-            out.problems
-        );
+        let out = check(&with_base, &file_rows()).unwrap();
+        for field in ["CONFORMANCE.json: violations.#: baseline 0, fresh 1", "CONFORMANCE.json: pass"]
+        {
+            let named = out.problems.iter().any(|p| p.starts_with(field));
+            assert!(named, "{field}: {:?}", out.problems);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -644,7 +357,7 @@ mod tests {
         let dir = tmp("unstamped");
         std::fs::write(dir.join("LOOSE.json"), "{\n  \"x\": 1\n}\n").unwrap();
         std::fs::write(dir.join("HISTORY.jsonl"), "").unwrap();
-        let out = run(&opts(&dir)).unwrap();
+        let out = check(&opts(&dir), &file_rows()).unwrap();
         assert!(
             out.problems.iter().any(|p| p.contains("LOOSE.json") && p.contains("no manifest")),
             "{:?}",

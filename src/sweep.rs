@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use ort_conformance::json::Json;
+use ort_telemetry::json::Json;
 use ort_conformance::registry::SchemeId;
 use ort_graphs::paths::{Apsp, DistanceOracle};
 use ort_graphs::ports::PortAssignment;

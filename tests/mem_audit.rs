@@ -251,8 +251,28 @@ fn peak_is_monotone_and_tracks_overshoot() {
 /// Nested attribution: a child region's retained bytes are visible in
 /// the parent's net, the parent's peak dominates the child's, and the
 /// child measures exactly its own allocation.
+///
+/// The counters are process-global, so an allocation on any other thread
+/// of this binary — the test harness's own bookkeeping included — would
+/// land in the open regions. The body therefore runs in a child process
+/// of this test binary that runs nothing but this one test.
 #[test]
 fn nested_mem_spans_attribute_to_parent() {
+    const CHILD: &str = "ORT_MEM_AUDIT_NESTED_CHILD";
+    if std::env::var_os(CHILD).is_none() {
+        let out = std::process::Command::new(std::env::current_exe().expect("test binary path"))
+            .args(["--exact", "nested_mem_spans_attribute_to_parent", "--test-threads=1"])
+            .env(CHILD, "1")
+            .output()
+            .expect("spawn the isolated child");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "isolated run failed:\n{stdout}{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        return;
+    }
     let _serial = serial();
     if !alloc::installed() {
         return;

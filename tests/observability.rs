@@ -1,14 +1,15 @@
 //! The observability layer's integration contract: value-domain
 //! histograms are thread-count invariant, the flight recorder replays
-//! the same dump for the same seeded run, a forced bench-gate failure
-//! writes a post-mortem through the `postmortem:` sink, and `ort
-//! report` passes on the checked-in results yet fails — naming the
-//! field — the moment a single digit drifts.
+//! the same dump for the same seeded run, and `ort report` reproduces
+//! the checked-in `REPORT.json` yet fails — naming the source and JSON
+//! path, and writing a post-mortem through the `postmortem:` sink — the
+//! moment a recorded bit, memory claim or churn count drifts.
 //!
 //! Every in-process test mutates process-global state (the telemetry
 //! registry, the recorder ring, `ORT_THREADS`), so they serialise on
 //! one mutex instead of relying on the harness's thread-per-test
-//! default.
+//! default. The `ort report` tests only spawn the binary and run
+//! alongside them.
 
 #![cfg(feature = "telemetry")]
 
@@ -17,7 +18,6 @@ use std::sync::Mutex;
 
 use optimal_routing_tables::conformance::differential;
 use optimal_routing_tables::conformance::registry::SchemeId;
-use optimal_routing_tables::gate::{self, GateConfig};
 use optimal_routing_tables::graphs::generators;
 use optimal_routing_tables::graphs::paths::Apsp;
 use optimal_routing_tables::manifest;
@@ -151,105 +151,17 @@ fn perturb_after(text: &str, key: &str) -> String {
     s
 }
 
-/// A forced bench-gate failure exits non-zero and appends a post-mortem
-/// block — headed by the `bench_gate_failure` trigger — to the
-/// `postmortem:` sink configured in `ORT_TELEMETRY`.
-#[test]
-fn bench_gate_failure_writes_a_postmortem() {
-    let _serial = serial();
-    let dir = scratch("gate");
-    let baseline = dir.join("baseline.json");
-    let cfg = GateConfig { sizes: vec![32], seed: 1, reps: 1, tolerance: 0.25 };
-    gate::record(&cfg, baseline.to_str().unwrap()).expect("record tiny baseline");
-
-    // One drifted bit: the first entry's total no longer matches what a
-    // fresh deterministic measurement will produce.
-    let text = std::fs::read_to_string(&baseline).expect("read baseline");
-    std::fs::write(&baseline, perturb_after(&text, "\"total\": ")).expect("write perturbed");
-
-    let postmortem = dir.join("postmortem.jsonl");
-    let status = std::process::Command::new(env!("CARGO_BIN_EXE_ort"))
-        .args(["bench-gate", "--baseline", baseline.to_str().unwrap()])
-        .args(["--bench", "none", "--build", "none", "--churn", "none"])
-        .env("ORT_TELEMETRY", format!("postmortem:{}", postmortem.display()))
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .status()
-        .expect("spawn ort bench-gate");
-    assert!(!status.success(), "a drifted baseline must fail the gate");
-
-    let dump = std::fs::read_to_string(&postmortem).expect("post-mortem sink file must exist");
-    assert!(dump.contains("\"type\":\"postmortem\""), "{dump}");
-    assert!(dump.contains("\"trigger\":\"bench_gate_failure\""), "{dump}");
-    assert!(dump.contains("\"kind\":\"anomaly\",\"label\":\"bench_gate_failure\""), "{dump}");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Halves every `"measured_peak_bytes"` value in `text` — the baseline
-/// now claims the recorded run used half the memory a fresh probe
-/// measures, i.e. a 2× memory regression from the gate's viewpoint.
-fn halve_measured(text: &str) -> String {
-    let key = "\"measured_peak_bytes\": ";
-    let mut out = String::with_capacity(text.len());
-    let mut rest = text;
-    while let Some(at) = rest.find(key) {
-        let val_at = at + key.len();
-        out.push_str(&rest[..val_at]);
-        let end = val_at
-            + rest[val_at..].find(|c: char| !c.is_ascii_digit()).expect("number then delimiter");
-        let v: u64 = rest[val_at..end].parse().expect("integer measured value");
-        out.push_str(&(v / 2).to_string());
-        rest = &rest[end..];
+/// Adds `delta` to the integer that follows the last of `anchors`, each
+/// anchor searched for after the previous one: a one-unit change to one
+/// recorded number.
+fn bump(text: &str, anchors: &[&str], delta: i64) -> String {
+    let mut at = 0;
+    for a in anchors {
+        at += text[at..].find(a).unwrap_or_else(|| panic!("'{a}' not found")) + a.len();
     }
-    out.push_str(rest);
-    out
-}
-
-/// The memory gate end to end, in a separate process so the in-process
-/// tests cannot inflate its watermark: `bench-gate --record` writes a
-/// baseline whose `mem` section carries the measured probes; `bench-gate
-/// --mem` passes against that truthful baseline (covering the one-band
-/// cap and width-ratio upper bounds); and with the recorded
-/// `measured_peak_bytes` halved — an injected 2× memory regression — the
-/// gate fails non-zero and writes a post-mortem through the sink.
-#[test]
-fn mem_gate_flags_a_doubled_memory_footprint() {
-    let _serial = serial();
-    if !optimal_routing_tables::telemetry::alloc::installed() {
-        return;
-    }
-    let dir = scratch("memgate");
-    let baseline = dir.join("baseline.json");
-    let cfg = GateConfig { sizes: vec![32], seed: 1, reps: 1, tolerance: 0.25 };
-    gate::record(&cfg, baseline.to_str().unwrap()).expect("record tiny baseline with probes");
-    let text = std::fs::read_to_string(&baseline).expect("read baseline");
-    assert!(text.contains("\"mem\""), "recorded baseline must carry the mem section");
-
-    let run = |base: &Path, postmortem: &Path| {
-        std::process::Command::new(env!("CARGO_BIN_EXE_ort"))
-            .args(["bench-gate", "--mem", "--baseline", base.to_str().unwrap()])
-            .args(["--bench", "none", "--build", "none", "--churn", "none"])
-            .env("ORT_TELEMETRY", format!("postmortem:{}", postmortem.display()))
-            .env("ORT_THREADS", "1")
-            .stdout(std::process::Stdio::null())
-            .stderr(std::process::Stdio::null())
-            .status()
-            .expect("spawn ort bench-gate --mem")
-    };
-
-    assert!(
-        run(&baseline, &dir.join("unused.jsonl")).success(),
-        "a truthful baseline must pass the memory gate"
-    );
-
-    let halved = dir.join("halved.json");
-    std::fs::write(&halved, halve_measured(&text)).expect("write halved baseline");
-    let postmortem = dir.join("postmortem.jsonl");
-    assert!(!run(&halved, &postmortem).success(), "a 2x memory regression must fail the gate");
-    let dump = std::fs::read_to_string(&postmortem).expect("post-mortem sink file must exist");
-    assert!(dump.contains("\"trigger\":\"bench_gate_failure\""), "{dump}");
-    assert!(dump.contains("mem_regressed") || dump.contains("bench_gate_failure"), "{dump}");
-    let _ = std::fs::remove_dir_all(&dir);
+    let end = at + text[at..].find(|c: char| !c.is_ascii_digit()).expect("number then delimiter");
+    let v: i64 = text[at..end].parse().expect("integer after the anchors");
+    format!("{}{}{}", &text[..at], v + delta, &text[end..])
 }
 
 /// Copies the checked-in results corpus (every `*.json` except the
@@ -266,88 +178,107 @@ fn copy_results(dir: &Path) {
 }
 
 /// Re-stamps `file` after a payload edit: recomputes the FNV digest over
-/// the edited payload and substitutes it for `old` in both the file's
-/// manifest and the history, so only the *content* drifts, not the
-/// provenance chain. Returns the new digest.
-fn restamp(dir: &Path, file: &str, old: &str) -> String {
+/// the edited payload and substitutes it for the old one in both the
+/// file's manifest and the history, so only the *content* drifts, not
+/// the provenance chain.
+fn restamp(dir: &Path, file: &str) {
     let path = dir.join(file);
     let text = std::fs::read_to_string(&path).expect("read result file");
-    let (_, payload) =
+    let (manifest, payload) =
         optimal_routing_tables::report::unstamp(&text).expect("stamped result file");
+    let old = manifest.get("digest").and_then(|d| d.as_str()).expect("digest").to_string();
     let fresh = manifest::digest_of(&payload);
-    std::fs::write(&path, text.replace(old, &fresh)).expect("rewrite digest");
+    std::fs::write(&path, text.replace(&old, &fresh)).expect("rewrite digest");
     let hist_path = dir.join("HISTORY.jsonl");
     let history = std::fs::read_to_string(&hist_path).expect("read history");
-    std::fs::write(&hist_path, history.replace(old, &fresh)).expect("rewrite history");
-    fresh
+    std::fs::write(&hist_path, history.replace(&old, &fresh)).expect("rewrite history");
 }
 
-fn digest_in(text: &str) -> String {
-    let at = text.find("fnv64:").expect("digest in manifest");
-    text[at..at + "fnv64:".len() + 16].to_string()
-}
-
-fn run_report(args: &[&str]) -> (bool, String) {
+/// Runs `ort report --dir dir --baseline baseline`, writing the report to
+/// `dir/REPORT.json` and any post-mortem to `dir/postmortem.jsonl`.
+/// Returns whether it passed and its `regression:` lines.
+fn run_report(dir: &Path, baseline: &Path) -> (bool, Vec<String>) {
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_ort"))
         .arg("report")
-        .args(args)
+        .args(["--dir", dir.to_str().unwrap(), "--out", dir.join("REPORT.json").to_str().unwrap()])
+        .args(["--baseline", baseline.to_str().unwrap()])
+        .env("ORT_TELEMETRY", format!("postmortem:{}", dir.join("postmortem.jsonl").display()))
         .stdout(std::process::Stdio::null())
         .output()
         .expect("spawn ort report");
-    (out.status.success(), String::from_utf8_lossy(&out.stderr).into_owned())
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let problems = stderr.lines().filter_map(|l| l.strip_prefix("regression: "));
+    (out.status.success(), problems.map(str::to_string).collect())
 }
 
-/// The observatory end to end: `ort report` passes on a pristine copy
-/// of the checked-in results; a one-character payload edit fails the
-/// digest check naming the file; and once the file is re-stamped so its
-/// provenance chain is self-consistent again, a baseline comparison
-/// still fails — now naming the exact drifted field (a bench-gate bit
-/// total and a shifted resilience histogram bucket).
+/// The full table (fresh bit, memory and repair probes included) passes
+/// on a pristine copy of the checked-in results against the checked-in
+/// baseline, and the report it writes is byte-identical to
+/// `results/REPORT.json` — nothing host-dependent is recorded.
 #[test]
-fn report_flags_single_character_drift() {
-    let _serial = serial();
-    let clean = scratch("report-clean");
-    copy_results(&clean);
-    let clean_report = clean.join("REPORT.json");
-    let (ok, stderr) =
-        run_report(&["--dir", clean.to_str().unwrap(), "--out", clean_report.to_str().unwrap()]);
-    assert!(ok, "report must pass on the checked-in corpus:\n{stderr}");
+fn report_reproduces_the_checked_in_report() {
+    let dir = scratch("report-clean");
+    copy_results(&dir);
+    let (ok, problems) = run_report(&dir, Path::new("results/REPORT.json"));
+    assert!(ok, "report must pass on the checked-in corpus: {problems:#?}");
+    assert_eq!(
+        std::fs::read_to_string(dir.join("REPORT.json")).expect("fresh report"),
+        std::fs::read_to_string("results/REPORT.json").expect("checked-in report"),
+        "a fresh `ort report` must reproduce results/REPORT.json"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
-    let drifted = scratch("report-drift");
-    copy_results(&drifted);
-    let baseline = drifted.join("TELEMETRY_BASELINE.json");
-    let gate_text = std::fs::read_to_string(&baseline).expect("read gate baseline");
-    let gate_digest = digest_in(&gate_text);
-    std::fs::write(&baseline, perturb_after(&gate_text, "\"total\": ")).expect("perturb bits");
-    let resilience = drifted.join("RESILIENCE.json");
-    let res_text = std::fs::read_to_string(&resilience).expect("read resilience");
-    let res_digest = digest_in(&res_text);
-    std::fs::write(&resilience, perturb_after(&res_text, "\"buckets\": ")).expect("shift bucket");
+/// One `ort report --baseline` run over four independent perturbations.
+/// The run exits non-zero, names each perturbation by source and JSON
+/// path, flags nothing else, and writes the recorder post-mortem:
+///
+/// * a one-unit change to a recorded bit total (baseline side);
+/// * a one-unit change to a recorded memory claim (baseline side);
+/// * a churn byte-identity count one short of the events applied,
+///   re-stamped so `CHURN.json` is internally consistent — the `Bound`
+///   row and the `Exact` row both catch it;
+/// * a histogram bucket shifted in `RESILIENCE.json` without re-stamping
+///   — the digest check catches the tampering.
+#[test]
+fn report_names_each_perturbation_and_writes_a_postmortem() {
+    let dir = scratch("report-drift");
+    copy_results(&dir);
+    let baseline_dir = scratch("report-drift-baseline");
+    let baseline = baseline_dir.join("REPORT.json");
+    let recorded = std::fs::read_to_string("results/REPORT.json").expect("checked-in report");
+    let recorded = bump(&recorded, &["\"64.theorem1\"", "total\\\":"], 1);
+    let recorded = bump(&recorded, &["\"banded.claimed_peak_bytes\": "], 1);
+    std::fs::write(&baseline, recorded).expect("write perturbed baseline");
 
-    // Un-restamped, the edits are tampering: the digest check names both
-    // files and explains that content and manifest disagree.
-    let drift_report = drifted.join("REPORT.json");
-    let (ok, stderr) =
-        run_report(&["--dir", drifted.to_str().unwrap(), "--out", drift_report.to_str().unwrap()]);
-    assert!(!ok, "a tampered payload must fail the report");
-    assert!(stderr.contains("TELEMETRY_BASELINE.json") && stderr.contains("digest"), "{stderr}");
-    assert!(stderr.contains("RESILIENCE.json"), "{stderr}");
+    let churn = dir.join("CHURN.json");
+    let text = std::fs::read_to_string(&churn).expect("read churn");
+    let text = bump(&text, &["\"name\": \"gnp32\"", "\"byte_identical_steps\": "], -1);
+    std::fs::write(&churn, text).expect("write churn");
+    restamp(&dir, "CHURN.json");
+    let resilience = dir.join("RESILIENCE.json");
+    let text = std::fs::read_to_string(&resilience).expect("read resilience");
+    std::fs::write(&resilience, perturb_after(&text, "\"buckets\": ")).expect("shift bucket");
 
-    // Re-stamped, each file is internally consistent — only a cross-run
-    // baseline comparison can see the drift, and it names the field.
-    restamp(&drifted, "TELEMETRY_BASELINE.json", &gate_digest);
-    restamp(&drifted, "RESILIENCE.json", &res_digest);
-    let (ok, stderr) = run_report(&[
-        "--dir",
-        drifted.to_str().unwrap(),
-        "--out",
-        drift_report.to_str().unwrap(),
-        "--baseline",
-        clean_report.to_str().unwrap(),
-    ]);
-    assert!(!ok, "cross-run drift must fail against the clean baseline");
-    assert!(stderr.contains("exact.bits_total."), "must name the drifted bit field:\n{stderr}");
-    assert!(stderr.contains("exact.hist."), "must name the shifted histogram:\n{stderr}");
-    let _ = std::fs::remove_dir_all(&clean);
-    let _ = std::fs::remove_dir_all(&drifted);
+    let (ok, problems) = run_report(&dir, &baseline);
+    assert!(!ok, "every perturbation must fail the report");
+    let expected = [
+        "probe:bits: 64.theorem1: baseline",
+        "probe:mem: banded.claimed_peak_bytes: baseline",
+        "CHURN.json: cells.gnp32: byte-identical on 39 of 40 steps",
+        "CHURN.json: cells.gnp32.checks.byte_identical_steps: baseline 40, fresh 39",
+        "results: CHURN.json.digest: baseline",
+        "results: RESILIENCE.json: digest: payload hashes to",
+        "RESILIENCE.json: hists.",
+    ];
+    for want in expected {
+        assert!(problems.iter().any(|p| p.starts_with(want)), "missing '{want}' in {problems:#?}");
+    }
+    for p in &problems {
+        assert!(expected.iter().any(|want| p.starts_with(want)), "unexpected problem '{p}'");
+    }
+    let dump = std::fs::read_to_string(dir.join("postmortem.jsonl")).expect("post-mortem sink");
+    assert!(dump.contains("\"trigger\":\"report_failure\""), "{dump}");
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&baseline_dir);
 }

@@ -5,7 +5,7 @@
 //! manifest claims. A failure here means a results file was edited by
 //! hand instead of regenerated.
 
-use optimal_routing_tables::conformance::json::Json;
+use optimal_routing_tables::telemetry::json::Json;
 use optimal_routing_tables::manifest;
 use optimal_routing_tables::report;
 
@@ -62,38 +62,21 @@ fn every_manifest_digest_matches_its_payload() {
     }
 }
 
-/// Volatile provenance: every machine- or feature-dependent payload
-/// field — `host_cores`, and the allocator-measured `measured_peak_bytes`
-/// lines the bench and gate docs carry — vanishes under
-/// [`manifest::mask_volatile`], while the *analytic* figures
-/// (`peak_bytes`, `claimed_peak_bytes`, `u32_full_bytes`) survive it.
-/// This is exactly what keeps checked-in results byte-identical across
-/// machines and across builds with instrumentation on or off.
+/// No payload records a machine- or feature-dependent figure: the
+/// allocator-measured peaks and wall-clock ratios that `ort report`
+/// checks are judged fresh and never written, so every results file is
+/// byte-identical across hosts once the manifest's volatile provenance
+/// lines are masked.
 #[test]
-fn measured_memory_is_masked_but_analytic_claims_are_not() {
-    let mut saw_measured = false;
+fn payloads_carry_no_machine_dependent_figures() {
     for path in result_files() {
         let name = path.file_name().unwrap().to_str().unwrap();
         let text = std::fs::read_to_string(&path).expect("read result file");
         let masked = manifest::mask_volatile(&text);
-        assert!(!masked.contains("\"host_cores\":"), "{name}: host_cores survived masking");
-        assert!(
-            !masked.contains("\"measured_peak_bytes\":"),
-            "{name}: a measured (machine-dependent) figure survived masking"
-        );
-        if text.contains("\"measured_peak_bytes\":") {
-            saw_measured = true;
-            assert!(
-                text.contains("\"peak_bytes\":") || text.contains("\"claimed_peak_bytes\":"),
-                "{name}: measured figures must ride next to the analytic claim they audit"
-            );
-            assert!(
-                masked.contains("\"peak_bytes\":") || masked.contains("\"claimed_peak_bytes\":"),
-                "{name}: masking must not strip the analytic peak_bytes claims"
-            );
+        for key in ["measured_peak_bytes", "host_cores", "speedup", "_ms\""] {
+            assert!(!masked.contains(key), "{name}: payload records '{key}'");
         }
     }
-    assert!(saw_measured, "the corpus must carry at least one measured_peak_bytes audit line");
 }
 
 /// The history ledger ends in the truth: for every stamped results file

@@ -1,7 +1,6 @@
 //! The telemetry layer's integration contract: spans nest across scoped
 //! threads, counter totals are thread-count invariant, the JSONL sink
-//! round-trips, active sinks never perturb result files, and the
-//! bench-gate flags bit drift.
+//! round-trips, and active sinks never perturb result files.
 //!
 //! Every test mutates process-global state (the telemetry registry,
 //! `ORT_THREADS`), so they serialise on one mutex instead of relying on
@@ -11,7 +10,6 @@
 
 use std::sync::Mutex;
 
-use optimal_routing_tables::gate::{self, GateConfig};
 use optimal_routing_tables::graphs::generators;
 use optimal_routing_tables::graphs::paths::Apsp;
 use optimal_routing_tables::routing::verify;
@@ -155,25 +153,4 @@ fn result_files_are_byte_identical_with_sinks_active() {
         let _ = std::fs::remove_file(&out);
         let _ = std::fs::remove_file(&jsonl);
     }
-}
-
-/// The gate's comparison passes a measurement set against itself and
-/// fails it the moment any single bit field drifts.
-#[test]
-fn gate_flags_bit_drift() {
-    let _serial = LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    tel::reset();
-    let cfg = GateConfig { sizes: vec![32], seed: 1, reps: 1, tolerance: 0.25 };
-    let fresh = gate::measure(&cfg).expect("measure all registry schemes at n=32");
-    assert_eq!(fresh.len(), optimal_routing_tables::conformance::registry::SchemeId::ALL.len());
-
-    let clean = gate::compare(&fresh, &fresh, cfg.tolerance);
-    assert!(clean.pass(), "self-comparison must pass, got {:?}", clean.failures);
-
-    let mut perturbed = fresh.clone();
-    perturbed[0].label_bits += 1;
-    perturbed[0].total_bits += 1;
-    let report = gate::compare(&perturbed, &fresh, cfg.tolerance);
-    assert!(!report.pass(), "a one-bit drift must fail the gate");
-    assert!(report.failures.iter().any(|f| f.contains("drifted")), "{:?}", report.failures);
 }

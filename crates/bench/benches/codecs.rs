@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use ort_bitio::{enumerative, lehmer, BitWriter};
+use ort_graphs::paths::Apsp;
 use ort_graphs::{generators, Graph, NodeId};
 use ort_kolmogorov::codecs::{lemma1, theorem6};
 use ort_kolmogorov::deficiency::{Compressor, CompressorSuite, Order0};
@@ -55,7 +56,7 @@ fn bench_codecs(c: &mut Criterion) {
     // Theorem 6 codec through real scheme bits (the flagship experiment).
     let n = 128usize;
     let g = generators::gnp_half(n, 3);
-    let scheme = Theorem1Scheme::build(&g).unwrap();
+    let scheme = Theorem1Scheme::build(&g, &Apsp::compute(&g)).unwrap();
     group.bench_function("theorem6_codec_n128", |b| {
         let u = 0usize;
         let f = scheme.node_bits(u).clone();

@@ -12,19 +12,21 @@ use ort_routing::schemes::{
     theorem4::Theorem4Scheme, theorem5::Theorem5Scheme,
 };
 use ort_routing::verify::route_pair;
+use ort_graphs::paths::Apsp;
 
 fn bench_routing(c: &mut Criterion) {
     let n = 128usize;
     let g = generators::gnp_half(n, 5);
     let limit = 4 * n;
+    let dists = Apsp::compute(&g);
     let schemes: Vec<(&str, Box<dyn RoutingScheme>)> = vec![
-        ("full_table", Box::new(FullTableScheme::build(&g).unwrap())),
-        ("theorem1", Box::new(Theorem1Scheme::build(&g).unwrap())),
-        ("theorem2", Box::new(Theorem2Scheme::build(&g).unwrap())),
-        ("theorem3", Box::new(Theorem3Scheme::build(&g).unwrap())),
-        ("theorem4", Box::new(Theorem4Scheme::build(&g).unwrap())),
-        ("theorem5_probe", Box::new(Theorem5Scheme::build(&g).unwrap())),
-        ("full_information", Box::new(FullInformationScheme::build(&g).unwrap())),
+        ("full_table", Box::new(FullTableScheme::build(&g, &dists).unwrap())),
+        ("theorem1", Box::new(Theorem1Scheme::build(&g, &dists).unwrap())),
+        ("theorem2", Box::new(Theorem2Scheme::build(&g, &dists).unwrap())),
+        ("theorem3", Box::new(Theorem3Scheme::build(&g, &dists).unwrap())),
+        ("theorem4", Box::new(Theorem4Scheme::build(&g, &dists).unwrap())),
+        ("theorem5_probe", Box::new(Theorem5Scheme::build(&g, &dists).unwrap())),
+        ("full_information", Box::new(FullInformationScheme::build(&g, &dists).unwrap())),
     ];
     let mut group = c.benchmark_group("route_pair");
     let pairs: Vec<(usize, usize)> =

@@ -10,6 +10,7 @@
 
 use ort_bench::{mean, rule, sweep_sizes, DEFAULT_SEEDS};
 use ort_graphs::generators;
+use ort_graphs::paths::Apsp;
 use ort_routing::scheme::RoutingScheme;
 use ort_routing::schemes::theorem1::{CutoffPolicy, Theorem1Scheme};
 
@@ -35,7 +36,7 @@ fn main() {
             let vals: Vec<f64> = (0..DEFAULT_SEEDS)
                 .map(|s| {
                     let g = generators::gnp_half(n, s + 50);
-                    let scheme = Theorem1Scheme::build_with_cutoff(&g, policy)
+                    let scheme = Theorem1Scheme::build_with_cutoff(&g, &Apsp::compute(&g), policy)
                         .expect("random graph");
                     scheme.total_size_bits() as f64 / (n * n) as f64
                 })

@@ -11,6 +11,8 @@
 
 use ort_bench::{mean, par_map, rule, sweep_sizes};
 use ort_graphs::generators;
+use ort_graphs::oracle::Distances;
+use ort_graphs::paths::Apsp;
 use ort_routing::scheme::RoutingScheme;
 use ort_routing::schemes::{
     full_information::FullInformationScheme, full_table::FullTableScheme,
@@ -24,30 +26,30 @@ fn main() {
     println!("== Corollary 1: average T(G) over uniform graph samples ==\n");
     println!("each cell: measured average total bits ÷ paper shape (flat ⇒ shape confirmed)\n");
 
-    type Builder = fn(&ort_graphs::Graph) -> Option<usize>;
+    type Builder = fn(&ort_graphs::Graph, &dyn Distances) -> Option<usize>;
     type Shape = fn(usize) -> f64;
     let rows: [(&str, &str, Shape, Builder); 7] = [
-        ("1. II shortest path", "n²", |n| (n * n) as f64, |g| {
-            Theorem1Scheme::build(g).ok().map(|s| s.total_size_bits())
+        ("1. II shortest path", "n²", |n| (n * n) as f64, |g, d| {
+            Theorem1Scheme::build(g, d).ok().map(|s| s.total_size_bits())
         }),
         ("2. II∧γ shortest path", "n log² n", |n| {
             let l = (n as f64).log2();
             n as f64 * l * l
-        }, |g| Theorem2Scheme::build(g).ok().map(|s| s.total_size_bits())),
-        ("3. II stretch 1.5", "n log n", |n| n as f64 * (n as f64).log2(), |g| {
-            Theorem3Scheme::build(g).ok().map(|s| s.total_size_bits())
+        }, |g, d| Theorem2Scheme::build(g, d).ok().map(|s| s.total_size_bits())),
+        ("3. II stretch 1.5", "n log n", |n| n as f64 * (n as f64).log2(), |g, d| {
+            Theorem3Scheme::build(g, d).ok().map(|s| s.total_size_bits())
         }),
-        ("4. II stretch 2", "n loglog n", |n| n as f64 * (n as f64).log2().log2(), |g| {
-            Theorem4Scheme::build(g).ok().map(|s| s.total_size_bits())
+        ("4. II stretch 2", "n loglog n", |n| n as f64 * (n as f64).log2().log2(), |g, d| {
+            Theorem4Scheme::build(g, d).ok().map(|s| s.total_size_bits())
         }),
-        ("5. II stretch 6log n", "n (0 stored)", |n| n as f64, |g| {
-            Theorem5Scheme::build(g).ok().map(|s| s.total_size_bits())
+        ("5. II stretch 6log n", "n (0 stored)", |n| n as f64, |g, d| {
+            Theorem5Scheme::build(g, d).ok().map(|s| s.total_size_bits())
         }),
-        ("6. full table (any model)", "n² log n", |n| (n * n) as f64 * (n as f64).log2(), |g| {
-            FullTableScheme::build(g).ok().map(|s| s.total_size_bits())
+        ("6. full table (any model)", "n² log n", |n| (n * n) as f64 * (n as f64).log2(), |g, d| {
+            FullTableScheme::build(g, d).ok().map(|s| s.total_size_bits())
         }),
-        ("8. full information", "n³", |n| (n * n * n) as f64, |g| {
-            FullInformationScheme::build(g).ok().map(|s| s.total_size_bits())
+        ("8. full information", "n³", |n| (n * n * n) as f64, |g, d| {
+            FullInformationScheme::build(g, d).ok().map(|s| s.total_size_bits())
         }),
     ];
 
@@ -68,7 +70,8 @@ fn main() {
             })
             .collect();
         let cells = par_map(&items, |&(n, s)| {
-            build(&generators::gnp_half(n, s + 100)).map(|b| b as f64 / shape(n))
+            let g = generators::gnp_half(n, s + 100);
+            build(&g, &Apsp::compute(&g)).map(|b| b as f64 / shape(n))
         });
         print!("{name:<28} {shape_name:<12}");
         for &n in &sizes {

@@ -5,17 +5,19 @@
 //! Regenerate with: `cargo run --release -p ort-bench --bin baselines`
 
 use ort_bench::{fmt_bits, rule};
+use ort_graphs::oracle::Distances;
+use ort_graphs::paths::Apsp;
 use ort_graphs::{generators, Graph};
 use ort_routing::scheme::RoutingScheme;
 use ort_routing::schemes::{
     interval::IntervalScheme, landmark::LandmarkScheme, multi_interval::MultiIntervalScheme,
     theorem1::Theorem1Scheme,
 };
-use ort_routing::verify::verify_scheme_sampled;
+use ort_routing::verify::verify;
 
-fn report(name: &str, g: &Graph, scheme: &dyn RoutingScheme) {
+fn report(name: &str, g: &Graph, dists: &dyn Distances, scheme: &dyn RoutingScheme) {
     let stride = if g.node_count() >= 256 { 5 } else { 1 };
-    match verify_scheme_sampled(g, scheme, stride) {
+    match verify(g, scheme, dists, stride) {
         Ok(r) if r.all_delivered() => {
             println!(
                 "  {:<26} {:>14} bits   stretch ≤ {:>6.2}   avg {:>5.2}",
@@ -38,19 +40,22 @@ fn main() {
         (generators::connected_gnp(256, 0.05, 9), "sparse G(256, .05)"),
     ] {
         println!("{gname}:");
-        match Theorem1Scheme::build(&g) {
-            Ok(s) => report("Theorem 1 (this paper)", &g, &s),
+        let dists = Apsp::compute(&g);
+        match Theorem1Scheme::build(&g, &dists) {
+            Ok(s) => report("Theorem 1 (this paper)", &g, &dists, &s),
             Err(_) => println!("  {:<26} precondition violated (needs diameter-2 randomness)", "Theorem 1 (this paper)"),
         }
-        report("interval routing [1]", &g, &IntervalScheme::build(&g).expect("connected"));
-        let multi = MultiIntervalScheme::build(&g).expect("connected");
+        let interval = IntervalScheme::build(&g, &dists).expect("connected");
+        report("interval routing [1]", &g, &dists, &interval);
+        let multi = MultiIntervalScheme::build(&g, &dists).expect("connected");
         let intervals = multi.total_intervals();
-        report("k-interval shortest [1]", &g, &multi);
+        report("k-interval shortest [1]", &g, &dists, &multi);
         println!("    ({} intervals total — reference [1]: random graphs defeat interval compression)", intervals);
         report(
             "landmark scheme (cf. [9])",
             &g,
-            &LandmarkScheme::build(&g, 7).expect("connected"),
+            &dists,
+            &LandmarkScheme::build(&g, &dists, 7).expect("connected"),
         );
         rule(84);
     }

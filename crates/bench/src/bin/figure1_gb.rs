@@ -8,6 +8,8 @@
 //! Regenerate with: `cargo run --release -p ort-bench --bin figure1_gb`
 
 use ort_bench::{fit_exponent, fmt_bits, mean, rule};
+use ort_graphs::paths::Apsp;
+use ort_graphs::Graph;
 use ort_routing::lower_bounds::theorem9;
 use ort_routing::schemes::full_table::FullTableScheme;
 
@@ -25,7 +27,9 @@ fn main() {
     rule(92);
     let mut floors = Vec::new();
     for &k in &ks {
-        let report = theorem9::run(k, 42, |g| FullTableScheme::build(g).expect("connected"))
+        let full_table =
+            |g: &Graph| FullTableScheme::build(g, &Apsp::compute(g)).expect("connected");
+        let report = theorem9::run(k, 42, full_table)
             .expect("extraction must succeed for stretch < 2");
         let n = 3 * k;
         let paper = (n * n) as f64 / 9.0 * (n as f64).log2();

@@ -16,6 +16,7 @@ use ort_routing::schemes::{
     theorem5::Theorem5Scheme,
 };
 use ort_simnet::Network;
+use ort_graphs::paths::Apsp;
 
 fn main() {
     let n = 128usize;
@@ -26,11 +27,12 @@ fn main() {
         "scheme", "total bits", "max load", "mean load", "max/mean", "total hops", "rounds@c4", "max queue"
     );
     rule(108);
+    let dists = Apsp::compute(&g);
     let schemes: Vec<(&str, Box<dyn RoutingScheme>)> = vec![
-        ("Theorem 1 (stretch 1)", Box::new(Theorem1Scheme::build(&g).unwrap())),
-        ("Theorem 3 (stretch 1.5)", Box::new(Theorem3Scheme::build(&g).unwrap())),
-        ("Theorem 4 (stretch 2)", Box::new(Theorem4Scheme::build(&g).unwrap())),
-        ("Theorem 5 (probes)", Box::new(Theorem5Scheme::build(&g).unwrap())),
+        ("Theorem 1 (stretch 1)", Box::new(Theorem1Scheme::build(&g, &dists).unwrap())),
+        ("Theorem 3 (stretch 1.5)", Box::new(Theorem3Scheme::build(&g, &dists).unwrap())),
+        ("Theorem 4 (stretch 2)", Box::new(Theorem4Scheme::build(&g, &dists).unwrap())),
+        ("Theorem 5 (probes)", Box::new(Theorem5Scheme::build(&g, &dists).unwrap())),
     ];
     for (name, scheme) in &schemes {
         let mut net = Network::new(scheme.as_ref());

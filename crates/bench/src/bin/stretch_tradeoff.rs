@@ -5,19 +5,21 @@
 
 use ort_bench::{fit_exponent, fmt_bits, mean, par_map, rule, sweep_sizes, DEFAULT_SEEDS};
 use ort_graphs::generators;
+use ort_graphs::oracle::Distances;
+use ort_graphs::paths::Apsp;
 use ort_routing::scheme::RoutingScheme;
 use ort_routing::schemes::{
     theorem1::Theorem1Scheme, theorem3::Theorem3Scheme, theorem4::Theorem4Scheme,
     theorem5::Theorem5Scheme,
 };
-use ort_routing::verify::verify_scheme_sampled;
+use ort_routing::verify::verify;
 
 struct Row {
     id: &'static str,
     name: &'static str,
     paper_size: &'static str,
     paper_stretch: &'static str,
-    build: fn(&ort_graphs::Graph) -> Box<dyn RoutingScheme>,
+    build: fn(&ort_graphs::Graph, &dyn Distances) -> Box<dyn RoutingScheme>,
 }
 
 fn main() {
@@ -28,28 +30,28 @@ fn main() {
             name: "Theorem 1",
             paper_size: "6n²",
             paper_stretch: "1",
-            build: |g| Box::new(Theorem1Scheme::build(g).expect("random graph")),
+            build: |g, d| Box::new(Theorem1Scheme::build(g, d).expect("random graph")),
         },
         Row {
             id: "T1-ST-1.5",
             name: "Theorem 3",
             paper_size: "(6c+20) n log n",
             paper_stretch: "1.5",
-            build: |g| Box::new(Theorem3Scheme::build(g).expect("random graph")),
+            build: |g, d| Box::new(Theorem3Scheme::build(g, d).expect("random graph")),
         },
         Row {
             id: "T1-ST-2",
             name: "Theorem 4",
             paper_size: "n loglog n + 6n",
             paper_stretch: "2",
-            build: |g| Box::new(Theorem4Scheme::build(g).expect("random graph")),
+            build: |g, d| Box::new(Theorem4Scheme::build(g, d).expect("random graph")),
         },
         Row {
             id: "T1-ST-logn",
             name: "Theorem 5",
             paper_size: "O(n) [0 stored]",
             paper_stretch: "≤ (c+3)log n",
-            build: |g| Box::new(Theorem5Scheme::build(g).expect("random graph")),
+            build: |g, d| Box::new(Theorem5Scheme::build(g, d).expect("random graph")),
         },
     ];
 
@@ -68,11 +70,11 @@ fn main() {
             .collect();
         let samples = par_map(&items, |&(n, s)| {
             let g = generators::gnp_half(n, s + 10);
-            let scheme = (row.build)(&g);
+            let dists = Apsp::compute(&g);
+            let scheme = (row.build)(&g, &dists);
             // Sampled verification keeps the sweep fast at n=512+.
             let stride = if n >= 256 { 7 } else { 1 };
-            let report =
-                verify_scheme_sampled(&g, scheme.as_ref(), stride).expect("connected");
+            let report = verify(&g, scheme.as_ref(), &dists, stride).expect("connected");
             assert!(report.all_delivered(), "{}: delivery failed", row.name);
             (scheme.total_size_bits() as f64, report.max_stretch().unwrap_or(1.0))
         });

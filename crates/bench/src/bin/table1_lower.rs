@@ -22,6 +22,7 @@ use ort_routing::schemes::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use ort_graphs::paths::Apsp;
 
 fn main() {
     let sizes = sweep_sizes();
@@ -38,7 +39,7 @@ fn main() {
     for &n in &sizes {
         let g = generators::gnp_half(n, 0);
         let deficiency = suite.graph_deficiency(&g).max(0);
-        let scheme = Theorem1Scheme::build(&g).expect("random graph");
+        let scheme = Theorem1Scheme::build(&g, &Apsp::compute(&g)).expect("random graph");
         let mut floor_sum = 0i64;
         let mut f_sum = 0usize;
         let mut max_savings = i64::MIN;
@@ -71,6 +72,7 @@ fn main() {
         let g = generators::gnp_half(n, 1);
         let scheme = FullTableScheme::build_with(
             &g,
+            &Apsp::compute(&g),
             Model::new(Knowledge::PortsFree, Relabeling::None),
             PortAssignment::sorted(&g),
             Labeling::identity(n),
@@ -105,6 +107,7 @@ fn main() {
         let mut rng = StdRng::seed_from_u64(77);
         let scheme = FullTableScheme::build_with(
             &g,
+            &Apsp::compute(&g),
             Model::new(Knowledge::PortsFixed, Relabeling::None),
             PortAssignment::adversarial(&g, &mut rng),
             Labeling::identity(n),
@@ -130,7 +133,7 @@ fn main() {
     let mut floors10 = Vec::new();
     for &n in &sizes {
         let g = generators::gnp_half(n, 3);
-        let scheme = FullInformationScheme::build(&g).expect("connected");
+        let scheme = FullInformationScheme::build(&g, &Apsp::compute(&g)).expect("connected");
         let mut block_sum = 0usize;
         for u in (0..n).step_by(4) {
             let acc = theorem10::analyze_node(&g, u, scheme.node_bits(u)).expect("codec");

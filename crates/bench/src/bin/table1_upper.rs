@@ -10,6 +10,8 @@
 use ort_bench::{fit_exponent, fmt_bits, mean, par_map, rule, sweep_sizes, DEFAULT_SEEDS};
 use ort_graphs::generators;
 use ort_graphs::labels::Labeling;
+use ort_graphs::oracle::Distances;
+use ort_graphs::paths::Apsp;
 use ort_graphs::ports::PortAssignment;
 use ort_routing::model::{Knowledge, Model, Relabeling};
 use ort_routing::scheme::RoutingScheme;
@@ -24,7 +26,7 @@ struct RowSpec {
     model: &'static str,
     scheme: &'static str,
     paper: &'static str,
-    build: fn(&ort_graphs::Graph, u64) -> usize,
+    build: fn(&ort_graphs::Graph, &dyn Distances, u64) -> usize,
 }
 
 fn main() {
@@ -36,10 +38,11 @@ fn main() {
             model: "IA∧α",
             scheme: "full table",
             paper: "O(n² log n)",
-            build: |g, seed| {
+            build: |g, d, seed| {
                 let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5);
                 FullTableScheme::build_with(
                     g,
+                    d,
                     Model::new(Knowledge::PortsFixed, Relabeling::None),
                     PortAssignment::adversarial(g, &mut rng),
                     Labeling::identity(g.node_count()),
@@ -53,10 +56,10 @@ fn main() {
             model: "IA∧α",
             scheme: "IA-compact (Lehmer + tables)",
             paper: "≥(n²/2)log(n/2)",
-            build: |g, seed| {
+            build: |g, d, seed| {
                 let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5);
                 let ports = PortAssignment::adversarial(g, &mut rng);
-                ort_routing::schemes::ia_compact::IaCompactScheme::build(g, ports)
+                ort_routing::schemes::ia_compact::IaCompactScheme::build(g, ports, d)
                     .expect("random graph")
                     .total_size_bits()
             },
@@ -66,21 +69,23 @@ fn main() {
             model: "IB∧α",
             scheme: "Theorem 1 (+ neighbour vector)",
             paper: "O(n²)",
-            build: |g, _| Theorem1Scheme::build_ib(g).expect("random graph").total_size_bits(),
+            build: |g, d, _| {
+                Theorem1Scheme::build_ib(g, d).expect("random graph").total_size_bits()
+            },
         },
         RowSpec {
             id: "T1-UB-IIα",
             model: "II∧α",
             scheme: "Theorem 1 (≤ 6n bits/node)",
             paper: "O(n²) [6n²]",
-            build: |g, _| Theorem1Scheme::build(g).expect("random graph").total_size_bits(),
+            build: |g, d, _| Theorem1Scheme::build(g, d).expect("random graph").total_size_bits(),
         },
         RowSpec {
             id: "T1-UB-IIγ",
             model: "II∧γ",
             scheme: "Theorem 2 (charged labels)",
             paper: "O(n log² n)",
-            build: |g, _| Theorem2Scheme::build(g).expect("random graph").total_size_bits(),
+            build: |g, d, _| Theorem2Scheme::build(g, d).expect("random graph").total_size_bits(),
         },
     ];
 
@@ -97,7 +102,8 @@ fn main() {
             .flat_map(|&n| (0..DEFAULT_SEEDS).map(move |s| (n, s)))
             .collect();
         let samples = par_map(&items, |&(n, s)| {
-            (row.build)(&generators::gnp_half(n, s), s) as f64
+            let g = generators::gnp_half(n, s);
+            (row.build)(&g, &Apsp::compute(&g), s) as f64
         });
         print!("{:<11} {:<6} {:<32} {:<13} |", row.id, row.model, row.scheme, row.paper);
         let mut ys = Vec::new();

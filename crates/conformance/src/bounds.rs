@@ -17,8 +17,7 @@ use ort_routing::schemes::{
     full_table::FullTableScheme, theorem1::Theorem1Scheme, theorem2::Theorem2Scheme,
     theorem3::Theorem3Scheme, theorem4::Theorem4Scheme, theorem5::Theorem5Scheme,
 };
-use ort_routing::verify::verify_scheme_with_oracle;
-use ort_routing::{bounds as formulas, verify::VerifyReport};
+use ort_routing::{bounds as formulas, verify::{self, VerifyReport}};
 
 /// One checked inequality.
 #[derive(Debug, Clone)]
@@ -106,16 +105,16 @@ pub fn check_graph(g: &Graph, n: usize, seed: u64) -> InstanceBounds {
     if !out.certified {
         return out;
     }
-    let oracle = Apsp::compute(g).into_oracle();
+    let oracle = Apsp::compute(g);
     let nf = n as f64;
     let verify = |scheme: &dyn RoutingScheme| -> Option<VerifyReport> {
-        verify_scheme_with_oracle(g, scheme, &oracle).ok()
+        verify::verify(g, scheme, &oracle, 1).ok()
     };
 
     // Theorem 1 (IB ∨ II): ≤ 3n bits/node with the refined cut-off (the
     // default build), 6n²/n² total either way, at stretch exactly 1. The
     // IB variant prepends the n−1-bit interconnection vector, hence +n.
-    if let Ok(s) = Theorem1Scheme::build(g) {
+    if let Ok(s) = Theorem1Scheme::build(g, &oracle) {
         let max_node = (0..n).map(|u| s.node_size_bits(u)).max().unwrap_or(0) as f64;
         out.checks.push(BoundCheck::new(
             "thm1.per_node_bits",
@@ -141,7 +140,7 @@ pub fn check_graph(g: &Graph, n: usize, seed: u64) -> InstanceBounds {
             ));
         }
     }
-    if let Ok(s) = Theorem1Scheme::build_ib(g) {
+    if let Ok(s) = Theorem1Scheme::build_ib(g, &oracle) {
         let max_node = (0..n).map(|u| s.node_size_bits(u)).max().unwrap_or(0) as f64;
         out.checks.push(BoundCheck::new(
             "thm1ib.per_node_bits",
@@ -153,7 +152,7 @@ pub fn check_graph(g: &Graph, n: usize, seed: u64) -> InstanceBounds {
     }
 
     // Theorem 2 (II ∧ γ): O(n log² n) total, stretch 1.
-    if let Ok(s) = Theorem2Scheme::build(g) {
+    if let Ok(s) = Theorem2Scheme::build(g, &oracle) {
         out.checks.push(BoundCheck::new(
             "thm2.total_bits",
             n,
@@ -173,7 +172,7 @@ pub fn check_graph(g: &Graph, n: usize, seed: u64) -> InstanceBounds {
     }
 
     // Theorem 3 (II): O(n log n) total at stretch ≤ 1.5.
-    if let Ok(s) = Theorem3Scheme::build(g) {
+    if let Ok(s) = Theorem3Scheme::build(g, &oracle) {
         out.checks.push(BoundCheck::new(
             "thm3.total_bits",
             n,
@@ -193,7 +192,7 @@ pub fn check_graph(g: &Graph, n: usize, seed: u64) -> InstanceBounds {
     }
 
     // Theorem 4 (II): n·log log n + 6n total at stretch ≤ 2.
-    if let Ok(s) = Theorem4Scheme::build(g) {
+    if let Ok(s) = Theorem4Scheme::build(g, &oracle) {
         out.checks.push(BoundCheck::new(
             "thm4.total_bits",
             n,
@@ -214,7 +213,7 @@ pub fn check_graph(g: &Graph, n: usize, seed: u64) -> InstanceBounds {
 
     // Theorem 5 (II): zero stored bits; any route uses at most
     // 2(c+3)·log n edges.
-    if let Ok(s) = Theorem5Scheme::build(g) {
+    if let Ok(s) = Theorem5Scheme::build(g, &oracle) {
         out.checks.push(BoundCheck::new(
             "thm5.total_bits",
             n,
@@ -244,7 +243,7 @@ pub fn check_graph(g: &Graph, n: usize, seed: u64) -> InstanceBounds {
 
     // The trivial baseline stays within its n² log n shape (2× slack for
     // the explicit per-entry port-width rounding).
-    if let Ok(s) = FullTableScheme::build_with_oracle(g, &oracle) {
+    if let Ok(s) = FullTableScheme::build(g, &oracle) {
         out.checks.push(BoundCheck::new(
             "full_table.total_bits",
             n,

@@ -1,7 +1,7 @@
 //! The cross-scheme differential oracle.
 //!
 //! On a given graph, every registered scheme ([`SchemeId::ALL`]) is built
-//! and routed against the same [`DistanceOracle`] and the same
+//! from and routed against the same [`Apsp`] oracle and the same
 //! [`FullTableScheme`] reference, pair by pair:
 //!
 //! * the reference must deliver every pair in exactly the true distance
@@ -16,8 +16,8 @@
 //! Kolmogorov-randomness preconditions) — refusals are tallied, not
 //! flagged: on random inputs the sweep asserts acceptance separately.
 
-use ort_graphs::paths::{Apsp, DistanceOracle};
 use ort_graphs::Graph;
+use ort_graphs::paths::Apsp;
 use ort_routing::schemes::full_table::FullTableScheme;
 use ort_routing::verify::{default_hop_limit, route_pair};
 
@@ -93,13 +93,13 @@ impl GraphDiff {
 #[must_use]
 pub fn diff_graph(g: &Graph, stride: usize) -> GraphDiff {
     let n = g.node_count();
-    let oracle: DistanceOracle = Apsp::compute(g).into_oracle();
+    let oracle = Apsp::compute(g);
     let stride = stride.max(1);
     let limit = default_hop_limit(n);
     // Pass 1: the trusted reference itself must agree with APSP on every
     // sampled pair — any slip here invalidates the cross-checks below.
     let mut reference_disagreements = Vec::new();
-    let reference = FullTableScheme::build_with_oracle(g, &oracle).ok();
+    let reference = FullTableScheme::build(g, &oracle).ok();
     if let Some(reference) = &reference {
         for s in 0..n {
             for t in 0..n {
@@ -139,7 +139,7 @@ pub fn diff_graph(g: &Graph, stride: usize) -> GraphDiff {
             max_stretch: None,
             disagreements: Vec::new(),
         };
-        match id.build(g) {
+        match id.build_with_dists(g, &oracle) {
             Err(e) => {
                 // A refusal is legitimate here, but it is exactly the
                 // kind of event a post-mortem wants context for.

@@ -16,6 +16,7 @@ use ort_routing::verify::{default_hop_limit, route_pair};
 
 use crate::mutate::{mutate, Lcg};
 use crate::registry::SchemeId;
+use ort_graphs::paths::Apsp;
 
 /// Aggregate outcome of a fuzz campaign (everything observed is clean;
 /// a panic would have aborted the process instead of being counted).
@@ -59,7 +60,7 @@ pub fn base_snapshot(
 ) -> Result<BitVec, ort_routing::scheme::SchemeError> {
     let g = generators::gnp_half(n, seed);
     let id = SchemeId::from_snapshot_kind(kind).expect("registry covers all kinds");
-    let scheme = id.build(&g)?;
+    let scheme = id.build_with_dists(&g, &Apsp::compute(&g))?;
     save(kind, scheme.as_ref())
 }
 

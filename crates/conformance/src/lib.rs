@@ -7,7 +7,7 @@
 //!
 //! 1. **Differential oracle** ([`differential`]) — every registered scheme
 //!    ([`registry::SchemeId::ALL`]) is routed pair-by-pair against the
-//!    full-table reference and the shared APSP [`DistanceOracle`], on
+//!    full-table reference and one shared [`Apsp`] oracle, on
 //!    *every* connected graph up to `n = 6` (exhaustive, one
 //!    representative per isomorphism class via [`enumerate`]/graph6) and
 //!    on seeded `G(n, 1/2)` sweeps above.
@@ -22,7 +22,7 @@
 //!    Kolmogorov-random through the compressor-suite deficiency
 //!    estimator.
 //!
-//! [`DistanceOracle`]: ort_graphs::paths::DistanceOracle
+//! [`Apsp`]: ort_graphs::paths::Apsp
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

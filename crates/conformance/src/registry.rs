@@ -7,7 +7,6 @@
 //! here fails the `registry_covers_every_snapshot_kind` test below.
 
 use ort_graphs::oracle::Distances;
-use ort_graphs::paths::DistanceOracle;
 use ort_graphs::ports::PortAssignment;
 use ort_graphs::Graph;
 use ort_routing::scheme::{RoutingScheme, SchemeError};
@@ -126,62 +125,24 @@ impl SchemeId {
         }
     }
 
-    /// Builds the scheme on `g`. A `Precondition`/`Disconnected` error is
-    /// a legitimate *refusal* (the theorem schemes assume Kolmogorov-random
-    /// graphs), which the differential oracle records but does not flag.
+    /// Builds the scheme on `g` from the exact distances `dists` — the
+    /// one constructor every caller goes through. Pass the oracle the run
+    /// already holds (and then hand it to `verify`), so a build-then-verify
+    /// run costs one APSP. A [`ort_graphs::oracle::BandedOracle`] lets
+    /// every registered scheme build with peak distance memory of one
+    /// band; exact oracles all produce byte-identical schemes (the
+    /// `builder_bands` differential harness proves this against the full
+    /// matrix across band widths and thread counts).
+    ///
+    /// A `Precondition`/`Disconnected` error is a legitimate *refusal*
+    /// (the theorem schemes assume Kolmogorov-random graphs), which the
+    /// differential oracle records but does not flag.
     ///
     /// # Errors
     ///
-    /// Returns the construction's [`SchemeError`].
-    pub fn build(self, g: &Graph) -> Result<Box<dyn RoutingScheme>, SchemeError> {
-        let _mem = ort_telemetry::alloc::mem_span(self.mem_label());
-        Ok(match self {
-            SchemeId::FullTable => Box::new(FullTableScheme::build(g)?),
-            SchemeId::Theorem1 => Box::new(Theorem1Scheme::build(g)?),
-            SchemeId::Theorem1Ib => Box::new(Theorem1Scheme::build_ib(g)?),
-            SchemeId::Theorem2 => Box::new(Theorem2Scheme::build(g)?),
-            SchemeId::Theorem3 => Box::new(Theorem3Scheme::build(g)?),
-            SchemeId::Theorem4 => Box::new(Theorem4Scheme::build(g)?),
-            SchemeId::Theorem5 => Box::new(Theorem5Scheme::build(g)?),
-            SchemeId::FullInformation => Box::new(FullInformationScheme::build(g)?),
-            SchemeId::Interval => Box::new(IntervalScheme::build(g)?),
-            SchemeId::MultiInterval => Box::new(MultiIntervalScheme::build(g)?),
-            SchemeId::Landmark => Box::new(LandmarkScheme::build(g, LANDMARK_SEED)?),
-            SchemeId::IaCompact => {
-                Box::new(IaCompactScheme::build(g, PortAssignment::sorted(g))?)
-            }
-        })
-    }
-
-    /// As [`SchemeId::build`], reading all-pairs distances from a shared
-    /// [`DistanceOracle`] where the construction supports it (full-table,
-    /// multi-interval, full-information, landmark — the APSP-hungry
-    /// builds); the rest delegate to [`SchemeId::build`] unchanged. One
-    /// APSP can then serve construction, verification and tracing.
-    ///
-    /// # Errors
-    ///
-    /// Returns the construction's [`SchemeError`].
-    pub fn build_with_oracle(
-        self,
-        g: &Graph,
-        oracle: &DistanceOracle,
-    ) -> Result<Box<dyn RoutingScheme>, SchemeError> {
-        self.build_with_dists(g, &**oracle)
-    }
-
-    /// As [`SchemeId::build`] for any *exact* [`Distances`] implementation
-    /// — notably [`ort_graphs::oracle::BandedOracle`], under which every
-    /// registered scheme builds with peak distance memory of one band.
-    /// Exact oracles all produce byte-identical schemes (the
-    /// `builder_bands` differential harness proves this against
-    /// [`SchemeId::build`] across band widths and thread counts).
-    ///
-    /// # Errors
-    ///
-    /// As [`SchemeId::build`], plus [`SchemeError::ApproximateOracle`]
-    /// for inexact oracles and a precondition error on an oracle/graph
-    /// size mismatch.
+    /// Returns the construction's [`SchemeError`], including
+    /// [`SchemeError::ApproximateOracle`] for inexact oracles and a
+    /// precondition error on an oracle/graph size mismatch.
     pub fn build_with_dists(
         self,
         g: &Graph,
@@ -189,28 +150,19 @@ impl SchemeId {
     ) -> Result<Box<dyn RoutingScheme>, SchemeError> {
         let _mem = ort_telemetry::alloc::mem_span(self.mem_label());
         Ok(match self {
-            SchemeId::FullTable => Box::new(FullTableScheme::build_with_dists(g, dists)?),
-            SchemeId::Theorem1 => Box::new(Theorem1Scheme::build_with_dists(g, dists)?),
-            SchemeId::Theorem1Ib => Box::new(Theorem1Scheme::build_ib_with_dists(g, dists)?),
-            SchemeId::Theorem2 => Box::new(Theorem2Scheme::build_with_dists(g, dists)?),
-            SchemeId::Theorem3 => Box::new(Theorem3Scheme::build_with_dists(g, dists)?),
-            SchemeId::Theorem4 => Box::new(Theorem4Scheme::build_with_dists(g, dists)?),
-            SchemeId::Theorem5 => Box::new(Theorem5Scheme::build_with_dists(g, dists)?),
-            SchemeId::FullInformation => {
-                Box::new(FullInformationScheme::build_with_dists(g, dists)?)
-            }
-            SchemeId::Interval => Box::new(IntervalScheme::build_with_dists(g, dists)?),
-            SchemeId::MultiInterval => {
-                Box::new(MultiIntervalScheme::build_with_dists(g, dists)?)
-            }
-            SchemeId::Landmark => Box::new(LandmarkScheme::build_with_dists(
-                g,
-                dists,
-                LANDMARK_SEED,
-                LandmarkScheme::default_count(g.node_count()),
-            )?),
+            SchemeId::FullTable => Box::new(FullTableScheme::build(g, dists)?),
+            SchemeId::Theorem1 => Box::new(Theorem1Scheme::build(g, dists)?),
+            SchemeId::Theorem1Ib => Box::new(Theorem1Scheme::build_ib(g, dists)?),
+            SchemeId::Theorem2 => Box::new(Theorem2Scheme::build(g, dists)?),
+            SchemeId::Theorem3 => Box::new(Theorem3Scheme::build(g, dists)?),
+            SchemeId::Theorem4 => Box::new(Theorem4Scheme::build(g, dists)?),
+            SchemeId::Theorem5 => Box::new(Theorem5Scheme::build(g, dists)?),
+            SchemeId::FullInformation => Box::new(FullInformationScheme::build(g, dists)?),
+            SchemeId::Interval => Box::new(IntervalScheme::build(g, dists)?),
+            SchemeId::MultiInterval => Box::new(MultiIntervalScheme::build(g, dists)?),
+            SchemeId::Landmark => Box::new(LandmarkScheme::build(g, dists, LANDMARK_SEED)?),
             SchemeId::IaCompact => {
-                Box::new(IaCompactScheme::build_with_dists(g, PortAssignment::sorted(g), dists)?)
+                Box::new(IaCompactScheme::build(g, PortAssignment::sorted(g), dists)?)
             }
         })
     }
@@ -283,6 +235,7 @@ impl SchemeId {
 mod tests {
     use super::*;
     use ort_graphs::generators;
+    use ort_graphs::paths::Apsp;
 
     #[test]
     fn registry_covers_every_snapshot_kind() {
@@ -314,21 +267,8 @@ mod tests {
     fn every_scheme_builds_on_a_random_graph() {
         let g = generators::gnp_half(32, 3);
         for id in SchemeId::ALL {
-            let built = id.build(&g);
+            let built = id.build_with_dists(&g, &Apsp::compute(&g));
             assert!(built.is_ok(), "{} refused G(32,1/2) seed 3: {:?}", id.name(), built.err());
-        }
-    }
-
-    #[test]
-    fn build_with_oracle_is_bit_identical_to_build() {
-        let g = generators::gnp_half(24, 3);
-        let oracle = ort_graphs::paths::Apsp::compute(&g).into_oracle();
-        for id in SchemeId::ALL {
-            let a = id.build(&g).unwrap();
-            let b = id.build_with_oracle(&g, &oracle).unwrap();
-            for u in 0..24 {
-                assert_eq!(a.node_bits(u), b.node_bits(u), "{} node {u}", id.name());
-            }
         }
     }
 

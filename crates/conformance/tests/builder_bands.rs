@@ -1,13 +1,13 @@
 //! Conformance: band-streaming scheme construction is byte-identical to
 //! full-matrix construction.
 //!
-//! Every registered scheme now builds through [`SchemeId::build_with_dists`]
-//! against any exact [`Distances`] implementation, and the banded streaming
+//! Every registered scheme builds through [`SchemeId::build_with_dists`]
+//! against any exact `Distances` implementation, and the banded streaming
 //! oracle holds only one band of the distance matrix at a time. This
-//! harness is the proof obligation for that refactor: across the
+//! harness is the proof obligation for that design: across the
 //! exhaustive small-graph corpus, seeded `G(n, 1/2)` and power-law graphs,
 //! every band width, and every `ORT_THREADS` setting, the banded build
-//! must equal the historical full-matrix build **byte for byte** — same
+//! must equal the full-matrix ([`Apsp`]) build **byte for byte** — same
 //! per-node bits, same labels, same snapshot bytes, same verification
 //! report — and refusals must be the *same* [`SchemeError`].
 
@@ -19,7 +19,7 @@ use ort_graphs::paths::Apsp;
 use ort_graphs::Graph;
 use ort_routing::scheme::{RoutingScheme, SchemeError};
 use ort_routing::snapshot;
-use ort_routing::verify::verify_scheme_with_dists;
+use ort_routing::verify::verify;
 
 /// The band widths exercised per graph: degenerate one-row bands, the
 /// production default (64), a multi-band mid-size, and the full matrix —
@@ -61,27 +61,13 @@ fn assert_bytes_identical(
     }
 }
 
-/// Builds `id` every way — legacy full-matrix entry point, explicit
-/// `Apsp` oracle, and banded at each width — and asserts all agree
-/// (including refusals, which must be the same error).
+/// Builds `id` from the full matrix and banded at each width, and
+/// asserts all agree (including refusals, which must be the same error).
 fn check_graph(g: &Graph, label: &str) {
     let n = g.node_count();
     let apsp = Apsp::compute(g);
     for id in SchemeId::ALL {
-        let reference = id.build(g);
-        let via_apsp = id.build_with_dists(g, &apsp);
-        match (&reference, &via_apsp) {
-            (Ok(a), Ok(b)) => {
-                assert_bytes_identical(&format!("{label}/{}/apsp", id.name()), id, &**a, &**b);
-            }
-            (Err(ea), Err(eb)) => assert_eq!(ea, eb, "{label}/{}: refusal differs", id.name()),
-            _ => panic!(
-                "{label}/{}: legacy {:?} vs apsp-dists {:?}",
-                id.name(),
-                reference.as_ref().map(|_| ()),
-                via_apsp.as_ref().map(|_| ())
-            ),
-        }
+        let reference = id.build_with_dists(g, &apsp);
         for band_rows in band_widths(n) {
             let ctx = format!("{label}/{}/band={band_rows}", id.name());
             let banded = BandedOracle::new(g.clone(), band_rows);
@@ -90,7 +76,7 @@ fn check_graph(g: &Graph, label: &str) {
                 (Ok(a), Ok(b)) => assert_bytes_identical(&ctx, id, &**a, &**b),
                 (Err(ea), Err(eb)) => assert_eq!(ea, eb, "{ctx}: refusal differs"),
                 _ => panic!(
-                    "{ctx}: legacy {:?} vs banded {:?}",
+                    "{ctx}: full matrix {:?} vs banded {:?}",
                     reference.as_ref().map(|_| ()),
                     candidate.as_ref().map(|_| ())
                 ),
@@ -129,10 +115,11 @@ fn banded_build_verifies_identically_to_full_matrix_build() {
     let apsp = Apsp::compute(&g);
     let banded = BandedOracle::new(g.clone(), 5);
     for id in SchemeId::ALL {
-        let reference = id.build(&g).expect("G(64,1/2) satisfies every precondition");
+        let reference =
+            id.build_with_dists(&g, &apsp).expect("G(64,1/2) satisfies every precondition");
         let candidate = id.build_with_dists(&g, &banded).expect("banded build succeeds");
-        let a = verify_scheme_with_dists(&g, &*reference, &apsp).unwrap();
-        let b = verify_scheme_with_dists(&g, &*candidate, &apsp).unwrap();
+        let a = verify(&g, &*reference, &apsp, 1).unwrap();
+        let b = verify(&g, &*candidate, &apsp, 1).unwrap();
         assert_eq!(a.delivered, b.delivered, "{}", id.name());
         assert_eq!(a.failures, b.failures, "{}", id.name());
         assert_eq!(a.stretches, b.stretches, "{}", id.name());
@@ -152,9 +139,10 @@ fn banded_build_is_deterministic_across_thread_counts() {
     // thread-count-invariant.
     let g = generators::gnp_half(64, 2);
     std::env::set_var("ORT_THREADS", "1");
+    let apsp = Apsp::compute(&g);
     let reference: Vec<_> = SchemeId::ALL
         .iter()
-        .map(|id| id.build(&g).expect("G(64,1/2) satisfies every precondition"))
+        .map(|id| id.build_with_dists(&g, &apsp).expect("G(64,1/2) satisfies every precondition"))
         .collect();
     for threads in ["1", "2", "8"] {
         std::env::set_var("ORT_THREADS", threads);

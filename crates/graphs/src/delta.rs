@@ -339,14 +339,6 @@ impl crate::oracle::Distances for DeltaOracle {
     fn is_connected(&self) -> bool {
         self.apsp.is_connected()
     }
-
-    fn shortest_path_ports(&self, g: &Graph, u: NodeId, v: NodeId) -> Vec<NodeId> {
-        self.apsp.shortest_path_ports(g, u, v)
-    }
-
-    fn shortest_path(&self, g: &Graph, u: NodeId, v: NodeId) -> Option<Vec<NodeId>> {
-        self.apsp.shortest_path(g, u, v)
-    }
 }
 
 #[cfg(test)]

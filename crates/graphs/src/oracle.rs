@@ -1,10 +1,9 @@
 //! Distance oracles: one trait over exact and approximate distance
 //! sources.
 //!
-//! PRs 1–5 threaded a concrete `Arc<Apsp>` ([`crate::paths::DistanceOracle`])
-//! through scheme construction and verification, which forces the full
-//! `n²`-cell matrix into memory. [`Distances`] abstracts the three ways
-//! this repo can now answer a distance query:
+//! Scheme construction and verification take a `&dyn` [`Distances`], so a
+//! run need not hold the full `n²`-cell matrix. The trait abstracts the
+//! three ways this repo can answer a distance query:
 //!
 //! * [`crate::paths::Apsp`] — the exact full matrix, at compact cell
 //!   widths. Fastest queries, `n²` cells of memory.
@@ -21,9 +20,9 @@
 //!   distance from `x` to its nearest landmark (checked by the
 //!   conformance crate at small `n`).
 //!
-//! The trait's path helpers default to the same smallest-qualifying-
-//! neighbour rules as the [`crate::paths::Apsp`] inherent methods, so any
-//! *exact* implementation yields byte-identical schemes.
+//! The trait's path helpers are defined once, as defaults over
+//! [`Distances::distance`], with smallest-qualifying-neighbour rules, so
+//! any *exact* implementation yields byte-identical schemes.
 
 use std::sync::Mutex;
 
@@ -76,10 +75,11 @@ pub trait Distances: Send + Sync {
         n <= 1 || (0..n).all(|v| self.distance(0, v).is_some())
     }
 
-    /// The neighbours of `u` on some shortest path to `v`; mirrors
-    /// [`crate::paths::Apsp::shortest_path_ports`] exactly (sorted
-    /// neighbour order), so exact oracles produce byte-identical schemes.
-    /// Only meaningful when [`Distances::is_exact`] holds.
+    /// The neighbours of `u` on some shortest path to `v` — neighbours `w`
+    /// with `d(w, v) == d(u, v) − 1`, in sorted neighbour order. This is
+    /// the edge set a *full information* shortest-path routing function
+    /// returns (Section 1 of the paper). Only meaningful when
+    /// [`Distances::is_exact`] holds.
     fn shortest_path_ports(&self, g: &Graph, u: NodeId, v: NodeId) -> Vec<NodeId> {
         if u == v {
             return Vec::new();
@@ -95,9 +95,9 @@ pub trait Distances: Send + Sync {
     }
 
     /// One canonical shortest path from `u` to `v` (smallest-id
-    /// qualifying neighbour first), inclusive; mirrors
-    /// [`crate::paths::Apsp::shortest_path`]. Only meaningful when
-    /// [`Distances::is_exact`] holds.
+    /// qualifying neighbour first), inclusive of both endpoints; `None`
+    /// if `v` is unreachable. Only meaningful when [`Distances::is_exact`]
+    /// holds.
     fn shortest_path(&self, g: &Graph, u: NodeId, v: NodeId) -> Option<Vec<NodeId>> {
         self.distance(u, v)?;
         let mut path = vec![u];
@@ -149,14 +149,6 @@ impl Distances for Apsp {
 
     fn is_connected(&self) -> bool {
         Apsp::is_connected(self)
-    }
-
-    fn shortest_path_ports(&self, g: &Graph, u: NodeId, v: NodeId) -> Vec<NodeId> {
-        Apsp::shortest_path_ports(self, g, u, v)
-    }
-
-    fn shortest_path(&self, g: &Graph, u: NodeId, v: NodeId) -> Option<Vec<NodeId>> {
-        Apsp::shortest_path(self, g, u, v)
     }
 }
 
@@ -311,10 +303,9 @@ impl LandmarkOracle {
     }
 
     /// Builds the oracle with an explicit landmark count (clamped to
-    /// `[1, n]`). Landmark sampling matches
-    /// `LandmarkScheme::build_with_landmark_count` in `ort-routing`
-    /// (same seed ⇒ same landmark set), so a scheme built *from* this
-    /// oracle agrees with one built beside it.
+    /// `[1, n]`). Landmark sampling matches `LandmarkScheme::build` in
+    /// `ort-routing` (same seed and count ⇒ same landmark set), so a
+    /// scheme built *from* this oracle agrees with one built beside it.
     #[must_use]
     pub fn build_with_count(g: &Graph, seed: u64, count: usize) -> Self {
         use rand::rngs::StdRng;

@@ -3,8 +3,8 @@
 //! The routing schemes are judged against true shortest-path distances: the
 //! *stretch factor* of a scheme is the maximum over all pairs of (route
 //! length / distance). [`Apsp`] computes and stores all-pairs BFS distances;
-//! [`Apsp::shortest_path_ports`] yields the full shortest-path DAG needed by
-//! full-information routing (Theorem 10).
+//! through [`crate::oracle::Distances::shortest_path_ports`] it yields the
+//! full shortest-path DAG needed by full-information routing (Theorem 10).
 //!
 //! # Engines
 //!
@@ -38,17 +38,15 @@
 //! and each thread writes its own disjoint slice of the matrix, so the
 //! result is byte-identical to the serial computation.
 //!
-//! A computed [`Apsp`] wrapped in [`DistanceOracle`] (an `Arc`) can be
-//! shared between scheme construction and verification so the matrix is
-//! computed exactly once per graph; [`apsp_compute_count`] exposes a
-//! process-wide counter that tests use to assert this. For graphs too
+//! One computed [`Apsp`] serves both scheme construction and verification,
+//! so the matrix is computed exactly once per graph; [`apsp_compute_count`]
+//! exposes a process-wide counter that tests use to assert this. For graphs too
 //! large to hold all `n²` cells, [`compute_band`] materialises one
 //! horizontal band of rows at a time (the engine behind
 //! [`crate::oracle::BandedOracle`]).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use crate::dist::{CellWidth, DistBand, DistCell, DistStore};
 use crate::{Graph, NodeId};
@@ -61,20 +59,12 @@ static APSP_COMPUTES: AtomicU64 = AtomicU64::new(0);
 
 /// Number of times a full APSP matrix has been computed in this process,
 /// across all graphs and threads. Monotonic; intended for tests and
-/// benchmarks that assert a code path computes APSP exactly once (the
-/// [`DistanceOracle`] sharing contract).
+/// benchmarks that assert a code path computes APSP exactly once (one
+/// oracle per run, passed to both build and verify).
 #[must_use]
 pub fn apsp_compute_count() -> u64 {
     APSP_COMPUTES.load(Ordering::Relaxed)
 }
-
-/// A shared, immutable handle to a computed [`Apsp`].
-///
-/// Construction (`FullTableScheme::build_with_oracle` and friends) and
-/// verification (`verify_scheme_with_oracle`) both accept this handle, so
-/// one O(n·m) computation serves the whole construct-then-verify pipeline
-/// instead of each stage silently recomputing it.
-pub type DistanceOracle = Arc<Apsp>;
 
 /// Which single-source traversal backs [`Apsp::compute`] and
 /// [`bfs_distances`].
@@ -617,12 +607,6 @@ impl Apsp {
         Apsp { n, dist: store }
     }
 
-    /// Wraps this matrix in a shared [`DistanceOracle`] handle.
-    #[must_use]
-    pub fn into_oracle(self) -> DistanceOracle {
-        Arc::new(self)
-    }
-
     /// The backing cell store (crate-internal: the delta-repair oracle
     /// reads rows wholesale instead of going cell by cell).
     pub(crate) fn store(&self) -> &DistStore {
@@ -721,43 +705,6 @@ impl Apsp {
         }
         Some(diam)
     }
-
-    /// The neighbours of `u` that lie on *some* shortest path from `u` to
-    /// `v` — i.e. neighbours `w` with `dist(w, v) == dist(u, v) − 1`.
-    ///
-    /// This is the edge set a *full information* shortest path routing
-    /// function must return (Section 1 of the paper), enabling failover to
-    /// alternative shortest routes.
-    #[must_use]
-    pub fn shortest_path_ports(&self, g: &Graph, u: NodeId, v: NodeId) -> Vec<NodeId> {
-        if u == v {
-            return Vec::new();
-        }
-        let Some(duv) = self.distance(u, v) else {
-            return Vec::new();
-        };
-        g.neighbors(u)
-            .iter()
-            .copied()
-            .filter(|&w| self.distance(w, v) == Some(duv - 1))
-            .collect()
-    }
-
-    /// One canonical shortest path from `u` to `v` (always routing through
-    /// the smallest-id qualifying neighbour), inclusive of both endpoints.
-    /// Returns `None` if `v` is unreachable.
-    #[must_use]
-    pub fn shortest_path(&self, g: &Graph, u: NodeId, v: NodeId) -> Option<Vec<NodeId>> {
-        self.distance(u, v)?;
-        let mut path = vec![u];
-        let mut cur = u;
-        while cur != v {
-            let next = *self.shortest_path_ports(g, cur, v).first()?;
-            path.push(next);
-            cur = next;
-        }
-        Some(path)
-    }
 }
 
 /// Fills the whole matrix, fanning contiguous row blocks (whole tiles for
@@ -829,6 +776,7 @@ pub fn floyd_warshall(g: &Graph) -> Vec<Vec<Option<u32>>> {
 mod tests {
     use super::*;
     use crate::generators;
+    use crate::oracle::Distances;
 
     #[test]
     fn bfs_on_path() {
@@ -986,19 +934,6 @@ mod tests {
         // Other tests run concurrently in this process, so the counter may
         // have advanced by more than our two computations — but never less.
         assert!(apsp_compute_count() >= before + 2);
-    }
-
-    #[test]
-    fn oracle_is_shared_not_cloned() {
-        let g = generators::cycle(6);
-        let oracle = Apsp::compute(&g).into_oracle();
-        let other = Arc::clone(&oracle);
-        assert!(std::ptr::eq(
-            std::sync::Arc::as_ptr(&oracle),
-            std::sync::Arc::as_ptr(&other)
-        ));
-        assert_eq!(other.distance(0, 3), Some(3));
-        assert!(oracle.is_connected());
     }
 
     #[test]

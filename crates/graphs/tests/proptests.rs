@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 
+use ort_graphs::oracle::Distances;
 use ort_graphs::paths::{bfs, bfs_distances, floyd_warshall, is_connected, reachable_count, Apsp, ApspEngine};
 use ort_graphs::{generators, Graph};
 

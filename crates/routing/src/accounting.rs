@@ -117,6 +117,7 @@ mod tests {
     use crate::schemes::theorem1::Theorem1Scheme;
     use crate::schemes::theorem2::Theorem2Scheme;
     use ort_graphs::generators;
+    use ort_graphs::paths::Apsp;
     use ort_graphs::ports::PortAssignment;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -131,7 +132,7 @@ mod tests {
     #[test]
     fn plain_schemes_have_no_permutation_or_label_bits() {
         let g = generators::gnp_half(32, 4);
-        let scheme = Theorem1Scheme::build(&g).unwrap();
+        let scheme = Theorem1Scheme::build(&g, &Apsp::compute(&g)).unwrap();
         let b = reconciles(&scheme);
         assert_eq!(b.port_permutation_bits(), 0);
         assert_eq!(b.label_bits(), 0);
@@ -143,7 +144,7 @@ mod tests {
         let g = generators::gnp_half(32, 4);
         let mut rng = StdRng::seed_from_u64(11);
         let ports = PortAssignment::adversarial(&g, &mut rng);
-        let scheme = IaCompactScheme::build(&g, ports).unwrap();
+        let scheme = IaCompactScheme::build(&g, ports, &Apsp::compute(&g)).unwrap();
         let b = reconciles(&scheme);
         let expect: usize =
             (0..32).map(|u| ort_bitio::lehmer::permutation_code_width(g.degree(u))).sum();
@@ -157,7 +158,7 @@ mod tests {
     #[test]
     fn gamma_model_charges_labels() {
         let g = generators::gnp_half(32, 2);
-        let scheme = Theorem2Scheme::build(&g).unwrap();
+        let scheme = Theorem2Scheme::build(&g, &Apsp::compute(&g)).unwrap();
         let b = reconciles(&scheme);
         assert!(scheme.model().charges_labels());
         assert!(b.label_bits() > 0, "model γ label bits must be charged");
@@ -167,7 +168,7 @@ mod tests {
     #[test]
     fn full_table_is_pure_routing_bits() {
         let g = generators::cycle(8);
-        let scheme = FullTableScheme::build(&g).unwrap();
+        let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let b = reconciles(&scheme);
         assert_eq!(b.routing_bits(), b.total());
         assert!(b.max_node_bits() >= b.total() / 8);

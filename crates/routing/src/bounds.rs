@@ -103,26 +103,29 @@ mod tests {
         theorem2::Theorem2Scheme, theorem3::Theorem3Scheme, theorem4::Theorem4Scheme,
     };
     use ort_graphs::generators;
+    use ort_graphs::paths::Apsp;
 
     #[test]
     fn measured_sizes_respect_the_stated_upper_bounds() {
         let n = 256;
         let g = generators::gnp_half(n, 17);
-        assert!((Theorem1Scheme::build(&g).unwrap().total_size_bits() as f64) <= theorem1_total(n));
+        let dists = Apsp::compute(&g);
+        let bits = |s: &dyn RoutingScheme| s.total_size_bits() as f64;
+        assert!(bits(&Theorem1Scheme::build(&g, &dists).unwrap()) <= theorem1_total(n));
         assert!(
-            (Theorem2Scheme::build(&g).unwrap().total_size_bits() as f64) <= theorem2_total(n, 3.0)
+            bits(&Theorem2Scheme::build(&g, &dists).unwrap()) <= theorem2_total(n, 3.0)
         );
         assert!(
-            (Theorem3Scheme::build(&g).unwrap().total_size_bits() as f64) <= theorem3_total(n, 3.0)
+            bits(&Theorem3Scheme::build(&g, &dists).unwrap()) <= theorem3_total(n, 3.0)
         );
-        assert!((Theorem4Scheme::build(&g).unwrap().total_size_bits() as f64) <= theorem4_total(n));
+        assert!(bits(&Theorem4Scheme::build(&g, &dists).unwrap()) <= theorem4_total(n));
     }
 
     #[test]
     fn theorem1_refined_bound_holds_per_node() {
         let n = 256;
         let g = generators::gnp_half(n, 4);
-        let s = Theorem1Scheme::build(&g).unwrap();
+        let s = Theorem1Scheme::build(&g, &Apsp::compute(&g)).unwrap();
         for u in 0..n {
             assert!((s.node_size_bits(u) as f64) <= theorem1_per_node_refined(n), "node {u}");
         }
@@ -142,7 +145,7 @@ mod tests {
     fn full_information_matches_its_bound_asymptotically() {
         let n = 64;
         let g = generators::gnp_half(n, 5);
-        let s = FullInformationScheme::build(&g).unwrap();
+        let s = FullInformationScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let ratio = s.total_size_bits() as f64 / theorem10_total(n);
         // Measured ≈ n³/4 exactly (density 1/2).
         assert!((0.8..1.2).contains(&ratio), "ratio {ratio}");

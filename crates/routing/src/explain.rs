@@ -24,8 +24,8 @@
 //! fault layer, surfaces the vetoed hop so the caller can name the exact
 //! [`FaultPlan`](https://docs.rs/ort-simnet) event that fired.
 
-use ort_graphs::paths::DistanceOracle;
 use ort_graphs::NodeId;
+use ort_graphs::oracle::Distances;
 use ort_telemetry::trace::{AttemptTrace, HopKind, MessageTrace, TraceFault};
 
 /// One forwarding hop with its stretch charge.
@@ -135,7 +135,7 @@ impl Explanation {
 /// a node out of range, an unreachable pair (the oracle must be the
 /// fault-free one for the graph the walk ran on), or a hop that moved
 /// the distance by more than one.
-pub fn explain(oracle: &DistanceOracle, trace: &MessageTrace) -> Result<Explanation, String> {
+pub fn explain(oracle: &dyn Distances, trace: &MessageTrace) -> Result<Explanation, String> {
     let dist = |u: NodeId| {
         oracle
             .distance(u, trace.dst)
@@ -239,7 +239,7 @@ mod tests {
     #[test]
     fn attribution_telescopes_exactly() {
         let g = ort_graphs::generators::path(4);
-        let oracle = Apsp::compute(&g).into_oracle();
+        let oracle = Apsp::compute(&g);
         let hops = [(0, 1), (1, 0), (0, 1), (1, 2), (2, 3)];
         let mut events: Vec<HopEvent> = hops
             .iter()
@@ -273,7 +273,7 @@ mod tests {
     #[test]
     fn blocked_walk_reconciles_partially_and_names_the_fault() {
         let g = ort_graphs::generators::path(4);
-        let oracle = Apsp::compute(&g).into_oracle();
+        let oracle = Apsp::compute(&g);
         let events = vec![
             ev(0, 0, HopKind::Forward { port: 0, next: 1, rank: 0 }),
             ev(1, 1, HopKind::Blocked { port: 1, next: 2, fault: TraceFault::LinkDown }),
@@ -297,7 +297,7 @@ mod tests {
     #[test]
     fn inconsistent_trace_is_rejected() {
         let g = ort_graphs::generators::path(6);
-        let oracle = Apsp::compute(&g).into_oracle();
+        let oracle = Apsp::compute(&g);
         // A teleporting hop 0 → 4 cannot exist in the path graph.
         let events = vec![ev(0, 0, HopKind::Forward { port: 0, next: 4, rank: 0 })];
         let trace = MessageTrace {

@@ -85,12 +85,13 @@ mod tests {
     use crate::scheme::RoutingScheme;
     use crate::schemes::full_information::FullInformationScheme;
     use ort_graphs::generators;
+    use ort_graphs::paths::Apsp;
 
     #[test]
     fn codec_roundtrips_through_scheme_bits() {
         let n = 32usize;
         let g = generators::gnp_half(n, 6);
-        let scheme = FullInformationScheme::build(&g).unwrap();
+        let scheme = FullInformationScheme::build(&g, &Apsp::compute(&g)).unwrap();
         for u in [0usize, 15, 31] {
             let f = scheme.node_bits(u);
             let eval = move |bits: &BitVec, nbrs: &[NodeId], w: NodeId| {
@@ -106,7 +107,7 @@ mod tests {
     fn f_bits_meet_the_quarter_square_floor() {
         let n = 48usize;
         let g = generators::gnp_half(n, 2);
-        let scheme = FullInformationScheme::build(&g).unwrap();
+        let scheme = FullInformationScheme::build(&g, &Apsp::compute(&g)).unwrap();
         for u in (0..n).step_by(5) {
             let acc = analyze_node(&g, u, scheme.node_bits(u)).unwrap();
             // The wire format stores exactly the block.

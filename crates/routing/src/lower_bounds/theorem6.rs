@@ -94,12 +94,13 @@ mod tests {
     use crate::scheme::RoutingScheme;
     use crate::schemes::theorem1::Theorem1Scheme;
     use ort_graphs::generators;
+    use ort_graphs::paths::Apsp;
 
     #[test]
     fn codec_roundtrips_through_real_scheme_bits() {
         let n = 40usize;
         let g = generators::gnp_half(n, 3);
-        let scheme = Theorem1Scheme::build(&g).unwrap();
+        let scheme = Theorem1Scheme::build(&g, &Apsp::compute(&g)).unwrap();
         for u in [0usize, 13, 39] {
             let f = scheme.node_bits(u);
             let eval = move |bits: &BitVec, nbrs: &[NodeId], w: NodeId| {
@@ -119,7 +120,7 @@ mod tests {
         // sits above the floor — and the codec's savings stay ≤ deficiency.
         let n = 64usize;
         let g = generators::gnp_half(n, 5);
-        let scheme = Theorem1Scheme::build(&g).unwrap();
+        let scheme = Theorem1Scheme::build(&g, &Apsp::compute(&g)).unwrap();
         for u in 0..n {
             let acc = analyze_node(&g, u, scheme.node_bits(u), 0).unwrap();
             assert!(
@@ -143,7 +144,7 @@ mod tests {
         let n = 48usize;
         for seed in 0..3u64 {
             let g = generators::gnp_half(n, seed);
-            let scheme = Theorem1Scheme::build(&g).unwrap();
+            let scheme = Theorem1Scheme::build(&g, &Apsp::compute(&g)).unwrap();
             for u in (0..n).step_by(7) {
                 let acc = analyze_node(&g, u, scheme.node_bits(u), 0).unwrap();
                 assert!(acc.codec_savings <= 0, "seed {seed} node {u}: {acc:?}");

@@ -177,12 +177,14 @@ mod tests {
     use crate::model::{Knowledge, Model, Relabeling};
     use crate::schemes::full_table::FullTableScheme;
     use ort_graphs::labels::Labeling;
+    use ort_graphs::paths::Apsp;
     use ort_graphs::ports::PortAssignment;
     use ort_graphs::generators;
 
-    fn ib_scheme(g: &Graph) -> FullTableScheme {
+    fn ib_scheme(g: &Graph, dists: &Apsp) -> FullTableScheme {
         FullTableScheme::build_with(
             g,
+            dists,
             Model::new(Knowledge::PortsFree, Relabeling::None),
             PortAssignment::sorted(g),
             Labeling::identity(g.node_count()),
@@ -193,7 +195,7 @@ mod tests {
     #[test]
     fn interconnection_roundtrip() {
         let g = generators::gnp_half(24, 2);
-        let scheme = ib_scheme(&g);
+        let scheme = ib_scheme(&g, &Apsp::compute(&g));
         for u in 0..24 {
             let extra = encode_interconnection(&scheme, u).unwrap();
             let neighbors = decode_interconnection(&scheme, u, &extra).unwrap();
@@ -208,7 +210,7 @@ mod tests {
     #[test]
     fn extra_bits_obey_claim2() {
         let g = generators::gnp_half(32, 4);
-        let scheme = ib_scheme(&g);
+        let scheme = ib_scheme(&g, &Apsp::compute(&g));
         for u in 0..32 {
             let partition = port_partition(&scheme, u).unwrap();
             let zs: Vec<usize> = partition.iter().map(Vec::len).collect();
@@ -249,7 +251,7 @@ mod tests {
     fn floor_is_near_half_n_on_random_graphs() {
         let n = 64;
         let g = generators::gnp_half(n, 8);
-        let scheme = ib_scheme(&g);
+        let scheme = ib_scheme(&g, &Apsp::compute(&g));
         for u in (0..n).step_by(9) {
             let acc = analyze_node(&g, &scheme, u).unwrap();
             // pattern ≈ n − O(log n); extra ≤ n − 1 − d ≈ n/2.

@@ -111,6 +111,7 @@ mod tests {
     use crate::schemes::full_table::FullTableScheme;
     use ort_graphs::generators;
     use ort_graphs::labels::Labeling;
+    use ort_graphs::paths::Apsp;
     use ort_graphs::ports::PortAssignment;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -119,6 +120,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         FullTableScheme::build_with(
             g,
+            &Apsp::compute(g),
             Model::new(Knowledge::PortsFixed, Relabeling::None),
             PortAssignment::adversarial(g, &mut rng),
             Labeling::identity(g.node_count()),
@@ -184,7 +186,7 @@ mod tests {
     #[test]
     fn extraction_matches_sorted_ports_too() {
         let g = generators::gnp_half(16, 2);
-        let scheme = FullTableScheme::build(&g).unwrap();
+        let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         for u in 0..16 {
             let map = extract_port_map(&g, &scheme, u).unwrap();
             assert_eq!(map, g.neighbors(u).to_vec());

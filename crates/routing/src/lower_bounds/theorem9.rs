@@ -134,7 +134,8 @@ where
 mod tests {
     use super::*;
     use crate::schemes::full_table::FullTableScheme;
-    use crate::verify::verify_scheme;
+    use crate::verify::verify;
+    use ort_graphs::paths::Apsp;
 
     #[test]
     fn scrambled_gb_keeps_structure() {
@@ -153,7 +154,7 @@ mod tests {
 
     #[test]
     fn full_table_reveals_the_permutation() {
-        let report = run(8, 11, |g| FullTableScheme::build(g).unwrap()).unwrap();
+        let report = run(8, 11, |g| FullTableScheme::build(g, &Apsp::compute(g)).unwrap()).unwrap();
         assert_eq!(report.k, 8);
         assert_eq!(report.permutation_bits, 16); // ⌈log₂ 8!⌉ = ⌈15.3⌉
         assert_eq!(report.bottom_f_bits.len(), 8);
@@ -164,7 +165,7 @@ mod tests {
     fn every_seed_and_every_bottom_node_agrees() {
         for seed in 0..5u64 {
             let (g, sigma) = scrambled_gb(5, seed);
-            let scheme = FullTableScheme::build(&g).unwrap();
+            let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
             for b in 0..5 {
                 assert_eq!(
                     extract_top_permutation(&scheme, 5, b).unwrap(),
@@ -179,8 +180,9 @@ mod tests {
     fn the_scheme_is_stretch_one_hence_qualifies() {
         // Theorem 9 covers any stretch < 2; the full table has stretch 1.
         let (g, _) = scrambled_gb(5, 1);
-        let scheme = FullTableScheme::build(&g).unwrap();
-        let report = verify_scheme(&g, &scheme).unwrap();
+        let dists = Apsp::compute(&g);
+        let scheme = FullTableScheme::build(&g, &dists).unwrap();
+        let report = verify(&g, &scheme, &dists, 1).unwrap();
         assert!(report.is_shortest_path());
     }
 
@@ -190,7 +192,8 @@ mod tests {
         // shortest-path scheme stores its tables completely differently,
         // yet the permutation comes out all the same.
         use crate::schemes::multi_interval::MultiIntervalScheme;
-        let report = run(10, 3, |g| MultiIntervalScheme::build(g).unwrap()).unwrap();
+        let multi_interval = |g: &Graph| MultiIntervalScheme::build(g, &Apsp::compute(g)).unwrap();
+        let report = run(10, 3, multi_interval).unwrap();
         assert_eq!(report.k, 10);
         for &f in &report.bottom_f_bits {
             assert!(f >= report.permutation_bits, "{f} < {}", report.permutation_bits);
@@ -212,7 +215,7 @@ mod tests {
         // The full-table F(b) is (n-1)·log d bits ≥ log k! for these sizes
         // — consistent with (not a proof of) the floor; the *information*
         // argument is the extraction test above.
-        let report = run(12, 5, |g| FullTableScheme::build(g).unwrap()).unwrap();
+        let report = run(12, 5, |g| FullTableScheme::build(g, &Apsp::compute(g)).unwrap()).unwrap();
         for &f in &report.bottom_f_bits {
             assert!(f >= report.permutation_bits, "{f} < {}", report.permutation_bits);
         }

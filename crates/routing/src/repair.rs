@@ -92,7 +92,7 @@ enum Inner {
 /// # Example
 ///
 /// ```
-/// use ort_graphs::generators;
+/// use ort_graphs::{generators, paths::Apsp};
 /// use ort_routing::repair::RepairableScheme;
 /// use ort_routing::verify;
 ///
@@ -101,7 +101,9 @@ enum Inner {
 /// let mut scheme = RepairableScheme::full_table(g)?;
 /// let report = scheme.add_link(0, 31)?;
 /// assert!(report.dirty_nodes <= 32);
-/// let check = verify::verify_scheme(scheme.graph(), scheme.scheme())?;
+/// // Check the repaired tables against a fresh APSP, not the repaired oracle.
+/// let fresh = Apsp::compute(scheme.graph());
+/// let check = verify::verify(scheme.graph(), scheme.scheme(), &fresh, 1)?;
 /// assert!(check.is_shortest_path());
 /// # Ok(())
 /// # }
@@ -121,7 +123,7 @@ impl RepairableScheme {
     /// Returns [`SchemeError::Disconnected`] if `g` is disconnected.
     pub fn full_table(g: Graph) -> Result<Self, SchemeError> {
         let oracle = DeltaOracle::new(g);
-        let scheme = FullTableScheme::build_with_dists(oracle.graph(), &oracle)?;
+        let scheme = FullTableScheme::build(oracle.graph(), &oracle)?;
         Ok(RepairableScheme {
             oracle,
             inner: Inner::FullTable(scheme),
@@ -343,7 +345,7 @@ impl RepairableScheme {
         self.stats.rebuilds += 1;
         match &mut self.inner {
             Inner::FullTable(scheme) => {
-                *scheme = FullTableScheme::build_with_dists(self.oracle.graph(), &self.oracle)?;
+                *scheme = FullTableScheme::build(self.oracle.graph(), &self.oracle)?;
             }
             Inner::Boxed { scheme, builder } => {
                 *scheme = builder(self.oracle.graph(), &self.oracle)?;
@@ -387,14 +389,15 @@ mod tests {
     use super::*;
     use crate::schemes::theorem1::Theorem1Scheme;
     use crate::snapshot;
-    use crate::verify::verify_scheme;
+    use crate::verify::verify;
     use ort_graphs::generators;
+    use ort_graphs::paths::Apsp;
 
     /// The repaired scheme must be byte-identical to a cold build on the
     /// current graph — the PR 7 guarantee (exact oracles build identical
     /// schemes) extended through repair.
     fn assert_bytes_match_fresh(r: &RepairableScheme, context: &str) {
-        let fresh = FullTableScheme::build(r.graph()).unwrap();
+        let fresh = FullTableScheme::build(r.graph(), &Apsp::compute(r.graph())).unwrap();
         assert_eq!(
             snapshot::save(snapshot::SchemeKind::FullTable, r.scheme()).unwrap(),
             snapshot::save(snapshot::SchemeKind::FullTable, &fresh).unwrap(),
@@ -431,7 +434,7 @@ mod tests {
         }
         assert!(patched > 0, "sweep must exercise the patch fast path");
         assert_eq!(r.stats().patches, patched);
-        let report = verify_scheme(r.graph(), r.scheme()).unwrap();
+        let report = verify(r.graph(), r.scheme(), &Apsp::compute(r.graph()), 1).unwrap();
         assert!(report.is_shortest_path());
     }
 
@@ -467,7 +470,8 @@ mod tests {
             Err(SchemeError::Disconnected) => {} // hub was a cut vertex
             Err(e) => panic!("{e}"),
         }
-        assert!(verify_scheme(r.graph(), r.scheme()).unwrap().is_shortest_path());
+        let fresh = Apsp::compute(r.graph());
+        assert!(verify(r.graph(), r.scheme(), &fresh, 1).unwrap().is_shortest_path());
     }
 
     #[test]
@@ -485,13 +489,13 @@ mod tests {
     fn boxed_builder_rebuilds_any_scheme() {
         let g = generators::gnp_half(24, 9);
         let builder: SchemeBuilder = Box::new(|g, dists| {
-            Theorem1Scheme::build_with_dists(g, dists).map(|s| Box::new(s) as Box<dyn RoutingScheme>)
+            Theorem1Scheme::build(g, dists).map(|s| Box::new(s) as Box<dyn RoutingScheme>)
         });
         let mut r = RepairableScheme::with_builder(g, builder).unwrap();
         // gnp_half may already have {0,1}: adding is idempotent either way.
         let report = r.add_link(0, 1).unwrap();
         assert!(report.scheme_rebuilt);
-        let check = verify_scheme(r.graph(), r.scheme()).unwrap();
+        let check = verify(r.graph(), r.scheme(), &Apsp::compute(r.graph()), 1).unwrap();
         assert!(check.is_shortest_path());
         assert!(r.stats().rebuilds >= 1);
     }

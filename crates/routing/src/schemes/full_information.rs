@@ -11,7 +11,6 @@
 use ort_bitio::{BitReader, BitVec, BitWriter};
 use ort_graphs::labels::{Label, Labeling};
 use ort_graphs::oracle::Distances;
-use ort_graphs::paths::DistanceOracle;
 use ort_graphs::ports::PortAssignment;
 use ort_graphs::{Graph, NodeId};
 
@@ -26,13 +25,15 @@ use crate::scheme::{
 ///
 /// ```
 /// use ort_graphs::generators;
+/// use ort_graphs::paths::Apsp;
 /// use ort_routing::schemes::full_information::FullInformationScheme;
 /// use ort_routing::verify;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let g = generators::gnp_half(32, 0);
-/// let scheme = FullInformationScheme::build(&g)?;
-/// let report = verify::verify_scheme(&g, &scheme)?;
+/// let dists = Apsp::compute(&g);
+/// let scheme = FullInformationScheme::build(&g, &dists)?;
+/// let report = verify::verify(&g, &scheme, &dists, 1)?;
 /// assert!(report.is_shortest_path());
 /// # Ok(())
 /// # }
@@ -45,30 +46,8 @@ pub struct FullInformationScheme {
 }
 
 impl FullInformationScheme {
-    /// Builds the scheme (model II ∧ α; works on any connected graph).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SchemeError::Disconnected`] if `g` is disconnected.
-    pub fn build(g: &Graph) -> Result<Self, SchemeError> {
-        let oracle = crate::schemes::shared_oracle(g);
-        Self::build_with_oracle(g, &oracle)
-    }
-
-    /// As [`FullInformationScheme::build`], reading distances from a shared
-    /// [`DistanceOracle`] (one APSP can then serve construction *and*
-    /// verification). Connectivity is read off the oracle.
-    ///
-    /// # Errors
-    ///
-    /// As [`FullInformationScheme::build`], plus a precondition error on an
-    /// oracle/graph size mismatch.
-    pub fn build_with_oracle(g: &Graph, oracle: &DistanceOracle) -> Result<Self, SchemeError> {
-        Self::build_with_dists(g, &**oracle)
-    }
-
-    /// As [`FullInformationScheme::build`] for any *exact* [`Distances`]
-    /// implementation — notably [`ort_graphs::oracle::BandedOracle`].
+    /// Builds the scheme (model II ∧ α; works on any connected graph)
+    /// from the exact distances `dists`.
     ///
     /// Band-streamed: the outer loop walks destinations ascending; for a
     /// destination `t` and node `u`, neighbour `v` of `u` lies on a
@@ -80,10 +59,10 @@ impl FullInformationScheme {
     ///
     /// # Errors
     ///
-    /// As [`FullInformationScheme::build`], plus
+    /// Returns [`SchemeError::Disconnected`] if `g` is disconnected,
     /// [`SchemeError::ApproximateOracle`] for inexact oracles and a
     /// precondition error on an oracle/graph size mismatch.
-    pub fn build_with_dists(g: &Graph, dists: &dyn Distances) -> Result<Self, SchemeError> {
+    pub fn build(g: &Graph, dists: &dyn Distances) -> Result<Self, SchemeError> {
         crate::schemes::check_exact_oracle(g, dists)?;
         let n = g.node_count();
         let ports = PortAssignment::sorted(g);
@@ -205,7 +184,7 @@ impl LocalRouter for FullInformationRouter<'_> {
 mod tests {
     use super::*;
     use crate::scheme::RoutingScheme;
-    use crate::verify::verify_scheme;
+    use crate::verify::verify;
     use ort_graphs::generators;
     use ort_graphs::paths::Apsp;
 
@@ -217,8 +196,9 @@ mod tests {
             (generators::grid(4, 4), "grid"),
             (generators::gb_graph(4), "gb"),
         ] {
-            let scheme = FullInformationScheme::build(&g).unwrap();
-            let report = verify_scheme(&g, &scheme).unwrap();
+            let dists = Apsp::compute(&g);
+            let scheme = FullInformationScheme::build(&g, &dists).unwrap();
+            let report = verify(&g, &scheme, &dists, 1).unwrap();
             assert!(report.is_shortest_path(), "{name}");
         }
     }
@@ -226,8 +206,8 @@ mod tests {
     #[test]
     fn every_advertised_port_is_on_a_shortest_path() {
         let g = generators::gnp_half(20, 3);
-        let scheme = FullInformationScheme::build(&g).unwrap();
         let apsp = Apsp::compute(&g);
+        let scheme = FullInformationScheme::build(&g, &apsp).unwrap();
         for u in 0..20 {
             let router = scheme.decode_router(u).unwrap();
             let env = scheme.node_env(u);
@@ -255,7 +235,7 @@ mod tests {
     fn size_is_quarter_n_squared_per_node() {
         let n = 64usize;
         let g = generators::gnp_half(n, 5);
-        let scheme = FullInformationScheme::build(&g).unwrap();
+        let scheme = FullInformationScheme::build(&g, &Apsp::compute(&g)).unwrap();
         for u in 0..n {
             let d = g.degree(u);
             assert_eq!(scheme.node_size_bits(u), (n - 1 - d) * d);
@@ -269,14 +249,18 @@ mod tests {
     #[test]
     fn dwarfs_ordinary_shortest_path_schemes() {
         let g = generators::gnp_half(48, 8);
-        let fi = FullInformationScheme::build(&g).unwrap();
-        let t1 = crate::schemes::theorem1::Theorem1Scheme::build(&g).unwrap();
+        let dists = Apsp::compute(&g);
+        let fi = FullInformationScheme::build(&g, &dists).unwrap();
+        let t1 = crate::schemes::theorem1::Theorem1Scheme::build(&g, &dists).unwrap();
         assert!(fi.total_size_bits() > 3 * t1.total_size_bits());
     }
 
     #[test]
     fn rejects_disconnected() {
         let g = Graph::from_edges(4, [(0, 1), (2, 3)]).unwrap();
-        assert!(matches!(FullInformationScheme::build(&g), Err(SchemeError::Disconnected)));
+        assert!(matches!(
+            FullInformationScheme::build(&g, &Apsp::compute(&g)),
+            Err(SchemeError::Disconnected)
+        ));
     }
 }

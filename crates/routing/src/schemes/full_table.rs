@@ -9,7 +9,6 @@
 use ort_bitio::{bits_to_index, BitReader, BitVec, BitWriter};
 use ort_graphs::labels::{Label, Labeling};
 use ort_graphs::oracle::Distances;
-use ort_graphs::paths::DistanceOracle;
 use ort_graphs::ports::PortAssignment;
 use ort_graphs::{Graph, NodeId};
 
@@ -25,14 +24,15 @@ use crate::scheme::{
 ///
 /// ```
 /// use ort_graphs::generators;
+/// use ort_graphs::paths::Apsp;
 /// use ort_routing::schemes::full_table::FullTableScheme;
-/// use ort_routing::scheme::RoutingScheme;
 /// use ort_routing::verify;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let g = generators::cycle(8);
-/// let scheme = FullTableScheme::build(&g)?;
-/// let report = verify::verify_scheme(&g, &scheme)?;
+/// let dists = Apsp::compute(&g);
+/// let scheme = FullTableScheme::build(&g, &dists)?;
+/// let report = verify::verify(&g, &scheme, &dists, 1)?;
 /// assert!(report.is_shortest_path());
 /// # Ok(())
 /// # }
@@ -46,96 +46,21 @@ pub struct FullTableScheme {
 }
 
 impl FullTableScheme {
-    /// Builds the scheme in the default model (II ∧ α) with sorted ports.
+    /// Builds the scheme in the default model (II ∧ α) with sorted ports
+    /// from the exact distances `dists`.
     ///
     /// # Errors
     ///
-    /// Returns [`SchemeError::Disconnected`] if `g` is disconnected.
-    pub fn build(g: &Graph) -> Result<Self, SchemeError> {
+    /// As [`FullTableScheme::build_with`].
+    pub fn build(g: &Graph, dists: &dyn Distances) -> Result<Self, SchemeError> {
         let model = Model::new(Knowledge::NeighborsKnown, Relabeling::None);
-        Self::build_with(g, model, PortAssignment::sorted(g), Labeling::identity(g.node_count()))
-    }
-
-    /// As [`FullTableScheme::build`], but reads distances from a shared
-    /// [`DistanceOracle`] instead of computing APSP internally — pass the
-    /// same oracle to `verify_scheme_with_oracle` and the construct/verify
-    /// pipeline costs one APSP computation total.
-    ///
-    /// # Errors
-    ///
-    /// As [`FullTableScheme::build`], plus [`SchemeError::Precondition`] if
-    /// the oracle's node count does not match `g`.
-    pub fn build_with_oracle(g: &Graph, oracle: &DistanceOracle) -> Result<Self, SchemeError> {
-        let model = Model::new(Knowledge::NeighborsKnown, Relabeling::None);
-        Self::build_with_parts(
-            g,
-            model,
-            PortAssignment::sorted(g),
-            Labeling::identity(g.node_count()),
-            oracle,
-        )
+        let labeling = Labeling::identity(g.node_count());
+        Self::build_with(g, dists, model, PortAssignment::sorted(g), labeling)
     }
 
     /// Builds the scheme with an explicit model, port assignment and
     /// labelling — this is how the IA ∧ α (adversarial ports) and β
     /// (permuted labels) experiments instantiate it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SchemeError::Disconnected`] for disconnected graphs, or
-    /// [`SchemeError::Precondition`] if a γ labelling is supplied (the full
-    /// table indexes by minimal labels).
-    pub fn build_with(
-        g: &Graph,
-        model: Model,
-        ports: PortAssignment,
-        labeling: Labeling,
-    ) -> Result<Self, SchemeError> {
-        let oracle = crate::schemes::shared_oracle(g);
-        Self::build_with_parts(g, model, ports, labeling, &oracle)
-    }
-
-    /// As [`FullTableScheme::build`] for any *exact* [`Distances`]
-    /// implementation — notably [`ort_graphs::oracle::BandedOracle`],
-    /// which builds the table with peak distance memory of one band. All
-    /// exact oracles produce byte-identical schemes.
-    ///
-    /// # Errors
-    ///
-    /// As [`FullTableScheme::build`], plus
-    /// [`SchemeError::ApproximateOracle`] for inexact oracles and a
-    /// precondition error on an oracle/graph size mismatch.
-    pub fn build_with_dists(g: &Graph, dists: &dyn Distances) -> Result<Self, SchemeError> {
-        let model = Model::new(Knowledge::NeighborsKnown, Relabeling::None);
-        Self::build_with_dists_parts(
-            g,
-            model,
-            PortAssignment::sorted(g),
-            Labeling::identity(g.node_count()),
-            dists,
-        )
-    }
-
-    /// Fully explicit constructor: model, ports, labelling *and* distance
-    /// oracle. Connectivity is read off the oracle (row 0), so no separate
-    /// traversal runs.
-    ///
-    /// # Errors
-    ///
-    /// As [`FullTableScheme::build_with`], plus a precondition error on an
-    /// oracle/graph size mismatch.
-    pub fn build_with_parts(
-        g: &Graph,
-        model: Model,
-        ports: PortAssignment,
-        labeling: Labeling,
-        oracle: &DistanceOracle,
-    ) -> Result<Self, SchemeError> {
-        Self::build_with_dists_parts(g, model, ports, labeling, &**oracle)
-    }
-
-    /// As [`FullTableScheme::build_with_parts`] for any exact
-    /// [`Distances`] implementation.
     ///
     /// The table loop is *band-streamed*: the outer loop walks
     /// destination labels ascending (= source-band order under α
@@ -147,15 +72,17 @@ impl FullTableScheme {
     ///
     /// # Errors
     ///
-    /// As [`FullTableScheme::build_with`], plus
-    /// [`SchemeError::ApproximateOracle`] for inexact oracles and a
-    /// precondition error on an oracle/graph size mismatch.
-    pub fn build_with_dists_parts(
+    /// Returns [`SchemeError::Disconnected`] for disconnected graphs,
+    /// [`SchemeError::ApproximateOracle`] for inexact oracles, or
+    /// [`SchemeError::Precondition`] if a γ labelling is supplied (the full
+    /// table indexes by minimal labels) or the oracle's node count does
+    /// not match `g`.
+    pub fn build_with(
         g: &Graph,
+        dists: &dyn Distances,
         model: Model,
         ports: PortAssignment,
         labeling: Labeling,
-        dists: &dyn Distances,
     ) -> Result<Self, SchemeError> {
         if labeling.is_charged() {
             return Err(SchemeError::Precondition {
@@ -226,7 +153,7 @@ impl FullTableScheme {
     ///
     /// # Errors
     ///
-    /// As [`FullTableScheme::build_with_dists`]: the oracle must be exact,
+    /// As [`FullTableScheme::build`]: the oracle must be exact,
     /// match `g`, and see a connected graph; the labelling must be minimal.
     pub(crate) fn patch_edge_delta(
         &mut self,
@@ -379,8 +306,9 @@ impl LocalRouter for FullTableRouter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::{verify_scheme, RouteFailure};
+    use crate::verify::{verify, RouteFailure};
     use ort_graphs::generators;
+    use ort_graphs::paths::Apsp;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -395,8 +323,9 @@ mod tests {
             (generators::complete(7), "k7"),
             (generators::gb_graph(5), "gb"),
         ] {
-            let scheme = FullTableScheme::build(&g).unwrap();
-            let report = verify_scheme(&g, &scheme).unwrap();
+            let dists = Apsp::compute(&g);
+            let scheme = FullTableScheme::build(&g, &dists).unwrap();
+            let report = verify(&g, &scheme, &dists, 1).unwrap();
             assert!(report.all_delivered(), "{name}: {:?}", report.failures.first());
             assert!(report.is_shortest_path(), "{name}");
         }
@@ -405,7 +334,7 @@ mod tests {
     #[test]
     fn size_is_n_minus_one_times_log_degree() {
         let g = generators::gnp_half(32, 5);
-        let scheme = FullTableScheme::build(&g).unwrap();
+        let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         for u in 0..32 {
             let expect = 31 * bits_to_index(g.degree(u) as u64) as usize;
             assert_eq!(scheme.node_size_bits(u), expect);
@@ -422,9 +351,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(99);
         let ports = PortAssignment::adversarial(&g, &mut rng);
         let model = Model::new(Knowledge::PortsFixed, Relabeling::None);
+        let dists = Apsp::compute(&g);
         let scheme =
-            FullTableScheme::build_with(&g, model, ports, Labeling::identity(20)).unwrap();
-        let report = verify_scheme(&g, &scheme).unwrap();
+            FullTableScheme::build_with(&g, &dists, model, ports, Labeling::identity(20)).unwrap();
+        let report = verify(&g, &scheme, &dists, 1).unwrap();
         assert!(report.is_shortest_path());
     }
 
@@ -435,16 +365,19 @@ mod tests {
         let perm = generators::random_permutation(18, &mut rng);
         let labeling = Labeling::permutation(perm).unwrap();
         let model = Model::new(Knowledge::NeighborsKnown, Relabeling::Permutation);
+        let dists = Apsp::compute(&g);
         let scheme =
-            FullTableScheme::build_with(&g, model, PortAssignment::sorted(&g), labeling).unwrap();
-        let report = verify_scheme(&g, &scheme).unwrap();
+            FullTableScheme::build_with(&g, &dists, model, PortAssignment::sorted(&g), labeling)
+                .unwrap();
+        let report = verify(&g, &scheme, &dists, 1).unwrap();
         assert!(report.is_shortest_path());
     }
 
     #[test]
     fn rejects_disconnected_and_charged_labels() {
         let g = Graph::from_edges(4, [(0, 1), (2, 3)]).unwrap();
-        assert!(matches!(FullTableScheme::build(&g), Err(SchemeError::Disconnected)));
+        let disconnected = FullTableScheme::build(&g, &Apsp::compute(&g));
+        assert!(matches!(disconnected, Err(SchemeError::Disconnected)));
 
         let g = generators::cycle(4);
         let labels = (0..4)
@@ -458,7 +391,8 @@ mod tests {
             .collect();
         let labeling = Labeling::arbitrary(labels).unwrap();
         let model = Model::new(Knowledge::NeighborsKnown, Relabeling::Free);
-        let res = FullTableScheme::build_with(&g, model, PortAssignment::sorted(&g), labeling);
+        let ports = PortAssignment::sorted(&g);
+        let res = FullTableScheme::build_with(&g, &Apsp::compute(&g), model, ports, labeling);
         assert!(matches!(res, Err(SchemeError::Precondition { .. })));
     }
 
@@ -467,13 +401,14 @@ mod tests {
         // Honesty check: flipping stored bits really changes routing —
         // there is no hidden side channel.
         let g = generators::gnp_half(16, 2);
-        let mut scheme = FullTableScheme::build(&g).unwrap();
-        let report = verify_scheme(&g, &scheme).unwrap();
+        let dists = Apsp::compute(&g);
+        let mut scheme = FullTableScheme::build(&g, &dists).unwrap();
+        let report = verify(&g, &scheme, &dists, 1).unwrap();
         assert!(report.is_shortest_path());
         // Flip every stored bit of node 0.
         let flipped: BitVec = scheme.bits[0].iter().map(|b| !b).collect();
         scheme.bits[0] = flipped;
-        let report = verify_scheme(&g, &scheme).unwrap();
+        let report = verify(&g, &scheme, &dists, 1).unwrap();
         let broken = !report.all_delivered() || !report.is_shortest_path();
         assert!(broken, "bit corruption must be observable");
     }
@@ -481,10 +416,11 @@ mod tests {
     #[test]
     fn route_errors_surface_as_failures() {
         let g = generators::cycle(5);
-        let mut scheme = FullTableScheme::build(&g).unwrap();
+        let dists = Apsp::compute(&g);
+        let mut scheme = FullTableScheme::build(&g, &dists).unwrap();
         // Truncate node 0's table: routing through it must fail cleanly.
         scheme.bits[0] = BitVec::new();
-        let report = verify_scheme(&g, &scheme).unwrap();
+        let report = verify(&g, &scheme, &dists, 1).unwrap();
         assert!(report
             .failures
             .iter()
@@ -494,8 +430,9 @@ mod tests {
     #[test]
     fn two_node_graph() {
         let g = Graph::from_edges(2, [(0, 1)]).unwrap();
-        let scheme = FullTableScheme::build(&g).unwrap();
-        let report = verify_scheme(&g, &scheme).unwrap();
+        let dists = Apsp::compute(&g);
+        let scheme = FullTableScheme::build(&g, &dists).unwrap();
+        let report = verify(&g, &scheme, &dists, 1).unwrap();
         assert!(report.is_shortest_path());
         // Degree 1 → width 0 → zero bits stored, and that is fine.
         assert_eq!(scheme.node_size_bits(0), 0);

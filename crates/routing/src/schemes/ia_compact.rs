@@ -14,6 +14,7 @@
 
 use ort_bitio::{lehmer, BitReader, BitVec, BitWriter};
 use ort_graphs::labels::{Label, Labeling};
+use ort_graphs::oracle::Distances;
 use ort_graphs::ports::PortAssignment;
 use ort_graphs::{Graph, NodeId};
 
@@ -29,7 +30,7 @@ use crate::schemes::theorem1::Theorem1Scheme;
 /// # Example
 ///
 /// ```
-/// use ort_graphs::{generators, ports::PortAssignment};
+/// use ort_graphs::{generators, paths::Apsp, ports::PortAssignment};
 /// use ort_routing::schemes::ia_compact::IaCompactScheme;
 /// use ort_routing::verify;
 /// use rand::SeedableRng;
@@ -38,8 +39,9 @@ use crate::schemes::theorem1::Theorem1Scheme;
 /// let g = generators::gnp_half(64, 1);
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(9);
 /// let ports = PortAssignment::adversarial(&g, &mut rng);
-/// let scheme = IaCompactScheme::build(&g, ports)?;
-/// let report = verify::verify_scheme(&g, &scheme)?;
+/// let dists = Apsp::compute(&g);
+/// let scheme = IaCompactScheme::build(&g, ports, &dists)?;
+/// let report = verify::verify(&g, &scheme, &dists, 1)?;
 /// assert!(report.is_shortest_path());
 /// # Ok(())
 /// # }
@@ -53,49 +55,27 @@ pub struct IaCompactScheme {
 
 impl IaCompactScheme {
     /// Builds the scheme against a **fixed** (possibly adversarial) port
-    /// assignment — the IA premise.
+    /// assignment — the IA premise. The construction is purely
+    /// adjacency-based; the exact oracle `dists` contributes only its
+    /// connectivity bit (row 0), so a banded oracle's peak distance
+    /// memory stays one band.
     ///
     /// # Errors
     ///
     /// Returns [`SchemeError::Precondition`] on diameter > 2 (the Theorem 1
-    /// tables need the common-neighbour property) or
-    /// [`SchemeError::Disconnected`].
-    pub fn build(g: &Graph, ports: PortAssignment) -> Result<Self, SchemeError> {
+    /// tables need the common-neighbour property) or an oracle/graph size
+    /// mismatch, [`SchemeError::ApproximateOracle`] for inexact oracles,
+    /// or [`SchemeError::Disconnected`].
+    pub fn build(
+        g: &Graph,
+        ports: PortAssignment,
+        dists: &dyn Distances,
+    ) -> Result<Self, SchemeError> {
         let n = g.node_count();
         if n < 2 {
             return Err(SchemeError::Precondition { reason: "need at least 2 nodes".into() });
         }
-        if !ort_graphs::paths::is_connected(g) {
-            return Err(SchemeError::Disconnected);
-        }
-        Self::build_checked(g, ports)
-    }
-
-    /// As [`IaCompactScheme::build`] for any *exact*
-    /// [`ort_graphs::oracle::Distances`] implementation — notably
-    /// [`ort_graphs::oracle::BandedOracle`]. The construction is purely
-    /// adjacency-based; the oracle contributes only its connectivity bit
-    /// (row 0), so a banded oracle's peak distance memory stays one band.
-    ///
-    /// # Errors
-    ///
-    /// As [`IaCompactScheme::build`], plus
-    /// [`SchemeError::ApproximateOracle`] for inexact oracles and a
-    /// precondition error on an oracle/graph size mismatch.
-    pub fn build_with_dists(
-        g: &Graph,
-        ports: PortAssignment,
-        dists: &dyn ort_graphs::oracle::Distances,
-    ) -> Result<Self, SchemeError> {
-        if g.node_count() < 2 {
-            return Err(SchemeError::Precondition { reason: "need at least 2 nodes".into() });
-        }
         crate::schemes::check_exact_oracle(g, dists)?;
-        Self::build_checked(g, ports)
-    }
-
-    fn build_checked(g: &Graph, ports: PortAssignment) -> Result<Self, SchemeError> {
-        let n = g.node_count();
         let mut bits = Vec::with_capacity(n);
         for u in 0..n {
             let mut w = BitWriter::new();
@@ -206,8 +186,9 @@ impl LocalRouter for IaCompactRouter<'_> {
 mod tests {
     use super::*;
     use crate::schemes::full_table::FullTableScheme;
-    use crate::verify::verify_scheme;
+    use crate::verify::verify;
     use ort_graphs::generators;
+    use ort_graphs::paths::Apsp;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -220,8 +201,9 @@ mod tests {
     fn shortest_path_under_adversarial_ports() {
         for seed in 0..4u64 {
             let g = generators::gnp_half(40, seed);
-            let scheme = IaCompactScheme::build(&g, adversarial(&g, seed * 7 + 1)).unwrap();
-            let report = verify_scheme(&g, &scheme).unwrap();
+            let dists = Apsp::compute(&g);
+            let scheme = IaCompactScheme::build(&g, adversarial(&g, seed * 7 + 1), &dists).unwrap();
+            let report = verify(&g, &scheme, &dists, 1).unwrap();
             assert!(report.is_shortest_path(), "seed {seed}: {:?}", report.failures.first());
         }
     }
@@ -233,9 +215,11 @@ mod tests {
         let n = 128;
         let g = generators::gnp_half(n, 9);
         let ports = adversarial(&g, 5);
-        let compact = IaCompactScheme::build(&g, ports.clone()).unwrap();
+        let dists = Apsp::compute(&g);
+        let compact = IaCompactScheme::build(&g, ports.clone(), &dists).unwrap();
         let naive = FullTableScheme::build_with(
             &g,
+            &dists,
             Model::new(Knowledge::PortsFixed, Relabeling::None),
             ports,
             Labeling::identity(n),
@@ -257,8 +241,9 @@ mod tests {
     fn size_formula() {
         let n = 64;
         let g = generators::gnp_half(n, 2);
-        let scheme = IaCompactScheme::build(&g, adversarial(&g, 3)).unwrap();
-        let t1 = crate::schemes::theorem1::Theorem1Scheme::build(&g).unwrap();
+        let dists = Apsp::compute(&g);
+        let scheme = IaCompactScheme::build(&g, adversarial(&g, 3), &dists).unwrap();
+        let t1 = crate::schemes::theorem1::Theorem1Scheme::build(&g, &dists).unwrap();
         for u in 0..n {
             let expect = (n - 1)
                 + ort_bitio::lehmer::permutation_code_width(g.degree(u))
@@ -271,6 +256,6 @@ mod tests {
     fn rejects_bad_graphs() {
         let g = generators::path(8);
         let ports = PortAssignment::sorted(&g);
-        assert!(IaCompactScheme::build(&g, ports).is_err());
+        assert!(IaCompactScheme::build(&g, ports, &Apsp::compute(&g)).is_err());
     }
 }

@@ -12,6 +12,7 @@
 
 use ort_bitio::{bits_to_index, BitReader, BitVec, BitWriter};
 use ort_graphs::labels::{Label, Labeling};
+use ort_graphs::oracle::Distances;
 use ort_graphs::ports::PortAssignment;
 use ort_graphs::{Graph, NodeId};
 
@@ -26,13 +27,15 @@ use crate::scheme::{
 ///
 /// ```
 /// use ort_graphs::generators;
+/// use ort_graphs::paths::Apsp;
 /// use ort_routing::schemes::interval::IntervalScheme;
 /// use ort_routing::verify;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let g = generators::grid(4, 4);
-/// let scheme = IntervalScheme::build(&g)?;
-/// let report = verify::verify_scheme(&g, &scheme)?;
+/// let dists = Apsp::compute(&g);
+/// let scheme = IntervalScheme::build(&g, &dists)?;
+/// let report = verify::verify(&g, &scheme, &dists, 1)?;
 /// assert!(report.all_delivered());
 /// # Ok(())
 /// # }
@@ -46,47 +49,23 @@ pub struct IntervalScheme {
 
 impl IntervalScheme {
     /// Builds the scheme over a DFS tree rooted at node 0, relabelling
-    /// nodes by preorder (model β).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SchemeError::Disconnected`] if `g` is disconnected.
-    pub fn build(g: &Graph) -> Result<Self, SchemeError> {
-        let n = g.node_count();
-        if n == 0 {
-            return Err(SchemeError::Precondition { reason: "empty graph".into() });
-        }
-        if !ort_graphs::paths::is_connected(g) {
-            return Err(SchemeError::Disconnected);
-        }
-        Self::build_checked(g)
-    }
-
-    /// As [`IntervalScheme::build`] for any *exact*
-    /// [`ort_graphs::oracle::Distances`] implementation — notably
-    /// [`ort_graphs::oracle::BandedOracle`]. The DFS-tree construction is
-    /// purely adjacency-based; the oracle contributes only its
+    /// nodes by preorder (model β). The DFS-tree construction is purely
+    /// adjacency-based; the exact oracle `dists` contributes only its
     /// connectivity bit (row 0), so a banded oracle's peak distance
     /// memory stays one band.
     ///
     /// # Errors
     ///
-    /// As [`IntervalScheme::build`], plus
-    /// [`SchemeError::ApproximateOracle`] for inexact oracles and a
-    /// precondition error on an oracle/graph size mismatch.
-    pub fn build_with_dists(
-        g: &Graph,
-        dists: &dyn ort_graphs::oracle::Distances,
-    ) -> Result<Self, SchemeError> {
-        if g.node_count() == 0 {
+    /// Returns [`SchemeError::Disconnected`] if `g` is disconnected,
+    /// [`SchemeError::ApproximateOracle`] for inexact oracles, and a
+    /// precondition error on an empty graph or an oracle/graph size
+    /// mismatch.
+    pub fn build(g: &Graph, dists: &dyn Distances) -> Result<Self, SchemeError> {
+        let n = g.node_count();
+        if n == 0 {
             return Err(SchemeError::Precondition { reason: "empty graph".into() });
         }
         crate::schemes::check_exact_oracle(g, dists)?;
-        Self::build_checked(g)
-    }
-
-    fn build_checked(g: &Graph) -> Result<Self, SchemeError> {
-        let n = g.node_count();
         // Iterative DFS from node 0: preorder numbers and subtree sizes.
         let mut pre = vec![usize::MAX; n];
         let mut size = vec![1usize; n];
@@ -228,8 +207,9 @@ impl LocalRouter for IntervalRouter<'_> {
 mod tests {
     use super::*;
     use crate::scheme::RoutingScheme;
-    use crate::verify::verify_scheme;
+    use crate::verify::verify;
     use ort_graphs::generators;
+    use ort_graphs::paths::Apsp;
 
     #[test]
     fn delivers_on_assorted_graphs() {
@@ -242,8 +222,9 @@ mod tests {
             (generators::gb_graph(4), "gb"),
             (generators::complete(6), "k6"),
         ] {
-            let scheme = IntervalScheme::build(&g).unwrap();
-            let report = verify_scheme(&g, &scheme).unwrap();
+            let dists = Apsp::compute(&g);
+            let scheme = IntervalScheme::build(&g, &dists).unwrap();
+            let report = verify(&g, &scheme, &dists, 1).unwrap();
             assert!(report.all_delivered(), "{name}: {:?}", report.failures.first());
         }
     }
@@ -252,20 +233,23 @@ mod tests {
     fn exact_on_trees() {
         // On a tree the tree path is the shortest path.
         let g = generators::path(10);
-        let scheme = IntervalScheme::build(&g).unwrap();
-        let report = verify_scheme(&g, &scheme).unwrap();
+        let dists = Apsp::compute(&g);
+        let scheme = IntervalScheme::build(&g, &dists).unwrap();
+        let report = verify(&g, &scheme, &dists, 1).unwrap();
         assert!(report.is_shortest_path());
         let star = generators::star(10);
-        let scheme = IntervalScheme::build(&star).unwrap();
-        assert!(verify_scheme(&star, &scheme).unwrap().is_shortest_path());
+        let dists = Apsp::compute(&star);
+        let scheme = IntervalScheme::build(&star, &dists).unwrap();
+        assert!(verify(&star, &scheme, &dists, 1).unwrap().is_shortest_path());
     }
 
     #[test]
     fn stretch_can_exceed_constant_on_cycles() {
         // C_n routed over a spanning path has stretch ~n-1.
         let g = generators::cycle(16);
-        let scheme = IntervalScheme::build(&g).unwrap();
-        let report = verify_scheme(&g, &scheme).unwrap();
+        let dists = Apsp::compute(&g);
+        let scheme = IntervalScheme::build(&g, &dists).unwrap();
+        let report = verify(&g, &scheme, &dists, 1).unwrap();
         assert!(report.all_delivered());
         assert!(report.max_stretch().unwrap() >= 3.0);
     }
@@ -273,7 +257,7 @@ mod tests {
     #[test]
     fn size_is_two_words_per_port() {
         let g = generators::gnp_half(32, 6);
-        let scheme = IntervalScheme::build(&g).unwrap();
+        let scheme = IntervalScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let width = bits_to_index(33) as usize;
         for u in 0..32 {
             assert_eq!(scheme.node_size_bits(u), 2 * width * g.degree(u));
@@ -283,7 +267,7 @@ mod tests {
     #[test]
     fn labels_are_a_permutation() {
         let g = generators::gnp_half(20, 1);
-        let scheme = IntervalScheme::build(&g).unwrap();
+        let scheme = IntervalScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let mut seen = [false; 20];
         for u in 0..20 {
             let Label::Minimal(l) = scheme.label_of(u) else { panic!() };
@@ -306,6 +290,7 @@ mod tests {
     #[test]
     fn rejects_disconnected() {
         let g = Graph::from_edges(4, [(0, 1), (2, 3)]).unwrap();
-        assert!(matches!(IntervalScheme::build(&g), Err(SchemeError::Disconnected)));
+        let disconnected = IntervalScheme::build(&g, &Apsp::compute(&g));
+        assert!(matches!(disconnected, Err(SchemeError::Disconnected)));
     }
 }

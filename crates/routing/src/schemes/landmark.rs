@@ -19,7 +19,6 @@
 use ort_bitio::{bits_to_index, BitReader, BitVec, BitWriter};
 use ort_graphs::labels::{Label, Labeling};
 use ort_graphs::oracle::{Distances, LandmarkOracle};
-use ort_graphs::paths::DistanceOracle;
 use ort_graphs::ports::PortAssignment;
 use ort_graphs::{Graph, NodeId};
 use rand::rngs::StdRng;
@@ -36,13 +35,15 @@ use crate::scheme::{
 ///
 /// ```
 /// use ort_graphs::generators;
+/// use ort_graphs::paths::Apsp;
 /// use ort_routing::schemes::landmark::LandmarkScheme;
 /// use ort_routing::verify;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let g = generators::grid(5, 5);
-/// let scheme = LandmarkScheme::build(&g, 7)?;
-/// let report = verify::verify_scheme(&g, &scheme)?;
+/// let dists = Apsp::compute(&g);
+/// let scheme = LandmarkScheme::build(&g, &dists, 7)?;
+/// let report = verify::verify(&g, &scheme, &dists, 1)?;
 /// assert!(report.all_delivered());
 /// # Ok(())
 /// # }
@@ -56,64 +57,19 @@ pub struct LandmarkScheme {
 }
 
 impl LandmarkScheme {
-    /// Builds the scheme with `⌈√(n·log₂ n)⌉` landmarks sampled from
-    /// `seed`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SchemeError::Disconnected`] for disconnected graphs or
-    /// [`SchemeError::Precondition`] for graphs with fewer than 2 nodes.
-    pub fn build(g: &Graph, seed: u64) -> Result<Self, SchemeError> {
-        Self::build_with_landmark_count(g, seed, Self::default_count(g.node_count()))
-    }
-
-    /// The default landmark count `⌈√(n·log₂ n)⌉`, clamped to `[1, n]`
-    /// (1 for graphs too small to route, which every builder refuses).
-    #[must_use]
-    pub fn default_count(n: usize) -> usize {
+    /// The landmark count `⌈√(n·log₂ n)⌉`, clamped to `[1, n]` (1 for
+    /// graphs too small to route, which every builder refuses).
+    fn default_count(n: usize) -> usize {
         let count = ((n as f64) * (n.max(2) as f64).log2()).sqrt().ceil() as usize;
         count.clamp(1, n.max(1))
     }
 
-    /// Builds the scheme with an explicit landmark count.
-    ///
-    /// # Errors
-    ///
-    /// As [`LandmarkScheme::build`].
-    pub fn build_with_landmark_count(
-        g: &Graph,
-        seed: u64,
-        count: usize,
-    ) -> Result<Self, SchemeError> {
-        let oracle = crate::schemes::shared_oracle(g);
-        Self::build_with_oracle_and_landmark_count(g, &oracle, seed, count)
-    }
-
-    /// As [`LandmarkScheme::build_with_landmark_count`], reading distances
-    /// from a shared [`DistanceOracle`] (one APSP can then serve
-    /// construction *and* verification). Connectivity and the per-landmark
-    /// toward-ports are both read off the oracle — no extra traversals.
-    ///
-    /// # Errors
-    ///
-    /// As [`LandmarkScheme::build`], plus a precondition error on an
-    /// oracle/graph size mismatch.
-    pub fn build_with_oracle_and_landmark_count(
-        g: &Graph,
-        oracle: &DistanceOracle,
-        seed: u64,
-        count: usize,
-    ) -> Result<Self, SchemeError> {
-        Self::build_with_dists(g, &**oracle, seed, count)
-    }
-
-    /// As [`LandmarkScheme::build_with_oracle_and_landmark_count`] for any
-    /// *exact* [`Distances`] implementation — notably
+    /// Builds the scheme with `⌈√(n·log₂ n)⌉` landmarks sampled from
+    /// `seed`, reading distances from the exact oracle `dists` — notably
     /// [`ort_graphs::oracle::BandedOracle`], which builds the scheme
     /// without ever holding the full `n²` matrix. Exact oracles all
     /// produce byte-identical schemes (every query below resolves through
-    /// the same smallest-qualifying-neighbour rules as
-    /// [`ort_graphs::paths::Apsp`]).
+    /// the same smallest-qualifying-neighbour rules).
     ///
     /// Band-streamed in two ascending passes, exploiting distance
     /// symmetry so every query reads the currently-resident band:
@@ -130,21 +86,18 @@ impl LandmarkScheme {
     ///
     /// # Errors
     ///
-    /// As [`LandmarkScheme::build_with_oracle_and_landmark_count`], plus
+    /// Returns [`SchemeError::Disconnected`] for disconnected graphs,
     /// [`SchemeError::ApproximateOracle`] for approximate oracles (use
-    /// [`LandmarkScheme::build_from_landmark_oracle`] for those).
-    pub fn build_with_dists(
-        g: &Graph,
-        dists: &dyn Distances,
-        seed: u64,
-        count: usize,
-    ) -> Result<Self, SchemeError> {
+    /// [`LandmarkScheme::build_from_landmark_oracle`] for those), or
+    /// [`SchemeError::Precondition`] for graphs with fewer than 2 nodes
+    /// or an oracle/graph size mismatch.
+    pub fn build(g: &Graph, dists: &dyn Distances, seed: u64) -> Result<Self, SchemeError> {
         let n = g.node_count();
         if n < 2 {
             return Err(SchemeError::Precondition { reason: "need at least 2 nodes".into() });
         }
         crate::schemes::check_exact_oracle(g, dists)?;
-        let count = count.clamp(1, n);
+        let count = Self::default_count(n);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut landmarks = ort_graphs::generators::random_permutation(n, &mut rng);
         landmarks.truncate(count);
@@ -491,7 +444,7 @@ fn check_port(port: usize, degree: usize) -> Result<RouteDecision, RouteError> {
 mod tests {
     use super::*;
     use crate::scheme::RoutingScheme;
-    use crate::verify::verify_scheme;
+    use crate::verify::verify;
     use ort_graphs::generators;
     use ort_graphs::paths::Apsp;
 
@@ -504,8 +457,9 @@ mod tests {
             (generators::path(12), "path"),
             (generators::gb_graph(5), "gb"),
         ] {
-            let scheme = LandmarkScheme::build(&g, 3).unwrap();
-            let report = verify_scheme(&g, &scheme).unwrap();
+            let dists = Apsp::compute(&g);
+            let scheme = LandmarkScheme::build(&g, &dists, 3).unwrap();
+            let report = verify(&g, &scheme, &dists, 1).unwrap();
             assert!(report.all_delivered(), "{name}: {:?}", report.failures.first());
         }
     }
@@ -514,8 +468,9 @@ mod tests {
     fn small_stretch_on_random_graphs() {
         for seed in 0..3u64 {
             let g = generators::gnp_half(48, seed);
-            let scheme = LandmarkScheme::build(&g, seed).unwrap();
-            let report = verify_scheme(&g, &scheme).unwrap();
+            let dists = Apsp::compute(&g);
+            let scheme = LandmarkScheme::build(&g, &dists, seed).unwrap();
+            let report = verify(&g, &scheme, &dists, 1).unwrap();
             assert!(report.all_delivered());
             let s = report.max_stretch().unwrap();
             assert!(s <= 3.0, "seed {seed}: stretch {s}");
@@ -529,7 +484,7 @@ mod tests {
         let mut ratios = Vec::new();
         for n in [64usize, 256] {
             let g = generators::gnp_half(n, 5);
-            let scheme = LandmarkScheme::build(&g, 1).unwrap();
+            let scheme = LandmarkScheme::build(&g, &Apsp::compute(&g), 1).unwrap();
             let table_bits: usize = (0..n).map(|u| scheme.node_size_bits(u)).sum();
             ratios.push(table_bits as f64 / n as f64); // avg bits per node
         }
@@ -545,7 +500,7 @@ mod tests {
     #[test]
     fn landmarks_are_sorted_and_bounded() {
         let g = generators::gnp_half(64, 2);
-        let scheme = LandmarkScheme::build(&g, 9).unwrap();
+        let scheme = LandmarkScheme::build(&g, &Apsp::compute(&g), 9).unwrap();
         let ls = scheme.landmarks();
         assert!(ls.windows(2).all(|w| w[0] < w[1]));
         // ⌈√(64·6)⌉ = 20.
@@ -555,7 +510,7 @@ mod tests {
     #[test]
     fn label_parse_roundtrip() {
         let g = generators::grid(4, 4);
-        let scheme = LandmarkScheme::build(&g, 0).unwrap();
+        let scheme = LandmarkScheme::build(&g, &Apsp::compute(&g), 0).unwrap();
         for v in 0..16 {
             let Label::Bits(b) = scheme.label_of(v) else { panic!() };
             let (id, l, path) = LandmarkScheme::parse_label(&b, 16).unwrap();
@@ -571,11 +526,9 @@ mod tests {
     fn banded_build_is_byte_identical_to_full_matrix_build() {
         use ort_graphs::oracle::BandedOracle;
         let g = generators::gnp_half(28, 6);
-        let oracle = Apsp::compute(&g).into_oracle();
-        let from_apsp =
-            LandmarkScheme::build_with_oracle_and_landmark_count(&g, &oracle, 2, 6).unwrap();
+        let from_apsp = LandmarkScheme::build(&g, &Apsp::compute(&g), 2).unwrap();
         let banded = BandedOracle::new(g.clone(), 7);
-        let from_band = LandmarkScheme::build_with_dists(&g, &banded, 2, 6).unwrap();
+        let from_band = LandmarkScheme::build(&g, &banded, 2).unwrap();
         assert_eq!(from_apsp.landmarks(), from_band.landmarks());
         for u in 0..28 {
             assert_eq!(from_apsp.node_bits(u), from_band.node_bits(u), "node {u}");
@@ -594,7 +547,7 @@ mod tests {
             let lo = LandmarkOracle::build(&g, 5);
             let scheme = LandmarkScheme::build_from_landmark_oracle(&g, &lo).unwrap();
             assert_eq!(scheme.landmarks(), lo.landmarks(), "{name}");
-            let report = verify_scheme(&g, &scheme).unwrap();
+            let report = verify(&g, &scheme, &Apsp::compute(&g), 1).unwrap();
             assert!(report.all_delivered(), "{name}: {:?}", report.failures.first());
             // Bunch-free routes: every delivered pair stays within the
             // climb-and-descend bound d(u,v) + 2·max r.
@@ -614,17 +567,8 @@ mod tests {
         let g = generators::gnp_half(16, 1);
         let lo = LandmarkOracle::build(&g, 4);
         assert!(matches!(
-            LandmarkScheme::build_with_dists(&g, &lo, 1, 4),
+            LandmarkScheme::build(&g, &lo, 1),
             Err(SchemeError::ApproximateOracle { oracle: "approximate landmark oracle" })
         ));
-    }
-
-    #[test]
-    fn explicit_landmark_count_is_respected() {
-        let g = generators::gnp_half(40, 4);
-        let scheme = LandmarkScheme::build_with_landmark_count(&g, 1, 5).unwrap();
-        assert_eq!(scheme.landmarks().len(), 5);
-        let report = verify_scheme(&g, &scheme).unwrap();
-        assert!(report.all_delivered());
     }
 }

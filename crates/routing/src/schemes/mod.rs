@@ -23,25 +23,15 @@
 //! — at zero additional table bits.
 
 use ort_graphs::oracle::Distances;
-use ort_graphs::paths::{Apsp, DistanceOracle};
 use ort_graphs::Graph;
 
 use crate::scheme::SchemeError;
 
-/// Computes APSP once and wraps it in the shared [`DistanceOracle`] —
-/// the preamble every self-contained `build` entry point used to repeat
-/// verbatim. The oracle can then serve construction *and* verification,
-/// so the pipeline costs exactly one APSP.
-#[must_use]
-pub fn shared_oracle(g: &Graph) -> DistanceOracle {
-    Apsp::compute(g).into_oracle()
-}
-
-/// The common preconditions of every banded builder: the oracle must be
-/// exact (banded construction reproduces full-matrix tables bit for bit,
-/// which only holds for true distances), cover exactly `g`'s nodes, and
-/// see a connected graph. Connectivity is read off the oracle (row 0 —
-/// one band), so no extra traversal runs.
+/// The common preconditions of every builder: the oracle must be exact
+/// (banded construction reproduces full-matrix tables bit for bit, which
+/// only holds for true distances), cover exactly `g`'s nodes, and see a
+/// connected graph. Connectivity is read off the oracle (row 0 — one
+/// band), so no extra traversal runs.
 pub(crate) fn check_exact_oracle(g: &Graph, dists: &dyn Distances) -> Result<(), SchemeError> {
     if !dists.is_exact() {
         return Err(SchemeError::ApproximateOracle { oracle: dists.describe() });

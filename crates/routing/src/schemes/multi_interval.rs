@@ -13,7 +13,6 @@
 use ort_bitio::{bits_to_index, codes, BitReader, BitVec, BitWriter};
 use ort_graphs::labels::{Label, Labeling};
 use ort_graphs::oracle::Distances;
-use ort_graphs::paths::DistanceOracle;
 use ort_graphs::ports::PortAssignment;
 use ort_graphs::{Graph, NodeId};
 
@@ -28,13 +27,15 @@ use crate::scheme::{
 ///
 /// ```
 /// use ort_graphs::generators;
+/// use ort_graphs::paths::Apsp;
 /// use ort_routing::schemes::multi_interval::MultiIntervalScheme;
 /// use ort_routing::verify;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let g = generators::cycle(12);
-/// let scheme = MultiIntervalScheme::build(&g)?;
-/// let report = verify::verify_scheme(&g, &scheme)?;
+/// let dists = Apsp::compute(&g);
+/// let scheme = MultiIntervalScheme::build(&g, &dists)?;
+/// let report = verify::verify(&g, &scheme, &dists, 1)?;
 /// assert!(report.is_shortest_path());
 /// # Ok(())
 /// # }
@@ -48,30 +49,8 @@ pub struct MultiIntervalScheme {
 }
 
 impl MultiIntervalScheme {
-    /// Builds the scheme on any connected graph.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SchemeError::Disconnected`] for disconnected graphs.
-    pub fn build(g: &Graph) -> Result<Self, SchemeError> {
-        let oracle = crate::schemes::shared_oracle(g);
-        Self::build_with_oracle(g, &oracle)
-    }
-
-    /// As [`MultiIntervalScheme::build`], reading distances from a shared
-    /// [`DistanceOracle`] (one APSP can then serve construction *and*
-    /// verification). Connectivity is read off the oracle.
-    ///
-    /// # Errors
-    ///
-    /// As [`MultiIntervalScheme::build`], plus a precondition error on an
-    /// oracle/graph size mismatch.
-    pub fn build_with_oracle(g: &Graph, oracle: &DistanceOracle) -> Result<Self, SchemeError> {
-        Self::build_with_dists(g, &**oracle)
-    }
-
-    /// As [`MultiIntervalScheme::build`] for any *exact* [`Distances`]
-    /// implementation — notably [`ort_graphs::oracle::BandedOracle`].
+    /// Builds the scheme on any connected graph from the exact distances
+    /// `dists`.
     ///
     /// Band-streamed: the outer loop walks destinations ascending and
     /// *extends the last interval run in place* when a port's destination
@@ -83,10 +62,10 @@ impl MultiIntervalScheme {
     ///
     /// # Errors
     ///
-    /// As [`MultiIntervalScheme::build`], plus
+    /// Returns [`SchemeError::Disconnected`] for disconnected graphs,
     /// [`SchemeError::ApproximateOracle`] for inexact oracles and a
     /// precondition error on an oracle/graph size mismatch.
-    pub fn build_with_dists(g: &Graph, dists: &dyn Distances) -> Result<Self, SchemeError> {
+    pub fn build(g: &Graph, dists: &dyn Distances) -> Result<Self, SchemeError> {
         crate::schemes::check_exact_oracle(g, dists)?;
         let n = g.node_count();
         let ports = PortAssignment::sorted(g);
@@ -236,8 +215,9 @@ impl LocalRouter for MultiIntervalRouter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::verify_scheme;
+    use crate::verify::verify;
     use ort_graphs::generators;
+    use ort_graphs::paths::Apsp;
 
     #[test]
     fn shortest_path_everywhere() {
@@ -249,8 +229,9 @@ mod tests {
             (generators::gb_graph(4), "gb"),
             (generators::star(9), "star"),
         ] {
-            let scheme = MultiIntervalScheme::build(&g).unwrap();
-            let report = verify_scheme(&g, &scheme).unwrap();
+            let dists = Apsp::compute(&g);
+            let scheme = MultiIntervalScheme::build(&g, &dists).unwrap();
+            let report = verify(&g, &scheme, &dists, 1).unwrap();
             assert!(report.is_shortest_path(), "{name}");
         }
     }
@@ -260,10 +241,11 @@ mod tests {
         // On a path, each port covers one contiguous half: 2 intervals per
         // interior node.
         let g = generators::path(50);
-        let scheme = MultiIntervalScheme::build(&g).unwrap();
+        let dists = Apsp::compute(&g);
+        let scheme = MultiIntervalScheme::build(&g, &dists).unwrap();
         assert_eq!(scheme.total_intervals(), 2 * 48 + 2);
         // And the size is far below the full table's Θ(n² log n)… at least 4×.
-        let ft = crate::schemes::full_table::FullTableScheme::build(&g).unwrap();
+        let ft = crate::schemes::full_table::FullTableScheme::build(&g, &dists).unwrap();
         assert!(scheme.total_size_bits() * 4 < ft.total_size_bits() * 10);
     }
 
@@ -274,11 +256,12 @@ mod tests {
         // count stays a constant fraction of n per node.
         let n = 96;
         let g = generators::gnp_half(n, 5);
-        let scheme = MultiIntervalScheme::build(&g).unwrap();
+        let dists = Apsp::compute(&g);
+        let scheme = MultiIntervalScheme::build(&g, &dists).unwrap();
         let per_node = scheme.total_intervals() as f64 / n as f64;
         assert!(per_node > 0.2 * n as f64, "intervals/node = {per_node}");
         // Consequently the size is a constant factor of the full table's.
-        let ft = crate::schemes::full_table::FullTableScheme::build(&g).unwrap();
+        let ft = crate::schemes::full_table::FullTableScheme::build(&g, &dists).unwrap();
         let ratio = scheme.total_size_bits() as f64 / ft.total_size_bits() as f64;
         assert!(ratio > 0.5, "size ratio {ratio}");
     }
@@ -289,13 +272,14 @@ mod tests {
         // intervals; leaves: one interval covering everything reachable …
         // which is [0..n-1] minus themselves → ≤ 2 intervals.
         let g = generators::star(12);
-        let scheme = MultiIntervalScheme::build(&g).unwrap();
+        let scheme = MultiIntervalScheme::build(&g, &Apsp::compute(&g)).unwrap();
         assert!(scheme.total_intervals() <= (12 - 1) + 11 * 2);
     }
 
     #[test]
     fn rejects_disconnected() {
         let g = Graph::from_edges(4, [(0, 1), (2, 3)]).unwrap();
-        assert!(matches!(MultiIntervalScheme::build(&g), Err(SchemeError::Disconnected)));
+        let disconnected = MultiIntervalScheme::build(&g, &Apsp::compute(&g));
+        assert!(matches!(disconnected, Err(SchemeError::Disconnected)));
     }
 }

@@ -54,17 +54,18 @@ const INNER_MASK: u64 = (1 << DETOUR_SHIFT) - 1;
 /// # Example
 ///
 /// ```
-/// use ort_graphs::generators;
+/// use ort_graphs::{generators, paths::Apsp};
 /// use ort_routing::scheme::RoutingScheme;
 /// use ort_routing::schemes::full_table::FullTableScheme;
 /// use ort_routing::schemes::resilient::ResilientScheme;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let g = generators::gnp_half(16, 1);
-/// let inner = FullTableScheme::build(&g)?;
+/// let dists = Apsp::compute(&g);
+/// let inner = FullTableScheme::build(&g, &dists)?;
 /// let wrapped = ResilientScheme::wrap(Box::new(inner));
 /// // Same table bits: resilience is paid for in message-header bits only.
-/// assert_eq!(wrapped.total_size_bits(), FullTableScheme::build(&g)?.total_size_bits());
+/// assert_eq!(wrapped.total_size_bits(), FullTableScheme::build(&g, &dists)?.total_size_bits());
 /// # Ok(())
 /// # }
 /// ```
@@ -195,16 +196,18 @@ mod tests {
     use super::*;
     use crate::schemes::full_table::FullTableScheme;
     use crate::schemes::theorem5::Theorem5Scheme;
-    use crate::verify::verify_scheme;
+    use crate::verify::verify;
     use ort_graphs::generators;
+    use ort_graphs::paths::Apsp;
 
     #[test]
     fn fault_free_routes_are_identical_to_the_inner_scheme() {
         let g = generators::gnp_half(24, 2);
-        let inner = FullTableScheme::build(&g).unwrap();
-        let wrapped = ResilientScheme::wrap(Box::new(FullTableScheme::build(&g).unwrap()));
-        let a = verify_scheme(&g, &inner).unwrap();
-        let b = verify_scheme(&g, &wrapped).unwrap();
+        let dists = Apsp::compute(&g);
+        let inner = FullTableScheme::build(&g, &dists).unwrap();
+        let wrapped = ResilientScheme::wrap(Box::new(FullTableScheme::build(&g, &dists).unwrap()));
+        let a = verify(&g, &inner, &dists, 1).unwrap();
+        let b = verify(&g, &wrapped, &dists, 1).unwrap();
         // The verifier (like the simulator) takes the first advertised
         // port, which is the inner scheme's choice — identical stretch.
         assert_eq!(a.delivered, b.delivered);
@@ -215,7 +218,7 @@ mod tests {
     #[test]
     fn size_accounting_is_unchanged() {
         let g = generators::gnp_half(16, 5);
-        let inner = FullTableScheme::build(&g).unwrap();
+        let inner = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let total = inner.total_size_bits();
         let wrapped = ResilientScheme::wrap(Box::new(inner));
         assert_eq!(wrapped.total_size_bits(), total);
@@ -227,7 +230,8 @@ mod tests {
     #[test]
     fn decisions_offer_every_port_of_the_node() {
         let g = generators::path(4); // node 1 has ports {0, 1}
-        let wrapped = ResilientScheme::wrap(Box::new(FullTableScheme::build(&g).unwrap()));
+        let inner = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
+        let wrapped = ResilientScheme::wrap(Box::new(inner));
         let router = wrapped.decode_router(1).unwrap();
         let env = wrapped.node_env(1);
         let mut state = MessageState::default();
@@ -246,8 +250,8 @@ mod tests {
     #[test]
     fn budget_exhaustion_passes_decisions_through() {
         let g = generators::path(4);
-        let wrapped =
-            ResilientScheme::with_budget(Box::new(FullTableScheme::build(&g).unwrap()), 1);
+        let inner = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
+        let wrapped = ResilientScheme::with_budget(Box::new(inner), 1);
         let router = wrapped.decode_router(1).unwrap();
         let env = wrapped.node_env(1);
         let mut state = MessageState::default();
@@ -264,8 +268,9 @@ mod tests {
         // Theorem 5 keeps its probe counter in the low header bits; the
         // adapter must not clobber it.
         let g = generators::gnp_half(32, 2);
-        let wrapped = ResilientScheme::wrap(Box::new(Theorem5Scheme::build(&g).unwrap()));
-        let report = verify_scheme(&g, &wrapped).unwrap();
+        let dists = Apsp::compute(&g);
+        let wrapped = ResilientScheme::wrap(Box::new(Theorem5Scheme::build(&g, &dists).unwrap()));
+        let report = verify(&g, &wrapped, &dists, 1).unwrap();
         assert!(report.failures.is_empty(), "{:?}", report.failures.first());
     }
 }

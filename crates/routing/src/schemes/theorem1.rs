@@ -23,6 +23,7 @@
 
 use ort_bitio::{bits_to_index, BitReader, BitVec, BitWriter};
 use ort_graphs::labels::{Label, Labeling};
+use ort_graphs::oracle::Distances;
 use ort_graphs::ports::PortAssignment;
 use ort_graphs::{Graph, NodeId};
 
@@ -96,12 +97,13 @@ enum Variant {
 ///
 /// ```
 /// use ort_graphs::generators;
+/// use ort_graphs::paths::Apsp;
 /// use ort_routing::schemes::theorem1::Theorem1Scheme;
 /// use ort_routing::scheme::RoutingScheme;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let g = generators::gnp_half(64, 0);
-/// let scheme = Theorem1Scheme::build(&g)?;
+/// let scheme = Theorem1Scheme::build(&g, &Apsp::compute(&g))?;
 /// assert!(scheme.total_size_bits() <= 6 * 64 * 64);
 /// # Ok(())
 /// # }
@@ -115,16 +117,20 @@ pub struct Theorem1Scheme {
 }
 
 impl Theorem1Scheme {
-    /// Builds the model II (neighbours known) instance.
+    /// Builds the model II (neighbours known) instance. The construction
+    /// is pure adjacency: `dists` (which must be exact) contributes only
+    /// its connectivity bit, read off row 0 — one band with a
+    /// [`ort_graphs::oracle::BandedOracle`].
     ///
     /// # Errors
     ///
     /// Returns [`SchemeError::Precondition`] if some non-adjacent pair has
     /// no common neighbour (the construction needs diameter ≤ 2, which
-    /// Lemma 2 guarantees on random graphs), or
-    /// [`SchemeError::Disconnected`].
-    pub fn build(g: &Graph) -> Result<Self, SchemeError> {
-        Self::build_variant(g, Variant::NeighborsKnown)
+    /// Lemma 2 guarantees on random graphs) or the oracle's node count
+    /// does not match `g`, [`SchemeError::ApproximateOracle`] for inexact
+    /// oracles, or [`SchemeError::Disconnected`].
+    pub fn build(g: &Graph, dists: &dyn Distances) -> Result<Self, SchemeError> {
+        Self::build_full(g, dists, Variant::NeighborsKnown, CutoffPolicy::NOverLog)
     }
 
     /// Builds the model IB (free ports, neighbours unknown) instance: the
@@ -134,8 +140,8 @@ impl Theorem1Scheme {
     /// # Errors
     ///
     /// As [`Theorem1Scheme::build`].
-    pub fn build_ib(g: &Graph) -> Result<Self, SchemeError> {
-        Self::build_variant(g, Variant::PortsFree)
+    pub fn build_ib(g: &Graph, dists: &dyn Distances) -> Result<Self, SchemeError> {
+        Self::build_full(g, dists, Variant::PortsFree, CutoffPolicy::NOverLog)
     }
 
     /// Builds the model II instance with an explicit table cut-off policy —
@@ -145,50 +151,19 @@ impl Theorem1Scheme {
     /// # Errors
     ///
     /// As [`Theorem1Scheme::build`].
-    pub fn build_with_cutoff(g: &Graph, cutoff: CutoffPolicy) -> Result<Self, SchemeError> {
-        Self::build_full(g, Variant::NeighborsKnown, cutoff)
-    }
-
-    fn build_variant(g: &Graph, variant: Variant) -> Result<Self, SchemeError> {
-        Self::build_full(g, variant, CutoffPolicy::NOverLog)
-    }
-
-    /// As [`Theorem1Scheme::build`], reading connectivity from an
-    /// [`ort_graphs::oracle::Distances`] oracle (row 0 — one band with a
-    /// [`ort_graphs::oracle::BandedOracle`]) instead of running a
-    /// traversal. The construction itself is pure adjacency, so this is
-    /// all the banding the scheme needs: peak distance memory is one
-    /// band, and the bits are identical to [`Theorem1Scheme::build`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Theorem1Scheme::build`], plus
-    /// [`SchemeError::ApproximateOracle`] for inexact oracles and a
-    /// precondition error on an oracle/graph size mismatch.
-    pub fn build_with_dists(
+    pub fn build_with_cutoff(
         g: &Graph,
-        dists: &dyn ort_graphs::oracle::Distances,
+        dists: &dyn Distances,
+        cutoff: CutoffPolicy,
     ) -> Result<Self, SchemeError> {
-        Self::build_with_dists_variant(g, dists, Variant::NeighborsKnown)
+        Self::build_full(g, dists, Variant::NeighborsKnown, cutoff)
     }
 
-    /// As [`Theorem1Scheme::build_ib`] with oracle-sourced connectivity;
-    /// see [`Theorem1Scheme::build_with_dists`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Theorem1Scheme::build_with_dists`].
-    pub fn build_ib_with_dists(
+    fn build_full(
         g: &Graph,
-        dists: &dyn ort_graphs::oracle::Distances,
-    ) -> Result<Self, SchemeError> {
-        Self::build_with_dists_variant(g, dists, Variant::PortsFree)
-    }
-
-    fn build_with_dists_variant(
-        g: &Graph,
-        dists: &dyn ort_graphs::oracle::Distances,
+        dists: &dyn Distances,
         variant: Variant,
+        cutoff: CutoffPolicy,
     ) -> Result<Self, SchemeError> {
         let n = g.node_count();
         let _span = ort_telemetry::span_with(
@@ -202,34 +177,6 @@ impl Theorem1Scheme {
             let _s = ort_telemetry::span("theorem1.connectivity");
             crate::schemes::check_exact_oracle(g, dists)?;
         }
-        Self::build_checked(g, variant, CutoffPolicy::NOverLog)
-    }
-
-    fn build_full(g: &Graph, variant: Variant, cutoff: CutoffPolicy) -> Result<Self, SchemeError> {
-        let n = g.node_count();
-        let _span = ort_telemetry::span_with(
-            "theorem1.build",
-            &[("n", ort_telemetry::FieldValue::Int(n as u64))],
-        );
-        if n < 2 {
-            return Err(SchemeError::Precondition { reason: "need at least 2 nodes".into() });
-        }
-        {
-            let _s = ort_telemetry::span("theorem1.connectivity");
-            if !ort_graphs::paths::is_connected(g) {
-                return Err(SchemeError::Disconnected);
-            }
-        }
-        Self::build_checked(g, variant, cutoff)
-    }
-
-    /// The construction proper, after connectivity has been established.
-    fn build_checked(
-        g: &Graph,
-        variant: Variant,
-        cutoff: CutoffPolicy,
-    ) -> Result<Self, SchemeError> {
-        let n = g.node_count();
         let mut bits = Vec::with_capacity(n);
         {
             let _s = ort_telemetry::span("theorem1.encode_tables");
@@ -506,15 +453,17 @@ pub(crate) fn route_with_tables(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::verify_scheme;
+    use crate::verify::verify;
     use ort_graphs::generators;
+    use ort_graphs::paths::Apsp;
 
     #[test]
     fn shortest_path_on_random_graphs() {
         for seed in 0..6u64 {
             let g = generators::gnp_half(40, seed);
-            let scheme = Theorem1Scheme::build(&g).unwrap();
-            let report = verify_scheme(&g, &scheme).unwrap();
+            let dists = Apsp::compute(&g);
+            let scheme = Theorem1Scheme::build(&g, &dists).unwrap();
+            let report = verify(&g, &scheme, &dists, 1).unwrap();
             assert!(report.all_delivered(), "seed {seed}: {:?}", report.failures.first());
             assert!(report.is_shortest_path(), "seed {seed}");
         }
@@ -524,9 +473,10 @@ mod tests {
     fn ib_variant_shortest_path() {
         for seed in 0..4u64 {
             let g = generators::gnp_half(32, seed);
-            let scheme = Theorem1Scheme::build_ib(&g).unwrap();
+            let dists = Apsp::compute(&g);
+            let scheme = Theorem1Scheme::build_ib(&g, &dists).unwrap();
             assert_eq!(scheme.model().to_string(), "IB∧α");
-            let report = verify_scheme(&g, &scheme).unwrap();
+            let report = verify(&g, &scheme, &dists, 1).unwrap();
             assert!(report.is_shortest_path(), "seed {seed}");
         }
     }
@@ -535,7 +485,8 @@ mod tests {
     fn size_is_at_most_6n_bits_per_node() {
         for n in [64usize, 128, 256] {
             let g = generators::gnp_half(n, 42);
-            let scheme = Theorem1Scheme::build(&g).unwrap();
+            let dists = Apsp::compute(&g);
+            let scheme = Theorem1Scheme::build(&g, &dists).unwrap();
             for u in 0..n {
                 assert!(
                     scheme.node_size_bits(u) <= 6 * n,
@@ -545,7 +496,7 @@ mod tests {
             }
             assert!(scheme.total_size_bits() <= 6 * n * n);
             // IB pays the extra n-1 bits per node.
-            let ib = Theorem1Scheme::build_ib(&g).unwrap();
+            let ib = Theorem1Scheme::build_ib(&g, &dists).unwrap();
             for u in 0..n {
                 assert_eq!(ib.node_size_bits(u), scheme.node_size_bits(u) + n - 1);
             }
@@ -556,8 +507,9 @@ mod tests {
     fn much_smaller_than_full_table() {
         let n = 128;
         let g = generators::gnp_half(n, 7);
-        let t1 = Theorem1Scheme::build(&g).unwrap();
-        let ft = crate::schemes::full_table::FullTableScheme::build(&g).unwrap();
+        let dists = Apsp::compute(&g);
+        let t1 = Theorem1Scheme::build(&g, &dists).unwrap();
+        let ft = crate::schemes::full_table::FullTableScheme::build(&g, &dists).unwrap();
         // Full table is Θ(n² log n); Theorem 1 is Θ(n²). At n=128 the gap
         // must already exceed 2.5×.
         assert!(ft.total_size_bits() as f64 > 2.5 * t1.total_size_bits() as f64);
@@ -570,8 +522,9 @@ mod tests {
             (generators::complete_bipartite(8, 8), "k88"),
             (generators::complete(10), "k10"),
         ] {
-            let scheme = Theorem1Scheme::build(&g).unwrap();
-            let report = verify_scheme(&g, &scheme).unwrap();
+            let dists = Apsp::compute(&g);
+            let scheme = Theorem1Scheme::build(&g, &dists).unwrap();
+            let report = verify(&g, &scheme, &dists, 1).unwrap();
             assert!(report.is_shortest_path(), "{name}");
         }
     }
@@ -580,17 +533,18 @@ mod tests {
     fn rejects_large_diameter_graphs() {
         let g = generators::path(10);
         assert!(matches!(
-            Theorem1Scheme::build(&g),
+            Theorem1Scheme::build(&g, &Apsp::compute(&g)),
             Err(SchemeError::Precondition { .. })
         ));
         let g = generators::gb_graph(4);
-        assert!(Theorem1Scheme::build(&g).is_err());
+        assert!(Theorem1Scheme::build(&g, &Apsp::compute(&g)).is_err());
     }
 
     #[test]
     fn rejects_disconnected() {
         let g = Graph::from_edges(4, [(0, 1), (2, 3)]).unwrap();
-        assert!(matches!(Theorem1Scheme::build(&g), Err(SchemeError::Disconnected)));
+        let disconnected = Theorem1Scheme::build(&g, &Apsp::compute(&g));
+        assert!(matches!(disconnected, Err(SchemeError::Disconnected)));
     }
 
     #[test]
@@ -598,7 +552,7 @@ mod tests {
         // The II router must fail gracefully when neighbour labels are
         // withheld — proving it actually uses them rather than the graph.
         let g = generators::gnp_half(32, 1);
-        let scheme = Theorem1Scheme::build(&g).unwrap();
+        let scheme = Theorem1Scheme::build(&g, &Apsp::compute(&g)).unwrap();
         let router = scheme.decode_router(0).unwrap();
         let mut env = scheme.node_env(0);
         env.neighbor_labels = None;
@@ -619,8 +573,9 @@ mod tests {
         ];
         let mut sizes = Vec::new();
         for p in policies {
-            let scheme = Theorem1Scheme::build_with_cutoff(&g, p).unwrap();
-            let report = verify_scheme(&g, &scheme).unwrap();
+            let dists = Apsp::compute(&g);
+            let scheme = Theorem1Scheme::build_with_cutoff(&g, &dists, p).unwrap();
+            let report = verify(&g, &scheme, &dists, 1).unwrap();
             assert!(report.is_shortest_path(), "{p:?}");
             sizes.push((p, scheme.total_size_bits()));
         }
@@ -635,8 +590,9 @@ mod tests {
     #[test]
     fn default_cutoff_is_n_over_log() {
         let g = generators::gnp_half(32, 9);
-        let a = Theorem1Scheme::build(&g).unwrap();
-        let b = Theorem1Scheme::build_with_cutoff(&g, CutoffPolicy::default()).unwrap();
+        let dists = Apsp::compute(&g);
+        let a = Theorem1Scheme::build(&g, &dists).unwrap();
+        let b = Theorem1Scheme::build_with_cutoff(&g, &dists, CutoffPolicy::default()).unwrap();
         assert_eq!(a.total_size_bits(), b.total_size_bits());
     }
 
@@ -646,7 +602,7 @@ mod tests {
         let mut per_node = Vec::new();
         for n in [64usize, 128, 256, 512] {
             let g = generators::gnp_half(n, 3);
-            let scheme = Theorem1Scheme::build(&g).unwrap();
+            let scheme = Theorem1Scheme::build(&g, &Apsp::compute(&g)).unwrap();
             per_node.push(scheme.total_size_bits() as f64 / (n * n) as f64);
         }
         for pair in per_node.windows(2) {

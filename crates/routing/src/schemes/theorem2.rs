@@ -11,6 +11,7 @@
 
 use ort_bitio::{bits_to_index, BitReader, BitVec, BitWriter};
 use ort_graphs::labels::{Label, Labeling};
+use ort_graphs::oracle::Distances;
 use ort_graphs::ports::PortAssignment;
 use ort_graphs::{Graph, NodeId};
 
@@ -29,12 +30,13 @@ pub const DEFAULT_C: f64 = 3.0;
 ///
 /// ```
 /// use ort_graphs::generators;
+/// use ort_graphs::paths::Apsp;
 /// use ort_routing::schemes::theorem2::Theorem2Scheme;
 /// use ort_routing::scheme::RoutingScheme;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let g = generators::gnp_half(64, 1);
-/// let scheme = Theorem2Scheme::build(&g)?;
+/// let scheme = Theorem2Scheme::build(&g, &Apsp::compute(&g))?;
 /// // All bits live in the labels; routing functions are O(1).
 /// assert_eq!(scheme.node_bits(0).len(), 0);
 /// assert!(scheme.total_size_bits() > 0);
@@ -50,60 +52,26 @@ pub struct Theorem2Scheme {
 }
 
 impl Theorem2Scheme {
-    /// Builds the scheme with the default randomness parameter
-    /// [`DEFAULT_C`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Theorem2Scheme::build_with_c`].
-    pub fn build(g: &Graph) -> Result<Self, SchemeError> {
-        Self::build_with_c(g, DEFAULT_C)
-    }
-
     /// Builds the scheme listing the first `(c+3)·log₂ n` neighbours in
-    /// each label.
+    /// each label, at the randomness parameter `c =` [`DEFAULT_C`]. The
+    /// construction is purely adjacency-based; the exact oracle `dists`
+    /// contributes only its connectivity bit (row 0), so a banded
+    /// oracle's peak distance memory stays one band.
     ///
     /// # Errors
     ///
     /// Returns [`SchemeError::Precondition`] if Lemma 3 fails for this
-    /// graph at this `c` (some node is not adjacent to any listed
-    /// neighbour of some destination), or [`SchemeError::Disconnected`].
-    pub fn build_with_c(g: &Graph, c: f64) -> Result<Self, SchemeError> {
+    /// graph (some node is not adjacent to any listed neighbour of some
+    /// destination) or the oracle's node count does not match `g`,
+    /// [`SchemeError::ApproximateOracle`] for inexact oracles, or
+    /// [`SchemeError::Disconnected`].
+    pub fn build(g: &Graph, dists: &dyn Distances) -> Result<Self, SchemeError> {
         let n = g.node_count();
         if n < 2 {
             return Err(SchemeError::Precondition { reason: "need at least 2 nodes".into() });
         }
-        if !ort_graphs::paths::is_connected(g) {
-            return Err(SchemeError::Disconnected);
-        }
-        Self::build_checked(g, c)
-    }
-
-    /// As [`Theorem2Scheme::build`] for any *exact*
-    /// [`ort_graphs::oracle::Distances`] implementation — notably
-    /// [`ort_graphs::oracle::BandedOracle`]. The construction is purely
-    /// adjacency-based; the oracle contributes only its connectivity bit
-    /// (row 0), so a banded oracle's peak distance memory stays one band.
-    ///
-    /// # Errors
-    ///
-    /// As [`Theorem2Scheme::build_with_c`], plus
-    /// [`SchemeError::ApproximateOracle`] for inexact oracles and a
-    /// precondition error on an oracle/graph size mismatch.
-    pub fn build_with_dists(
-        g: &Graph,
-        dists: &dyn ort_graphs::oracle::Distances,
-    ) -> Result<Self, SchemeError> {
-        if g.node_count() < 2 {
-            return Err(SchemeError::Precondition { reason: "need at least 2 nodes".into() });
-        }
         crate::schemes::check_exact_oracle(g, dists)?;
-        Self::build_checked(g, DEFAULT_C)
-    }
-
-    fn build_checked(g: &Graph, c: f64) -> Result<Self, SchemeError> {
-        let n = g.node_count();
-        let k = ((c + 3.0) * (n.max(2) as f64).log2()).ceil() as usize;
+        let k = ((DEFAULT_C + 3.0) * (n.max(2) as f64).log2()).ceil() as usize;
         let width = bits_to_index(n as u64);
         let mut labels = Vec::with_capacity(n);
         for v in 0..n {
@@ -229,15 +197,17 @@ impl LocalRouter for Theorem2Router {
 mod tests {
     use super::*;
     use crate::scheme::RoutingScheme;
-    use crate::verify::verify_scheme;
+    use crate::verify::verify;
     use ort_graphs::generators;
+    use ort_graphs::paths::Apsp;
 
     #[test]
     fn shortest_path_on_random_graphs() {
         for seed in 0..5u64 {
             let g = generators::gnp_half(48, seed);
-            let scheme = Theorem2Scheme::build(&g).unwrap();
-            let report = verify_scheme(&g, &scheme).unwrap();
+            let dists = Apsp::compute(&g);
+            let scheme = Theorem2Scheme::build(&g, &dists).unwrap();
+            let report = verify(&g, &scheme, &dists, 1).unwrap();
             assert!(report.all_delivered(), "seed {seed}: {:?}", report.failures.first());
             assert!(report.is_shortest_path(), "seed {seed}");
         }
@@ -247,7 +217,8 @@ mod tests {
     fn size_is_all_labels_and_o_n_log2_n() {
         let n = 256usize;
         let g = generators::gnp_half(n, 9);
-        let scheme = Theorem2Scheme::build(&g).unwrap();
+        let dists = Apsp::compute(&g);
+        let scheme = Theorem2Scheme::build(&g, &dists).unwrap();
         // Node bits are zero; total = charged labels.
         for u in 0..n {
             assert_eq!(scheme.node_size_bits(u), 0);
@@ -258,14 +229,14 @@ mod tests {
         let bound = ((2.0 + 6.0 * logn) * logn) as usize * n;
         assert!(scheme.total_size_bits() <= bound, "{} > {bound}", scheme.total_size_bits());
         // And asymptotically far below the Θ(n²) of Theorem 1 at this n:
-        let t1 = crate::schemes::theorem1::Theorem1Scheme::build(&g).unwrap();
+        let t1 = crate::schemes::theorem1::Theorem1Scheme::build(&g, &dists).unwrap();
         assert!(scheme.total_size_bits() < t1.total_size_bits());
     }
 
     #[test]
     fn label_parse_roundtrip() {
         let g = generators::gnp_half(32, 2);
-        let scheme = Theorem2Scheme::build(&g).unwrap();
+        let scheme = Theorem2Scheme::build(&g, &Apsp::compute(&g)).unwrap();
         for v in 0..32 {
             let Label::Bits(b) = scheme.label_of(v) else { panic!("γ labels") };
             let (id, listed) = Theorem2Scheme::parse_label(&b, 32).unwrap();
@@ -286,7 +257,7 @@ mod tests {
         // A long path: node far from v is not adjacent to v's neighbours.
         let g = generators::path(32);
         assert!(matches!(
-            Theorem2Scheme::build(&g),
+            Theorem2Scheme::build(&g, &Apsp::compute(&g)),
             Err(SchemeError::Precondition { .. })
         ));
     }
@@ -296,15 +267,16 @@ mod tests {
         // Star: every node lists the centre (or is the centre) — Lemma 3
         // degenerately true.
         let g = generators::star(16);
-        let scheme = Theorem2Scheme::build(&g).unwrap();
-        let report = verify_scheme(&g, &scheme).unwrap();
+        let dists = Apsp::compute(&g);
+        let scheme = Theorem2Scheme::build(&g, &dists).unwrap();
+        let report = verify(&g, &scheme, &dists, 1).unwrap();
         assert!(report.is_shortest_path());
     }
 
     #[test]
     fn router_rejects_minimal_destination() {
         let g = generators::gnp_half(32, 3);
-        let scheme = Theorem2Scheme::build(&g).unwrap();
+        let scheme = Theorem2Scheme::build(&g, &Apsp::compute(&g)).unwrap();
         let router = scheme.decode_router(0).unwrap();
         let env = scheme.node_env(0);
         let mut state = MessageState::default();

@@ -11,6 +11,7 @@
 
 use ort_bitio::{bits_to_index, BitReader, BitVec, BitWriter};
 use ort_graphs::labels::{Label, Labeling};
+use ort_graphs::oracle::Distances;
 use ort_graphs::ports::PortAssignment;
 use ort_graphs::random_props::dominating_prefix_len;
 use ort_graphs::{Graph, NodeId};
@@ -27,14 +28,15 @@ use crate::schemes::theorem1::{route_with_tables, Theorem1Scheme};
 ///
 /// ```
 /// use ort_graphs::generators;
+/// use ort_graphs::paths::Apsp;
 /// use ort_routing::schemes::theorem3::Theorem3Scheme;
-/// use ort_routing::scheme::RoutingScheme;
 /// use ort_routing::verify;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let g = generators::gnp_half(64, 5);
-/// let scheme = Theorem3Scheme::build(&g)?;
-/// let report = verify::verify_scheme(&g, &scheme)?;
+/// let dists = Apsp::compute(&g);
+/// let scheme = Theorem3Scheme::build(&g, &dists)?;
+/// let report = verify::verify(&g, &scheme, &dists, 1)?;
 /// assert!(report.max_stretch().unwrap() <= 1.5);
 /// # Ok(())
 /// # }
@@ -49,49 +51,25 @@ pub struct Theorem3Scheme {
 }
 
 impl Theorem3Scheme {
-    /// Builds the scheme with hub anchor `u* = 0`.
+    /// Builds the scheme with hub anchor `u* = 0`. The construction is
+    /// purely adjacency-based; the exact oracle `dists` contributes only
+    /// its connectivity bit (row 0), so a banded oracle's peak distance
+    /// memory stays one band.
     ///
     /// # Errors
     ///
     /// Returns [`SchemeError::Precondition`] if node 0's neighbour prefix
-    /// does not dominate the graph (Lemma 3 fails) or the graph has
-    /// diameter > 2 where the hub tables need it;
-    /// [`SchemeError::Disconnected`] for disconnected graphs.
-    pub fn build(g: &Graph) -> Result<Self, SchemeError> {
+    /// does not dominate the graph (Lemma 3 fails), the graph has
+    /// diameter > 2 where the hub tables need it, or the oracle's node
+    /// count does not match `g`; [`SchemeError::ApproximateOracle`] for
+    /// inexact oracles; [`SchemeError::Disconnected`] for disconnected
+    /// graphs.
+    pub fn build(g: &Graph, dists: &dyn Distances) -> Result<Self, SchemeError> {
         let n = g.node_count();
         if n < 2 {
             return Err(SchemeError::Precondition { reason: "need at least 2 nodes".into() });
         }
-        if !ort_graphs::paths::is_connected(g) {
-            return Err(SchemeError::Disconnected);
-        }
-        Self::build_checked(g)
-    }
-
-    /// As [`Theorem3Scheme::build`] for any *exact*
-    /// [`ort_graphs::oracle::Distances`] implementation — notably
-    /// [`ort_graphs::oracle::BandedOracle`]. The construction is purely
-    /// adjacency-based; the oracle contributes only its connectivity bit
-    /// (row 0), so a banded oracle's peak distance memory stays one band.
-    ///
-    /// # Errors
-    ///
-    /// As [`Theorem3Scheme::build`], plus
-    /// [`SchemeError::ApproximateOracle`] for inexact oracles and a
-    /// precondition error on an oracle/graph size mismatch.
-    pub fn build_with_dists(
-        g: &Graph,
-        dists: &dyn ort_graphs::oracle::Distances,
-    ) -> Result<Self, SchemeError> {
-        if g.node_count() < 2 {
-            return Err(SchemeError::Precondition { reason: "need at least 2 nodes".into() });
-        }
         crate::schemes::check_exact_oracle(g, dists)?;
-        Self::build_checked(g)
-    }
-
-    fn build_checked(g: &Graph) -> Result<Self, SchemeError> {
-        let n = g.node_count();
         // Any node works as the anchor on a random graph (Lemma 3); on
         // marginal graphs some anchors dominate and others do not, so try
         // node 0 first, then the max-degree node, then a short scan.
@@ -227,15 +205,17 @@ impl LocalRouter for Theorem3Router<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::verify_scheme;
+    use crate::verify::verify;
     use ort_graphs::generators;
+    use ort_graphs::paths::Apsp;
 
     #[test]
     fn stretch_at_most_1_5_on_random_graphs() {
         for seed in 0..5u64 {
             let g = generators::gnp_half(48, seed);
-            let scheme = Theorem3Scheme::build(&g).unwrap();
-            let report = verify_scheme(&g, &scheme).unwrap();
+            let dists = Apsp::compute(&g);
+            let scheme = Theorem3Scheme::build(&g, &dists).unwrap();
+            let report = verify(&g, &scheme, &dists, 1).unwrap();
             assert!(report.all_delivered(), "seed {seed}: {:?}", report.failures.first());
             let s = report.max_stretch().unwrap();
             assert!(s <= 1.5, "seed {seed}: stretch {s}");
@@ -246,7 +226,7 @@ mod tests {
     fn hub_set_is_logarithmic() {
         let n = 256;
         let g = generators::gnp_half(n, 3);
-        let scheme = Theorem3Scheme::build(&g).unwrap();
+        let scheme = Theorem3Scheme::build(&g, &Apsp::compute(&g)).unwrap();
         let hubs = scheme.hubs().len();
         // Lemma 3: prefix ≈ log n, far below (c+3) log n = 48.
         assert!((2..=49).contains(&hubs), "hub count {hubs}");
@@ -256,19 +236,20 @@ mod tests {
     fn size_is_o_n_log_n() {
         let n = 256usize;
         let g = generators::gnp_half(n, 11);
-        let scheme = Theorem3Scheme::build(&g).unwrap();
+        let dists = Apsp::compute(&g);
+        let scheme = Theorem3Scheme::build(&g, &dists).unwrap();
         // Paper bound: < (6c+20)·n·log n with c = 3 → 38·n·log n.
         let bound = 38.0 * n as f64 * (n as f64).log2();
         assert!((scheme.total_size_bits() as f64) < bound);
         // And strictly below Theorem 1's Θ(n²) at this size.
-        let t1 = Theorem1Scheme::build(&g).unwrap();
+        let t1 = Theorem1Scheme::build(&g, &dists).unwrap();
         assert!(scheme.total_size_bits() < t1.total_size_bits() / 4);
     }
 
     #[test]
     fn non_hub_nodes_store_log_n_bits() {
         let g = generators::gnp_half(128, 2);
-        let scheme = Theorem3Scheme::build(&g).unwrap();
+        let scheme = Theorem3Scheme::build(&g, &Apsp::compute(&g)).unwrap();
         let hubs: std::collections::HashSet<_> = scheme.hubs().iter().copied().collect();
         for u in 0..128 {
             if !hubs.contains(&u) {
@@ -284,7 +265,7 @@ mod tests {
     fn rejects_undominated_graphs() {
         let g = generators::path(16);
         assert!(matches!(
-            Theorem3Scheme::build(&g),
+            Theorem3Scheme::build(&g, &Apsp::compute(&g)),
             Err(SchemeError::Precondition { .. })
         ));
     }
@@ -293,8 +274,9 @@ mod tests {
     fn star_works_with_leaf_anchor() {
         // Anchor 0 is the star centre; hubs = {0}∪{} ... centre dominates.
         let g = generators::star(12);
-        let scheme = Theorem3Scheme::build(&g).unwrap();
-        let report = verify_scheme(&g, &scheme).unwrap();
+        let dists = Apsp::compute(&g);
+        let scheme = Theorem3Scheme::build(&g, &dists).unwrap();
+        let report = verify(&g, &scheme, &dists, 1).unwrap();
         assert!(report.all_delivered());
         assert!(report.max_stretch().unwrap() <= 1.5);
     }

@@ -11,6 +11,7 @@
 
 use ort_bitio::{bits_to_index, BitReader, BitVec, BitWriter};
 use ort_graphs::labels::{Label, Labeling};
+use ort_graphs::oracle::Distances;
 use ort_graphs::ports::PortAssignment;
 use ort_graphs::{Graph, NodeId};
 
@@ -33,13 +34,15 @@ pub const CENTER: NodeId = 0;
 ///
 /// ```
 /// use ort_graphs::generators;
+/// use ort_graphs::paths::Apsp;
 /// use ort_routing::schemes::theorem4::Theorem4Scheme;
 /// use ort_routing::verify;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let g = generators::gnp_half(64, 3);
-/// let scheme = Theorem4Scheme::build(&g)?;
-/// let report = verify::verify_scheme(&g, &scheme)?;
+/// let dists = Apsp::compute(&g);
+/// let scheme = Theorem4Scheme::build(&g, &dists)?;
+/// let report = verify::verify(&g, &scheme, &dists, 1)?;
 /// assert!(report.max_stretch().unwrap() <= 2.0);
 /// # Ok(())
 /// # }
@@ -53,60 +56,26 @@ pub struct Theorem4Scheme {
 }
 
 impl Theorem4Scheme {
-    /// Builds the scheme with the default `c`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Theorem4Scheme::build_with_c`].
-    pub fn build(g: &Graph) -> Result<Self, SchemeError> {
-        Self::build_with_c(g, DEFAULT_C)
-    }
-
     /// Builds the scheme; distance-2 nodes index into their first
-    /// `(c+3)·log₂ n` neighbours.
+    /// `(c+3)·log₂ n` neighbours, at `c =` [`DEFAULT_C`]. The construction
+    /// is purely adjacency-based; the exact oracle `dists` contributes
+    /// only its connectivity bit (row 0), so a banded oracle's peak
+    /// distance memory stays one band.
     ///
     /// # Errors
     ///
     /// Returns [`SchemeError::Precondition`] if the graph has diameter > 2
-    /// from the centre, or some distance-2 node has no centre-adjacent
-    /// neighbour in its prefix; [`SchemeError::Disconnected`] otherwise
-    /// unreachable nodes exist.
-    pub fn build_with_c(g: &Graph, c: f64) -> Result<Self, SchemeError> {
+    /// from the centre, some distance-2 node has no centre-adjacent
+    /// neighbour in its prefix, or the oracle's node count does not match
+    /// `g`; [`SchemeError::ApproximateOracle`] for inexact oracles;
+    /// [`SchemeError::Disconnected`] if unreachable nodes exist.
+    pub fn build(g: &Graph, dists: &dyn Distances) -> Result<Self, SchemeError> {
         let n = g.node_count();
         if n < 2 {
             return Err(SchemeError::Precondition { reason: "need at least 2 nodes".into() });
         }
-        if !ort_graphs::paths::is_connected(g) {
-            return Err(SchemeError::Disconnected);
-        }
-        Self::build_checked(g, c)
-    }
-
-    /// As [`Theorem4Scheme::build`] for any *exact*
-    /// [`ort_graphs::oracle::Distances`] implementation — notably
-    /// [`ort_graphs::oracle::BandedOracle`]. The construction is purely
-    /// adjacency-based; the oracle contributes only its connectivity bit
-    /// (row 0), so a banded oracle's peak distance memory stays one band.
-    ///
-    /// # Errors
-    ///
-    /// As [`Theorem4Scheme::build_with_c`], plus
-    /// [`SchemeError::ApproximateOracle`] for inexact oracles and a
-    /// precondition error on an oracle/graph size mismatch.
-    pub fn build_with_dists(
-        g: &Graph,
-        dists: &dyn ort_graphs::oracle::Distances,
-    ) -> Result<Self, SchemeError> {
-        if g.node_count() < 2 {
-            return Err(SchemeError::Precondition { reason: "need at least 2 nodes".into() });
-        }
         crate::schemes::check_exact_oracle(g, dists)?;
-        Self::build_checked(g, DEFAULT_C)
-    }
-
-    fn build_checked(g: &Graph, c: f64) -> Result<Self, SchemeError> {
-        let n = g.node_count();
-        let k = ((c + 3.0) * (n.max(2) as f64).log2()).ceil() as usize;
+        let k = ((DEFAULT_C + 3.0) * (n.max(2) as f64).log2()).ceil() as usize;
         let width = bits_to_index(k as u64);
         let mut bits = Vec::with_capacity(n);
         for u in 0..n {
@@ -234,15 +203,17 @@ impl LocalRouter for Theorem4Router<'_> {
 mod tests {
     use super::*;
     use crate::scheme::RoutingScheme;
-    use crate::verify::verify_scheme;
+    use crate::verify::verify;
     use ort_graphs::generators;
+    use ort_graphs::paths::Apsp;
 
     #[test]
     fn stretch_at_most_2_on_random_graphs() {
         for seed in 0..5u64 {
             let g = generators::gnp_half(48, seed);
-            let scheme = Theorem4Scheme::build(&g).unwrap();
-            let report = verify_scheme(&g, &scheme).unwrap();
+            let dists = Apsp::compute(&g);
+            let scheme = Theorem4Scheme::build(&g, &dists).unwrap();
+            let report = verify(&g, &scheme, &dists, 1).unwrap();
             assert!(report.all_delivered(), "seed {seed}: {:?}", report.failures.first());
             let s = report.max_stretch().unwrap();
             assert!(s <= 2.0, "seed {seed}: stretch {s}");
@@ -253,7 +224,8 @@ mod tests {
     fn size_is_n_loglog_n_plus_6n() {
         let n = 512usize;
         let g = generators::gnp_half(n, 7);
-        let scheme = Theorem4Scheme::build(&g).unwrap();
+        let dists = Apsp::compute(&g);
+        let scheme = Theorem4Scheme::build(&g, &dists).unwrap();
         // Centre: ≤ 6n. Everyone else: ≤ ⌈log((c+3) log n)⌉ ≤ 6 bits here.
         assert!(scheme.node_size_bits(CENTER) <= 6 * n);
         let loglog = bits_to_index(scheme.prefix_len() as u64) as usize;
@@ -262,14 +234,14 @@ mod tests {
         }
         assert!(scheme.total_size_bits() <= n * loglog + 6 * n);
         // Strictly below Theorem 3's O(n log n) at this size.
-        let t3 = crate::schemes::theorem3::Theorem3Scheme::build(&g).unwrap();
+        let t3 = crate::schemes::theorem3::Theorem3Scheme::build(&g, &dists).unwrap();
         assert!(scheme.total_size_bits() < t3.total_size_bits());
     }
 
     #[test]
     fn centre_neighbours_store_nothing() {
         let g = generators::gnp_half(64, 1);
-        let scheme = Theorem4Scheme::build(&g).unwrap();
+        let scheme = Theorem4Scheme::build(&g, &Apsp::compute(&g)).unwrap();
         for &v in g.neighbors(CENTER) {
             assert_eq!(scheme.node_size_bits(v), 0, "centre neighbour {v}");
         }
@@ -280,7 +252,7 @@ mod tests {
         // The construction needs every node within distance 2 *of the
         // centre* — a path fails that.
         let g = generators::path(12);
-        assert!(Theorem4Scheme::build(&g).is_err());
+        assert!(Theorem4Scheme::build(&g, &Apsp::compute(&g)).is_err());
     }
 
     #[test]
@@ -289,8 +261,9 @@ mod tests {
         // in 2 hops, so the construction goes through — and the stretch
         // bound survives because routes are ≤ 4 hops.
         let g = generators::gb_graph(4);
-        let scheme = Theorem4Scheme::build(&g).unwrap();
-        let report = verify_scheme(&g, &scheme).unwrap();
+        let dists = Apsp::compute(&g);
+        let scheme = Theorem4Scheme::build(&g, &dists).unwrap();
+        let report = verify(&g, &scheme, &dists, 1).unwrap();
         assert!(report.all_delivered());
         assert!(report.max_stretch().unwrap() <= 2.0);
     }
@@ -301,8 +274,9 @@ mod tests {
             (generators::star(14), "star"),
             (generators::complete_bipartite(7, 7), "k77"),
         ] {
-            let scheme = Theorem4Scheme::build(&g).unwrap();
-            let report = verify_scheme(&g, &scheme).unwrap();
+            let dists = Apsp::compute(&g);
+            let scheme = Theorem4Scheme::build(&g, &dists).unwrap();
+            let report = verify(&g, &scheme, &dists, 1).unwrap();
             assert!(report.all_delivered(), "{name}");
             assert!(report.max_stretch().unwrap() <= 2.0, "{name}");
         }

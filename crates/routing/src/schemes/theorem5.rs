@@ -15,6 +15,7 @@
 
 use ort_bitio::BitVec;
 use ort_graphs::labels::{Label, Labeling};
+use ort_graphs::oracle::Distances;
 use ort_graphs::ports::PortAssignment;
 use ort_graphs::{Graph, NodeId};
 
@@ -26,21 +27,28 @@ use crate::scheme::{
 /// Default randomness parameter (as in Theorem 2).
 pub const DEFAULT_C: f64 = 3.0;
 
+/// The probe budget `(c+3)·log₂ n` at `c =` [`DEFAULT_C`].
+fn probe_budget_for(n: usize) -> usize {
+    ((DEFAULT_C + 3.0) * (n.max(2) as f64).log2()).ceil() as usize
+}
+
 /// The Theorem 5 probe scheme (stretch ≤ `(c+3)·log n`, zero stored bits).
 ///
 /// # Example
 ///
 /// ```
 /// use ort_graphs::generators;
+/// use ort_graphs::paths::Apsp;
 /// use ort_routing::schemes::theorem5::Theorem5Scheme;
 /// use ort_routing::scheme::RoutingScheme;
 /// use ort_routing::verify;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let g = generators::gnp_half(64, 2);
-/// let scheme = Theorem5Scheme::build(&g)?;
+/// let dists = Apsp::compute(&g);
+/// let scheme = Theorem5Scheme::build(&g, &dists)?;
 /// assert_eq!(scheme.total_size_bits(), 0);
-/// let report = verify::verify_scheme(&g, &scheme)?;
+/// let report = verify::verify(&g, &scheme, &dists, 1)?;
 /// assert!(report.all_delivered());
 /// # Ok(())
 /// # }
@@ -55,59 +63,26 @@ pub struct Theorem5Scheme {
 }
 
 impl Theorem5Scheme {
-    /// Builds the scheme with the default `c`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Theorem5Scheme::build_with_c`].
-    pub fn build(g: &Graph) -> Result<Self, SchemeError> {
-        Self::build_with_c(g, DEFAULT_C)
-    }
-
     /// Builds the scheme; sources probe their first `(c+3)·log₂ n`
-    /// neighbours.
+    /// neighbours, at `c =` [`DEFAULT_C`]. The construction is purely
+    /// adjacency-based; the exact oracle `dists` contributes only its
+    /// connectivity bit (row 0), so a banded oracle's peak distance
+    /// memory stays one band.
     ///
     /// # Errors
     ///
     /// Returns [`SchemeError::Precondition`] if some non-adjacent pair has
-    /// no common neighbour within the probe budget (Lemma 3 fails), or
+    /// no common neighbour within the probe budget (Lemma 3 fails) or the
+    /// oracle's node count does not match `g`,
+    /// [`SchemeError::ApproximateOracle`] for inexact oracles, or
     /// [`SchemeError::Disconnected`].
-    pub fn build_with_c(g: &Graph, c: f64) -> Result<Self, SchemeError> {
+    pub fn build(g: &Graph, dists: &dyn Distances) -> Result<Self, SchemeError> {
         let n = g.node_count();
         if n < 2 {
             return Err(SchemeError::Precondition { reason: "need at least 2 nodes".into() });
         }
-        if !ort_graphs::paths::is_connected(g) {
-            return Err(SchemeError::Disconnected);
-        }
-        Self::build_checked(g, c)
-    }
-
-    /// As [`Theorem5Scheme::build`] for any *exact*
-    /// [`ort_graphs::oracle::Distances`] implementation — notably
-    /// [`ort_graphs::oracle::BandedOracle`]. The construction is purely
-    /// adjacency-based; the oracle contributes only its connectivity bit
-    /// (row 0), so a banded oracle's peak distance memory stays one band.
-    ///
-    /// # Errors
-    ///
-    /// As [`Theorem5Scheme::build_with_c`], plus
-    /// [`SchemeError::ApproximateOracle`] for inexact oracles and a
-    /// precondition error on an oracle/graph size mismatch.
-    pub fn build_with_dists(
-        g: &Graph,
-        dists: &dyn ort_graphs::oracle::Distances,
-    ) -> Result<Self, SchemeError> {
-        if g.node_count() < 2 {
-            return Err(SchemeError::Precondition { reason: "need at least 2 nodes".into() });
-        }
         crate::schemes::check_exact_oracle(g, dists)?;
-        Self::build_checked(g, DEFAULT_C)
-    }
-
-    fn build_checked(g: &Graph, c: f64) -> Result<Self, SchemeError> {
-        let n = g.node_count();
-        let k = ((c + 3.0) * (n.max(2) as f64).log2()).ceil() as usize;
+        let k = probe_budget_for(n);
         for u in 0..n {
             let prefix: Vec<NodeId> = g.neighbors(u).iter().copied().take(k).collect();
             for w in g.non_neighbors(u) {
@@ -130,10 +105,11 @@ impl Theorem5Scheme {
     }
 
     /// Reassembles a scheme from snapshot parts (`crate::snapshot`); the
-    /// probe budget is re-derived from `n` with [`DEFAULT_C`].
+    /// probe budget is re-derived from `n`, exactly as [`Self::build`]
+    /// derives it.
     pub(crate) fn from_parts(n: usize, labeling: Labeling, ports: PortAssignment) -> Self {
-        let k = ((DEFAULT_C + 3.0) * (n.max(2) as f64).log2()).ceil() as usize;
-        Theorem5Scheme { n, empty: BitVec::new(), labeling, ports, probe_budget: k }
+        let probe_budget = probe_budget_for(n);
+        Theorem5Scheme { n, empty: BitVec::new(), labeling, ports, probe_budget }
     }
 
     /// The probe budget `(c+3)·log₂ n`.
@@ -223,15 +199,17 @@ impl LocalRouter for ProbeRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::verify_scheme;
+    use crate::verify::verify;
     use ort_graphs::generators;
+    use ort_graphs::paths::Apsp;
 
     #[test]
     fn delivers_everywhere_on_random_graphs() {
         for seed in 0..5u64 {
             let g = generators::gnp_half(48, seed);
-            let scheme = Theorem5Scheme::build(&g).unwrap();
-            let report = verify_scheme(&g, &scheme).unwrap();
+            let dists = Apsp::compute(&g);
+            let scheme = Theorem5Scheme::build(&g, &dists).unwrap();
+            let report = verify(&g, &scheme, &dists, 1).unwrap();
             assert!(report.all_delivered(), "seed {seed}: {:?}", report.failures.first());
         }
     }
@@ -240,8 +218,9 @@ mod tests {
     fn stretch_is_within_probe_budget() {
         let n = 64;
         let g = generators::gnp_half(n, 9);
-        let scheme = Theorem5Scheme::build(&g).unwrap();
-        let report = verify_scheme(&g, &scheme).unwrap();
+        let dists = Apsp::compute(&g);
+        let scheme = Theorem5Scheme::build(&g, &dists).unwrap();
+        let report = verify(&g, &scheme, &dists, 1).unwrap();
         let s = report.max_stretch().unwrap();
         // Distance-2 pairs take at most 2k hops → stretch ≤ k.
         assert!(s <= scheme.probe_budget() as f64, "stretch {s}");
@@ -253,7 +232,7 @@ mod tests {
     #[test]
     fn zero_bits_stored_anywhere() {
         let g = generators::gnp_half(32, 4);
-        let scheme = Theorem5Scheme::build(&g).unwrap();
+        let scheme = Theorem5Scheme::build(&g, &Apsp::compute(&g)).unwrap();
         assert_eq!(scheme.total_size_bits(), 0);
         for u in 0..32 {
             assert_eq!(scheme.node_size_bits(u), 0, "node {u}");
@@ -265,7 +244,7 @@ mod tests {
         // Route a specific far pair and inspect the path: it must
         // alternate source → probe → source … → probe → dest.
         let g = generators::gnp_half(40, 11);
-        let scheme = Theorem5Scheme::build(&g).unwrap();
+        let scheme = Theorem5Scheme::build(&g, &Apsp::compute(&g)).unwrap();
         let (s, t) = {
             let mut pair = None;
             'outer: for s in 0..40 {
@@ -295,7 +274,7 @@ mod tests {
     fn rejects_graphs_where_probing_fails() {
         let g = generators::path(20);
         assert!(matches!(
-            Theorem5Scheme::build(&g),
+            Theorem5Scheme::build(&g, &Apsp::compute(&g)),
             Err(SchemeError::Precondition { .. })
         ));
     }
@@ -303,7 +282,7 @@ mod tests {
     #[test]
     fn missing_header_is_an_error() {
         let g = generators::gnp_half(32, 0);
-        let scheme = Theorem5Scheme::build(&g).unwrap();
+        let scheme = Theorem5Scheme::build(&g, &Apsp::compute(&g)).unwrap();
         let router = scheme.decode_router(0).unwrap();
         let env = scheme.node_env(0);
         let mut state = MessageState { source: None, counter: 0 };

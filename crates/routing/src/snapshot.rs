@@ -303,8 +303,9 @@ fn bad(reason: &'static str) -> SchemeError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::{route_pair, verify_scheme};
+    use crate::verify::{route_pair, verify};
     use ort_graphs::generators;
+    use ort_graphs::paths::Apsp;
 
     fn routes_identically(
         g: &Graph,
@@ -327,7 +328,7 @@ mod tests {
     #[test]
     fn full_table_roundtrip() {
         let g = generators::gnp_half(20, 1);
-        let scheme = FullTableScheme::build(&g).unwrap();
+        let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let snap = save(SchemeKind::FullTable, &scheme).unwrap();
         let loaded = load(&snap).unwrap();
         assert_eq!(loaded.total_size_bits(), scheme.total_size_bits());
@@ -337,22 +338,23 @@ mod tests {
     #[test]
     fn theorem1_both_variants_roundtrip() {
         let g = generators::gnp_half(24, 2);
+        let dists = Apsp::compute(&g);
         for (kind, scheme) in [
-            (SchemeKind::Theorem1, Theorem1Scheme::build(&g).unwrap()),
-            (SchemeKind::Theorem1Ib, Theorem1Scheme::build_ib(&g).unwrap()),
+            (SchemeKind::Theorem1, Theorem1Scheme::build(&g, &dists).unwrap()),
+            (SchemeKind::Theorem1Ib, Theorem1Scheme::build_ib(&g, &dists).unwrap()),
         ] {
             let snap = save(kind, &scheme).unwrap();
             let loaded = load(&snap).unwrap();
             assert_eq!(loaded.model(), scheme.model());
             routes_identically(&g, &scheme, loaded.as_ref());
-            assert!(verify_scheme(&g, loaded.as_ref()).unwrap().is_shortest_path());
+            assert!(verify(&g, loaded.as_ref(), &dists, 1).unwrap().is_shortest_path());
         }
     }
 
     #[test]
     fn gamma_labels_roundtrip() {
         let g = generators::gnp_half(32, 3);
-        let scheme = Theorem2Scheme::build(&g).unwrap();
+        let scheme = Theorem2Scheme::build(&g, &Apsp::compute(&g)).unwrap();
         let snap = save(SchemeKind::Theorem2, &scheme).unwrap();
         let loaded = load(&snap).unwrap();
         assert_eq!(loaded.total_size_bits(), scheme.total_size_bits());
@@ -363,20 +365,22 @@ mod tests {
     #[test]
     fn zero_bit_scheme_roundtrip() {
         let g = generators::gnp_half(32, 4);
-        let scheme = Theorem5Scheme::build(&g).unwrap();
+        let dists = Apsp::compute(&g);
+        let scheme = Theorem5Scheme::build(&g, &dists).unwrap();
         let snap = save(SchemeKind::Theorem5, &scheme).unwrap();
         let loaded = load(&snap).unwrap();
         assert_eq!(loaded.total_size_bits(), 0);
-        assert!(verify_scheme(&g, loaded.as_ref()).unwrap().all_delivered());
+        assert!(verify(&g, loaded.as_ref(), &dists, 1).unwrap().all_delivered());
     }
 
     #[test]
     fn full_information_and_multi_interval_roundtrip() {
         let g = generators::gnp_half(18, 5);
-        let fi = FullInformationScheme::build(&g).unwrap();
+        let dists = Apsp::compute(&g);
+        let fi = FullInformationScheme::build(&g, &dists).unwrap();
         let loaded = load(&save(SchemeKind::FullInformation, &fi).unwrap()).unwrap();
         routes_identically(&g, &fi, loaded.as_ref());
-        let mi = MultiIntervalScheme::build(&g).unwrap();
+        let mi = MultiIntervalScheme::build(&g, &dists).unwrap();
         let snap = save(SchemeKind::MultiInterval, &mi).unwrap();
         let loaded = load(&snap).unwrap();
         routes_identically(&g, &mi, loaded.as_ref());
@@ -392,7 +396,7 @@ mod tests {
     #[test]
     fn malformed_snapshots_rejected() {
         let g = generators::gnp_half(12, 6);
-        let scheme = FullTableScheme::build(&g).unwrap();
+        let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let snap = save(SchemeKind::FullTable, &scheme).unwrap();
         // Bad magic.
         let mut bad_magic = snap.clone();
@@ -413,7 +417,7 @@ mod tests {
     fn snapshot_size_is_dominated_by_tables() {
         // The container overhead must be small relative to the payload.
         let g = generators::gnp_half(64, 7);
-        let scheme = FullTableScheme::build(&g).unwrap();
+        let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let snap = save(SchemeKind::FullTable, &scheme).unwrap();
         let payload = scheme.total_size_bits();
         // ports ≈ Σ d log n; overhead beyond ports+tables stays < 20%.

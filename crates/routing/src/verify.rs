@@ -10,7 +10,7 @@ use std::error::Error;
 use std::fmt;
 
 use ort_graphs::oracle::Distances;
-use ort_graphs::paths::{Apsp, DistanceOracle};
+use ort_graphs::paths::Apsp;
 use ort_graphs::{Graph, NodeId};
 use ort_telemetry::trace::{HopKind, WalkTracer};
 
@@ -85,23 +85,6 @@ pub fn route_pair(
     max_hops: usize,
 ) -> Result<Vec<NodeId>, RouteFailure> {
     let mut tracer = WalkTracer::begin(s, t, 0);
-    route_pair_traced(scheme, s, t, max_hops, &mut tracer)
-}
-
-/// As [`route_pair`], emitting hop events through a caller-supplied
-/// [`WalkTracer`] (pass one from [`WalkTracer::begin`] to use the global
-/// recorder, or an inert one to trace nothing).
-///
-/// # Errors
-///
-/// As [`route_pair`].
-pub fn route_pair_traced(
-    scheme: &dyn RoutingScheme,
-    s: NodeId,
-    t: NodeId,
-    max_hops: usize,
-    tracer: &mut WalkTracer,
-) -> Result<Vec<NodeId>, RouteFailure> {
     let dest_label = scheme.label_of(t);
     let pa = scheme.port_assignment();
     let mut state = MessageState { source: Some(scheme.label_of(s)), counter: 0 };
@@ -241,113 +224,43 @@ pub fn default_hop_limit(n: usize) -> usize {
     4 * n + 16
 }
 
-/// Verifies `scheme` against `g`: routes every ordered pair and measures
-/// stretch against true distances.
+/// Verifies `scheme` against `g`: routes every ordered pair `(s, t)` with
+/// `(s + t) % stride == 0` (`stride == 1` is all pairs) and measures
+/// stretch against the distances in `dists`. Pass the oracle the scheme
+/// was built from, and the whole build-then-verify run costs one APSP.
 ///
-/// # Errors
-///
-/// Returns [`SchemeError::Disconnected`] if `g` is disconnected (stretch is
-/// undefined); per-pair routing problems are reported inside the
-/// [`VerifyReport`], not as errors.
-pub fn verify_scheme(g: &Graph, scheme: &dyn RoutingScheme) -> Result<VerifyReport, SchemeError> {
-    ort_telemetry::counter!("oracle.computed").incr();
-    let oracle = Apsp::compute(g);
-    verify_with(g, scheme, &oracle, 1)
-}
-
-/// As [`verify_scheme`], but measures stretch against a caller-supplied
-/// [`DistanceOracle`] instead of recomputing APSP. Pass the oracle the
-/// scheme was *built* from and the whole construct-then-verify pipeline
-/// costs exactly one APSP computation.
-///
-/// # Errors
-///
-/// Returns [`SchemeError::Precondition`] if the oracle's node count does
-/// not match `g`, and [`SchemeError::Disconnected`] as [`verify_scheme`].
-pub fn verify_scheme_with_oracle(
-    g: &Graph,
-    scheme: &dyn RoutingScheme,
-    oracle: &DistanceOracle,
-) -> Result<VerifyReport, SchemeError> {
-    ort_telemetry::counter!("oracle.reused").incr();
-    verify_with(g, scheme, &**oracle, 1)
-}
-
-/// As [`verify_scheme_with_oracle`] for any *exact*
-/// [`Distances`] implementation — in particular
-/// [`ort_graphs::oracle::BandedOracle`], which lets memory-bound runs
-/// verify without ever holding the full `n²` matrix. (Note the banded
-/// oracle serialises queries on a lock; combined with the verifier's
-/// source-order sweep this stays efficient, but a full matrix is faster
-/// when it fits.)
+/// Sources fan out across threads under the `parallel` feature; partial
+/// reports are merged back in source order, so the report is identical
+/// to the serial one, field for field. Because sources run concurrently,
+/// verify against a full matrix ([`Apsp`]): a
+/// [`BandedOracle`](ort_graphs::oracle::BandedOracle) holds one band
+/// behind a lock and is meant for construction — concurrent sources
+/// evict each other's band and recompute it over and over.
 ///
 /// # Errors
 ///
 /// Returns [`SchemeError::ApproximateOracle`] naming the oracle if it is
 /// approximate (`!is_exact()` — stretch measured against estimates would
 /// be meaningless), [`SchemeError::Precondition`] if its node count does
-/// not match `g`, and [`SchemeError::Disconnected`] as [`verify_scheme`].
-pub fn verify_scheme_with_dists(
+/// not match `g`, and [`SchemeError::Disconnected`] if `g` is
+/// disconnected (stretch is undefined); per-pair routing problems are
+/// reported inside the [`VerifyReport`], not as errors.
+pub fn verify(
     g: &Graph,
     scheme: &dyn RoutingScheme,
     dists: &dyn Distances,
+    stride: usize,
 ) -> Result<VerifyReport, SchemeError> {
     if !dists.is_exact() {
         return Err(SchemeError::ApproximateOracle { oracle: dists.describe() });
     }
-    ort_telemetry::counter!("oracle.reused").incr();
-    verify_with(g, scheme, dists, 1)
-}
-
-/// Verifies a sampled subset of pairs (for large graphs): every pair
-/// `(s, t)` with `(s + t) % stride == 0`.
-///
-/// # Errors
-///
-/// As [`verify_scheme`].
-pub fn verify_scheme_sampled(
-    g: &Graph,
-    scheme: &dyn RoutingScheme,
-    stride: usize,
-) -> Result<VerifyReport, SchemeError> {
-    ort_telemetry::counter!("oracle.computed").incr();
-    let oracle = Apsp::compute(g);
-    verify_with(g, scheme, &oracle, stride)
-}
-
-/// As [`verify_scheme_sampled`] with a caller-supplied oracle (see
-/// [`verify_scheme_with_oracle`]).
-///
-/// # Errors
-///
-/// As [`verify_scheme_with_oracle`].
-pub fn verify_scheme_sampled_with_oracle(
-    g: &Graph,
-    scheme: &dyn RoutingScheme,
-    oracle: &DistanceOracle,
-    stride: usize,
-) -> Result<VerifyReport, SchemeError> {
-    ort_telemetry::counter!("oracle.reused").incr();
-    verify_with(g, scheme, &**oracle, stride)
-}
-
-/// Shared pair loop: full verification is the `stride == 1` case. The
-/// per-source work fans out across threads under the `parallel` feature;
-/// partial reports are merged back in source order, so the report is
-/// identical to the serial one, field for field.
-fn verify_with(
-    g: &Graph,
-    scheme: &dyn RoutingScheme,
-    apsp: &dyn Distances,
-    stride: usize,
-) -> Result<VerifyReport, SchemeError> {
     let n = g.node_count();
-    if apsp.node_count() != n {
+    if dists.node_count() != n {
         return Err(SchemeError::Precondition {
             reason: "distance oracle does not match the graph".into(),
         });
     }
-    if !apsp.is_connected() && n > 1 {
+    if !dists.is_connected() && n > 1 {
         return Err(SchemeError::Disconnected);
     }
     let limit = default_hop_limit(n);
@@ -376,7 +289,7 @@ fn verify_with(
             match route_pair(scheme, s, t, limit) {
                 Ok(path) => {
                     let hops = (path.len() - 1) as u32;
-                    let dist = apsp.distance(s, t).expect("connected");
+                    let dist = dists.distance(s, t).expect("connected");
                     p.delivered += 1;
                     p.total_hops += u64::from(hops);
                     p.stretches.push((hops, dist));
@@ -427,6 +340,21 @@ fn verify_with(
     ort_telemetry::timing_hist!("verify.micros")
         .record(u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX));
     Ok(report)
+}
+
+/// The benchmark's door into [`verify`]: `verify(g, scheme,
+/// &Apsp::compute(g), stride)`, computing its own APSP. `ortbench`
+/// calls this signature, so it stays as it is.
+///
+/// # Errors
+///
+/// As [`verify`].
+pub fn verify_scheme_sampled(
+    g: &Graph,
+    scheme: &dyn RoutingScheme,
+    stride: usize,
+) -> Result<VerifyReport, SchemeError> {
+    verify(g, scheme, &Apsp::compute(g), stride)
 }
 
 /// Maps `f` over the sources `0..n`, returning results in source order.
@@ -502,8 +430,9 @@ mod tests {
     fn sampled_with_stride_one_equals_full() {
         use crate::schemes::theorem1::Theorem1Scheme;
         let g = ort_graphs::generators::gnp_half(24, 5);
-        let scheme = Theorem1Scheme::build(&g).unwrap();
-        let full = verify_scheme(&g, &scheme).unwrap();
+        let dists = Apsp::compute(&g);
+        let scheme = Theorem1Scheme::build(&g, &dists).unwrap();
+        let full = verify(&g, &scheme, &dists, 1).unwrap();
         let sampled = verify_scheme_sampled(&g, &scheme, 1).unwrap();
         assert_eq!(full.delivered, sampled.delivered);
         assert_eq!(full.total_hops, sampled.total_hops);
@@ -518,12 +447,12 @@ mod tests {
     fn verify_rejects_disconnected() {
         use crate::schemes::full_table::FullTableScheme;
         let g = ort_graphs::generators::cycle(6);
-        let scheme = FullTableScheme::build(&g).unwrap();
+        let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         // Pass a *different*, disconnected graph to the verifier: it must
         // refuse rather than report nonsense stretch.
         let disconnected = ort_graphs::Graph::from_edges(6, [(0, 1), (2, 3), (4, 5)]).unwrap();
         assert!(matches!(
-            verify_scheme(&disconnected, &scheme),
+            verify(&disconnected, &scheme, &Apsp::compute(&disconnected), 1),
             Err(SchemeError::Disconnected)
         ));
     }
@@ -532,7 +461,7 @@ mod tests {
     fn route_pair_rejects_self_loop_budget_zero() {
         use crate::schemes::full_table::FullTableScheme;
         let g = ort_graphs::generators::cycle(5);
-        let scheme = FullTableScheme::build(&g).unwrap();
+        let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         // Zero hop budget still allows immediate delivery checks only.
         let err = route_pair(&scheme, 0, 2, 0).unwrap_err();
         assert!(matches!(err, RouteFailure::HopLimit { limit: 0 }));
@@ -545,8 +474,9 @@ mod tests {
     fn worst_pair_names_the_max_stretch_pair() {
         use crate::schemes::theorem4::Theorem4Scheme;
         let g = ort_graphs::generators::gnp_half(24, 5);
-        let scheme = Theorem4Scheme::build(&g).unwrap();
-        let report = verify_scheme(&g, &scheme).unwrap();
+        let dists = Apsp::compute(&g);
+        let scheme = Theorem4Scheme::build(&g, &dists).unwrap();
+        let report = verify(&g, &scheme, &dists, 1).unwrap();
         let (s, t, h, d) = report.worst.expect("delivered pairs exist");
         // The named pair realizes the measured maximum stretch exactly
         // (same integers, same division — bit-identical f64).
@@ -561,10 +491,11 @@ mod tests {
         use crate::schemes::full_table::FullTableScheme;
         use ort_graphs::oracle::BandedOracle;
         let g = ort_graphs::generators::gnp_half(24, 9);
-        let scheme = FullTableScheme::build(&g).unwrap();
-        let full = verify_scheme(&g, &scheme).unwrap();
+        let dists = Apsp::compute(&g);
+        let scheme = FullTableScheme::build(&g, &dists).unwrap();
+        let full = verify(&g, &scheme, &dists, 1).unwrap();
         let banded = BandedOracle::new(g.clone(), 5);
-        let report = verify_scheme_with_dists(&g, &scheme, &banded).unwrap();
+        let report = verify(&g, &scheme, &banded, 1).unwrap();
         assert_eq!(report.delivered, full.delivered);
         assert_eq!(report.total_hops, full.total_hops);
         assert_eq!(report.worst, full.worst);
@@ -576,10 +507,10 @@ mod tests {
         use crate::schemes::full_table::FullTableScheme;
         use ort_graphs::oracle::LandmarkOracle;
         let g = ort_graphs::generators::gnp_half(16, 2);
-        let scheme = FullTableScheme::build(&g).unwrap();
+        let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let lo = LandmarkOracle::build(&g, 4);
         assert!(matches!(
-            verify_scheme_with_dists(&g, &scheme, &lo),
+            verify(&g, &scheme, &lo, 1),
             Err(SchemeError::ApproximateOracle { oracle: "approximate landmark oracle" })
         ));
     }
@@ -589,9 +520,9 @@ mod tests {
         use crate::schemes::full_table::FullTableScheme;
         use ort_graphs::oracle::LandmarkOracle;
         let g = ort_graphs::generators::gnp_half(16, 2);
-        let scheme = FullTableScheme::build(&g).unwrap();
+        let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let lo = LandmarkOracle::build(&g, 4);
-        let err = verify_scheme_with_dists(&g, &scheme, &lo).unwrap_err();
+        let err = verify(&g, &scheme, &lo, 1).unwrap_err();
         assert_eq!(
             err.to_string(),
             "approximate landmark oracle is approximate: \

@@ -1,5 +1,5 @@
-//! The DistanceOracle contract: one APSP computation serves scheme
-//! construction *and* verification.
+//! One oracle per run: one APSP computation serves scheme construction
+//! *and* verification.
 //!
 //! Asserted via `ort_graphs::paths::apsp_compute_count`, a process-wide
 //! counter — which is why this file holds exactly one test: any
@@ -11,7 +11,7 @@ use ort_graphs::generators;
 use ort_graphs::paths::{apsp_compute_count, Apsp};
 use ort_routing::schemes::full_table::FullTableScheme;
 use ort_routing::schemes::landmark::LandmarkScheme;
-use ort_routing::verify::{verify_scheme, verify_scheme_with_oracle};
+use ort_routing::verify::verify;
 
 #[test]
 fn construct_and_verify_share_one_apsp() {
@@ -21,9 +21,9 @@ fn construct_and_verify_share_one_apsp() {
     let g = generators::gnp_half(40, 9);
 
     let before = apsp_compute_count();
-    let oracle = Apsp::compute(&g).into_oracle();
-    let scheme = FullTableScheme::build_with_oracle(&g, &oracle).unwrap();
-    let report = verify_scheme_with_oracle(&g, &scheme, &oracle).unwrap();
+    let oracle = Apsp::compute(&g);
+    let scheme = FullTableScheme::build(&g, &oracle).unwrap();
+    let report = verify(&g, &scheme, &oracle, 1).unwrap();
     assert!(report.is_shortest_path());
     assert_eq!(
         apsp_compute_count() - before,
@@ -33,26 +33,16 @@ fn construct_and_verify_share_one_apsp() {
 
     // A second scheme against the same graph rides the same oracle for free.
     let before = apsp_compute_count();
-    let lm = LandmarkScheme::build_with_oracle_and_landmark_count(&g, &oracle, 1, 6).unwrap();
-    let lm_report = verify_scheme_with_oracle(&g, &lm, &oracle).unwrap();
+    let lm = LandmarkScheme::build(&g, &oracle, 1).unwrap();
+    let lm_report = verify(&g, &lm, &oracle, 1).unwrap();
     assert!(lm_report.all_delivered());
     assert_eq!(apsp_compute_count() - before, 0, "landmark reuses the existing oracle");
 
-    // The legacy wrappers still work (recomputing once per call) and agree
-    // with the oracle-shared pipeline result for result.
-    let before = apsp_compute_count();
-    let legacy_scheme = FullTableScheme::build(&g).unwrap();
-    let legacy = verify_scheme(&g, &legacy_scheme).unwrap();
-    assert_eq!(apsp_compute_count() - before, 2, "wrappers compute one APSP each");
-    assert_eq!(legacy.delivered, report.delivered);
-    assert_eq!(legacy.total_hops, report.total_hops);
-    assert_eq!(legacy.stretches, report.stretches);
-
     // Parallel and serial verification produce identical reports.
     std::env::set_var("ORT_THREADS", "1");
-    let serial = verify_scheme_with_oracle(&g, &scheme, &oracle).unwrap();
+    let serial = verify(&g, &scheme, &oracle, 1).unwrap();
     std::env::set_var("ORT_THREADS", "3");
-    let parallel = verify_scheme_with_oracle(&g, &scheme, &oracle).unwrap();
+    let parallel = verify(&g, &scheme, &oracle, 1).unwrap();
     assert_eq!(serial.delivered, parallel.delivered);
     assert_eq!(serial.total_hops, parallel.total_hops);
     assert_eq!(serial.stretches, parallel.stretches);

@@ -19,13 +19,13 @@
 //! # Example
 //!
 //! ```
-//! use ort_graphs::generators;
+//! use ort_graphs::{generators, paths::Apsp};
 //! use ort_routing::schemes::full_information::FullInformationScheme;
 //! use ort_simnet::Network;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let g = generators::gnp_half(24, 1);
-//! let scheme = FullInformationScheme::build(&g)?;
+//! let scheme = FullInformationScheme::build(&g, &Apsp::compute(&g))?;
 //! let mut net = Network::new(&scheme);
 //!
 //! // A non-adjacent pair has several shortest paths on a dense graph.
@@ -607,6 +607,7 @@ mod tests {
     use super::*;
     use crate::faults::FaultEvent;
     use ort_graphs::generators;
+    use ort_graphs::oracle::Distances;
     use ort_graphs::paths::Apsp;
     use ort_routing::schemes::full_information::FullInformationScheme;
     use ort_routing::schemes::full_table::FullTableScheme;
@@ -616,7 +617,7 @@ mod tests {
     #[test]
     fn all_pairs_delivery_matches_verifier() {
         let g = generators::gnp_half(24, 4);
-        let scheme = Theorem1Scheme::build(&g).unwrap();
+        let scheme = Theorem1Scheme::build(&g, &Apsp::compute(&g)).unwrap();
         let mut net = Network::new(&scheme);
         let (ok, bad) = net.send_all_pairs();
         assert_eq!(ok, 24 * 23);
@@ -627,7 +628,7 @@ mod tests {
     #[test]
     fn shortest_paths_through_simulator() {
         let g = generators::grid(4, 4);
-        let scheme = FullTableScheme::build(&g).unwrap();
+        let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let apsp = Apsp::compute(&g);
         let mut net = Network::new(&scheme);
         for s in 0..16 {
@@ -646,7 +647,7 @@ mod tests {
     #[test]
     fn full_information_survives_link_failure() {
         let g = generators::gnp_half(32, 7);
-        let scheme = FullInformationScheme::build(&g).unwrap();
+        let scheme = FullInformationScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let apsp = Apsp::compute(&g);
         let mut net = Network::new(&scheme);
         let mut exercised = 0;
@@ -684,7 +685,7 @@ mod tests {
     #[test]
     fn reroutes_are_counted() {
         let g = generators::gnp_half(32, 7);
-        let scheme = FullInformationScheme::build(&g).unwrap();
+        let scheme = FullInformationScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let mut net = Network::new(&scheme);
         let t = g.non_neighbors(0)[0];
         let first = net.send(0, t).unwrap();
@@ -698,7 +699,7 @@ mod tests {
     #[test]
     fn single_path_scheme_reports_link_down() {
         let g = generators::path(6);
-        let scheme = FullTableScheme::build(&g).unwrap();
+        let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let mut net = Network::new(&scheme);
         assert!(net.fail_link(2, 3));
         let err = net.send(0, 5).unwrap_err();
@@ -712,7 +713,7 @@ mod tests {
     #[test]
     fn failing_a_non_edge_is_rejected() {
         let g = generators::path(6); // only consecutive links exist
-        let scheme = FullTableScheme::build(&g).unwrap();
+        let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let mut net = Network::new(&scheme);
         assert!(!net.fail_link(0, 5), "0–5 is not an edge");
         assert!(!net.fail_link(0, 17), "out of range");
@@ -725,7 +726,7 @@ mod tests {
     #[test]
     fn crashed_transit_node_fails_with_reason() {
         let g = generators::path(5); // 0-1-2-3-4
-        let scheme = FullTableScheme::build(&g).unwrap();
+        let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let mut net = Network::new(&scheme);
         net.fault_state_mut().apply(&FaultEvent::NodeCrash(2)).unwrap();
         assert_eq!(net.send(0, 4).unwrap_err(), SimError::NodeCrashed { node: 2 });
@@ -739,7 +740,7 @@ mod tests {
     #[test]
     fn fault_plan_applies_on_the_epoch_clock() {
         let g = generators::path(4);
-        let scheme = FullTableScheme::build(&g).unwrap();
+        let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let mut net = Network::new(&scheme);
         let mut plan = FaultPlan::new();
         plan.push(1, FaultEvent::LinkDown(1, 2));
@@ -754,7 +755,7 @@ mod tests {
     #[test]
     fn invalid_fault_plan_is_rejected_atomically() {
         let g = generators::path(4);
-        let scheme = FullTableScheme::build(&g).unwrap();
+        let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let mut net = Network::new(&scheme);
         let mut plan = FaultPlan::new();
         plan.push(0, FaultEvent::LinkDown(0, 1));
@@ -767,7 +768,7 @@ mod tests {
     fn probe_scheme_runs_with_message_state() {
         // Theorem 5 needs per-message state; the simulator carries it.
         let g = generators::gnp_half(32, 2);
-        let scheme = Theorem5Scheme::build(&g).unwrap();
+        let scheme = Theorem5Scheme::build(&g, &Apsp::compute(&g)).unwrap();
         let mut net = Network::new(&scheme);
         let (ok, bad) = net.send_all_pairs();
         assert_eq!(bad, 0, "{ok} ok");
@@ -776,7 +777,7 @@ mod tests {
     #[test]
     fn hop_limit_is_enforced() {
         let g = generators::path(8);
-        let scheme = FullTableScheme::build(&g).unwrap();
+        let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let mut net = Network::new(&scheme);
         net.set_hop_limit(3);
         assert_eq!(net.send(0, 7).unwrap_err(), SimError::HopLimit { limit: 3 });
@@ -787,7 +788,7 @@ mod tests {
     #[test]
     fn out_of_range_nodes_rejected() {
         let g = generators::cycle(5);
-        let scheme = FullTableScheme::build(&g).unwrap();
+        let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let mut net = Network::new(&scheme);
         assert!(matches!(net.send(5, 0), Err(SimError::NodeOutOfRange { .. })));
         assert!(matches!(net.send(0, 9), Err(SimError::NodeOutOfRange { .. })));
@@ -797,7 +798,7 @@ mod tests {
     #[test]
     fn load_profile_counts_transmissions() {
         let g = generators::path(4); // 0-1-2-3
-        let scheme = FullTableScheme::build(&g).unwrap();
+        let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let mut net = Network::new(&scheme);
         net.send(0, 3).unwrap(); // 0,1,2 transmit
         net.send(3, 1).unwrap(); // 3,2 transmit
@@ -811,8 +812,9 @@ mod tests {
     fn centre_scheme_concentrates_load() {
         use ort_routing::schemes::theorem4::Theorem4Scheme;
         let g = generators::gnp_half(40, 6);
-        let compact = Theorem1Scheme::build(&g).unwrap();
-        let centred = Theorem4Scheme::build(&g).unwrap();
+        let dists = Apsp::compute(&g);
+        let compact = Theorem1Scheme::build(&g, &dists).unwrap();
+        let centred = Theorem4Scheme::build(&g, &dists).unwrap();
         let mut net_a = Network::new(&compact);
         let mut net_b = Network::new(&centred);
         net_a.send_all_pairs();
@@ -833,7 +835,7 @@ mod tests {
     #[test]
     fn failed_links_are_symmetric() {
         let g = generators::cycle(6);
-        let scheme = FullTableScheme::build(&g).unwrap();
+        let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let mut net = Network::new(&scheme);
         assert!(net.fail_link(3, 2));
         assert!(net.is_failed(2, 3));

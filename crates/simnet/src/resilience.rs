@@ -421,7 +421,7 @@ mod tests {
     fn fault_free_cell_delivers_everything() {
         let g = generators::gnp_half(16, 1);
         let apsp = Apsp::compute(&g);
-        let scheme = FullTableScheme::build(&g).unwrap();
+        let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let m = run_cell(&scheme, &apsp, &FaultPlan::new(), &ResilienceConfig::default()).unwrap();
         assert_eq!(m.pairs, 16 * 15);
         assert_eq!(m.delivered, m.pairs);
@@ -436,7 +436,7 @@ mod tests {
     fn faults_degrade_single_path_but_not_unattributably() {
         let g = generators::gnp_half(16, 1);
         let apsp = Apsp::compute(&g);
-        let scheme = FullTableScheme::build(&g).unwrap();
+        let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let plan = FaultPlan::random_link_faults(scheme.port_assignment(), 0.2, 5);
         let m = run_cell(&scheme, &apsp, &plan, &ResilienceConfig::default()).unwrap();
         assert!(m.delivered < m.pairs, "20% of a dense graph's links must cost something");
@@ -451,12 +451,13 @@ mod tests {
     fn wrapping_recovers_avoidable_failures() {
         let g = generators::gnp_half(16, 1);
         let apsp = Apsp::compute(&g);
-        let bare = FullTableScheme::build(&g).unwrap();
+        let dists = Apsp::compute(&g);
+        let bare = FullTableScheme::build(&g, &dists).unwrap();
         let plan = FaultPlan::random_link_faults(bare.port_assignment(), 0.2, 5);
         let cfg = ResilienceConfig::default();
         let m_bare = run_cell(&bare, &apsp, &plan, &cfg).unwrap();
         assert!(m_bare.avoidable_failed > 0, "the load must leave something to recover");
-        let wrapped = ResilientScheme::wrap(Box::new(FullTableScheme::build(&g).unwrap()));
+        let wrapped = ResilientScheme::wrap(Box::new(FullTableScheme::build(&g, &dists).unwrap()));
         let m_wrapped = run_cell(&wrapped, &apsp, &plan, &cfg).unwrap();
         assert!(
             m_wrapped.delivered > m_bare.delivered,
@@ -472,8 +473,9 @@ mod tests {
     fn full_information_is_the_ceiling() {
         let g = generators::gnp_half(16, 1);
         let apsp = Apsp::compute(&g);
-        let single = FullTableScheme::build(&g).unwrap();
-        let multi = FullInformationScheme::build(&g).unwrap();
+        let dists = Apsp::compute(&g);
+        let single = FullTableScheme::build(&g, &dists).unwrap();
+        let multi = FullInformationScheme::build(&g, &dists).unwrap();
         let plan = FaultPlan::random_link_faults(single.port_assignment(), 0.2, 5);
         let cfg = ResilienceConfig::default();
         let m_single = run_cell(&single, &apsp, &plan, &cfg).unwrap();
@@ -485,7 +487,7 @@ mod tests {
     fn run_cell_is_deterministic() {
         let g = generators::gnp_half(16, 2);
         let apsp = Apsp::compute(&g);
-        let scheme = FullTableScheme::build(&g).unwrap();
+        let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let plan = FaultPlan::random_link_faults(scheme.port_assignment(), 0.15, 9);
         let cfg = ResilienceConfig::default();
         let a = run_cell(&scheme, &apsp, &plan, &cfg).unwrap();
@@ -497,7 +499,7 @@ mod tests {
     fn invalid_plan_is_reported() {
         let g = generators::path(4);
         let apsp = Apsp::compute(&g);
-        let scheme = FullTableScheme::build(&g).unwrap();
+        let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let plan = FaultPlan::from_events(vec![crate::faults::TimedFault {
             at: 0,
             event: crate::faults::FaultEvent::LinkDown(0, 3),

@@ -506,6 +506,7 @@ mod tests {
     use super::*;
     use crate::faults::{FaultEvent, TimedFault};
     use ort_graphs::generators;
+    use ort_graphs::paths::Apsp;
     use ort_routing::schemes::full_information::FullInformationScheme;
     use ort_routing::schemes::full_table::FullTableScheme;
     use ort_routing::schemes::theorem1::Theorem1Scheme;
@@ -519,7 +520,7 @@ mod tests {
     fn uncongested_latency_equals_hops() {
         // With unbounded capacity, a single message takes `hops` rounds.
         let g = generators::path(6);
-        let scheme = FullTableScheme::build(&g).unwrap();
+        let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let sim = RoundSimulator::new(&scheme, 1000);
         let report = sim.run(&[(0, 5)]);
         assert_eq!(report.delivered, 1);
@@ -531,7 +532,7 @@ mod tests {
     fn all_pairs_drain_completely() {
         let n = 24;
         let g = generators::gnp_half(n, 3);
-        let scheme = Theorem1Scheme::build(&g).unwrap();
+        let scheme = Theorem1Scheme::build(&g, &Apsp::compute(&g)).unwrap();
         let sim = RoundSimulator::new(&scheme, 4);
         let report = sim.run(&all_pairs(n));
         assert_eq!(report.delivered, n * (n - 1));
@@ -544,8 +545,9 @@ mod tests {
     fn congestion_hurts_the_centre_scheme() {
         let n = 32;
         let g = generators::gnp_half(n, 8);
-        let distributed = Theorem1Scheme::build(&g).unwrap();
-        let centred = Theorem4Scheme::build(&g).unwrap();
+        let dists = Apsp::compute(&g);
+        let distributed = Theorem1Scheme::build(&g, &dists).unwrap();
+        let centred = Theorem4Scheme::build(&g, &dists).unwrap();
         let workload = all_pairs(n);
         let cap = 2;
         let r1 = RoundSimulator::new(&distributed, cap).run(&workload);
@@ -564,7 +566,7 @@ mod tests {
         // capacity 1 the centre forwards one message per round, so k
         // messages take ≥ k rounds.
         let g = generators::star(8);
-        let scheme = FullTableScheme::build(&g).unwrap();
+        let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let sim = RoundSimulator::new(&scheme, 1);
         let workload: Vec<(NodeId, NodeId)> = (1..8).map(|s| (s, s % 7 + 1)).collect();
         let report = sim.run(&workload);
@@ -575,7 +577,7 @@ mod tests {
     #[test]
     fn round_cap_strands_messages() {
         let g = generators::path(10);
-        let scheme = FullTableScheme::build(&g).unwrap();
+        let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let mut sim = RoundSimulator::new(&scheme, 1);
         sim.set_round_cap(2);
         let report = sim.run(&[(0, 9)]);
@@ -589,7 +591,7 @@ mod tests {
         // Cut the first shortest-path link a full-information route would
         // use; the round simulator must take an alternative, not drop.
         let g = generators::gnp_half(24, 1);
-        let scheme = FullInformationScheme::build(&g).unwrap();
+        let scheme = FullInformationScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let t = g.non_neighbors(0)[0];
         // Find the first-choice link by running fault-free once.
         let mut net = crate::Network::new(&scheme);
@@ -608,7 +610,7 @@ mod tests {
     #[test]
     fn link_fault_without_retries_drops_with_reason() {
         let g = generators::path(6);
-        let scheme = FullTableScheme::build(&g).unwrap();
+        let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let mut sim = RoundSimulator::new(&scheme, 4);
         sim.set_fault_plan(FaultPlan::from_events(vec![TimedFault {
             at: 0,
@@ -625,7 +627,7 @@ mod tests {
     #[test]
     fn retries_recover_after_the_link_heals() {
         let g = generators::path(6);
-        let scheme = FullTableScheme::build(&g).unwrap();
+        let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let mut sim = RoundSimulator::new(&scheme, 4);
         sim.set_fault_plan(FaultPlan::from_events(vec![
             TimedFault { at: 0, event: FaultEvent::LinkDown(2, 3) },
@@ -642,7 +644,7 @@ mod tests {
     #[test]
     fn retries_exhaust_against_a_permanent_fault() {
         let g = generators::path(4);
-        let scheme = FullTableScheme::build(&g).unwrap();
+        let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let mut sim = RoundSimulator::new(&scheme, 4);
         sim.set_fault_plan(FaultPlan::from_events(vec![TimedFault {
             at: 0,
@@ -663,7 +665,7 @@ mod tests {
         // Capacity 1 on a star: the centre serializes, so late messages age
         // past their TTL and must be counted as expired.
         let g = generators::star(10);
-        let scheme = FullTableScheme::build(&g).unwrap();
+        let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let mut sim = RoundSimulator::new(&scheme, 1);
         sim.set_ttl(Some(3));
         let workload: Vec<(NodeId, NodeId)> = (1..10).map(|s| (s, s % 9 + 1)).collect();
@@ -700,7 +702,7 @@ mod tests {
     #[test]
     fn crash_drops_queued_messages() {
         let g = generators::path(5);
-        let scheme = FullTableScheme::build(&g).unwrap();
+        let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let mut sim = RoundSimulator::new(&scheme, 4);
         // Node 2 crashes at round 2 — messages already transiting it drop.
         sim.set_fault_plan(FaultPlan::from_events(vec![TimedFault {

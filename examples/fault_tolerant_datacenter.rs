@@ -8,6 +8,7 @@
 //! Run with: `cargo run --release --example fault_tolerant_datacenter`
 
 use optimal_routing_tables::graphs::generators;
+use optimal_routing_tables::graphs::paths::Apsp;
 use optimal_routing_tables::routing::scheme::RoutingScheme;
 use optimal_routing_tables::routing::schemes::full_information::FullInformationScheme;
 use optimal_routing_tables::routing::schemes::theorem1::Theorem1Scheme;
@@ -20,8 +21,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let g = generators::gnp_half(n, 42);
     println!("== fault-tolerant routing in a {n}-node dense interconnect ==\n");
 
-    let compact = Theorem1Scheme::build(&g)?;
-    let full_info = FullInformationScheme::build(&g)?;
+    let dists = Apsp::compute(&g);
+    let compact = Theorem1Scheme::build(&g, &dists)?;
+    let full_info = FullInformationScheme::build(&g, &dists)?;
     println!("scheme sizes:");
     println!("  Theorem 1 (single path):   {:>10} bits", compact.total_size_bits());
     println!("  full information (Θ(n³)):  {:>10} bits", full_info.total_size_bits());

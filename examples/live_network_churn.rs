@@ -11,6 +11,7 @@
 //! Run with: `cargo run --release --example live_network_churn`
 
 use optimal_routing_tables::graphs::generators;
+use optimal_routing_tables::graphs::paths::Apsp;
 use optimal_routing_tables::routing::repair::RepairableScheme;
 use optimal_routing_tables::routing::schemes::full_table::FullTableScheme;
 use optimal_routing_tables::routing::snapshot::{self, SchemeKind};
@@ -51,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // The live scheme must be indistinguishable from one built from
         // scratch on whatever the topology is now.
-        let fresh = FullTableScheme::build(live.graph())?;
+        let fresh = FullTableScheme::build(live.graph(), &Apsp::compute(live.graph()))?;
         assert_eq!(
             snapshot::save(SchemeKind::FullTable, live.scheme())?,
             snapshot::save(SchemeKind::FullTable, &fresh)?,

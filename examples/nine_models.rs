@@ -14,6 +14,7 @@ use optimal_routing_tables::routing::schemes::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use optimal_routing_tables::graphs::paths::Apsp;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // n = 256 sits past the Theorem-1/Theorem-2 crossover: below it the
@@ -30,8 +31,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // IA ∧ α: adversarial fixed ports — only the full table works
     // (Theorem 8 proves ~n² log n is forced).
+    let dists = Apsp::compute(&g);
     let ia = FullTableScheme::build_with(
         &g,
+        &dists,
         Model::new(Knowledge::PortsFixed, Relabeling::None),
         PortAssignment::adversarial(&g, &mut rng),
         Labeling::identity(n),
@@ -44,15 +47,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ia_compact = optimal_routing_tables::routing::schemes::ia_compact::IaCompactScheme::build(
         &g,
         PortAssignment::adversarial(&g, &mut rng2),
+        &dists,
     )?;
     print_row("IA∧α", "IA-compact (≈ the Thm 8 floor)", ia_compact.total_size_bits());
 
     // IB ∧ α: free ports let Theorem 1 store the interconnection vector.
-    let ib = Theorem1Scheme::build_ib(&g)?;
+    let ib = Theorem1Scheme::build_ib(&g, &dists)?;
     print_row("IB∧α", "Theorem 1 + stored neighbours", ib.total_size_bits());
 
     // II ∧ α: neighbours known — Theorem 1 proper.
-    let ii = Theorem1Scheme::build(&g)?;
+    let ii = Theorem1Scheme::build(&g, &dists)?;
     print_row("II∧α", "Theorem 1 (≤ 6n bits/node)", ii.total_size_bits());
 
     // II ∧ β: permuted labels add nothing for shortest paths (the lower
@@ -61,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // II ∧ γ: free labels collapse the cost to O(n log² n) — the labels
     // themselves are charged.
-    let gamma = Theorem2Scheme::build(&g)?;
+    let gamma = Theorem2Scheme::build(&g, &dists)?;
     print_row("II∧γ", "Theorem 2 (labels carry routing)", gamma.total_size_bits());
 
     println!();

@@ -4,6 +4,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use optimal_routing_tables::graphs::generators;
+use optimal_routing_tables::graphs::paths::Apsp;
 use optimal_routing_tables::routing::scheme::RoutingScheme;
 use optimal_routing_tables::routing::schemes::full_table::FullTableScheme;
 use optimal_routing_tables::routing::schemes::theorem1::Theorem1Scheme;
@@ -19,9 +20,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  {} nodes, {} edges\n", g.node_count(), g.edge_count());
 
     // The trivial routing scheme: a port per destination at every node.
-    let full = FullTableScheme::build(&g)?;
+    let dists = Apsp::compute(&g);
+    let full = FullTableScheme::build(&g, &dists)?;
     // The paper's Theorem 1 scheme: two tables, ≤ 6n bits per node.
-    let compact = Theorem1Scheme::build(&g)?;
+    let compact = Theorem1Scheme::build(&g, &dists)?;
 
     println!("scheme sizes (total bits, the paper's Σ|F(u)| accounting):");
     println!("  full table (O(n² log n)): {:>9}", full.total_size_bits());
@@ -32,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Both are shortest-path schemes; verify exhaustively.
-    let report = verify::verify_scheme(&g, &compact)?;
+    let report = verify::verify(&g, &compact, &dists, 1)?;
     println!(
         "verification: {}/{} pairs delivered, max stretch {:?}",
         report.delivered,

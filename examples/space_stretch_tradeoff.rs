@@ -10,6 +10,7 @@ use optimal_routing_tables::routing::schemes::{
     theorem5::Theorem5Scheme,
 };
 use optimal_routing_tables::routing::verify;
+use optimal_routing_tables::graphs::paths::Apsp;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 128;
@@ -20,16 +21,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "scheme", "total bits", "max hops", "max stretch"
     );
 
+    let dists = Apsp::compute(&g);
     let rows: Vec<(&str, Box<dyn RoutingScheme>)> = vec![
-        ("Theorem 1 (shortest path)", Box::new(Theorem1Scheme::build(&g)?)),
-        ("Theorem 3 (stretch 1.5)", Box::new(Theorem3Scheme::build(&g)?)),
-        ("Theorem 4 (stretch 2)", Box::new(Theorem4Scheme::build(&g)?)),
-        ("Theorem 5 (stretch O(log n))", Box::new(Theorem5Scheme::build(&g)?)),
+        ("Theorem 1 (shortest path)", Box::new(Theorem1Scheme::build(&g, &dists)?)),
+        ("Theorem 3 (stretch 1.5)", Box::new(Theorem3Scheme::build(&g, &dists)?)),
+        ("Theorem 4 (stretch 2)", Box::new(Theorem4Scheme::build(&g, &dists)?)),
+        ("Theorem 5 (stretch O(log n))", Box::new(Theorem5Scheme::build(&g, &dists)?)),
     ];
 
     let mut last_bits = usize::MAX;
     for (name, scheme) in &rows {
-        let report = verify::verify_scheme(&g, scheme.as_ref())?;
+        let report = verify::verify(&g, scheme.as_ref(), &dists, 1)?;
         assert!(report.all_delivered(), "{name} failed to deliver");
         let max_hops = report.stretches.iter().map(|&(h, _)| h).max().unwrap_or(0);
         let bits = scheme.total_size_bits();

@@ -17,6 +17,7 @@ use optimal_routing_tables::routing::schemes::{
 use optimal_routing_tables::routing::verify;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use optimal_routing_tables::graphs::paths::Apsp;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = StdRng::seed_from_u64(2026);
@@ -42,8 +43,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         assert_eq!(&graph6::from_graph6(&g6)?, g);
 
         if report.all_hold() {
-            let scheme = Theorem1Scheme::build(g)?;
-            let v = verify::verify_scheme(g, &scheme)?;
+            let dists = Apsp::compute(g);
+            let scheme = Theorem1Scheme::build(g, &dists)?;
+            let v = verify::verify(g, &scheme, &dists, 1)?;
             assert!(v.is_shortest_path());
             println!(
                 "  → Theorem 1 applies: {} bits total, shortest path",
@@ -51,10 +53,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
         } else {
             // General-graph fallbacks.
-            let landmark = LandmarkScheme::build(g, 1)?;
-            let vl = verify::verify_scheme(g, &landmark)?;
-            let multi = MultiIntervalScheme::build(g)?;
-            let vm = verify::verify_scheme(g, &multi)?;
+            let dists = Apsp::compute(g);
+            let landmark = LandmarkScheme::build(g, &dists, 1)?;
+            let vl = verify::verify(g, &landmark, &dists, 1)?;
+            let multi = MultiIntervalScheme::build(g, &dists)?;
+            let vm = verify::verify(g, &multi, &dists, 1)?;
             assert!(vl.all_delivered() && vm.all_delivered());
             println!(
                 "  → fallbacks: landmark {} bits (stretch ≤ {:.2}) | k-interval {} bits (stretch 1)",

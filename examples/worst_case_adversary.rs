@@ -9,6 +9,7 @@ use optimal_routing_tables::routing::lower_bounds::theorem9;
 use optimal_routing_tables::routing::scheme::RoutingScheme;
 use optimal_routing_tables::routing::schemes::full_table::FullTableScheme;
 use optimal_routing_tables::routing::verify;
+use optimal_routing_tables::graphs::paths::Apsp;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let k = 6;
@@ -25,8 +26,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("adversarial top-layer permutation σ = {sigma:?}");
 
     // Any stretch < 2 scheme qualifies; the full table has stretch 1.
-    let scheme = FullTableScheme::build(&g)?;
-    let report = verify::verify_scheme(&g, &scheme)?;
+    let dists = Apsp::compute(&g);
+    let scheme = FullTableScheme::build(&g, &dists)?;
+    let report = verify::verify(&g, &scheme, &dists, 1)?;
     assert!(report.is_shortest_path());
 
     println!("\nreading σ back out of each bottom node's routing function:");

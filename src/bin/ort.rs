@@ -32,6 +32,8 @@
 use std::process::ExitCode;
 
 use optimal_routing_tables::conformance::registry::SchemeId;
+use optimal_routing_tables::graphs::oracle::Distances;
+use optimal_routing_tables::graphs::paths::Apsp;
 use optimal_routing_tables::graphs::random_props::RandomnessReport;
 use optimal_routing_tables::graphs::{generators, Graph};
 use optimal_routing_tables::kolmogorov::deficiency::CompressorSuite;
@@ -39,10 +41,14 @@ use optimal_routing_tables::routing::scheme::RoutingScheme;
 use optimal_routing_tables::routing::verify;
 use optimal_routing_tables::{manifest, profile};
 
-fn build_scheme(name: &str, g: &Graph) -> Result<Box<dyn RoutingScheme>, String> {
+fn build_scheme(
+    name: &str,
+    g: &Graph,
+    dists: &dyn Distances,
+) -> Result<Box<dyn RoutingScheme>, String> {
     SchemeId::from_name(name)
         .ok_or_else(|| format!("unknown scheme '{name}'; try `ort schemes`"))?
-        .build(g)
+        .build_with_dists(g, dists)
         .map_err(|e| e.to_string())
 }
 
@@ -238,7 +244,8 @@ fn run() -> Result<(), String> {
             let n: usize = parse(args.get(2), "n")?;
             let seed: u64 = parse(args.get(3), "seed")?;
             let g = generators::gnp_half(n, seed);
-            let scheme = build_scheme(&name, &g)?;
+            let dists = Apsp::compute(&g);
+            let scheme = build_scheme(&name, &g, &dists)?;
             println!("{name} on G({n}, 1/2) seed {seed} [model {}]", scheme.model());
             println!("total size: {} bits ({:.2} bits/n²)",
                 scheme.total_size_bits(),
@@ -248,7 +255,7 @@ fn run() -> Result<(), String> {
             if let (Some(min), Some(max)) = (sizes.first(), sizes.last()) {
                 println!("per node: min {min} / median {} / max {max}", sizes[n / 2]);
             }
-            let report = verify::verify_scheme_sampled(&g, scheme.as_ref(), if n >= 256 { 7 } else { 1 })
+            let report = verify::verify(&g, scheme.as_ref(), &dists, if n >= 256 { 7 } else { 1 })
                 .map_err(|e| e.to_string())?;
             println!(
                 "verification: {} pairs, {} failures, max stretch {:?}",
@@ -268,7 +275,7 @@ fn run() -> Result<(), String> {
                 return Err(format!("node ids must be below n = {n}"));
             }
             let g = generators::gnp_half(n, seed);
-            let scheme = build_scheme(&name, &g)?;
+            let scheme = build_scheme(&name, &g, &Apsp::compute(&g))?;
             let path = verify::route_pair(scheme.as_ref(), s, t, 4 * n)
                 .map_err(|e| e.to_string())?;
             println!("{s} → {t} via {name}: {path:?} ({} hops)", path.len() - 1);
@@ -282,7 +289,7 @@ fn run() -> Result<(), String> {
             let kind = snapshot_kind(&name)
                 .ok_or_else(|| format!("scheme '{name}' does not support snapshots"))?;
             let g = generators::gnp_half(n, seed);
-            let scheme = build_scheme(&name, &g)?;
+            let scheme = build_scheme(&name, &g, &Apsp::compute(&g))?;
             let snap = optimal_routing_tables::routing::snapshot::save(kind, scheme.as_ref())
                 .map_err(|e| e.to_string())?;
             std::fs::write(file, bits_to_bytes(&snap)).map_err(|e| e.to_string())?;

@@ -36,6 +36,7 @@
 //! [`VerifyReport`]: ort_routing::verify::VerifyReport
 
 use ort_telemetry::json::Json;
+use ort_graphs::paths::Apsp;
 use ort_graphs::{generators, Graph};
 use ort_routing::accounting::BitBreakdown;
 use ort_routing::repair::RepairableScheme;
@@ -213,7 +214,9 @@ fn run_cell(spec: &CellSpec, progress: &mut dyn FnMut(&str)) -> Result<CellResul
 
         // Cold build on the post-event topology: the ground truth every
         // per-step check compares against.
-        let fresh = FullTableScheme::build(repairable.graph())
+        // Its own APSP, not the repaired oracle: that would compare the repair with itself.
+        let fresh_dists = Apsp::compute(repairable.graph());
+        let fresh = FullTableScheme::build(repairable.graph(), &fresh_dists)
             .map_err(|e| format!("{} step {}: fresh build: {e}", spec.name, timed.at))?;
         let byte_identical = scheme_bytes(repairable.scheme())? == scheme_bytes(&fresh)?;
         if byte_identical {
@@ -240,9 +243,9 @@ fn run_cell(spec: &CellSpec, progress: &mut dyn FnMut(&str)) -> Result<CellResul
             // cross-validates the oracle's distances, not just the table
             // bytes.
             let repaired_report =
-                verify::verify_scheme_with_dists(repairable.graph(), repairable.scheme(), repairable.oracle())
+                verify::verify(repairable.graph(), repairable.scheme(), repairable.oracle(), 1)
                     .map_err(|e| format!("{} step {}: verify: {e}", spec.name, timed.at))?;
-            let fresh_report = verify::verify_scheme(repairable.graph(), &fresh)
+            let fresh_report = verify::verify(repairable.graph(), &fresh, &fresh_dists, 1)
                 .map_err(|e| format!("{} step {}: verify fresh: {e}", spec.name, timed.at))?;
             let equal = reports_equal(&repaired_report, &fresh_report)
                 && repaired_report.is_shortest_path();

@@ -382,10 +382,11 @@ pub fn bits_probe() -> Result<Json, String> {
     let mut sizes = Vec::new();
     for n in BITS_SIZES {
         let g = generators::gnp_half(n, BITS_SEED);
+        let dists = Apsp::compute(&g);
         let mut schemes = Vec::new();
         for id in SchemeId::ALL {
             let scheme = id
-                .build(&g)
+                .build_with_dists(&g, &dists)
                 .map_err(|e| format!("{} refused G({n}, 1/2) seed {BITS_SEED}: {e}", id.name()))?;
             let b = BitBreakdown::of(scheme.as_ref());
             schemes.push((

@@ -47,7 +47,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use optimal_routing_tables::graphs::generators;
+//! use optimal_routing_tables::graphs::{generators, paths::Apsp};
 //! use optimal_routing_tables::routing::schemes::theorem1::Theorem1Scheme;
 //! use optimal_routing_tables::routing::scheme::RoutingScheme;
 //! use optimal_routing_tables::routing::verify;
@@ -56,15 +56,18 @@
 //! // A Kolmogorov-random graph stand-in: uniform G(n, 1/2).
 //! let g = generators::gnp_half(64, 7);
 //!
+//! // One distance oracle serves construction and verification.
+//! let dists = Apsp::compute(&g);
+//!
 //! // Build the paper's Theorem 1 shortest-path scheme (≤ 6n bits/node).
-//! let scheme = Theorem1Scheme::build(&g)?;
+//! let scheme = Theorem1Scheme::build(&g, &dists)?;
 //!
 //! // Its size is honest: the bits really decode back into working routers.
 //! let total_bits = scheme.total_size_bits();
 //! assert!(total_bits <= 6 * 64 * 64);
 //!
 //! // And it routes every pair along shortest paths.
-//! let report = verify::verify_scheme(&g, &scheme)?;
+//! let report = verify::verify(&g, &scheme, &dists, 1)?;
 //! assert_eq!(report.max_stretch(), Some(1.0));
 //! # Ok(())
 //! # }

@@ -61,14 +61,18 @@ pub fn run_profile(scheme_name: &str, n: usize, seed: u64) -> Result<ProfileRepo
             let _s = ort_telemetry::span("profile.graph");
             generators::gnp_half(n, seed)
         };
+        let apsp = {
+            let _s = ort_telemetry::span("profile.apsp");
+            Apsp::compute(&g)
+        };
         let scheme = {
             let _s = ort_telemetry::span("profile.build");
-            id.build(&g)
+            id.build_with_dists(&g, &apsp)
                 .map_err(|e| format!("{scheme_name} refused G({n}, 1/2) seed {seed}: {e}"))?
         };
         let verify_report = {
             let _s = ort_telemetry::span("profile.verify");
-            verify::verify_scheme_sampled(&g, scheme.as_ref(), if n >= 256 { 7 } else { 1 })
+            verify::verify(&g, scheme.as_ref(), &apsp, if n >= 256 { 7 } else { 1 })
                 .map_err(|e| e.to_string())?
         };
         let breakdown = {
@@ -195,12 +199,12 @@ struct MemPhase {
 /// As [`run_profile`], additionally auditing every phase's memory
 /// against the instrumented allocator (`ort profile --mem`).
 ///
-/// The run is serial (`Apsp::compute_serial` + the banded-equivalent
-/// `build_with_dists` path over that oracle), so region attribution is
-/// exact. Each phase runs inside a [`ort_telemetry::alloc::mem_span`]
-/// region; phases with an analytic model — the APSP store + engine
-/// scratch, the scheme's charged table bytes — are reconciled against the
-/// measured figures and the profile *refuses* when `measured < claimed`
+/// The APSP is serial (`Apsp::compute_serial`), and the build and verify
+/// phases both read that one oracle, so region attribution is exact.
+/// Each phase runs inside a [`ort_telemetry::alloc::mem_span`] region;
+/// phases with an analytic model — the APSP store + engine scratch, the
+/// scheme's charged table bytes — are reconciled against the measured
+/// figures and the profile *refuses* when `measured < claimed`
 /// (the analytic model overstates what the code allocates: the claim is
 /// broken) or `measured > claimed × slack + abs` (the code allocates more
 /// than the model admits: a leak or an unaccounted buffer).
@@ -272,10 +276,9 @@ pub fn run_profile_mem(scheme_name: &str, n: usize, seed: u64) -> Result<Profile
             net: rec.net_bytes,
         });
 
-        // Build over the already-materialised distances — the same
-        // tables as `id.build` (the builder-bands harness proves byte
-        // identity), with the APSP cost attributed to its own phase
-        // above instead of hiding inside the build.
+        // Build over the already-materialised distances, with the APSP
+        // cost attributed to its own phase above instead of hiding inside
+        // the build.
         let region = alloc::mem_span("profile.build");
         let scheme = {
             let _s = ort_telemetry::span("profile.build");
@@ -294,12 +297,11 @@ pub fn run_profile_mem(scheme_name: &str, n: usize, seed: u64) -> Result<Profile
             peak: rec.region_peak_bytes,
             net: rec.net_bytes,
         });
-        drop(apsp);
 
         let region = alloc::mem_span("profile.verify");
         let verify_report = {
             let _s = ort_telemetry::span("profile.verify");
-            verify::verify_scheme_sampled(&g, scheme.as_ref(), if n >= 256 { 7 } else { 1 })
+            verify::verify(&g, scheme.as_ref(), &apsp, if n >= 256 { 7 } else { 1 })
                 .map_err(|e| e.to_string())?
         };
         let rec = region.finish();

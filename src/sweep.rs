@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use ort_telemetry::json::Json;
 use ort_conformance::registry::SchemeId;
-use ort_graphs::paths::{Apsp, DistanceOracle};
+use ort_graphs::paths::Apsp;
 use ort_graphs::ports::PortAssignment;
 use ort_graphs::{generators, Graph, NodeId};
 use ort_routing::scheme::RoutingScheme;
@@ -94,7 +94,7 @@ pub fn resilience_sweep(
     let mut exemplar_entries: Vec<Json> = Vec::new();
     let mut exemplar_keys: Vec<Exemplar> = Vec::new();
     for (tname, g) in &topologies {
-        let oracle = Apsp::compute(g).into_oracle();
+        let oracle = Apsp::compute(g);
         let pa = PortAssignment::sorted(g);
         // One shared plan per (topology, intensity): every scheme faces the
         // same broken links, so cells are comparable.
@@ -116,7 +116,7 @@ pub fn resilience_sweep(
             }
         }
         for id in SchemeId::ALL {
-            let bare = match id.build(g) {
+            let bare = match id.build_with_dists(g, &oracle) {
                 Ok(s) => s,
                 Err(e) => {
                     progress(&format!("{tname}/{}: refused ({e})", id.name()));
@@ -128,7 +128,8 @@ pub fn resilience_sweep(
                     continue;
                 }
             };
-            let wrapped = ResilientScheme::wrap(id.build(g).expect("built once already"));
+            let wrapped =
+                ResilientScheme::wrap(id.build_with_dists(g, &oracle).expect("built once already"));
             progress(&format!("{tname}/{}: sweeping {} intensities", id.name(), INTENSITIES.len()));
             for (i, &intensity) in INTENSITIES.iter().enumerate() {
                 for (is_wrapped, scheme) in
@@ -341,7 +342,7 @@ pub fn resilience_sweep(
 #[allow(clippy::too_many_arguments)]
 fn diagnose_exemplar(
     scheme: &dyn RoutingScheme,
-    oracle: &DistanceOracle,
+    oracle: &Apsp,
     plan: &FaultPlan,
     topology: &str,
     scheme_name: &str,

@@ -6,7 +6,7 @@
 //! captured walk through [`ort_routing::explain`], and renders the trace
 //! tree with per-hop stretch attribution. The whole run — construction,
 //! worst-pair selection and explanation — shares **one** APSP computation
-//! (`build_with_oracle` + `verify_scheme_with_oracle`).
+//! (`SchemeId::build_with_dists` + `verify::verify` over one `Apsp`).
 //!
 //! The renderer *refuses* a non-reconciling attribution: if
 //! `Σ excess != hops + dist_at_end − dist(src, dst)` the run errors out
@@ -55,8 +55,8 @@ pub fn run_trace(
     let g = generators::gnp_half(n, seed);
     // The single APSP of the run: construction, worst-pair verification
     // and the explainer all read from this oracle.
-    let oracle = Apsp::compute(&g).into_oracle();
-    let scheme = id.build_with_oracle(&g, &oracle).map_err(|e| e.to_string())?;
+    let oracle = Apsp::compute(&g);
+    let scheme = id.build_with_dists(&g, &oracle).map_err(|e| e.to_string())?;
 
     let mut header = format!("trace {name} on G({n}, 1/2) seed {seed}\n");
     let (src, dst) = match target {
@@ -70,7 +70,7 @@ pub fn run_trace(
             (s, t)
         }
         TraceTarget::Worst => {
-            let report = verify::verify_scheme_with_oracle(&g, scheme.as_ref(), &oracle)
+            let report = verify::verify(&g, scheme.as_ref(), &oracle, 1)
                 .map_err(|e| e.to_string())?;
             let (s, t, hops, dist) = report
                 .worst

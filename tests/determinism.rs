@@ -9,7 +9,7 @@ use optimal_routing_tables::graphs::generators;
 use optimal_routing_tables::graphs::paths::Apsp;
 use optimal_routing_tables::routing::schemes::full_table::FullTableScheme;
 use optimal_routing_tables::routing::schemes::theorem1::Theorem1Scheme;
-use optimal_routing_tables::routing::verify::{verify_scheme_with_oracle, VerifyReport};
+use optimal_routing_tables::routing::verify::{verify, VerifyReport};
 
 fn report_fingerprint(r: &VerifyReport) -> (usize, u64, Vec<(u32, u32)>, usize) {
     (r.delivered, r.total_hops, r.stretches.clone(), r.failures.len())
@@ -30,16 +30,15 @@ fn apsp_and_verification_are_thread_count_invariant() {
 
         let apsp = Apsp::compute(&g);
         dist_matrices.push(apsp.matrix_u32());
-        let oracle = apsp.into_oracle();
 
-        let ft = FullTableScheme::build_with_oracle(&g, &oracle).expect("full table");
+        let ft = FullTableScheme::build(&g, &apsp).expect("full table");
         ft_reports.push(report_fingerprint(
-            &verify_scheme_with_oracle(&g, &ft, &oracle).expect("verify full table"),
+            &verify(&g, &ft, &apsp, 1).expect("verify full table"),
         ));
 
-        let t1 = Theorem1Scheme::build(&g).expect("theorem 1 on G(64,1/2)");
+        let t1 = Theorem1Scheme::build(&g, &apsp).expect("theorem 1 on G(64,1/2)");
         t1_reports.push(report_fingerprint(
-            &verify_scheme_with_oracle(&g, &t1, &oracle).expect("verify theorem 1"),
+            &verify(&g, &t1, &apsp, 1).expect("verify theorem 1"),
         ));
     }
     std::env::remove_var("ORT_THREADS");

@@ -6,6 +6,7 @@
 use proptest::prelude::*;
 
 use optimal_routing_tables::graphs::generators;
+use optimal_routing_tables::graphs::paths::Apsp;
 use optimal_routing_tables::routing::scheme::RoutingScheme;
 use optimal_routing_tables::routing::schemes::full_table::FullTableScheme;
 use optimal_routing_tables::routing::schemes::resilient::ResilientScheme;
@@ -21,7 +22,7 @@ fn crash_and_restart_drains_afterwards() {
     // retries on, every message must eventually get through — the crash
     // delays the network, it does not lose anything permanently.
     let g = generators::path(5); // 0-1-2-3-4
-    let scheme = FullTableScheme::build(&g).unwrap();
+    let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
     let mut sim = RoundSimulator::new(&scheme, 4);
     sim.set_fault_plan(FaultPlan::from_events(vec![
         TimedFault { at: 0, event: FaultEvent::NodeCrash(2) },
@@ -46,7 +47,7 @@ fn bipartition_cuts_exactly_the_cross_pairs_and_heals() {
     let n = 10;
     let side: Vec<usize> = vec![0, 1, 2, 3];
     let g = generators::complete(n);
-    let scheme = FullTableScheme::build(&g).unwrap();
+    let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
     let mut net = Network::new(&scheme);
     net.fault_state_mut().apply(&FaultEvent::Bipartition { side: side.clone() }).unwrap();
     let mut cross_failed = 0u64;
@@ -85,7 +86,7 @@ fn ttl_expiry_is_counted_not_stranded() {
     // A star at capacity 1 serializes through the hub: late messages age
     // out. They must be attributed to TTL expiry, never left stranded.
     let g = generators::star(12);
-    let scheme = FullTableScheme::build(&g).unwrap();
+    let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
     let mut sim = RoundSimulator::new(&scheme, 1);
     sim.set_ttl(Some(3));
     let workload = workloads::incast(12, 1);
@@ -101,7 +102,7 @@ fn both_simulators_see_the_same_fault_trajectory() {
     // The same plan replayed on each simulator's clock produces the same
     // verdict for the same pair: down while the plan says down, up after.
     let g = generators::path(6);
-    let scheme = FullTableScheme::build(&g).unwrap();
+    let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
     let plan = FaultPlan::from_events(vec![
         TimedFault { at: 1, event: FaultEvent::LinkDown(2, 3) },
         TimedFault { at: 3, event: FaultEvent::LinkUp(2, 3) },
@@ -136,7 +137,8 @@ proptest! {
         // scheme never records a hop-limit failure, and every message
         // either arrives or fails with an attributable fault.
         let g = generators::gnp_half(n, seed);
-        let scheme = ResilientScheme::wrap(Box::new(FullTableScheme::build(&g).unwrap()));
+        let inner = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
+        let scheme = ResilientScheme::wrap(Box::new(inner));
         let plan = FaultPlan::random_link_faults(scheme.port_assignment(), intensity, seed ^ 0xD1CE);
         let mut net = Network::new(&scheme);
         net.set_hop_limit(resilience_hop_limit(n));
@@ -159,7 +161,7 @@ proptest! {
         // A plan naming a non-edge is rejected atomically by both
         // simulators, and a valid random plan is accepted by both.
         let g = generators::gnp_half(n, seed);
-        let scheme = FullTableScheme::build(&g).unwrap();
+        let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let good = FaultPlan::random_link_faults(scheme.port_assignment(), 0.2, seed);
         let mut bogus = good.clone();
         bogus.push(0, FaultEvent::NodeCrash(n + 3));

@@ -12,11 +12,12 @@ use proptest::prelude::*;
 
 use optimal_routing_tables::bitio::BitReader;
 use optimal_routing_tables::conformance::mutate::{mutate, random_bits};
+use optimal_routing_tables::graphs::paths::Apsp;
 use optimal_routing_tables::graphs::{generators, Graph};
 use optimal_routing_tables::kolmogorov::codecs::{lemma1, lemma2, lemma3};
 use optimal_routing_tables::routing::scheme::RoutingScheme;
 use optimal_routing_tables::routing::schemes::theorem1::Theorem1Scheme;
-use optimal_routing_tables::routing::verify::verify_scheme;
+use optimal_routing_tables::routing::verify::verify;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -55,7 +56,8 @@ proptest! {
     #[test]
     fn corrupted_routing_tables_fail_cleanly(seed in any::<u64>(), mseed in any::<u64>()) {
         let g = generators::gnp_half(32, seed % 50);
-        let Ok(mut scheme) = Theorem1Scheme::build(&g) else { return Ok(()); };
+        let dists = Apsp::compute(&g);
+        let Ok(mut scheme) = Theorem1Scheme::build(&g, &dists) else { return Ok(()); };
         // Mutate one node's table via the public clone-and-rebuild path:
         // re-verify must complete without panicking, reporting either
         // success (mutation landed in don't-care bits) or failures.
@@ -64,7 +66,7 @@ proptest! {
         if bits.is_empty() { return Ok(()); }
         let (corrupted, _) = mutate(&bits, mseed);
         scheme.replace_node_bits(victim, corrupted);
-        let report = verify_scheme(&g, &scheme).unwrap();
+        let report = verify(&g, &scheme, &dists, 1).unwrap();
         // Either everything still works (rare) or failures are reported.
         let _ = report.all_delivered();
     }

@@ -52,10 +52,10 @@ fn value_histograms_are_thread_count_invariant() {
     for threads in ["1", "2", "8"] {
         std::env::set_var("ORT_THREADS", threads);
         tel::reset();
-        let apsp = Apsp::compute(&g);
-        let oracle = apsp.into_oracle();
-        let scheme = SchemeId::Theorem1.build(&g).expect("theorem 1 on G(48, 1/2)");
-        verify::verify_scheme_with_oracle(&g, scheme.as_ref(), &oracle).expect("verify");
+        let oracle = Apsp::compute(&g);
+        let scheme =
+            SchemeId::Theorem1.build_with_dists(&g, &oracle).expect("theorem 1 on G(48, 1/2)");
+        verify::verify(&g, scheme.as_ref(), &oracle, 1).expect("verify");
         let _bits = BitBreakdown::of(scheme.as_ref());
         tables.push(tel::snapshot().hists.into_iter().filter(|h| !h.timing).collect());
     }

@@ -3,7 +3,7 @@
 //! or measured by the incompressibility machinery.
 
 use optimal_routing_tables::graphs::random_props::RandomnessReport;
-use optimal_routing_tables::graphs::{generators, paths::Apsp};
+use optimal_routing_tables::graphs::{generators, paths::Apsp, Graph};
 use optimal_routing_tables::kolmogorov::deficiency::CompressorSuite;
 use optimal_routing_tables::routing::lower_bounds::{theorem6, theorem7, theorem8, theorem9};
 use optimal_routing_tables::routing::model::{Knowledge, Model, Relabeling};
@@ -13,7 +13,7 @@ use optimal_routing_tables::routing::schemes::{
     theorem1::Theorem1Scheme, theorem2::Theorem2Scheme, theorem3::Theorem3Scheme,
     theorem4::Theorem4Scheme, theorem5::Theorem5Scheme,
 };
-use optimal_routing_tables::routing::verify::verify_scheme;
+use optimal_routing_tables::routing::verify::verify;
 use optimal_routing_tables::graphs::labels::Labeling;
 use optimal_routing_tables::graphs::ports::PortAssignment;
 use rand::rngs::StdRng;
@@ -42,16 +42,18 @@ fn table1_upper_bound_ordering() {
     let n = 256;
     let g = generators::gnp_half(n, SEED);
     let mut rng = StdRng::seed_from_u64(5);
+    let dists = Apsp::compute(&g);
     let ia = FullTableScheme::build_with(
         &g,
+        &dists,
         Model::new(Knowledge::PortsFixed, Relabeling::None),
         PortAssignment::adversarial(&g, &mut rng),
         Labeling::identity(n),
     )
     .unwrap();
-    let ib = Theorem1Scheme::build_ib(&g).unwrap();
-    let ii = Theorem1Scheme::build(&g).unwrap();
-    let gamma = Theorem2Scheme::build(&g).unwrap();
+    let ib = Theorem1Scheme::build_ib(&g, &dists).unwrap();
+    let ii = Theorem1Scheme::build(&g, &dists).unwrap();
+    let gamma = Theorem2Scheme::build(&g, &dists).unwrap();
     assert!(ia.total_size_bits() > ib.total_size_bits(), "IA∧α must dominate");
     assert!(ib.total_size_bits() > ii.total_size_bits(), "IB pays the neighbour vector");
     assert!(ii.total_size_bits() > gamma.total_size_bits(), "γ labels beat Θ(n²)");
@@ -62,10 +64,11 @@ fn table1_upper_bound_ordering() {
 #[test]
 fn stretch_ladder_shrinks_space() {
     let g = generators::gnp_half(N, SEED);
-    let t1 = Theorem1Scheme::build(&g).unwrap();
-    let t3 = Theorem3Scheme::build(&g).unwrap();
-    let t4 = Theorem4Scheme::build(&g).unwrap();
-    let t5 = Theorem5Scheme::build(&g).unwrap();
+    let dists = Apsp::compute(&g);
+    let t1 = Theorem1Scheme::build(&g, &dists).unwrap();
+    let t3 = Theorem3Scheme::build(&g, &dists).unwrap();
+    let t4 = Theorem4Scheme::build(&g, &dists).unwrap();
+    let t5 = Theorem5Scheme::build(&g, &dists).unwrap();
     let sizes =
         [t1.total_size_bits(), t3.total_size_bits(), t4.total_size_bits(), t5.total_size_bits()];
     assert!(sizes.windows(2).all(|w| w[0] > w[1]), "sizes must strictly decrease: {sizes:?}");
@@ -77,7 +80,7 @@ fn stretch_ladder_shrinks_space() {
         (&t4, 2.0),
         (&t5, 6.0 * (N as f64).log2()),
     ] {
-        let report = verify_scheme(&g, scheme).unwrap();
+        let report = verify(&g, scheme, &dists, 1).unwrap();
         assert!(report.all_delivered());
         let s = report.max_stretch().unwrap();
         assert!(s <= bound, "stretch {s} > {bound}");
@@ -89,7 +92,7 @@ fn theorem6_floor_holds_for_every_node() {
     let g = generators::gnp_half(N, SEED);
     let suite = CompressorSuite::standard();
     let deficiency = suite.graph_deficiency(&g).max(0);
-    let scheme = Theorem1Scheme::build(&g).unwrap();
+    let scheme = Theorem1Scheme::build(&g, &Apsp::compute(&g)).unwrap();
     for u in 0..N {
         let acc = theorem6::analyze_node(&g, u, scheme.node_bits(u), deficiency).unwrap();
         assert!((acc.f_bits as i64) >= acc.implied_floor, "node {u}: {acc:?}");
@@ -102,6 +105,7 @@ fn theorem7_interconnection_reconstruction() {
     let g = generators::gnp_half(64, 3);
     let scheme = FullTableScheme::build_with(
         &g,
+        &Apsp::compute(&g),
         Model::new(Knowledge::PortsFree, Relabeling::None),
         PortAssignment::sorted(&g),
         Labeling::identity(64),
@@ -125,6 +129,7 @@ fn theorem8_permutation_floor() {
     let mut rng = StdRng::seed_from_u64(11);
     let scheme = FullTableScheme::build_with(
         &g,
+        &Apsp::compute(&g),
         Model::new(Knowledge::PortsFixed, Relabeling::None),
         PortAssignment::adversarial(&g, &mut rng),
         Labeling::identity(64),
@@ -144,7 +149,8 @@ fn theorem8_permutation_floor() {
 
 #[test]
 fn theorem9_worst_case_extraction() {
-    let report = theorem9::run(24, SEED, |g| FullTableScheme::build(g).unwrap()).unwrap();
+    let full_table = |g: &Graph| FullTableScheme::build(g, &Apsp::compute(g)).unwrap();
+    let report = theorem9::run(24, SEED, full_table).unwrap();
     // ⌈log 24!⌉ = 80 bits; measured routing functions must carry at least
     // that much.
     assert!(report.permutation_bits >= 79);
@@ -156,7 +162,7 @@ fn theorem9_worst_case_extraction() {
 #[test]
 fn full_information_is_cubic_and_optimal_in_shape() {
     let g = generators::gnp_half(64, 9);
-    let fi = FullInformationScheme::build(&g).unwrap();
+    let fi = FullInformationScheme::build(&g, &Apsp::compute(&g)).unwrap();
     let total = fi.total_size_bits() as f64;
     let cubed = (64.0f64).powi(3);
     assert!(total > 0.15 * cubed && total < 0.35 * cubed, "Θ(n³): {total}");

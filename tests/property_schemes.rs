@@ -13,7 +13,8 @@ use optimal_routing_tables::routing::schemes::{
     multi_interval::MultiIntervalScheme, theorem1::Theorem1Scheme, theorem2::Theorem2Scheme,
     theorem3::Theorem3Scheme, theorem4::Theorem4Scheme, theorem5::Theorem5Scheme,
 };
-use optimal_routing_tables::routing::verify::verify_scheme;
+use optimal_routing_tables::routing::verify::verify;
+use optimal_routing_tables::graphs::paths::Apsp;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -24,39 +25,40 @@ proptest! {
         // Small random graphs occasionally violate the diameter-2 /
         // Lemma 3 preconditions; constructors must then refuse rather than
         // misroute. When they accept, the bound must hold.
-        if let Ok(s) = Theorem1Scheme::build(&g) {
-            let r = verify_scheme(&g, &s).unwrap();
+        let dists = Apsp::compute(&g);
+        if let Ok(s) = Theorem1Scheme::build(&g, &dists) {
+            let r = verify(&g, &s, &dists, 1).unwrap();
             prop_assert!(r.is_shortest_path());
         }
-        if let Ok(s) = Theorem1Scheme::build_ib(&g) {
+        if let Ok(s) = Theorem1Scheme::build_ib(&g, &dists) {
             // Model IB: the interconnection vector rides along, but routing
             // must stay shortest-path.
-            let r = verify_scheme(&g, &s).unwrap();
+            let r = verify(&g, &s, &dists, 1).unwrap();
             prop_assert!(r.is_shortest_path());
         }
-        if let Ok(s) = IaCompactScheme::build(&g, PortAssignment::sorted(&g)) {
+        if let Ok(s) = IaCompactScheme::build(&g, PortAssignment::sorted(&g), &dists) {
             // IA ∧ α: fixed port assignment, Theorem 8's constant — still
             // exact shortest paths when the precondition holds.
-            let r = verify_scheme(&g, &s).unwrap();
+            let r = verify(&g, &s, &dists, 1).unwrap();
             prop_assert!(r.is_shortest_path());
         }
-        if let Ok(s) = Theorem3Scheme::build(&g) {
-            let r = verify_scheme(&g, &s).unwrap();
+        if let Ok(s) = Theorem3Scheme::build(&g, &dists) {
+            let r = verify(&g, &s, &dists, 1).unwrap();
             prop_assert!(r.all_delivered());
             prop_assert!(r.max_stretch().unwrap() <= 1.5);
         }
-        if let Ok(s) = Theorem4Scheme::build(&g) {
-            let r = verify_scheme(&g, &s).unwrap();
+        if let Ok(s) = Theorem4Scheme::build(&g, &dists) {
+            let r = verify(&g, &s, &dists, 1).unwrap();
             prop_assert!(r.all_delivered());
             prop_assert!(r.max_stretch().unwrap() <= 2.0);
         }
-        if let Ok(s) = Theorem5Scheme::build(&g) {
-            let r = verify_scheme(&g, &s).unwrap();
+        if let Ok(s) = Theorem5Scheme::build(&g, &dists) {
+            let r = verify(&g, &s, &dists, 1).unwrap();
             prop_assert!(r.all_delivered());
             prop_assert!(r.max_stretch().unwrap() <= s.probe_budget() as f64);
         }
-        if let Ok(s) = Theorem2Scheme::build(&g) {
-            let r = verify_scheme(&g, &s).unwrap();
+        if let Ok(s) = Theorem2Scheme::build(&g, &dists) {
+            let r = verify(&g, &s, &dists, 1).unwrap();
             prop_assert!(r.is_shortest_path());
         }
     }
@@ -68,20 +70,21 @@ proptest! {
         p in 0.15f64..0.9,
     ) {
         let g = generators::connected_gnp(n, p, seed % 1000);
-        let ft = FullTableScheme::build(&g).unwrap();
-        prop_assert!(verify_scheme(&g, &ft).unwrap().is_shortest_path());
+        let dists = Apsp::compute(&g);
+        let ft = FullTableScheme::build(&g, &dists).unwrap();
+        prop_assert!(verify(&g, &ft, &dists, 1).unwrap().is_shortest_path());
 
-        let fi = FullInformationScheme::build(&g).unwrap();
-        prop_assert!(verify_scheme(&g, &fi).unwrap().is_shortest_path());
+        let fi = FullInformationScheme::build(&g, &dists).unwrap();
+        prop_assert!(verify(&g, &fi, &dists, 1).unwrap().is_shortest_path());
 
-        let iv = IntervalScheme::build(&g).unwrap();
-        prop_assert!(verify_scheme(&g, &iv).unwrap().all_delivered());
+        let iv = IntervalScheme::build(&g, &dists).unwrap();
+        prop_assert!(verify(&g, &iv, &dists, 1).unwrap().all_delivered());
 
-        let mi = MultiIntervalScheme::build(&g).unwrap();
-        prop_assert!(verify_scheme(&g, &mi).unwrap().is_shortest_path());
+        let mi = MultiIntervalScheme::build(&g, &dists).unwrap();
+        prop_assert!(verify(&g, &mi, &dists, 1).unwrap().is_shortest_path());
 
-        let lm = LandmarkScheme::build(&g, seed).unwrap();
-        prop_assert!(verify_scheme(&g, &lm).unwrap().all_delivered());
+        let lm = LandmarkScheme::build(&g, &dists, seed).unwrap();
+        prop_assert!(verify(&g, &lm, &dists, 1).unwrap().all_delivered());
     }
 
     #[test]
@@ -138,7 +141,9 @@ proptest! {
         // Building the same scheme twice yields identical bit strings —
         // the encodings are canonical, with no hidden nondeterminism.
         let g = generators::gnp_half(32, seed);
-        if let (Ok(a), Ok(b)) = (Theorem1Scheme::build(&g), Theorem1Scheme::build(&g)) {
+        let dists = Apsp::compute(&g);
+        let (a, b) = (Theorem1Scheme::build(&g, &dists), Theorem1Scheme::build(&g, &dists));
+        if let (Ok(a), Ok(b)) = (a, b) {
             for u in 0..32 {
                 prop_assert_eq!(a.node_bits(u), b.node_bits(u));
             }
@@ -150,7 +155,7 @@ proptest! {
     fn theorem1_size_bound_holds_across_seeds(seed in any::<u64>()) {
         let n = 64usize;
         let g = generators::gnp_half(n, seed);
-        if let Ok(s) = Theorem1Scheme::build(&g) {
+        if let Ok(s) = Theorem1Scheme::build(&g, &Apsp::compute(&g)) {
             for u in 0..n {
                 prop_assert!(s.node_size_bits(u) <= 6 * n, "node {} has {} bits", u, s.node_size_bits(u));
             }

@@ -12,6 +12,7 @@
 use proptest::prelude::*;
 
 use optimal_routing_tables::conformance::enumerate;
+use optimal_routing_tables::graphs::paths::Apsp;
 use optimal_routing_tables::graphs::{generators, paths, Graph};
 use optimal_routing_tables::routing::repair::RepairableScheme;
 use optimal_routing_tables::routing::scheme::RoutingScheme;
@@ -60,7 +61,8 @@ fn check_delta(g: &Graph, u: usize, v: usize) {
     outcome.unwrap_or_else(|e| panic!("connectivity-preserving delta {{{u},{v}}} refused: {e}"));
     assert_eq!(repairable.stats().refusals, refusals_before, "spurious refusal count");
 
-    let fresh = FullTableScheme::build(&target).expect("fresh build");
+    let dists = Apsp::compute(&target);
+    let fresh = FullTableScheme::build(&target, &dists).expect("fresh build");
     assert_eq!(
         bytes(repairable.scheme()),
         bytes(&fresh),
@@ -70,9 +72,9 @@ fn check_delta(g: &Graph, u: usize, v: usize) {
     // fresh scheme against a fresh APSP: equal reports certify the
     // repaired distances, not just the table bytes.
     let patched_report =
-        verify::verify_scheme_with_dists(&target, repairable.scheme(), repairable.oracle())
+        verify::verify(&target, repairable.scheme(), repairable.oracle(), 1)
             .expect("verify patched");
-    let fresh_report = verify::verify_scheme(&target, &fresh).expect("verify fresh");
+    let fresh_report = verify::verify(&target, &fresh, &dists, 1).expect("verify fresh");
     assert!(reports_equal(&patched_report, &fresh_report), "verify reports diverge");
     assert!(patched_report.is_shortest_path());
 }
@@ -134,13 +136,14 @@ proptest! {
                 target.add_edge(u, v).expect("add");
                 repairable.add_link(u, v).expect("add");
             }
-            prop_assert_eq!(bytes(repairable.scheme()), bytes(&FullTableScheme::build(&target).expect("fresh")));
+            let fresh = FullTableScheme::build(&target, &Apsp::compute(&target)).expect("fresh");
+            prop_assert_eq!(bytes(repairable.scheme()), bytes(&fresh));
         }
         prop_assert_eq!(repairable.stats().refusals, 0);
         // One full verification at the end of the chain: the long-lived
         // patched scheme still routes every pair along shortest paths,
         // measured against its own repaired oracle.
-        let report = verify::verify_scheme_with_dists(&target, repairable.scheme(), repairable.oracle())
+        let report = verify::verify(&target, repairable.scheme(), repairable.oracle(), 1)
             .expect("verify");
         prop_assert!(report.is_shortest_path());
         prop_assert!(repairable.stats().patches > 0, "chain never exercised the patch path");

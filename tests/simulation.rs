@@ -17,18 +17,19 @@ const N: usize = 48;
 const SEED: u64 = 77;
 
 fn all_schemes(g: &optimal_routing_tables::graphs::Graph) -> Vec<(&'static str, Box<dyn RoutingScheme>)> {
+    let dists = Apsp::compute(g);
     vec![
-        ("full_table", Box::new(FullTableScheme::build(g).unwrap())),
-        ("theorem1", Box::new(Theorem1Scheme::build(g).unwrap())),
-        ("theorem1_ib", Box::new(Theorem1Scheme::build_ib(g).unwrap())),
-        ("theorem2", Box::new(Theorem2Scheme::build(g).unwrap())),
-        ("theorem3", Box::new(Theorem3Scheme::build(g).unwrap())),
-        ("theorem4", Box::new(Theorem4Scheme::build(g).unwrap())),
-        ("theorem5", Box::new(Theorem5Scheme::build(g).unwrap())),
-        ("full_information", Box::new(FullInformationScheme::build(g).unwrap())),
-        ("interval", Box::new(IntervalScheme::build(g).unwrap())),
-        ("multi_interval", Box::new(MultiIntervalScheme::build(g).unwrap())),
-        ("landmark", Box::new(LandmarkScheme::build(g, 5).unwrap())),
+        ("full_table", Box::new(FullTableScheme::build(g, &dists).unwrap())),
+        ("theorem1", Box::new(Theorem1Scheme::build(g, &dists).unwrap())),
+        ("theorem1_ib", Box::new(Theorem1Scheme::build_ib(g, &dists).unwrap())),
+        ("theorem2", Box::new(Theorem2Scheme::build(g, &dists).unwrap())),
+        ("theorem3", Box::new(Theorem3Scheme::build(g, &dists).unwrap())),
+        ("theorem4", Box::new(Theorem4Scheme::build(g, &dists).unwrap())),
+        ("theorem5", Box::new(Theorem5Scheme::build(g, &dists).unwrap())),
+        ("full_information", Box::new(FullInformationScheme::build(g, &dists).unwrap())),
+        ("interval", Box::new(IntervalScheme::build(g, &dists).unwrap())),
+        ("multi_interval", Box::new(MultiIntervalScheme::build(g, &dists).unwrap())),
+        ("landmark", Box::new(LandmarkScheme::build(g, &dists, 5).unwrap())),
     ]
 }
 
@@ -76,8 +77,9 @@ fn shortest_path_schemes_agree_with_apsp_hop_counts() {
 #[test]
 fn simulator_and_verifier_agree() {
     let g = generators::gnp_half(N, SEED);
-    let scheme = Theorem3Scheme::build(&g).unwrap();
-    let report = optimal_routing_tables::routing::verify::verify_scheme(&g, &scheme).unwrap();
+    let dists = Apsp::compute(&g);
+    let scheme = Theorem3Scheme::build(&g, &dists).unwrap();
+    let report = optimal_routing_tables::routing::verify::verify(&g, &scheme, &dists, 1).unwrap();
     let mut net = Network::new(&scheme);
     let (ok, _) = net.send_all_pairs();
     assert_eq!(report.delivered as u64, ok);
@@ -93,12 +95,13 @@ fn landmark_scheme_handles_sparse_topologies_where_theorems_cannot() {
         (generators::cycle(20), "cycle"),
         (generators::connected_gnp(40, 0.15, 3), "sparse gnp"),
     ] {
-        assert!(Theorem1Scheme::build(&g).is_err(), "{name} should violate preconditions");
-        let scheme = LandmarkScheme::build(&g, 1).unwrap();
+        let dists = Apsp::compute(&g);
+        assert!(Theorem1Scheme::build(&g, &dists).is_err(), "{name} should violate preconditions");
+        let scheme = LandmarkScheme::build(&g, &dists, 1).unwrap();
         let mut net = Network::new(&scheme);
         let (_, bad) = net.send_all_pairs();
         assert_eq!(bad, 0, "{name}");
-        let interval = IntervalScheme::build(&g).unwrap();
+        let interval = IntervalScheme::build(&g, &dists).unwrap();
         let mut net = Network::new(&interval);
         let (_, bad) = net.send_all_pairs();
         assert_eq!(bad, 0, "{name} (interval)");
@@ -108,7 +111,7 @@ fn landmark_scheme_handles_sparse_topologies_where_theorems_cannot() {
 #[test]
 fn link_failures_degrade_gracefully() {
     let g = generators::gnp_half(N, SEED);
-    let fi = FullInformationScheme::build(&g).unwrap();
+    let fi = FullInformationScheme::build(&g, &Apsp::compute(&g)).unwrap();
     let mut net = Network::new(&fi);
     // Cut every link on one node except one; traffic to that node must
     // still arrive via the survivor. The victim is chosen adjacent to the
@@ -134,10 +137,11 @@ fn link_failures_degrade_gracefully() {
 #[test]
 fn charged_sizes_differ_between_gamma_and_alpha() {
     let g = generators::gnp_half(N, SEED);
-    let t2 = Theorem2Scheme::build(&g).unwrap();
+    let dists = Apsp::compute(&g);
+    let t2 = Theorem2Scheme::build(&g, &dists).unwrap();
     // γ: everything is labels.
     assert_eq!(t2.total_size_bits(), t2.labeling().total_charged_bits());
-    let t1 = Theorem1Scheme::build(&g).unwrap();
+    let t1 = Theorem1Scheme::build(&g, &dists).unwrap();
     // α: labels are free.
     assert_eq!(t1.labeling().total_charged_bits(), 0);
     let per_node: usize = (0..N).map(|u| t1.node_size_bits(u)).sum();

@@ -9,8 +9,9 @@
 
 use optimal_routing_tables::conformance::registry::SchemeId;
 use optimal_routing_tables::graphs::generators;
+use optimal_routing_tables::graphs::paths::Apsp;
 use optimal_routing_tables::routing::snapshot::{self, SchemeKind};
-use optimal_routing_tables::routing::verify::{verify_scheme, VerifyReport};
+use optimal_routing_tables::routing::verify::{verify, VerifyReport};
 
 fn assert_reports_identical(kind: SchemeKind, a: &VerifyReport, b: &VerifyReport) {
     assert_eq!(a.delivered, b.delivered, "{kind:?}: delivered differs");
@@ -33,15 +34,16 @@ fn every_kind_roundtrips_to_an_identical_report() {
     let g = generators::gnp_half(n, seed);
     for kind in SchemeKind::ALL {
         let id = SchemeId::from_snapshot_kind(kind).expect("registry covers all kinds");
+        let dists = Apsp::compute(&g);
         let original = id
-            .build(&g)
+            .build_with_dists(&g, &dists)
             .unwrap_or_else(|e| panic!("{kind:?} refused G({n},1/2) seed {seed}: {e}"));
         let bits = snapshot::save(kind, original.as_ref()).expect("save");
         let loaded = snapshot::load(&bits).expect("load");
         assert_eq!(loaded.node_count(), n, "{kind:?}: node count changed");
 
-        let before = verify_scheme(&g, original.as_ref()).expect("verify original");
-        let after = verify_scheme(&g, loaded.as_ref()).expect("verify loaded");
+        let before = verify(&g, original.as_ref(), &dists, 1).expect("verify original");
+        let after = verify(&g, loaded.as_ref(), &dists, 1).expect("verify loaded");
         assert_reports_identical(kind, &before, &after);
     }
 }
@@ -53,7 +55,7 @@ fn double_roundtrip_is_bit_stable() {
     let g = generators::gnp_half(20, 3);
     for kind in SchemeKind::ALL {
         let id = SchemeId::from_snapshot_kind(kind).expect("registry covers all kinds");
-        let scheme = id.build(&g).expect("build");
+        let scheme = id.build_with_dists(&g, &Apsp::compute(&g)).expect("build");
         let bits = snapshot::save(kind, scheme.as_ref()).expect("save");
         let loaded = snapshot::load(&bits).expect("load");
         let again = snapshot::save(kind, loaded.as_ref()).expect("re-save");

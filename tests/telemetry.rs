@@ -57,12 +57,11 @@ fn counters_are_thread_count_invariant() {
     for threads in ["1", "2", "8"] {
         std::env::set_var("ORT_THREADS", threads);
         tel::reset();
-        let apsp = Apsp::compute(&g);
-        let oracle = apsp.into_oracle();
+        let oracle = Apsp::compute(&g);
         let scheme = optimal_routing_tables::conformance::registry::SchemeId::Theorem1
-            .build(&g)
+            .build_with_dists(&g, &oracle)
             .expect("theorem 1 on G(48, 1/2)");
-        verify::verify_scheme_with_oracle(&g, scheme.as_ref(), &oracle).expect("verify");
+        verify::verify(&g, scheme.as_ref(), &oracle, 1).expect("verify");
         tables.push(tel::snapshot().counters);
     }
     std::env::remove_var("ORT_THREADS");

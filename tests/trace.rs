@@ -35,9 +35,9 @@ fn traces_are_byte_identical_across_thread_counts() {
     let _serial = LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let ambient = std::env::var("ORT_THREADS").ok();
     let g = generators::gnp_half(48, 3);
-    let oracle = Apsp::compute(&g).into_oracle();
+    let oracle = Apsp::compute(&g);
     let scheme = SchemeId::Theorem4
-        .build_with_oracle(&g, &oracle)
+        .build_with_dists(&g, &oracle)
         .expect("theorem 4 on G(48, 1/2)");
 
     let mut captures: Vec<String> = Vec::new();
@@ -46,7 +46,7 @@ fn traces_are_byte_identical_across_thread_counts() {
         let recorder = TraceRecorder::unfiltered();
         {
             let _guard = trace_api::install(Arc::clone(&recorder));
-            verify::verify_scheme_with_oracle(&g, scheme.as_ref(), &oracle).expect("verify");
+            verify::verify(&g, scheme.as_ref(), &oracle, 1).expect("verify");
         }
         assert!(recorder.event_count() > 0, "verification must be traced at {threads} threads");
         captures.push(format!("{:#?}", recorder.messages()));
@@ -68,16 +68,16 @@ fn every_scheme_attribution_reconciles_at_n_64() {
     let _serial = LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let n = 64;
     let g = generators::gnp_half(n, 1);
-    let oracle = Apsp::compute(&g).into_oracle();
+    let oracle = Apsp::compute(&g);
 
     for id in SchemeId::ALL {
         let scheme = id
-            .build_with_oracle(&g, &oracle)
+            .build_with_dists(&g, &oracle)
             .unwrap_or_else(|e| panic!("{} on G(64, 1/2): {e}", id.name()));
         let recorder = TraceRecorder::unfiltered();
         let report = {
             let _guard = trace_api::install(Arc::clone(&recorder));
-            verify::verify_scheme_with_oracle(&g, scheme.as_ref(), &oracle).expect("verify")
+            verify::verify(&g, scheme.as_ref(), &oracle, 1).expect("verify")
         };
         let messages = recorder.messages();
         assert_eq!(messages.len(), n * (n - 1), "{} must trace every ordered pair", id.name());
@@ -119,8 +119,8 @@ fn failed_walks_name_a_scheduled_fault_event() {
     let _serial = LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let n = 24;
     let g = generators::gnp_half(n, 5);
-    let oracle = Apsp::compute(&g).into_oracle();
-    let scheme = SchemeId::FullTable.build_with_oracle(&g, &oracle).expect("full table");
+    let oracle = Apsp::compute(&g);
+    let scheme = SchemeId::FullTable.build_with_dists(&g, &oracle).expect("full table");
     let plan = FaultPlan::random_link_faults(&PortAssignment::sorted(&g), 0.3, 11);
 
     let recorder = TraceRecorder::unfiltered();

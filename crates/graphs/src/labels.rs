@@ -66,14 +66,43 @@ pub enum Label {
     Bits(BitVec),
 }
 
-impl Label {
+/// A node label read in place: what [`Labeling::label_ref`] returns, so a
+/// router can compare or decode a label without copying its bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LabelRef<'a> {
+    /// Minimal label (α/β models).
+    Minimal(NodeId),
+    /// Arbitrary label (γ model), borrowed from its labelling.
+    Bits(&'a BitVec),
+}
+
+impl LabelRef<'_> {
+    /// The owned [`Label`] this view reads.
+    #[must_use]
+    pub fn to_owned(self) -> Label {
+        match self {
+            LabelRef::Minimal(v) => Label::Minimal(v),
+            LabelRef::Bits(b) => Label::Bits(b.clone()),
+        }
+    }
+
     /// The number of bits charged for storing this label at its node:
     /// 0 for minimal labels, the bit length for arbitrary ones.
     #[must_use]
-    pub fn charged_bits(&self) -> usize {
+    pub fn charged_bits(self) -> usize {
         match self {
-            Label::Minimal(_) => 0,
-            Label::Bits(b) => b.len(),
+            LabelRef::Minimal(_) => 0,
+            LabelRef::Bits(b) => b.len(),
+        }
+    }
+}
+
+impl PartialEq<Label> for LabelRef<'_> {
+    fn eq(&self, other: &Label) -> bool {
+        match (*self, other) {
+            (LabelRef::Minimal(a), Label::Minimal(b)) => a == *b,
+            (LabelRef::Bits(a), Label::Bits(b)) => a == b,
+            _ => false,
         }
     }
 }
@@ -165,21 +194,31 @@ impl Labeling {
         }
     }
 
-    /// The label of node `u`.
+    /// The label of node `u`, read in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is out of range.
+    #[must_use]
+    pub fn label_ref(&self, u: NodeId) -> LabelRef<'_> {
+        match &self.kind {
+            LabelingKind::Identity(n) => {
+                assert!(u < *n, "node {u} out of range");
+                LabelRef::Minimal(u)
+            }
+            LabelingKind::Permutation { label, .. } => LabelRef::Minimal(label[u]),
+            LabelingKind::Arbitrary { label, .. } => LabelRef::Bits(&label[u]),
+        }
+    }
+
+    /// The label of node `u`, copied out.
     ///
     /// # Panics
     ///
     /// Panics if `u` is out of range.
     #[must_use]
     pub fn label_of(&self, u: NodeId) -> Label {
-        match &self.kind {
-            LabelingKind::Identity(n) => {
-                assert!(u < *n, "node {u} out of range");
-                Label::Minimal(u)
-            }
-            LabelingKind::Permutation { label, .. } => Label::Minimal(label[u]),
-            LabelingKind::Arbitrary { label, .. } => Label::Bits(label[u].clone()),
-        }
+        self.label_ref(u).to_owned()
     }
 
     /// The node carrying minimal label `l`, if this is an α/β labelling.
@@ -223,7 +262,7 @@ impl Labeling {
     /// Panics if `u` is out of range.
     #[must_use]
     pub fn charged_bits(&self, u: NodeId) -> usize {
-        self.label_of(u).charged_bits()
+        self.label_ref(u).charged_bits()
     }
 
     /// Total label bits charged across all nodes (the paper adds this to
@@ -301,6 +340,24 @@ mod tests {
         let lab = Labeling::arbitrary(labels).unwrap();
         assert_eq!(lab.node_of_bits(&BitVec::new()), Some(0));
         assert_eq!(lab.charged_bits(0), 0);
+    }
+
+    #[test]
+    fn label_ref_views_the_owned_label() {
+        let gamma =
+            Labeling::arbitrary(vec![BitVec::from_bit_str("0"), BitVec::from_bit_str("10")])
+                .unwrap();
+        let kinds = [Labeling::identity(2), Labeling::permutation(vec![1, 0]).unwrap(), gamma];
+        for lab in &kinds {
+            for u in 0..2 {
+                let view = lab.label_ref(u);
+                assert_eq!(view, lab.label_of(u));
+                assert_eq!(view.to_owned(), lab.label_of(u));
+                assert_eq!(view.charged_bits(), lab.charged_bits(u));
+                assert_ne!(view, lab.label_of(1 - u), "another node's label");
+            }
+        }
+        assert_ne!(LabelRef::Minimal(0), Label::Bits(BitVec::new()), "kinds never match");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! supply the difference — about `n/2` bits per node.
 
 use ort_bitio::{bits_to_index, BitReader, BitVec, BitWriter};
-use ort_graphs::labels::Label;
+use ort_graphs::labels::{Label, LabelRef};
 use ort_graphs::{Graph, NodeId};
 
 use crate::scheme::{MessageState, RouteDecision, RouteError, RoutingScheme};
@@ -33,7 +33,7 @@ pub fn port_partition(
         .decode_router(u)
         .map_err(|_| RouteError::MissingInformation { what: "router undecodable" })?;
     let mut partition = vec![Vec::new(); env.degree];
-    let Label::Minimal(own) = env.label else {
+    let LabelRef::Minimal(own) = env.label else {
         return Err(RouteError::MissingInformation { what: "minimal own label" });
     };
     for dest in 0..env.n {
@@ -76,7 +76,7 @@ pub fn encode_interconnection(
             .neighbor_at(u, p)
             .ok_or(RouteError::PortOutOfRange { port: p, degree: partition.len() })?;
         // The neighbour's *label* must appear in its own port class.
-        let Label::Minimal(vl) = scheme.label_of(v) else {
+        let LabelRef::Minimal(vl) = scheme.labeling().label_ref(v) else {
             return Err(RouteError::MissingInformation { what: "minimal labels" });
         };
         let idx = class

@@ -11,7 +11,7 @@
 //! the exact `⌈log₂ d!⌉` floors.
 
 use ort_bitio::lehmer;
-use ort_graphs::labels::Label;
+use ort_graphs::labels::{Label, LabelRef};
 use ort_graphs::{Graph, NodeId};
 
 use crate::scheme::{MessageState, RouteDecision, RouteError, RoutingScheme};
@@ -35,7 +35,7 @@ pub fn extract_port_map(
         .map_err(|_| RouteError::MissingInformation { what: "router undecodable" })?;
     let mut map = vec![usize::MAX; env.degree];
     for &v in g.neighbors(u) {
-        let Label::Minimal(vl) = scheme.label_of(v) else {
+        let LabelRef::Minimal(vl) = scheme.labeling().label_ref(v) else {
             return Err(RouteError::MissingInformation { what: "minimal labels" });
         };
         let mut state = MessageState::default();

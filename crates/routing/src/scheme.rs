@@ -12,7 +12,7 @@ use std::error::Error;
 use std::fmt;
 
 use ort_bitio::{BitVec, CodeError};
-use ort_graphs::labels::{Label, Labeling};
+use ort_graphs::labels::{Label, LabelRef, Labeling};
 use ort_graphs::ports::PortAssignment;
 use ort_graphs::{GraphError, NodeId};
 
@@ -140,26 +140,88 @@ impl From<CodeError> for RouteError {
 
 /// The free information available to a node's router, as fixed by the
 /// model (Section 1's "minimal local knowledge").
-#[derive(Debug, Clone)]
-pub struct NodeEnv {
+///
+/// A view, not a copy: the labels it shows are read in place from the
+/// scheme's [`Labeling`] and [`PortAssignment`], so building one
+/// allocates nothing, whatever the node's degree.
+#[derive(Debug, Clone, Copy)]
+pub struct NodeEnv<'a> {
     /// Number of nodes in the network ("given n", as in all the paper's
     /// constructions).
     pub n: usize,
     /// This node's own label.
-    pub label: Label,
+    pub label: LabelRef<'a>,
     /// Number of ports (= degree).
     pub degree: usize,
-    /// In model II only: the label of the neighbour behind each port
-    /// (`neighbor_labels[p]` is reached via port `p`). `None` in models
-    /// IA/IB.
-    pub neighbor_labels: Option<Vec<Label>>,
+    /// In model II only: the label of the neighbour behind each port.
+    /// `None` in models IA/IB.
+    pub neighbor_labels: Option<NeighborLabels<'a>>,
 }
 
-impl NodeEnv {
-    /// In model II, the port whose neighbour carries `label`, if any.
+impl<'a> NodeEnv<'a> {
+    /// The model-II neighbour labels.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RouteError::MissingInformation`] outside model II.
+    pub fn require_neighbor_labels(&self) -> Result<NeighborLabels<'a>, RouteError> {
+        self.neighbor_labels
+            .ok_or(RouteError::MissingInformation { what: "neighbour labels (model II)" })
+    }
+
+    /// The neighbours' minimal labels in ascending order — under the
+    /// sorted port assignment the schemes of model II ∧ α use, entry `i`
+    /// is the label behind port `i`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RouteError::MissingInformation`] outside model II or if
+    /// a neighbour's label is not minimal.
+    pub fn sorted_minimal_neighbors(&self) -> Result<Vec<NodeId>, RouteError> {
+        let labels = self.require_neighbor_labels()?;
+        let mut ids = Vec::with_capacity(self.degree);
+        for l in labels.iter() {
+            let LabelRef::Minimal(v) = l else {
+                return Err(RouteError::MissingInformation { what: "minimal neighbour labels" });
+            };
+            ids.push(v);
+        }
+        ids.sort_unstable();
+        Ok(ids)
+    }
+}
+
+/// A node's neighbour labels in port order (model II), read in place:
+/// entry `p` is the label of the neighbour behind port `p`.
+#[derive(Debug, Clone, Copy)]
+pub struct NeighborLabels<'a> {
+    labeling: &'a Labeling,
+    order: &'a [NodeId],
+}
+
+impl<'a> NeighborLabels<'a> {
+    /// The labels, under `labeling`, of the nodes in `order` — a node's
+    /// port order ([`PortAssignment::order`]).
     #[must_use]
-    pub fn port_of_neighbor(&self, label: &Label) -> Option<usize> {
-        self.neighbor_labels.as_ref()?.iter().position(|l| l == label)
+    pub fn new(labeling: &'a Labeling, order: &'a [NodeId]) -> Self {
+        NeighborLabels { labeling, order }
+    }
+
+    /// The labels in port order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = LabelRef<'a>> + 'a {
+        let labeling = self.labeling;
+        self.order.iter().map(move |&v| labeling.label_ref(v))
+    }
+
+    /// The port whose neighbour carries `label`, if any.
+    #[must_use]
+    pub fn port_of(&self, label: &Label) -> Option<usize> {
+        // Every `Labeling` constructor rejects duplicate labels, so at
+        // most one node carries `label`. The labelling's reverse index
+        // names it, which finds the port a scan comparing every
+        // neighbour's label would find, without reading any of them.
+        let node = self.labeling.node_of(label)?;
+        self.order.iter().position(|&v| v == node)
     }
 }
 
@@ -224,7 +286,7 @@ pub trait LocalRouter {
     /// bits are inconsistent with the environment.
     fn route(
         &self,
-        env: &NodeEnv,
+        env: &NodeEnv<'_>,
         dest: &Label,
         state: &mut MessageState,
     ) -> Result<RouteDecision, RouteError>;
@@ -301,17 +363,26 @@ pub trait RoutingScheme: Send + Sync {
         self.labeling().label_of(u)
     }
 
-    /// Builds the [`NodeEnv`] the model grants to node `u`.
-    fn node_env(&self, u: NodeId) -> NodeEnv {
+    /// The [`NodeEnv`] the model grants to node `u`: a view of the
+    /// scheme's own labelling and port assignment, built without
+    /// allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is out of range.
+    fn node_env(&self, u: NodeId) -> NodeEnv<'_> {
         let pa = self.port_assignment();
         let labeling = self.labeling();
-        let degree = pa.degree(u);
-        let neighbor_labels = if self.model().neighbors_known() {
-            Some((0..degree).map(|p| labeling.label_of(pa.neighbor_at(u, p).expect("port in range"))).collect())
-        } else {
-            None
-        };
-        NodeEnv { n: self.node_count(), label: labeling.label_of(u), degree, neighbor_labels }
+        let order = pa.order(u);
+        NodeEnv {
+            n: self.node_count(),
+            label: labeling.label_ref(u),
+            degree: order.len(),
+            neighbor_labels: self
+                .model()
+                .neighbors_known()
+                .then(|| NeighborLabels::new(labeling, order)),
+        }
     }
 }
 
@@ -331,17 +402,37 @@ mod tests {
     }
 
     #[test]
-    fn node_env_port_lookup() {
+    fn neighbor_labels_are_read_in_place() {
+        let labeling = Labeling::permutation(vec![1, 3, 0, 2]).unwrap();
+        let order = [3, 2];
+        let labels = NeighborLabels::new(&labeling, &order);
+        assert_eq!(
+            labels.iter().collect::<Vec<_>>(),
+            [LabelRef::Minimal(2), LabelRef::Minimal(0)]
+        );
+        assert_eq!(labels.port_of(&Label::Minimal(0)), Some(1));
+        assert_eq!(labels.port_of(&Label::Minimal(1)), None, "not a neighbour's label");
+        assert_eq!(labels.port_of(&Label::Minimal(9)), None, "nobody's label");
+        assert_eq!(labels.port_of(&Label::Bits(BitVec::new())), None, "another kind");
+        let gamma = Labeling::arbitrary(
+            ["0", "10", "11"].into_iter().map(BitVec::from_bit_str).collect(),
+        )
+        .unwrap();
+        let gamma_labels = NeighborLabels::new(&gamma, &[2, 1]);
+        assert_eq!(gamma_labels.port_of(&gamma.label_of(1)), Some(1));
+        assert_eq!(gamma_labels.port_of(&gamma.label_of(0)), None);
         let env = NodeEnv {
             n: 4,
-            label: Label::Minimal(0),
+            label: labeling.label_ref(0),
             degree: 2,
-            neighbor_labels: Some(vec![Label::Minimal(2), Label::Minimal(3)]),
+            neighbor_labels: Some(labels),
         };
-        assert_eq!(env.port_of_neighbor(&Label::Minimal(3)), Some(1));
-        assert_eq!(env.port_of_neighbor(&Label::Minimal(1)), None);
-        let blind = NodeEnv { n: 4, label: Label::Minimal(0), degree: 2, neighbor_labels: None };
-        assert_eq!(blind.port_of_neighbor(&Label::Minimal(2)), None);
+        assert_eq!(env.sorted_minimal_neighbors(), Ok(vec![0, 2]));
+        let blind = NodeEnv { neighbor_labels: None, ..env };
+        assert!(matches!(
+            blind.require_neighbor_labels(),
+            Err(RouteError::MissingInformation { .. })
+        ));
     }
 
     #[test]
@@ -349,6 +440,5 @@ mod tests {
         let s = MessageState::default();
         assert_eq!(s.source, None);
         assert_eq!(s.counter, 0);
-        let _ = BitVec::new(); // silence unused import in cfg(test)
     }
 }

@@ -9,7 +9,7 @@
 //! matching compression argument).
 
 use ort_bitio::{BitReader, BitVec, BitWriter};
-use ort_graphs::labels::{Label, Labeling};
+use ort_graphs::labels::{Label, LabelRef, Labeling};
 use ort_graphs::oracle::Distances;
 use ort_graphs::ports::PortAssignment;
 use ort_graphs::{Graph, NodeId};
@@ -132,31 +132,20 @@ struct FullInformationRouter<'a> {
 impl LocalRouter for FullInformationRouter<'_> {
     fn route(
         &self,
-        env: &NodeEnv,
+        env: &NodeEnv<'_>,
         dest: &Label,
         _state: &mut MessageState,
     ) -> Result<RouteDecision, RouteError> {
         let Label::Minimal(dest_l) = *dest else {
             return Err(RouteError::MissingInformation { what: "minimal destination label" });
         };
-        let Label::Minimal(own) = env.label else {
+        let LabelRef::Minimal(own) = env.label else {
             return Err(RouteError::MissingInformation { what: "minimal own label" });
         };
         if dest_l == own {
             return Ok(RouteDecision::Deliver);
         }
-        let labels = env
-            .neighbor_labels
-            .as_ref()
-            .ok_or(RouteError::MissingInformation { what: "neighbour labels (model II)" })?;
-        let mut nbrs = Vec::with_capacity(labels.len());
-        for l in labels {
-            let Label::Minimal(v) = *l else {
-                return Err(RouteError::MissingInformation { what: "minimal neighbour labels" });
-            };
-            nbrs.push(v);
-        }
-        nbrs.sort_unstable();
+        let nbrs = env.sorted_minimal_neighbors()?;
         // A neighbour destination has exactly one shortest first hop.
         if let Ok(port) = nbrs.binary_search(&dest_l) {
             return Ok(RouteDecision::ForwardAny(vec![port]));

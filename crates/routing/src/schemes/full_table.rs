@@ -7,7 +7,7 @@
 //! the Theorem 9 experiment.
 
 use ort_bitio::{bits_to_index, BitReader, BitVec, BitWriter};
-use ort_graphs::labels::{Label, Labeling};
+use ort_graphs::labels::{Label, LabelRef, Labeling};
 use ort_graphs::oracle::Distances;
 use ort_graphs::ports::PortAssignment;
 use ort_graphs::{Graph, NodeId};
@@ -275,14 +275,14 @@ struct FullTableRouter<'a> {
 impl LocalRouter for FullTableRouter<'_> {
     fn route(
         &self,
-        env: &NodeEnv,
+        env: &NodeEnv<'_>,
         dest: &Label,
         _state: &mut MessageState,
     ) -> Result<RouteDecision, RouteError> {
         let Label::Minimal(dest_l) = *dest else {
             return Err(RouteError::MissingInformation { what: "minimal destination label" });
         };
-        let Label::Minimal(own_l) = env.label else {
+        let LabelRef::Minimal(own_l) = env.label else {
             return Err(RouteError::MissingInformation { what: "minimal own label" });
         };
         if dest_l == own_l {

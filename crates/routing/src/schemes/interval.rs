@@ -11,7 +11,7 @@
 //! exactly the trade-off the paper's Table 1 quantifies against.
 
 use ort_bitio::{bits_to_index, BitReader, BitVec, BitWriter};
-use ort_graphs::labels::{Label, Labeling};
+use ort_graphs::labels::{Label, LabelRef, Labeling};
 use ort_graphs::oracle::Distances;
 use ort_graphs::ports::PortAssignment;
 use ort_graphs::{Graph, NodeId};
@@ -177,14 +177,14 @@ struct IntervalRouter<'a> {
 impl LocalRouter for IntervalRouter<'_> {
     fn route(
         &self,
-        env: &NodeEnv,
+        env: &NodeEnv<'_>,
         dest: &Label,
         _state: &mut MessageState,
     ) -> Result<RouteDecision, RouteError> {
         let Label::Minimal(dest_l) = *dest else {
             return Err(RouteError::MissingInformation { what: "minimal destination label" });
         };
-        let Label::Minimal(own) = env.label else {
+        let LabelRef::Minimal(own) = env.label else {
             return Err(RouteError::MissingInformation { what: "minimal own label" });
         };
         if dest_l == own {

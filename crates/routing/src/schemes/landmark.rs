@@ -17,7 +17,7 @@
 //! contrasts with its Theorem 3–5 trade-off.
 
 use ort_bitio::{bits_to_index, BitReader, BitVec, BitWriter};
-use ort_graphs::labels::{Label, Labeling};
+use ort_graphs::labels::{Label, LabelRef, Labeling};
 use ort_graphs::oracle::{Distances, LandmarkOracle};
 use ort_graphs::ports::PortAssignment;
 use ort_graphs::{Graph, NodeId};
@@ -28,6 +28,7 @@ use crate::model::{Knowledge, Model, Relabeling};
 use crate::scheme::{
     LocalRouter, MessageState, NodeEnv, RouteDecision, RouteError, RoutingScheme, SchemeError,
 };
+use crate::schemes::leading_id;
 
 /// The landmark/hub routing scheme.
 ///
@@ -367,32 +368,28 @@ struct LandmarkRouter<'a> {
 impl LocalRouter for LandmarkRouter<'_> {
     fn route(
         &self,
-        env: &NodeEnv,
+        env: &NodeEnv<'_>,
         dest: &Label,
         state: &mut MessageState,
     ) -> Result<RouteDecision, RouteError> {
         let Label::Bits(dest_bits) = dest else {
             return Err(RouteError::MissingInformation { what: "γ destination label" });
         };
-        let Label::Bits(own_bits) = &env.label else {
+        let LabelRef::Bits(own_bits) = env.label else {
             return Err(RouteError::MissingInformation { what: "γ own label" });
         };
         let (v, l, path) = LandmarkScheme::parse_label(dest_bits, env.n)?;
-        let (own, _, _) = LandmarkScheme::parse_label(own_bits, env.n)?;
+        let own = leading_id(own_bits, env.n)?;
         if v == own {
             return Ok(RouteDecision::Deliver);
         }
         // Neighbour shortcut.
-        let labels = env
-            .neighbor_labels
-            .as_ref()
-            .ok_or(RouteError::MissingInformation { what: "neighbour labels (model II)" })?;
+        let labels = env.require_neighbor_labels()?;
         for (port, nl) in labels.iter().enumerate() {
-            let Label::Bits(nb) = nl else {
+            let LabelRef::Bits(nb) = nl else {
                 return Err(RouteError::MissingInformation { what: "γ neighbour labels" });
             };
-            let (nid, _, _) = LandmarkScheme::parse_label(nb, env.n)?;
-            if nid == v {
+            if leading_id(nb, env.n)? == v {
                 return Ok(RouteDecision::Forward(port));
             }
         }

@@ -22,10 +22,11 @@
 //! the link-failure resilience that only [`full_information`] has natively
 //! — at zero additional table bits.
 
+use ort_bitio::{bits_to_index, BitReader, BitVec};
 use ort_graphs::oracle::Distances;
-use ort_graphs::Graph;
+use ort_graphs::{Graph, NodeId};
 
-use crate::scheme::SchemeError;
+use crate::scheme::{RouteError, SchemeError};
 
 /// The common preconditions of every builder: the oracle must be exact
 /// (banded construction reproduces full-matrix tables bit for bit, which
@@ -45,6 +46,13 @@ pub(crate) fn check_exact_oracle(g: &Graph, dists: &dyn Distances) -> Result<(),
         return Err(SchemeError::Disconnected);
     }
     Ok(())
+}
+
+/// The node id a γ label starts with — the first `⌈log₂ n⌉`-bit field of
+/// both the Theorem 2 and the landmark label — read without parsing the
+/// rest of the label.
+pub(crate) fn leading_id(label: &BitVec, n: usize) -> Result<NodeId, RouteError> {
+    Ok(BitReader::new(label).read_bits(bits_to_index(n as u64))? as NodeId)
 }
 
 pub mod full_information;

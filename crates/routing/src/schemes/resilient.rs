@@ -142,7 +142,7 @@ struct ResilientRouter<'a> {
 impl LocalRouter for ResilientRouter<'_> {
     fn route(
         &self,
-        env: &NodeEnv,
+        env: &NodeEnv<'_>,
         dest: &Label,
         state: &mut MessageState,
     ) -> Result<RouteDecision, RouteError> {

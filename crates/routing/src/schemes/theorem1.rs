@@ -22,7 +22,7 @@
 //! port").
 
 use ort_bitio::{bits_to_index, BitReader, BitVec, BitWriter};
-use ort_graphs::labels::{Label, Labeling};
+use ort_graphs::labels::{Label, LabelRef, Labeling};
 use ort_graphs::oracle::Distances;
 use ort_graphs::ports::PortAssignment;
 use ort_graphs::{Graph, NodeId};
@@ -335,26 +335,11 @@ struct Theorem1Router<'a> {
 impl Theorem1Router<'_> {
     /// Returns the sorted neighbour ids and the bit offset where the tables
     /// start, using only stored bits (IB) or free knowledge (II).
-    fn neighbor_ids(&self, env: &NodeEnv) -> Result<(Vec<NodeId>, usize), RouteError> {
+    fn neighbor_ids(&self, env: &NodeEnv<'_>) -> Result<(Vec<NodeId>, usize), RouteError> {
         match self.variant {
-            Variant::NeighborsKnown => {
-                let labels = env.neighbor_labels.as_ref().ok_or(
-                    RouteError::MissingInformation { what: "neighbour labels (model II)" },
-                )?;
-                let mut ids = Vec::with_capacity(labels.len());
-                for l in labels {
-                    let Label::Minimal(v) = *l else {
-                        return Err(RouteError::MissingInformation {
-                            what: "minimal neighbour labels",
-                        });
-                    };
-                    ids.push(v);
-                }
-                ids.sort_unstable();
-                Ok((ids, 0))
-            }
+            Variant::NeighborsKnown => Ok((env.sorted_minimal_neighbors()?, 0)),
             Variant::PortsFree => {
-                let Label::Minimal(own) = env.label else {
+                let LabelRef::Minimal(own) = env.label else {
                     return Err(RouteError::MissingInformation { what: "minimal own label" });
                 };
                 let mut r = BitReader::new(self.bits);
@@ -376,14 +361,14 @@ impl Theorem1Router<'_> {
 impl LocalRouter for Theorem1Router<'_> {
     fn route(
         &self,
-        env: &NodeEnv,
+        env: &NodeEnv<'_>,
         dest: &Label,
         _state: &mut MessageState,
     ) -> Result<RouteDecision, RouteError> {
         let Label::Minimal(dest_l) = *dest else {
             return Err(RouteError::MissingInformation { what: "minimal destination label" });
         };
-        let Label::Minimal(own) = env.label else {
+        let LabelRef::Minimal(own) = env.label else {
             return Err(RouteError::MissingInformation { what: "minimal own label" });
         };
         if dest_l == own {

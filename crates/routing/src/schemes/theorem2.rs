@@ -10,7 +10,7 @@
 //! charges: `(1 + (c+3)·log n)·log n` bits per node.
 
 use ort_bitio::{bits_to_index, BitReader, BitVec, BitWriter};
-use ort_graphs::labels::{Label, Labeling};
+use ort_graphs::labels::{Label, LabelRef, Labeling};
 use ort_graphs::oracle::Distances;
 use ort_graphs::ports::PortAssignment;
 use ort_graphs::{Graph, NodeId};
@@ -19,6 +19,7 @@ use crate::model::{Knowledge, Model, Relabeling};
 use crate::scheme::{
     LocalRouter, MessageState, NodeEnv, RouteDecision, RouteError, RoutingScheme, SchemeError,
 };
+use crate::schemes::leading_id;
 
 /// Default randomness parameter: the paper's `c` in "`c·log n`-random".
 /// `(3 log n)`-random graphs are a `1 − 1/n³` fraction of all graphs.
@@ -159,33 +160,29 @@ struct Theorem2Router;
 impl LocalRouter for Theorem2Router {
     fn route(
         &self,
-        env: &NodeEnv,
+        env: &NodeEnv<'_>,
         dest: &Label,
         _state: &mut MessageState,
     ) -> Result<RouteDecision, RouteError> {
-        if *dest == env.label {
+        if env.label == *dest {
             return Ok(RouteDecision::Deliver);
         }
         let Label::Bits(dest_bits) = dest else {
             return Err(RouteError::MissingInformation { what: "γ destination label" });
         };
-        let neighbor_labels = env
-            .neighbor_labels
-            .as_ref()
-            .ok_or(RouteError::MissingInformation { what: "neighbour labels (model II)" })?;
+        let neighbor_labels = env.require_neighbor_labels()?;
         // Direct neighbour?
-        if let Some(port) = neighbor_labels.iter().position(|l| l == dest) {
+        if let Some(port) = neighbor_labels.port_of(dest) {
             return Ok(RouteDecision::Forward(port));
         }
         // Otherwise: find a neighbour whose original id is listed in the
         // destination label.
         let (_, listed) = Theorem2Scheme::parse_label(dest_bits, env.n)?;
         for (port, l) in neighbor_labels.iter().enumerate() {
-            let Label::Bits(lb) = l else {
+            let LabelRef::Bits(lb) = l else {
                 return Err(RouteError::MissingInformation { what: "γ neighbour labels" });
             };
-            let (id, _) = Theorem2Scheme::parse_label(lb, env.n)?;
-            if listed.contains(&id) {
+            if listed.contains(&leading_id(lb, env.n)?) {
                 return Ok(RouteDecision::Forward(port));
             }
         }

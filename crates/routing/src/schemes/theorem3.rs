@@ -10,7 +10,7 @@
 //! only possible stretch between 1 and 2.
 
 use ort_bitio::{bits_to_index, BitReader, BitVec, BitWriter};
-use ort_graphs::labels::{Label, Labeling};
+use ort_graphs::labels::{Label, LabelRef, Labeling};
 use ort_graphs::oracle::Distances;
 use ort_graphs::ports::PortAssignment;
 use ort_graphs::random_props::dominating_prefix_len;
@@ -158,32 +158,20 @@ struct Theorem3Router<'a> {
 impl LocalRouter for Theorem3Router<'_> {
     fn route(
         &self,
-        env: &NodeEnv,
+        env: &NodeEnv<'_>,
         dest: &Label,
         _state: &mut MessageState,
     ) -> Result<RouteDecision, RouteError> {
         let Label::Minimal(dest_l) = *dest else {
             return Err(RouteError::MissingInformation { what: "minimal destination label" });
         };
-        let Label::Minimal(own) = env.label else {
+        let LabelRef::Minimal(own) = env.label else {
             return Err(RouteError::MissingInformation { what: "minimal own label" });
         };
         if dest_l == own {
             return Ok(RouteDecision::Deliver);
         }
-        // Sorted neighbour ids from model II knowledge.
-        let labels = env
-            .neighbor_labels
-            .as_ref()
-            .ok_or(RouteError::MissingInformation { what: "neighbour labels (model II)" })?;
-        let mut nbrs = Vec::with_capacity(labels.len());
-        for l in labels {
-            let Label::Minimal(v) = *l else {
-                return Err(RouteError::MissingInformation { what: "minimal neighbour labels" });
-            };
-            nbrs.push(v);
-        }
-        nbrs.sort_unstable();
+        let nbrs = env.sorted_minimal_neighbors()?;
         if let Ok(port) = nbrs.binary_search(&dest_l) {
             return Ok(RouteDecision::Forward(port));
         }

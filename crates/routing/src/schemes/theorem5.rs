@@ -156,27 +156,24 @@ struct ProbeRouter {
 impl LocalRouter for ProbeRouter {
     fn route(
         &self,
-        env: &NodeEnv,
+        env: &NodeEnv<'_>,
         dest: &Label,
         state: &mut MessageState,
     ) -> Result<RouteDecision, RouteError> {
-        if *dest == env.label {
+        if env.label == *dest {
             return Ok(RouteDecision::Deliver);
         }
-        let labels = env
-            .neighbor_labels
-            .as_ref()
-            .ok_or(RouteError::MissingInformation { what: "neighbour labels (model II)" })?;
+        let labels = env.require_neighbor_labels()?;
         // Direct delivery — this is also what makes a probed node forward
         // the message to the destination instead of bouncing it.
-        if let Some(port) = labels.iter().position(|l| l == dest) {
+        if let Some(port) = labels.port_of(dest) {
             return Ok(RouteDecision::Forward(port));
         }
         let source = state
             .source
-            .clone()
+            .as_ref()
             .ok_or(RouteError::MissingInformation { what: "source label in header" })?;
-        if source == env.label {
+        if env.label == *source {
             // We are the source: probe the next neighbour in sorted-label
             // order (= port order under the sorted assignment).
             let t = state.counter as usize;
@@ -188,8 +185,7 @@ impl LocalRouter for ProbeRouter {
         } else {
             // We are a probed node and cannot deliver: bounce back.
             let port = labels
-                .iter()
-                .position(|l| *l == source)
+                .port_of(source)
                 .ok_or(RouteError::MissingInformation { what: "port back to source" })?;
             Ok(RouteDecision::Forward(port))
         }

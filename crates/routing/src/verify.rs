@@ -49,6 +49,11 @@ pub enum RouteFailure {
         /// Node at which no port was usable.
         at: NodeId,
     },
+    /// The source or destination is not a node of the scheme.
+    NodeOutOfRange {
+        /// The offending node id.
+        node: NodeId,
+    },
 }
 
 impl fmt::Display for RouteFailure {
@@ -59,6 +64,7 @@ impl fmt::Display for RouteFailure {
             RouteFailure::HopLimit { limit } => write!(f, "hop limit {limit} exhausted"),
             RouteFailure::BadPort { at, port } => write!(f, "bad port {port} at node {at}"),
             RouteFailure::NoUsablePort { at } => write!(f, "no usable port at node {at}"),
+            RouteFailure::NodeOutOfRange { node } => write!(f, "node {node} out of range"),
         }
     }
 }
@@ -77,13 +83,18 @@ impl Error for RouteFailure {}
 ///
 /// # Errors
 ///
-/// Returns a [`RouteFailure`] describing the first problem encountered.
+/// Returns a [`RouteFailure`] describing the first problem encountered;
+/// [`RouteFailure::NodeOutOfRange`] if `s` or `t` is not a node of the
+/// scheme.
 pub fn route_pair(
     scheme: &dyn RoutingScheme,
     s: NodeId,
     t: NodeId,
     max_hops: usize,
 ) -> Result<Vec<NodeId>, RouteFailure> {
+    if let Some(node) = [s, t].into_iter().find(|&v| v >= scheme.node_count()) {
+        return Err(RouteFailure::NodeOutOfRange { node });
+    }
     let mut tracer = WalkTracer::begin(s, t, 0);
     let dest_label = scheme.label_of(t);
     let pa = scheme.port_assignment();
@@ -471,6 +482,36 @@ mod tests {
     }
 
     #[test]
+    fn route_pair_rejects_out_of_range_nodes() {
+        use crate::schemes::{
+            full_table::FullTableScheme, interval::IntervalScheme, theorem2::Theorem2Scheme,
+        };
+        let n = 64;
+        let g = ort_graphs::generators::gnp_half(n, 1);
+        let dists = Apsp::compute(&g);
+        // One scheme per labelling kind: α, β, γ.
+        let schemes: [Box<dyn RoutingScheme>; 3] = [
+            Box::new(FullTableScheme::build(&g, &dists).unwrap()),
+            Box::new(IntervalScheme::build(&g, &dists).unwrap()),
+            Box::new(Theorem2Scheme::build(&g, &dists).unwrap()),
+        ];
+        let limit = default_hop_limit(n);
+        let bad_pairs = [(0, n, n), (n, 0, n), (n + 7, n, n + 7), (0, usize::MAX, usize::MAX)];
+        for scheme in &schemes {
+            let scheme = scheme.as_ref();
+            for (s, t, bad) in bad_pairs {
+                assert_eq!(
+                    route_pair(scheme, s, t, limit),
+                    Err(RouteFailure::NodeOutOfRange { node: bad }),
+                    "{:?} {s}→{t}",
+                    scheme.model()
+                );
+            }
+            assert!(route_pair(scheme, 0, n - 1, limit).is_ok());
+        }
+    }
+
+    #[test]
     fn worst_pair_names_the_max_stretch_pair() {
         use crate::schemes::theorem4::Theorem4Scheme;
         let g = ort_graphs::generators::gnp_half(24, 5);
@@ -536,5 +577,7 @@ mod tests {
         assert!(f.to_string().contains("12"));
         let f = RouteFailure::Misdelivered { at: 3 };
         assert!(f.to_string().contains('3'));
+        let f = RouteFailure::NodeOutOfRange { node: 64 };
+        assert_eq!(f.to_string(), "node 64 out of range");
     }
 }

@@ -17,6 +17,7 @@
 
 use std::collections::VecDeque;
 
+use ort_graphs::labels::Label;
 use ort_graphs::NodeId;
 use ort_routing::scheme::{MessageState, RouteDecision, RoutingScheme};
 use ort_telemetry::trace::{HopKind, WalkTracer};
@@ -29,6 +30,8 @@ use crate::{FailureBreakdown, SimError};
 struct InFlight {
     src: NodeId,
     dst: NodeId,
+    /// The destination's label, copied once at injection.
+    dest_label: Label,
     state: MessageState,
     hops: u32,
     injected_round: u32,
@@ -225,6 +228,7 @@ impl<'a> RoundSimulator<'a> {
             queues[s].push_back(InFlight {
                 src: s,
                 dst: t,
+                dest_label: self.scheme.label_of(t),
                 state: MessageState { source: Some(self.scheme.label_of(s)), counter: 0 },
                 hops: 0,
                 injected_round: 0,
@@ -327,8 +331,7 @@ impl<'a> RoundSimulator<'a> {
                             continue;
                         }
                     }
-                    let dest_label = self.scheme.label_of(msg.dst);
-                    match router.route(&env, &dest_label, &mut msg.state) {
+                    match router.route(&env, &msg.dest_label, &mut msg.state) {
                         Ok(RouteDecision::Deliver) if u == msg.dst => {
                             msg.tracer.hit(u, msg.state.counter, HopKind::Deliver);
                             report.delivered += 1;

@@ -7,26 +7,48 @@
 //! buffer (the bug class satellite 1 exists to catch) fails the upper
 //! side and a claim that overstates fails the lower side.
 //!
-//! The allocator counters are process-global, so every test serialises
-//! on one mutex and pins `ORT_THREADS=1`; this integration binary runs
-//! in its own process, which makes the upper-bound (cap) assertions
-//! safe — no sibling test binary can inflate the watermark.
+//! The allocator counters are process-global, so every test runs alone,
+//! with `ORT_THREADS=1`, in a child process of this binary ([`isolated`]):
+//! no sibling test, spawn or harness bookkeeping can allocate or free
+//! inside a region a test measures.
 
 #![cfg(feature = "alloc-telemetry")]
-
-use std::sync::Mutex;
 
 use optimal_routing_tables::graphs::delta::DeltaOracle;
 use optimal_routing_tables::graphs::generators;
 use optimal_routing_tables::graphs::oracle::{BandedOracle, Distances, LandmarkOracle};
 use optimal_routing_tables::graphs::paths::{Apsp, ApspEngine};
+use optimal_routing_tables::routing::schemes::theorem2::Theorem2Scheme;
+use optimal_routing_tables::routing::verify;
 use optimal_routing_tables::telemetry::alloc;
 
-static LOCK: Mutex<()> = Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    std::env::set_var("ORT_THREADS", "1");
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+/// Runs the test `name` alone, with `ORT_THREADS=1`, in a child process
+/// of this test binary and asserts that it passed there. Returns `true`
+/// in that child, where the caller goes on to run its body, and `false`
+/// in the parent, where the caller returns.
+///
+/// The counters are process-global, so an allocation or a free on any
+/// other thread — the test harness's own bookkeeping and sibling tests
+/// included — lands in whatever a test is measuring. In the child
+/// nothing else runs.
+fn isolated(name: &str) -> bool {
+    const CHILD: &str = "ORT_MEM_AUDIT_CHILD";
+    if std::env::var_os(CHILD).is_some() {
+        return true;
+    }
+    let out = std::process::Command::new(std::env::current_exe().expect("test binary path"))
+        .args(["--exact", name, "--test-threads=1"])
+        .env(CHILD, "1")
+        .env("ORT_THREADS", "1")
+        .output()
+        .expect("spawn the isolated child");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && stdout.contains("1 passed"),
+        "isolated run of {name} failed:\n{stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    false
 }
 
 /// Absolute headroom on every cap: allocator rounding, span/record
@@ -38,7 +60,9 @@ const ABS_SLACK: u64 = 256 * 1024;
 /// measured peak stays within 1.5× of it — for each concrete engine.
 #[test]
 fn apsp_heap_plus_scratch_bounds_measured_compute() {
-    let _serial = serial();
+    if !isolated("apsp_heap_plus_scratch_bounds_measured_compute") {
+        return;
+    }
     if !alloc::installed() {
         return;
     }
@@ -77,7 +101,9 @@ fn apsp_heap_plus_scratch_bounds_measured_compute() {
 /// the same 1.25× slack the bench gate enforces.
 #[test]
 fn banded_oracle_peak_bytes_brackets_a_full_sweep() {
-    let _serial = serial();
+    if !isolated("banded_oracle_peak_bytes_brackets_a_full_sweep") {
+        return;
+    }
     if !alloc::installed() {
         return;
     }
@@ -120,7 +146,9 @@ fn banded_oracle_peak_bytes_brackets_a_full_sweep() {
 /// frontier scratch per landmark is freed but counts toward the peak.
 #[test]
 fn landmark_oracle_peak_bytes_matches_retained_footprint() {
-    let _serial = serial();
+    if !isolated("landmark_oracle_peak_bytes_matches_retained_footprint") {
+        return;
+    }
     if !alloc::installed() {
         return;
     }
@@ -150,7 +178,9 @@ fn landmark_oracle_peak_bytes_matches_retained_footprint() {
 /// second table.
 #[test]
 fn delta_oracle_peak_bytes_covers_construction_and_repair() {
-    let _serial = serial();
+    if !isolated("delta_oracle_peak_bytes_covers_construction_and_repair") {
+        return;
+    }
     if !alloc::installed() {
         return;
     }
@@ -191,7 +221,9 @@ fn delta_oracle_peak_bytes_covers_construction_and_repair() {
 /// store really is that large (measured net of a serial compute).
 #[test]
 fn apsp_as_distances_claims_exactly_its_heap() {
-    let _serial = serial();
+    if !isolated("apsp_as_distances_claims_exactly_its_heap") {
+        return;
+    }
     if !alloc::installed() {
         return;
     }
@@ -209,7 +241,9 @@ fn apsp_as_distances_claims_exactly_its_heap() {
 /// times so a stray late free from an earlier pool cannot flake it.
 #[test]
 fn live_counter_round_trips_exactly() {
-    let _serial = serial();
+    if !isolated("live_counter_round_trips_exactly") {
+        return;
+    }
     if !alloc::installed() {
         return;
     }
@@ -234,7 +268,9 @@ fn live_counter_round_trips_exactly() {
 /// raises it by at least the overshoot.
 #[test]
 fn peak_is_monotone_and_tracks_overshoot() {
-    let _serial = serial();
+    if !isolated("peak_is_monotone_and_tracks_overshoot") {
+        return;
+    }
     if !alloc::installed() {
         return;
     }
@@ -251,29 +287,11 @@ fn peak_is_monotone_and_tracks_overshoot() {
 /// Nested attribution: a child region's retained bytes are visible in
 /// the parent's net, the parent's peak dominates the child's, and the
 /// child measures exactly its own allocation.
-///
-/// The counters are process-global, so an allocation on any other thread
-/// of this binary — the test harness's own bookkeeping included — would
-/// land in the open regions. The body therefore runs in a child process
-/// of this test binary that runs nothing but this one test.
 #[test]
 fn nested_mem_spans_attribute_to_parent() {
-    const CHILD: &str = "ORT_MEM_AUDIT_NESTED_CHILD";
-    if std::env::var_os(CHILD).is_none() {
-        let out = std::process::Command::new(std::env::current_exe().expect("test binary path"))
-            .args(["--exact", "nested_mem_spans_attribute_to_parent", "--test-threads=1"])
-            .env(CHILD, "1")
-            .output()
-            .expect("spawn the isolated child");
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(
-            out.status.success() && stdout.contains("1 passed"),
-            "isolated run failed:\n{stdout}{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
+    if !isolated("nested_mem_spans_attribute_to_parent") {
         return;
     }
-    let _serial = serial();
     if !alloc::installed() {
         return;
     }
@@ -298,4 +316,45 @@ fn nested_mem_spans_attribute_to_parent() {
     // Watermark propagation: the parent's peak dominates the child's.
     assert!(parent_rec.region_peak_bytes >= (A + B) as u64);
     assert!(parent_rec.region_peak_bytes >= child_rec.region_peak_bytes);
+}
+
+/// The most allocations [`route_pair_allocations_do_not_grow_with_degree`]
+/// allows per routed message: twice the 4.5 it measures (copies of the
+/// destination and source labels, the path and its one growth, and one
+/// parse of the destination label per two-hop route).
+const MAX_ALLOCS_PER_MESSAGE: u64 = 9;
+
+/// Routing a message allocates a fixed handful of times, whatever the
+/// degree: the node environment a router sees borrows the scheme's
+/// labels instead of copying them. Theorem 2 on G(256, 1/2) is where
+/// copying would cost most: every node has about 128 neighbours, each
+/// carrying a γ label of about 400 bits, and copying them takes one
+/// allocation per neighbour on every hop.
+#[test]
+fn route_pair_allocations_do_not_grow_with_degree() {
+    if !isolated("route_pair_allocations_do_not_grow_with_degree") {
+        return;
+    }
+    if !alloc::installed() {
+        return;
+    }
+    const MESSAGES: usize = 200;
+    let n = 256;
+    let g = generators::gnp_half(n, 1);
+    let scheme = Theorem2Scheme::build(&g, &Apsp::compute(&g)).expect("G(256, 1/2) meets Lemma 3");
+    let limit = verify::default_hop_limit(n);
+    let pairs: Vec<(usize, usize)> = (0..MESSAGES).map(|i| (i % n, (37 * i + 1) % n)).collect();
+    let before = alloc::total_allocations();
+    let mut hops = 0;
+    for &(s, t) in &pairs {
+        hops += verify::route_pair(&scheme, s, t, limit).expect("theorem 2 delivers").len() - 1;
+    }
+    let allocations = alloc::total_allocations() - before;
+    assert!(hops > MESSAGES, "the sample must route through listed neighbours too");
+    assert!(
+        allocations <= MAX_ALLOCS_PER_MESSAGE * MESSAGES as u64,
+        "{allocations} allocations routing {MESSAGES} messages over {hops} hops \
+         (bound {MAX_ALLOCS_PER_MESSAGE} a message) at degree ≈ {}",
+        g.degree(0)
+    );
 }

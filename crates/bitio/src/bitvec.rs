@@ -110,6 +110,46 @@ impl BitVec {
         self.len += 1;
     }
 
+    /// Appends the low `width` bits of `word` in one or two word
+    /// operations, bit 0 of `word` first. Bits of `word` above `width`
+    /// must be zero, which keeps the bits past `len()` zero.
+    pub(crate) fn push_word(&mut self, word: u64, width: u32) {
+        debug_assert!(width <= 64 && (width == 64 || word >> width == 0));
+        if width == 0 {
+            return;
+        }
+        let off = self.len % 64;
+        if off == 0 {
+            self.words.push(word);
+        } else {
+            *self.words.last_mut().expect("a partial word is open") |= word << off;
+            if off + width as usize > 64 {
+                self.words.push(word >> (64 - off));
+            }
+        }
+        self.len += width as usize;
+    }
+
+    /// The `width` bits starting at `pos`, bit `pos` in the result's bit
+    /// 0, read with one or two word operations. The caller ensures
+    /// `pos + width <= len()`.
+    pub(crate) fn word_at(&self, pos: usize, width: u32) -> u64 {
+        debug_assert!(width <= 64 && pos + width as usize <= self.len);
+        if width == 0 {
+            return 0;
+        }
+        let (i, off) = (pos / 64, pos % 64);
+        let mut word = self.words[i] >> off;
+        if off + width as usize > 64 {
+            word |= self.words[i + 1] << (64 - off);
+        }
+        if width < 64 {
+            word & ((1u64 << width) - 1)
+        } else {
+            word
+        }
+    }
+
     /// Returns bit `i`, or `None` if out of range.
     #[must_use]
     pub fn get(&self, i: usize) -> Option<bool> {

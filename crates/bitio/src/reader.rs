@@ -91,10 +91,12 @@ impl<'a> BitReader<'a> {
         if self.remaining() < width as usize {
             return Err(CodeError::UnexpectedEnd { position: self.bits.len() });
         }
-        let mut v = 0u64;
-        for _ in 0..width {
-            v = (v << 1) | u64::from(self.read_bit()?);
+        if width == 0 {
+            return Ok(0);
         }
+        // MSB-first: the first bit read becomes the value's top bit.
+        let v = self.bits.word_at(self.pos, width).reverse_bits() >> (64 - width);
+        self.pos += width as usize;
         Ok(v)
     }
 

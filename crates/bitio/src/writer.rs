@@ -66,8 +66,9 @@ impl BitWriter {
         if width < 64 && value >= (1u64 << width) {
             return Err(CodeError::Overflow { what: "value does not fit fixed width" });
         }
-        for i in (0..width).rev() {
-            self.bits.push((value >> i) & 1 == 1);
+        if width > 0 {
+            // MSB-first: the value's top bit becomes the first bit written.
+            self.bits.push_word(value.reverse_bits() >> (64 - width), width);
         }
         Ok(())
     }

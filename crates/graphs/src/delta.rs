@@ -39,7 +39,7 @@
 //! lets `ort-routing`'s repair layer reuse the PR 7 guarantee that every
 //! exact oracle builds byte-identical schemes.
 
-use crate::dist::DistStore;
+use crate::dist::{DistRow, DistStore};
 use crate::paths::{bfs_distances, Apsp, ApspEngine, UNREACHABLE};
 use crate::{Graph, GraphError, NodeId};
 
@@ -336,8 +336,8 @@ impl crate::oracle::Distances for DeltaOracle {
         self.apsp.heap_bytes() + 2 * n * 8 + n
     }
 
-    fn is_connected(&self) -> bool {
-        self.apsp.is_connected()
+    fn with_row(&self, v: NodeId, f: &mut dyn FnMut(DistRow<'_>)) {
+        f(self.apsp.row(v));
     }
 }
 

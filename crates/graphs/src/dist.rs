@@ -19,6 +19,10 @@
 //! `start..start+rows`): the unit of the streaming/banded oracle mode
 //! ([`crate::oracle::BandedOracle`]), which computes and retires bands on
 //! demand instead of materialising all `n²` cells.
+//!
+//! [`DistRow`] is one source row lent in place at the store's width — the
+//! unit [`crate::oracle::Distances::with_row`] hands to builders — and the
+//! home of the smallest-closer-neighbour rule ([`DistRow::first_hop`]).
 
 use crate::paths::UNREACHABLE;
 use crate::{Graph, NodeId};
@@ -237,6 +241,148 @@ impl DistStore {
             DistStore::U32(v) => v.clone(),
         }
     }
+
+    /// Row `index` of a row-major store of `n`-cell rows, lent in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row runs past the end of the store.
+    #[must_use]
+    pub fn row(&self, index: usize, n: usize) -> DistRow<'_> {
+        let cells = index * n..(index + 1) * n;
+        match self {
+            DistStore::U8(v) => DistRow::U8(&v[cells]),
+            DistStore::U16(v) => DistRow::U16(&v[cells]),
+            DistStore::U32(v) => DistRow::U32(&v[cells]),
+        }
+    }
+}
+
+/// One source row of the distance matrix, borrowed at the store's cell
+/// width: cell `v` is the hop distance from the row's source to `v`, the
+/// all-ones cell meaning unreachable.
+///
+/// Distances are symmetric on undirected graphs, so the row of `t` also
+/// holds every node's distance *to* `t` — which is all the
+/// smallest-closer-neighbour rule needs to route toward `t`
+/// ([`DistRow::first_hop`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DistRow<'a> {
+    /// One-byte cells.
+    U8(&'a [u8]),
+    /// Two-byte cells.
+    U16(&'a [u16]),
+    /// Four-byte cells.
+    U32(&'a [u32]),
+}
+
+impl<'a> DistRow<'a> {
+    /// Number of cells (the node count).
+    #[must_use]
+    pub fn len(self) -> usize {
+        match self {
+            DistRow::U8(c) => c.len(),
+            DistRow::U16(c) => c.len(),
+            DistRow::U32(c) => c.len(),
+        }
+    }
+
+    /// Whether the row has no cells.
+    #[must_use]
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// The row's cell width.
+    #[must_use]
+    pub fn width(self) -> CellWidth {
+        match self {
+            DistRow::U8(_) => CellWidth::U8,
+            DistRow::U16(_) => CellWidth::U16,
+            DistRow::U32(_) => CellWidth::U32,
+        }
+    }
+
+    /// Distance from the row's source to `v`, `None` if unreachable.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    #[inline]
+    #[must_use]
+    pub fn get(self, v: NodeId) -> Option<u32> {
+        let d = match self {
+            DistRow::U8(c) => c[v].to_dist(),
+            DistRow::U16(c) => c[v].to_dist(),
+            DistRow::U32(c) => c[v],
+        };
+        (d != UNREACHABLE).then_some(d)
+    }
+
+    /// The first-hop rule every scheme builder shares: the smallest-id
+    /// neighbour of `u` one hop closer to the row's source `t` — the first
+    /// of [`DistRow::closer_neighbors`]. `None` when `u` is `t` itself or
+    /// cannot reach it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` or one of its neighbours is out of range.
+    #[inline]
+    #[must_use]
+    pub fn first_hop(self, g: &Graph, u: NodeId) -> Option<NodeId> {
+        self.closer_neighbors(g, u).next()
+    }
+
+    /// Every neighbour `w` of `u` with `d(t, w) == d(t, u) − 1`, in
+    /// neighbour order: the edges a full-information routing function
+    /// returns at `u` toward the row's source `t`. Empty when `u` is `t` or
+    /// cannot reach it.
+    #[must_use]
+    pub fn closer_neighbors<'g>(self, g: &'g Graph, u: NodeId) -> CloserNeighbors<'g>
+    where
+        'a: 'g,
+    {
+        match self.get(u) {
+            Some(d) if d > 0 => CloserNeighbors { row: self, rest: g.neighbors(u), d: d - 1 },
+            _ => CloserNeighbors { row: self, rest: &[], d: 0 },
+        }
+    }
+
+    /// Index in `nodes` of the first node at distance `d`. Dispatches on
+    /// the width once, then compares raw cells.
+    #[inline]
+    fn position_at(self, nodes: &[NodeId], d: u32) -> Option<usize> {
+        fn find<T: DistCell>(cells: &[T], nodes: &[NodeId], d: u32) -> Option<usize> {
+            let want = T::pack(d);
+            nodes.iter().position(|&w| cells[w] == want)
+        }
+        match self {
+            DistRow::U8(c) => find(c, nodes, d),
+            DistRow::U16(c) => find(c, nodes, d),
+            DistRow::U32(c) => find(c, nodes, d),
+        }
+    }
+}
+
+/// The neighbours [`DistRow::closer_neighbors`] yields. Each `next`
+/// resumes the neighbour scan where the previous one stopped.
+#[derive(Debug, Clone)]
+pub struct CloserNeighbors<'a> {
+    row: DistRow<'a>,
+    rest: &'a [NodeId],
+    d: u32,
+}
+
+impl Iterator for CloserNeighbors<'_> {
+    type Item = NodeId;
+
+    #[inline]
+    fn next(&mut self) -> Option<NodeId> {
+        let i = self.row.position_at(self.rest, self.d)?;
+        let w = self.rest[i];
+        self.rest = &self.rest[i + 1..];
+        Some(w)
+    }
 }
 
 /// A horizontal band of the distance matrix: rows
@@ -288,12 +434,19 @@ impl DistBand {
     /// Panics if `u` is outside the band or `v ≥ n`.
     #[must_use]
     pub fn distance(&self, u: NodeId, v: NodeId) -> Option<u32> {
-        assert!(self.contains(u), "source {u} outside band");
         assert!(v < self.n, "node out of range");
-        match self.store.get((u - self.start) * self.n + v) {
-            UNREACHABLE => None,
-            d => Some(d),
-        }
+        self.row(u).get(v)
+    }
+
+    /// Source `u`'s row (which must be in the band), lent in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is outside the band.
+    #[must_use]
+    pub fn row(&self, u: NodeId) -> DistRow<'_> {
+        assert!(self.contains(u), "source {u} outside band");
+        self.store.row(u - self.start, self.n)
     }
 
     /// The band's backing store.

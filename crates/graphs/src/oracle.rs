@@ -20,13 +20,16 @@
 //!   distance from `x` to its nearest landmark (checked by the
 //!   conformance crate at small `n`).
 //!
-//! The trait's path helpers are defined once, as defaults over
-//! [`Distances::distance`], with smallest-qualifying-neighbour rules, so
-//! any *exact* implementation yields byte-identical schemes.
+//! Besides single cells ([`Distances::distance`]), every oracle lends
+//! whole source rows ([`Distances::with_row`], a [`DistRow`] at the
+//! oracle's cell width). The trait's path helpers are defined once, as
+//! defaults over `with_row`, with the one smallest-closer-neighbour rule
+//! ([`DistRow::first_hop`]), so any *exact* implementation yields
+//! byte-identical schemes.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use crate::dist::{DistBand, DistStore};
+use crate::dist::{DistBand, DistRow, DistStore};
 use crate::paths::{compute_band, Apsp, ApspEngine, UNREACHABLE};
 use crate::{Graph, NodeId};
 
@@ -67,67 +70,87 @@ pub trait Distances: Send + Sync {
     /// the memory figure the bench metadata reports.
     fn peak_bytes(&self) -> usize;
 
+    /// Lends source `v`'s row to `f`, calling it exactly once. Oracles
+    /// that hold rows lend them in place at their cell width; the default
+    /// copies the row out of [`Distances::distance`] into `u32` cells, for
+    /// oracles that hold none. Use [`read_row`] to get a value back.
+    ///
+    /// `f` may run while the oracle holds an internal lock
+    /// ([`BandedOracle`] does), so it must not query the same oracle: the
+    /// lock is not re-entrant, and a nested query deadlocks or panics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    fn with_row(&self, v: NodeId, f: &mut dyn FnMut(DistRow<'_>)) {
+        let row: Vec<u32> = (0..self.node_count())
+            .map(|w| self.distance(v, w).unwrap_or(UNREACHABLE))
+            .collect();
+        f(DistRow::U32(&row));
+    }
+
     /// Whether the underlying graph is connected (vacuously true for
-    /// `n ≤ 1`); derived from row 0, matching
-    /// [`crate::paths::Apsp::is_connected`].
+    /// `n ≤ 1`): every node is reachable from node 0, read off row 0.
     fn is_connected(&self) -> bool {
-        let n = self.node_count();
-        n <= 1 || (0..n).all(|v| self.distance(0, v).is_some())
+        self.node_count() <= 1
+            || read_row(self, 0, |row| (0..row.len()).all(|v| row.get(v).is_some()))
     }
 
     /// The neighbours of `u` on some shortest path to `v` — neighbours `w`
-    /// with `d(w, v) == d(u, v) − 1`, in sorted neighbour order. This is
-    /// the edge set a *full information* shortest-path routing function
-    /// returns (Section 1 of the paper). Only meaningful when
+    /// with `d(w, v) == d(u, v) − 1`, in sorted neighbour order, read off
+    /// row `v` ([`DistRow::closer_neighbors`]). This is the edge set a
+    /// *full information* shortest-path routing function returns
+    /// (Section 1 of the paper). Only meaningful when
     /// [`Distances::is_exact`] holds.
     fn shortest_path_ports(&self, g: &Graph, u: NodeId, v: NodeId) -> Vec<NodeId> {
-        if u == v {
-            return Vec::new();
-        }
-        let Some(duv) = self.distance(u, v) else {
-            return Vec::new();
-        };
-        g.neighbors(u)
-            .iter()
-            .copied()
-            .filter(|&w| self.distance(w, v) == Some(duv - 1))
-            .collect()
+        read_row(self, v, |row| row.closer_neighbors(g, u).collect())
     }
 
     /// One canonical shortest path from `u` to `v` (smallest-id
-    /// qualifying neighbour first), inclusive of both endpoints; `None`
-    /// if `v` is unreachable. Only meaningful when [`Distances::is_exact`]
-    /// holds.
+    /// qualifying neighbour first), inclusive of both endpoints, walked
+    /// on row `v` alone; `None` if `v` is unreachable. Only meaningful
+    /// when [`Distances::is_exact`] holds.
     fn shortest_path(&self, g: &Graph, u: NodeId, v: NodeId) -> Option<Vec<NodeId>> {
-        self.distance(u, v)?;
-        let mut path = vec![u];
-        let mut cur = u;
-        while cur != v {
-            let next = *self.shortest_path_ports(g, cur, v).first()?;
-            path.push(next);
-            cur = next;
-        }
-        Some(path)
+        read_row(self, v, |row| {
+            row.get(u)?;
+            let mut path = vec![u];
+            let mut cur = u;
+            while cur != v {
+                cur = row.first_hop(g, cur)?;
+                path.push(cur);
+            }
+            Some(path)
+        })
     }
 
-    /// The smallest-id neighbour of `u` on a shortest path to `v`,
-    /// computed from **row `v` only**: distances are symmetric on
-    /// undirected graphs, so `w` qualifies iff
-    /// `d(v, w) == d(v, u) − 1`. Equal to
-    /// `shortest_path_ports(g, u, v).first()` for every exact oracle,
-    /// but band-friendly — a [`BandedOracle`] answers an entire sweep
-    /// `{first_hop_toward(·, u, v) : u ∈ V}` from the single band
-    /// containing `v`, which is what lets scheme builders stream
-    /// destinations band by band instead of thrashing on neighbour rows.
+    /// The smallest-id neighbour of `u` on a shortest path to `v`: row
+    /// `v`'s [`DistRow::first_hop`]. Equal to
+    /// `shortest_path_ports(g, u, v).first()`. A builder that needs first
+    /// hops toward `v` from many nodes should take row `v` once with
+    /// [`Distances::with_row`] instead of paying one row access per node.
     /// `None` when `u == v` or `v` is unreachable. Only meaningful when
     /// [`Distances::is_exact`] holds.
     fn first_hop_toward(&self, g: &Graph, u: NodeId, v: NodeId) -> Option<NodeId> {
-        if u == v {
-            return None;
-        }
-        let duv = self.distance(v, u)?;
-        g.neighbors(u).iter().copied().find(|&w| self.distance(v, w) == Some(duv - 1))
+        read_row(self, v, |row| row.first_hop(g, u))
     }
+}
+
+/// Runs `f` on source `v`'s row and returns its result:
+/// [`Distances::with_row`] for callers that compute a value (the same
+/// lock contract applies — `f` must not query `dists`).
+///
+/// # Panics
+///
+/// Panics if `v` is out of range, or if `dists` breaks `with_row`'s
+/// contract by never calling its visitor.
+pub fn read_row<D, R>(dists: &D, v: NodeId, f: impl FnOnce(DistRow<'_>) -> R) -> R
+where
+    D: Distances + ?Sized,
+{
+    let mut f = Some(f);
+    let mut out = None;
+    dists.with_row(v, &mut |row| out = f.take().map(|f| f(row)));
+    out.expect("with_row lends the row exactly once")
 }
 
 impl Distances for Apsp {
@@ -147,8 +170,8 @@ impl Distances for Apsp {
         self.heap_bytes()
     }
 
-    fn is_connected(&self) -> bool {
-        Apsp::is_connected(self)
+    fn with_row(&self, v: NodeId, f: &mut dyn FnMut(DistRow<'_>)) {
+        f(self.row(v));
     }
 }
 
@@ -166,7 +189,14 @@ impl Distances for Apsp {
 /// Interior mutability (a [`Mutex`]) keeps the trait object `Sync`;
 /// queries from concurrent verifiers serialise on the lock, so this
 /// oracle is meant for memory-bound *construction*, not parallel
-/// verification.
+/// verification. [`Distances::with_row`] lends a row of the resident band
+/// under that lock, so a sweep over every node toward one destination
+/// takes the lock once instead of once per cell.
+///
+/// A panic while the lock is held (in a `with_row` visitor, say)
+/// poisons it but leaves the state consistent: the old band is dropped
+/// before the next is computed, and the band count is bumped only after.
+/// Every query therefore recovers a poisoned lock and carries on.
 #[derive(Debug)]
 pub struct BandedOracle {
     g: Graph,
@@ -220,13 +250,35 @@ impl BandedOracle {
     /// access pattern thrashed the band cache.
     #[must_use]
     pub fn bands_computed(&self) -> u64 {
-        self.state.lock().expect("band lock").bands_computed
+        self.lock().bands_computed
     }
 
     /// The graph this oracle answers for.
     #[must_use]
     pub fn graph(&self) -> &Graph {
         &self.g
+    }
+
+    /// The band state, recovered if a panic poisoned the lock (see the
+    /// type docs for why the state is still consistent).
+    fn lock(&self) -> MutexGuard<'_, BandState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The band holding source `u`'s row, computed first unless it is
+    /// already resident.
+    fn resident<'s>(&self, st: &'s mut BandState, u: NodeId) -> &'s DistBand {
+        let n = self.g.node_count();
+        if !st.band.as_ref().is_some_and(|b| b.contains(u)) {
+            let start = (u / self.band_rows) * self.band_rows;
+            let rows = self.band_rows.min(n - start);
+            // Dropping the previous band *before* computing the next keeps
+            // peak memory at one band.
+            st.band = None;
+            st.band = Some(compute_band(&self.g, start, rows, self.engine));
+            st.bands_computed += 1;
+        }
+        st.band.as_ref().expect("band just computed")
     }
 }
 
@@ -238,17 +290,12 @@ impl Distances for BandedOracle {
     fn distance(&self, u: NodeId, v: NodeId) -> Option<u32> {
         let n = self.g.node_count();
         assert!(u < n && v < n, "node out of range");
-        let mut st = self.state.lock().expect("band lock");
-        if !st.band.as_ref().is_some_and(|b| b.contains(u)) {
-            let start = (u / self.band_rows) * self.band_rows;
-            let rows = self.band_rows.min(n - start);
-            // Dropping the previous band *before* computing the next keeps
-            // peak memory at one band.
-            st.band = None;
-            st.band = Some(compute_band(&self.g, start, rows, self.engine));
-            st.bands_computed += 1;
-        }
-        st.band.as_ref().expect("band just computed").distance(u, v)
+        self.resident(&mut self.lock(), u).distance(u, v)
+    }
+
+    fn with_row(&self, v: NodeId, f: &mut dyn FnMut(DistRow<'_>)) {
+        assert!(v < self.g.node_count(), "node out of range");
+        f(self.resident(&mut self.lock(), v).row(v));
     }
 
     fn describe(&self) -> &'static str {
@@ -366,11 +413,20 @@ impl LandmarkOracle {
     /// Panics if `li` or `v` is out of range.
     #[must_use]
     pub fn landmark_distance(&self, li: usize, v: NodeId) -> Option<u32> {
-        assert!(li < self.landmarks.len() && v < self.n, "index out of range");
-        match self.rows.get(li * self.n + v) {
-            UNREACHABLE => None,
-            d => Some(d),
-        }
+        self.landmark_row(li).get(v)
+    }
+
+    /// Landmark `li`'s exact distance row (`li` an index into
+    /// [`LandmarkOracle::landmarks`]), lent in place. Routing toward a
+    /// landmark takes [`DistRow::first_hop`] on this row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `li` is out of range.
+    #[must_use]
+    pub fn landmark_row(&self, li: usize) -> DistRow<'_> {
+        assert!(li < self.landmarks.len(), "index out of range");
+        self.rows.row(li, self.n)
     }
 
     /// Index (into [`LandmarkOracle::landmarks`]) of `u`'s nearest
@@ -466,7 +522,50 @@ impl Distances for LandmarkOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::DeltaOracle;
+    use crate::dist::CellWidth;
     use crate::generators;
+
+    /// The closer neighbours of `u` toward `v` read cell by cell through
+    /// `distance` — the per-cell rule the row path replaced, kept as the
+    /// reference it must reproduce.
+    fn ports_by_distance(dists: &dyn Distances, g: &Graph, u: NodeId, v: NodeId) -> Vec<NodeId> {
+        if u == v {
+            return Vec::new();
+        }
+        let Some(d) = dists.distance(u, v) else {
+            return Vec::new();
+        };
+        g.neighbors(u).iter().copied().filter(|&w| dists.distance(w, v) == Some(d - 1)).collect()
+    }
+
+    /// Every row of `oracle` agrees cell for cell with its own `distance`,
+    /// and every row path — `DistRow::first_hop`, `closer_neighbors` and
+    /// the trait's `first_hop_toward` / `shortest_path_ports` — with the
+    /// per-cell rule over `reference`'s distances.
+    fn assert_rows_match(oracle: &dyn Distances, reference: &dyn Distances, g: &Graph, name: &str) {
+        let n = g.node_count();
+        for v in 0..n {
+            // Collected inside, compared outside: the visitor may run
+            // under the oracle's lock, so it must not query the oracle.
+            let (cells, hops, closer) = read_row(oracle, v, |row| {
+                assert_eq!(row.len(), n, "{name} row {v}");
+                let cells: Vec<_> = (0..n).map(|u| row.get(u)).collect();
+                let hops: Vec<_> = (0..n).map(|u| row.first_hop(g, u)).collect();
+                let closer: Vec<Vec<_>> =
+                    (0..n).map(|u| row.closer_neighbors(g, u).collect()).collect();
+                (cells, hops, closer)
+            });
+            for u in 0..n {
+                assert_eq!(cells[u], oracle.distance(v, u), "{name} cell ({v},{u})");
+                let expect = ports_by_distance(reference, g, u, v);
+                assert_eq!(closer[u], expect, "{name} closer ({u}→{v})");
+                assert_eq!(hops[u], expect.first().copied(), "{name} first hop ({u}→{v})");
+                assert_eq!(oracle.first_hop_toward(g, u, v), hops[u], "{name} ({u}→{v})");
+                assert_eq!(oracle.shortest_path_ports(g, u, v), expect, "{name} ({u}→{v})");
+            }
+        }
+    }
 
     fn assert_exact_matches_apsp(oracle: &dyn Distances, apsp: &Apsp, g: &Graph, name: &str) {
         let n = g.node_count();
@@ -492,16 +591,20 @@ mod tests {
                 );
             }
         }
+        assert_rows_match(oracle, apsp, g, name);
     }
 
     #[test]
     fn banded_oracle_matches_apsp() {
-        for (g, name) in [
-            (generators::connected_gnp(60, 0.08, 3), "sparse"),
-            (generators::gnp_half(33, 5), "dense"),
-            (Graph::from_edges(7, [(0, 1), (1, 2), (4, 5)]).unwrap(), "split"),
+        for (g, name, width) in [
+            (generators::connected_gnp(60, 0.08, 3), "sparse", CellWidth::U8),
+            (generators::gnp_half(33, 5), "dense", CellWidth::U8),
+            (Graph::from_edges(7, [(0, 1), (1, 2), (4, 5)]).unwrap(), "split", CellWidth::U8),
+            // Its diameter, 299, overflows a byte.
+            (generators::path(300), "long path", CellWidth::U16),
         ] {
             let apsp = Apsp::compute(&g);
+            assert_eq!(apsp.cell_width(), width, "{name}");
             for band_rows in [1, 7, 64, 1000] {
                 let oracle = BandedOracle::new(g.clone(), band_rows);
                 assert_exact_matches_apsp(&oracle, &apsp, &g, name);
@@ -535,26 +638,78 @@ mod tests {
 
     #[test]
     fn first_hop_toward_matches_shortest_path_ports() {
-        for g in [
-            generators::connected_gnp(40, 0.1, 4),
-            generators::grid(4, 5),
-            Graph::from_edges(7, [(0, 1), (1, 2), (4, 5)]).unwrap(),
+        for (g, width) in [
+            (generators::connected_gnp(40, 0.1, 4), CellWidth::U8),
+            (generators::grid(4, 5), CellWidth::U8),
+            (Graph::from_edges(7, [(0, 1), (1, 2), (4, 5)]).unwrap(), CellWidth::U8),
+            (generators::path(300), CellWidth::U16),
         ] {
             let n = g.node_count();
             let apsp = Apsp::compute(&g);
-            let banded = BandedOracle::new(g.clone(), 5);
-            for u in 0..n {
-                for v in 0..n {
-                    let expect = if u == v {
-                        None
-                    } else {
-                        apsp.shortest_path_ports(&g, u, v).first().copied()
-                    };
-                    assert_eq!(Distances::first_hop_toward(&apsp, &g, u, v), expect, "({u},{v})");
-                    assert_eq!(banded.first_hop_toward(&g, u, v), expect, "banded ({u},{v})");
+            assert_eq!(read_row(&apsp, 0, |row| row.width()), width);
+            assert_rows_match(&apsp, &apsp, &g, "apsp");
+            for band_rows in [1, 5, 7, 64] {
+                let banded = BandedOracle::new(g.clone(), band_rows);
+                assert_eq!(read_row(&banded, n - 1, |row| row.width()), width);
+                assert_rows_match(&banded, &apsp, &g, &format!("banded {band_rows}"));
+            }
+
+            // The repaired matrix lends rows as a fresh one would.
+            let mut delta = DeltaOracle::new(g.clone());
+            let report = if g.has_edge(0, n - 1) {
+                delta.remove_edge(0, n - 1)
+            } else {
+                delta.add_edge(0, n - 1)
+            }
+            .unwrap();
+            assert!(report.dirty_nodes() > 0);
+            let repaired = Apsp::compute(delta.graph());
+            assert_rows_match(&delta, &repaired, delta.graph(), "delta");
+
+            // The trait's default row copy, checked against the landmark
+            // oracle's own estimates. Each trait helper copies a whole row
+            // per call here, so the long path is left to the exact oracles.
+            if n <= 64 {
+                let lo = LandmarkOracle::build(&g, 3);
+                assert_eq!(read_row(&lo, 0, |row| row.width()), CellWidth::U32);
+                assert_rows_match(&lo, &lo, &g, "landmark");
+            }
+        }
+
+        // A hand-built u32 band, connected and split.
+        for g in [generators::grid(4, 5), Graph::from_edges(7, [(0, 1), (1, 2), (4, 5)]).unwrap()] {
+            let n = g.node_count();
+            let apsp = Apsp::compute(&g);
+            let cells = apsp.matrix_u32()[2 * n..5 * n].to_vec();
+            let band = DistBand::new(2, 3, n, DistStore::U32(cells));
+            for v in 2..5 {
+                let row = band.row(v);
+                assert_eq!(row.width(), CellWidth::U32);
+                for u in 0..n {
+                    assert_eq!(row.get(u), apsp.distance(v, u), "u32 cell ({v},{u})");
+                    let expect = ports_by_distance(&apsp, &g, u, v);
+                    assert_eq!(row.closer_neighbors(&g, u).collect::<Vec<_>>(), expect);
+                    assert_eq!(row.first_hop(&g, u), expect.first().copied(), "u32 ({u}→{v})");
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_panicking_visitor_leaves_the_banded_oracle_usable() {
+        let g = generators::connected_gnp(40, 0.1, 4);
+        let apsp = Apsp::compute(&g);
+        let oracle = BandedOracle::new(g.clone(), 8);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            oracle.with_row(9, &mut |_| panic!("visitor panics under the band lock"));
+        }));
+        assert!(caught.is_err());
+        assert!(oracle.state.is_poisoned(), "the panic unwound through the lock");
+        assert_eq!(oracle.bands_computed(), 1);
+        // Row 9's band is still resident: reading it computes nothing.
+        assert_eq!(read_row(&oracle, 9, |row| row.get(0)), apsp.distance(9, 0));
+        assert_eq!(oracle.bands_computed(), 1);
+        assert_exact_matches_apsp(&oracle, &apsp, &g, "after a visitor panic");
     }
 
     #[test]

@@ -48,7 +48,7 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::dist::{CellWidth, DistBand, DistCell, DistStore};
+use crate::dist::{CellWidth, DistBand, DistCell, DistRow, DistStore};
 use crate::{Graph, NodeId};
 
 /// Distance value encoding "unreachable" inside the matrix.
@@ -657,14 +657,15 @@ impl Apsp {
         self.dist.to_u32_vec()
     }
 
-    /// Whether the underlying graph is connected (vacuously true for
-    /// `n ≤ 1`). Derived from row 0 of the matrix — the graph is
-    /// undirected, so connectivity equals reachability from node 0 — which
-    /// lets callers that already hold an [`Apsp`] skip a separate
-    /// traversal.
+    /// Source `u`'s row, lent in place at the matrix's cell width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is out of range.
     #[must_use]
-    pub fn is_connected(&self) -> bool {
-        self.n <= 1 || (0..self.n).all(|v| self.dist.get(v) != UNREACHABLE)
+    pub fn row(&self, u: NodeId) -> DistRow<'_> {
+        assert!(u < self.n, "node out of range");
+        self.dist.row(u, self.n)
     }
 
     /// Hop distance from `u` to `v`, or `None` if unreachable.

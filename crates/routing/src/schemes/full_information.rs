@@ -10,7 +10,7 @@
 
 use ort_bitio::{BitReader, BitVec, BitWriter};
 use ort_graphs::labels::{Label, LabelRef, Labeling};
-use ort_graphs::oracle::Distances;
+use ort_graphs::oracle::{read_row, Distances};
 use ort_graphs::ports::PortAssignment;
 use ort_graphs::{Graph, NodeId};
 
@@ -49,10 +49,11 @@ impl FullInformationScheme {
     /// Builds the scheme (model II ∧ α; works on any connected graph)
     /// from the exact distances `dists`.
     ///
-    /// Band-streamed: the outer loop walks destinations ascending; for a
+    /// Row-streamed: the outer loop walks destinations ascending and
+    /// takes each destination's oracle row once ([`read_row`]); for a
     /// destination `t` and node `u`, neighbour `v` of `u` lies on a
-    /// shortest `u → t` path iff `d(t, v) == d(t, u) − 1` — both read off
-    /// `t`'s oracle row (distances are symmetric), so a banded oracle's
+    /// shortest `u → t` path iff `d(t, v) == d(t, u) − 1` — the row's
+    /// closer neighbours (distances are symmetric), so a banded oracle's
     /// peak distance memory is one band. Per node, masks are still
     /// appended in ascending non-neighbour order, so the bits match the
     /// historical per-node construction exactly.
@@ -68,17 +69,21 @@ impl FullInformationScheme {
         let ports = PortAssignment::sorted(g);
         let mut writers: Vec<BitWriter> = (0..n).map(|_| BitWriter::new()).collect();
         for t in 0..n {
-            for (u, w) in writers.iter_mut().enumerate() {
-                // One d(u)-bit mask per non-neighbour destination; the
-                // outer ascending-t loop preserves the per-node order.
-                if t == u || g.has_edge(u, t) {
-                    continue;
+            read_row(dists, t, |row| {
+                for (u, w) in writers.iter_mut().enumerate() {
+                    // One d(u)-bit mask per non-neighbour destination; the
+                    // outer ascending-t loop preserves the per-node order.
+                    if t == u || g.has_edge(u, t) {
+                        continue;
+                    }
+                    // The closer neighbours come in neighbour order, so one
+                    // merge pass marks them.
+                    let mut closer = row.closer_neighbors(g, u).peekable();
+                    for &v in g.neighbors(u) {
+                        w.write_bit(closer.next_if_eq(&v).is_some());
+                    }
                 }
-                let dut = dists.distance(t, u).expect("connected") - 1;
-                for &v in g.neighbors(u) {
-                    w.write_bit(dists.distance(t, v) == Some(dut));
-                }
-            }
+            });
         }
         let bits = writers.into_iter().map(BitWriter::finish).collect();
         Ok(FullInformationScheme { bits, labeling: Labeling::identity(n), ports })

@@ -8,7 +8,7 @@
 
 use ort_bitio::{bits_to_index, BitReader, BitVec, BitWriter};
 use ort_graphs::labels::{Label, LabelRef, Labeling};
-use ort_graphs::oracle::Distances;
+use ort_graphs::oracle::{read_row, Distances};
 use ort_graphs::ports::PortAssignment;
 use ort_graphs::{Graph, NodeId};
 
@@ -62,13 +62,14 @@ impl FullTableScheme {
     /// labelling — this is how the IA ∧ α (adversarial ports) and β
     /// (permuted labels) experiments instantiate it.
     ///
-    /// The table loop is *band-streamed*: the outer loop walks
+    /// The table loop is *row-streamed*: the outer loop walks
     /// destination labels ascending (= source-band order under α
-    /// labels) and appends one port to every node's writer per
-    /// destination, reading first hops from the destination's oracle row
-    /// alone ([`Distances::first_hop_toward`]). Per-node append order is
-    /// unchanged from the historical per-node loop, so the bits are
-    /// identical; peak distance memory with a banded oracle is one band.
+    /// labels), borrows the destination's oracle row once
+    /// ([`read_row`]) and appends one port to every other node's writer,
+    /// each the row's [`DistRow::first_hop`](ort_graphs::dist::DistRow::first_hop).
+    /// Per-node append order is unchanged from the historical per-node
+    /// loop, so the bits are identical; peak distance memory with a
+    /// banded oracle is one band.
     ///
     /// # Errors
     ///
@@ -98,15 +99,17 @@ impl FullTableScheme {
             .collect();
         for dest_label in 0..n {
             let t = labeling.node_of_minimal(dest_label).expect("minimal labels cover 0..n");
-            for (u, w) in writers.iter_mut().enumerate() {
-                if u == t {
-                    continue;
+            read_row(dists, t, |row| {
+                for (u, w) in writers.iter_mut().enumerate() {
+                    if u == t {
+                        continue;
+                    }
+                    let hop = row.first_hop(g, u).expect("connected graph has a next hop");
+                    let port = ports.port_to(u, hop).expect("hop is a neighbour");
+                    w.write_bits(port as u64, widths[u])?;
                 }
-                let hop =
-                    dists.first_hop_toward(g, u, t).expect("connected graph has a next hop");
-                let port = ports.port_to(u, hop).expect("hop is a neighbour");
-                w.write_bits(port as u64, widths[u])?;
-            }
+                Ok::<_, SchemeError>(())
+            })?;
         }
         let bits = writers.into_iter().map(BitWriter::finish).collect();
         Ok(FullTableScheme { model, bits, labeling, ports })
@@ -122,15 +125,6 @@ impl FullTableScheme {
         ports: PortAssignment,
     ) -> Self {
         FullTableScheme { model, bits, labeling, ports }
-    }
-
-    /// The minimal label value of `u` (patching rejects γ labellings up
-    /// front, so the match cannot fail).
-    fn minimal_label(&self, u: NodeId) -> usize {
-        match self.labeling.label_of(u) {
-            Label::Minimal(l) => l,
-            Label::Bits(_) => unreachable!("patch requires minimal labels"),
-        }
     }
 
     /// Patches the table in place after the edge delta `endpoints` was
@@ -184,54 +178,70 @@ impl FullTableScheme {
         let _mem = ort_telemetry::alloc::mem_span("repair.scheme_patch");
         self.ports = PortAssignment::sorted(g);
         let mut patched = 0usize;
-        for &u in &endpoints {
-            let width = bits_to_index(g.degree(u) as u64);
-            let mut w = BitWriter::with_capacity((n - 1) * width as usize);
-            for dest_label in 0..n {
-                let t = self.labeling.node_of_minimal(dest_label).expect("minimal labels cover 0..n");
-                if t == u {
-                    continue;
+        // The endpoint tables, rebuilt whole in one pass over every
+        // destination's row.
+        let widths = endpoints.map(|u| bits_to_index(g.degree(u) as u64));
+        let mut writers = widths.map(|w| BitWriter::with_capacity((n - 1) * w as usize));
+        for dest_label in 0..n {
+            let t = self.labeling.node_of_minimal(dest_label).expect("minimal labels cover 0..n");
+            read_row(dists, t, |row| {
+                for ((&u, w), &width) in endpoints.iter().zip(&mut writers).zip(&widths) {
+                    if t == u {
+                        continue;
+                    }
+                    let hop = row.first_hop(g, u).ok_or(SchemeError::Disconnected)?;
+                    let port = self.ports.port_to(u, hop).expect("hop is a neighbour");
+                    w.write_bits(port as u64, width)?;
+                    patched += 1;
                 }
-                let hop = dists
-                    .first_hop_toward(g, u, t)
-                    .ok_or(SchemeError::Disconnected)?;
-                let port = self.ports.port_to(u, hop).expect("hop is a neighbour");
-                w.write_bits(port as u64, width)?;
-                patched += 1;
-            }
+                Ok::<_, SchemeError>(())
+            })?;
+        }
+        for (&u, w) in endpoints.iter().zip(writers) {
             self.bits[u] = w.finish();
         }
+        // Entries toward each dirty destination, one row each.
         for &t in dirty {
             if t >= n {
                 return Err(SchemeError::NodeOutOfRange { node: t });
             }
-            let dest_l = self.minimal_label(t);
-            for u in 0..n {
-                if u == t || endpoints.contains(&u) {
-                    continue;
+            let dest_l = minimal_label(&self.labeling, t);
+            read_row(dists, t, |row| {
+                for (u, table) in self.bits.iter_mut().enumerate() {
+                    if u == t || endpoints.contains(&u) {
+                        continue;
+                    }
+                    let width = bits_to_index(g.degree(u) as u64) as usize;
+                    if width == 0 {
+                        // Degree ≤ 1: the entry stores zero bits (port 0 is
+                        // implicit), nothing to splice.
+                        continue;
+                    }
+                    let hop = row.first_hop(g, u).ok_or(SchemeError::Disconnected)?;
+                    let port = self.ports.port_to(u, hop).expect("hop is a neighbour");
+                    let own_l = minimal_label(&self.labeling, u);
+                    let index = if dest_l < own_l { dest_l } else { dest_l - 1 };
+                    let base = index * width;
+                    // write_bits is MSB-first: offset k holds value bit
+                    // (width − 1 − k).
+                    for k in 0..width {
+                        table.set(base + k, (port >> (width - 1 - k)) & 1 == 1);
+                    }
+                    patched += 1;
                 }
-                let width = bits_to_index(g.degree(u) as u64) as usize;
-                if width == 0 {
-                    // Degree ≤ 1: the entry stores zero bits (port 0 is
-                    // implicit), nothing to splice.
-                    continue;
-                }
-                let hop = dists
-                    .first_hop_toward(g, u, t)
-                    .ok_or(SchemeError::Disconnected)?;
-                let port = self.ports.port_to(u, hop).expect("hop is a neighbour");
-                let own_l = self.minimal_label(u);
-                let index = if dest_l < own_l { dest_l } else { dest_l - 1 };
-                let base = index * width;
-                // write_bits is MSB-first: offset k holds value bit
-                // (width − 1 − k).
-                for k in 0..width {
-                    self.bits[u].set(base + k, (port >> (width - 1 - k)) & 1 == 1);
-                }
-                patched += 1;
-            }
+                Ok::<_, SchemeError>(())
+            })?;
         }
         Ok(patched)
+    }
+}
+
+/// The minimal label value of `u` (patching rejects γ labellings up
+/// front, so the match cannot fail).
+fn minimal_label(labeling: &Labeling, u: NodeId) -> usize {
+    match labeling.label_ref(u) {
+        LabelRef::Minimal(l) => l,
+        LabelRef::Bits(_) => unreachable!("patch requires minimal labels"),
     }
 }
 
@@ -307,10 +317,13 @@ impl LocalRouter for FullTableRouter<'_> {
 mod tests {
     use super::*;
     use crate::verify::{verify, RouteFailure};
+    use ort_graphs::dist::DistRow;
     use ort_graphs::generators;
+    use ort_graphs::oracle::BandedOracle;
     use ort_graphs::paths::Apsp;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
     #[test]
     fn shortest_path_on_assorted_graphs() {
@@ -425,6 +438,62 @@ mod tests {
             .failures
             .iter()
             .any(|(s, _, f)| *s == 0 && matches!(f, RouteFailure::RouterError { .. })));
+    }
+
+    /// Forwards to an inner oracle and counts the calls a builder makes.
+    /// The row-based defaults (`is_connected`, `shortest_path`) are left
+    /// to the trait, so their row reads count as `with_row` calls.
+    struct Counting<'a> {
+        inner: &'a dyn Distances,
+        with_row: AtomicUsize,
+        per_cell: AtomicUsize,
+    }
+
+    impl Distances for Counting<'_> {
+        fn node_count(&self) -> usize {
+            self.inner.node_count()
+        }
+
+        fn distance(&self, u: NodeId, v: NodeId) -> Option<u32> {
+            self.per_cell.fetch_add(1, Relaxed);
+            self.inner.distance(u, v)
+        }
+
+        fn peak_bytes(&self) -> usize {
+            self.inner.peak_bytes()
+        }
+
+        fn with_row(&self, v: NodeId, f: &mut dyn FnMut(DistRow<'_>)) {
+            self.with_row.fetch_add(1, Relaxed);
+            self.inner.with_row(v, f);
+        }
+
+        fn shortest_path_ports(&self, g: &Graph, u: NodeId, v: NodeId) -> Vec<NodeId> {
+            self.per_cell.fetch_add(1, Relaxed);
+            self.inner.shortest_path_ports(g, u, v)
+        }
+
+        fn first_hop_toward(&self, g: &Graph, u: NodeId, v: NodeId) -> Option<NodeId> {
+            self.per_cell.fetch_add(1, Relaxed);
+            self.inner.first_hop_toward(g, u, v)
+        }
+    }
+
+    #[test]
+    fn build_borrows_one_row_per_destination() {
+        let g = generators::gnp_half(64, 3);
+        let apsp = Apsp::compute(&g);
+        let reference = FullTableScheme::build(&g, &apsp).unwrap();
+        for inner in [&apsp as &dyn Distances, &BandedOracle::new(g.clone(), 8)] {
+            let counting =
+                Counting { inner, with_row: AtomicUsize::new(0), per_cell: AtomicUsize::new(0) };
+            let scheme = FullTableScheme::build(&g, &counting).unwrap();
+            assert_eq!(scheme.bits, reference.bits, "{}", inner.describe());
+            // One row per destination plus row 0 for the connectivity
+            // probe; per-cell queries would number n(n − 1) = 4032.
+            assert_eq!(counting.with_row.load(Relaxed), 64 + 1, "{}", inner.describe());
+            assert_eq!(counting.per_cell.load(Relaxed), 0, "{}", inner.describe());
+        }
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //! contrasts with its Theorem 3–5 trade-off.
 
 use ort_bitio::{bits_to_index, BitReader, BitVec, BitWriter};
+use ort_graphs::dist::DistRow;
 use ort_graphs::labels::{Label, LabelRef, Labeling};
-use ort_graphs::oracle::{Distances, LandmarkOracle};
+use ort_graphs::oracle::{read_row, Distances, LandmarkOracle};
 use ort_graphs::ports::PortAssignment;
 use ort_graphs::{Graph, NodeId};
 use rand::rngs::StdRng;
@@ -69,21 +70,22 @@ impl LandmarkScheme {
     /// `seed`, reading distances from the exact oracle `dists` — notably
     /// [`ort_graphs::oracle::BandedOracle`], which builds the scheme
     /// without ever holding the full `n²` matrix. Exact oracles all
-    /// produce byte-identical schemes (every query below resolves through
-    /// the same smallest-qualifying-neighbour rules).
+    /// produce byte-identical schemes (every hop below is the one
+    /// smallest-closer-neighbour rule, [`DistRow::first_hop`]).
     ///
-    /// Band-streamed in two ascending passes, exploiting distance
-    /// symmetry so every query reads the currently-resident band:
+    /// Row-streamed in two ascending passes, exploiting distance
+    /// symmetry so each row is borrowed once ([`read_row`]) from the
+    /// currently-resident band:
     ///
     /// 1. **Landmark rows** (`l` ascending): toward-ports for all nodes
-    ///    (`w` qualifies iff `d(l,w) == d(l,v) − 1`) plus each node's
-    ///    nearest landmark and radius — all from row `l`.
+    ///    (each node's first hop toward `l`) plus each node's nearest
+    ///    landmark and radius — all from row `l`.
     /// 2. **All rows** (`v` ascending): `v`'s label path (walked forward
-    ///    from its landmark, picking the smallest neighbour `w` with
-    ///    `d(v,w) == d(v,cur) − 1`) and `v`'s membership in every bunch
-    ///    (`d(v,x) < r_x`, first hop of `x` toward `v` from row `v`) —
-    ///    appended per node in ascending-`v` order, exactly the order the
-    ///    historical per-node loop produced.
+    ///    from its landmark by first hops toward `v`) and `v`'s
+    ///    membership in every bunch (`d(v,x) < r_x`, first hop of `x`
+    ///    toward `v`) — all from row `v`, appended per node in
+    ///    ascending-`v` order, exactly the order the historical per-node
+    ///    loop produced.
     ///
     /// # Errors
     ///
@@ -116,22 +118,22 @@ impl LandmarkScheme {
         let mut nearest = vec![0usize; n]; // index into `landmarks`
         let mut radius = vec![u32::MAX; n];
         for (li, &l) in landmarks.iter().enumerate() {
-            let mut ports_to_l = vec![0usize; n];
-            for (v, port) in ports_to_l.iter_mut().enumerate() {
-                let dv = dists.distance(l, v).expect("connected");
-                if dv < radius[v] {
-                    radius[v] = dv;
-                    nearest[v] = li;
-                }
-                if v == l {
-                    continue;
-                }
-                *port = g
-                    .neighbors(v)
-                    .iter()
-                    .position(|&x| dists.distance(l, x) == Some(dv - 1))
-                    .expect("some neighbour is closer");
-            }
+            let ports_to_l = read_row(dists, l, |row| {
+                (0..n)
+                    .map(|v| {
+                        let dv = row.get(v).expect("connected");
+                        if dv < radius[v] {
+                            radius[v] = dv;
+                            nearest[v] = li;
+                        }
+                        if v == l {
+                            return 0;
+                        }
+                        let hop = row.first_hop(g, v).expect("some neighbour is closer");
+                        ports.port_to(v, hop).expect("neighbour")
+                    })
+                    .collect()
+            });
             toward.push(ports_to_l);
         }
         // Pass 2 — one visit per row, `v` ascending: labels and bunches.
@@ -141,34 +143,16 @@ impl LandmarkScheme {
         let mut bunches: Vec<Vec<(NodeId, usize)>> = vec![Vec::new(); n];
         for v in 0..n {
             let l = landmarks[nearest[v]];
-            let mut path = vec![l];
-            let mut cur = l;
-            while cur != v {
-                let d = dists.distance(v, cur).expect("connected");
-                cur = *g
-                    .neighbors(cur)
-                    .iter()
-                    .find(|&&w| dists.distance(v, w) == Some(d - 1))
-                    .expect("some neighbour is closer");
-                path.push(cur);
-            }
-            labels.push(Self::encode_label(&ports, v, l, &path, w_node)?);
-            for (x, bunch) in bunches.iter_mut().enumerate() {
-                if x == v {
-                    continue;
+            let label = read_row(dists, v, |row| {
+                for (x, bunch) in bunches.iter_mut().enumerate() {
+                    if x != v && row.get(x).expect("connected") < radius[x] {
+                        let hop = row.first_hop(g, x).expect("reachable");
+                        bunch.push((v, ports.port_to(x, hop).expect("neighbour")));
+                    }
                 }
-                let d = dists.distance(v, x).expect("connected");
-                if d < radius[x] {
-                    let hop = g
-                        .neighbors(x)
-                        .iter()
-                        .copied()
-                        .find(|&w| dists.distance(v, w) == Some(d - 1))
-                        .expect("reachable");
-                    let port = ports.port_to(x, hop).expect("neighbour");
-                    bunch.push((v, port));
-                }
-            }
+                Self::encode_label(&ports, v, l, &descent(row, g, l), w_node)
+            })?;
+            labels.push(label);
         }
         // Node bits: [landmark ports][bunch count][bunch (id, port)...].
         let mut bits = Vec::with_capacity(n);
@@ -224,22 +208,20 @@ impl LandmarkScheme {
         let ports = PortAssignment::sorted(g);
         let w_node = bits_to_index(n as u64);
         // Toward-ports from the oracle's exact landmark rows.
-        let mut toward: Vec<Vec<usize>> = Vec::with_capacity(count);
-        for (li, &l) in landmarks.iter().enumerate() {
-            let mut ports_to_l = vec![0usize; n];
-            for (v, port) in ports_to_l.iter_mut().enumerate() {
-                if v == l {
-                    continue;
-                }
-                let dv = lo.landmark_distance(li, v).expect("connected");
-                *port = g
-                    .neighbors(v)
-                    .iter()
-                    .position(|&x| lo.landmark_distance(li, x) == Some(dv - 1))
-                    .expect("some neighbour is closer");
-            }
-            toward.push(ports_to_l);
-        }
+        let toward: Vec<Vec<usize>> = (0..count)
+            .map(|li| {
+                let row = lo.landmark_row(li);
+                (0..n)
+                    .map(|v| {
+                        if v == landmarks[li] {
+                            return 0;
+                        }
+                        let hop = row.first_hop(g, v).expect("some neighbour is closer");
+                        ports.port_to(v, hop).expect("neighbour")
+                    })
+                    .collect()
+            })
+            .collect();
         // Labels: the path from v's nearest landmark down to v, recovered
         // by descending the landmark's exact row from v (then reversed) —
         // no all-pairs queries involved.
@@ -247,19 +229,9 @@ impl LandmarkScheme {
         for v in 0..n {
             let li = lo.nearest(v).expect("connected graph has reachable landmarks");
             let l = landmarks[li];
-            let mut rev = vec![v];
-            let mut cur = v;
-            while cur != l {
-                let d = lo.landmark_distance(li, cur).expect("connected");
-                cur = *g
-                    .neighbors(cur)
-                    .iter()
-                    .find(|&&x| lo.landmark_distance(li, x) == Some(d - 1))
-                    .expect("some neighbour is closer");
-                rev.push(cur);
-            }
-            rev.reverse();
-            labels.push(Self::encode_label(&ports, v, l, &rev, w_node)?);
+            let mut path = descent(lo.landmark_row(li), g, v);
+            path.reverse();
+            labels.push(Self::encode_label(&ports, v, l, &path, w_node)?);
         }
         // Node bits: landmark ports, then an empty bunch.
         let mut writers: Vec<BitWriter> = (0..n).map(|_| BitWriter::new()).collect();
@@ -325,6 +297,18 @@ impl LandmarkScheme {
         }
         Ok((v, l, path))
     }
+}
+
+/// The canonical shortest path from `from` down to the row's source:
+/// [`DistRow::first_hop`] taken until it arrives, endpoints included.
+fn descent(row: DistRow<'_>, g: &Graph, from: NodeId) -> Vec<NodeId> {
+    let mut path = vec![from];
+    let mut cur = from;
+    while let Some(next) = row.first_hop(g, cur) {
+        path.push(next);
+        cur = next;
+    }
+    path
 }
 
 impl RoutingScheme for LandmarkScheme {

@@ -12,7 +12,7 @@
 
 use ort_bitio::{bits_to_index, codes, BitReader, BitVec, BitWriter};
 use ort_graphs::labels::{Label, LabelRef, Labeling};
-use ort_graphs::oracle::Distances;
+use ort_graphs::oracle::{read_row, Distances};
 use ort_graphs::ports::PortAssignment;
 use ort_graphs::{Graph, NodeId};
 
@@ -52,8 +52,9 @@ impl MultiIntervalScheme {
     /// Builds the scheme on any connected graph from the exact distances
     /// `dists`.
     ///
-    /// Band-streamed: the outer loop walks destinations ascending and
-    /// *extends the last interval run in place* when a port's destination
+    /// Row-streamed: the outer loop walks destinations ascending, takes
+    /// each destination's oracle row once ([`read_row`]) for every node's
+    /// first hop, and *extends the last interval run in place* when a port's destination
     /// set stays contiguous (the maximal-run merge the historical build
     /// applied to each sorted per-port list, performed online), so full
     /// per-port destination lists are never materialised and a banded
@@ -75,18 +76,19 @@ impl MultiIntervalScheme {
         let mut intervals: Vec<Vec<Vec<(NodeId, usize)>>> =
             (0..n).map(|u| vec![Vec::new(); g.degree(u)]).collect();
         for t in 0..n {
-            for (u, per_port) in intervals.iter_mut().enumerate() {
-                if t == u {
-                    continue;
+            read_row(dists, t, |row| {
+                for (u, per_port) in intervals.iter_mut().enumerate() {
+                    if t == u {
+                        continue;
+                    }
+                    let hop = row.first_hop(g, u).expect("connected graph has a next hop");
+                    let p = ports.port_to(u, hop).expect("hop is a neighbour");
+                    match per_port[p].last_mut() {
+                        Some((start, len)) if *start + *len == t => *len += 1,
+                        _ => per_port[p].push((t, 1)),
+                    }
                 }
-                let hop =
-                    dists.first_hop_toward(g, u, t).expect("connected graph has a next hop");
-                let p = ports.port_to(u, hop).expect("hop is a neighbour");
-                match per_port[p].last_mut() {
-                    Some((start, len)) if *start + *len == t => *len += 1,
-                    _ => per_port[p].push((t, 1)),
-                }
-            }
+            });
         }
         let mut bits = Vec::with_capacity(n);
         let mut total_intervals = 0usize;

@@ -1,6 +1,5 @@
 //! Shared helpers for the experiment binaries that regenerate the paper's
-//! Table 1 and Figure 1 (see `src/bin/`), plus the Criterion timing
-//! benches (see `benches/`).
+//! Table 1 and Figure 1 (see `src/bin/`).
 //!
 //! Every binary prints a self-contained table: the experiment id from
 //! DESIGN.md, the workload, the measured bits, and the paper's predicted

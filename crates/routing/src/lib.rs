@@ -34,6 +34,8 @@
 //! * [`repair`] — churn survival: [`repair::RepairableScheme`] pairs a
 //!   delta-repaired distance oracle with dirty-region table patching
 //!   (full table) or whole-scheme rebuild (everything else).
+//! * [`hop`] — the one hop step: a decoded router's decision resolved
+//!   into the next node, with fault-checked failover, for every walker.
 //! * [`verify`] — exhaustive delivery/stretch verification of any scheme.
 //! * [`explain`] — hop-by-hop stretch attribution of captured route
 //!   traces against a distance oracle.
@@ -46,6 +48,7 @@
 pub mod accounting;
 pub mod bounds;
 pub mod explain;
+pub mod hop;
 pub mod lower_bounds;
 pub mod model;
 pub mod repair;

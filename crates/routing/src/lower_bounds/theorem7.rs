@@ -14,7 +14,7 @@ use ort_bitio::{bits_to_index, BitReader, BitVec, BitWriter};
 use ort_graphs::labels::{Label, LabelRef};
 use ort_graphs::{Graph, NodeId};
 
-use crate::scheme::{MessageState, RouteDecision, RouteError, RoutingScheme};
+use crate::scheme::{MessageState, RouteError, RoutingScheme};
 
 /// The per-port destination partition induced by `u`'s routing function:
 /// `partition[p]` lists the destination labels routed over port `p`, in
@@ -29,9 +29,7 @@ pub fn port_partition(
     u: NodeId,
 ) -> Result<Vec<Vec<usize>>, RouteError> {
     let env = scheme.node_env(u);
-    let router = scheme
-        .decode_router(u)
-        .map_err(|_| RouteError::MissingInformation { what: "router undecodable" })?;
+    let router = scheme.decode_router(u)?;
     let mut partition = vec![Vec::new(); env.degree];
     let LabelRef::Minimal(own) = env.label else {
         return Err(RouteError::MissingInformation { what: "minimal own label" });
@@ -41,12 +39,11 @@ pub fn port_partition(
             continue;
         }
         let mut state = MessageState::default();
-        let p = match router.route(&env, &Label::Minimal(dest), &mut state)? {
-            RouteDecision::Forward(p) => p,
-            RouteDecision::ForwardAny(ps) => *ps.first().ok_or(RouteError::UnknownDestination)?,
-            // A correct scheme never claims delivery of a foreign label.
-            RouteDecision::Deliver => return Err(RouteError::UnknownDestination),
-        };
+        // A correct scheme never claims delivery of a foreign label.
+        let p = router
+            .route(&env, &Label::Minimal(dest), &mut state)?
+            .primary_port()
+            .ok_or(RouteError::UnknownDestination)?;
         partition
             .get_mut(p)
             .ok_or(RouteError::PortOutOfRange { port: p, degree: env.degree })?

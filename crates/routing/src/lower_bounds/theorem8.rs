@@ -14,7 +14,7 @@ use ort_bitio::lehmer;
 use ort_graphs::labels::{Label, LabelRef};
 use ort_graphs::{Graph, NodeId};
 
-use crate::scheme::{MessageState, RouteDecision, RouteError, RoutingScheme};
+use crate::scheme::{MessageState, RouteError, RoutingScheme};
 
 /// Extracts the port-to-neighbour map of `u` using **only** router
 /// queries: destination `v` is a neighbour iff the graph says so, and the
@@ -30,20 +30,17 @@ pub fn extract_port_map(
     u: NodeId,
 ) -> Result<Vec<NodeId>, RouteError> {
     let env = scheme.node_env(u);
-    let router = scheme
-        .decode_router(u)
-        .map_err(|_| RouteError::MissingInformation { what: "router undecodable" })?;
+    let router = scheme.decode_router(u)?;
     let mut map = vec![usize::MAX; env.degree];
     for &v in g.neighbors(u) {
         let LabelRef::Minimal(vl) = scheme.labeling().label_ref(v) else {
             return Err(RouteError::MissingInformation { what: "minimal labels" });
         };
         let mut state = MessageState::default();
-        let port = match router.route(&env, &Label::Minimal(vl), &mut state)? {
-            RouteDecision::Forward(p) => p,
-            RouteDecision::ForwardAny(ps) => *ps.first().ok_or(RouteError::UnknownDestination)?,
-            RouteDecision::Deliver => return Err(RouteError::UnknownDestination),
-        };
+        let port = router
+            .route(&env, &Label::Minimal(vl), &mut state)?
+            .primary_port()
+            .ok_or(RouteError::UnknownDestination)?;
         if port >= env.degree {
             return Err(RouteError::PortOutOfRange { port, degree: env.degree });
         }

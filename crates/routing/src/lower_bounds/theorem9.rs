@@ -19,7 +19,7 @@ use ort_graphs::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::scheme::{MessageState, RouteDecision, RouteError, RoutingScheme};
+use crate::scheme::{MessageState, RouteError, RoutingScheme};
 
 /// Builds the Theorem 9 instance: `G_B` on `3k` nodes with the top layer
 /// scrambled by a seeded permutation (the adversarial labelling).
@@ -57,18 +57,15 @@ pub fn extract_top_permutation(
     b: NodeId,
 ) -> Result<Vec<usize>, RouteError> {
     let env = scheme.node_env(b);
-    let router = scheme
-        .decode_router(b)
-        .map_err(|_| RouteError::MissingInformation { what: "router undecodable" })?;
+    let router = scheme.decode_router(b)?;
     let mut sigma = vec![usize::MAX; k];
     for j in 0..k {
         let dest = Label::Minimal(2 * k + j);
         let mut state = MessageState::default();
-        let port = match router.route(&env, &dest, &mut state)? {
-            RouteDecision::Forward(p) => p,
-            RouteDecision::ForwardAny(ps) => *ps.first().ok_or(RouteError::UnknownDestination)?,
-            RouteDecision::Deliver => return Err(RouteError::UnknownDestination),
-        };
+        let port = router
+            .route(&env, &dest, &mut state)?
+            .primary_port()
+            .ok_or(RouteError::UnknownDestination)?;
         // Bottom node b's neighbours are exactly the middle nodes k..2k,
         // so sorted port p leads to middle node k+p.
         let i = port;

@@ -138,6 +138,18 @@ impl From<CodeError> for RouteError {
     }
 }
 
+/// The one reading of a router that would not decode, for code that
+/// routes: a bit-level failure stays a [`RouteError::Code`], and anything
+/// else leaves the node without a usable router.
+impl From<SchemeError> for RouteError {
+    fn from(e: SchemeError) -> Self {
+        match e {
+            SchemeError::Code(c) => RouteError::Code(c),
+            _ => RouteError::MissingInformation { what: "router undecodable" },
+        }
+    }
+}
+
 /// The free information available to a node's router, as fixed by the
 /// model (Section 1's "minimal local knowledge").
 ///
@@ -248,13 +260,6 @@ impl RouteDecision {
             RouteDecision::Forward(p) => Some(*p),
             RouteDecision::ForwardAny(ports) => ports.first().copied(),
         }
-    }
-
-    /// Whether the decision advertises more than one usable port —
-    /// i.e. carries native failover information.
-    #[must_use]
-    pub fn is_multipath(&self) -> bool {
-        matches!(self, RouteDecision::ForwardAny(ports) if ports.len() > 1)
     }
 }
 

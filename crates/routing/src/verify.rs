@@ -6,6 +6,7 @@
 //! distances to measure the stretch factor (Section 1's definition: the
 //! maximum over pairs of route length / distance).
 
+use std::convert::Infallible;
 use std::error::Error;
 use std::fmt;
 
@@ -14,7 +15,8 @@ use ort_graphs::paths::Apsp;
 use ort_graphs::{Graph, NodeId};
 use ort_telemetry::trace::{HopKind, WalkTracer};
 
-use crate::scheme::{MessageState, RouteDecision, RouteError, RoutingScheme, SchemeError};
+use crate::hop::{hop, Hop, HopError, Message};
+use crate::scheme::{MessageState, RouteError, RoutingScheme, SchemeError};
 
 /// Why a message failed to arrive.
 #[derive(Debug, Clone, PartialEq)]
@@ -104,47 +106,32 @@ pub fn route_pair(
     for _ in 0..=max_hops {
         let router = scheme.decode_router(cur).map_err(|e| {
             tracer.hit(cur, state.counter, HopKind::RouterError);
-            RouteFailure::RouterError { at: cur, error: scheme_to_route(e) }
+            RouteFailure::RouterError { at: cur, error: e.into() }
         })?;
-        let env = scheme.node_env(cur);
-        let decision = router.route(&env, &dest_label, &mut state).map_err(|error| {
-            tracer.hit(cur, state.counter, HopKind::RouterError);
-            RouteFailure::RouterError { at: cur, error }
-        })?;
-        let port = match decision {
-            RouteDecision::Deliver => {
-                return if cur == t {
-                    tracer.hit(cur, state.counter, HopKind::Deliver);
-                    Ok(path)
-                } else {
-                    tracer.hit(cur, state.counter, HopKind::Misdelivered);
-                    Err(RouteFailure::Misdelivered { at: cur })
-                };
+        let msg =
+            Message { dest: t, dest_label: &dest_label, state: &mut state, tracer: &mut tracer };
+        // Fault-free: the check never vetoes, so every hop takes its
+        // primary port.
+        match hop(router.as_ref(), &scheme.node_env(cur), pa, cur, msg, |_, _| None::<Infallible>) {
+            Ok(Hop::Deliver) => return Ok(path),
+            Ok(Hop::Forward { next, .. }) => {
+                path.push(next);
+                cur = next;
             }
-            RouteDecision::Forward(p) => p,
-            RouteDecision::ForwardAny(ports) => *ports.first().ok_or_else(|| {
-                tracer.hit(cur, state.counter, HopKind::Dropped { reason: "no usable port" });
-                RouteFailure::NoUsablePort { at: cur }
-            })?,
-        };
-        let next = pa.neighbor_at(cur, port).ok_or_else(|| {
-            tracer.hit(cur, state.counter, HopKind::Dropped { reason: "bad port" });
-            RouteFailure::BadPort { at: cur, port }
-        })?;
-        tracer.hit(cur, state.counter, HopKind::Forward { port, next, rank: 0 });
-        path.push(next);
-        cur = next;
+            Err(e) => {
+                return Err(match e {
+                    HopError::Router(error) => RouteFailure::RouterError { at: cur, error },
+                    HopError::Misdelivered => RouteFailure::Misdelivered { at: cur },
+                    HopError::BadPort(port) => RouteFailure::BadPort { at: cur, port },
+                    HopError::NoUsablePort => RouteFailure::NoUsablePort { at: cur },
+                    HopError::Blocked { fault, .. } => match fault {},
+                })
+            }
+        }
     }
     tracer.hit(cur, state.counter, HopKind::HopLimit { limit: max_hops as u64 });
     ort_telemetry::recorder::anomaly("hop_limit_death", s as u64, t as u64);
     Err(RouteFailure::HopLimit { limit: max_hops })
-}
-
-fn scheme_to_route(e: SchemeError) -> RouteError {
-    match e {
-        SchemeError::Code(c) => RouteError::Code(c),
-        _ => RouteError::MissingInformation { what: "router undecodable" },
-    }
 }
 
 /// Outcome of verifying every ordered pair.

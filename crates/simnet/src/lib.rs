@@ -53,7 +53,8 @@ use std::error::Error;
 use std::fmt;
 
 use ort_graphs::NodeId;
-use ort_routing::scheme::{MessageState, RouteDecision, RouteError, RoutingScheme};
+use ort_routing::hop::{hop, Hop, HopError, Message};
+use ort_routing::scheme::{MessageState, RouteError, RoutingScheme};
 use ort_telemetry::trace::{HopKind, WalkTracer};
 
 use crate::faults::{FaultPlan, FaultState, HopFault, InvalidFault};
@@ -429,14 +430,6 @@ impl<'a> Network<'a> {
         self.loads.fill(0);
     }
 
-    fn hop_error(&self, at: NodeId, next: NodeId, fault: HopFault) -> SimError {
-        match fault {
-            HopFault::LinkDown => SimError::LinkDown { at, to: Some(next) },
-            HopFault::NodeCrashed(node) => SimError::NodeCrashed { node },
-            HopFault::Partitioned => SimError::Partitioned { at, to: next },
-        }
-    }
-
     fn route(
         &mut self,
         s: NodeId,
@@ -461,110 +454,28 @@ impl<'a> Network<'a> {
         let mut cur = s;
         let mut reroutes = 0u64;
         for _ in 0..=self.hop_limit {
-            let router = self.scheme.decode_router(cur).map_err(|_| {
+            let router = self.scheme.decode_router(cur).map_err(|e| {
                 tracer.hit(cur, state.counter, HopKind::RouterError);
-                SimError::Router {
-                    at: cur,
-                    error: RouteError::MissingInformation { what: "router undecodable" },
-                }
+                SimError::Router { at: cur, error: e.into() }
             })?;
             let env = self.scheme.node_env(cur);
-            let decision = router.route(&env, &dest_label, &mut state).map_err(|error| {
-                tracer.hit(cur, state.counter, HopKind::RouterError);
-                SimError::Router { at: cur, error }
-            })?;
-            let next = match decision {
-                RouteDecision::Deliver => {
-                    return if cur == t {
-                        tracer.hit(cur, state.counter, HopKind::Deliver);
-                        self.stats.reroutes += reroutes;
-                        ort_telemetry::counter!("simnet.reroutes").add(reroutes);
-                        ort_telemetry::hist!("simnet.reroutes").record(reroutes);
-                        Ok(Delivery { path })
-                    } else {
-                        tracer.hit(cur, state.counter, HopKind::Misdelivered);
-                        Err(SimError::Misdelivered { at: cur })
-                    };
+            let msg = Message { dest: t, dest_label: &dest_label, state: &mut state, tracer };
+            match hop(router.as_ref(), &env, pa, cur, msg, |u, v| self.faults.check_hop(u, v)) {
+                Ok(Hop::Deliver) => {
+                    self.stats.reroutes += reroutes;
+                    ort_telemetry::counter!("simnet.reroutes").add(reroutes);
+                    ort_telemetry::hist!("simnet.reroutes").record(reroutes);
+                    return Ok(Delivery { path });
                 }
-                RouteDecision::Forward(p) => {
-                    let next = pa.neighbor_at(cur, p).ok_or_else(|| {
-                        tracer.hit(cur, state.counter, HopKind::Dropped { reason: "bad port" });
-                        SimError::Router {
-                            at: cur,
-                            error: RouteError::PortOutOfRange { port: p, degree: env.degree },
-                        }
-                    })?;
-                    if let Some(fault) = self.faults.check_hop(cur, next) {
-                        tracer.hit(
-                            cur,
-                            state.counter,
-                            HopKind::Blocked { port: p, next, fault: fault.into() },
-                        );
-                        return Err(self.hop_error(cur, next, fault));
-                    }
-                    tracer.hit(cur, state.counter, HopKind::Forward { port: p, next, rank: 0 });
-                    next
+                Ok(Hop::Forward { next, rank }) => {
+                    reroutes += u64::from(rank > 0);
+                    path.push(next);
+                    cur = next;
                 }
-                RouteDecision::ForwardAny(ports) => {
-                    // Failover: take the first port whose hop is usable.
-                    let mut chosen = None;
-                    let mut first_fault = None;
-                    for (i, p) in ports.into_iter().enumerate() {
-                        let cand = pa.neighbor_at(cur, p).ok_or_else(|| {
-                            tracer.hit(cur, state.counter, HopKind::Dropped { reason: "bad port" });
-                            SimError::Router {
-                                at: cur,
-                                error: RouteError::PortOutOfRange { port: p, degree: env.degree },
-                            }
-                        })?;
-                        match self.faults.check_hop(cur, cand) {
-                            None => {
-                                if i > 0 {
-                                    reroutes += 1;
-                                }
-                                tracer.hit(
-                                    cur,
-                                    state.counter,
-                                    HopKind::Forward { port: p, next: cand, rank: i as u32 },
-                                );
-                                chosen = Some(cand);
-                                break;
-                            }
-                            Some(fault) => {
-                                tracer.hit(
-                                    cur,
-                                    state.counter,
-                                    HopKind::Blocked { port: p, next: cand, fault: fault.into() },
-                                );
-                                if first_fault.is_none() {
-                                    first_fault = Some((cand, fault));
-                                }
-                            }
-                        }
-                    }
-                    match chosen {
-                        Some(next) => next,
-                        None => {
-                            // Attribute to the first blocked alternative:
-                            // a crashed destination beats a generic
-                            // "everything is down".
-                            return Err(match first_fault {
-                                Some((_, HopFault::NodeCrashed(node))) => {
-                                    SimError::NodeCrashed { node }
-                                }
-                                Some((to, HopFault::Partitioned)) => {
-                                    SimError::Partitioned { at: cur, to }
-                                }
-                                _ => SimError::LinkDown { at: cur, to: None },
-                            });
-                        }
-                    }
-                }
-            };
-            path.push(next);
-            cur = next;
+                Err(e) => return Err(hop_failure(cur, env.degree, e)),
+            }
         }
-        tracer.hit(cur, 0, HopKind::HopLimit { limit: self.hop_limit as u64 });
+        tracer.hit(cur, state.counter, HopKind::HopLimit { limit: self.hop_limit as u64 });
         // A message that walks the full hop budget without delivering is
         // an anomaly worth a post-mortem: dump the flight recorder.
         ort_telemetry::recorder::anomaly("hop_limit_death", s as u64, t as u64);
@@ -587,6 +498,30 @@ impl<'a> Network<'a> {
             }
         }
         (ok, bad)
+    }
+}
+
+/// The simulators' reading of a hop that failed at node `at` (of degree
+/// `degree`). A veto names its fault: a crashed node, the partition cut,
+/// or a downed link, whose far end is named only when the decision
+/// advertised no alternative.
+pub(crate) fn hop_failure(at: NodeId, degree: usize, e: HopError<HopFault>) -> SimError {
+    match e {
+        HopError::Router(error) => SimError::Router { at, error },
+        HopError::Misdelivered => SimError::Misdelivered { at },
+        HopError::BadPort(port) => {
+            SimError::Router { at, error: RouteError::PortOutOfRange { port, degree } }
+        }
+        HopError::NoUsablePort => SimError::Router { at, error: RouteError::UnknownDestination },
+        HopError::Blocked { fault: HopFault::NodeCrashed(node), .. } => {
+            SimError::NodeCrashed { node }
+        }
+        HopError::Blocked { to, fault: HopFault::Partitioned, .. } => {
+            SimError::Partitioned { at, to }
+        }
+        HopError::Blocked { to, fault: HopFault::LinkDown, multipath } => {
+            SimError::LinkDown { at, to: (!multipath).then_some(to) }
+        }
     }
 }
 

@@ -19,11 +19,12 @@ use std::collections::VecDeque;
 
 use ort_graphs::labels::Label;
 use ort_graphs::NodeId;
-use ort_routing::scheme::{MessageState, RouteDecision, RoutingScheme};
+use ort_routing::hop::{hop, Hop, Message};
+use ort_routing::scheme::{MessageState, RouteError, RoutingScheme};
 use ort_telemetry::trace::{HopKind, WalkTracer};
 
-use crate::faults::{FaultPlan, FaultState, HopFault, InvalidFault};
-use crate::{FailureBreakdown, SimError};
+use crate::faults::{FaultPlan, FaultState, InvalidFault};
+use crate::{hop_failure, FailureBreakdown, SimError};
 
 /// One queued message.
 #[derive(Debug, Clone)]
@@ -33,7 +34,6 @@ struct InFlight {
     /// The destination's label, copied once at injection.
     dest_label: Label,
     state: MessageState,
-    hops: u32,
     injected_round: u32,
     attempt: u32,
     tracer: WalkTracer,
@@ -46,7 +46,8 @@ pub struct RoundReport {
     pub rounds: u32,
     /// Messages delivered.
     pub delivered: usize,
-    /// Messages dropped due to routing errors, faults, or TTL expiry.
+    /// Messages dropped due to routing errors, faults, or TTL expiry, plus
+    /// workload pairs naming a node the scheme does not have.
     pub errored: usize,
     /// The dropped messages broken down by reason
     /// (`errored_by.total() == errored`).
@@ -210,7 +211,9 @@ impl<'a> RoundSimulator<'a> {
     }
 
     /// Injects `workload` (all messages at round 0) and runs rounds until
-    /// the network drains or the round cap is hit.
+    /// the network drains or the round cap is hit. A pair naming a node
+    /// the scheme does not have is never injected: it counts as errored,
+    /// under [`SimError::NodeOutOfRange`].
     #[must_use]
     pub fn run(&self, workload: &[(NodeId, NodeId)]) -> RoundReport {
         let n = self.scheme.node_count();
@@ -224,20 +227,6 @@ impl<'a> RoundSimulator<'a> {
         let mut faults = FaultState::new(self.scheme.port_assignment());
         let mut queues: Vec<VecDeque<InFlight>> = vec![VecDeque::new(); n];
         let mut in_flight = 0usize;
-        for &(s, t) in workload {
-            queues[s].push_back(InFlight {
-                src: s,
-                dst: t,
-                dest_label: self.scheme.label_of(t),
-                state: MessageState { source: Some(self.scheme.label_of(s)), counter: 0 },
-                hops: 0,
-                injected_round: 0,
-                attempt: 0,
-                tracer: WalkTracer::begin(s, t, 0),
-            });
-            in_flight += 1;
-        }
-        let pa = self.scheme.port_assignment();
         let mut report = RoundReport {
             rounds: 0,
             delivered: 0,
@@ -247,8 +236,28 @@ impl<'a> RoundSimulator<'a> {
             retries: 0,
             reroutes: 0,
             latencies: Vec::with_capacity(workload.len()),
-            max_queue: queues.iter().map(VecDeque::len).max().unwrap_or(0),
+            max_queue: 0,
         };
+        for &(s, t) in workload {
+            // A pair naming no node of the scheme is an error, not a message.
+            if let Some(node) = [s, t].into_iter().find(|&v| v >= n) {
+                report.errored += 1;
+                report.errored_by.record(&SimError::NodeOutOfRange { node });
+                continue;
+            }
+            queues[s].push_back(InFlight {
+                src: s,
+                dst: t,
+                dest_label: self.scheme.label_of(t),
+                state: MessageState { source: Some(self.scheme.label_of(s)), counter: 0 },
+                injected_round: 0,
+                attempt: 0,
+                tracer: WalkTracer::begin(s, t, 0),
+            });
+            in_flight += 1;
+        }
+        report.max_queue = queues.iter().map(VecDeque::len).max().unwrap_or(0);
+        let pa = self.scheme.port_assignment();
         // Messages awaiting a scheduled re-injection: `(due_round, msg)`.
         let mut pending: Vec<(u32, InFlight)> = Vec::new();
         // Double-buffer the queues so a message moves at most once per round.
@@ -269,7 +278,6 @@ impl<'a> RoundSimulator<'a> {
                 for (due, mut msg) in pending {
                     if due <= round {
                         msg.injected_round = round;
-                        msg.hops = 0;
                         msg.state =
                             MessageState { source: Some(self.scheme.label_of(msg.src)), counter: 0 };
                         // Each re-injection is a child trace of the message.
@@ -300,21 +308,17 @@ impl<'a> RoundSimulator<'a> {
                 if queue.is_empty() {
                     continue;
                 }
-                let Ok(router) = self.scheme.decode_router(u) else {
-                    for mut msg in queue.drain(..) {
-                        msg.tracer.set_time(u64::from(round));
-                        msg.tracer.hit(u, msg.state.counter, HopKind::RouterError);
-                        lost.push((
-                            msg,
-                            SimError::Router {
-                                at: u,
-                                error: ort_routing::scheme::RouteError::MissingInformation {
-                                    what: "router undecodable",
-                                },
-                            },
-                        ));
+                let router = match self.scheme.decode_router(u) {
+                    Ok(router) => router,
+                    Err(e) => {
+                        let error = RouteError::from(e);
+                        for mut msg in queue.drain(..) {
+                            msg.tracer.set_time(u64::from(round));
+                            msg.tracer.hit(u, msg.state.counter, HopKind::RouterError);
+                            lost.push((msg, SimError::Router { at: u, error: error.clone() }));
+                        }
+                        continue;
                     }
-                    continue;
                 };
                 let env = self.scheme.node_env(u);
                 for _ in 0..self.capacity {
@@ -331,132 +335,30 @@ impl<'a> RoundSimulator<'a> {
                             continue;
                         }
                     }
-                    match router.route(&env, &msg.dest_label, &mut msg.state) {
-                        Ok(RouteDecision::Deliver) if u == msg.dst => {
-                            msg.tracer.hit(u, msg.state.counter, HopKind::Deliver);
+                    let step = hop(
+                        router.as_ref(),
+                        &env,
+                        pa,
+                        u,
+                        Message {
+                            dest: msg.dst,
+                            dest_label: &msg.dest_label,
+                            state: &mut msg.state,
+                            tracer: &mut msg.tracer,
+                        },
+                        |a, b| faults.check_hop(a, b),
+                    );
+                    match step {
+                        Ok(Hop::Deliver) => {
                             report.delivered += 1;
                             report.latencies.push(round - 1 - msg.injected_round);
                             in_flight -= 1;
                         }
-                        Ok(RouteDecision::Deliver) => {
-                            msg.tracer.hit(u, msg.state.counter, HopKind::Misdelivered);
-                            lost.push((msg, SimError::Misdelivered { at: u }));
+                        Ok(Hop::Forward { next, rank }) => {
+                            report.reroutes += u64::from(rank > 0);
+                            arrivals[next].push(msg);
                         }
-                        Ok(RouteDecision::Forward(p)) => match pa.neighbor_at(u, p) {
-                            Some(next) => match faults.check_hop(u, next) {
-                                None => {
-                                    msg.tracer.hit(
-                                        u,
-                                        msg.state.counter,
-                                        HopKind::Forward { port: p, next, rank: 0 },
-                                    );
-                                    msg.hops += 1;
-                                    arrivals[next].push(msg);
-                                }
-                                Some(fault) => {
-                                    msg.tracer.hit(
-                                        u,
-                                        msg.state.counter,
-                                        HopKind::Blocked { port: p, next, fault: fault.into() },
-                                    );
-                                    lost.push((msg, hop_error(u, next, fault)));
-                                }
-                            },
-                            None => {
-                                msg.tracer.hit(
-                                    u,
-                                    msg.state.counter,
-                                    HopKind::Dropped { reason: "bad port" },
-                                );
-                                lost.push((
-                                    msg,
-                                    SimError::Router {
-                                        at: u,
-                                        error: ort_routing::scheme::RouteError::PortOutOfRange {
-                                            port: p,
-                                            degree: env.degree,
-                                        },
-                                    },
-                                ));
-                            }
-                        },
-                        Ok(RouteDecision::ForwardAny(ports)) => {
-                            // Failover: the first advertised port whose hop
-                            // is usable — the same multipath semantics as
-                            // `Network::route`.
-                            let mut chosen = None;
-                            let mut first_fault = None;
-                            let mut bad_port = None;
-                            for (i, &p) in ports.iter().enumerate() {
-                                let Some(cand) = pa.neighbor_at(u, p) else {
-                                    bad_port = Some(p);
-                                    break;
-                                };
-                                match faults.check_hop(u, cand) {
-                                    None => {
-                                        chosen = Some((i, p, cand));
-                                        break;
-                                    }
-                                    Some(fault) => {
-                                        msg.tracer.hit(
-                                            u,
-                                            msg.state.counter,
-                                            HopKind::Blocked {
-                                                port: p,
-                                                next: cand,
-                                                fault: fault.into(),
-                                            },
-                                        );
-                                        if first_fault.is_none() {
-                                            first_fault = Some((cand, fault));
-                                        }
-                                    }
-                                }
-                            }
-                            if let Some(p) = bad_port {
-                                msg.tracer.hit(
-                                    u,
-                                    msg.state.counter,
-                                    HopKind::Dropped { reason: "bad port" },
-                                );
-                                lost.push((
-                                    msg,
-                                    SimError::Router {
-                                        at: u,
-                                        error: ort_routing::scheme::RouteError::PortOutOfRange {
-                                            port: p,
-                                            degree: env.degree,
-                                        },
-                                    },
-                                ));
-                            } else if let Some((i, p, next)) = chosen {
-                                if i > 0 {
-                                    report.reroutes += 1;
-                                }
-                                msg.tracer.hit(
-                                    u,
-                                    msg.state.counter,
-                                    HopKind::Forward { port: p, next, rank: i as u32 },
-                                );
-                                msg.hops += 1;
-                                arrivals[next].push(msg);
-                            } else {
-                                let err = match first_fault {
-                                    Some((_, HopFault::NodeCrashed(node))) => {
-                                        SimError::NodeCrashed { node }
-                                    }
-                                    Some((to, HopFault::Partitioned)) => {
-                                        SimError::Partitioned { at: u, to }
-                                    }
-                                    _ => SimError::LinkDown { at: u, to: None },
-                                };
-                                lost.push((msg, err));
-                            }
-                        }
-                        Err(error) => {
-                            msg.tracer.hit(u, msg.state.counter, HopKind::RouterError);
-                            lost.push((msg, SimError::Router { at: u, error }));
-                        }
+                        Err(e) => lost.push((msg, hop_failure(u, env.degree, e))),
                     }
                 }
             }
@@ -493,14 +395,6 @@ impl<'a> RoundSimulator<'a> {
         ort_telemetry::counter!("simnet.reroutes").add(report.reroutes);
         ort_telemetry::gauge!("simnet.max_queue").set_max(report.max_queue as u64);
         report
-    }
-}
-
-fn hop_error(at: NodeId, next: NodeId, fault: HopFault) -> SimError {
-    match fault {
-        HopFault::LinkDown => SimError::LinkDown { at, to: Some(next) },
-        HopFault::NodeCrashed(node) => SimError::NodeCrashed { node },
-        HopFault::Partitioned => SimError::Partitioned { at, to: next },
     }
 }
 
@@ -575,6 +469,17 @@ mod tests {
         let report = sim.run(&workload);
         assert_eq!(report.delivered, workload.len());
         assert!(report.rounds as usize >= workload.len(), "rounds {}", report.rounds);
+    }
+
+    #[test]
+    fn out_of_range_pairs_are_counted_not_injected() {
+        let g = generators::path(5);
+        let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
+        let report = RoundSimulator::new(&scheme, 4).run(&[(7, 0), (0, 9), (0, 1)]);
+        assert_eq!(report.delivered, 1);
+        assert_eq!(report.errored, 2);
+        assert_eq!(report.errored_by.node_out_of_range, 2);
+        assert_eq!(report.stranded, 0);
     }
 
     #[test]

@@ -43,6 +43,14 @@ pub enum TraceFault {
     Partitioned,
 }
 
+/// A fault check that can never veto (the fault-free verifier's) has no
+/// fault to trace.
+impl From<std::convert::Infallible> for TraceFault {
+    fn from(never: std::convert::Infallible) -> Self {
+        match never {}
+    }
+}
+
 impl std::fmt::Display for TraceFault {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -2,21 +2,28 @@
 //! simulator — schemes and simulator are separate crates, so this is the
 //! full decode-bits-then-route loop a deployment would run.
 
+use optimal_routing_tables::conformance::registry::SchemeId;
 use optimal_routing_tables::graphs::generators;
 use optimal_routing_tables::graphs::paths::Apsp;
+use optimal_routing_tables::graphs::Graph;
 use optimal_routing_tables::routing::scheme::RoutingScheme;
+use optimal_routing_tables::routing::schemes::resilient::ResilientScheme;
 use optimal_routing_tables::routing::schemes::{
     full_information::FullInformationScheme, full_table::FullTableScheme,
     interval::IntervalScheme, landmark::LandmarkScheme, multi_interval::MultiIntervalScheme,
     theorem1::Theorem1Scheme, theorem2::Theorem2Scheme, theorem3::Theorem3Scheme,
     theorem4::Theorem4Scheme, theorem5::Theorem5Scheme,
 };
-use optimal_routing_tables::simnet::{Network, SimError};
+use optimal_routing_tables::routing::verify;
+use optimal_routing_tables::simnet::faults::FaultPlan;
+use optimal_routing_tables::simnet::resilience::resilience_hop_limit;
+use optimal_routing_tables::simnet::rounds::RoundSimulator;
+use optimal_routing_tables::simnet::{FailureBreakdown, Network, SimError};
 
 const N: usize = 48;
 const SEED: u64 = 77;
 
-fn all_schemes(g: &optimal_routing_tables::graphs::Graph) -> Vec<(&'static str, Box<dyn RoutingScheme>)> {
+fn all_schemes(g: &Graph) -> Vec<(&'static str, Box<dyn RoutingScheme>)> {
     let dists = Apsp::compute(g);
     vec![
         ("full_table", Box::new(FullTableScheme::build(g, &dists).unwrap())),
@@ -74,16 +81,86 @@ fn shortest_path_schemes_agree_with_apsp_hop_counts() {
     }
 }
 
+/// Every registry scheme on `g`, bare and wrapped in the detour adapter.
+fn registry_schemes(g: &Graph, dists: &Apsp) -> Vec<(String, Box<dyn RoutingScheme>)> {
+    let build = |id: SchemeId| {
+        id.build_with_dists(g, dists).unwrap_or_else(|e| panic!("{}: {e}", id.name()))
+    };
+    SchemeId::ALL
+        .into_iter()
+        .flat_map(|id| {
+            let wrapped: Box<dyn RoutingScheme> = Box::new(ResilientScheme::wrap(build(id)));
+            [(id.name().to_string(), build(id)), (format!("{}+detour", id.name()), wrapped)]
+        })
+        .collect()
+}
+
+/// Fault-free, the simulator and the verifier walk every pair of every
+/// scheme along the same path.
 #[test]
 fn simulator_and_verifier_agree() {
     let g = generators::gnp_half(N, SEED);
     let dists = Apsp::compute(&g);
-    let scheme = Theorem3Scheme::build(&g, &dists).unwrap();
-    let report = optimal_routing_tables::routing::verify::verify(&g, &scheme, &dists, 1).unwrap();
-    let mut net = Network::new(&scheme);
-    let (ok, _) = net.send_all_pairs();
-    assert_eq!(report.delivered as u64, ok);
-    assert_eq!(report.total_hops, net.stats().total_hops);
+    let limit = verify::default_hop_limit(N);
+    for (name, scheme) in registry_schemes(&g, &dists) {
+        let scheme = scheme.as_ref();
+        let mut net = Network::new(scheme);
+        for s in 0..N {
+            for t in (0..N).filter(|&t| t != s) {
+                let walked = verify::route_pair(scheme, s, t, limit).map_err(|e| e.to_string());
+                let sent = net.send(s, t).map(|d| d.path).map_err(|e| e.to_string());
+                assert_eq!(sent, walked, "{name}: pair ({s},{t})");
+            }
+        }
+        let report = verify::verify(&g, scheme, &dists, 1).unwrap();
+        assert_eq!(report.delivered as u64, net.stats().delivered, "{name}");
+        assert_eq!(report.total_hops, net.stats().total_hops, "{name}");
+    }
+}
+
+/// Under a static link-fault load, `Network` and a one-message round
+/// simulation reach the same verdict on every pair of every scheme: a
+/// delivery takes as many rounds as hops, with the same reroutes; a
+/// failure lands in the same bucket; and a walk that exhausts the hop
+/// budget is still in flight when the round cap, one round more, is hit.
+#[test]
+fn network_and_round_simulator_agree_under_faults() {
+    let n = 24;
+    let limit = resilience_hop_limit(n);
+    for seed in [1, 2] {
+        let g = generators::gnp_half(n, seed);
+        let dists = Apsp::compute(&g);
+        for (name, scheme) in registry_schemes(&g, &dists) {
+            let scheme = scheme.as_ref();
+            let plan = FaultPlan::random_link_faults(scheme.port_assignment(), 0.15, seed);
+            let mut net = Network::new(scheme);
+            net.set_hop_limit(limit);
+            net.set_fault_plan(plan.clone()).unwrap();
+            let mut sim = RoundSimulator::new(scheme, 1);
+            sim.set_round_cap(limit as u32 + 1);
+            sim.set_fault_plan(plan).unwrap();
+            for s in 0..n {
+                for t in (0..n).filter(|&t| t != s) {
+                    let reroutes = net.stats().reroutes;
+                    let sent = net.send(s, t);
+                    let round = sim.run(&[(s, t)]);
+                    let ctx = format!("{name}, seed {seed}: pair ({s},{t}) {sent:?}");
+                    match sent {
+                        Ok(d) => {
+                            assert_eq!(round.latencies, [d.hops() as u32], "{ctx}");
+                            assert_eq!(round.reroutes, net.stats().reroutes - reroutes, "{ctx}");
+                        }
+                        Err(SimError::HopLimit { .. }) => assert_eq!(round.stranded, 1, "{ctx}"),
+                        Err(e) => {
+                            let mut bucket = FailureBreakdown::default();
+                            bucket.record(&e);
+                            assert_eq!((round.errored_by, round.stranded), (bucket, 0), "{ctx}");
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[test]

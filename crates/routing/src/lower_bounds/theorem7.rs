@@ -29,7 +29,6 @@ pub fn port_partition(
     u: NodeId,
 ) -> Result<Vec<Vec<usize>>, RouteError> {
     let env = scheme.node_env(u);
-    let router = scheme.decode_router(u)?;
     let mut partition = vec![Vec::new(); env.degree];
     let LabelRef::Minimal(own) = env.label else {
         return Err(RouteError::MissingInformation { what: "minimal own label" });
@@ -40,8 +39,8 @@ pub fn port_partition(
         }
         let mut state = MessageState::default();
         // A correct scheme never claims delivery of a foreign label.
-        let p = router
-            .route(&env, &Label::Minimal(dest), &mut state)?
+        let p = scheme
+            .route_at(u, &env, &Label::Minimal(dest), &mut state)?
             .primary_port()
             .ok_or(RouteError::UnknownDestination)?;
         partition

@@ -30,15 +30,14 @@ pub fn extract_port_map(
     u: NodeId,
 ) -> Result<Vec<NodeId>, RouteError> {
     let env = scheme.node_env(u);
-    let router = scheme.decode_router(u)?;
     let mut map = vec![usize::MAX; env.degree];
     for &v in g.neighbors(u) {
         let LabelRef::Minimal(vl) = scheme.labeling().label_ref(v) else {
             return Err(RouteError::MissingInformation { what: "minimal labels" });
         };
         let mut state = MessageState::default();
-        let port = router
-            .route(&env, &Label::Minimal(vl), &mut state)?
+        let port = scheme
+            .route_at(u, &env, &Label::Minimal(vl), &mut state)?
             .primary_port()
             .ok_or(RouteError::UnknownDestination)?;
         if port >= env.degree {

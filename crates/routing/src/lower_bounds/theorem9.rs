@@ -57,13 +57,12 @@ pub fn extract_top_permutation(
     b: NodeId,
 ) -> Result<Vec<usize>, RouteError> {
     let env = scheme.node_env(b);
-    let router = scheme.decode_router(b)?;
     let mut sigma = vec![usize::MAX; k];
     for j in 0..k {
         let dest = Label::Minimal(2 * k + j);
         let mut state = MessageState::default();
-        let port = router
-            .route(&env, &dest, &mut state)?
+        let port = scheme
+            .route_at(b, &env, &dest, &mut state)?
             .primary_port()
             .ok_or(RouteError::UnknownDestination)?;
         // Bottom node b's neighbours are exactly the middle nodes k..2k,

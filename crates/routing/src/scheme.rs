@@ -3,10 +3,12 @@
 //! A scheme is **bit-honest**: for every node it stores a real bit string
 //! (the encoded local routing function), and the only way to route is to
 //! decode that string into a [`LocalRouter`] and run it against the model's
-//! free information ([`NodeEnv`]). The size the paper charges —
-//! [`RoutingScheme::total_size_bits`] — is the sum of those bit strings,
-//! plus label bits in model γ. Nothing can hide outside the accounting:
-//! verification ([`crate::verify`]) rebuilds routers from bits alone.
+//! free information ([`NodeEnv`]). [`RoutingScheme::route_at`] does exactly
+//! that, with the router on the stack, so a hop allocates nothing. The
+//! size the paper charges — [`RoutingScheme::total_size_bits`] — is the sum
+//! of those bit strings, plus label bits in model γ. Nothing can hide
+//! outside the accounting: verification ([`crate::verify`]) rebuilds
+//! routers from bits alone.
 
 use std::error::Error;
 use std::fmt;
@@ -297,6 +299,27 @@ pub trait LocalRouter {
     ) -> Result<RouteDecision, RouteError>;
 }
 
+/// Node `u`'s router in `scheme`, as a value: its [`LocalRouter::route`]
+/// is [`RoutingScheme::route_at`] at `u`. A reference and a node id, so a
+/// walker builds one on the stack for every hop.
+pub struct NodeRouter<'a, S: RoutingScheme + ?Sized> {
+    /// The scheme whose router runs.
+    pub scheme: &'a S,
+    /// The node it runs at.
+    pub u: NodeId,
+}
+
+impl<S: RoutingScheme + ?Sized> LocalRouter for NodeRouter<'_, S> {
+    fn route(
+        &self,
+        env: &NodeEnv<'_>,
+        dest: &Label,
+        state: &mut MessageState,
+    ) -> Result<RouteDecision, RouteError> {
+        self.scheme.route_at(self.u, env, dest, state)
+    }
+}
+
 /// A complete routing scheme for one graph: per-node encoded routing
 /// functions, the labelling, and the port assignment, with honest size
 /// accounting.
@@ -323,13 +346,38 @@ pub trait RoutingScheme: Send + Sync {
     /// The port assignment in force.
     fn port_assignment(&self) -> &PortAssignment;
 
-    /// Decodes node `u`'s router from its stored bits.
+    /// Runs node `u`'s router on a message for `dest` at `u`: builds the
+    /// router from `u`'s stored bits on the stack and calls its
+    /// [`LocalRouter::route`] with `env`, the free information the model
+    /// grants `u` ([`RoutingScheme::node_env`]). The one route entry every
+    /// walker calls.
     ///
     /// # Errors
     ///
-    /// Returns a [`SchemeError`] if the bits are malformed or `u` is out of
-    /// range.
-    fn decode_router(&self, u: NodeId) -> Result<Box<dyn LocalRouter + '_>, SchemeError>;
+    /// Returns the router's [`RouteError`], or the reading of a router
+    /// that would not decode (`RouteError::from(SchemeError)`) if `u` is
+    /// out of range.
+    fn route_at(
+        &self,
+        u: NodeId,
+        env: &NodeEnv<'_>,
+        dest: &Label,
+        state: &mut MessageState,
+    ) -> Result<RouteDecision, RouteError>;
+
+    /// Node `u`'s router as a boxed [`LocalRouter`], a [`NodeRouter`]
+    /// that routes through [`RoutingScheme::route_at`]. The box is the
+    /// only allocation; walkers put a [`NodeRouter`] on the stack instead.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SchemeError::NodeOutOfRange`] if `u` is out of range.
+    fn decode_router(&self, u: NodeId) -> Result<Box<dyn LocalRouter + '_>, SchemeError> {
+        if u >= self.node_count() {
+            return Err(SchemeError::NodeOutOfRange { node: u });
+        }
+        Ok(Box::new(NodeRouter { scheme: self, u }))
+    }
 
     /// Bits of routing function stored at node `u`.
     fn node_size_bits(&self, u: NodeId) -> usize {

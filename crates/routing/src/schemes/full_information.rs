@@ -122,11 +122,15 @@ impl RoutingScheme for FullInformationScheme {
         &self.ports
     }
 
-    fn decode_router(&self, u: NodeId) -> Result<Box<dyn LocalRouter + '_>, SchemeError> {
-        if u >= self.bits.len() {
-            return Err(SchemeError::NodeOutOfRange { node: u });
-        }
-        Ok(Box::new(FullInformationRouter { bits: &self.bits[u] }))
+    fn route_at(
+        &self,
+        u: NodeId,
+        env: &NodeEnv<'_>,
+        dest: &Label,
+        state: &mut MessageState,
+    ) -> Result<RouteDecision, RouteError> {
+        let bits = self.bits.get(u).ok_or(SchemeError::NodeOutOfRange { node: u })?;
+        FullInformationRouter { bits }.route(env, dest, state)
     }
 }
 
@@ -203,7 +207,6 @@ mod tests {
         let apsp = Apsp::compute(&g);
         let scheme = FullInformationScheme::build(&g, &apsp).unwrap();
         for u in 0..20 {
-            let router = scheme.decode_router(u).unwrap();
             let env = scheme.node_env(u);
             for t in 0..20 {
                 if t == u {
@@ -211,7 +214,7 @@ mod tests {
                 }
                 let mut state = MessageState::default();
                 let RouteDecision::ForwardAny(ports) =
-                    router.route(&env, &Label::Minimal(t), &mut state).unwrap()
+                    scheme.route_at(u, &env, &Label::Minimal(t), &mut state).unwrap()
                 else {
                     panic!("expected ForwardAny");
                 };

@@ -122,11 +122,15 @@ impl RoutingScheme for IaCompactScheme {
         lehmer::permutation_code_width(self.ports.degree(u))
     }
 
-    fn decode_router(&self, u: NodeId) -> Result<Box<dyn LocalRouter + '_>, SchemeError> {
-        if u >= self.bits.len() {
-            return Err(SchemeError::NodeOutOfRange { node: u });
-        }
-        Ok(Box::new(IaCompactRouter { bits: &self.bits[u] }))
+    fn route_at(
+        &self,
+        u: NodeId,
+        env: &NodeEnv<'_>,
+        dest: &Label,
+        state: &mut MessageState,
+    ) -> Result<RouteDecision, RouteError> {
+        let bits = self.bits.get(u).ok_or(SchemeError::NodeOutOfRange { node: u })?;
+        IaCompactRouter { bits }.route(env, dest, state)
     }
 }
 

@@ -332,15 +332,16 @@ impl RoutingScheme for LandmarkScheme {
         &self.ports
     }
 
-    fn decode_router(&self, u: NodeId) -> Result<Box<dyn LocalRouter + '_>, SchemeError> {
-        if u >= self.bits.len() {
-            return Err(SchemeError::NodeOutOfRange { node: u });
-        }
+    fn route_at(
+        &self,
+        u: NodeId,
+        env: &NodeEnv<'_>,
+        dest: &Label,
+        state: &mut MessageState,
+    ) -> Result<RouteDecision, RouteError> {
+        let bits = self.bits.get(u).ok_or(SchemeError::NodeOutOfRange { node: u })?;
         // The landmark count is shared O(log n) configuration, like `n`.
-        Ok(Box::new(LandmarkRouter {
-            bits: &self.bits[u],
-            landmarks: &self.landmarks,
-        }))
+        LandmarkRouter { bits, landmarks: &self.landmarks }.route(env, dest, state)
     }
 }
 

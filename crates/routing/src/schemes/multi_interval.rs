@@ -166,11 +166,15 @@ impl RoutingScheme for MultiIntervalScheme {
         &self.ports
     }
 
-    fn decode_router(&self, u: NodeId) -> Result<Box<dyn LocalRouter + '_>, SchemeError> {
-        if u >= self.bits.len() {
-            return Err(SchemeError::NodeOutOfRange { node: u });
-        }
-        Ok(Box::new(MultiIntervalRouter { bits: &self.bits[u] }))
+    fn route_at(
+        &self,
+        u: NodeId,
+        env: &NodeEnv<'_>,
+        dest: &Label,
+        state: &mut MessageState,
+    ) -> Result<RouteDecision, RouteError> {
+        let bits = self.bits.get(u).ok_or(SchemeError::NodeOutOfRange { node: u })?;
+        MultiIntervalRouter { bits }.route(env, dest, state)
     }
 }
 

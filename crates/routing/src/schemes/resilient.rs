@@ -37,7 +37,7 @@ use ort_graphs::NodeId;
 
 use crate::model::Model;
 use crate::scheme::{
-    LocalRouter, MessageState, NodeEnv, RouteDecision, RouteError, RoutingScheme, SchemeError,
+    LocalRouter, MessageState, NodeEnv, NodeRouter, RouteDecision, RouteError, RoutingScheme,
 };
 
 /// Number of high `MessageState::counter` bits reserved for the detour
@@ -128,14 +128,20 @@ impl RoutingScheme for ResilientScheme {
         self.inner.port_permutation_bits(u)
     }
 
-    fn decode_router(&self, u: NodeId) -> Result<Box<dyn LocalRouter + '_>, SchemeError> {
-        let inner = self.inner.decode_router(u)?;
-        Ok(Box::new(ResilientRouter { inner, detour_budget: self.detour_budget }))
+    fn route_at(
+        &self,
+        u: NodeId,
+        env: &NodeEnv<'_>,
+        dest: &Label,
+        state: &mut MessageState,
+    ) -> Result<RouteDecision, RouteError> {
+        let inner = NodeRouter { scheme: self.inner.as_ref(), u };
+        ResilientRouter { inner, detour_budget: self.detour_budget }.route(env, dest, state)
     }
 }
 
 struct ResilientRouter<'a> {
-    inner: Box<dyn LocalRouter + 'a>,
+    inner: NodeRouter<'a, dyn RoutingScheme>,
     detour_budget: u64,
 }
 
@@ -232,11 +238,10 @@ mod tests {
         let g = generators::path(4); // node 1 has ports {0, 1}
         let inner = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let wrapped = ResilientScheme::wrap(Box::new(inner));
-        let router = wrapped.decode_router(1).unwrap();
         let env = wrapped.node_env(1);
         let mut state = MessageState::default();
         let RouteDecision::ForwardAny(ports) =
-            router.route(&env, &Label::Minimal(3), &mut state).unwrap()
+            wrapped.route_at(1, &env, &Label::Minimal(3), &mut state).unwrap()
         else {
             panic!("expected multipath decision");
         };
@@ -252,14 +257,13 @@ mod tests {
         let g = generators::path(4);
         let inner = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let wrapped = ResilientScheme::with_budget(Box::new(inner), 1);
-        let router = wrapped.decode_router(1).unwrap();
         let env = wrapped.node_env(1);
         let mut state = MessageState::default();
         // First hop consumes the budget…
-        let d1 = router.route(&env, &Label::Minimal(3), &mut state).unwrap();
+        let d1 = wrapped.route_at(1, &env, &Label::Minimal(3), &mut state).unwrap();
         assert!(matches!(d1, RouteDecision::ForwardAny(_)));
         // …after which the inner decision passes through unmodified.
-        let d2 = router.route(&env, &Label::Minimal(3), &mut state).unwrap();
+        let d2 = wrapped.route_at(1, &env, &Label::Minimal(3), &mut state).unwrap();
         assert!(matches!(d2, RouteDecision::Forward(_)), "budget spent: no more alternates");
     }
 

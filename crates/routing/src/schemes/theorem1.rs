@@ -319,11 +319,15 @@ impl RoutingScheme for Theorem1Scheme {
         &self.ports
     }
 
-    fn decode_router(&self, u: NodeId) -> Result<Box<dyn LocalRouter + '_>, SchemeError> {
-        if u >= self.bits.len() {
-            return Err(SchemeError::NodeOutOfRange { node: u });
-        }
-        Ok(Box::new(Theorem1Router { bits: &self.bits[u], variant: self.variant }))
+    fn route_at(
+        &self,
+        u: NodeId,
+        env: &NodeEnv<'_>,
+        dest: &Label,
+        state: &mut MessageState,
+    ) -> Result<RouteDecision, RouteError> {
+        let bits = self.bits.get(u).ok_or(SchemeError::NodeOutOfRange { node: u })?;
+        Theorem1Router { bits, variant: self.variant }.route(env, dest, state)
     }
 }
 
@@ -538,11 +542,10 @@ mod tests {
         // withheld — proving it actually uses them rather than the graph.
         let g = generators::gnp_half(32, 1);
         let scheme = Theorem1Scheme::build(&g, &Apsp::compute(&g)).unwrap();
-        let router = scheme.decode_router(0).unwrap();
         let mut env = scheme.node_env(0);
         env.neighbor_labels = None;
         let mut state = MessageState::default();
-        let err = router.route(&env, &Label::Minimal(5), &mut state);
+        let err = scheme.route_at(0, &env, &Label::Minimal(5), &mut state);
         assert!(matches!(err, Err(RouteError::MissingInformation { .. })));
     }
 

@@ -136,11 +136,16 @@ impl RoutingScheme for Theorem4Scheme {
         &self.ports
     }
 
-    fn decode_router(&self, u: NodeId) -> Result<Box<dyn LocalRouter + '_>, SchemeError> {
-        if u >= self.bits.len() {
-            return Err(SchemeError::NodeOutOfRange { node: u });
-        }
-        Ok(Box::new(Theorem4Router { bits: &self.bits[u], prefix_width: bits_to_index(self.prefix_len as u64) }))
+    fn route_at(
+        &self,
+        u: NodeId,
+        env: &NodeEnv<'_>,
+        dest: &Label,
+        state: &mut MessageState,
+    ) -> Result<RouteDecision, RouteError> {
+        let bits = self.bits.get(u).ok_or(SchemeError::NodeOutOfRange { node: u })?;
+        Theorem4Router { bits, prefix_width: bits_to_index(self.prefix_len as u64) }
+            .route(env, dest, state)
     }
 }
 

@@ -140,11 +140,17 @@ impl RoutingScheme for Theorem5Scheme {
         &self.ports
     }
 
-    fn decode_router(&self, u: NodeId) -> Result<Box<dyn LocalRouter + '_>, SchemeError> {
+    fn route_at(
+        &self,
+        u: NodeId,
+        env: &NodeEnv<'_>,
+        dest: &Label,
+        state: &mut MessageState,
+    ) -> Result<RouteDecision, RouteError> {
         if u >= self.n {
-            return Err(SchemeError::NodeOutOfRange { node: u });
+            return Err(SchemeError::NodeOutOfRange { node: u }.into());
         }
-        Ok(Box::new(ProbeRouter { budget: self.probe_budget }))
+        ProbeRouter { budget: self.probe_budget }.route(env, dest, state)
     }
 }
 
@@ -279,12 +285,11 @@ mod tests {
     fn missing_header_is_an_error() {
         let g = generators::gnp_half(32, 0);
         let scheme = Theorem5Scheme::build(&g, &Apsp::compute(&g)).unwrap();
-        let router = scheme.decode_router(0).unwrap();
         let env = scheme.node_env(0);
         let mut state = MessageState { source: None, counter: 0 };
         let dest = Label::Minimal(g.non_neighbors(0)[0]);
         assert!(matches!(
-            router.route(&env, &dest, &mut state),
+            scheme.route_at(0, &env, &dest, &mut state),
             Err(RouteError::MissingInformation { .. })
         ));
     }

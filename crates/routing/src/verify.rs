@@ -16,7 +16,7 @@ use ort_graphs::{Graph, NodeId};
 use ort_telemetry::trace::{HopKind, WalkTracer};
 
 use crate::hop::{hop, Hop, HopError, Message};
-use crate::scheme::{MessageState, RouteError, RoutingScheme, SchemeError};
+use crate::scheme::{MessageState, NodeRouter, RouteError, RoutingScheme, SchemeError};
 
 /// Why a message failed to arrive.
 #[derive(Debug, Clone, PartialEq)]
@@ -104,15 +104,12 @@ pub fn route_pair(
     let mut path = vec![s];
     let mut cur = s;
     for _ in 0..=max_hops {
-        let router = scheme.decode_router(cur).map_err(|e| {
-            tracer.hit(cur, state.counter, HopKind::RouterError);
-            RouteFailure::RouterError { at: cur, error: e.into() }
-        })?;
+        let router = NodeRouter { scheme, u: cur };
         let msg =
             Message { dest: t, dest_label: &dest_label, state: &mut state, tracer: &mut tracer };
         // Fault-free: the check never vetoes, so every hop takes its
         // primary port.
-        match hop(router.as_ref(), &scheme.node_env(cur), pa, cur, msg, |_, _| None::<Infallible>) {
+        match hop(&router, &scheme.node_env(cur), pa, cur, msg, |_, _| None::<Infallible>) {
             Ok(Hop::Deliver) => return Ok(path),
             Ok(Hop::Forward { next, .. }) => {
                 path.push(next);

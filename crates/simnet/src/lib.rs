@@ -54,7 +54,7 @@ use std::fmt;
 
 use ort_graphs::NodeId;
 use ort_routing::hop::{hop, Hop, HopError, Message};
-use ort_routing::scheme::{MessageState, RouteError, RoutingScheme};
+use ort_routing::scheme::{MessageState, NodeRouter, RouteError, RoutingScheme};
 use ort_telemetry::trace::{HopKind, WalkTracer};
 
 use crate::faults::{FaultPlan, FaultState, HopFault, InvalidFault};
@@ -454,13 +454,10 @@ impl<'a> Network<'a> {
         let mut cur = s;
         let mut reroutes = 0u64;
         for _ in 0..=self.hop_limit {
-            let router = self.scheme.decode_router(cur).map_err(|e| {
-                tracer.hit(cur, state.counter, HopKind::RouterError);
-                SimError::Router { at: cur, error: e.into() }
-            })?;
+            let router = NodeRouter { scheme: self.scheme, u: cur };
             let env = self.scheme.node_env(cur);
             let msg = Message { dest: t, dest_label: &dest_label, state: &mut state, tracer };
-            match hop(router.as_ref(), &env, pa, cur, msg, |u, v| self.faults.check_hop(u, v)) {
+            match hop(&router, &env, pa, cur, msg, |u, v| self.faults.check_hop(u, v)) {
                 Ok(Hop::Deliver) => {
                     self.stats.reroutes += reroutes;
                     ort_telemetry::counter!("simnet.reroutes").add(reroutes);

@@ -20,7 +20,7 @@ use std::collections::VecDeque;
 use ort_graphs::labels::Label;
 use ort_graphs::NodeId;
 use ort_routing::hop::{hop, Hop, Message};
-use ort_routing::scheme::{MessageState, RouteError, RoutingScheme};
+use ort_routing::scheme::{MessageState, NodeRouter, RoutingScheme};
 use ort_telemetry::trace::{HopKind, WalkTracer};
 
 use crate::faults::{FaultPlan, FaultState, InvalidFault};
@@ -308,18 +308,7 @@ impl<'a> RoundSimulator<'a> {
                 if queue.is_empty() {
                     continue;
                 }
-                let router = match self.scheme.decode_router(u) {
-                    Ok(router) => router,
-                    Err(e) => {
-                        let error = RouteError::from(e);
-                        for mut msg in queue.drain(..) {
-                            msg.tracer.set_time(u64::from(round));
-                            msg.tracer.hit(u, msg.state.counter, HopKind::RouterError);
-                            lost.push((msg, SimError::Router { at: u, error: error.clone() }));
-                        }
-                        continue;
-                    }
-                };
+                let router = NodeRouter { scheme: self.scheme, u };
                 let env = self.scheme.node_env(u);
                 for _ in 0..self.capacity {
                     let Some(mut msg) = queue.pop_front() else { break };
@@ -336,7 +325,7 @@ impl<'a> RoundSimulator<'a> {
                         }
                     }
                     let step = hop(
-                        router.as_ref(),
+                        &router,
                         &env,
                         pa,
                         u,

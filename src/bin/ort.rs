@@ -276,7 +276,7 @@ fn run() -> Result<(), String> {
             }
             let g = generators::gnp_half(n, seed);
             let scheme = build_scheme(&name, &g, &Apsp::compute(&g))?;
-            let path = verify::route_pair(scheme.as_ref(), s, t, 4 * n)
+            let path = verify::route_pair(scheme.as_ref(), s, t, verify::default_hop_limit(n))
                 .map_err(|e| e.to_string())?;
             println!("{s} → {t} via {name}: {path:?} ({} hops)", path.len() - 1);
             Ok(())
@@ -309,7 +309,7 @@ fn run() -> Result<(), String> {
             if s >= n || t >= n {
                 return Err(format!("node ids must be below n = {n}"));
             }
-            let path = verify::route_pair(scheme.as_ref(), s, t, 4 * n)
+            let path = verify::route_pair(scheme.as_ref(), s, t, verify::default_hop_limit(n))
                 .map_err(|e| e.to_string())?;
             println!(
                 "loaded scheme on {n} nodes [model {}]; {s} → {t}: {path:?}",

@@ -18,6 +18,7 @@ use optimal_routing_tables::graphs::delta::DeltaOracle;
 use optimal_routing_tables::graphs::generators;
 use optimal_routing_tables::graphs::oracle::{BandedOracle, Distances, LandmarkOracle};
 use optimal_routing_tables::graphs::paths::{Apsp, ApspEngine};
+use optimal_routing_tables::routing::schemes::interval::IntervalScheme;
 use optimal_routing_tables::routing::schemes::theorem2::Theorem2Scheme;
 use optimal_routing_tables::routing::verify;
 use optimal_routing_tables::telemetry::alloc;
@@ -356,5 +357,50 @@ fn route_pair_allocations_do_not_grow_with_degree() {
         "{allocations} allocations routing {MESSAGES} messages over {hops} hops \
          (bound {MAX_ALLOCS_PER_MESSAGE} a message) at degree ≈ {}",
         g.degree(0)
+    );
+}
+
+/// The most allocations [`route_pair_allocations_do_not_grow_with_hop_count`]
+/// allows per routed message: the path's first allocation and one for
+/// each time it grows, from capacity 1 to 4 and then by doubling up to
+/// the 65 536 entries a walk of the hop limit (4n + 16 = 32 784 at
+/// n = 8192) needs. It measures 1 691 allocations over 200 messages, 8.5
+/// a message; a boxed router on every hop made 74 503, 372 a message.
+const MAX_ALLOCS_PER_WALK: u64 = 16;
+
+/// Routing a message allocates a fixed handful of times, however many
+/// hops it takes: each node's router runs on the stack, so what a walk
+/// allocates is the path `route_pair` returns and its growth. Interval
+/// routing on a power-law graph is where a per-hop allocation would cost
+/// most: walks follow the DFS tree and run to hundreds of hops. The
+/// scheme is built from a banded oracle, so no n² matrix is built.
+#[test]
+fn route_pair_allocations_do_not_grow_with_hop_count() {
+    if !isolated("route_pair_allocations_do_not_grow_with_hop_count") {
+        return;
+    }
+    if !alloc::installed() {
+        return;
+    }
+    const MESSAGES: usize = 200;
+    let n = 8192;
+    let g = generators::power_law_seeded(n, 2, 2.5, 1);
+    let scheme = IntervalScheme::build(&g, &BandedOracle::new(g.clone(), 64))
+        .expect("power-law graphs are connected");
+    let limit = verify::default_hop_limit(n);
+    let pairs: Vec<(usize, usize)> =
+        (0..MESSAGES).map(|i| ((97 * i) % n, (389 * i + n / 2) % n)).collect();
+    let before = alloc::total_allocations();
+    let mut hops = 0;
+    for &(s, t) in &pairs {
+        hops +=
+            verify::route_pair(&scheme, s, t, limit).expect("interval routing delivers").len() - 1;
+    }
+    let allocations = alloc::total_allocations() - before;
+    assert!(hops >= 200 * MESSAGES, "walks must average 200 hops or more, walked {hops}");
+    assert!(
+        allocations <= MAX_ALLOCS_PER_WALK * MESSAGES as u64,
+        "{allocations} allocations routing {MESSAGES} messages over {hops} hops \
+         (bound {MAX_ALLOCS_PER_WALK} a message)"
     );
 }

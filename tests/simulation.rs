@@ -6,7 +6,9 @@ use optimal_routing_tables::conformance::registry::SchemeId;
 use optimal_routing_tables::graphs::generators;
 use optimal_routing_tables::graphs::paths::Apsp;
 use optimal_routing_tables::graphs::Graph;
-use optimal_routing_tables::routing::scheme::RoutingScheme;
+use optimal_routing_tables::routing::scheme::{
+    MessageState, RouteError, RoutingScheme, SchemeError,
+};
 use optimal_routing_tables::routing::schemes::resilient::ResilientScheme;
 use optimal_routing_tables::routing::schemes::{
     full_information::FullInformationScheme, full_table::FullTableScheme,
@@ -159,6 +161,46 @@ fn network_and_round_simulator_agree_under_faults() {
                     }
                 }
             }
+        }
+    }
+}
+
+/// A node id past the last node fails cleanly at both route entries of
+/// every registry scheme, bare and wrapped: `decode_router` names it, and
+/// `route_at` returns the reading of a router that would not decode and
+/// leaves the header alone. Theorem 2's and Theorem 5's routers do not
+/// know their node, so this pins the range check each `route_at` keeps.
+/// In range, the boxed router decides exactly as `route_at` does.
+#[test]
+fn both_route_entries_reject_out_of_range_nodes() {
+    let n = 24;
+    let g = generators::gnp_half(n, 1);
+    let dists = Apsp::compute(&g);
+    for (name, scheme) in registry_schemes(&g, &dists) {
+        let scheme = scheme.as_ref();
+        let env = scheme.node_env(0);
+        let header = MessageState { source: Some(scheme.label_of(0)), counter: 0 };
+        for u in [n, n + 1, usize::MAX] {
+            let node = SchemeError::NodeOutOfRange { node: u };
+            assert_eq!(scheme.decode_router(u).err(), Some(node.clone()), "{name}: node {u}");
+            let mut state = header.clone();
+            assert_eq!(
+                scheme.route_at(u, &env, &scheme.label_of(1), &mut state),
+                Err(RouteError::from(node)),
+                "{name}: node {u}"
+            );
+            assert_eq!(state, header, "{name}: node {u}");
+        }
+        let router = scheme.decode_router(0).expect("node 0 is in range");
+        for t in 1..n {
+            let dest = scheme.label_of(t);
+            let (mut boxed, mut direct) = (header.clone(), header.clone());
+            assert_eq!(
+                router.route(&env, &dest, &mut boxed),
+                scheme.route_at(0, &env, &dest, &mut direct),
+                "{name}: 0→{t}"
+            );
+            assert_eq!(boxed, direct, "{name}: 0→{t}");
         }
     }
 }

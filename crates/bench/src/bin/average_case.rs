@@ -9,10 +9,10 @@
 //!
 //! Regenerate with: `cargo run --release -p ort-bench --bin average_case`
 
-use ort_bench::{mean, par_map, rule, sweep_sizes};
+use ort_bench::{mean, rule, sweep_sizes};
 use ort_graphs::generators;
 use ort_graphs::oracle::Distances;
-use ort_graphs::paths::Apsp;
+use ort_graphs::paths::{map_in_order, Apsp};
 use ort_routing::scheme::RoutingScheme;
 use ort_routing::schemes::{
     full_information::FullInformationScheme, full_table::FullTableScheme,
@@ -69,7 +69,8 @@ fn main() {
                 (0..s_count).map(move |s| (n, s))
             })
             .collect();
-        let cells = par_map(&items, |&(n, s)| {
+        let cells = map_in_order(items.len(), |i| {
+            let (n, s) = items[i];
             let g = generators::gnp_half(n, s + 100);
             build(&g, &Apsp::compute(&g)).map(|b| b as f64 / shape(n))
         });

@@ -3,10 +3,10 @@
 //!
 //! Regenerate with: `cargo run --release -p ort-bench --bin stretch_tradeoff`
 
-use ort_bench::{fit_exponent, fmt_bits, mean, par_map, rule, sweep_sizes, DEFAULT_SEEDS};
+use ort_bench::{fit_exponent, fmt_bits, mean, rule, sweep_sizes, DEFAULT_SEEDS};
 use ort_graphs::generators;
 use ort_graphs::oracle::Distances;
-use ort_graphs::paths::Apsp;
+use ort_graphs::paths::{map_in_order, Apsp};
 use ort_routing::scheme::RoutingScheme;
 use ort_routing::schemes::{
     theorem1::Theorem1Scheme, theorem3::Theorem3Scheme, theorem4::Theorem4Scheme,
@@ -68,7 +68,8 @@ fn main() {
             .iter()
             .flat_map(|&n| (0..DEFAULT_SEEDS).map(move |s| (n, s)))
             .collect();
-        let samples = par_map(&items, |&(n, s)| {
+        let samples = map_in_order(items.len(), |i| {
+            let (n, s) = items[i];
             let g = generators::gnp_half(n, s + 10);
             let dists = Apsp::compute(&g);
             let scheme = (row.build)(&g, &dists);

@@ -7,11 +7,11 @@
 //! Regenerate with: `cargo run --release -p ort-bench --bin table1_upper`
 //! (set `ORT_FULL=1` for the n = 1024 tier).
 
-use ort_bench::{fit_exponent, fmt_bits, mean, par_map, rule, sweep_sizes, DEFAULT_SEEDS};
+use ort_bench::{fit_exponent, fmt_bits, mean, rule, sweep_sizes, DEFAULT_SEEDS};
 use ort_graphs::generators;
 use ort_graphs::labels::Labeling;
 use ort_graphs::oracle::Distances;
-use ort_graphs::paths::Apsp;
+use ort_graphs::paths::{map_in_order, Apsp};
 use ort_graphs::ports::PortAssignment;
 use ort_routing::model::{Knowledge, Model, Relabeling};
 use ort_routing::scheme::RoutingScheme;
@@ -101,7 +101,8 @@ fn main() {
             .iter()
             .flat_map(|&n| (0..DEFAULT_SEEDS).map(move |s| (n, s)))
             .collect();
-        let samples = par_map(&items, |&(n, s)| {
+        let samples = map_in_order(items.len(), |i| {
+            let (n, s) = items[i];
             let g = generators::gnp_half(n, s);
             (row.build)(&g, &Apsp::compute(&g), s) as f64
         });

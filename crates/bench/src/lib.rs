@@ -27,41 +27,6 @@ pub fn sweep_sizes() -> Vec<usize> {
     }
 }
 
-/// Maps `f` over `items`, returning results in input order. With the
-/// default-on `parallel` feature the items are fanned out across threads
-/// in contiguous blocks (thread count honours `ORT_THREADS` via
-/// [`ort_graphs::paths::configured_threads`]); the experiment binaries use
-/// this to spread their `(n, seed)` sweeps over cores. Output is
-/// independent of the thread count.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    #[cfg(feature = "parallel")]
-    {
-        let threads = ort_graphs::paths::configured_threads().min(items.len().max(1));
-        if threads > 1 {
-            let chunk = items.len().div_ceil(threads);
-            return std::thread::scope(|s| {
-                let handles: Vec<_> = items
-                    .chunks(chunk)
-                    .map(|block| {
-                        let f = &f;
-                        s.spawn(move || block.iter().map(f).collect::<Vec<R>>())
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("sweep worker panicked"))
-                    .collect()
-            });
-        }
-    }
-    items.iter().map(&f).collect()
-}
-
 /// Least-squares slope of `log₂ y` against `log₂ x` — the measured growth
 /// exponent of a size curve. Two or more points required.
 ///
@@ -145,14 +110,6 @@ mod tests {
         assert_eq!(fmt_bits(999), "999");
         assert_eq!(fmt_bits(1000), "1,000");
         assert_eq!(fmt_bits(1234567), "1,234,567");
-    }
-
-    #[test]
-    fn par_map_preserves_order() {
-        let items: Vec<usize> = (0..97).collect();
-        let doubled = par_map(&items, |&x| 2 * x);
-        assert_eq!(doubled, items.iter().map(|&x| 2 * x).collect::<Vec<_>>());
-        assert!(par_map::<usize, usize, _>(&[], |&x| x).is_empty());
     }
 
     #[test]

@@ -36,17 +36,6 @@ pub struct FuzzOutcome {
     pub route_ok: usize,
 }
 
-impl FuzzOutcome {
-    /// Merges another outcome into this one.
-    pub fn absorb(&mut self, other: &FuzzOutcome) {
-        self.mutations += other.mutations;
-        self.load_rejected += other.load_rejected;
-        self.loaded_ok += other.loaded_ok;
-        self.route_failures += other.route_failures;
-        self.route_ok += other.route_ok;
-    }
-}
-
 /// Builds the pristine snapshot for `kind` on a fixed `G(n, 1/2)` sample.
 ///
 /// # Errors

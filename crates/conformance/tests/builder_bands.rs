@@ -130,13 +130,13 @@ fn banded_build_verifies_identically_to_full_matrix_build() {
 
 #[test]
 fn banded_build_is_deterministic_across_thread_counts() {
-    // Byte-identity must also hold across `ORT_THREADS`: the banded
-    // oracle computes bands with the parallel APSP engine, and the
-    // project invariant is that artifact bytes never depend on the
-    // worker count. Safe to set the env var here: even if another test
-    // in this binary races the variable, every build below is asserted
-    // equal to the same serial reference, so the assertion itself is
-    // thread-count-invariant.
+    // Byte-identity must also hold across `ORT_THREADS`: the project
+    // invariant is that artifact bytes never depend on the worker count.
+    // The banded oracle computes each band on the calling thread, so no
+    // build below should depend on the variable at all. Safe to set the
+    // env var here: even if another test in this binary races the
+    // variable, every build below is asserted equal to the same serial
+    // reference, so the assertion itself is thread-count-invariant.
     let g = generators::gnp_half(64, 2);
     std::env::set_var("ORT_THREADS", "1");
     let apsp = Apsp::compute(&g);

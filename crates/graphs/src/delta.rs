@@ -16,7 +16,7 @@
 //! 3. **Fall back.** When the dirty fraction `|D|/n` crosses a threshold
 //!    (or an edge removal pushes the diameter past the matrix's compact
 //!    cell width), repair would approach a rebuild anyway — recompute the
-//!    full matrix with the tiled engine instead and count it as a
+//!    full matrix ([`Apsp::compute`]) instead and count it as a
 //!    `repair.fallback_rebuilds`.
 //!
 //! **Why the dirty set is exactly right.** Let `{a, b}` be the edge
@@ -95,29 +95,27 @@ pub struct RepairStats {
 pub struct DeltaOracle {
     g: Graph,
     apsp: Apsp,
-    engine: ApspEngine,
     max_dirty_fraction: f64,
     stats: RepairStats,
 }
 
 impl DeltaOracle {
-    /// Builds the oracle over `g` (one full APSP) with the auto engine
-    /// and [`DEFAULT_MAX_DIRTY_FRACTION`].
+    /// Builds the oracle over `g` (one full APSP) with
+    /// [`DEFAULT_MAX_DIRTY_FRACTION`].
     #[must_use]
     pub fn new(g: Graph) -> Self {
-        Self::with_config(g, ApspEngine::Auto, DEFAULT_MAX_DIRTY_FRACTION)
+        Self::with_config(g, DEFAULT_MAX_DIRTY_FRACTION)
     }
 
-    /// As [`DeltaOracle::new`] with an explicit traversal engine and
-    /// dirty-fraction ceiling (clamped to `[0, 1]`; `0` forces a full
-    /// rebuild on every non-trivial delta, `1` never falls back).
+    /// As [`DeltaOracle::new`] with an explicit dirty-fraction ceiling
+    /// (clamped to `[0, 1]`; `0` forces a full rebuild on every
+    /// non-trivial delta, `1` never falls back).
     #[must_use]
-    pub fn with_config(g: Graph, engine: ApspEngine, max_dirty_fraction: f64) -> Self {
-        let apsp = Apsp::compute_with_engine(&g, engine);
+    pub fn with_config(g: Graph, max_dirty_fraction: f64) -> Self {
+        let apsp = Apsp::compute(&g);
         DeltaOracle {
             g,
             apsp,
-            engine,
             max_dirty_fraction: max_dirty_fraction.clamp(0.0, 1.0),
             stats: RepairStats::default(),
         }
@@ -245,8 +243,8 @@ impl DeltaOracle {
             return self.full_rebuild(Vec::new());
         }
 
-        let row_a = bfs_distances(&self.g, a, self.engine);
-        let row_b = bfs_distances(&self.g, b, self.engine);
+        let row_a = bfs_distances(&self.g, a, ApspEngine::Auto);
+        let row_b = bfs_distances(&self.g, b, ApspEngine::Auto);
         let mut dirty_mask = vec![false; n];
         let mut dirty: Vec<NodeId> = Vec::new();
         for s in 0..n {
@@ -277,7 +275,7 @@ impl DeltaOracle {
             } else if s == b {
                 &row_b
             } else {
-                fresh = bfs_distances(&self.g, s, self.engine);
+                fresh = bfs_distances(&self.g, s, ApspEngine::Auto);
                 &fresh
             };
             let store = self.apsp.store_mut();
@@ -307,7 +305,7 @@ impl DeltaOracle {
         ort_telemetry::counter!("repair.bands_recomputed").add(n as u64);
         self.stats.fallback_rebuilds += 1;
         self.stats.rows_recomputed += n as u64;
-        self.apsp = Apsp::compute_with_engine(&self.g, self.engine);
+        self.apsp = Apsp::compute(&self.g);
         RepairReport { dirty, rows_recomputed: n, full_rebuild: true }
     }
 }
@@ -430,7 +428,7 @@ mod tests {
     #[test]
     fn zero_threshold_forces_fallback_and_stays_exact() {
         let g = generators::connected_gnp(30, 0.12, 5);
-        let mut oracle = DeltaOracle::with_config(g, ApspEngine::Auto, 0.0);
+        let mut oracle = DeltaOracle::with_config(g, 0.0);
         let mut state = 17u64;
         let mut fallbacks = 0u64;
         for _ in 0..10 {

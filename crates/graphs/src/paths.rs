@@ -31,12 +31,11 @@
 //!   the sparse `n = 10⁴+` regime.
 //!
 //! [`ApspEngine::Auto`] picks between them from the average degree and the
-//! graph order. With the default-on `parallel` feature, [`Apsp::compute`]
-//! additionally fans the work out across threads (`std::thread::scope`;
-//! the thread count honours the `ORT_THREADS` env var). Rows are assigned
-//! to threads in contiguous blocks — whole tiles for the tiled engine —
-//! and each thread writes its own disjoint slice of the matrix, so the
-//! result is byte-identical to the serial computation.
+//! graph order. [`Apsp::compute`] additionally fans the work out across
+//! [`configured_threads`] workers (`std::thread::scope`). Rows are
+//! assigned to threads in contiguous blocks — whole tiles for the tiled
+//! engine — and each thread writes its own disjoint slice of the matrix,
+//! so the result is byte-identical to the serial computation.
 //!
 //! One computed [`Apsp`] serves both scheme construction and verification,
 //! so the matrix is computed exactly once per graph; [`apsp_compute_count`]
@@ -461,9 +460,9 @@ pub fn is_connected(g: &Graph) -> bool {
     n <= 1 || reachable_count(g, 0) == n
 }
 
-/// Worker-thread count for parallel traversals: the `ORT_THREADS` env var
-/// if set to a positive integer, else the machine's available parallelism.
-#[cfg(feature = "parallel")]
+/// Worker-thread count for every fan-out in the workspace: the
+/// `ORT_THREADS` env var if set to a positive integer, else the machine's
+/// available parallelism. Re-read on every call.
 #[must_use]
 pub fn configured_threads() -> usize {
     std::env::var("ORT_THREADS")
@@ -471,6 +470,45 @@ pub fn configured_threads() -> usize {
         .and_then(|s| s.parse::<usize>().ok())
         .filter(|&t| t >= 1)
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
+}
+
+/// Maps `f` over `0..n` and returns the results in index order.
+///
+/// The indices are split into contiguous blocks, one per worker, on at
+/// most `configured_threads().min(n)` workers; each block runs inside the
+/// caller's telemetry [`Context`](ort_telemetry::Context), and the blocks
+/// are concatenated in index order, so the output never depends on the
+/// thread count or on scheduling. With one worker `f` runs inline on the
+/// calling thread.
+///
+/// # Panics
+///
+/// Panics if `f` panics.
+#[must_use]
+pub fn map_in_order<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    let threads = configured_threads().min(n);
+    if threads <= 1 {
+        return (0..n).map(f).collect();
+    }
+    let chunk = n.div_ceil(threads);
+    let ctx = ort_telemetry::Context::current();
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..n)
+            .step_by(chunk)
+            .map(|start| {
+                let f = &f;
+                let ctx = ctx.clone();
+                s.spawn(move || {
+                    let _ctx = ctx.enter();
+                    (start..(start + chunk).min(n)).map(f).collect::<Vec<R>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("map_in_order worker panicked"))
+            .collect()
+    })
 }
 
 /// Computes one horizontal band of the distance matrix: the rows of
@@ -532,50 +570,21 @@ pub struct Apsp {
 }
 
 impl Apsp {
-    /// Computes all-pairs distances for `g` with the auto-selected engine,
-    /// in parallel when the `parallel` feature (default-on) is enabled.
+    /// Computes all-pairs distances for `g` with the auto-selected engine
+    /// on [`configured_threads`] workers.
     #[must_use]
     pub fn compute(g: &Graph) -> Self {
-        Self::compute_with_engine(g, ApspEngine::Auto)
+        Self::compute_with(g, ApspEngine::Auto, configured_threads())
     }
 
-    /// Computes all-pairs distances with an explicit engine choice
-    /// (parallel across sources when the `parallel` feature is enabled).
+    /// Computes all-pairs distances with an explicit engine on exactly
+    /// `threads` workers (clamped to ≥ 1), bypassing `ORT_THREADS`. The
+    /// matrix is byte-identical under every engine and thread count;
+    /// `threads = 1` keeps every allocation on the calling thread, which
+    /// exact memory attribution relies on.
     #[must_use]
-    pub fn compute_with_engine(g: &Graph, engine: ApspEngine) -> Self {
-        #[cfg(feature = "parallel")]
-        let threads = configured_threads();
-        #[cfg(not(feature = "parallel"))]
-        let threads = 1;
-        Self::compute_impl(g, engine, threads)
-    }
-
-    /// Computes all-pairs distances on the calling thread only. The result
-    /// is byte-identical to [`Apsp::compute`]; exists so determinism tests
-    /// and baseline benchmarks can pin the serial path.
-    #[must_use]
-    pub fn compute_serial(g: &Graph) -> Self {
-        Self::compute_impl(g, ApspEngine::Auto, 1)
-    }
-
-    /// Serial computation with an explicit engine (see
-    /// [`Apsp::compute_serial`]).
-    #[must_use]
-    pub fn compute_serial_with_engine(g: &Graph, engine: ApspEngine) -> Self {
-        Self::compute_impl(g, engine, 1)
-    }
-
-    /// Computes all-pairs distances on exactly `threads` workers
-    /// (clamped to ≥ 1), bypassing `ORT_THREADS`/auto detection. Lets
-    /// tests exercise the parallel merge deterministically regardless of
-    /// the host's core count.
-    #[cfg(feature = "parallel")]
-    #[must_use]
-    pub fn compute_with_threads(g: &Graph, engine: ApspEngine, threads: usize) -> Self {
-        Self::compute_impl(g, engine, threads.max(1))
-    }
-
-    fn compute_impl(g: &Graph, engine: ApspEngine, threads: usize) -> Self {
+    pub fn compute_with(g: &Graph, engine: ApspEngine, threads: usize) -> Self {
+        let threads = threads.max(1);
         APSP_COMPUTES.fetch_add(1, Ordering::Relaxed);
         let n = g.node_count();
         let engine = engine.resolve(g);
@@ -722,26 +731,21 @@ fn compute_cells<T: DistCell>(g: &Graph, engine: ApspEngine, threads: usize, dat
         expansions.add(fill_rows(g, engine, 0, n, data));
         return;
     }
-    #[cfg(feature = "parallel")]
-    {
-        let unit = if engine == ApspEngine::Tiled { ApspEngine::tile_sources(n) } else { 1 };
-        let units = n.div_ceil(unit);
-        let rows_per = units.div_ceil(threads.min(units)) * unit;
-        let ctx = ort_telemetry::Context::current();
-        std::thread::scope(|s| {
-            for (ci, chunk) in data.chunks_mut(rows_per * n).enumerate() {
-                let ctx = ctx.clone();
-                s.spawn(move || {
-                    let _ctx = ctx.enter();
-                    let _span = ort_telemetry::span("apsp.worker");
-                    let rows = chunk.len() / n;
-                    expansions.add(fill_rows(g, engine, ci * rows_per, rows, chunk));
-                });
-            }
-        });
-    }
-    #[cfg(not(feature = "parallel"))]
-    unreachable!("threads is pinned to 1 without the `parallel` feature");
+    let unit = if engine == ApspEngine::Tiled { ApspEngine::tile_sources(n) } else { 1 };
+    let units = n.div_ceil(unit);
+    let rows_per = units.div_ceil(threads.min(units)) * unit;
+    let ctx = ort_telemetry::Context::current();
+    std::thread::scope(|s| {
+        for (ci, chunk) in data.chunks_mut(rows_per * n).enumerate() {
+            let ctx = ctx.clone();
+            s.spawn(move || {
+                let _ctx = ctx.enter();
+                let _span = ort_telemetry::span("apsp.worker");
+                let rows = chunk.len() / n;
+                expansions.add(fill_rows(g, engine, ci * rows_per, rows, chunk));
+            });
+        }
+    });
 }
 
 /// Naive Floyd–Warshall oracle used to cross-check [`Apsp`] in tests.
@@ -825,9 +829,9 @@ mod tests {
                 let reference: Vec<_> = bfs(&g, src).0;
                 assert_eq!(q, reference, "{name}, src {src} vs reference");
             }
-            let qa = Apsp::compute_serial_with_engine(&g, ApspEngine::Queue);
-            let ba = Apsp::compute_serial_with_engine(&g, ApspEngine::Bitset);
-            let ta = Apsp::compute_serial_with_engine(&g, ApspEngine::Tiled);
+            let qa = Apsp::compute_with(&g, ApspEngine::Queue, 1);
+            let ba = Apsp::compute_with(&g, ApspEngine::Bitset, 1);
+            let ta = Apsp::compute_with(&g, ApspEngine::Tiled, 1);
             assert_eq!(qa, ba, "{name}: queue and bitset disagree on the matrix");
             assert_eq!(qa, ta, "{name}: queue and tiled disagree on the matrix");
         }
@@ -838,8 +842,8 @@ mod tests {
         // n > 64 forces multi-word masks off; a 300-node path at an
         // explicit tile size exercises tile boundaries inside fill_rows.
         let g = generators::path(300);
-        let q = Apsp::compute_serial_with_engine(&g, ApspEngine::Queue);
-        let t = Apsp::compute_serial_with_engine(&g, ApspEngine::Tiled);
+        let q = Apsp::compute_with(&g, ApspEngine::Queue, 1);
+        let t = Apsp::compute_with(&g, ApspEngine::Tiled, 1);
         assert_eq!(q, t);
         // Path of 300 nodes has distances up to 299: u16 cells.
         assert_eq!(q.cell_width(), CellWidth::U16);
@@ -883,28 +887,26 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn parallel_matches_serial_bytes() {
         for seed in 0..3u64 {
             let g = generators::gnp_half(65, seed);
-            let serial = Apsp::compute_serial(&g);
+            let serial = Apsp::compute_with(&g, ApspEngine::Auto, 1);
             for threads in [2, 3, 8, 100] {
-                let par = Apsp::compute_with_threads(&g, ApspEngine::Auto, threads);
+                let par = Apsp::compute_with(&g, ApspEngine::Auto, threads);
                 assert_eq!(serial, par, "threads={threads}");
             }
         }
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn parallel_tiled_matches_serial_bytes() {
         // Sparse, larger than one tile, not tile-aligned: the thread
         // chunking must stay on tile boundaries.
         let g = generators::connected_gnp(300, 0.03, 2);
-        let serial = Apsp::compute_serial_with_engine(&g, ApspEngine::Tiled);
+        let serial = Apsp::compute_with(&g, ApspEngine::Tiled, 1);
         for threads in [2, 3, 5, 16] {
-            let par = Apsp::compute_with_threads(&g, ApspEngine::Tiled, threads);
+            let par = Apsp::compute_with(&g, ApspEngine::Tiled, threads);
             assert_eq!(serial, par, "threads={threads}");
         }
     }
@@ -931,7 +933,7 @@ mod tests {
         let g = generators::cycle(5);
         let before = apsp_compute_count();
         let _ = Apsp::compute(&g);
-        let _ = Apsp::compute_serial(&g);
+        let _ = Apsp::compute_with(&g, ApspEngine::Auto, 1);
         // Other tests run concurrently in this process, so the counter may
         // have advanced by more than our two computations — but never less.
         assert!(apsp_compute_count() >= before + 2);

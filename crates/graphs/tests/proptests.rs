@@ -133,9 +133,9 @@ proptest! {
             let reference = bfs(&g, src).0;
             prop_assert_eq!(&q, &reference, "src {} vs parent-tracking bfs", src);
         }
-        let qa = Apsp::compute_serial_with_engine(&g, ApspEngine::Queue);
-        let ba = Apsp::compute_serial_with_engine(&g, ApspEngine::Bitset);
-        let ta = Apsp::compute_serial_with_engine(&g, ApspEngine::Tiled);
+        let qa = Apsp::compute_with(&g, ApspEngine::Queue, 1);
+        let ba = Apsp::compute_with(&g, ApspEngine::Bitset, 1);
+        let ta = Apsp::compute_with(&g, ApspEngine::Tiled, 1);
         prop_assert_eq!(qa.matrix_u32(), ba.matrix_u32());
         prop_assert_eq!(qa.matrix_u32(), ta.matrix_u32());
     }
@@ -146,8 +146,8 @@ proptest! {
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed ^ 0x5EED);
         let sparse = generators::gnp(n, 0.08, &mut rng);
         for g in [dense, sparse] {
-            let qa = Apsp::compute_serial_with_engine(&g, ApspEngine::Queue);
-            let ba = Apsp::compute_serial_with_engine(&g, ApspEngine::Bitset);
+            let qa = Apsp::compute_with(&g, ApspEngine::Queue, 1);
+            let ba = Apsp::compute_with(&g, ApspEngine::Bitset, 1);
             prop_assert_eq!(&qa, &ba);
             // The public auto-selected entry point agrees with both.
             let auto = Apsp::compute(&g);
@@ -155,12 +155,11 @@ proptest! {
         }
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn parallel_apsp_is_byte_identical(n in 2usize..60, seed in any::<u64>(), threads in 1usize..9) {
         let g = generators::gnp_half(n, seed);
-        let serial = Apsp::compute_serial(&g);
-        let par = Apsp::compute_with_threads(&g, ApspEngine::Auto, threads);
+        let serial = Apsp::compute_with(&g, ApspEngine::Auto, 1);
+        let par = Apsp::compute_with(&g, ApspEngine::Auto, threads);
         prop_assert_eq!(serial.matrix_u32(), par.matrix_u32());
     }
 

@@ -1,21 +1,22 @@
-//! Scheme repair under topology churn.
+//! Full-table repair under topology churn.
 //!
 //! A built [`RoutingScheme`] is a pure function of its graph: any delta
 //! invalidates some of its entries. Rebuilding the whole scheme per delta
 //! costs `O(n²)` table writes even when one link flapped; this module
 //! pairs a [`DeltaOracle`] (exact in-place distance repair,
-//! [`ort_graphs::delta`]) with **dirty-region scheme patching**:
+//! [`ort_graphs::delta`]) with **dirty-region patching** of a
+//! [`FullTableScheme`]:
 //!
-//! * For the full-table scheme, the oracle's dirty source set `D` names
-//!   exactly the routing-table regions that can have moved — the two
-//!   endpoint rows plus, at every other node, the entries toward
-//!   destinations in `D` ([`FullTableScheme`] patch path). Everything
-//!   else is left byte-untouched.
-//! * For every other scheme (or when the oracle itself fell back to a
-//!   full recompute), the wrapper rebuilds the whole scheme from the
-//!   repaired oracle — the *whole-scheme rebuild fallback*. Because the
-//!   repaired oracle is exactly the fresh APSP function, the rebuilt
-//!   scheme is byte-identical to a from-scratch build.
+//! * The oracle's dirty source set `D` names exactly the routing-table
+//!   regions that can have moved — the two endpoint rows plus, at every
+//!   other node, the entries toward destinations in `D`
+//!   (`FullTableScheme::patch_edge_delta`). Everything else is left
+//!   byte-untouched.
+//! * When the oracle itself fell back to a full recompute, the wrapper
+//!   rebuilds the whole table from the repaired oracle — the
+//!   *whole-scheme rebuild fallback*. Because the repaired oracle is
+//!   exactly the fresh APSP function, the rebuilt table is byte-identical
+//!   to a from-scratch build.
 //!
 //! Membership churn (join/leave) always takes the rebuild path: node
 //! count and labels shift, so no region of the old table survives.
@@ -30,18 +31,12 @@
 //! is counted in [`SchemeRepairStats::refusals`].
 
 use ort_graphs::delta::DeltaOracle;
-use ort_graphs::oracle::Distances;
 use ort_graphs::paths;
 use ort_graphs::{Graph, GraphError, NodeId};
 
 use crate::accounting::BitBreakdown;
 use crate::scheme::{RoutingScheme, SchemeError};
 use crate::schemes::full_table::FullTableScheme;
-
-/// Rebuilds a scheme from a graph and an exact distance oracle — the
-/// whole-scheme fallback used by [`RepairableScheme::with_builder`].
-pub type SchemeBuilder =
-    Box<dyn Fn(&Graph, &dyn Distances) -> Result<Box<dyn RoutingScheme>, SchemeError> + Send + Sync>;
 
 /// What one mutating call did, across both layers (oracle and scheme).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,8 +59,7 @@ pub struct PatchReport {
 pub struct SchemeRepairStats {
     /// Edge deltas absorbed by in-place entry patching.
     pub patches: u64,
-    /// Whole-scheme rebuilds (non-full-table schemes, oracle fallbacks,
-    /// and every join/leave).
+    /// Whole-scheme rebuilds (oracle fallbacks and every join/leave).
     pub rebuilds: u64,
     /// Total routing entries rewritten in place.
     pub entries_patched: u64,
@@ -73,16 +67,10 @@ pub struct SchemeRepairStats {
     pub refusals: u64,
 }
 
-enum Inner {
-    /// Entry-level patch fast path.
-    FullTable(FullTableScheme),
-    /// Any scheme: every delta rebuilds via the stored builder.
-    Boxed { scheme: Box<dyn RoutingScheme>, builder: SchemeBuilder },
-}
-
-/// A routing scheme that survives topology churn: an owned graph, a
-/// [`DeltaOracle`] repaired per delta, and a scheme patched (full table)
-/// or rebuilt (everything else) from it.
+/// A full-table routing scheme that survives topology churn: an owned
+/// graph, a [`DeltaOracle`] repaired per delta, and a
+/// [`FullTableScheme`] patched in place (or, on an oracle fallback or a
+/// membership change, rebuilt) from it.
 ///
 /// The churn vocabulary mirrors `ort-simnet`'s `ChurnEvent` one-to-one —
 /// [`RepairableScheme::add_link`], [`RepairableScheme::remove_link`],
@@ -110,13 +98,13 @@ enum Inner {
 /// ```
 pub struct RepairableScheme {
     oracle: DeltaOracle,
-    inner: Inner,
+    scheme: FullTableScheme,
     stats: SchemeRepairStats,
 }
 
 impl RepairableScheme {
-    /// Builds a repairable full-table scheme (the only scheme with an
-    /// entry-level patch fast path) over `g` in the default model.
+    /// Builds a repairable full-table scheme over `g` in the default
+    /// model.
     ///
     /// # Errors
     ///
@@ -124,29 +112,7 @@ impl RepairableScheme {
     pub fn full_table(g: Graph) -> Result<Self, SchemeError> {
         let oracle = DeltaOracle::new(g);
         let scheme = FullTableScheme::build(oracle.graph(), &oracle)?;
-        Ok(RepairableScheme {
-            oracle,
-            inner: Inner::FullTable(scheme),
-            stats: SchemeRepairStats::default(),
-        })
-    }
-
-    /// Wraps an arbitrary scheme constructor: every delta repairs the
-    /// oracle incrementally, then rebuilds the scheme via `builder` —
-    /// cheaper than a cold build (the APSP is repaired, not recomputed),
-    /// but with no entry-level patching.
-    ///
-    /// # Errors
-    ///
-    /// Whatever `builder` returns for the initial graph.
-    pub fn with_builder(g: Graph, builder: SchemeBuilder) -> Result<Self, SchemeError> {
-        let oracle = DeltaOracle::new(g);
-        let scheme = builder(oracle.graph(), &oracle)?;
-        Ok(RepairableScheme {
-            oracle,
-            inner: Inner::Boxed { scheme, builder },
-            stats: SchemeRepairStats::default(),
-        })
+        Ok(RepairableScheme { oracle, scheme, stats: SchemeRepairStats::default() })
     }
 
     /// The current topology.
@@ -164,10 +130,7 @@ impl RepairableScheme {
     /// The current scheme — always valid for [`RepairableScheme::graph`].
     #[must_use]
     pub fn scheme(&self) -> &dyn RoutingScheme {
-        match &self.inner {
-            Inner::FullTable(s) => s,
-            Inner::Boxed { scheme, .. } => scheme.as_ref(),
-        }
+        &self.scheme
     }
 
     /// Number of nodes in the current topology.
@@ -306,29 +269,30 @@ impl RepairableScheme {
         Ok(agg)
     }
 
-    /// Patch (full table, exact dirty set available) or rebuild
-    /// (everything else) after an edge delta the oracle already absorbed.
+    /// Patch (exact dirty set available) or rebuild (the oracle fell
+    /// back) after an edge delta the oracle already absorbed.
     fn absorb_edge_repair(
         &mut self,
         a: NodeId,
         b: NodeId,
         report: &ort_graphs::delta::RepairReport,
     ) -> Result<PatchReport, SchemeError> {
-        let can_patch = matches!(self.inner, Inner::FullTable(_)) && !report.full_rebuild;
-        let (entries_patched, scheme_rebuilt) = if can_patch {
-            let Inner::FullTable(scheme) = &mut self.inner else { unreachable!() };
-            let patched =
-                scheme.patch_edge_delta(self.oracle.graph(), &self.oracle, [a, b], &report.dirty)?;
+        let (entries_patched, scheme_rebuilt) = if report.full_rebuild {
+            // The oracle fell back (its width-widening fallback reports
+            // no dirty set): rebuild from the repaired oracle.
+            self.rebuild_scheme()?;
+            (0, true)
+        } else {
+            let patched = self.scheme.patch_edge_delta(
+                self.oracle.graph(),
+                &self.oracle,
+                [a, b],
+                &report.dirty,
+            )?;
             ort_telemetry::counter!("repair.scheme_patches").incr();
             self.stats.patches += 1;
             self.stats.entries_patched += patched as u64;
             (patched, false)
-        } else {
-            // The oracle's width-widening fallback reports no dirty set,
-            // and non-full-table schemes have no patchable entry layout:
-            // rebuild from the repaired oracle.
-            self.rebuild_scheme()?;
-            (0, true)
         };
         self.assert_reconciled();
         Ok(PatchReport {
@@ -343,14 +307,7 @@ impl RepairableScheme {
     fn rebuild_scheme(&mut self) -> Result<(), SchemeError> {
         ort_telemetry::counter!("repair.scheme_rebuilds").incr();
         self.stats.rebuilds += 1;
-        match &mut self.inner {
-            Inner::FullTable(scheme) => {
-                *scheme = FullTableScheme::build(self.oracle.graph(), &self.oracle)?;
-            }
-            Inner::Boxed { scheme, builder } => {
-                *scheme = builder(self.oracle.graph(), &self.oracle)?;
-            }
-        }
+        self.scheme = FullTableScheme::build(self.oracle.graph(), &self.oracle)?;
         Ok(())
     }
 
@@ -372,13 +329,6 @@ impl std::fmt::Debug for RepairableScheme {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RepairableScheme")
             .field("n", &self.node_count())
-            .field(
-                "inner",
-                &match self.inner {
-                    Inner::FullTable(_) => "full-table (patchable)",
-                    Inner::Boxed { .. } => "boxed (rebuild-only)",
-                },
-            )
             .field("stats", &self.stats)
             .finish()
     }
@@ -387,7 +337,6 @@ impl std::fmt::Debug for RepairableScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schemes::theorem1::Theorem1Scheme;
     use crate::snapshot;
     use crate::verify::verify;
     use ort_graphs::generators;
@@ -483,21 +432,6 @@ mod tests {
         assert!(matches!(r.join(&[0, 0]), Err(SchemeError::Precondition { .. })));
         assert_eq!(r.node_count(), 6, "failed joins must not grow the graph");
         assert_bytes_match_fresh(&r, "after rejected joins");
-    }
-
-    #[test]
-    fn boxed_builder_rebuilds_any_scheme() {
-        let g = generators::gnp_half(24, 9);
-        let builder: SchemeBuilder = Box::new(|g, dists| {
-            Theorem1Scheme::build(g, dists).map(|s| Box::new(s) as Box<dyn RoutingScheme>)
-        });
-        let mut r = RepairableScheme::with_builder(g, builder).unwrap();
-        // gnp_half may already have {0,1}: adding is idempotent either way.
-        let report = r.add_link(0, 1).unwrap();
-        assert!(report.scheme_rebuilt);
-        let check = verify(r.graph(), r.scheme(), &Apsp::compute(r.graph()), 1).unwrap();
-        assert!(check.is_shortest_path());
-        assert!(r.stats().rebuilds >= 1);
     }
 
     #[test]

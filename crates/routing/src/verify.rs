@@ -11,7 +11,7 @@ use std::error::Error;
 use std::fmt;
 
 use ort_graphs::oracle::Distances;
-use ort_graphs::paths::Apsp;
+use ort_graphs::paths::{map_in_order, Apsp};
 use ort_graphs::{Graph, NodeId};
 use ort_telemetry::trace::{HopKind, WalkTracer};
 
@@ -224,10 +224,10 @@ pub fn default_hop_limit(n: usize) -> usize {
 /// stretch against the distances in `dists`. Pass the oracle the scheme
 /// was built from, and the whole build-then-verify run costs one APSP.
 ///
-/// Sources fan out across threads under the `parallel` feature; partial
+/// Sources fan out across threads through [`map_in_order`]; partial
 /// reports are merged back in source order, so the report is identical
-/// to the serial one, field for field. Because sources run concurrently,
-/// verify against a full matrix ([`Apsp`]): a
+/// under every `ORT_THREADS`, field for field. Because sources run
+/// concurrently, verify against a full matrix ([`Apsp`]): a
 /// [`BandedOracle`](ort_graphs::oracle::BandedOracle) holds one band
 /// behind a lock and is meant for construction — concurrent sources
 /// evict each other's band and recompute it over and over.
@@ -269,7 +269,7 @@ pub fn verify(
     );
     let _mem = ort_telemetry::alloc::mem_span("verify");
     let t0 = std::time::Instant::now();
-    let partials = map_sources(n, |s| {
+    let partials = map_in_order(n, |s| {
         let mut p = VerifyReport {
             delivered: 0,
             failures: Vec::new(),
@@ -350,41 +350,6 @@ pub fn verify_scheme_sampled(
     stride: usize,
 ) -> Result<VerifyReport, SchemeError> {
     verify(g, scheme, &Apsp::compute(g), stride)
-}
-
-/// Maps `f` over the sources `0..n`, returning results in source order.
-/// Parallel build: contiguous source blocks per worker thread, merged in
-/// block order — deterministic regardless of scheduling.
-#[cfg(feature = "parallel")]
-fn map_sources<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
-    let threads = ort_graphs::paths::configured_threads().min(n.max(1));
-    if threads <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let chunk = n.div_ceil(threads);
-    let ctx = ort_telemetry::Context::current();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..n)
-            .step_by(chunk)
-            .map(|start| {
-                let f = &f;
-                let ctx = ctx.clone();
-                s.spawn(move || {
-                    let _ctx = ctx.enter();
-                    (start..(start + chunk).min(n)).map(f).collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("verify worker panicked"))
-            .collect()
-    })
-}
-
-#[cfg(not(feature = "parallel"))]
-fn map_sources<R>(n: usize, f: impl Fn(usize) -> R) -> Vec<R> {
-    (0..n).map(f).collect()
 }
 
 #[cfg(test)]

@@ -414,12 +414,6 @@ impl FaultState {
         u < self.crashed.len() && self.crashed[u]
     }
 
-    /// Whether a bipartition is currently active.
-    #[must_use]
-    pub fn partition_active(&self) -> bool {
-        self.partition.is_some()
-    }
-
     /// Why the hop `u → v` cannot be taken right now, or `None` if it can.
     ///
     /// Precedence when several faults overlap: a crashed endpoint wins

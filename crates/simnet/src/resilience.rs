@@ -164,7 +164,10 @@ pub fn resilience_hop_limit(n: usize) -> usize {
     8 * n + 16
 }
 
-/// Runs one scheme against one static fault load on both simulator faces.
+/// Runs one scheme against one static fault load on both simulator faces,
+/// returning the cell's metrics with the raw per-face reports — the
+/// hop-level [`Stats`] and the round-face [`RoundReport`] — so callers can
+/// render their `Display` tables (`ort resilience --verbose`).
 ///
 /// `apsp` must be the fault-free all-pairs distances of the scheme's
 /// topology (for stretch accounting). The plan is treated as a static
@@ -177,23 +180,6 @@ pub fn resilience_hop_limit(n: usize) -> usize {
 /// Returns [`InvalidFault`] if the plan names links or nodes the scheme's
 /// topology does not have.
 pub fn run_cell(
-    scheme: &dyn RoutingScheme,
-    apsp: &Apsp,
-    plan: &FaultPlan,
-    cfg: &ResilienceConfig,
-) -> Result<CellMetrics, InvalidFault> {
-    run_cell_detailed(scheme, apsp, plan, cfg).map(|(metrics, _, _)| metrics)
-}
-
-/// Like [`run_cell`], but also returns the raw per-face reports — the
-/// hop-level [`Stats`] and the round-face [`RoundReport`] — so callers can
-/// render their `Display` tables (`ort resilience --verbose`).
-///
-/// # Errors
-///
-/// Returns [`InvalidFault`] if the plan names links or nodes the scheme's
-/// topology does not have.
-pub fn run_cell_detailed(
     scheme: &dyn RoutingScheme,
     apsp: &Apsp,
     plan: &FaultPlan,
@@ -422,7 +408,8 @@ mod tests {
         let g = generators::gnp_half(16, 1);
         let apsp = Apsp::compute(&g);
         let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
-        let m = run_cell(&scheme, &apsp, &FaultPlan::new(), &ResilienceConfig::default()).unwrap();
+        let plan = FaultPlan::new();
+        let m = run_cell(&scheme, &apsp, &plan, &ResilienceConfig::default()).unwrap().0;
         assert_eq!(m.pairs, 16 * 15);
         assert_eq!(m.delivered, m.pairs);
         assert_eq!(m.delivery_ratio(), 1.0);
@@ -438,7 +425,7 @@ mod tests {
         let apsp = Apsp::compute(&g);
         let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let plan = FaultPlan::random_link_faults(scheme.port_assignment(), 0.2, 5);
-        let m = run_cell(&scheme, &apsp, &plan, &ResilienceConfig::default()).unwrap();
+        let m = run_cell(&scheme, &apsp, &plan, &ResilienceConfig::default()).unwrap().0;
         assert!(m.delivered < m.pairs, "20% of a dense graph's links must cost something");
         assert_eq!(
             m.failures.total(),
@@ -455,10 +442,10 @@ mod tests {
         let bare = FullTableScheme::build(&g, &dists).unwrap();
         let plan = FaultPlan::random_link_faults(bare.port_assignment(), 0.2, 5);
         let cfg = ResilienceConfig::default();
-        let m_bare = run_cell(&bare, &apsp, &plan, &cfg).unwrap();
+        let m_bare = run_cell(&bare, &apsp, &plan, &cfg).unwrap().0;
         assert!(m_bare.avoidable_failed > 0, "the load must leave something to recover");
         let wrapped = ResilientScheme::wrap(Box::new(FullTableScheme::build(&g, &dists).unwrap()));
-        let m_wrapped = run_cell(&wrapped, &apsp, &plan, &cfg).unwrap();
+        let m_wrapped = run_cell(&wrapped, &apsp, &plan, &cfg).unwrap().0;
         assert!(
             m_wrapped.delivered > m_bare.delivered,
             "wrapped {} vs bare {}",
@@ -478,8 +465,8 @@ mod tests {
         let multi = FullInformationScheme::build(&g, &dists).unwrap();
         let plan = FaultPlan::random_link_faults(single.port_assignment(), 0.2, 5);
         let cfg = ResilienceConfig::default();
-        let m_single = run_cell(&single, &apsp, &plan, &cfg).unwrap();
-        let m_multi = run_cell(&multi, &apsp, &plan, &cfg).unwrap();
+        let m_single = run_cell(&single, &apsp, &plan, &cfg).unwrap().0;
+        let m_multi = run_cell(&multi, &apsp, &plan, &cfg).unwrap().0;
         assert!(m_multi.delivered >= m_single.delivered);
     }
 
@@ -490,8 +477,8 @@ mod tests {
         let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let plan = FaultPlan::random_link_faults(scheme.port_assignment(), 0.15, 9);
         let cfg = ResilienceConfig::default();
-        let a = run_cell(&scheme, &apsp, &plan, &cfg).unwrap();
-        let b = run_cell(&scheme, &apsp, &plan, &cfg).unwrap();
+        let a = run_cell(&scheme, &apsp, &plan, &cfg).unwrap().0;
+        let b = run_cell(&scheme, &apsp, &plan, &cfg).unwrap().0;
         assert_eq!(a, b);
     }
 

@@ -147,13 +147,6 @@ pub fn configured_sinks() -> Vec<String> {
     }
 }
 
-/// Whether the `summary` sink is active (used by CLI error paths to
-/// decide whether to attach the telemetry summary to a failure report).
-#[must_use]
-pub fn summary_sink_active() -> bool {
-    enabled() && configured_sinks().iter().any(|s| s == "summary")
-}
-
 /// Emits the current snapshot to every sink configured in
 /// `ORT_TELEMETRY`. Write failures are reported on stderr, never fatal
 /// (telemetry must not change a run's outcome).

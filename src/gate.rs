@@ -437,7 +437,7 @@ pub fn mem_probe() -> Json {
 
     let g = sparse(MEM_APSP_N);
     let region = ort_telemetry::alloc::mem_span("gate.mem.apsp");
-    let apsp = Apsp::compute_serial_with_engine(&g, ApspEngine::Tiled);
+    let apsp = Apsp::compute_with(&g, ApspEngine::Tiled, 1);
     let rec = region.finish();
     let mut apsp_doc = vec![
         ("n", int_json(MEM_APSP_N)),

@@ -71,9 +71,6 @@ impl RunInfo {
 #[must_use]
 pub fn feature_set() -> String {
     let mut fs = Vec::new();
-    if cfg!(feature = "parallel") {
-        fs.push("parallel");
-    }
     if cfg!(feature = "telemetry") {
         fs.push("telemetry");
     }

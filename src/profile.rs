@@ -199,8 +199,9 @@ struct MemPhase {
 /// As [`run_profile`], additionally auditing every phase's memory
 /// against the instrumented allocator (`ort profile --mem`).
 ///
-/// The APSP is serial (`Apsp::compute_serial`), and the build and verify
-/// phases both read that one oracle, so region attribution is exact.
+/// The APSP runs on one thread (`Apsp::compute_with(.., 1)`), and the
+/// build and verify phases both read that one oracle, so region
+/// attribution is exact.
 /// Each phase runs inside a [`ort_telemetry::alloc::mem_span`] region;
 /// phases with an analytic model — the APSP store + engine scratch, the
 /// scheme's charged table bytes — are reconciled against the measured
@@ -263,7 +264,7 @@ pub fn run_profile_mem(scheme_name: &str, n: usize, seed: u64) -> Result<Profile
         let region = alloc::mem_span("profile.apsp");
         let apsp = {
             let _s = ort_telemetry::span("profile.apsp");
-            Apsp::compute_serial(&g)
+            Apsp::compute_with(&g, ApspEngine::Auto, 1)
         };
         let rec = region.finish();
         let apsp_claim = (apsp.heap_bytes() + ApspEngine::Auto.scratch_bytes(&g, n)) as u64;

@@ -30,7 +30,7 @@ use ort_routing::scheme::RoutingScheme;
 use ort_routing::schemes::resilient::ResilientScheme;
 use ort_simnet::faults::FaultPlan;
 use ort_simnet::resilience::{
-    acceptance_violations, resilience_hop_limit, run_cell_detailed, ResilienceConfig, SweepCell,
+    acceptance_violations, resilience_hop_limit, run_cell, ResilienceConfig, SweepCell,
 };
 use ort_simnet::{FailureBreakdown, Network};
 use ort_telemetry::trace::{self as trace_api, TraceRecorder};
@@ -136,7 +136,7 @@ pub fn resilience_sweep(
                     [(false, bare.as_ref()), (true, &wrapped as &dyn RoutingScheme)]
                 {
                     let (metrics, hop_stats, round_report) =
-                        run_cell_detailed(scheme, &oracle, &plans[i], &cfg)
+                        run_cell(scheme, &oracle, &plans[i], &cfg)
                             .map_err(|e| e.to_string())?;
                     if verbose {
                         println!(

@@ -7,8 +7,8 @@
 //! to its stretch contract instead of equality.
 //!
 //! CI runs this binary under the `ORT_THREADS` 1/2/8 matrix; the
-//! threaded assertions here use the explicit `compute_with_threads`
-//! entry point so the sweep inside one test cannot race the env var.
+//! threaded assertions here pass their thread count to `compute_with`
+//! so the sweep inside one test cannot race the env var.
 
 use optimal_routing_tables::conformance::enumerate;
 use optimal_routing_tables::graphs::dist::{CellWidth, DistStore};
@@ -19,11 +19,11 @@ use optimal_routing_tables::graphs::Graph;
 
 /// The queue-engine full matrix — the reference every mode must match.
 fn reference(g: &Graph) -> Vec<u32> {
-    Apsp::compute_serial_with_engine(g, ApspEngine::Queue).matrix_u32()
+    Apsp::compute_with(g, ApspEngine::Queue, 1).matrix_u32()
 }
 
 fn assert_engine_matches(g: &Graph, reference: &[u32], engine: ApspEngine, what: &str) {
-    let apsp = Apsp::compute_serial_with_engine(g, engine);
+    let apsp = Apsp::compute_with(g, engine, 1);
     assert_eq!(apsp.matrix_u32(), reference, "{what}: n={}", g.node_count());
 }
 
@@ -107,10 +107,9 @@ fn engines_and_threads_match_on_seeded_gnp_128() {
     let reference = reference(&g);
     assert_engine_matches(&g, &reference, ApspEngine::Bitset, "bitset");
     assert_engine_matches(&g, &reference, ApspEngine::Tiled, "tiled");
-    #[cfg(feature = "parallel")]
     for threads in [1, 2, 8] {
         for engine in [ApspEngine::Bitset, ApspEngine::Tiled] {
-            let apsp = Apsp::compute_with_threads(&g, engine, threads);
+            let apsp = Apsp::compute_with(&g, engine, threads);
             assert_eq!(
                 apsp.matrix_u32(),
                 reference,

@@ -76,7 +76,7 @@ fn apsp_heap_plus_scratch_bounds_measured_compute() {
     for (g, engine) in cases {
         let n = g.node_count();
         let region = alloc::mem_span("audit.apsp");
-        let apsp = Apsp::compute_serial_with_engine(&g, engine);
+        let apsp = Apsp::compute_with(&g, engine, 1);
         let rec = region.finish();
         let store = apsp.heap_bytes() as u64;
         let claim = store + engine.scratch_bytes(&g, n) as u64;
@@ -230,7 +230,7 @@ fn apsp_as_distances_claims_exactly_its_heap() {
     }
     let g = generators::gnp_half(128, 19);
     let region = alloc::mem_span("audit.apsp_dyn");
-    let apsp = Apsp::compute_serial(&g);
+    let apsp = Apsp::compute_with(&g, ApspEngine::Auto, 1);
     let rec = region.finish();
     let dyn_oracle: &dyn Distances = &apsp;
     assert_eq!(dyn_oracle.peak_bytes(), apsp.heap_bytes());

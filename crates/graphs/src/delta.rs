@@ -43,7 +43,7 @@ use crate::dist::{DistRow, DistStore};
 use crate::paths::{bfs_distances, Apsp, ApspEngine, UNREACHABLE};
 use crate::{Graph, GraphError, NodeId};
 
-/// Default ceiling on `|D| / n` before repair falls back to a full
+/// The ceiling on `|D| / n` past which repair falls back to a full
 /// recompute: past a quarter of the sources dirty, `|D|` row traversals
 /// plus the probe cost rival the tiled full rebuild.
 pub const DEFAULT_MAX_DIRTY_FRACTION: f64 = 0.25;
@@ -95,30 +95,17 @@ pub struct RepairStats {
 pub struct DeltaOracle {
     g: Graph,
     apsp: Apsp,
-    max_dirty_fraction: f64,
     stats: RepairStats,
 }
 
 impl DeltaOracle {
-    /// Builds the oracle over `g` (one full APSP) with
-    /// [`DEFAULT_MAX_DIRTY_FRACTION`].
+    /// Builds the oracle over `g` (one full APSP). A repair falls back to
+    /// a full recompute once more than [`DEFAULT_MAX_DIRTY_FRACTION`] of
+    /// the sources are dirty.
     #[must_use]
     pub fn new(g: Graph) -> Self {
-        Self::with_config(g, DEFAULT_MAX_DIRTY_FRACTION)
-    }
-
-    /// As [`DeltaOracle::new`] with an explicit dirty-fraction ceiling
-    /// (clamped to `[0, 1]`; `0` forces a full rebuild on every
-    /// non-trivial delta, `1` never falls back).
-    #[must_use]
-    pub fn with_config(g: Graph, max_dirty_fraction: f64) -> Self {
         let apsp = Apsp::compute(&g);
-        DeltaOracle {
-            g,
-            apsp,
-            max_dirty_fraction: max_dirty_fraction.clamp(0.0, 1.0),
-            stats: RepairStats::default(),
-        }
+        DeltaOracle { g, apsp, stats: RepairStats::default() }
     }
 
     /// The current topology.
@@ -137,12 +124,6 @@ impl DeltaOracle {
     #[must_use]
     pub fn stats(&self) -> RepairStats {
         self.stats
-    }
-
-    /// The configured dirty-fraction ceiling.
-    #[must_use]
-    pub fn max_dirty_fraction(&self) -> f64 {
-        self.max_dirty_fraction
     }
 
     /// Adds edge `{u, v}` and repairs the matrix.
@@ -264,7 +245,7 @@ impl DeltaOracle {
             // The delta was distance-neutral (e.g. a redundant edge).
             return RepairReport { dirty, rows_recomputed: 0, full_rebuild: false };
         }
-        if dirty.len() as f64 > self.max_dirty_fraction * n as f64 {
+        if dirty.len() as f64 > DEFAULT_MAX_DIRTY_FRACTION * n as f64 {
             return self.full_rebuild(dirty);
         }
 
@@ -426,30 +407,22 @@ mod tests {
     }
 
     #[test]
-    fn zero_threshold_forces_fallback_and_stays_exact() {
-        let g = generators::connected_gnp(30, 0.12, 5);
-        let mut oracle = DeltaOracle::with_config(g, 0.0);
-        let mut state = 17u64;
-        let mut fallbacks = 0u64;
-        for _ in 0..10 {
-            let u = lcg(&mut state) as usize % 30;
-            let v = lcg(&mut state) as usize % 30;
-            if u == v {
-                continue;
-            }
-            let report = if oracle.graph().has_edge(u, v) {
-                oracle.remove_edge(u, v).unwrap()
-            } else {
-                oracle.add_edge(u, v).unwrap()
-            };
-            if report.dirty_nodes() > 0 {
-                assert!(report.full_rebuild, "threshold 0 must always fall back");
-                fallbacks += 1;
-            }
-            assert_matches_fresh(&oracle, "forced fallback");
-        }
-        assert_eq!(oracle.stats().fallback_rebuilds, fallbacks);
-        assert!(fallbacks > 0);
+    fn wide_deltas_fall_back_and_stay_exact() {
+        // Closing path(30) into a cycle moves every node's distance to an
+        // endpoint except the middle pair's, and opening it again moves
+        // them back: both deltas dirty far more than a quarter of the
+        // sources, so both recompute the whole matrix.
+        let n = 30;
+        let mut oracle = DeltaOracle::new(generators::path(n));
+        let closed = oracle.add_edge(0, n - 1).unwrap();
+        assert!(closed.dirty_nodes() * 4 > n, "{} dirty", closed.dirty_nodes());
+        assert!(closed.full_rebuild, "a wide delta must fall back");
+        assert_matches_fresh(&oracle, "closed into a cycle");
+        let opened = oracle.remove_edge(0, n - 1).unwrap();
+        assert!(opened.dirty_nodes() * 4 > n, "{} dirty", opened.dirty_nodes());
+        assert!(opened.full_rebuild, "a wide delta must fall back");
+        assert_matches_fresh(&oracle, "opened into a path");
+        assert_eq!(oracle.stats().fallback_rebuilds, 2);
     }
 
     #[test]

@@ -1,14 +1,22 @@
 //! The routing-scheme abstraction.
 //!
-//! A scheme is **bit-honest**: for every node it stores a real bit string
-//! (the encoded local routing function), and the only way to route is to
-//! decode that string into a [`LocalRouter`] and run it against the model's
-//! free information ([`NodeEnv`]). [`RoutingScheme::route_at`] does exactly
-//! that, with the router on the stack, so a hop allocates nothing. The
-//! size the paper charges — [`RoutingScheme::total_size_bits`] — is the sum
-//! of those bit strings, plus label bits in model γ. Nothing can hide
-//! outside the accounting: verification ([`crate::verify`]) rebuilds
-//! routers from bits alone.
+//! A scheme is **bit-honest**: what it stores is one [`Tables`] — a real
+//! bit string per node (the encoded local routing function `F(u)`), the
+//! labelling and the port assignment — plus the few extras its
+//! construction keeps (a model, a variant, a prefix length). The
+//! only way to route is [`RoutingScheme::route_at`], which reads node
+//! `u`'s string straight from the scheme and runs it against the model's
+//! free information ([`NodeEnv`]), allocating nothing. The size the paper
+//! charges — [`RoutingScheme::total_size_bits`] — is the sum of those bit
+//! strings, plus label bits in model γ. Nothing can hide outside the
+//! accounting: verification ([`crate::verify`]) routes from the stored
+//! bits alone.
+//!
+//! [`LocalRouter`] is the shape of one node's router as a value, for code
+//! that passes a router around: the hop step ([`crate::hop::hop`]) takes
+//! one, and [`RoutingScheme::decode_router`] boxes one. Its one library
+//! implementor is [`NodeRouter`], a scheme and a node id whose `route` is
+//! `route_at`.
 
 use std::error::Error;
 use std::fmt;
@@ -280,10 +288,12 @@ pub struct MessageState {
     pub counter: u64,
 }
 
-/// A decoded local routing function.
+/// One node's local routing function as a value.
 ///
-/// Implementations may use **only** the bits they were decoded from and
-/// the [`NodeEnv`] — that is the whole point of the space accounting.
+/// A router may use **only** its node's stored bits and the [`NodeEnv`] —
+/// that is the whole point of the space accounting. Schemes route through
+/// [`RoutingScheme::route_at`]; [`NodeRouter`] carries that entry as a
+/// `LocalRouter` for the hop step and [`RoutingScheme::decode_router`].
 pub trait LocalRouter {
     /// Decides what to do with a message for `dest` currently at this node.
     ///
@@ -297,6 +307,33 @@ pub trait LocalRouter {
         dest: &Label,
         state: &mut MessageState,
     ) -> Result<RouteDecision, RouteError>;
+}
+
+/// What a scheme stores, in the paper's accounting: per node, the bit
+/// string of its local routing function; the labelling in force; and the
+/// port assignment in force. Every [`RoutingScheme`] holds one and lends
+/// it through [`RoutingScheme::tables`]; the provided accessors
+/// ([`RoutingScheme::node_bits`], [`RoutingScheme::labeling`], …) read it.
+#[derive(Debug, Clone)]
+pub struct Tables {
+    /// The encoded local routing function of every node — entry `u` is
+    /// the string whose length the paper counts as `|F(u)|`. A scheme
+    /// whose routing function is generic stores `n` empty strings.
+    pub(crate) bits: Vec<BitVec>,
+    /// The labelling (identity for α, a permutation for β, arbitrary
+    /// charged labels for γ).
+    pub(crate) labeling: Labeling,
+    /// The port assignment.
+    pub(crate) ports: PortAssignment,
+}
+
+impl Tables {
+    /// Node `u`'s stored bits: the one node range check of every route
+    /// entry, an out-of-range `u` reading as
+    /// [`SchemeError::NodeOutOfRange`].
+    pub(crate) fn node(&self, u: NodeId) -> Result<&BitVec, SchemeError> {
+        self.bits.get(u).ok_or(SchemeError::NodeOutOfRange { node: u })
+    }
 }
 
 /// Node `u`'s router in `scheme`, as a value: its [`LocalRouter::route`]
@@ -321,8 +358,12 @@ impl<S: RoutingScheme + ?Sized> LocalRouter for NodeRouter<'_, S> {
 }
 
 /// A complete routing scheme for one graph: per-node encoded routing
-/// functions, the labelling, and the port assignment, with honest size
-/// accounting.
+/// functions, the labelling, and the port assignment ([`Tables`]), with
+/// honest size accounting.
+///
+/// A scheme implements three methods — [`RoutingScheme::model`],
+/// [`RoutingScheme::tables`] and [`RoutingScheme::route_at`] — and every
+/// accessor and size is provided over its tables.
 ///
 /// `Send + Sync` is a supertrait so the verifier can fan its pair loop out
 /// across threads against one `&dyn RoutingScheme`. Schemes are plain
@@ -332,25 +373,14 @@ pub trait RoutingScheme: Send + Sync {
     /// The model this scheme instance is valid in.
     fn model(&self) -> Model;
 
-    /// Number of nodes covered.
-    fn node_count(&self) -> usize;
+    /// What the scheme stores: every node's bits, the labelling and the
+    /// port assignment.
+    fn tables(&self) -> &Tables;
 
-    /// The encoded local routing function of node `u` — the string whose
-    /// length the paper counts as `|F(u)|`.
-    fn node_bits(&self, u: NodeId) -> &BitVec;
-
-    /// The labelling in force (identity for α, a permutation for β,
-    /// arbitrary charged labels for γ).
-    fn labeling(&self) -> &Labeling;
-
-    /// The port assignment in force.
-    fn port_assignment(&self) -> &PortAssignment;
-
-    /// Runs node `u`'s router on a message for `dest` at `u`: builds the
-    /// router from `u`'s stored bits on the stack and calls its
-    /// [`LocalRouter::route`] with `env`, the free information the model
-    /// grants `u` ([`RoutingScheme::node_env`]). The one route entry every
-    /// walker calls.
+    /// Runs node `u`'s router on a message for `dest` at `u`, reading
+    /// `u`'s stored bits and `env`, the free information the model grants
+    /// `u` ([`RoutingScheme::node_env`]). The one route entry every walker
+    /// calls.
     ///
     /// # Errors
     ///
@@ -365,6 +395,32 @@ pub trait RoutingScheme: Send + Sync {
         state: &mut MessageState,
     ) -> Result<RouteDecision, RouteError>;
 
+    /// Number of nodes covered.
+    fn node_count(&self) -> usize {
+        self.tables().bits.len()
+    }
+
+    /// The encoded local routing function of node `u` — the string whose
+    /// length the paper counts as `|F(u)|`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is out of range.
+    fn node_bits(&self, u: NodeId) -> &BitVec {
+        &self.tables().bits[u]
+    }
+
+    /// The labelling in force (identity for α, a permutation for β,
+    /// arbitrary charged labels for γ).
+    fn labeling(&self) -> &Labeling {
+        &self.tables().labeling
+    }
+
+    /// The port assignment in force.
+    fn port_assignment(&self) -> &PortAssignment {
+        &self.tables().ports
+    }
+
     /// Node `u`'s router as a boxed [`LocalRouter`], a [`NodeRouter`]
     /// that routes through [`RoutingScheme::route_at`]. The box is the
     /// only allocation; walkers put a [`NodeRouter`] on the stack instead.
@@ -373,9 +429,7 @@ pub trait RoutingScheme: Send + Sync {
     ///
     /// Returns [`SchemeError::NodeOutOfRange`] if `u` is out of range.
     fn decode_router(&self, u: NodeId) -> Result<Box<dyn LocalRouter + '_>, SchemeError> {
-        if u >= self.node_count() {
-            return Err(SchemeError::NodeOutOfRange { node: u });
-        }
+        self.tables().node(u)?;
         Ok(Box::new(NodeRouter { scheme: self, u }))
     }
 

@@ -8,7 +8,7 @@
 //! proves optimal (the `ort-kolmogorov` crate's `theorem10` codec is the
 //! matching compression argument).
 
-use ort_bitio::{BitReader, BitVec, BitWriter};
+use ort_bitio::{BitReader, BitWriter};
 use ort_graphs::labels::{Label, LabelRef, Labeling};
 use ort_graphs::oracle::{read_row, Distances};
 use ort_graphs::ports::PortAssignment;
@@ -16,7 +16,7 @@ use ort_graphs::{Graph, NodeId};
 
 use crate::model::{Knowledge, Model, Relabeling};
 use crate::scheme::{
-    LocalRouter, MessageState, NodeEnv, RouteDecision, RouteError, RoutingScheme, SchemeError,
+    MessageState, NodeEnv, RouteDecision, RouteError, RoutingScheme, SchemeError, Tables,
 };
 
 /// The full-information shortest-path scheme.
@@ -40,9 +40,7 @@ use crate::scheme::{
 /// ```
 #[derive(Debug, Clone)]
 pub struct FullInformationScheme {
-    bits: Vec<BitVec>,
-    labeling: Labeling,
-    ports: PortAssignment,
+    tables: Tables,
 }
 
 impl FullInformationScheme {
@@ -86,18 +84,12 @@ impl FullInformationScheme {
             });
         }
         let bits = writers.into_iter().map(BitWriter::finish).collect();
-        Ok(FullInformationScheme { bits, labeling: Labeling::identity(n), ports })
+        Ok(FullInformationScheme { tables: Tables { bits, labeling: Labeling::identity(n), ports } })
     }
-}
 
-impl FullInformationScheme {
     /// Reassembles a scheme from snapshot parts (`crate::snapshot`).
-    pub(crate) fn from_parts(
-        bits: Vec<BitVec>,
-        labeling: Labeling,
-        ports: PortAssignment,
-    ) -> Self {
-        FullInformationScheme { bits, labeling, ports }
+    pub(crate) fn from_parts(tables: Tables) -> Self {
+        FullInformationScheme { tables }
     }
 }
 
@@ -106,20 +98,8 @@ impl RoutingScheme for FullInformationScheme {
         Model::new(Knowledge::NeighborsKnown, Relabeling::None)
     }
 
-    fn node_count(&self) -> usize {
-        self.bits.len()
-    }
-
-    fn node_bits(&self, u: NodeId) -> &BitVec {
-        &self.bits[u]
-    }
-
-    fn labeling(&self) -> &Labeling {
-        &self.labeling
-    }
-
-    fn port_assignment(&self) -> &PortAssignment {
-        &self.ports
+    fn tables(&self) -> &Tables {
+        &self.tables
     }
 
     fn route_at(
@@ -127,24 +107,9 @@ impl RoutingScheme for FullInformationScheme {
         u: NodeId,
         env: &NodeEnv<'_>,
         dest: &Label,
-        state: &mut MessageState,
-    ) -> Result<RouteDecision, RouteError> {
-        let bits = self.bits.get(u).ok_or(SchemeError::NodeOutOfRange { node: u })?;
-        FullInformationRouter { bits }.route(env, dest, state)
-    }
-}
-
-struct FullInformationRouter<'a> {
-    bits: &'a BitVec,
-}
-
-impl LocalRouter for FullInformationRouter<'_> {
-    fn route(
-        &self,
-        env: &NodeEnv<'_>,
-        dest: &Label,
         _state: &mut MessageState,
     ) -> Result<RouteDecision, RouteError> {
+        let bits = self.tables.node(u)?;
         let Label::Minimal(dest_l) = *dest else {
             return Err(RouteError::MissingInformation { what: "minimal destination label" });
         };
@@ -163,7 +128,7 @@ impl LocalRouter for FullInformationRouter<'_> {
         let below = nbrs.partition_point(|&v| v < dest_l);
         let pos = dest_l - below - usize::from(own < dest_l);
         let d = nbrs.len();
-        let mut r = BitReader::new(self.bits);
+        let mut r = BitReader::new(bits);
         r.seek(pos * d)?;
         let mut out = Vec::new();
         for port in 0..d {

@@ -6,7 +6,7 @@
 //! asymptotically better exists. It also serves as the stretch-1 scheme in
 //! the Theorem 9 experiment.
 
-use ort_bitio::{bits_to_index, BitReader, BitVec, BitWriter};
+use ort_bitio::{bits_to_index, BitReader, BitWriter};
 use ort_graphs::labels::{Label, LabelRef, Labeling};
 use ort_graphs::oracle::{read_row, Distances};
 use ort_graphs::ports::PortAssignment;
@@ -14,7 +14,7 @@ use ort_graphs::{Graph, NodeId};
 
 use crate::model::{Knowledge, Model, Relabeling};
 use crate::scheme::{
-    LocalRouter, MessageState, NodeEnv, RouteDecision, RouteError, RoutingScheme, SchemeError,
+    MessageState, NodeEnv, RouteDecision, RouteError, RoutingScheme, SchemeError, Tables,
 };
 
 /// The trivial scheme: every node stores, for every destination label, the
@@ -40,9 +40,7 @@ use crate::scheme::{
 #[derive(Debug, Clone)]
 pub struct FullTableScheme {
     model: Model,
-    bits: Vec<BitVec>,
-    labeling: Labeling,
-    ports: PortAssignment,
+    tables: Tables,
 }
 
 impl FullTableScheme {
@@ -112,19 +110,12 @@ impl FullTableScheme {
             })?;
         }
         let bits = writers.into_iter().map(BitWriter::finish).collect();
-        Ok(FullTableScheme { model, bits, labeling, ports })
+        Ok(FullTableScheme { model, tables: Tables { bits, labeling, ports } })
     }
-}
 
-impl FullTableScheme {
     /// Reassembles a scheme from snapshot parts (`crate::snapshot`).
-    pub(crate) fn from_parts(
-        model: Model,
-        bits: Vec<BitVec>,
-        labeling: Labeling,
-        ports: PortAssignment,
-    ) -> Self {
-        FullTableScheme { model, bits, labeling, ports }
+    pub(crate) fn from_parts(model: Model, tables: Tables) -> Self {
+        FullTableScheme { model, tables }
     }
 
     /// Patches the table in place after the edge delta `endpoints` was
@@ -156,14 +147,15 @@ impl FullTableScheme {
         endpoints: [NodeId; 2],
         dirty: &[NodeId],
     ) -> Result<usize, SchemeError> {
-        if self.labeling.is_charged() {
+        let Tables { bits, labeling, ports } = &mut self.tables;
+        if labeling.is_charged() {
             return Err(SchemeError::Precondition {
                 reason: "full table requires minimal (α/β) labels".into(),
             });
         }
         crate::schemes::check_exact_oracle(g, dists)?;
         let n = g.node_count();
-        if self.bits.len() != n {
+        if bits.len() != n {
             return Err(SchemeError::Precondition {
                 reason: "patched scheme does not match the graph".into(),
             });
@@ -176,21 +168,21 @@ impl FullTableScheme {
             ],
         );
         let _mem = ort_telemetry::alloc::mem_span("repair.scheme_patch");
-        self.ports = PortAssignment::sorted(g);
+        *ports = PortAssignment::sorted(g);
         let mut patched = 0usize;
         // The endpoint tables, rebuilt whole in one pass over every
         // destination's row.
         let widths = endpoints.map(|u| bits_to_index(g.degree(u) as u64));
         let mut writers = widths.map(|w| BitWriter::with_capacity((n - 1) * w as usize));
         for dest_label in 0..n {
-            let t = self.labeling.node_of_minimal(dest_label).expect("minimal labels cover 0..n");
+            let t = labeling.node_of_minimal(dest_label).expect("minimal labels cover 0..n");
             read_row(dists, t, |row| {
                 for ((&u, w), &width) in endpoints.iter().zip(&mut writers).zip(&widths) {
                     if t == u {
                         continue;
                     }
                     let hop = row.first_hop(g, u).ok_or(SchemeError::Disconnected)?;
-                    let port = self.ports.port_to(u, hop).expect("hop is a neighbour");
+                    let port = ports.port_to(u, hop).expect("hop is a neighbour");
                     w.write_bits(port as u64, width)?;
                     patched += 1;
                 }
@@ -198,16 +190,16 @@ impl FullTableScheme {
             })?;
         }
         for (&u, w) in endpoints.iter().zip(writers) {
-            self.bits[u] = w.finish();
+            bits[u] = w.finish();
         }
         // Entries toward each dirty destination, one row each.
         for &t in dirty {
             if t >= n {
                 return Err(SchemeError::NodeOutOfRange { node: t });
             }
-            let dest_l = minimal_label(&self.labeling, t);
+            let dest_l = minimal_label(labeling, t);
             read_row(dists, t, |row| {
-                for (u, table) in self.bits.iter_mut().enumerate() {
+                for (u, table) in bits.iter_mut().enumerate() {
                     if u == t || endpoints.contains(&u) {
                         continue;
                     }
@@ -218,8 +210,8 @@ impl FullTableScheme {
                         continue;
                     }
                     let hop = row.first_hop(g, u).ok_or(SchemeError::Disconnected)?;
-                    let port = self.ports.port_to(u, hop).expect("hop is a neighbour");
-                    let own_l = minimal_label(&self.labeling, u);
+                    let port = ports.port_to(u, hop).expect("hop is a neighbour");
+                    let own_l = minimal_label(labeling, u);
                     let index = if dest_l < own_l { dest_l } else { dest_l - 1 };
                     let base = index * width;
                     // write_bits is MSB-first: offset k holds value bit
@@ -250,49 +242,20 @@ impl RoutingScheme for FullTableScheme {
         self.model
     }
 
-    fn node_count(&self) -> usize {
-        self.bits.len()
+    fn tables(&self) -> &Tables {
+        &self.tables
     }
 
-    fn node_bits(&self, u: NodeId) -> &BitVec {
-        &self.bits[u]
-    }
-
-    fn labeling(&self) -> &Labeling {
-        &self.labeling
-    }
-
-    fn port_assignment(&self) -> &PortAssignment {
-        &self.ports
-    }
-
+    /// Reads one fixed-width entry. Uses only the node's bits, its own
+    /// label, `n` and its degree (all free information in every model).
     fn route_at(
         &self,
         u: NodeId,
         env: &NodeEnv<'_>,
         dest: &Label,
-        state: &mut MessageState,
-    ) -> Result<RouteDecision, RouteError> {
-        let bits = self.bits.get(u).ok_or(SchemeError::NodeOutOfRange { node: u })?;
-        FullTableRouter { bits }.route(env, dest, state)
-    }
-}
-
-/// Router decoded from a full-table bit string.
-///
-/// Uses only: the bits, its own label, `n` and its degree (all free
-/// information in every model).
-struct FullTableRouter<'a> {
-    bits: &'a BitVec,
-}
-
-impl LocalRouter for FullTableRouter<'_> {
-    fn route(
-        &self,
-        env: &NodeEnv<'_>,
-        dest: &Label,
         _state: &mut MessageState,
     ) -> Result<RouteDecision, RouteError> {
+        let bits = self.tables.node(u)?;
         let Label::Minimal(dest_l) = *dest else {
             return Err(RouteError::MissingInformation { what: "minimal destination label" });
         };
@@ -307,7 +270,7 @@ impl LocalRouter for FullTableRouter<'_> {
         }
         let index = if dest_l < own_l { dest_l } else { dest_l - 1 };
         let width = bits_to_index(env.degree as u64);
-        let mut r = BitReader::new(self.bits);
+        let mut r = BitReader::new(bits);
         r.seek(index * width as usize)?;
         let port = r.read_bits(width)? as usize;
         if port >= env.degree {
@@ -321,6 +284,7 @@ impl LocalRouter for FullTableRouter<'_> {
 mod tests {
     use super::*;
     use crate::verify::{verify, RouteFailure};
+    use ort_bitio::BitVec;
     use ort_graphs::dist::DistRow;
     use ort_graphs::generators;
     use ort_graphs::oracle::BandedOracle;
@@ -423,8 +387,8 @@ mod tests {
         let report = verify(&g, &scheme, &dists, 1).unwrap();
         assert!(report.is_shortest_path());
         // Flip every stored bit of node 0.
-        let flipped: BitVec = scheme.bits[0].iter().map(|b| !b).collect();
-        scheme.bits[0] = flipped;
+        let flipped: BitVec = scheme.tables.bits[0].iter().map(|b| !b).collect();
+        scheme.tables.bits[0] = flipped;
         let report = verify(&g, &scheme, &dists, 1).unwrap();
         let broken = !report.all_delivered() || !report.is_shortest_path();
         assert!(broken, "bit corruption must be observable");
@@ -436,7 +400,7 @@ mod tests {
         let dists = Apsp::compute(&g);
         let mut scheme = FullTableScheme::build(&g, &dists).unwrap();
         // Truncate node 0's table: routing through it must fail cleanly.
-        scheme.bits[0] = BitVec::new();
+        scheme.tables.bits[0] = BitVec::new();
         let report = verify(&g, &scheme, &dists, 1).unwrap();
         assert!(report
             .failures
@@ -492,7 +456,7 @@ mod tests {
             let counting =
                 Counting { inner, with_row: AtomicUsize::new(0), per_cell: AtomicUsize::new(0) };
             let scheme = FullTableScheme::build(&g, &counting).unwrap();
-            assert_eq!(scheme.bits, reference.bits, "{}", inner.describe());
+            assert_eq!(scheme.tables.bits, reference.tables.bits, "{}", inner.describe());
             // One row per destination plus row 0 for the connectivity
             // probe; per-cell queries would number n(n − 1) = 4032.
             assert_eq!(counting.with_row.load(Relaxed), 64 + 1, "{}", inner.describe());

@@ -12,7 +12,7 @@
 //! the same Θ(n log n), but with Theorem 8's constant, roughly halving the
 //! table.
 
-use ort_bitio::{lehmer, BitReader, BitVec, BitWriter};
+use ort_bitio::{lehmer, BitReader, BitWriter};
 use ort_graphs::labels::{Label, LabelRef, Labeling};
 use ort_graphs::oracle::Distances;
 use ort_graphs::ports::PortAssignment;
@@ -20,7 +20,7 @@ use ort_graphs::{Graph, NodeId};
 
 use crate::model::{Knowledge, Model, Relabeling};
 use crate::scheme::{
-    LocalRouter, MessageState, NodeEnv, RouteDecision, RouteError, RoutingScheme, SchemeError,
+    MessageState, NodeEnv, RouteDecision, RouteError, RoutingScheme, SchemeError, Tables,
 };
 use crate::schemes::theorem1::Theorem1Scheme;
 
@@ -48,9 +48,7 @@ use crate::schemes::theorem1::Theorem1Scheme;
 /// ```
 #[derive(Debug, Clone)]
 pub struct IaCompactScheme {
-    bits: Vec<BitVec>,
-    labeling: Labeling,
-    ports: PortAssignment,
+    tables: Tables,
 }
 
 impl IaCompactScheme {
@@ -93,7 +91,7 @@ impl IaCompactScheme {
             w.write_bitvec(&Theorem1Scheme::encode_node_tables(g, u)?);
             bits.push(w.finish());
         }
-        Ok(IaCompactScheme { bits, labeling: Labeling::identity(n), ports })
+        Ok(IaCompactScheme { tables: Tables { bits, labeling: Labeling::identity(n), ports } })
     }
 }
 
@@ -102,24 +100,12 @@ impl RoutingScheme for IaCompactScheme {
         Model::new(Knowledge::PortsFixed, Relabeling::None)
     }
 
-    fn node_count(&self) -> usize {
-        self.bits.len()
-    }
-
-    fn node_bits(&self, u: NodeId) -> &BitVec {
-        &self.bits[u]
-    }
-
-    fn labeling(&self) -> &Labeling {
-        &self.labeling
-    }
-
-    fn port_assignment(&self) -> &PortAssignment {
-        &self.ports
+    fn tables(&self) -> &Tables {
+        &self.tables
     }
 
     fn port_permutation_bits(&self, u: NodeId) -> usize {
-        lehmer::permutation_code_width(self.ports.degree(u))
+        lehmer::permutation_code_width(self.tables.ports.degree(u))
     }
 
     fn route_at(
@@ -127,24 +113,9 @@ impl RoutingScheme for IaCompactScheme {
         u: NodeId,
         env: &NodeEnv<'_>,
         dest: &Label,
-        state: &mut MessageState,
-    ) -> Result<RouteDecision, RouteError> {
-        let bits = self.bits.get(u).ok_or(SchemeError::NodeOutOfRange { node: u })?;
-        IaCompactRouter { bits }.route(env, dest, state)
-    }
-}
-
-struct IaCompactRouter<'a> {
-    bits: &'a BitVec,
-}
-
-impl LocalRouter for IaCompactRouter<'_> {
-    fn route(
-        &self,
-        env: &NodeEnv<'_>,
-        dest: &Label,
         _state: &mut MessageState,
     ) -> Result<RouteDecision, RouteError> {
+        let bits = self.tables.node(u)?;
         let Label::Minimal(dest_l) = *dest else {
             return Err(RouteError::MissingInformation { what: "minimal destination label" });
         };
@@ -155,7 +126,7 @@ impl LocalRouter for IaCompactRouter<'_> {
             return Ok(RouteDecision::Deliver);
         }
         // Decode the interconnection vector (sorted neighbour ids).
-        let mut r = BitReader::new(self.bits);
+        let mut r = BitReader::new(bits);
         let mut nbrs = Vec::new();
         for x in 0..env.n {
             if x == own {
@@ -170,7 +141,7 @@ impl LocalRouter for IaCompactRouter<'_> {
         // Route by sorted rank via the Theorem 1 tables…
         let tables_at = r.position();
         let decision = crate::schemes::theorem1::route_with_tables(
-            self.bits, tables_at, env.n, &nbrs, own, dest_l,
+            bits, tables_at, env.n, &nbrs, own, dest_l,
         )?;
         // …then translate the rank to the *actual* fixed port.
         match decision {

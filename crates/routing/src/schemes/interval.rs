@@ -10,7 +10,7 @@
 //! tree paths, so the stretch on the *graph* is unbounded in general —
 //! exactly the trade-off the paper's Table 1 quantifies against.
 
-use ort_bitio::{bits_to_index, BitReader, BitVec, BitWriter};
+use ort_bitio::{bits_to_index, BitReader, BitWriter};
 use ort_graphs::labels::{Label, LabelRef, Labeling};
 use ort_graphs::oracle::Distances;
 use ort_graphs::ports::PortAssignment;
@@ -18,7 +18,7 @@ use ort_graphs::{Graph, NodeId};
 
 use crate::model::{Knowledge, Model, Relabeling};
 use crate::scheme::{
-    LocalRouter, MessageState, NodeEnv, RouteDecision, RouteError, RoutingScheme, SchemeError,
+    MessageState, NodeEnv, RouteDecision, RouteError, RoutingScheme, SchemeError, Tables,
 };
 
 /// The 1-interval routing scheme over a DFS spanning tree.
@@ -42,9 +42,7 @@ use crate::scheme::{
 /// ```
 #[derive(Debug, Clone)]
 pub struct IntervalScheme {
-    bits: Vec<BitVec>,
-    labeling: Labeling,
-    ports: PortAssignment,
+    tables: Tables,
 }
 
 impl IntervalScheme {
@@ -123,7 +121,7 @@ impl IntervalScheme {
             }
             bits.push(w.finish());
         }
-        Ok(IntervalScheme { bits, labeling, ports })
+        Ok(IntervalScheme { tables: Tables { bits, labeling, ports } })
     }
 }
 
@@ -146,20 +144,8 @@ impl RoutingScheme for IntervalScheme {
         Model::new(Knowledge::PortsFree, Relabeling::Permutation)
     }
 
-    fn node_count(&self) -> usize {
-        self.bits.len()
-    }
-
-    fn node_bits(&self, u: NodeId) -> &BitVec {
-        &self.bits[u]
-    }
-
-    fn labeling(&self) -> &Labeling {
-        &self.labeling
-    }
-
-    fn port_assignment(&self) -> &PortAssignment {
-        &self.ports
+    fn tables(&self) -> &Tables {
+        &self.tables
     }
 
     fn route_at(
@@ -167,24 +153,9 @@ impl RoutingScheme for IntervalScheme {
         u: NodeId,
         env: &NodeEnv<'_>,
         dest: &Label,
-        state: &mut MessageState,
-    ) -> Result<RouteDecision, RouteError> {
-        let bits = self.bits.get(u).ok_or(SchemeError::NodeOutOfRange { node: u })?;
-        IntervalRouter { bits }.route(env, dest, state)
-    }
-}
-
-struct IntervalRouter<'a> {
-    bits: &'a BitVec,
-}
-
-impl LocalRouter for IntervalRouter<'_> {
-    fn route(
-        &self,
-        env: &NodeEnv<'_>,
-        dest: &Label,
         _state: &mut MessageState,
     ) -> Result<RouteDecision, RouteError> {
+        let bits = self.tables.node(u)?;
         let Label::Minimal(dest_l) = *dest else {
             return Err(RouteError::MissingInformation { what: "minimal destination label" });
         };
@@ -195,7 +166,7 @@ impl LocalRouter for IntervalRouter<'_> {
             return Ok(RouteDecision::Deliver);
         }
         let width = bits_to_index(env.n as u64 + 1);
-        let mut r = BitReader::new(self.bits);
+        let mut r = BitReader::new(bits);
         for port in 0..env.degree {
             let lo = r.read_bits(width)? as usize;
             let hi = r.read_bits(width)? as usize;

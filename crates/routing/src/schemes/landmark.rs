@@ -27,7 +27,7 @@ use rand::SeedableRng;
 
 use crate::model::{Knowledge, Model, Relabeling};
 use crate::scheme::{
-    LocalRouter, MessageState, NodeEnv, RouteDecision, RouteError, RoutingScheme, SchemeError,
+    MessageState, NodeEnv, RouteDecision, RouteError, RoutingScheme, SchemeError, Tables,
 };
 use crate::schemes::leading_id;
 
@@ -52,9 +52,7 @@ use crate::schemes::leading_id;
 /// ```
 #[derive(Debug, Clone)]
 pub struct LandmarkScheme {
-    bits: Vec<BitVec>,
-    labeling: Labeling,
-    ports: PortAssignment,
+    tables: Tables,
     landmarks: Vec<NodeId>,
 }
 
@@ -171,7 +169,7 @@ impl LandmarkScheme {
         }
         let labeling = Labeling::arbitrary(labels)
             .map_err(|_| SchemeError::Precondition { reason: "duplicate labels".into() })?;
-        Ok(LandmarkScheme { bits, labeling, ports, landmarks })
+        Ok(LandmarkScheme { tables: Tables { bits, labeling, ports }, landmarks })
     }
 
     /// Builds the scheme from a [`LandmarkOracle`] — `Õ(n^{3/2})` distance
@@ -248,7 +246,7 @@ impl LandmarkScheme {
         }
         let labeling = Labeling::arbitrary(labels)
             .map_err(|_| SchemeError::Precondition { reason: "duplicate labels".into() })?;
-        Ok(LandmarkScheme { bits, labeling, ports, landmarks })
+        Ok(LandmarkScheme { tables: Tables { bits, labeling, ports }, landmarks })
     }
 
     /// Encodes one γ label: `[v][l][path_len][path ports…]` where `path`
@@ -316,20 +314,8 @@ impl RoutingScheme for LandmarkScheme {
         Model::new(Knowledge::NeighborsKnown, Relabeling::Free)
     }
 
-    fn node_count(&self) -> usize {
-        self.bits.len()
-    }
-
-    fn node_bits(&self, u: NodeId) -> &BitVec {
-        &self.bits[u]
-    }
-
-    fn labeling(&self) -> &Labeling {
-        &self.labeling
-    }
-
-    fn port_assignment(&self) -> &PortAssignment {
-        &self.ports
+    fn tables(&self) -> &Tables {
+        &self.tables
     }
 
     fn route_at(
@@ -339,24 +325,7 @@ impl RoutingScheme for LandmarkScheme {
         dest: &Label,
         state: &mut MessageState,
     ) -> Result<RouteDecision, RouteError> {
-        let bits = self.bits.get(u).ok_or(SchemeError::NodeOutOfRange { node: u })?;
-        // The landmark count is shared O(log n) configuration, like `n`.
-        LandmarkRouter { bits, landmarks: &self.landmarks }.route(env, dest, state)
-    }
-}
-
-struct LandmarkRouter<'a> {
-    bits: &'a BitVec,
-    landmarks: &'a [NodeId],
-}
-
-impl LocalRouter for LandmarkRouter<'_> {
-    fn route(
-        &self,
-        env: &NodeEnv<'_>,
-        dest: &Label,
-        state: &mut MessageState,
-    ) -> Result<RouteDecision, RouteError> {
+        let bits = self.tables.node(u)?;
         let Label::Bits(dest_bits) = dest else {
             return Err(RouteError::MissingInformation { what: "γ destination label" });
         };
@@ -391,9 +360,10 @@ impl LocalRouter for LandmarkRouter<'_> {
             state.counter = 2;
             return check_port(port, env.degree);
         }
-        // Bunch shortcut.
+        // Bunch shortcut. The landmark count is shared O(log n)
+        // configuration, like `n`.
         let w_node = bits_to_index(env.n as u64);
-        let mut r = BitReader::new(self.bits);
+        let mut r = BitReader::new(bits);
         r.seek(self.landmarks.len() * w_node as usize)?;
         let bunch_len = r.read_bits(w_node)? as usize;
         for _ in 0..bunch_len {
@@ -408,7 +378,7 @@ impl LocalRouter for LandmarkRouter<'_> {
             .landmarks
             .binary_search(&l)
             .map_err(|_| RouteError::UnknownDestination)?;
-        let mut r = BitReader::new(self.bits);
+        let mut r = BitReader::new(bits);
         r.seek(li * w_node as usize)?;
         let port = r.read_bits(w_node)? as usize;
         check_port(port, env.degree)

@@ -10,7 +10,7 @@
 //! essentially nothing, and the `baselines` experiment measures exactly
 //! that: on `G(n, 1/2)` the encoded size tracks the full table.
 
-use ort_bitio::{bits_to_index, codes, BitReader, BitVec, BitWriter};
+use ort_bitio::{bits_to_index, codes, BitReader, BitWriter};
 use ort_graphs::labels::{Label, LabelRef, Labeling};
 use ort_graphs::oracle::{read_row, Distances};
 use ort_graphs::ports::PortAssignment;
@@ -18,7 +18,7 @@ use ort_graphs::{Graph, NodeId};
 
 use crate::model::{Knowledge, Model, Relabeling};
 use crate::scheme::{
-    LocalRouter, MessageState, NodeEnv, RouteDecision, RouteError, RoutingScheme, SchemeError,
+    MessageState, NodeEnv, RouteDecision, RouteError, RoutingScheme, SchemeError, Tables,
 };
 
 /// The k-interval shortest-path scheme (model IB ∧ α).
@@ -42,9 +42,7 @@ use crate::scheme::{
 /// ```
 #[derive(Debug, Clone)]
 pub struct MultiIntervalScheme {
-    bits: Vec<BitVec>,
-    labeling: Labeling,
-    ports: PortAssignment,
+    tables: Tables,
     total_intervals: usize,
 }
 
@@ -104,27 +102,18 @@ impl MultiIntervalScheme {
             }
             bits.push(w.finish());
         }
-        Ok(MultiIntervalScheme {
-            bits,
-            labeling: Labeling::identity(n),
-            ports,
-            total_intervals,
-        })
+        let tables = Tables { bits, labeling: Labeling::identity(n), ports };
+        Ok(MultiIntervalScheme { tables, total_intervals })
     }
 
     /// Reassembles a scheme from snapshot parts (`crate::snapshot`),
     /// recomputing the interval count by parsing the stored tables.
-    pub(crate) fn from_parts(
-        bits: Vec<BitVec>,
-        labeling: Labeling,
-        ports: PortAssignment,
-    ) -> Self {
-        let n = bits.len();
-        let width = bits_to_index(n as u64);
+    pub(crate) fn from_parts(tables: Tables) -> Self {
+        let width = bits_to_index(tables.bits.len() as u64);
         let mut total_intervals = 0usize;
-        for (u, node_bits) in bits.iter().enumerate() {
+        for (u, node_bits) in tables.bits.iter().enumerate() {
             let mut r = BitReader::new(node_bits);
-            for _ in 0..ports.degree(u) {
+            for _ in 0..tables.ports.degree(u) {
                 let Ok(count) = codes::read_elias_gamma0(&mut r) else { break };
                 total_intervals += count as usize;
                 for _ in 0..count {
@@ -134,7 +123,7 @@ impl MultiIntervalScheme {
                 }
             }
         }
-        MultiIntervalScheme { bits, labeling, ports, total_intervals }
+        MultiIntervalScheme { tables, total_intervals }
     }
 
     /// Total number of intervals stored across all nodes and ports — the
@@ -150,20 +139,8 @@ impl RoutingScheme for MultiIntervalScheme {
         Model::new(Knowledge::PortsFree, Relabeling::None)
     }
 
-    fn node_count(&self) -> usize {
-        self.bits.len()
-    }
-
-    fn node_bits(&self, u: NodeId) -> &BitVec {
-        &self.bits[u]
-    }
-
-    fn labeling(&self) -> &Labeling {
-        &self.labeling
-    }
-
-    fn port_assignment(&self) -> &PortAssignment {
-        &self.ports
+    fn tables(&self) -> &Tables {
+        &self.tables
     }
 
     fn route_at(
@@ -171,24 +148,9 @@ impl RoutingScheme for MultiIntervalScheme {
         u: NodeId,
         env: &NodeEnv<'_>,
         dest: &Label,
-        state: &mut MessageState,
-    ) -> Result<RouteDecision, RouteError> {
-        let bits = self.bits.get(u).ok_or(SchemeError::NodeOutOfRange { node: u })?;
-        MultiIntervalRouter { bits }.route(env, dest, state)
-    }
-}
-
-struct MultiIntervalRouter<'a> {
-    bits: &'a BitVec,
-}
-
-impl LocalRouter for MultiIntervalRouter<'_> {
-    fn route(
-        &self,
-        env: &NodeEnv<'_>,
-        dest: &Label,
         _state: &mut MessageState,
     ) -> Result<RouteDecision, RouteError> {
+        let bits = self.tables.node(u)?;
         let Label::Minimal(dest_l) = *dest else {
             return Err(RouteError::MissingInformation { what: "minimal destination label" });
         };
@@ -199,7 +161,7 @@ impl LocalRouter for MultiIntervalRouter<'_> {
             return Ok(RouteDecision::Deliver);
         }
         let width = bits_to_index(env.n as u64);
-        let mut r = BitReader::new(self.bits);
+        let mut r = BitReader::new(bits);
         for port in 0..env.degree {
             let count = codes::read_elias_gamma0(&mut r)?;
             let mut hit = false;

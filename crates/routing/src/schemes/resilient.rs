@@ -30,15 +30,11 @@
 //! 2⁴⁸). Header bits are message overhead, never table space — the
 //! adapter adds **zero** bits to [`RoutingScheme::total_size_bits`].
 
-use ort_bitio::BitVec;
-use ort_graphs::labels::{Label, Labeling};
-use ort_graphs::ports::PortAssignment;
+use ort_graphs::labels::Label;
 use ort_graphs::NodeId;
 
 use crate::model::Model;
-use crate::scheme::{
-    LocalRouter, MessageState, NodeEnv, NodeRouter, RouteDecision, RouteError, RoutingScheme,
-};
+use crate::scheme::{MessageState, NodeEnv, RouteDecision, RouteError, RoutingScheme, Tables};
 
 /// Number of high `MessageState::counter` bits reserved for the detour
 /// budget.
@@ -108,20 +104,8 @@ impl RoutingScheme for ResilientScheme {
         self.inner.model()
     }
 
-    fn node_count(&self) -> usize {
-        self.inner.node_count()
-    }
-
-    fn node_bits(&self, u: NodeId) -> &BitVec {
-        self.inner.node_bits(u)
-    }
-
-    fn labeling(&self) -> &Labeling {
-        self.inner.labeling()
-    }
-
-    fn port_assignment(&self) -> &PortAssignment {
-        self.inner.port_assignment()
+    fn tables(&self) -> &Tables {
+        self.inner.tables()
     }
 
     fn port_permutation_bits(&self, u: NodeId) -> usize {
@@ -135,29 +119,12 @@ impl RoutingScheme for ResilientScheme {
         dest: &Label,
         state: &mut MessageState,
     ) -> Result<RouteDecision, RouteError> {
-        let inner = NodeRouter { scheme: self.inner.as_ref(), u };
-        ResilientRouter { inner, detour_budget: self.detour_budget }.route(env, dest, state)
-    }
-}
-
-struct ResilientRouter<'a> {
-    inner: NodeRouter<'a, dyn RoutingScheme>,
-    detour_budget: u64,
-}
-
-impl LocalRouter for ResilientRouter<'_> {
-    fn route(
-        &self,
-        env: &NodeEnv<'_>,
-        dest: &Label,
-        state: &mut MessageState,
-    ) -> Result<RouteDecision, RouteError> {
         // Unpack the header: high bits are ours, low bits belong to the
         // wrapped scheme.
         let detours = state.counter >> DETOUR_SHIFT;
         let mut inner_state =
             MessageState { source: state.source.take(), counter: state.counter & INNER_MASK };
-        let result = self.inner.route(env, dest, &mut inner_state);
+        let result = self.inner.route_at(u, env, dest, &mut inner_state);
         let mut new_detours = detours;
         let decision = match result {
             Err(e) => {

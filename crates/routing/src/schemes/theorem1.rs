@@ -29,7 +29,7 @@ use ort_graphs::{Graph, NodeId};
 
 use crate::model::{Knowledge, Model, Relabeling};
 use crate::scheme::{
-    LocalRouter, MessageState, NodeEnv, RouteDecision, RouteError, RoutingScheme, SchemeError,
+    MessageState, NodeEnv, RouteDecision, RouteError, RoutingScheme, SchemeError, Tables,
 };
 
 /// When to stop the unary table and spill into the binary table — the
@@ -111,9 +111,7 @@ enum Variant {
 #[derive(Debug, Clone)]
 pub struct Theorem1Scheme {
     variant: Variant,
-    bits: Vec<BitVec>,
-    labeling: Labeling,
-    ports: PortAssignment,
+    tables: Tables,
 }
 
 impl Theorem1Scheme {
@@ -185,23 +183,15 @@ impl Theorem1Scheme {
             }
         }
         let _s = ort_telemetry::span("theorem1.port_assignment");
-        Ok(Theorem1Scheme {
-            variant,
-            bits,
-            labeling: Labeling::identity(n),
-            ports: PortAssignment::sorted(g),
-        })
+        let tables =
+            Tables { bits, labeling: Labeling::identity(n), ports: PortAssignment::sorted(g) };
+        Ok(Theorem1Scheme { variant, tables })
     }
 
     /// Reassembles a scheme from snapshot parts (`crate::snapshot`).
-    pub(crate) fn from_parts(
-        ib: bool,
-        bits: Vec<BitVec>,
-        labeling: Labeling,
-        ports: PortAssignment,
-    ) -> Self {
+    pub(crate) fn from_parts(ib: bool, tables: Tables) -> Self {
         let variant = if ib { Variant::PortsFree } else { Variant::NeighborsKnown };
-        Theorem1Scheme { variant, bits, labeling, ports }
+        Theorem1Scheme { variant, tables }
     }
 
     /// Replaces node `u`'s stored bits verbatim — a fault-injection hook
@@ -213,7 +203,7 @@ impl Theorem1Scheme {
     ///
     /// Panics if `u` is out of range.
     pub fn replace_node_bits(&mut self, u: NodeId, bits: BitVec) {
-        self.bits[u] = bits;
+        self.tables.bits[u] = bits;
     }
 
     /// Encodes just the two tables (the model II payload) for node `u` —
@@ -303,20 +293,8 @@ impl RoutingScheme for Theorem1Scheme {
         Model::new(knowledge, Relabeling::None)
     }
 
-    fn node_count(&self) -> usize {
-        self.bits.len()
-    }
-
-    fn node_bits(&self, u: NodeId) -> &BitVec {
-        &self.bits[u]
-    }
-
-    fn labeling(&self) -> &Labeling {
-        &self.labeling
-    }
-
-    fn port_assignment(&self) -> &PortAssignment {
-        &self.ports
+    fn tables(&self) -> &Tables {
+        &self.tables
     }
 
     fn route_at(
@@ -324,51 +302,9 @@ impl RoutingScheme for Theorem1Scheme {
         u: NodeId,
         env: &NodeEnv<'_>,
         dest: &Label,
-        state: &mut MessageState,
-    ) -> Result<RouteDecision, RouteError> {
-        let bits = self.bits.get(u).ok_or(SchemeError::NodeOutOfRange { node: u })?;
-        Theorem1Router { bits, variant: self.variant }.route(env, dest, state)
-    }
-}
-
-struct Theorem1Router<'a> {
-    bits: &'a BitVec,
-    variant: Variant,
-}
-
-impl Theorem1Router<'_> {
-    /// Returns the sorted neighbour ids and the bit offset where the tables
-    /// start, using only stored bits (IB) or free knowledge (II).
-    fn neighbor_ids(&self, env: &NodeEnv<'_>) -> Result<(Vec<NodeId>, usize), RouteError> {
-        match self.variant {
-            Variant::NeighborsKnown => Ok((env.sorted_minimal_neighbors()?, 0)),
-            Variant::PortsFree => {
-                let LabelRef::Minimal(own) = env.label else {
-                    return Err(RouteError::MissingInformation { what: "minimal own label" });
-                };
-                let mut r = BitReader::new(self.bits);
-                let mut ids = Vec::new();
-                for x in 0..env.n {
-                    if x == own {
-                        continue;
-                    }
-                    if r.read_bit()? {
-                        ids.push(x);
-                    }
-                }
-                Ok((ids, env.n - 1))
-            }
-        }
-    }
-}
-
-impl LocalRouter for Theorem1Router<'_> {
-    fn route(
-        &self,
-        env: &NodeEnv<'_>,
-        dest: &Label,
         _state: &mut MessageState,
     ) -> Result<RouteDecision, RouteError> {
+        let bits = self.tables.node(u)?;
         let Label::Minimal(dest_l) = *dest else {
             return Err(RouteError::MissingInformation { what: "minimal destination label" });
         };
@@ -381,8 +317,26 @@ impl LocalRouter for Theorem1Router<'_> {
         if dest_l >= env.n {
             return Err(RouteError::UnknownDestination);
         }
-        let (nbrs, tables_at) = self.neighbor_ids(env)?;
-        route_with_tables(self.bits, tables_at, env.n, &nbrs, own, dest_l)
+        // The sorted neighbour ids and the bit offset where the tables
+        // start: free knowledge in model II, the stored interconnection
+        // vector in model IB.
+        let (nbrs, tables_at) = match self.variant {
+            Variant::NeighborsKnown => (env.sorted_minimal_neighbors()?, 0),
+            Variant::PortsFree => {
+                let mut r = BitReader::new(bits);
+                let mut ids = Vec::new();
+                for x in 0..env.n {
+                    if x == own {
+                        continue;
+                    }
+                    if r.read_bit()? {
+                        ids.push(x);
+                    }
+                }
+                (ids, env.n - 1)
+            }
+        };
+        route_with_tables(bits, tables_at, env.n, &nbrs, own, dest_l)
     }
 }
 

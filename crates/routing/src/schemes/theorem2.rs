@@ -17,7 +17,7 @@ use ort_graphs::{Graph, NodeId};
 
 use crate::model::{Knowledge, Model, Relabeling};
 use crate::scheme::{
-    LocalRouter, MessageState, NodeEnv, RouteDecision, RouteError, RoutingScheme, SchemeError,
+    MessageState, NodeEnv, RouteDecision, RouteError, RoutingScheme, SchemeError, Tables,
 };
 use crate::schemes::leading_id;
 
@@ -46,10 +46,7 @@ pub const DEFAULT_C: f64 = 3.0;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Theorem2Scheme {
-    n: usize,
-    empty: BitVec,
-    labeling: Labeling,
-    ports: PortAssignment,
+    tables: Tables,
 }
 
 impl Theorem2Scheme {
@@ -98,12 +95,17 @@ impl Theorem2Scheme {
         }
         let labeling = Labeling::arbitrary(labels)
             .map_err(|_| SchemeError::Precondition { reason: "duplicate labels".into() })?;
-        Ok(Theorem2Scheme { n, empty: BitVec::new(), labeling, ports: PortAssignment::sorted(g) })
+        // The routing function is generic — O(1) bits, stored nowhere.
+        let bits = vec![BitVec::new(); n];
+        Ok(Theorem2Scheme { tables: Tables { bits, labeling, ports: PortAssignment::sorted(g) } })
     }
 
-    /// Reassembles a scheme from snapshot parts (`crate::snapshot`).
-    pub(crate) fn from_parts(n: usize, labeling: Labeling, ports: PortAssignment) -> Self {
-        Theorem2Scheme { n, empty: BitVec::new(), labeling, ports }
+    /// Reassembles a scheme from snapshot parts (`crate::snapshot`). The
+    /// routing function stores nothing, so any per-node bits the parts
+    /// carry are dropped.
+    pub(crate) fn from_parts(tables: Tables) -> Self {
+        let bits = vec![BitVec::new(); tables.bits.len()];
+        Theorem2Scheme { tables: Tables { bits, ..tables } }
     }
 
     /// Parses a Theorem 2 label into `(original id, listed neighbours)`.
@@ -129,52 +131,22 @@ impl RoutingScheme for Theorem2Scheme {
         Model::new(Knowledge::NeighborsKnown, Relabeling::Free)
     }
 
-    fn node_count(&self) -> usize {
-        self.n
+    fn tables(&self) -> &Tables {
+        &self.tables
     }
 
-    fn node_bits(&self, _u: NodeId) -> &BitVec {
-        // The routing function is generic — O(1) bits, stored nowhere.
-        &self.empty
-    }
-
-    fn labeling(&self) -> &Labeling {
-        &self.labeling
-    }
-
-    fn port_assignment(&self) -> &PortAssignment {
-        &self.ports
-    }
-
+    /// The constant-size router: everything it needs is in the labels.
+    // Keep this body in `route_at`: called out of line, it routed
+    // G(1024, 1/2) about 10% slower (three series of 10 interleaved
+    // benchmark pairs on a 2-core Intel Xeon host).
     fn route_at(
         &self,
         u: NodeId,
         env: &NodeEnv<'_>,
         dest: &Label,
-        state: &mut MessageState,
-    ) -> Result<RouteDecision, RouteError> {
-        if u >= self.n {
-            return Err(SchemeError::NodeOutOfRange { node: u }.into());
-        }
-        Theorem2Router.route(env, dest, state)
-    }
-}
-
-/// The constant-size router: everything it needs is in the labels.
-struct Theorem2Router;
-
-impl LocalRouter for Theorem2Router {
-    // Inlined into `Theorem2Scheme::route_at`, its only caller. Called out
-    // of line, this body routed G(1024, 1/2) about 10% slower (three series
-    // of 10 interleaved benchmark pairs on a 2-core Intel Xeon host), while
-    // inlined it matched the boxed router it replaced.
-    #[inline]
-    fn route(
-        &self,
-        env: &NodeEnv<'_>,
-        dest: &Label,
         _state: &mut MessageState,
     ) -> Result<RouteDecision, RouteError> {
+        self.tables.node(u)?;
         if env.label == *dest {
             return Ok(RouteDecision::Deliver);
         }

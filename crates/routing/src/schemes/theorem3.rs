@@ -9,7 +9,7 @@
 //! distance is 2, i.e. stretch 1.5 — which on a diameter-2 graph is the
 //! only possible stretch between 1 and 2.
 
-use ort_bitio::{bits_to_index, BitReader, BitVec, BitWriter};
+use ort_bitio::{bits_to_index, BitReader, BitWriter};
 use ort_graphs::labels::{Label, LabelRef, Labeling};
 use ort_graphs::oracle::Distances;
 use ort_graphs::ports::PortAssignment;
@@ -18,7 +18,7 @@ use ort_graphs::{Graph, NodeId};
 
 use crate::model::{Knowledge, Model, Relabeling};
 use crate::scheme::{
-    LocalRouter, MessageState, NodeEnv, RouteDecision, RouteError, RoutingScheme, SchemeError,
+    MessageState, NodeEnv, RouteDecision, RouteError, RoutingScheme, SchemeError, Tables,
 };
 use crate::schemes::theorem1::{route_with_tables, Theorem1Scheme};
 
@@ -43,9 +43,7 @@ use crate::schemes::theorem1::{route_with_tables, Theorem1Scheme};
 /// ```
 #[derive(Debug, Clone)]
 pub struct Theorem3Scheme {
-    bits: Vec<BitVec>,
-    labeling: Labeling,
-    ports: PortAssignment,
+    tables: Tables,
     /// The hub set, kept for reporting (not used in routing).
     hubs: Vec<NodeId>,
 }
@@ -107,12 +105,9 @@ impl Theorem3Scheme {
             }
             bits.push(w.finish());
         }
-        Ok(Theorem3Scheme {
-            bits,
-            labeling: Labeling::identity(n),
-            ports: PortAssignment::sorted(g),
-            hubs,
-        })
+        let tables =
+            Tables { bits, labeling: Labeling::identity(n), ports: PortAssignment::sorted(g) };
+        Ok(Theorem3Scheme { tables, hubs })
     }
 
     /// The hub set `B` chosen at build time.
@@ -127,20 +122,8 @@ impl RoutingScheme for Theorem3Scheme {
         Model::new(Knowledge::NeighborsKnown, Relabeling::None)
     }
 
-    fn node_count(&self) -> usize {
-        self.bits.len()
-    }
-
-    fn node_bits(&self, u: NodeId) -> &BitVec {
-        &self.bits[u]
-    }
-
-    fn labeling(&self) -> &Labeling {
-        &self.labeling
-    }
-
-    fn port_assignment(&self) -> &PortAssignment {
-        &self.ports
+    fn tables(&self) -> &Tables {
+        &self.tables
     }
 
     fn route_at(
@@ -148,24 +131,9 @@ impl RoutingScheme for Theorem3Scheme {
         u: NodeId,
         env: &NodeEnv<'_>,
         dest: &Label,
-        state: &mut MessageState,
-    ) -> Result<RouteDecision, RouteError> {
-        let bits = self.bits.get(u).ok_or(SchemeError::NodeOutOfRange { node: u })?;
-        Theorem3Router { bits }.route(env, dest, state)
-    }
-}
-
-struct Theorem3Router<'a> {
-    bits: &'a BitVec,
-}
-
-impl LocalRouter for Theorem3Router<'_> {
-    fn route(
-        &self,
-        env: &NodeEnv<'_>,
-        dest: &Label,
         _state: &mut MessageState,
     ) -> Result<RouteDecision, RouteError> {
+        let bits = self.tables.node(u)?;
         let Label::Minimal(dest_l) = *dest else {
             return Err(RouteError::MissingInformation { what: "minimal destination label" });
         };
@@ -179,10 +147,10 @@ impl LocalRouter for Theorem3Router<'_> {
         if let Ok(port) = nbrs.binary_search(&dest_l) {
             return Ok(RouteDecision::Forward(port));
         }
-        let mut r = BitReader::new(self.bits);
+        let mut r = BitReader::new(bits);
         if r.read_bit()? {
             // Hub: full Theorem 1 tables start after the tag bit.
-            route_with_tables(self.bits, 1, env.n, &nbrs, own, dest_l)
+            route_with_tables(bits, 1, env.n, &nbrs, own, dest_l)
         } else {
             // Non-hub: forward to the stored adjacent hub.
             let port = r.read_bits(bits_to_index(env.degree as u64))? as usize;

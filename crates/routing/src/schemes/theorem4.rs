@@ -9,7 +9,7 @@
 //! route makes at most 2 hops to the centre and 2 hops out: stretch 2 on a
 //! diameter-2 graph.
 
-use ort_bitio::{bits_to_index, BitReader, BitVec, BitWriter};
+use ort_bitio::{bits_to_index, BitReader, BitWriter};
 use ort_graphs::labels::{Label, LabelRef, Labeling};
 use ort_graphs::oracle::Distances;
 use ort_graphs::ports::PortAssignment;
@@ -17,7 +17,7 @@ use ort_graphs::{Graph, NodeId};
 
 use crate::model::{Knowledge, Model, Relabeling};
 use crate::scheme::{
-    LocalRouter, MessageState, NodeEnv, RouteDecision, RouteError, RoutingScheme, SchemeError,
+    MessageState, NodeEnv, RouteDecision, RouteError, RoutingScheme, SchemeError, Tables,
 };
 use crate::schemes::theorem1::{route_with_tables, Theorem1Scheme};
 
@@ -49,9 +49,7 @@ pub const CENTER: NodeId = 0;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Theorem4Scheme {
-    bits: Vec<BitVec>,
-    labeling: Labeling,
-    ports: PortAssignment,
+    tables: Tables,
     prefix_len: usize,
 }
 
@@ -100,12 +98,9 @@ impl Theorem4Scheme {
             // Neighbours of the centre store nothing.
             bits.push(w.finish());
         }
-        Ok(Theorem4Scheme {
-            bits,
-            labeling: Labeling::identity(n),
-            ports: PortAssignment::sorted(g),
-            prefix_len: k,
-        })
+        let tables =
+            Tables { bits, labeling: Labeling::identity(n), ports: PortAssignment::sorted(g) };
+        Ok(Theorem4Scheme { tables, prefix_len: k })
     }
 
     /// The prefix length `(c+3)·log₂ n` used for distance-2 pointers.
@@ -120,20 +115,8 @@ impl RoutingScheme for Theorem4Scheme {
         Model::new(Knowledge::NeighborsKnown, Relabeling::None)
     }
 
-    fn node_count(&self) -> usize {
-        self.bits.len()
-    }
-
-    fn node_bits(&self, u: NodeId) -> &BitVec {
-        &self.bits[u]
-    }
-
-    fn labeling(&self) -> &Labeling {
-        &self.labeling
-    }
-
-    fn port_assignment(&self) -> &PortAssignment {
-        &self.ports
+    fn tables(&self) -> &Tables {
+        &self.tables
     }
 
     fn route_at(
@@ -141,26 +124,9 @@ impl RoutingScheme for Theorem4Scheme {
         u: NodeId,
         env: &NodeEnv<'_>,
         dest: &Label,
-        state: &mut MessageState,
-    ) -> Result<RouteDecision, RouteError> {
-        let bits = self.bits.get(u).ok_or(SchemeError::NodeOutOfRange { node: u })?;
-        Theorem4Router { bits, prefix_width: bits_to_index(self.prefix_len as u64) }
-            .route(env, dest, state)
-    }
-}
-
-struct Theorem4Router<'a> {
-    bits: &'a BitVec,
-    prefix_width: u32,
-}
-
-impl LocalRouter for Theorem4Router<'_> {
-    fn route(
-        &self,
-        env: &NodeEnv<'_>,
-        dest: &Label,
         _state: &mut MessageState,
     ) -> Result<RouteDecision, RouteError> {
+        let bits = self.tables.node(u)?;
         let Label::Minimal(dest_l) = *dest else {
             return Err(RouteError::MissingInformation { what: "minimal destination label" });
         };
@@ -176,7 +142,7 @@ impl LocalRouter for Theorem4Router<'_> {
             return Ok(RouteDecision::Forward(port));
         }
         if own == CENTER {
-            return route_with_tables(self.bits, 0, env.n, &nbrs, own, dest_l);
+            return route_with_tables(bits, 0, env.n, &nbrs, own, dest_l);
         }
         // Route towards the centre.
         if let Ok(port) = nbrs.binary_search(&CENTER) {
@@ -184,8 +150,8 @@ impl LocalRouter for Theorem4Router<'_> {
         }
         // Distance-2 node: stored prefix index points at a centre-adjacent
         // neighbour (ports are sorted, so prefix index = port).
-        let mut r = BitReader::new(self.bits);
-        let idx = r.read_bits(self.prefix_width)? as usize;
+        let mut r = BitReader::new(bits);
+        let idx = r.read_bits(bits_to_index(self.prefix_len as u64))? as usize;
         if idx >= env.degree {
             return Err(RouteError::PortOutOfRange { port: idx, degree: env.degree });
         }

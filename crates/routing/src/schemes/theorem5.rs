@@ -21,7 +21,7 @@ use ort_graphs::{Graph, NodeId};
 
 use crate::model::{Knowledge, Model, Relabeling};
 use crate::scheme::{
-    LocalRouter, MessageState, NodeEnv, RouteDecision, RouteError, RoutingScheme, SchemeError,
+    MessageState, NodeEnv, RouteDecision, RouteError, RoutingScheme, SchemeError, Tables,
 };
 
 /// Default randomness parameter (as in Theorem 2).
@@ -55,10 +55,7 @@ fn probe_budget_for(n: usize) -> usize {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Theorem5Scheme {
-    n: usize,
-    empty: BitVec,
-    labeling: Labeling,
-    ports: PortAssignment,
+    tables: Tables,
     probe_budget: usize,
 }
 
@@ -95,21 +92,22 @@ impl Theorem5Scheme {
                 }
             }
         }
-        Ok(Theorem5Scheme {
-            n,
-            empty: BitVec::new(),
+        let tables = Tables {
+            bits: vec![BitVec::new(); n],
             labeling: Labeling::identity(n),
             ports: PortAssignment::sorted(g),
-            probe_budget: k,
-        })
+        };
+        Ok(Theorem5Scheme { tables, probe_budget: k })
     }
 
-    /// Reassembles a scheme from snapshot parts (`crate::snapshot`); the
-    /// probe budget is re-derived from `n`, exactly as [`Self::build`]
-    /// derives it.
-    pub(crate) fn from_parts(n: usize, labeling: Labeling, ports: PortAssignment) -> Self {
-        let probe_budget = probe_budget_for(n);
-        Theorem5Scheme { n, empty: BitVec::new(), labeling, ports, probe_budget }
+    /// Reassembles a scheme from snapshot parts (`crate::snapshot`). The
+    /// router stores nothing, so any per-node bits the parts carry are
+    /// dropped; the probe budget is re-derived from `n`, exactly as
+    /// [`Self::build`] derives it.
+    pub(crate) fn from_parts(tables: Tables) -> Self {
+        let n = tables.bits.len();
+        let tables = Tables { bits: vec![BitVec::new(); n], ..tables };
+        Theorem5Scheme { tables, probe_budget: probe_budget_for(n) }
     }
 
     /// The probe budget `(c+3)·log₂ n`.
@@ -124,22 +122,11 @@ impl RoutingScheme for Theorem5Scheme {
         Model::new(Knowledge::NeighborsKnown, Relabeling::None)
     }
 
-    fn node_count(&self) -> usize {
-        self.n
+    fn tables(&self) -> &Tables {
+        &self.tables
     }
 
-    fn node_bits(&self, _u: NodeId) -> &BitVec {
-        &self.empty
-    }
-
-    fn labeling(&self) -> &Labeling {
-        &self.labeling
-    }
-
-    fn port_assignment(&self) -> &PortAssignment {
-        &self.ports
-    }
-
+    /// The O(1) probe router. All state lives in the message header.
     fn route_at(
         &self,
         u: NodeId,
@@ -147,25 +134,7 @@ impl RoutingScheme for Theorem5Scheme {
         dest: &Label,
         state: &mut MessageState,
     ) -> Result<RouteDecision, RouteError> {
-        if u >= self.n {
-            return Err(SchemeError::NodeOutOfRange { node: u }.into());
-        }
-        ProbeRouter { budget: self.probe_budget }.route(env, dest, state)
-    }
-}
-
-/// The O(1) probe router. All state lives in the message header.
-struct ProbeRouter {
-    budget: usize,
-}
-
-impl LocalRouter for ProbeRouter {
-    fn route(
-        &self,
-        env: &NodeEnv<'_>,
-        dest: &Label,
-        state: &mut MessageState,
-    ) -> Result<RouteDecision, RouteError> {
+        self.tables.node(u)?;
         if env.label == *dest {
             return Ok(RouteDecision::Deliver);
         }
@@ -183,7 +152,7 @@ impl LocalRouter for ProbeRouter {
             // We are the source: probe the next neighbour in sorted-label
             // order (= port order under the sorted assignment).
             let t = state.counter as usize;
-            if t >= self.budget.min(env.degree) {
+            if t >= self.probe_budget.min(env.degree) {
                 return Err(RouteError::UnknownDestination);
             }
             state.counter += 1;

@@ -19,7 +19,7 @@ use ort_graphs::labels::{Label, Labeling};
 use ort_graphs::ports::PortAssignment;
 use ort_graphs::{Graph, NodeId};
 
-use crate::scheme::{RoutingScheme, SchemeError};
+use crate::scheme::{RoutingScheme, SchemeError, Tables};
 use crate::schemes::{
     full_information::FullInformationScheme, full_table::FullTableScheme,
     multi_interval::MultiIntervalScheme, theorem1::Theorem1Scheme, theorem2::Theorem2Scheme,
@@ -272,27 +272,17 @@ pub fn load(data: &BitVec) -> Result<Box<dyn RoutingScheme>, SchemeError> {
     if !r.is_at_end() {
         return Err(bad("trailing bytes"));
     }
+    let tables = Tables { bits, labeling, ports };
     Ok(match kind {
-        SchemeKind::FullTable => Box::new(FullTableScheme::from_parts(
-            ft_model.expect("read above"),
-            bits,
-            labeling,
-            ports,
-        )),
-        SchemeKind::Theorem1 => {
-            Box::new(Theorem1Scheme::from_parts(false, bits, labeling, ports))
+        SchemeKind::FullTable => {
+            Box::new(FullTableScheme::from_parts(ft_model.expect("read above"), tables))
         }
-        SchemeKind::Theorem1Ib => {
-            Box::new(Theorem1Scheme::from_parts(true, bits, labeling, ports))
-        }
-        SchemeKind::Theorem2 => Box::new(Theorem2Scheme::from_parts(n, labeling, ports)),
-        SchemeKind::Theorem5 => Box::new(Theorem5Scheme::from_parts(n, labeling, ports)),
-        SchemeKind::FullInformation => {
-            Box::new(FullInformationScheme::from_parts(bits, labeling, ports))
-        }
-        SchemeKind::MultiInterval => {
-            Box::new(MultiIntervalScheme::from_parts(bits, labeling, ports))
-        }
+        SchemeKind::Theorem1 => Box::new(Theorem1Scheme::from_parts(false, tables)),
+        SchemeKind::Theorem1Ib => Box::new(Theorem1Scheme::from_parts(true, tables)),
+        SchemeKind::Theorem2 => Box::new(Theorem2Scheme::from_parts(tables)),
+        SchemeKind::Theorem5 => Box::new(Theorem5Scheme::from_parts(tables)),
+        SchemeKind::FullInformation => Box::new(FullInformationScheme::from_parts(tables)),
+        SchemeKind::MultiInterval => Box::new(MultiIntervalScheme::from_parts(tables)),
     })
 }
 
@@ -385,11 +375,7 @@ mod tests {
         let loaded = load(&snap).unwrap();
         routes_identically(&g, &mi, loaded.as_ref());
         // The compactness metric survives the round trip.
-        let typed = MultiIntervalScheme::from_parts(
-            (0..g.node_count()).map(|u| mi.node_bits(u).clone()).collect(),
-            ort_graphs::labels::Labeling::identity(g.node_count()),
-            mi.port_assignment().clone(),
-        );
+        let typed = MultiIntervalScheme::from_parts(mi.tables().clone());
         assert_eq!(typed.total_intervals(), mi.total_intervals());
     }
 

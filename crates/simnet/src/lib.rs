@@ -315,16 +315,19 @@ impl<'a> Network<'a> {
     /// Installs a timed fault plan, validated event by event against the
     /// topology. The plan's clock is the send epoch: an event at time `k`
     /// fires before the `k`-th subsequent [`Network::send`] (0-based from
-    /// now — installing a plan resets the epoch clock). Replaces any
-    /// previous plan; manual [`Network::fail_link`] /
-    /// [`Network::restore_link`] calls still apply on top.
+    /// now — installing a plan resets the epoch clock and the fault state,
+    /// so the plan runs from a fault-free network). Replaces any previous
+    /// plan; later [`Network::fail_link`] / [`Network::restore_link`]
+    /// calls still apply on top.
     ///
     /// # Errors
     ///
-    /// Returns the first [`InvalidFault`] if any event names a link or
-    /// node the topology does not have; no event is applied.
+    /// Returns the first [`InvalidFault`] if any event, applied in order
+    /// from the fault-free state the plan runs from, names a link or node
+    /// the topology does not have or heals no partition; no event is
+    /// applied.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) -> Result<(), InvalidFault> {
-        let mut probe = self.faults.clone();
+        let mut probe = FaultState::new(self.scheme.port_assignment());
         for e in plan.events() {
             probe.apply(&e.event)?;
         }

@@ -42,10 +42,12 @@
 //!
 //! # Feature gate
 //!
-//! All recording sits behind the `enabled` feature (default-on,
-//! forwarded as `telemetry` by every workspace crate). With the feature
-//! off, [`enabled`] is `false` and every probe body is `cfg!`-folded to
-//! a no-op; the types and sinks still compile so call sites need no
+//! All recording sits behind the `enabled` feature. Workspace crates
+//! depend on this crate with default features off and declare no feature
+//! of their own: the root crate's default-on `telemetry` feature turns
+//! `enabled` on for all of them at once. With the feature off,
+//! [`enabled`] is `false` and every probe body is `cfg!`-folded to a
+//! no-op; the types and sinks still compile so call sites need no
 //! `#[cfg]`.
 //!
 //! # Example

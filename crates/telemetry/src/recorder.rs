@@ -26,6 +26,8 @@
 
 use std::sync::Mutex;
 
+use crate::json::Json;
+
 /// Ring capacity: events retained at any moment.
 pub const CAPACITY: usize = 1024;
 
@@ -164,7 +166,7 @@ pub fn dump_string(trigger: &str) -> String {
     let _ = writeln!(
         out,
         "{{\"type\":\"postmortem\",\"trigger\":{},\"events\":{}}}",
-        json_str(trigger),
+        Json::Str(trigger.to_string()).compact(),
         evs.len()
     );
     for e in &evs {
@@ -173,30 +175,16 @@ pub fn dump_string(trigger: &str) -> String {
             "{{\"type\":\"event\",\"seq\":{},\"kind\":\"{}\",\"label\":{},\"a\":{},\"b\":{},\"ns\":{}}}",
             e.seq,
             e.kind.as_str(),
-            json_str(e.label),
+            Json::Str(e.label.to_string()).compact(),
             e.a,
             e.b,
             e.ns
         );
     }
     for (name, v) in crate::counter::counter_values() {
-        let _ = writeln!(out, "{{\"type\":\"counter\",\"name\":{},\"value\":{v}}}", json_str(name));
+        let name = Json::Str(name.to_string()).compact();
+        let _ = writeln!(out, "{{\"type\":\"counter\",\"name\":{name},\"value\":{v}}}");
     }
-    out
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 
@@ -298,5 +286,18 @@ mod tests {
         for line in dump.lines().filter(|l| l.contains("\"type\":\"event\"")) {
             assert!(line.contains(",\"ns\":"), "{line}");
         }
+    }
+
+    #[test]
+    fn dump_escapes_every_control_character() {
+        let _g = test_guard();
+        clear();
+        let trigger = "tab\there \"quoted\"\u{1}";
+        let dump = dump_string(trigger);
+        let header = dump.lines().next().expect("header");
+        assert!(!header.chars().any(char::is_control), "{header:?}");
+        assert!(header.contains(r#""trigger":"tab\there \"quoted\"\u0001""#), "{header}");
+        let parsed = crate::json::Json::parse(header).expect("header parses as JSON");
+        assert_eq!(parsed.get("trigger").and_then(|t| t.as_str()), Some(trigger));
     }
 }

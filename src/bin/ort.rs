@@ -209,11 +209,7 @@ fn run() -> Result<(), String> {
                     _ => unreachable!("parse_flags filters"),
                 }
             }
-            let report = if mem {
-                profile::run_profile_mem(&name, n, seed)?
-            } else {
-                profile::run_profile(&name, n, seed)?
-            };
+            let report = profile::run_profile(&name, n, seed, mem)?;
             print!("{}", report.text);
             Ok(())
         }

@@ -82,6 +82,23 @@ fn bipartition_cuts_exactly_the_cross_pairs_and_heals() {
 }
 
 #[test]
+fn network_validates_a_plan_against_the_state_it_runs_from() {
+    // A plan runs from a fault-free network, so validating it against
+    // whatever partition is installed beforehand would accept a `Heal`
+    // that then fails on the first send.
+    let g = generators::cycle(6);
+    let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
+    let mut net = Network::new(&scheme);
+    net.fault_state_mut().apply(&FaultEvent::Bipartition { side: vec![0, 1, 2] }).unwrap();
+    let heal = FaultPlan::from_events(vec![TimedFault { at: 0, event: FaultEvent::Heal }]);
+    let err = net.set_fault_plan(heal).unwrap_err();
+    assert_eq!(err.event, FaultEvent::Heal);
+    assert_eq!(err.reason, "no partition is active");
+    // Rejected atomically: the installed partition still cuts 0 from 3.
+    assert!(matches!(net.send(0, 3), Err(SimError::Partitioned { .. })));
+}
+
+#[test]
 fn ttl_expiry_is_counted_not_stranded() {
     // A star at capacity 1 serializes through the hub: late messages age
     // out. They must be attributed to TTL expiry, never left stranded.

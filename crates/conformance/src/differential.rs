@@ -1,25 +1,27 @@
 //! The cross-scheme differential oracle.
 //!
 //! On a given graph, every registered scheme ([`SchemeId::ALL`]) is built
-//! from and routed against the same [`Apsp`] oracle and the same
-//! [`FullTableScheme`] reference, pair by pair:
+//! from and verified against the same [`Apsp`] oracle, next to the same
+//! [`FullTableScheme`] reference. Each runs through [`verify`], the one
+//! verifier, and its report is read pair by pair:
 //!
 //! * the reference must deliver every pair in exactly the true distance
 //!   (it is the trusted shortest-path baseline — if *it* disagrees with
 //!   the APSP oracle, that is a finding in its own right);
-//! * the scheme under test must deliver every pair the reference
-//!   delivers, within its contractual hop cap
-//!   ([`SchemeId::hop_cap`]) and never in fewer hops than the distance
-//!   (beating APSP means the two disagree about the graph).
+//! * the scheme under test must deliver every pair, within its
+//!   contractual hop cap ([`SchemeId::hop_cap`]) and never in fewer hops
+//!   than the distance (beating APSP means the two disagree about the
+//!   graph).
 //!
 //! Schemes may *refuse* a graph (the theorem constructions check their
 //! Kolmogorov-randomness preconditions) — refusals are tallied, not
 //! flagged: on random inputs the sweep asserts acceptance separately.
 
-use ort_graphs::Graph;
 use ort_graphs::paths::Apsp;
+use ort_graphs::Graph;
+use ort_routing::scheme::RoutingScheme;
 use ort_routing::schemes::full_table::FullTableScheme;
-use ort_routing::verify::{default_hop_limit, route_pair};
+use ort_routing::verify::{sampled, verify, RouteFailure, VerifyReport};
 
 use crate::registry::SchemeId;
 
@@ -95,37 +97,26 @@ pub fn diff_graph(g: &Graph, stride: usize) -> GraphDiff {
     let n = g.node_count();
     let oracle = Apsp::compute(g);
     let stride = stride.max(1);
-    let limit = default_hop_limit(n);
+    // Every builder refuses what `verify` refuses (an inexact or
+    // mismatched oracle, a disconnected graph), so a scheme that built
+    // always verifies.
+    let verified = |scheme: &dyn RoutingScheme| {
+        verify(g, scheme, &oracle, stride).expect("a built scheme meets verify's preconditions")
+    };
     // Pass 1: the trusted reference itself must agree with APSP on every
     // sampled pair — any slip here invalidates the cross-checks below.
     let mut reference_disagreements = Vec::new();
-    let reference = FullTableScheme::build(g, &oracle).ok();
-    if let Some(reference) = &reference {
-        for s in 0..n {
-            for t in 0..n {
-                if s == t || (s + t) % stride != 0 {
-                    continue;
+    if let Ok(reference) = FullTableScheme::build(g, &oracle) {
+        for (s, t, outcome) in outcomes(&verified(&reference), n, stride) {
+            let what = match outcome {
+                Err(f) => format!("reference failed: {f}"),
+                Ok((hops, dist)) if hops != dist => {
+                    format!("reference took {hops} hops, APSP says {dist}")
                 }
-                let dist = oracle.distance(s, t).expect("connected graph");
-                match route_pair(reference, s, t, limit) {
-                    Ok(path) if (path.len() - 1) as u32 == dist => {}
-                    Ok(path) => reference_disagreements.push(Disagreement {
-                        scheme: "full-table-reference",
-                        s,
-                        t,
-                        what: format!(
-                            "reference took {} hops, APSP says {dist}",
-                            path.len() - 1
-                        ),
-                    }),
-                    Err(f) => reference_disagreements.push(Disagreement {
-                        scheme: "full-table-reference",
-                        s,
-                        t,
-                        what: format!("reference failed: {f}"),
-                    }),
-                }
-            }
+                Ok(_) => continue,
+            };
+            let scheme = "full-table-reference";
+            reference_disagreements.push(Disagreement { scheme, s, t, what });
         }
     }
     // Pass 2: every registered scheme against the same oracle.
@@ -147,58 +138,31 @@ pub fn diff_graph(g: &Graph, stride: usize) -> GraphDiff {
                 diff.refusal = Some(e.to_string());
             }
             Ok(scheme) => {
-                for s in 0..n {
-                    for t in 0..n {
-                        if s == t || (s + t) % stride != 0 {
+                let report = verified(scheme.as_ref());
+                diff.pairs = report.delivered + report.failures.len();
+                diff.delivered = report.delivered;
+                diff.max_stretch = report.max_stretch();
+                for (s, t, outcome) in outcomes(&report, n, stride) {
+                    let mut flag = |what| {
+                        diff.disagreements.push(Disagreement { scheme: id.name(), s, t, what });
+                    };
+                    let (hops, dist) = match outcome {
+                        Ok(delivered) => delivered,
+                        Err(f) => {
+                            flag(format!("route failed: {f}"));
                             continue;
                         }
-                        diff.pairs += 1;
-                        let dist = oracle.distance(s, t).expect("connected graph");
-                        match route_pair(scheme.as_ref(), s, t, limit) {
-                            Err(f) => diff.disagreements.push(Disagreement {
-                                scheme: id.name(),
-                                s,
-                                t,
-                                what: format!("route failed: {f}"),
-                            }),
-                            Ok(path) => {
-                                let hops = (path.len() - 1) as u32;
-                                diff.delivered += 1;
-                                if dist > 0 {
-                                    let stretch = f64::from(hops) / f64::from(dist);
-                                    diff.max_stretch = Some(
-                                        diff.max_stretch.map_or(stretch, |m| m.max(stretch)),
-                                    );
-                                }
-                                if hops < dist {
-                                    diff.disagreements.push(Disagreement {
-                                        scheme: id.name(),
-                                        s,
-                                        t,
-                                        what: format!(
-                                            "{hops} hops beats the APSP distance {dist}"
-                                        ),
-                                    });
-                                }
-                                if let Some(cap) = id.hop_cap(n, dist) {
-                                    if hops > cap {
-                                        ort_telemetry::recorder::anomaly(
-                                            "stretch_cap_breach",
-                                            u64::from(hops),
-                                            u64::from(cap),
-                                        );
-                                        diff.disagreements.push(Disagreement {
-                                            scheme: id.name(),
-                                            s,
-                                            t,
-                                            what: format!(
-                                                "{hops} hops exceeds the cap {cap} (distance {dist})"
-                                            ),
-                                        });
-                                    }
-                                }
-                            }
-                        }
+                    };
+                    if hops < dist {
+                        flag(format!("{hops} hops beats the APSP distance {dist}"));
+                    }
+                    if let Some(cap) = id.hop_cap(n, dist).filter(|&cap| hops > cap) {
+                        ort_telemetry::recorder::anomaly(
+                            "stretch_cap_breach",
+                            u64::from(hops),
+                            u64::from(cap),
+                        );
+                        flag(format!("{hops} hops exceeds the cap {cap} (distance {dist})"));
                     }
                 }
             }
@@ -206,6 +170,28 @@ pub fn diff_graph(g: &Graph, stride: usize) -> GraphDiff {
         schemes.push(diff);
     }
     GraphDiff { n, reference_disagreements, schemes }
+}
+
+/// Each pair `report` covers, with its outcome: `(hops, dist)` if it was
+/// delivered, the failure otherwise. Pairs come in [`verify`]'s order —
+/// source-major, ascending target, the pairs [`sampled`] selects — so a
+/// failed pair is the next entry of `failures` and any other pair the
+/// next of `stretches`.
+fn outcomes(
+    report: &VerifyReport,
+    n: usize,
+    stride: usize,
+) -> impl Iterator<Item = (usize, usize, Result<(u32, u32), &RouteFailure>)> {
+    let mut failures = report.failures.iter().peekable();
+    let mut stretches = report.stretches.iter();
+    let pairs = (0..n).flat_map(move |s| (0..n).map(move |t| (s, t)));
+    pairs.filter(move |&(s, t)| sampled(s, t, stride)).map(move |(s, t)| {
+        let outcome = match failures.next_if(|f| (f.0, f.1) == (s, t)) {
+            Some((_, _, f)) => Err(f),
+            None => Ok(*stretches.next().expect("one stretch entry per delivered pair")),
+        };
+        (s, t, outcome)
+    })
 }
 
 /// Aggregated differential statistics for a set of graphs (one scheme).
@@ -300,6 +286,25 @@ mod tests {
         let ft = |d: &GraphDiff| d.schemes.iter().find(|s| s.id == SchemeId::FullTable).unwrap().pairs;
         assert!(ft(&sampled) < ft(&full));
         assert!(ft(&sampled) > 0);
+    }
+
+    #[test]
+    fn outcomes_name_each_pair_in_verify_order() {
+        // n = 4 at stride 2 samples (0,2), (1,3), (2,0), (3,1); the second
+        // failed, so the stretches belong to the other three in order.
+        let failure = RouteFailure::HopLimit { limit: 32 };
+        let report = VerifyReport {
+            delivered: 3,
+            failures: vec![(1, 3, failure.clone())],
+            stretches: vec![(2, 2), (3, 2), (1, 1)],
+            total_hops: 6,
+            worst: Some((2, 0, 3, 2)),
+        };
+        let named: Vec<_> = outcomes(&report, 4, 2).collect();
+        assert_eq!(
+            named,
+            [(0, 2, Ok((2, 2))), (1, 3, Err(&failure)), (2, 0, Ok((3, 2))), (3, 1, Ok((1, 1)))]
+        );
     }
 
     #[test]

@@ -131,8 +131,14 @@ pub fn route_pair(
     Err(RouteFailure::HopLimit { limit: max_hops })
 }
 
-/// Outcome of verifying every ordered pair.
-#[derive(Debug, Clone)]
+/// Outcome of verifying every sampled ordered pair.
+///
+/// Pairs are visited in [`verify`]'s order: source-major, ascending
+/// target, over the pairs [`sampled`] selects. `failures` and `stretches`
+/// each keep that order, and a failed pair appears in `failures` only, so
+/// walking the sampled pairs in order and skipping each failed one pairs
+/// every `stretches` entry with its `(s, t)`.
+#[derive(Debug, Clone, PartialEq)]
 pub struct VerifyReport {
     /// Number of ordered pairs routed successfully.
     pub delivered: usize,
@@ -219,8 +225,8 @@ pub fn default_hop_limit(n: usize) -> usize {
     4 * n + 16
 }
 
-/// Verifies `scheme` against `g`: routes every ordered pair `(s, t)` with
-/// `(s + t) % stride == 0` (`stride == 1` is all pairs) and measures
+/// Verifies `scheme` against `g`: routes every ordered pair `(s, t)` that
+/// [`sampled`] selects at `stride` (`stride == 1` is all pairs) and measures
 /// stretch against the distances in `dists`. Pass the oracle the scheme
 /// was built from, and the whole build-then-verify run costs one APSP.
 ///
@@ -278,7 +284,7 @@ pub fn verify(
             worst: None,
         };
         for t in 0..n {
-            if s == t || (s + t) % stride != 0 {
+            if !sampled(s, t, stride) {
                 continue;
             }
             match route_pair(scheme, s, t, limit) {
@@ -335,6 +341,16 @@ pub fn verify(
     ort_telemetry::timing_hist!("verify.micros")
         .record(u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX));
     Ok(report)
+}
+
+/// Whether [`verify`] routes the ordered pair `(s, t)` at sampling
+/// `stride` (at least 1): `s ≠ t` and `(s + t) % stride == 0`, so
+/// `stride == 1` is every pair. The one sampling rule: the conformance
+/// differential calls it to name the pairs of a [`VerifyReport`].
+#[inline]
+#[must_use]
+pub fn sampled(s: NodeId, t: NodeId, stride: usize) -> bool {
+    s != t && (s + t).is_multiple_of(stride)
 }
 
 /// The benchmark's door into [`verify`]: `verify(g, scheme,

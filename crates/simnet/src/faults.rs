@@ -24,6 +24,7 @@ use std::fmt;
 
 use ort_graphs::ports::PortAssignment;
 use ort_graphs::NodeId;
+use ort_telemetry::trace::TraceFault;
 
 /// One fault (or repair) event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -148,9 +149,8 @@ impl FaultPlan {
         time: u64,
         at: NodeId,
         next: NodeId,
-        fault: ort_telemetry::trace::TraceFault,
+        fault: TraceFault,
     ) -> Option<&TimedFault> {
-        use ort_telemetry::trace::TraceFault;
         self.events
             .iter()
             .take_while(|e| e.at <= time)
@@ -216,27 +216,6 @@ impl FaultPlan {
             events.push(TimedFault { at: restart_at, event: FaultEvent::NodeRestart(u) });
         }
         FaultPlan::from_events(events)
-    }
-}
-
-/// Why a single hop `u → v` cannot be taken right now.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HopFault {
-    /// The link itself is down.
-    LinkDown,
-    /// An endpoint has crashed (the offending node is reported).
-    NodeCrashed(NodeId),
-    /// The link crosses the active bipartition cut.
-    Partitioned,
-}
-
-impl From<HopFault> for ort_telemetry::trace::TraceFault {
-    fn from(f: HopFault) -> Self {
-        match f {
-            HopFault::LinkDown => ort_telemetry::trace::TraceFault::LinkDown,
-            HopFault::NodeCrashed(u) => ort_telemetry::trace::TraceFault::NodeCrashed(u),
-            HopFault::Partitioned => ort_telemetry::trace::TraceFault::Partitioned,
-        }
     }
 }
 
@@ -420,20 +399,20 @@ impl FaultState {
     /// (the node is gone, the link state is moot), then an explicit link
     /// fault, then the partition cut.
     #[must_use]
-    pub fn check_hop(&self, u: NodeId, v: NodeId) -> Option<HopFault> {
+    pub fn check_hop(&self, u: NodeId, v: NodeId) -> Option<TraceFault> {
         ort_telemetry::counter!("simnet.fault_checks").incr();
         if self.is_crashed(u) {
-            return Some(HopFault::NodeCrashed(u));
+            return Some(TraceFault::NodeCrashed(u));
         }
         if self.is_crashed(v) {
-            return Some(HopFault::NodeCrashed(v));
+            return Some(TraceFault::NodeCrashed(v));
         }
         if self.links_down.contains(&key(u, v)) {
-            return Some(HopFault::LinkDown);
+            return Some(TraceFault::LinkDown);
         }
         if let Some(membership) = &self.partition {
             if membership[u] != membership[v] {
-                return Some(HopFault::Partitioned);
+                return Some(TraceFault::Partitioned);
             }
         }
         None
@@ -551,7 +530,6 @@ mod tests {
 
     #[test]
     fn blocking_event_names_the_exact_plan_line() {
-        use ort_telemetry::trace::TraceFault;
         let mut plan = FaultPlan::new();
         plan.push(0, FaultEvent::LinkDown(1, 2));
         plan.push(5, FaultEvent::NodeCrash(3));
@@ -587,8 +565,8 @@ mod tests {
         let g = generators::star(5);
         let mut fs = state_for(&g);
         fs.apply(&FaultEvent::NodeCrash(0)).unwrap();
-        assert_eq!(fs.check_hop(1, 0), Some(HopFault::NodeCrashed(0)));
-        assert_eq!(fs.check_hop(0, 2), Some(HopFault::NodeCrashed(0)));
+        assert_eq!(fs.check_hop(1, 0), Some(TraceFault::NodeCrashed(0)));
+        assert_eq!(fs.check_hop(0, 2), Some(TraceFault::NodeCrashed(0)));
         fs.apply(&FaultEvent::NodeRestart(0)).unwrap();
         assert!(fs.hop_usable(1, 0));
     }
@@ -598,7 +576,7 @@ mod tests {
         let g = generators::complete(6);
         let mut fs = state_for(&g);
         fs.apply(&FaultEvent::Bipartition { side: vec![0, 1, 2] }).unwrap();
-        assert_eq!(fs.check_hop(0, 3), Some(HopFault::Partitioned));
+        assert_eq!(fs.check_hop(0, 3), Some(TraceFault::Partitioned));
         assert!(fs.hop_usable(0, 1), "intra-side links stay up");
         assert!(fs.hop_usable(3, 4));
         fs.apply(&FaultEvent::Heal).unwrap();

@@ -55,9 +55,9 @@ use std::fmt;
 use ort_graphs::NodeId;
 use ort_routing::hop::{hop, Hop, HopError, Message};
 use ort_routing::scheme::{MessageState, NodeRouter, RouteError, RoutingScheme};
-use ort_telemetry::trace::{HopKind, WalkTracer};
+use ort_telemetry::trace::{HopKind, TraceFault, WalkTracer};
 
-use crate::faults::{FaultPlan, FaultState, HopFault, InvalidFault};
+use crate::faults::{FaultPlan, FaultState, InvalidFault};
 
 /// Why the simulator could not deliver a message.
 #[derive(Debug, Clone, PartialEq)]
@@ -505,7 +505,7 @@ impl<'a> Network<'a> {
 /// `degree`). A veto names its fault: a crashed node, the partition cut,
 /// or a downed link, whose far end is named only when the decision
 /// advertised no alternative.
-pub(crate) fn hop_failure(at: NodeId, degree: usize, e: HopError<HopFault>) -> SimError {
+pub(crate) fn hop_failure(at: NodeId, degree: usize, e: HopError<TraceFault>) -> SimError {
     match e {
         HopError::Router(error) => SimError::Router { at, error },
         HopError::Misdelivered => SimError::Misdelivered { at },
@@ -513,13 +513,13 @@ pub(crate) fn hop_failure(at: NodeId, degree: usize, e: HopError<HopFault>) -> S
             SimError::Router { at, error: RouteError::PortOutOfRange { port, degree } }
         }
         HopError::NoUsablePort => SimError::Router { at, error: RouteError::UnknownDestination },
-        HopError::Blocked { fault: HopFault::NodeCrashed(node), .. } => {
+        HopError::Blocked { fault: TraceFault::NodeCrashed(node), .. } => {
             SimError::NodeCrashed { node }
         }
-        HopError::Blocked { to, fault: HopFault::Partitioned, .. } => {
+        HopError::Blocked { to, fault: TraceFault::Partitioned, .. } => {
             SimError::Partitioned { at, to }
         }
-        HopError::Blocked { to, fault: HopFault::LinkDown, multipath } => {
+        HopError::Blocked { to, fault: TraceFault::LinkDown, multipath } => {
             SimError::LinkDown { at, to: (!multipath).then_some(to) }
         }
     }

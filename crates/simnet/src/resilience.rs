@@ -36,30 +36,19 @@ use crate::rounds::{RetryPolicy, RoundReport, RoundSimulator};
 use crate::workloads::all_pairs;
 use crate::{FailureBreakdown, Network, Stats};
 
-/// Knobs for one sweep cell, shared across every scheme so cells are
-/// comparable.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResilienceConfig {
-    /// Per-node transmit capacity in the round simulator.
-    pub capacity: usize,
-    /// Per-message TTL in rounds (`None` disables expiry).
-    pub ttl: Option<u32>,
-    /// Source-side retry policy for fault-lost messages.
-    pub retry: RetryPolicy,
-}
+/// Per-node transmit capacity of every cell's round simulator, shared
+/// across schemes so cells are comparable.
+pub const CELL_CAPACITY: usize = 4;
 
-impl Default for ResilienceConfig {
-    fn default() -> Self {
-        ResilienceConfig {
-            capacity: 4,
-            // Generous: at sweep sizes (n ≤ 36) honest queueing latency
-            // stays far below this, so expiry indicates a pathology (e.g.
-            // a detour walk that cannot make progress), not load.
-            ttl: Some(512),
-            retry: RetryPolicy { max_retries: 3, backoff_base: 1, backoff_cap: 8 },
-        }
-    }
-}
+/// Per-message TTL in rounds of every cell's round simulator. Generous:
+/// at sweep sizes (n ≤ 36) honest queueing latency stays far below it,
+/// so expiry indicates a pathology (e.g. a detour walk that cannot make
+/// progress), not load.
+pub const CELL_TTL: u32 = 512;
+
+/// Source-side retry policy of every cell's round simulator, for
+/// fault-lost messages.
+pub const CELL_RETRY: RetryPolicy = RetryPolicy { max_retries: 3, backoff_base: 1, backoff_cap: 8 };
 
 /// The metrics of one `(scheme, topology, intensity)` cell, covering both
 /// simulator faces.
@@ -164,7 +153,8 @@ pub fn resilience_hop_limit(n: usize) -> usize {
     8 * n + 16
 }
 
-/// Runs one scheme against one static fault load on both simulator faces,
+/// Runs one scheme against one static fault load on both simulator faces
+/// (the round face at [`CELL_CAPACITY`], [`CELL_TTL`] and [`CELL_RETRY`]),
 /// returning the cell's metrics with the raw per-face reports — the
 /// hop-level [`Stats`] and the round-face [`RoundReport`] — so callers can
 /// render their `Display` tables (`ort resilience --verbose`).
@@ -183,7 +173,6 @@ pub fn run_cell(
     scheme: &dyn RoutingScheme,
     apsp: &Apsp,
     plan: &FaultPlan,
-    cfg: &ResilienceConfig,
 ) -> Result<(CellMetrics, Stats, RoundReport), InvalidFault> {
     let n = scheme.node_count();
     let _span = ort_telemetry::span_with(
@@ -237,10 +226,10 @@ pub fn run_cell(
     let stats = net.stats();
 
     // Round face: same workload, congestion + recovery machinery active.
-    let mut sim = RoundSimulator::new(scheme, cfg.capacity);
+    let mut sim = RoundSimulator::new(scheme, CELL_CAPACITY);
     sim.set_fault_plan(plan.clone())?;
-    sim.set_ttl(cfg.ttl);
-    sim.set_retry_policy(cfg.retry);
+    sim.set_ttl(Some(CELL_TTL));
+    sim.set_retry_policy(CELL_RETRY);
     let report = sim.run(&all_pairs(n));
 
     let metrics = CellMetrics {
@@ -409,7 +398,7 @@ mod tests {
         let apsp = Apsp::compute(&g);
         let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let plan = FaultPlan::new();
-        let m = run_cell(&scheme, &apsp, &plan, &ResilienceConfig::default()).unwrap().0;
+        let m = run_cell(&scheme, &apsp, &plan).unwrap().0;
         assert_eq!(m.pairs, 16 * 15);
         assert_eq!(m.delivered, m.pairs);
         assert_eq!(m.delivery_ratio(), 1.0);
@@ -425,7 +414,7 @@ mod tests {
         let apsp = Apsp::compute(&g);
         let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let plan = FaultPlan::random_link_faults(scheme.port_assignment(), 0.2, 5);
-        let m = run_cell(&scheme, &apsp, &plan, &ResilienceConfig::default()).unwrap().0;
+        let m = run_cell(&scheme, &apsp, &plan).unwrap().0;
         assert!(m.delivered < m.pairs, "20% of a dense graph's links must cost something");
         assert_eq!(
             m.failures.total(),
@@ -441,11 +430,10 @@ mod tests {
         let dists = Apsp::compute(&g);
         let bare = FullTableScheme::build(&g, &dists).unwrap();
         let plan = FaultPlan::random_link_faults(bare.port_assignment(), 0.2, 5);
-        let cfg = ResilienceConfig::default();
-        let m_bare = run_cell(&bare, &apsp, &plan, &cfg).unwrap().0;
+        let m_bare = run_cell(&bare, &apsp, &plan).unwrap().0;
         assert!(m_bare.avoidable_failed > 0, "the load must leave something to recover");
         let wrapped = ResilientScheme::wrap(Box::new(FullTableScheme::build(&g, &dists).unwrap()));
-        let m_wrapped = run_cell(&wrapped, &apsp, &plan, &cfg).unwrap().0;
+        let m_wrapped = run_cell(&wrapped, &apsp, &plan).unwrap().0;
         assert!(
             m_wrapped.delivered > m_bare.delivered,
             "wrapped {} vs bare {}",
@@ -464,9 +452,8 @@ mod tests {
         let single = FullTableScheme::build(&g, &dists).unwrap();
         let multi = FullInformationScheme::build(&g, &dists).unwrap();
         let plan = FaultPlan::random_link_faults(single.port_assignment(), 0.2, 5);
-        let cfg = ResilienceConfig::default();
-        let m_single = run_cell(&single, &apsp, &plan, &cfg).unwrap().0;
-        let m_multi = run_cell(&multi, &apsp, &plan, &cfg).unwrap().0;
+        let m_single = run_cell(&single, &apsp, &plan).unwrap().0;
+        let m_multi = run_cell(&multi, &apsp, &plan).unwrap().0;
         assert!(m_multi.delivered >= m_single.delivered);
     }
 
@@ -476,9 +463,8 @@ mod tests {
         let apsp = Apsp::compute(&g);
         let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let plan = FaultPlan::random_link_faults(scheme.port_assignment(), 0.15, 9);
-        let cfg = ResilienceConfig::default();
-        let a = run_cell(&scheme, &apsp, &plan, &cfg).unwrap().0;
-        let b = run_cell(&scheme, &apsp, &plan, &cfg).unwrap().0;
+        let a = run_cell(&scheme, &apsp, &plan).unwrap().0;
+        let b = run_cell(&scheme, &apsp, &plan).unwrap().0;
         assert_eq!(a, b);
     }
 
@@ -491,7 +477,7 @@ mod tests {
             at: 0,
             event: crate::faults::FaultEvent::LinkDown(0, 3),
         }]);
-        assert!(run_cell(&scheme, &apsp, &plan, &ResilienceConfig::default()).is_err());
+        assert!(run_cell(&scheme, &apsp, &plan).is_err());
     }
 
     #[test]

@@ -382,7 +382,7 @@ impl<'a> RoundSimulator<'a> {
         report.stranded = in_flight;
         ort_telemetry::counter!("simnet.retries").add(report.retries);
         ort_telemetry::counter!("simnet.reroutes").add(report.reroutes);
-        ort_telemetry::gauge!("simnet.max_queue").set_max(report.max_queue as u64);
+        ort_telemetry::hist!("simnet.max_queue").record(report.max_queue as u64);
         report
     }
 }

@@ -13,8 +13,8 @@
 //!   allocation (`Layout::size`, not malloc-internal overhead, so the
 //!   figure is machine-independent for a deterministic workload);
 //! * **peak bytes** — the process-lifetime high-water mark of live
-//!   bytes, maintained with `fetch_max` exactly like
-//!   [`crate::Gauge::set_max`];
+//!   bytes, maintained with `fetch_max` exactly like a histogram's
+//!   `max` ([`crate::Hist::record`]);
 //! * **a resettable region watermark** — the primitive behind
 //!   [`MemSpan`] attribution (below);
 //! * **allocation-size distribution** — every allocation's size feeds

@@ -1,10 +1,11 @@
-//! Typed counters and gauges: process-global named atomics.
+//! Typed counters: process-global named atomics.
 //!
 //! A [`Counter`] is created per call site by the [`counter!`] macro as a
 //! `static`, registered in a global list on first use, and bumped with
 //! relaxed atomic adds — increments commute, so totals are deterministic
 //! under any thread count. Two call sites may share a name; snapshots sum
-//! per name. A [`Gauge`] stores the last value written instead.
+//! per name. A high-water mark is a histogram ([`crate::hist!`]): its
+//! `max` is the mark, and the distribution comes with it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -17,19 +18,10 @@ pub struct Counter {
     registered: AtomicBool,
 }
 
-/// A last-value-wins named gauge. Create via [`gauge!`].
-#[derive(Debug)]
-pub struct Gauge {
-    name: &'static str,
-    value: AtomicU64,
-    registered: AtomicBool,
-}
-
 static COUNTERS: Mutex<Vec<&'static Counter>> = Mutex::new(Vec::new());
-static GAUGES: Mutex<Vec<&'static Gauge>> = Mutex::new(Vec::new());
 
-fn lock<T>(m: &'static Mutex<Vec<T>>) -> std::sync::MutexGuard<'static, Vec<T>> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+fn lock() -> std::sync::MutexGuard<'static, Vec<&'static Counter>> {
+    COUNTERS.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 impl Counter {
@@ -47,7 +39,7 @@ impl Counter {
             return;
         }
         if !self.registered.swap(true, Ordering::Relaxed) {
-            lock(&COUNTERS).push(self);
+            lock().push(self);
         }
         self.value.fetch_add(delta, Ordering::Relaxed);
     }
@@ -71,50 +63,6 @@ impl Counter {
     }
 }
 
-impl Gauge {
-    /// Creates an unregistered gauge (registration happens on first
-    /// [`Gauge::set`]).
-    #[must_use]
-    pub const fn new(name: &'static str) -> Self {
-        Gauge { name, value: AtomicU64::new(0), registered: AtomicBool::new(false) }
-    }
-
-    /// Stores `value` (last write wins). No-op when the `enabled` feature
-    /// is off.
-    pub fn set(&'static self, value: u64) {
-        if !crate::enabled() {
-            return;
-        }
-        if !self.registered.swap(true, Ordering::Relaxed) {
-            lock(&GAUGES).push(self);
-        }
-        self.value.store(value, Ordering::Relaxed);
-    }
-
-    /// Raises the gauge to `value` if it is larger (high-water marks).
-    pub fn set_max(&'static self, value: u64) {
-        if !crate::enabled() {
-            return;
-        }
-        if !self.registered.swap(true, Ordering::Relaxed) {
-            lock(&GAUGES).push(self);
-        }
-        self.value.fetch_max(value, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-
-    /// The gauge's name.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-}
-
 /// Declares (once, statically, at the call site) and yields a
 /// `&'static Counter`:
 ///
@@ -129,54 +77,20 @@ macro_rules! counter {
     }};
 }
 
-/// Declares (once, statically, at the call site) and yields a
-/// `&'static Gauge`:
-///
-/// ```
-/// ort_telemetry::gauge!("simnet.max_queue").set_max(17);
-/// ```
-#[macro_export]
-macro_rules! gauge {
-    ($name:expr) => {{
-        static GAUGE: $crate::counter::Gauge = $crate::counter::Gauge::new($name);
-        &GAUGE
-    }};
-}
-
 /// All counter values summed per name, sorted by name.
 #[must_use]
 pub(crate) fn counter_values() -> Vec<(&'static str, u64)> {
-    merge(lock(&COUNTERS).iter().map(|c| (c.name, c.get())))
-}
-
-/// All gauge values, sorted by name. Gauges sharing a name keep the
-/// largest value (gauges are high-water marks or config echoes; summing
-/// them would be meaningless).
-#[must_use]
-pub(crate) fn gauge_values() -> Vec<(&'static str, u64)> {
     let mut map: std::collections::BTreeMap<&'static str, u64> = std::collections::BTreeMap::new();
-    for g in lock(&GAUGES).iter() {
-        let v = map.entry(g.name).or_insert(0);
-        *v = (*v).max(g.get());
+    for c in lock().iter() {
+        *map.entry(c.name).or_insert(0) += c.get();
     }
     map.into_iter().collect()
 }
 
-fn merge(items: impl Iterator<Item = (&'static str, u64)>) -> Vec<(&'static str, u64)> {
-    let mut map: std::collections::BTreeMap<&'static str, u64> = std::collections::BTreeMap::new();
-    for (name, v) in items {
-        *map.entry(name).or_insert(0) += v;
-    }
-    map.into_iter().collect()
-}
-
-/// Zeroes every registered counter and gauge (registration survives).
+/// Zeroes every registered counter (registration survives).
 pub(crate) fn zero_all() {
-    for c in lock(&COUNTERS).iter() {
+    for c in lock().iter() {
         c.value.store(0, Ordering::Relaxed);
-    }
-    for g in lock(&GAUGES).iter() {
-        g.value.store(0, Ordering::Relaxed);
     }
 }
 
@@ -187,15 +101,15 @@ mod tests {
         // Two distinct call sites sharing one (test-unique) name.
         counter!("test.counter.shared").add(3);
         counter!("test.counter.shared").add(4);
-        gauge!("test.gauge.hwm").set_max(5);
-        gauge!("test.gauge.hwm").set_max(2);
+        crate::hist!("test.hist.hwm").record(5);
+        crate::hist!("test.hist.hwm").record(2);
         let snap = crate::snapshot();
         if !crate::enabled() {
             assert!(snap.counters.is_empty());
             return;
         }
         assert_eq!(snap.counter("test.counter.shared"), 7);
-        assert_eq!(snap.gauge("test.gauge.hwm"), 5);
+        assert_eq!(snap.hist("test.hist.hwm").map(|h| h.max), Some(5));
         crate::reset();
         assert_eq!(crate::snapshot().counter("test.counter.shared"), 0);
     }

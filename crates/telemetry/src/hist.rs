@@ -31,6 +31,8 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use crate::json::Json;
+
 /// Exact unit buckets for values below this (a power of two).
 const LINEAR_MAX: u64 = 32;
 /// log2 of [`LINEAR_MAX`].
@@ -355,6 +357,27 @@ impl HistData {
             let m = self.sum as f64 / self.count as f64;
             m
         }
+    }
+
+    /// The one serialization of a histogram: exact `count`, `sum` and
+    /// `max`, then the non-empty `buckets` as `[index, count]` pairs, every
+    /// integer through [`Json::uint`]. A results file's `"hists"` section
+    /// holds `Json::obj` of these fields under the histogram's name; the
+    /// JSONL sink's `hist` line puts `type`, `name` and `timing` in front
+    /// of them.
+    #[must_use]
+    pub fn json_fields(&self) -> Vec<(&'static str, Json)> {
+        let buckets = self
+            .buckets
+            .iter()
+            .map(|&(i, c)| Json::Arr(vec![Json::uint(i as u64), Json::uint(c)]))
+            .collect();
+        vec![
+            ("count", Json::uint(self.count)),
+            ("sum", Json::uint(self.sum)),
+            ("max", Json::uint(self.max)),
+            ("buckets", Json::Arr(buckets)),
+        ]
     }
 
     /// One-line percentile readout:

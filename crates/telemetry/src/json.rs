@@ -1,8 +1,9 @@
 //! The workspace's one JSON implementation: a minimal value with stable,
 //! deterministic serialization and the parser that reads it back. The
 //! workspace is offline, so no serde; results files, the JSONL telemetry
-//! stream ([`crate::sink::parse_jsonl`]) and `ort report` only need
-//! objects, arrays, strings, numbers, booleans and null.
+//! stream ([`crate::Snapshot::jsonl`]), the flight recorder's dumps and
+//! `ort report` only need objects, arrays, strings, numbers, booleans and
+//! null. Every one of them is built as a [`Json`] value and printed here.
 
 use std::fmt;
 use std::num::IntErrorKind;
@@ -31,6 +32,15 @@ impl Json {
     #[must_use]
     pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
         Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+
+    /// An unsigned integer, saturated at `i64::MAX` (the largest value a
+    /// [`Json::Int`] holds): the one `u64` conversion, so a saturated
+    /// counter or histogram sum stays a large non-negative number that
+    /// [`Json::parse`] reads back, never a negative or unparseable one.
+    #[must_use]
+    pub fn uint(v: u64) -> Json {
+        Json::Int(i64::try_from(v).unwrap_or(i64::MAX))
     }
 
     /// Parses a JSON document — the inverse of [`Json::pretty`] and

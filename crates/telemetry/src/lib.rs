@@ -9,10 +9,13 @@
 //!   timed regions kept on a thread-local stack. A [`Context`] captured
 //!   before `std::thread::scope` and entered inside each worker makes
 //!   spans nest correctly across threads.
-//! * **Counters / gauges** ([`counter!`] / [`gauge!`]) — typed, named,
-//!   process-global atomics for hot-path events (frontier expansions,
-//!   oracle reuse, simulator hops…). Counter increments commute, so sums
-//!   are deterministic under any `ORT_THREADS`.
+//! * **Counters** ([`counter!`]) — typed, named, process-global atomics
+//!   for hot-path events (frontier expansions, oracle reuse, simulator
+//!   hops…). Increments commute, so sums are deterministic under any
+//!   `ORT_THREADS`.
+//! * **Histograms** ([`hist!`] / [`timing_hist!`]) — log-bucketed
+//!   distributions with exact count, sum and max; a high-water mark is a
+//!   histogram's `max`.
 //! * **Sinks** ([`sink`]) — a human-readable span tree, a JSONL event
 //!   stream, and a flamegraph-compatible folded-stacks dump, selected at
 //!   runtime by the `ORT_TELEMETRY` env var (see [`flush`]).
@@ -27,8 +30,8 @@
 //!   allocation-size distribution — the measured side of every analytic
 //!   `peak_bytes` claim.
 //! * **JSON** ([`json`]) — the workspace's one JSON value type and
-//!   parser, shared by the JSONL sink, every results file and
-//!   `ort report`.
+//!   parser, shared by the JSONL sink, the flight recorder's dumps, every
+//!   results file and `ort report`.
 //!
 //! # Determinism contract
 //!
@@ -84,9 +87,9 @@ pub mod span;
 pub mod trace;
 
 pub use alloc::{mem_span, MemSpan, MemSpanRecord};
-pub use counter::{Counter, Gauge};
+pub use counter::Counter;
 pub use hist::{Hist, HistData, LocalHist};
-pub use sink::{ParsedField, ParsedSnapshot, ParsedSpan, Snapshot};
+pub use sink::Snapshot;
 pub use span::{span, span_with, Context, ContextGuard, FieldValue, SpanGuard, SpanRecord};
 pub use trace::{
     AttemptTrace, HopEvent, HopKind, MessageTrace, TraceFault, TraceRecorder, WalkTracer,
@@ -100,7 +103,7 @@ pub const fn enabled() -> bool {
     cfg!(feature = "enabled")
 }
 
-/// Clears all span records, zeroes every counter, gauge, and histogram,
+/// Clears all span records, zeroes every counter and histogram,
 /// and empties the flight-recorder ring. Explicit and test/CLI-only:
 /// workloads themselves never clear telemetry state (the registry is
 /// append-only while they run).
@@ -113,14 +116,13 @@ pub fn reset() {
 }
 
 /// Captures the current telemetry state: all completed span records (in
-/// completion order), all counter/gauge values (summed per name, sorted
-/// by name), and all histograms (merged per name, sorted by name).
+/// completion order), all counter values (summed per name, sorted by
+/// name), and all histograms (merged per name, sorted by name).
 #[must_use]
 pub fn snapshot() -> Snapshot {
     Snapshot {
         spans: span::records(),
         counters: counter::counter_values(),
-        gauges: counter::gauge_values(),
         hists: hist::hist_values(),
     }
 }
@@ -130,7 +132,7 @@ pub fn snapshot() -> Snapshot {
 /// The variable holds a comma-separated list of sinks:
 ///
 /// * `summary` — human-readable span tree + counter table on stderr;
-/// * `jsonl:<path>` — one JSON object per span record / counter / gauge /
+/// * `jsonl:<path>` — one JSON object per span record / counter /
 ///   histogram;
 /// * `folded:<path>` — flamegraph-compatible folded stacks
 ///   (`a;b;c <ns>` lines);

@@ -27,6 +27,7 @@
 use std::sync::Mutex;
 
 use crate::json::Json;
+use crate::sink::{counter_line, jsonl_of};
 
 /// Ring capacity: events retained at any moment.
 pub const CAPACITY: usize = 1024;
@@ -160,32 +161,26 @@ pub fn events() -> Vec<Event> {
 /// paths nothing).
 #[must_use]
 pub fn dump_string(trigger: &str) -> String {
-    use std::fmt::Write as _;
     let evs = events();
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{{\"type\":\"postmortem\",\"trigger\":{},\"events\":{}}}",
-        Json::Str(trigger.to_string()).compact(),
-        evs.len()
-    );
-    for e in &evs {
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"event\",\"seq\":{},\"kind\":\"{}\",\"label\":{},\"a\":{},\"b\":{},\"ns\":{}}}",
-            e.seq,
-            e.kind.as_str(),
-            Json::Str(e.label.to_string()).compact(),
-            e.a,
-            e.b,
-            e.ns
-        );
-    }
-    for (name, v) in crate::counter::counter_values() {
-        let name = Json::Str(name.to_string()).compact();
-        let _ = writeln!(out, "{{\"type\":\"counter\",\"name\":{name},\"value\":{v}}}");
-    }
-    out
+    let header = Json::obj(vec![
+        ("type", Json::Str("postmortem".into())),
+        ("trigger", Json::Str(trigger.to_string())),
+        ("events", Json::uint(evs.len() as u64)),
+    ]);
+    let events = evs.iter().map(|e| {
+        Json::obj(vec![
+            ("type", Json::Str("event".into())),
+            ("seq", Json::uint(e.seq)),
+            ("kind", Json::Str(e.kind.as_str().into())),
+            ("label", Json::Str(e.label.to_string())),
+            ("a", Json::uint(e.a)),
+            ("b", Json::uint(e.b)),
+            ("ns", Json::uint(e.ns)),
+        ])
+    });
+    let counters =
+        crate::counter::counter_values().into_iter().map(|(name, v)| counter_line(name, v));
+    jsonl_of(std::iter::once(header).chain(events).chain(counters))
 }
 
 /// Clears the ring (registration-free; the buffer stays allocated).

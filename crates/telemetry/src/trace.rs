@@ -30,9 +30,10 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// The fault a hop-level check reported, mirrored from the simulator's
-/// fault model (kept dependency-free here: `ort-simnet` depends on this
-/// crate, not the other way around).
+/// Why a hop `u → v` cannot be taken: the simulator's one fault type.
+/// `ort-simnet`'s `FaultState::check_hop` returns it and trace events
+/// carry it; it lives here because `ort-simnet` depends on this crate,
+/// not the other way around.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceFault {
     /// The link to the chosen neighbor is down.

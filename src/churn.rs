@@ -139,19 +139,6 @@ fn cell_specs(max_n: usize) -> Vec<CellSpec> {
     cells
 }
 
-/// Field-wise [`VerifyReport`] equality. `VerifyReport` intentionally
-/// does not implement `Eq` (it holds measured data, not an identity),
-/// so the sweep compares the fields that must agree when the repaired
-/// scheme equals a cold build: both reports are produced in the same
-/// deterministic pair order, so vector comparison is exact.
-fn reports_equal(a: &VerifyReport, b: &VerifyReport) -> bool {
-    a.delivered == b.delivered
-        && a.failures == b.failures
-        && a.stretches == b.stretches
-        && a.total_hops == b.total_hops
-        && a.worst == b.worst
-}
-
 fn scheme_bytes(scheme: &dyn ort_routing::scheme::RoutingScheme) -> Result<Vec<bool>, String> {
     let bits = snapshot::save(SchemeKind::FullTable, scheme).map_err(|e| e.to_string())?;
     Ok(bits.iter().collect())
@@ -247,8 +234,7 @@ fn run_cell(spec: &CellSpec, progress: &mut dyn FnMut(&str)) -> Result<CellResul
                     .map_err(|e| format!("{} step {}: verify: {e}", spec.name, timed.at))?;
             let fresh_report = verify::verify(repairable.graph(), &fresh, &fresh_dists, 1)
                 .map_err(|e| format!("{} step {}: verify fresh: {e}", spec.name, timed.at))?;
-            let equal = reports_equal(&repaired_report, &fresh_report)
-                && repaired_report.is_shortest_path();
+            let equal = repaired_report == fresh_report && repaired_report.is_shortest_path();
             if equal {
                 verify_equal_steps += 1;
             } else {
@@ -501,12 +487,7 @@ pub fn churn_sweep(
         ("cells", Json::Arr(cells)),
         (
             "hists",
-            Json::Obj(
-                hists
-                    .iter()
-                    .map(|h| (h.name.clone(), crate::report::hist_json(h)))
-                    .collect(),
-            ),
+            Json::Obj(hists.iter().map(|h| (h.name.clone(), Json::obj(h.json_fields()))).collect()),
         ),
         ("violations", Json::Arr(violations.iter().map(|v| Json::Str(v.clone())).collect())),
         ("pass", Json::Bool(violations.is_empty())),

@@ -52,27 +52,6 @@ pub struct ReportOutcome {
     pub problems: Vec<String>,
 }
 
-/// Serializes one deterministic value-domain histogram for a results
-/// payload: exact counts, sparse buckets — the form `ort report`
-/// compares byte-for-byte.
-#[must_use]
-pub fn hist_json(h: &ort_telemetry::HistData) -> Json {
-    Json::obj(vec![
-        ("count", Json::Int(h.count as i64)),
-        ("sum", Json::Int(h.sum as i64)),
-        ("max", Json::Int(h.max as i64)),
-        (
-            "buckets",
-            Json::Arr(
-                h.buckets
-                    .iter()
-                    .map(|&(i, c)| Json::Arr(vec![Json::Int(i as i64), Json::Int(c as i64)]))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
 /// Splits a stamped document into its manifest and the original payload
 /// text the digest was computed over. Returns `None` when the document
 /// carries no manifest.

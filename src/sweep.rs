@@ -30,7 +30,8 @@ use ort_routing::scheme::RoutingScheme;
 use ort_routing::schemes::resilient::ResilientScheme;
 use ort_simnet::faults::FaultPlan;
 use ort_simnet::resilience::{
-    acceptance_violations, resilience_hop_limit, run_cell, ResilienceConfig, SweepCell,
+    acceptance_violations, resilience_hop_limit, run_cell, SweepCell, CELL_CAPACITY, CELL_RETRY,
+    CELL_TTL,
 };
 use ort_simnet::{FailureBreakdown, Network};
 use ort_telemetry::trace::{self as trace_api, TraceRecorder};
@@ -82,7 +83,6 @@ pub fn resilience_sweep(
     verbose: bool,
     mut progress: impl FnMut(&str),
 ) -> Result<SweepOutcome, String> {
-    let cfg = ResilienceConfig::default();
     let topologies: Vec<(&str, Graph)> = vec![
         ("gnp32", generators::gnp_half(32, 3)),
         ("grid6x6", generators::grid(6, 6)),
@@ -136,8 +136,7 @@ pub fn resilience_sweep(
                     [(false, bare.as_ref()), (true, &wrapped as &dyn RoutingScheme)]
                 {
                     let (metrics, hop_stats, round_report) =
-                        run_cell(scheme, &oracle, &plans[i], &cfg)
-                            .map_err(|e| e.to_string())?;
+                        run_cell(scheme, &oracle, &plans[i]).map_err(|e| e.to_string())?;
                     if verbose {
                         println!(
                             "{tname}/{}{} at intensity {intensity}:",
@@ -255,14 +254,14 @@ pub fn resilience_sweep(
             Json::obj(vec![
                 ("intensities", Json::Arr(INTENSITIES.iter().map(|&x| Json::Num(x)).collect())),
                 ("fault_seed", Json::Int(FAULT_SEED as i64)),
-                ("capacity", Json::Int(cfg.capacity as i64)),
-                ("ttl", cfg.ttl.map_or(Json::Null, |t| Json::Int(i64::from(t)))),
+                ("capacity", Json::Int(CELL_CAPACITY as i64)),
+                ("ttl", Json::Int(i64::from(CELL_TTL))),
                 (
                     "retry",
                     Json::obj(vec![
-                        ("max_retries", Json::Int(i64::from(cfg.retry.max_retries))),
-                        ("backoff_base", Json::Int(i64::from(cfg.retry.backoff_base))),
-                        ("backoff_cap", Json::Int(i64::from(cfg.retry.backoff_cap))),
+                        ("max_retries", Json::Int(i64::from(CELL_RETRY.max_retries))),
+                        ("backoff_base", Json::Int(i64::from(CELL_RETRY.backoff_base))),
+                        ("backoff_cap", Json::Int(i64::from(CELL_RETRY.backoff_cap))),
                     ]),
                 ),
                 ("hop_limit_n32", Json::Int(resilience_hop_limit(32) as i64)),
@@ -288,12 +287,7 @@ pub fn resilience_sweep(
         ("cells", Json::Arr(cell_json)),
         (
             "hists",
-            Json::Obj(
-                hists
-                    .iter()
-                    .map(|h| (h.name.clone(), crate::report::hist_json(h)))
-                    .collect(),
-            ),
+            Json::Obj(hists.iter().map(|h| (h.name.clone(), Json::obj(h.json_fields()))).collect()),
         ),
         ("violations", Json::Arr(violations.iter().map(|v| Json::Str(v.clone())).collect())),
         ("pass", Json::Bool(violations.is_empty())),

@@ -18,18 +18,10 @@ use optimal_routing_tables::routing::repair::RepairableScheme;
 use optimal_routing_tables::routing::scheme::RoutingScheme;
 use optimal_routing_tables::routing::schemes::full_table::FullTableScheme;
 use optimal_routing_tables::routing::snapshot::{self, SchemeKind};
-use optimal_routing_tables::routing::verify::{self, VerifyReport};
+use optimal_routing_tables::routing::verify;
 
 fn bytes(scheme: &dyn RoutingScheme) -> Vec<bool> {
     snapshot::save(SchemeKind::FullTable, scheme).expect("snapshot").iter().collect()
-}
-
-fn reports_equal(a: &VerifyReport, b: &VerifyReport) -> bool {
-    a.delivered == b.delivered
-        && a.failures == b.failures
-        && a.stretches == b.stretches
-        && a.total_hops == b.total_hops
-        && a.worst == b.worst
 }
 
 /// Applies the single-edge delta `{u, v}` (toggle: add if absent,
@@ -75,7 +67,7 @@ fn check_delta(g: &Graph, u: usize, v: usize) {
         verify::verify(&target, repairable.scheme(), repairable.oracle(), 1)
             .expect("verify patched");
     let fresh_report = verify::verify(&target, &fresh, &dists, 1).expect("verify fresh");
-    assert!(reports_equal(&patched_report, &fresh_report), "verify reports diverge");
+    assert_eq!(patched_report, fresh_report, "verify reports diverge");
     assert!(patched_report.is_shortest_path());
 }
 

@@ -21,7 +21,7 @@ use ort_graphs::paths::Apsp;
 use ort_graphs::Graph;
 use ort_routing::scheme::RoutingScheme;
 use ort_routing::schemes::full_table::FullTableScheme;
-use ort_routing::verify::{sampled, verify, RouteFailure, VerifyReport};
+use ort_routing::verify::{sampled_targets, verify, RouteFailure, VerifyReport};
 
 use crate::registry::SchemeId;
 
@@ -174,7 +174,7 @@ pub fn diff_graph(g: &Graph, stride: usize) -> GraphDiff {
 
 /// Each pair `report` covers, with its outcome: `(hops, dist)` if it was
 /// delivered, the failure otherwise. Pairs come in [`verify`]'s order —
-/// source-major, ascending target, the pairs [`sampled`] selects — so a
+/// source-major, each source's [`sampled_targets`] ascending — so a
 /// failed pair is the next entry of `failures` and any other pair the
 /// next of `stretches`.
 fn outcomes(
@@ -184,8 +184,8 @@ fn outcomes(
 ) -> impl Iterator<Item = (usize, usize, Result<(u32, u32), &RouteFailure>)> {
     let mut failures = report.failures.iter().peekable();
     let mut stretches = report.stretches.iter();
-    let pairs = (0..n).flat_map(move |s| (0..n).map(move |t| (s, t)));
-    pairs.filter(move |&(s, t)| sampled(s, t, stride)).map(move |(s, t)| {
+    let pairs = (0..n).flat_map(move |s| sampled_targets(s, n, stride).map(move |t| (s, t)));
+    pairs.map(move |(s, t)| {
         let outcome = match failures.next_if(|f| (f.0, f.1) == (s, t)) {
             Some((_, _, f)) => Err(f),
             None => Ok(*stretches.next().expect("one stretch entry per delivered pair")),

@@ -29,7 +29,7 @@
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use crate::dist::{DistBand, DistRow, DistStore};
+use crate::dist::{CellWidth, DistBand, DistRow, DistStore};
 use crate::paths::{compute_band, Apsp, ApspEngine, UNREACHABLE};
 use crate::{Graph, NodeId};
 
@@ -201,6 +201,9 @@ impl Distances for Apsp {
 pub struct BandedOracle {
     g: Graph,
     engine: ApspEngine,
+    /// [`crate::dist::width_for`] of `g`, worked out once: it is a
+    /// whole-graph traversal, and every band and `peak_bytes` needs it.
+    width: CellWidth,
     band_rows: usize,
     state: Mutex<BandState>,
 }
@@ -232,8 +235,9 @@ impl BandedOracle {
     pub fn with_engine(g: Graph, band_rows: usize, engine: ApspEngine) -> Self {
         assert!(band_rows >= 1, "band must hold at least one row");
         BandedOracle {
+            engine: engine.resolve(&g),
+            width: crate::dist::width_for(&g),
             g,
-            engine,
             band_rows,
             state: Mutex::new(BandState { band: None, bands_computed: 0 }),
         }
@@ -275,7 +279,7 @@ impl BandedOracle {
             // Dropping the previous band *before* computing the next keeps
             // peak memory at one band.
             st.band = None;
-            st.band = Some(compute_band(&self.g, start, rows, self.engine));
+            st.band = Some(compute_band(&self.g, start, rows, self.engine, self.width));
             st.bands_computed += 1;
         }
         st.band.as_ref().expect("band just computed")
@@ -308,8 +312,8 @@ impl Distances for BandedOracle {
         // claim without it would under-state the measured peak (the
         // allocator audit enforces claimed ≤ measured).
         let n = self.g.node_count();
-        self.band_rows.min(n) * n * crate::dist::width_for(&self.g).bytes_per_cell()
-            + self.engine.resolve(&self.g).scratch_bytes(&self.g, self.band_rows.min(n))
+        self.band_rows.min(n) * n * self.width.bytes_per_cell()
+            + self.engine.scratch_bytes(&self.g, self.band_rows.min(n))
     }
 }
 

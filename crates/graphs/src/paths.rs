@@ -42,7 +42,8 @@
 //! exposes a process-wide counter that tests use to assert this. For graphs too
 //! large to hold all `n²` cells, [`compute_band`] materialises one
 //! horizontal band of rows at a time (the engine behind
-//! [`crate::oracle::BandedOracle`]).
+//! [`crate::oracle::BandedOracle`] and `ort-routing`'s streamed sampled
+//! verify).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -512,20 +513,30 @@ pub fn map_in_order<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> 
 }
 
 /// Computes one horizontal band of the distance matrix: the rows of
-/// sources `start..start + rows`, at the graph's compact cell width,
-/// without materialising any other row. Peak memory is `rows × n` cells
-/// (plus the tiled engine's per-tile masks) — the streaming building
-/// block behind [`crate::oracle::BandedOracle`].
+/// sources `start..start + rows`, at cell width `width`, without
+/// materialising any other row. Peak memory is `rows × n` cells (plus
+/// the tiled engine's per-tile masks) — the streaming building block
+/// behind [`crate::oracle::BandedOracle`] and the sampled verify.
+///
+/// `width` is [`crate::dist::width_for`]`(g)`, the width [`Apsp::compute`]
+/// stores `g` at. It is a whole-graph traversal, so a caller that fills
+/// many bands of one graph works it out once and passes it to each.
 ///
 /// # Panics
 ///
-/// Panics if `start + rows` exceeds the node count.
+/// Panics if `start + rows` exceeds the node count, or if a distance
+/// overflows `width`.
 #[must_use]
-pub fn compute_band(g: &Graph, start: NodeId, rows: usize, engine: ApspEngine) -> DistBand {
+pub fn compute_band(
+    g: &Graph,
+    start: NodeId,
+    rows: usize,
+    engine: ApspEngine,
+    width: CellWidth,
+) -> DistBand {
     let n = g.node_count();
     assert!(start + rows <= n, "band {start}..{} exceeds n = {n}", start + rows);
     let engine = engine.resolve(g);
-    let width = crate::dist::width_for(g);
     let _span = ort_telemetry::span_with(
         "apsp.band",
         &[
@@ -916,7 +927,7 @@ mod tests {
         let g = generators::connected_gnp(90, 0.06, 7);
         let full = Apsp::compute(&g);
         for engine in [ApspEngine::Queue, ApspEngine::Bitset, ApspEngine::Tiled] {
-            let band = compute_band(&g, 30, 25, engine);
+            let band = compute_band(&g, 30, 25, engine, crate::dist::width_for(&g));
             assert_eq!(band.start(), 30);
             assert_eq!(band.rows(), 25);
             assert_eq!(band.store().width(), full.cell_width());

@@ -283,7 +283,7 @@ impl RoutingScheme for FullTableScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::{verify, RouteFailure};
+    use crate::verify::{sampled_targets, verify, RouteFailure};
     use ort_bitio::BitVec;
     use ort_graphs::dist::DistRow;
     use ort_graphs::generators;
@@ -408,9 +408,10 @@ mod tests {
             .any(|(s, _, f)| *s == 0 && matches!(f, RouteFailure::RouterError { .. })));
     }
 
-    /// Forwards to an inner oracle and counts the calls a builder makes.
-    /// The row-based defaults (`is_connected`, `shortest_path`) are left
-    /// to the trait, so their row reads count as `with_row` calls.
+    /// Forwards to an inner oracle and counts the calls a builder or the
+    /// verifier makes. The row-based defaults (`is_connected`,
+    /// `shortest_path`) are left to the trait, so their row reads count as
+    /// `with_row` calls.
     struct Counting<'a> {
         inner: &'a dyn Distances,
         with_row: AtomicUsize,
@@ -461,6 +462,34 @@ mod tests {
             // probe; per-cell queries would number n(n − 1) = 4032.
             assert_eq!(counting.with_row.load(Relaxed), 64 + 1, "{}", inner.describe());
             assert_eq!(counting.per_cell.load(Relaxed), 0, "{}", inner.describe());
+        }
+    }
+
+    #[test]
+    fn verify_borrows_one_row_per_sampled_source() {
+        let n = 64;
+        let g = generators::gnp_half(n, 3);
+        let apsp = Apsp::compute(&g);
+        let scheme = FullTableScheme::build(&g, &apsp).unwrap();
+        // Strides that sample every source, sources 37..=63 but 50, and none.
+        for stride in [1, 5, 100, 200] {
+            let reference = verify(&g, &scheme, &apsp, stride).unwrap();
+            let sources =
+                (0..n).filter(|&s| sampled_targets(s, n, stride).next().is_some()).count();
+            for inner in [&apsp as &dyn Distances, &BandedOracle::new(g.clone(), 8)] {
+                let counting = Counting {
+                    inner,
+                    with_row: AtomicUsize::new(0),
+                    per_cell: AtomicUsize::new(0),
+                };
+                let report = verify(&g, &scheme, &counting, stride).unwrap();
+                let name = format!("{} stride {stride}", inner.describe());
+                assert_eq!(report, reference, "{name}");
+                // One row per source with a target plus row 0 for the
+                // connectivity probe; no pair reads a cell on its own.
+                assert_eq!(counting.with_row.load(Relaxed), sources + 1, "{name}");
+                assert_eq!(counting.per_cell.load(Relaxed), 0, "{name}");
+            }
         }
     }
 

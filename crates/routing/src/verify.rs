@@ -10,8 +10,9 @@ use std::convert::Infallible;
 use std::error::Error;
 use std::fmt;
 
-use ort_graphs::oracle::Distances;
-use ort_graphs::paths::{map_in_order, Apsp};
+use ort_graphs::dist::width_for;
+use ort_graphs::oracle::{read_row, Distances};
+use ort_graphs::paths::{compute_band, is_connected, map_in_order, ApspEngine};
 use ort_graphs::{Graph, NodeId};
 use ort_telemetry::trace::{HopKind, WalkTracer};
 
@@ -134,10 +135,10 @@ pub fn route_pair(
 /// Outcome of verifying every sampled ordered pair.
 ///
 /// Pairs are visited in [`verify`]'s order: source-major, ascending
-/// target, over the pairs [`sampled`] selects. `failures` and `stretches`
-/// each keep that order, and a failed pair appears in `failures` only, so
-/// walking the sampled pairs in order and skipping each failed one pairs
-/// every `stretches` entry with its `(s, t)`.
+/// target, over the targets [`sampled_targets`] yields. `failures` and
+/// `stretches` each keep that order, and a failed pair appears in
+/// `failures` only, so walking the sampled pairs in order and skipping
+/// each failed one pairs every `stretches` entry with its `(s, t)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VerifyReport {
     /// Number of ordered pairs routed successfully.
@@ -195,6 +196,52 @@ impl VerifyReport {
         self.all_delivered() && self.stretches.iter().all(|&(h, d)| h == d)
     }
 
+    /// The report over no pairs.
+    fn empty() -> Self {
+        VerifyReport {
+            delivered: 0,
+            failures: Vec::new(),
+            stretches: Vec::new(),
+            total_hops: 0,
+            worst: None,
+        }
+    }
+
+    /// Routes source `s`'s sampled pairs, in order, into the report:
+    /// `pairs` yields each target `t` with `d(s, t)`.
+    fn route_from(
+        &mut self,
+        scheme: &dyn RoutingScheme,
+        s: NodeId,
+        pairs: impl Iterator<Item = (NodeId, Option<u32>)>,
+        limit: usize,
+    ) {
+        for (t, dist) in pairs {
+            match route_pair(scheme, s, t, limit) {
+                Ok(path) => {
+                    let hops = (path.len() - 1) as u32;
+                    let dist = dist.expect("connected");
+                    self.delivered += 1;
+                    self.total_hops += u64::from(hops);
+                    self.stretches.push((hops, dist));
+                    if dist > 0 {
+                        self.worst = Self::merge_worst(self.worst, Some((s, t, hops, dist)));
+                    }
+                }
+                Err(f) => self.failures.push((s, t, f)),
+            }
+        }
+    }
+
+    /// Appends a report over later pairs.
+    fn absorb(&mut self, later: VerifyReport) {
+        self.delivered += later.delivered;
+        self.failures.extend(later.failures);
+        self.stretches.extend(later.stretches);
+        self.total_hops += later.total_hops;
+        self.worst = Self::merge_worst(self.worst, later.worst);
+    }
+
     /// Keeps the worse of two worst-pair candidates. Exact integer
     /// cross-multiplied ratio comparison; a *strictly* larger ratio is
     /// required to displace the incumbent, so folding candidates in
@@ -225,18 +272,38 @@ pub fn default_hop_limit(n: usize) -> usize {
     4 * n + 16
 }
 
-/// Verifies `scheme` against `g`: routes every ordered pair `(s, t)` that
-/// [`sampled`] selects at `stride` (`stride == 1` is all pairs) and measures
-/// stretch against the distances in `dists`. Pass the oracle the scheme
-/// was built from, and the whole build-then-verify run costs one APSP.
+/// The targets [`verify`] routes to from source `s` over `n` nodes at
+/// sampling `stride` (0 counts as 1): every `t < n` with `t ≠ s` and
+/// `(s + t) % stride == 0`, that is `t ≡ −s (mod stride)`, ascending.
+/// `stride == 1` is every other node. The one sampling rule: verify
+/// walks it source by source, and the conformance differential walks it
+/// to name the pairs of a [`VerifyReport`].
+pub fn sampled_targets(s: NodeId, n: usize, stride: usize) -> impl Iterator<Item = NodeId> {
+    let stride = stride.max(1);
+    let first = (stride - s % stride) % stride;
+    (first..n).step_by(stride).filter(move |&t| t != s)
+}
+
+/// Whether source `s` has a target in [`sampled_targets`].
+fn has_target(s: NodeId, n: usize, stride: usize) -> bool {
+    sampled_targets(s, n, stride).next().is_some()
+}
+
+/// Verifies `scheme` against `g`: routes every ordered pair `(s, t)` with
+/// `t` in [`sampled_targets`]`(s, n, stride)` (`stride == 1` is all
+/// pairs) and measures stretch against the distances in `dists`. Pass the
+/// oracle the scheme was built from, and the whole build-then-verify run
+/// costs one APSP.
 ///
-/// Sources fan out across threads through [`map_in_order`]; partial
-/// reports are merged back in source order, so the report is identical
-/// under every `ORT_THREADS`, field for field. Because sources run
-/// concurrently, verify against a full matrix ([`Apsp`]): a
-/// [`BandedOracle`](ort_graphs::oracle::BandedOracle) holds one band
-/// behind a lock and is meant for construction — concurrent sources
-/// evict each other's band and recompute it over and over.
+/// Each source with a target reads its distances from one
+/// [`Distances::with_row`] call, plus row 0 for the connectivity check;
+/// no pair makes a per-cell query. Sources fan out across threads through
+/// [`map_in_order`], and the partial reports are merged back in source
+/// order, so the report is identical under every `ORT_THREADS`, field for
+/// field. On one thread sources ascend, so a
+/// [`BandedOracle`](ort_graphs::oracle::BandedOracle) fills each band at
+/// most once; on several, workers in different bands evict each other's
+/// band. [`verify_scheme_sampled`] gives each worker a band of its own.
 ///
 /// # Errors
 ///
@@ -265,6 +332,30 @@ pub fn verify(
         return Err(SchemeError::Disconnected);
     }
     let limit = default_hop_limit(n);
+    let sources: Vec<NodeId> = (0..n).filter(|&s| has_target(s, n, stride)).collect();
+    Ok(walk(n, stride, sources.len(), |i| {
+        let s = sources[i];
+        // Copied out, routed after: the row may be lent under the
+        // oracle's lock, and routing needs no distances.
+        let cells: Vec<Option<u32>> =
+            read_row(dists, s, |row| sampled_targets(s, n, stride).map(|t| row.get(t)).collect());
+        let mut p = VerifyReport::empty();
+        p.route_from(scheme, s, sampled_targets(s, n, stride).zip(cells), limit);
+        p
+    }))
+}
+
+/// The walk [`verify`] and [`verify_scheme_sampled`] share: opens the
+/// `verify` span and memory region, maps `unit` over `0..units` through
+/// [`map_in_order`] (each unit covers ascending sources, and later units
+/// later ones), merges the partial reports in unit order, and publishes
+/// verify's counters and histograms.
+fn walk(
+    n: usize,
+    stride: usize,
+    units: usize,
+    unit: impl Fn(usize) -> VerifyReport + Sync,
+) -> VerifyReport {
     let stride = stride.max(1);
     let _span = ort_telemetry::span_with(
         "verify",
@@ -275,47 +366,11 @@ pub fn verify(
     );
     let _mem = ort_telemetry::alloc::mem_span("verify");
     let t0 = std::time::Instant::now();
-    let partials = map_in_order(n, |s| {
-        let mut p = VerifyReport {
-            delivered: 0,
-            failures: Vec::new(),
-            stretches: Vec::new(),
-            total_hops: 0,
-            worst: None,
-        };
-        for t in 0..n {
-            if !sampled(s, t, stride) {
-                continue;
-            }
-            match route_pair(scheme, s, t, limit) {
-                Ok(path) => {
-                    let hops = (path.len() - 1) as u32;
-                    let dist = dists.distance(s, t).expect("connected");
-                    p.delivered += 1;
-                    p.total_hops += u64::from(hops);
-                    p.stretches.push((hops, dist));
-                    if dist > 0 {
-                        p.worst = VerifyReport::merge_worst(p.worst, Some((s, t, hops, dist)));
-                    }
-                }
-                Err(f) => p.failures.push((s, t, f)),
-            }
-        }
-        p
-    });
-    let mut report = VerifyReport {
-        delivered: 0,
-        failures: Vec::new(),
-        stretches: Vec::with_capacity(if stride == 1 { n * n } else { 0 }),
-        total_hops: 0,
-        worst: None,
-    };
+    let partials = map_in_order(units, unit);
+    let mut report = VerifyReport::empty();
+    report.stretches.reserve(if stride == 1 { n * n } else { 0 });
     for p in partials {
-        report.delivered += p.delivered;
-        report.failures.extend(p.failures);
-        report.stretches.extend(p.stretches);
-        report.total_hops += p.total_hops;
-        report.worst = VerifyReport::merge_worst(report.worst, p.worst);
+        report.absorb(p);
     }
     ort_telemetry::counter!("verify.pairs").add((report.delivered + report.failures.len()) as u64);
     ort_telemetry::counter!("verify.hops").add(report.total_hops);
@@ -340,37 +395,57 @@ pub fn verify(
     // guards.
     ort_telemetry::timing_hist!("verify.micros")
         .record(u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX));
-    Ok(report)
+    report
 }
 
-/// Whether [`verify`] routes the ordered pair `(s, t)` at sampling
-/// `stride` (at least 1): `s ≠ t` and `(s + t) % stride == 0`, so
-/// `stride == 1` is every pair. The one sampling rule: the conformance
-/// differential calls it to name the pairs of a [`VerifyReport`].
-#[inline]
-#[must_use]
-pub fn sampled(s: NodeId, t: NodeId, stride: usize) -> bool {
-    s != t && (s + t).is_multiple_of(stride)
-}
-
-/// The benchmark's door into [`verify`]: `verify(g, scheme,
-/// &Apsp::compute(g), stride)`, computing its own APSP. `ortbench`
-/// calls this signature, so it stays as it is.
+/// [`verify`] against `g`'s exact distances without holding them: the
+/// report equals `verify(g, scheme, &Apsp::compute(g), stride)` field for
+/// field, but no n² matrix is built. Sources are grouped into blocks of
+/// [`ApspEngine::tile_sources`]`(n)` rows, the tiles `Apsp::compute`
+/// fills, and only blocks holding a source with a target are visited.
+/// The worker that walks a block fills that block's band itself
+/// ([`compute_band`]) and drops it before its next block, so each band is
+/// filled once under any `ORT_THREADS` and at most one band per worker
+/// is alive. A pass that samples every source does the traversal work of
+/// one `Apsp::compute`; a sparse sample does a fraction of it. The
+/// benchmark and the churn sweep's sampled probes verify through it.
 ///
 /// # Errors
 ///
-/// As [`verify`].
+/// [`SchemeError::Disconnected`] if `g` is disconnected, as [`verify`].
 pub fn verify_scheme_sampled(
     g: &Graph,
     scheme: &dyn RoutingScheme,
     stride: usize,
 ) -> Result<VerifyReport, SchemeError> {
-    verify(g, scheme, &Apsp::compute(g), stride)
+    if !is_connected(g) {
+        return Err(SchemeError::Disconnected);
+    }
+    let n = g.node_count();
+    let tile = ApspEngine::tile_sources(n);
+    let blocks: Vec<NodeId> = (0..n)
+        .step_by(tile)
+        .filter(|&start| (start..(start + tile).min(n)).any(|s| has_target(s, n, stride)))
+        .collect();
+    let width = width_for(g);
+    let limit = default_hop_limit(n);
+    Ok(walk(n, stride, blocks.len(), |i| {
+        let start = blocks[i];
+        let rows = tile.min(n - start);
+        let band = compute_band(g, start, rows, ApspEngine::Auto, width);
+        let mut p = VerifyReport::empty();
+        for s in start..start + rows {
+            let row = band.row(s);
+            p.route_from(scheme, s, sampled_targets(s, n, stride).map(|t| (t, row.get(t))), limit);
+        }
+        p
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ort_graphs::paths::Apsp;
 
     #[test]
     fn report_stretch_math() {

@@ -1,5 +1,5 @@
 //! One oracle per run: one APSP computation serves scheme construction
-//! *and* verification.
+//! *and* verification, and the streamed sampled verify computes none.
 //!
 //! Asserted via `ort_graphs::paths::apsp_compute_count`, a process-wide
 //! counter — which is why this file holds exactly one test: any
@@ -11,7 +11,7 @@ use ort_graphs::generators;
 use ort_graphs::paths::{apsp_compute_count, Apsp};
 use ort_routing::schemes::full_table::FullTableScheme;
 use ort_routing::schemes::landmark::LandmarkScheme;
-use ort_routing::verify::verify;
+use ort_routing::verify::{verify, verify_scheme_sampled};
 
 #[test]
 fn construct_and_verify_share_one_apsp() {
@@ -47,4 +47,12 @@ fn construct_and_verify_share_one_apsp() {
     assert_eq!(serial.total_hops, parallel.total_hops);
     assert_eq!(serial.stretches, parallel.stretches);
     assert_eq!(serial.failures, parallel.failures);
+
+    // The sampled door streams bands instead of building the matrix.
+    for stride in [1, 7] {
+        let before = apsp_compute_count();
+        let streamed = verify_scheme_sampled(&g, &scheme, stride).unwrap();
+        assert_eq!(apsp_compute_count() - before, 0, "verify_scheme_sampled computes no APSP");
+        assert_eq!(streamed, verify(&g, &scheme, &oracle, stride).unwrap());
+    }
 }

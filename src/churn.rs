@@ -89,8 +89,9 @@ struct CellSpec {
     steps: u64,
     /// Exhaustively verify both schemes after every event (small cells).
     full_verify: bool,
-    /// Source stride for the end-of-horizon sampled verify when
-    /// `full_verify` is off.
+    /// Pair-sum stride for the end-of-horizon sampled verify when
+    /// `full_verify` is off: it routes the pairs `(s, t)`, `s ≠ t`, with
+    /// `(s + t) % probe_stride == 0`.
     probe_stride: usize,
 }
 

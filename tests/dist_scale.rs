@@ -11,7 +11,7 @@
 //! so the sweep inside one test cannot race the env var.
 
 use optimal_routing_tables::conformance::enumerate;
-use optimal_routing_tables::graphs::dist::{CellWidth, DistStore};
+use optimal_routing_tables::graphs::dist::{width_for, CellWidth, DistStore};
 use optimal_routing_tables::graphs::generators;
 use optimal_routing_tables::graphs::oracle::{BandedOracle, Distances, LandmarkOracle};
 use optimal_routing_tables::graphs::paths::{compute_band, Apsp, ApspEngine, UNREACHABLE};
@@ -82,11 +82,12 @@ fn bands_tile_the_reference_matrix_exactly() {
     let g = generators::connected_gnp(90, 0.05, 11);
     let n = g.node_count();
     let reference = reference(&g);
+    let width = width_for(&g);
     for engine in [ApspEngine::Queue, ApspEngine::Bitset, ApspEngine::Tiled] {
         let mut start = 0;
         while start < n {
             let rows = 17.min(n - start);
-            let band = compute_band(&g, start, rows, engine);
+            let band = compute_band(&g, start, rows, engine, width);
             for u in start..start + rows {
                 for v in 0..n {
                     let want = match reference[u * n + v] {

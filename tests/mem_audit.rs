@@ -141,6 +141,44 @@ fn banded_oracle_peak_bytes_brackets_a_full_sweep() {
     assert!(rec.region_peak_bytes < two_bands, "sweep held two bands at once");
 }
 
+/// The streamed sampled verify holds one band at a time. At n = 4096 the
+/// door's blocks are 256 rows, and stride 7000 samples the 1 190 sources
+/// 2905..=4095 (all but 3500), five blocks. The verify's measured peak is
+/// what a `BandedOracle` of the door's block height claims (one band plus
+/// the tiled engine's scratch), within the banded sweep's slack: about a
+/// tenth of the n² one-byte cells a full matrix would hold.
+#[test]
+fn streamed_verify_holds_one_band_at_a_time() {
+    if !isolated("streamed_verify_holds_one_band_at_a_time") {
+        return;
+    }
+    if !alloc::installed() {
+        return;
+    }
+    let n = 4096;
+    let g = generators::power_law_seeded(n, 2, 2.5, 3);
+    let scheme = IntervalScheme::build(&g, &BandedOracle::new(g.clone(), 64))
+        .expect("power-law graphs are connected");
+    let claim = BandedOracle::new(g.clone(), ApspEngine::tile_sources(n)).peak_bytes() as u64;
+    let region = alloc::mem_span("audit.verify_stream");
+    let report = verify::verify_scheme_sampled(&g, &scheme, 7000).expect("connected");
+    let rec = region.finish();
+    assert_eq!(report.delivered, 1190, "{:?}", report.failures.first());
+    assert!(
+        rec.region_peak_bytes >= claim,
+        "measured verify peak {} below one band plus scratch ({claim}): no band was held",
+        rec.region_peak_bytes
+    );
+    let cap = (claim as f64 * 1.25) as u64 + ABS_SLACK;
+    assert!(
+        rec.region_peak_bytes <= cap,
+        "measured verify peak {} exceeds one band plus scratch ({claim}) beyond slack \
+         (cap {cap}): more than one band, or a matrix, was live",
+        rec.region_peak_bytes
+    );
+    assert!(cap < (n * n / 8) as u64, "the cap ({cap}) must sit far below n² cells");
+}
+
 /// `LandmarkOracle::peak_bytes` (distance rows + nearest-landmark index
 /// plus landmark ids, all capacity-exact) is retained by construction:
 /// measured net ≥ claim, and the build's peak stays within 3× — the BFS

@@ -19,9 +19,10 @@
 
 use ort_graphs::paths::Apsp;
 use ort_graphs::Graph;
+use ort_routing::hop::RouteFailure;
 use ort_routing::scheme::RoutingScheme;
 use ort_routing::schemes::full_table::FullTableScheme;
-use ort_routing::verify::{sampled_targets, verify, RouteFailure, VerifyReport};
+use ort_routing::verify::{sampled_targets, verify, VerifyReport};
 
 use crate::registry::SchemeId;
 

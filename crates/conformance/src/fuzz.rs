@@ -3,9 +3,10 @@
 //! Starting from a *valid* `snapshot::save` bitstream for every
 //! [`SchemeKind`], the fuzzer applies the shared mutation engine
 //! ([`crate::mutate`]) and asserts the failure contract: `load` either
-//! rejects with a clean [`SchemeError`], or yields a scheme whose routing
+//! rejects with a clean
+//! [`SchemeError`](ort_routing::scheme::SchemeError), or yields a scheme whose routing
 //! attempts terminate with `Ok` or a clean
-//! [`RouteFailure`](ort_routing::verify::RouteFailure) within the default
+//! [`RouteFailure`](ort_routing::hop::RouteFailure) within the default
 //! hop limit. Panics and unbounded loops are the bugs being hunted; any
 //! panic aborts the run, which is exactly the signal CI needs.
 

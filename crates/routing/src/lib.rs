@@ -34,8 +34,10 @@
 //! * [`repair`] — churn survival: [`repair::RepairableScheme`] pairs a
 //!   delta-repaired distance oracle with dirty-region table patching
 //!   (full table) or whole-scheme rebuild (everything else).
-//! * [`hop`] — the one hop step: a decoded router's decision resolved
-//!   into the next node, with fault-checked failover, for every walker.
+//! * [`hop`] — the one walk: a router's decision resolved into the next
+//!   node, with fault-checked failover ([`hop::hop`]), the loop that runs
+//!   it from source to destination ([`hop::walk`]), and the one failure
+//!   type every walker reports ([`hop::RouteFailure`]).
 //! * [`verify`] — exhaustive delivery/stretch verification of any scheme.
 //! * [`explain`] — hop-by-hop stretch attribution of captured route
 //!   traces against a distance oracle.

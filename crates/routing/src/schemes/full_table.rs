@@ -283,7 +283,8 @@ impl RoutingScheme for FullTableScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::{sampled_targets, verify, RouteFailure};
+    use crate::hop::RouteFailure;
+    use crate::verify::{sampled_targets, verify};
     use ort_bitio::BitVec;
     use ort_graphs::dist::DistRow;
     use ort_graphs::generators;

@@ -1,5 +1,5 @@
 //! Interval routing — the classic compact-routing baseline (related work:
-//! Flammini–van Leeuwen–Marchetti-Spaccamela [1] study it on random
+//! Flammini–van Leeuwen–Marchetti-Spaccamela \[1\] study it on random
 //! graphs).
 //!
 //! Nodes are relabelled by DFS preorder over a spanning tree (model β!),

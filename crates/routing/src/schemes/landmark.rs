@@ -1,4 +1,4 @@
-//! A landmark (hub) routing scheme in the spirit of Peleg–Upfal [9] and
+//! A landmark (hub) routing scheme in the spirit of Peleg–Upfal \[9\] and
 //! Thorup–Zwick — the related-work baseline for the space/stretch
 //! trade-off.
 //!

@@ -13,9 +13,9 @@
 //! | [`theorem5`] | Theorem 5 | II | `≤ (c+3)·log n` | `O(1)` bits/node |
 //! | [`full_information`] | Section 1 / Theorem 10 | II | 1 (with failover) | `Θ(n³)` total |
 //! | [`ia_compact`] | Theorem 8's constant, met from above | IA ∧ α | 1 | `(n/2)·log(n/2) + O(n)` bits/node |
-//! | [`interval`] | interval routing (related work [1]) | IB ∧ β | tree-bound | `O(d log n)` bits/node |
-//! | [`multi_interval`] | k-interval shortest path (related work [1]) | IB ∧ α | 1 | interval-count-bound |
-//! | [`landmark`] | hub scheme in the spirit of Peleg–Upfal [9] | II ∧ γ | small constant | `o(n²)` total |
+//! | [`interval`] | interval routing (related work \[1\]) | IB ∧ β | tree-bound | `O(d log n)` bits/node |
+//! | [`multi_interval`] | k-interval shortest path (related work \[1\]) | IB ∧ α | 1 | interval-count-bound |
+//! | [`landmark`] | hub scheme in the spirit of Peleg–Upfal \[9\] | II ∧ γ | small constant | `o(n²)` total |
 //!
 //! [`resilient`] is not a construction but an *adapter*: it wraps any of
 //! the above with bounded deterministic local detours, recovering part of

@@ -1,12 +1,12 @@
 //! k-interval shortest-path routing — the subject of the paper's reference
-//! [1] (Flammini–van Leeuwen–Marchetti-Spaccamela, *The complexity of
+//! \[1\] (Flammini–van Leeuwen–Marchetti-Spaccamela, *The complexity of
 //! interval routing on random graphs*).
 //!
 //! Unlike the 1-interval tree scheme ([`crate::schemes::interval`]), this
 //! scheme is shortest-path on every connected graph: each port stores the
 //! *set* of destinations routed through it, compressed as maximal label
 //! intervals. The interesting question is how many intervals that takes —
-//! reference [1] shows that on random graphs interval compression buys
+//! reference \[1\] shows that on random graphs interval compression buys
 //! essentially nothing, and the `baselines` experiment measures exactly
 //! that: on `G(n, 1/2)` the encoded size tracks the full table.
 
@@ -127,7 +127,7 @@ impl MultiIntervalScheme {
     }
 
     /// Total number of intervals stored across all nodes and ports — the
-    /// compactness measure of reference [1].
+    /// compactness measure of reference \[1\].
     #[must_use]
     pub fn total_intervals(&self) -> usize {
         self.total_intervals

@@ -2,7 +2,7 @@
 //!
 //! The paper's full-information scheme survives link failures natively:
 //! storing *every* shortest-path port costs `Θ(n³)` bits (Theorem 10) but
-//! "allow[s] alternative, shortest, paths to be taken whenever an outgoing
+//! "allow\[s\] alternative, shortest, paths to be taken whenever an outgoing
 //! link is down" (Section 1). Every compact scheme in Table 1 gives that
 //! up — one port per destination, so one dead link kills the route.
 //!

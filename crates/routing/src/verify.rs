@@ -1,81 +1,24 @@
 //! Exhaustive verification of routing schemes.
 //!
-//! For every ordered pair `(s, t)` the verifier decodes routers **from the
-//! stored bits only**, walks the message through the network, and checks
-//! delivery; route lengths are compared against true shortest-path
-//! distances to measure the stretch factor (Section 1's definition: the
-//! maximum over pairs of route length / distance).
-
-use std::convert::Infallible;
-use std::error::Error;
-use std::fmt;
+//! For every sampled ordered pair `(s, t)` the verifier routes one message
+//! with [`route_pair`], the one walk ([`crate::hop::walk`]) under a fault
+//! check that never vetoes, so every router runs **from the stored bits
+//! only**. It checks delivery and compares route lengths against true
+//! shortest-path distances to measure the stretch factor (Section 1's
+//! definition: the maximum over pairs of route length / distance). A pair
+//! that fails stays in the report with its [`RouteFailure`], the reading
+//! the simulators give a failed walk too.
 
 use ort_graphs::dist::width_for;
 use ort_graphs::oracle::{read_row, Distances};
 use ort_graphs::paths::{compute_band, is_connected, map_in_order, ApspEngine};
 use ort_graphs::{Graph, NodeId};
-use ort_telemetry::trace::{HopKind, WalkTracer};
 
-use crate::hop::{hop, Hop, HopError, Message};
-use crate::scheme::{MessageState, NodeRouter, RouteError, RoutingScheme, SchemeError};
-
-/// Why a message failed to arrive.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum RouteFailure {
-    /// A router returned an error.
-    RouterError {
-        /// Node at which the error occurred.
-        at: NodeId,
-        /// The underlying error.
-        error: RouteError,
-    },
-    /// A router claimed delivery at the wrong node.
-    Misdelivered {
-        /// Node that wrongly claimed to be the destination.
-        at: NodeId,
-    },
-    /// The hop budget was exhausted (a routing loop, most likely).
-    HopLimit {
-        /// The budget that was exhausted.
-        limit: usize,
-    },
-    /// A `Forward` pointed at a port that does not exist.
-    BadPort {
-        /// Node that emitted the port.
-        at: NodeId,
-        /// The emitted port.
-        port: usize,
-    },
-    /// A full-information router returned an empty port set.
-    NoUsablePort {
-        /// Node at which no port was usable.
-        at: NodeId,
-    },
-    /// The source or destination is not a node of the scheme.
-    NodeOutOfRange {
-        /// The offending node id.
-        node: NodeId,
-    },
-}
-
-impl fmt::Display for RouteFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RouteFailure::RouterError { at, error } => write!(f, "router error at {at}: {error}"),
-            RouteFailure::Misdelivered { at } => write!(f, "misdelivered at node {at}"),
-            RouteFailure::HopLimit { limit } => write!(f, "hop limit {limit} exhausted"),
-            RouteFailure::BadPort { at, port } => write!(f, "bad port {port} at node {at}"),
-            RouteFailure::NoUsablePort { at } => write!(f, "no usable port at node {at}"),
-            RouteFailure::NodeOutOfRange { node } => write!(f, "node {node} out of range"),
-        }
-    }
-}
-
-impl Error for RouteFailure {}
+use crate::hop::{walk, RouteFailure};
+use crate::scheme::{RoutingScheme, SchemeError};
 
 /// Routes one message from `s` to `t` through `scheme`, returning the node
-/// path `[s, …, t]`.
+/// path `[s, …, t]`: [`walk`] with a fault check that never vetoes.
 ///
 /// When a [`ort_telemetry::trace::TraceRecorder`] is installed that wants
 /// the `(s, t)` pair, every routing decision of the walk is recorded as a
@@ -95,41 +38,9 @@ pub fn route_pair(
     t: NodeId,
     max_hops: usize,
 ) -> Result<Vec<NodeId>, RouteFailure> {
-    if let Some(node) = [s, t].into_iter().find(|&v| v >= scheme.node_count()) {
-        return Err(RouteFailure::NodeOutOfRange { node });
-    }
-    let mut tracer = WalkTracer::begin(s, t, 0);
-    let dest_label = scheme.label_of(t);
-    let pa = scheme.port_assignment();
-    let mut state = MessageState { source: Some(scheme.label_of(s)), counter: 0 };
-    let mut path = vec![s];
-    let mut cur = s;
-    for _ in 0..=max_hops {
-        let router = NodeRouter { scheme, u: cur };
-        let msg =
-            Message { dest: t, dest_label: &dest_label, state: &mut state, tracer: &mut tracer };
-        // Fault-free: the check never vetoes, so every hop takes its
-        // primary port.
-        match hop(&router, &scheme.node_env(cur), pa, cur, msg, |_, _| None::<Infallible>) {
-            Ok(Hop::Deliver) => return Ok(path),
-            Ok(Hop::Forward { next, .. }) => {
-                path.push(next);
-                cur = next;
-            }
-            Err(e) => {
-                return Err(match e {
-                    HopError::Router(error) => RouteFailure::RouterError { at: cur, error },
-                    HopError::Misdelivered => RouteFailure::Misdelivered { at: cur },
-                    HopError::BadPort(port) => RouteFailure::BadPort { at: cur, port },
-                    HopError::NoUsablePort => RouteFailure::NoUsablePort { at: cur },
-                    HopError::Blocked { fault, .. } => match fault {},
-                })
-            }
-        }
-    }
-    tracer.hit(cur, state.counter, HopKind::HopLimit { limit: max_hops as u64 });
-    ort_telemetry::recorder::anomaly("hop_limit_death", s as u64, t as u64);
-    Err(RouteFailure::HopLimit { limit: max_hops })
+    // Fault-free: the check never vetoes, so every hop takes its primary
+    // port.
+    walk(scheme, s, t, max_hops, 0, |_, _| None).map(|d| d.path)
 }
 
 /// Outcome of verifying every sampled ordered pair.
@@ -333,7 +244,7 @@ pub fn verify(
     }
     let limit = default_hop_limit(n);
     let sources: Vec<NodeId> = (0..n).filter(|&s| has_target(s, n, stride)).collect();
-    Ok(walk(n, stride, sources.len(), |i| {
+    Ok(pass(n, stride, sources.len(), |i| {
         let s = sources[i];
         // Copied out, routed after: the row may be lent under the
         // oracle's lock, and routing needs no distances.
@@ -345,12 +256,12 @@ pub fn verify(
     }))
 }
 
-/// The walk [`verify`] and [`verify_scheme_sampled`] share: opens the
+/// The pass [`verify`] and [`verify_scheme_sampled`] share: opens the
 /// `verify` span and memory region, maps `unit` over `0..units` through
 /// [`map_in_order`] (each unit covers ascending sources, and later units
 /// later ones), merges the partial reports in unit order, and publishes
 /// verify's counters and histograms.
-fn walk(
+fn pass(
     n: usize,
     stride: usize,
     units: usize,
@@ -429,7 +340,7 @@ pub fn verify_scheme_sampled(
         .collect();
     let width = width_for(g);
     let limit = default_hop_limit(n);
-    Ok(walk(n, stride, blocks.len(), |i| {
+    Ok(pass(n, stride, blocks.len(), |i| {
         let start = blocks[i];
         let rows = tile.min(n - start);
         let band = compute_band(g, start, rows, ApspEngine::Auto, width);
@@ -609,15 +520,5 @@ mod tests {
             "approximate landmark oracle is approximate: \
              exact shortest-path distances are required"
         );
-    }
-
-    #[test]
-    fn failure_display() {
-        let f = RouteFailure::HopLimit { limit: 12 };
-        assert!(f.to_string().contains("12"));
-        let f = RouteFailure::Misdelivered { at: 3 };
-        assert!(f.to_string().contains('3'));
-        let f = RouteFailure::NodeOutOfRange { node: 64 };
-        assert_eq!(f.to_string(), "node 64 out of range");
     }
 }

@@ -1,6 +1,6 @@
 //! Deterministic fault injection shared by both simulators.
 //!
-//! The paper motivates full-information routing because it "allow[s]
+//! The paper motivates full-information routing because it "allow\[s\]
 //! alternative, shortest, paths to be taken whenever an outgoing link is
 //! down" (Section 1). To measure the operational price of each scheme's
 //! smaller tables under exactly that scenario, this module provides:

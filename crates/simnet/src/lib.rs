@@ -1,20 +1,30 @@
 //! A deterministic message-passing network simulator for routing schemes.
 //!
 //! [`Network`] reconstructs the topology purely from a scheme's port
-//! assignment and runs messages hop by hop, each hop decided by a router
-//! **decoded from the node's stored bits** — the same locality discipline
-//! the paper's model imposes. On top of `ort-routing`'s verifier it adds:
+//! assignment and sends each message along `ort-routing`'s one walk
+//! ([`walk`]): every hop is decided by a router run **from the node's
+//! stored bits** — the same locality discipline the paper's model imposes,
+//! and the same walk the verifier's `route_pair` takes. On top of it the
+//! simulators add:
 //!
 //! * **fault injection** ([`faults`]) — a seeded, timed [`faults::FaultPlan`]
 //!   of link failures, node crashes and bipartitions, applied on a per-send
-//!   epoch clock; full-information schemes (Section 1: "allow alternative,
-//!   shortest, paths to be taken whenever an outgoing link is down")
-//!   re-route around failed links, single-path schemes report the failure;
+//!   epoch clock and consulted by the walk through
+//!   [`FaultState::check_hop`]; full-information schemes (Section 1: "allow
+//!   alternative, shortest, paths to be taken whenever an outgoing link is
+//!   down") re-route around failed links, single-path schemes report the
+//!   failure;
 //! * **traces** — every delivery records the exact node path;
-//! * **statistics** ([`Network::stats`]) — messages, hops, and failures
-//!   broken down by reason ([`FailureBreakdown`]);
+//! * **statistics** ([`Network::stats`]) — messages, hops, reroutes, and
+//!   failures broken down by reason ([`FailureBreakdown`]);
+//! * **congestion** ([`rounds`]) — a round simulator with per-node capacity,
+//!   TTL and retries, which queues messages between hops and so runs the
+//!   hop step ([`ort_routing::hop::hop`]) from its own loop;
 //! * **resilience sweeps** ([`resilience`]) — graceful-degradation metrics
 //!   per scheme and fault intensity, behind `ort resilience`.
+//!
+//! A message that does not arrive, in either simulator, reads as one
+//! [`RouteFailure`], the type the verifier reports too.
 //!
 //! # Example
 //!
@@ -49,175 +59,82 @@ pub mod resilience;
 pub mod rounds;
 pub mod workloads;
 
-use std::error::Error;
 use std::fmt;
 
 use ort_graphs::NodeId;
-use ort_routing::hop::{hop, Hop, HopError, Message};
-use ort_routing::scheme::{MessageState, NodeRouter, RouteError, RoutingScheme};
+use ort_routing::hop::{walk, Delivery, RouteFailure};
+use ort_routing::scheme::RoutingScheme;
 use ort_telemetry::trace::{HopKind, TraceFault, WalkTracer};
 
 use crate::faults::{FaultPlan, FaultState, InvalidFault};
 
-/// Why the simulator could not deliver a message.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum SimError {
-    /// A router returned an error.
-    Router {
-        /// Node at which the error occurred.
-        at: NodeId,
-        /// The underlying routing error.
-        error: RouteError,
-    },
-    /// The route needed a link that is currently down and had no
-    /// alternative.
-    LinkDown {
-        /// Node that tried to use the failed link.
-        at: NodeId,
-        /// The unreachable neighbour — `None` when *every* advertised
-        /// alternative was down.
-        to: Option<NodeId>,
-    },
-    /// The route needed a node that has crashed (source, transit, or
-    /// destination).
-    NodeCrashed {
-        /// The crashed node.
-        node: NodeId,
-    },
-    /// The route needed a link that crosses the active bipartition cut.
-    Partitioned {
-        /// Node that tried to cross the cut.
-        at: NodeId,
-        /// The neighbour on the other side.
-        to: NodeId,
-    },
-    /// A router claimed delivery at the wrong node.
-    Misdelivered {
-        /// The impostor node.
-        at: NodeId,
-    },
-    /// The hop budget was exhausted.
-    HopLimit {
-        /// The exhausted budget.
-        limit: usize,
-    },
-    /// The message's time-to-live expired (round simulator only).
-    TtlExpired {
-        /// The exhausted TTL, in rounds.
-        ttl: u32,
-    },
-    /// The source or destination node id was out of range.
-    NodeOutOfRange {
-        /// The offending id.
-        node: NodeId,
-    },
-}
-
-impl fmt::Display for SimError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SimError::Router { at, error } => write!(f, "router error at node {at}: {error}"),
-            SimError::LinkDown { at, to: Some(to) } => {
-                write!(f, "link {at}–{to} is down and no alternative exists")
-            }
-            SimError::LinkDown { at, to: None } => {
-                write!(f, "every advertised link out of {at} is down")
-            }
-            SimError::NodeCrashed { node } => write!(f, "node {node} has crashed"),
-            SimError::Partitioned { at, to } => {
-                write!(f, "link {at}–{to} crosses the partition cut")
-            }
-            SimError::Misdelivered { at } => write!(f, "misdelivered at node {at}"),
-            SimError::HopLimit { limit } => write!(f, "hop limit {limit} exhausted"),
-            SimError::TtlExpired { ttl } => write!(f, "TTL of {ttl} rounds expired"),
-            SimError::NodeOutOfRange { node } => write!(f, "node {node} out of range"),
+/// Declares [`FailureBreakdown`] with one count per bucket: each bucket is
+/// named once, in the invocation below, and its order there is the report
+/// order of [`FailureBreakdown::entries`].
+macro_rules! failure_breakdown {
+    ($($(#[$doc:meta])* $bucket:ident,)*) => {
+        /// Failure counts by reason, so degradation under faults is
+        /// *attributable* — a resilience report can distinguish "the
+        /// destination was genuinely cut off" from "the scheme gave up
+        /// although a route existed". [`FailureBreakdown::record`] puts
+        /// each [`RouteFailure`] in its bucket.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct FailureBreakdown {
+            $($(#[$doc])* pub $bucket: u64,)*
         }
-    }
+
+        impl FailureBreakdown {
+            /// `(name, count)` pairs in a stable report order.
+            #[must_use]
+            pub fn entries(&self) -> [(&'static str, u64); [$(stringify!($bucket)),*].len()] {
+                [$((stringify!($bucket), self.$bucket)),*]
+            }
+        }
+    };
 }
 
-impl Error for SimError {}
-
-/// A successful delivery record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Delivery {
-    /// The node path, inclusive of source and destination.
-    pub path: Vec<NodeId>,
-}
-
-impl Delivery {
-    /// Number of edges traversed.
-    #[must_use]
-    pub fn hops(&self) -> usize {
-        self.path.len() - 1
-    }
-}
-
-/// Failure counts keyed by [`SimError`] variant, so degradation under
-/// faults is *attributable* — a resilience report can distinguish "the
-/// destination was genuinely cut off" from "the scheme gave up although a
-/// route existed".
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FailureBreakdown {
-    /// [`SimError::Router`] failures.
-    pub router: u64,
-    /// [`SimError::LinkDown`] failures.
-    pub link_down: u64,
-    /// [`SimError::NodeCrashed`] failures.
-    pub node_crashed: u64,
-    /// [`SimError::Partitioned`] failures.
-    pub partitioned: u64,
-    /// [`SimError::Misdelivered`] failures.
-    pub misdelivered: u64,
-    /// [`SimError::HopLimit`] failures.
-    pub hop_limit: u64,
-    /// [`SimError::TtlExpired`] failures.
-    pub ttl_expired: u64,
-    /// [`SimError::NodeOutOfRange`] failures.
-    pub node_out_of_range: u64,
+failure_breakdown! {
+    /// Router errors, bad ports and empty port sets.
+    router,
+    /// Hops vetoed by a downed link.
+    link_down,
+    /// Hops vetoed by a crashed node, and messages held at one.
+    node_crashed,
+    /// Hops vetoed by the partition cut.
+    partitioned,
+    /// Deliveries claimed away from the destination.
+    misdelivered,
+    /// Walks that exhausted their hop budget.
+    hop_limit,
+    /// Messages whose time-to-live expired.
+    ttl_expired,
+    /// Pairs naming a node the scheme does not have.
+    node_out_of_range,
 }
 
 impl FailureBreakdown {
     /// Tallies one failure.
-    pub fn record(&mut self, e: &SimError) {
-        match e {
-            SimError::Router { .. } => self.router += 1,
-            SimError::LinkDown { .. } => self.link_down += 1,
-            SimError::NodeCrashed { .. } => self.node_crashed += 1,
-            SimError::Partitioned { .. } => self.partitioned += 1,
-            SimError::Misdelivered { .. } => self.misdelivered += 1,
-            SimError::HopLimit { .. } => self.hop_limit += 1,
-            SimError::TtlExpired { .. } => self.ttl_expired += 1,
-            SimError::NodeOutOfRange { .. } => self.node_out_of_range += 1,
-        }
+    pub fn record(&mut self, f: &RouteFailure) {
+        *match f {
+            RouteFailure::RouterError { .. }
+            | RouteFailure::BadPort { .. }
+            | RouteFailure::NoUsablePort { .. } => &mut self.router,
+            RouteFailure::Blocked { fault: TraceFault::LinkDown, .. } => &mut self.link_down,
+            RouteFailure::Blocked { fault: TraceFault::NodeCrashed(_), .. } => {
+                &mut self.node_crashed
+            }
+            RouteFailure::Blocked { fault: TraceFault::Partitioned, .. } => &mut self.partitioned,
+            RouteFailure::Misdelivered { .. } => &mut self.misdelivered,
+            RouteFailure::HopLimit { .. } => &mut self.hop_limit,
+            RouteFailure::TtlExpired { .. } => &mut self.ttl_expired,
+            RouteFailure::NodeOutOfRange { .. } => &mut self.node_out_of_range,
+        } += 1;
     }
 
     /// Total failures across all reasons.
     #[must_use]
     pub fn total(&self) -> u64 {
-        self.router
-            + self.link_down
-            + self.node_crashed
-            + self.partitioned
-            + self.misdelivered
-            + self.hop_limit
-            + self.ttl_expired
-            + self.node_out_of_range
-    }
-
-    /// `(name, count)` pairs in a stable report order.
-    #[must_use]
-    pub fn entries(&self) -> [(&'static str, u64); 8] {
-        [
-            ("router", self.router),
-            ("link_down", self.link_down),
-            ("node_crashed", self.node_crashed),
-            ("partitioned", self.partitioned),
-            ("misdelivered", self.misdelivered),
-            ("hop_limit", self.hop_limit),
-            ("ttl_expired", self.ttl_expired),
-            ("node_out_of_range", self.node_out_of_range),
-        ]
+        self.entries().iter().map(|&(_, count)| count).sum()
     }
 }
 
@@ -374,16 +291,18 @@ impl<'a> Network<'a> {
         self.stats
     }
 
-    /// Sends one message from `s` to `t` and returns the delivery trace.
+    /// Sends one message from `s` to `t` along [`walk`], with
+    /// [`FaultState::check_hop`] as its fault check, and returns the
+    /// delivery trace. A crashed source sends nothing.
     ///
     /// If a fault plan is installed, all events due at the current epoch
     /// fire first; the epoch then advances by one.
     ///
     /// # Errors
     ///
-    /// Returns a [`SimError`] describing the failure; statistics are
-    /// updated either way.
-    pub fn send(&mut self, s: NodeId, t: NodeId) -> Result<Delivery, SimError> {
+    /// Returns the [`RouteFailure`] that stopped the message; statistics
+    /// are updated either way.
+    pub fn send(&mut self, s: NodeId, t: NodeId) -> Result<Delivery, RouteFailure> {
         if let Some(plan) = &self.plan {
             // The plan was validated on installation; an error here would
             // mean the topology changed under us, which it cannot.
@@ -393,16 +312,27 @@ impl<'a> Network<'a> {
         }
         // The trace clock is the epoch the fault cursor just advanced to —
         // the value that governs this send's hop checks.
-        let mut tracer = ort_telemetry::trace::WalkTracer::begin(s, t, self.epoch);
+        let epoch = self.epoch;
         self.epoch += 1;
-        let result = self.route(s, t, &mut tracer);
+        // A pair naming no node is refused before any fault applies, as
+        // the round simulator refuses it.
+        let result = if t < self.node_count() && self.faults.is_crashed(s) {
+            let mut tracer = WalkTracer::begin(s, t, epoch);
+            tracer.hit(s, 0, HopKind::Dropped { reason: "source node crashed" });
+            Err(RouteFailure::Blocked { at: s, to: None, fault: TraceFault::NodeCrashed(s) })
+        } else {
+            walk(self.scheme, s, t, self.hop_limit, epoch, |u, v| self.faults.check_hop(u, v))
+        };
         ort_telemetry::counter!("simnet.sends").incr();
         match &result {
             Ok(d) => {
                 self.stats.delivered += 1;
                 self.stats.total_hops += d.hops() as u64;
+                self.stats.reroutes += d.reroutes;
                 ort_telemetry::counter!("simnet.hops").add(d.hops() as u64);
                 ort_telemetry::hist!("simnet.hops").record(d.hops() as u64);
+                ort_telemetry::counter!("simnet.reroutes").add(d.reroutes);
+                ort_telemetry::hist!("simnet.reroutes").record(d.reroutes);
                 // Every node that transmitted the message carries load.
                 for &x in &d.path[..d.path.len() - 1] {
                     self.loads[x] += 1;
@@ -433,55 +363,6 @@ impl<'a> Network<'a> {
         self.loads.fill(0);
     }
 
-    fn route(
-        &mut self,
-        s: NodeId,
-        t: NodeId,
-        tracer: &mut WalkTracer,
-    ) -> Result<Delivery, SimError> {
-        let n = self.scheme.node_count();
-        if s >= n {
-            return Err(SimError::NodeOutOfRange { node: s });
-        }
-        if t >= n {
-            return Err(SimError::NodeOutOfRange { node: t });
-        }
-        if self.faults.is_crashed(s) {
-            tracer.hit(s, 0, HopKind::Dropped { reason: "source node crashed" });
-            return Err(SimError::NodeCrashed { node: s });
-        }
-        let pa = self.scheme.port_assignment();
-        let dest_label = self.scheme.label_of(t);
-        let mut state = MessageState { source: Some(self.scheme.label_of(s)), counter: 0 };
-        let mut path = vec![s];
-        let mut cur = s;
-        let mut reroutes = 0u64;
-        for _ in 0..=self.hop_limit {
-            let router = NodeRouter { scheme: self.scheme, u: cur };
-            let env = self.scheme.node_env(cur);
-            let msg = Message { dest: t, dest_label: &dest_label, state: &mut state, tracer };
-            match hop(&router, &env, pa, cur, msg, |u, v| self.faults.check_hop(u, v)) {
-                Ok(Hop::Deliver) => {
-                    self.stats.reroutes += reroutes;
-                    ort_telemetry::counter!("simnet.reroutes").add(reroutes);
-                    ort_telemetry::hist!("simnet.reroutes").record(reroutes);
-                    return Ok(Delivery { path });
-                }
-                Ok(Hop::Forward { next, rank }) => {
-                    reroutes += u64::from(rank > 0);
-                    path.push(next);
-                    cur = next;
-                }
-                Err(e) => return Err(hop_failure(cur, env.degree, e)),
-            }
-        }
-        tracer.hit(cur, state.counter, HopKind::HopLimit { limit: self.hop_limit as u64 });
-        // A message that walks the full hop budget without delivering is
-        // an anomaly worth a post-mortem: dump the flight recorder.
-        ort_telemetry::recorder::anomaly("hop_limit_death", s as u64, t as u64);
-        Err(SimError::HopLimit { limit: self.hop_limit })
-    }
-
     /// Sends every ordered pair once; returns `(delivered, failed)`.
     pub fn send_all_pairs(&mut self) -> (u64, u64) {
         let n = self.node_count();
@@ -498,30 +379,6 @@ impl<'a> Network<'a> {
             }
         }
         (ok, bad)
-    }
-}
-
-/// The simulators' reading of a hop that failed at node `at` (of degree
-/// `degree`). A veto names its fault: a crashed node, the partition cut,
-/// or a downed link, whose far end is named only when the decision
-/// advertised no alternative.
-pub(crate) fn hop_failure(at: NodeId, degree: usize, e: HopError<TraceFault>) -> SimError {
-    match e {
-        HopError::Router(error) => SimError::Router { at, error },
-        HopError::Misdelivered => SimError::Misdelivered { at },
-        HopError::BadPort(port) => {
-            SimError::Router { at, error: RouteError::PortOutOfRange { port, degree } }
-        }
-        HopError::NoUsablePort => SimError::Router { at, error: RouteError::UnknownDestination },
-        HopError::Blocked { fault: TraceFault::NodeCrashed(node), .. } => {
-            SimError::NodeCrashed { node }
-        }
-        HopError::Blocked { to, fault: TraceFault::Partitioned, .. } => {
-            SimError::Partitioned { at, to }
-        }
-        HopError::Blocked { to, fault: TraceFault::LinkDown, multipath } => {
-            SimError::LinkDown { at, to: (!multipath).then_some(to) }
-        }
     }
 }
 
@@ -605,7 +462,7 @@ mod tests {
                     assert_ne!(second.path[1], first.path[1]);
                     exercised += 1;
                 }
-                Err(SimError::LinkDown { .. }) => {
+                Err(RouteFailure::Blocked { fault: TraceFault::LinkDown, .. }) => {
                     // Only acceptable when the shortest path was unique.
                     let ports = apsp.shortest_path_ports(&g, s, t);
                     assert_eq!(ports.len(), 1, "had alternatives but failed");
@@ -638,7 +495,7 @@ mod tests {
         let mut net = Network::new(&scheme);
         assert!(net.fail_link(2, 3));
         let err = net.send(0, 5).unwrap_err();
-        assert_eq!(err, SimError::LinkDown { at: 2, to: Some(3) });
+        assert_eq!(err, RouteFailure::Blocked { at: 2, to: Some(3), fault: TraceFault::LinkDown });
         assert_eq!(net.stats().failed, 1);
         assert_eq!(net.stats().failures.link_down, 1);
         assert!(net.restore_link(2, 3));
@@ -664,8 +521,15 @@ mod tests {
         let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let mut net = Network::new(&scheme);
         net.fault_state_mut().apply(&FaultEvent::NodeCrash(2)).unwrap();
-        assert_eq!(net.send(0, 4).unwrap_err(), SimError::NodeCrashed { node: 2 });
-        assert_eq!(net.send(2, 0).unwrap_err(), SimError::NodeCrashed { node: 2 });
+        let crashed = TraceFault::NodeCrashed(2);
+        assert_eq!(
+            net.send(0, 4).unwrap_err(),
+            RouteFailure::Blocked { at: 1, to: Some(2), fault: crashed }
+        );
+        assert_eq!(
+            net.send(2, 0).unwrap_err(),
+            RouteFailure::Blocked { at: 2, to: None, fault: crashed }
+        );
         assert!(net.send(0, 1).is_ok(), "traffic away from the crash is unaffected");
         assert_eq!(net.stats().failures.node_crashed, 2);
         net.fault_state_mut().apply(&FaultEvent::NodeRestart(2)).unwrap();
@@ -715,7 +579,7 @@ mod tests {
         let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let mut net = Network::new(&scheme);
         net.set_hop_limit(3);
-        assert_eq!(net.send(0, 7).unwrap_err(), SimError::HopLimit { limit: 3 });
+        assert_eq!(net.send(0, 7).unwrap_err(), RouteFailure::HopLimit { limit: 3 });
         assert_eq!(net.stats().failures.hop_limit, 1);
         assert!(net.send(0, 3).is_ok());
     }
@@ -725,8 +589,8 @@ mod tests {
         let g = generators::cycle(5);
         let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
         let mut net = Network::new(&scheme);
-        assert!(matches!(net.send(5, 0), Err(SimError::NodeOutOfRange { .. })));
-        assert!(matches!(net.send(0, 9), Err(SimError::NodeOutOfRange { .. })));
+        assert_eq!(net.send(5, 0), Err(RouteFailure::NodeOutOfRange { node: 5 }));
+        assert_eq!(net.send(0, 9), Err(RouteFailure::NodeOutOfRange { node: 9 }));
         assert_eq!(net.stats().failures.node_out_of_range, 2);
     }
 

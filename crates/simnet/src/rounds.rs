@@ -19,12 +19,12 @@ use std::collections::VecDeque;
 
 use ort_graphs::labels::Label;
 use ort_graphs::NodeId;
-use ort_routing::hop::{hop, Hop, Message};
+use ort_routing::hop::{hop, Hop, Message, RouteFailure};
 use ort_routing::scheme::{MessageState, NodeRouter, RoutingScheme};
-use ort_telemetry::trace::{HopKind, WalkTracer};
+use ort_telemetry::trace::{HopKind, TraceFault, WalkTracer};
 
 use crate::faults::{FaultPlan, FaultState, InvalidFault};
-use crate::{hop_failure, FailureBreakdown, SimError};
+use crate::FailureBreakdown;
 
 /// One queued message.
 #[derive(Debug, Clone)]
@@ -200,7 +200,7 @@ impl<'a> RoundSimulator<'a> {
 
     /// Sets the per-message TTL in rounds: a message older than `ttl`
     /// rounds (counted from its latest injection) is dropped and counted
-    /// as [`SimError::TtlExpired`]. `None` disables expiry.
+    /// as [`RouteFailure::TtlExpired`]. `None` disables expiry.
     pub fn set_ttl(&mut self, ttl: Option<u32>) {
         self.ttl = ttl;
     }
@@ -213,7 +213,7 @@ impl<'a> RoundSimulator<'a> {
     /// Injects `workload` (all messages at round 0) and runs rounds until
     /// the network drains or the round cap is hit. A pair naming a node
     /// the scheme does not have is never injected: it counts as errored,
-    /// under [`SimError::NodeOutOfRange`].
+    /// under [`RouteFailure::NodeOutOfRange`].
     #[must_use]
     pub fn run(&self, workload: &[(NodeId, NodeId)]) -> RoundReport {
         let n = self.scheme.node_count();
@@ -242,7 +242,7 @@ impl<'a> RoundSimulator<'a> {
             // A pair naming no node of the scheme is an error, not a message.
             if let Some(node) = [s, t].into_iter().find(|&v| v >= n) {
                 report.errored += 1;
-                report.errored_by.record(&SimError::NodeOutOfRange { node });
+                report.errored_by.record(&RouteFailure::NodeOutOfRange { node });
                 continue;
             }
             queues[s].push_back(InFlight {
@@ -271,13 +271,16 @@ impl<'a> RoundSimulator<'a> {
             }
             // Losses discovered this round; resolved to retry-or-drop after
             // the transmit phase (keeps the borrow of `report` simple).
-            let mut lost: Vec<(InFlight, SimError)> = Vec::new();
+            let mut lost: Vec<(InFlight, RouteFailure)> = Vec::new();
             // Due retries re-enter their source queue.
             if !pending.is_empty() {
                 let mut rest = Vec::with_capacity(pending.len());
                 for (due, mut msg) in pending {
                     if due <= round {
-                        msg.injected_round = round;
+                        // It transmits this round, so its clock starts one
+                        // round back, as a fresh message's starts at round 0
+                        // and first transmits in round 1.
+                        msg.injected_round = round - 1;
                         msg.state =
                             MessageState { source: Some(self.scheme.label_of(msg.src)), counter: 0 };
                         // Each re-injection is a child trace of the message.
@@ -299,7 +302,8 @@ impl<'a> RoundSimulator<'a> {
                             msg.state.counter,
                             HopKind::Dropped { reason: "queued at crashed node" },
                         );
-                        lost.push((msg, SimError::NodeCrashed { node: u }));
+                        let fault = TraceFault::NodeCrashed(u);
+                        lost.push((msg, RouteFailure::Blocked { at: u, to: None, fault }));
                     }
                 }
             }
@@ -320,7 +324,7 @@ impl<'a> RoundSimulator<'a> {
                                 msg.state.counter,
                                 HopKind::TtlExpired { ttl: u64::from(ttl) },
                             );
-                            lost.push((msg, SimError::TtlExpired { ttl }));
+                            lost.push((msg, RouteFailure::TtlExpired { ttl }));
                             continue;
                         }
                     }
@@ -347,19 +351,14 @@ impl<'a> RoundSimulator<'a> {
                             report.reroutes += u64::from(rank > 0);
                             arrivals[next].push(msg);
                         }
-                        Err(e) => lost.push((msg, hop_failure(u, env.degree, e))),
+                        Err(e) => lost.push((msg, e)),
                     }
                 }
             }
             // Resolve this round's losses: fault losses may retry from the
             // source; everything else is dropped and attributed.
             for (msg, err) in lost {
-                let retryable = matches!(
-                    err,
-                    SimError::LinkDown { .. }
-                        | SimError::NodeCrashed { .. }
-                        | SimError::Partitioned { .. }
-                );
+                let retryable = matches!(err, RouteFailure::Blocked { .. });
                 if retryable && msg.attempt < self.retry.max_retries {
                     let due = round + self.retry.backoff(msg.attempt);
                     report.retries += 1;
@@ -391,16 +390,13 @@ impl<'a> RoundSimulator<'a> {
 mod tests {
     use super::*;
     use crate::faults::{FaultEvent, TimedFault};
+    use crate::workloads::all_pairs;
     use ort_graphs::generators;
     use ort_graphs::paths::Apsp;
     use ort_routing::schemes::full_information::FullInformationScheme;
     use ort_routing::schemes::full_table::FullTableScheme;
     use ort_routing::schemes::theorem1::Theorem1Scheme;
     use ort_routing::schemes::theorem4::Theorem4Scheme;
-
-    fn all_pairs(n: usize) -> Vec<(NodeId, NodeId)> {
-        (0..n).flat_map(|s| (0..n).filter(move |&t| t != s).map(move |t| (s, t))).collect()
-    }
 
     #[test]
     fn uncongested_latency_equals_hops() {
@@ -536,6 +532,34 @@ mod tests {
         assert_eq!(report.delivered, 1, "retry after heal must succeed");
         assert!(report.retries >= 1);
         assert_eq!(report.errored, 0);
+    }
+
+    #[test]
+    fn a_retry_starts_its_clock_where_a_fresh_message_does() {
+        // Link 0–1 is down in round 1 only: the message is lost there and
+        // retried in round 2, over the two hops a fresh message takes.
+        let g = generators::path(3);
+        let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
+        let flap = FaultPlan::from_events(vec![
+            TimedFault { at: 1, event: FaultEvent::LinkDown(0, 1) },
+            TimedFault { at: 2, event: FaultEvent::LinkUp(0, 1) },
+        ]);
+        // Two hops and the delivery take three rounds, so a TTL of 2
+        // expires the message, retried or not.
+        for (ttl, latencies) in [(None, vec![2]), (Some(2), vec![])] {
+            let mut fresh = RoundSimulator::new(&scheme, 4);
+            fresh.set_ttl(ttl);
+            let fresh = fresh.run(&[(0, 2)]);
+            let mut sim = RoundSimulator::new(&scheme, 4);
+            sim.set_ttl(ttl);
+            sim.set_fault_plan(flap.clone()).unwrap();
+            sim.set_retry_policy(RetryPolicy { max_retries: 3, backoff_base: 1, backoff_cap: 8 });
+            let retried = sim.run(&[(0, 2)]);
+            assert_eq!(retried.retries, 1, "ttl {ttl:?}");
+            assert_eq!(fresh.latencies, latencies, "ttl {ttl:?}");
+            assert_eq!(retried.latencies, latencies, "ttl {ttl:?}");
+            assert_eq!(retried.errored_by, fresh.errored_by, "ttl {ttl:?}");
+        }
     }
 
     #[test]

@@ -1,10 +1,6 @@
-//! Traffic workload generators for the simulators.
-//!
-//! Each function returns a list of `(source, destination)` messages;
-//! generators taking an RNG are deterministic from the caller's seed.
+//! Traffic workloads for the simulators.
 
 use ort_graphs::NodeId;
-use rand::Rng;
 
 /// Every ordered pair once — the paper's implicit workload (a routing
 /// scheme must serve every pair).
@@ -13,88 +9,14 @@ pub fn all_pairs(n: usize) -> Vec<(NodeId, NodeId)> {
     (0..n).flat_map(|s| (0..n).filter(move |&t| t != s).map(move |t| (s, t))).collect()
 }
 
-/// `k` uniformly random ordered pairs (with replacement).
-///
-/// # Panics
-///
-/// Panics if `n < 2`.
-#[must_use]
-pub fn random_pairs<R: Rng + ?Sized>(n: usize, k: usize, rng: &mut R) -> Vec<(NodeId, NodeId)> {
-    assert!(n >= 2, "need at least two nodes");
-    (0..k)
-        .map(|_| {
-            let s = rng.gen_range(0..n);
-            let mut t = rng.gen_range(0..n - 1);
-            if t >= s {
-                t += 1;
-            }
-            (s, t)
-        })
-        .collect()
-}
-
-/// Everyone sends to one hot destination (incast).
-///
-/// # Panics
-///
-/// Panics if `target ≥ n`.
-#[must_use]
-pub fn incast(n: usize, target: NodeId) -> Vec<(NodeId, NodeId)> {
-    assert!(target < n, "target out of range");
-    (0..n).filter(|&s| s != target).map(|s| (s, target)).collect()
-}
-
-/// A random permutation workload: every node sends exactly one message and
-/// receives exactly one (the classic switching benchmark).
-#[must_use]
-pub fn permutation_traffic<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<(NodeId, NodeId)> {
-    let perm = ort_graphs::generators::random_permutation(n, rng);
-    (0..n).filter(|&s| perm[s] != s).map(|s| (s, perm[s])).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn all_pairs_counts() {
         let w = all_pairs(5);
         assert_eq!(w.len(), 20);
         assert!(w.iter().all(|&(s, t)| s != t && s < 5 && t < 5));
-    }
-
-    #[test]
-    fn random_pairs_are_valid() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let w = random_pairs(10, 500, &mut rng);
-        assert_eq!(w.len(), 500);
-        assert!(w.iter().all(|&(s, t)| s != t && s < 10 && t < 10));
-        // Rough uniformity: every node appears as a source.
-        for u in 0..10 {
-            assert!(w.iter().any(|&(s, _)| s == u), "node {u} never sends");
-        }
-    }
-
-    #[test]
-    fn incast_targets_one_node() {
-        let w = incast(6, 2);
-        assert_eq!(w.len(), 5);
-        assert!(w.iter().all(|&(s, t)| t == 2 && s != 2));
-    }
-
-    #[test]
-    fn permutation_traffic_is_a_matching() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let w = permutation_traffic(40, &mut rng);
-        let mut sources: Vec<_> = w.iter().map(|&(s, _)| s).collect();
-        let mut dests: Vec<_> = w.iter().map(|&(_, t)| t).collect();
-        sources.sort_unstable();
-        sources.dedup();
-        dests.sort_unstable();
-        dests.dedup();
-        assert_eq!(sources.len(), w.len(), "each source once");
-        assert_eq!(dests.len(), w.len(), "each dest once");
     }
 }

@@ -19,13 +19,13 @@
 //!   [`MemSpan`] attribution (below);
 //! * **allocation-size distribution** — every allocation's size feeds
 //!   the `alloc.size_bytes` histogram through the ordinary
-//!   [`crate::hist`] machinery (tagged like a timing histogram: sample
+//!   [`crate::hist`](mod@crate::hist) machinery (tagged like a timing histogram: sample
 //!   counts vary with thread count and feature set, so byte-identity
 //!   guards must skip it).
 //!
 //! # Attribution: `MemSpan`
 //!
-//! A [`MemSpan`] is the memory analogue of [`crate::span`]: an RAII
+//! A [`MemSpan`] is the memory analogue of [`crate::span`](fn@crate::span): an RAII
 //! region that records, per labeled phase, the **net bytes** the region
 //! retained (live at close − live at open) and the **region peak** (the
 //! high-water mark of live bytes while the region was open, relative to

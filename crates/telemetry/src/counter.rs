@@ -1,6 +1,6 @@
 //! Typed counters: process-global named atomics.
 //!
-//! A [`Counter`] is created per call site by the [`counter!`] macro as a
+//! A [`Counter`] is created per call site by the [`counter!`](macro@crate::counter) macro as a
 //! `static`, registered in a global list on first use, and bumped with
 //! relaxed atomic adds — increments commute, so totals are deterministic
 //! under any thread count. Two call sites may share a name; snapshots sum
@@ -10,7 +10,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// A monotonically increasing named counter. Create via [`counter!`].
+/// A monotonically increasing named counter. Create via [`counter!`](macro@crate::counter).
 #[derive(Debug)]
 pub struct Counter {
     name: &'static str,
@@ -26,7 +26,7 @@ fn lock() -> std::sync::MutexGuard<'static, Vec<&'static Counter>> {
 
 impl Counter {
     /// Creates an unregistered counter (registration happens on first
-    /// [`Counter::add`]). `const` so the [`counter!`] macro can place it
+    /// [`Counter::add`]). `const` so the [`counter!`](macro@crate::counter) macro can place it
     /// in a `static`.
     #[must_use]
     pub const fn new(name: &'static str) -> Self {

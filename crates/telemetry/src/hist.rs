@@ -1,14 +1,14 @@
 //! Log-bucketed histograms: exact counts, deterministic merge, cheap
 //! percentiles.
 //!
-//! A [`Hist`] is created per call site by the [`hist!`] macro as a
+//! A [`Hist`] is created per call site by the [`hist!`](macro@crate::hist) macro as a
 //! `static`, registered in a global list on first use (exactly the
 //! [`crate::counter!`] pattern), and filled with relaxed atomic adds.
 //! Bucket increments commute, so the merged bucket vector is
 //! deterministic under any `ORT_THREADS` — *value-domain* histograms
 //! (hop counts, stretch×1000, per-node bits, dirty fractions) are
 //! byte-identical across thread counts and may appear in checked-in
-//! result files. *Timing* histograms (created by [`timing_hist!`]) carry
+//! result files. *Timing* histograms (created by [`timing_hist!`](macro@crate::timing_hist)) carry
 //! a `timing` tag instead: their buckets hold wall-clock samples, are
 //! excluded from every byte-identity guard, and never reach result
 //! files.
@@ -75,8 +75,8 @@ pub fn bucket_bounds(i: usize) -> (u64, u64) {
     (lo, lo + (width - 1))
 }
 
-/// A process-global named histogram. Create via [`hist!`] (value-domain)
-/// or [`timing_hist!`] (wall-clock samples, excluded from determinism
+/// A process-global named histogram. Create via [`hist!`](macro@crate::hist) (value-domain)
+/// or [`timing_hist!`](macro@crate::timing_hist) (wall-clock samples, excluded from determinism
 /// guards).
 pub struct Hist {
     name: &'static str,
@@ -453,7 +453,7 @@ macro_rules! hist {
     }};
 }
 
-/// As [`hist!`], but tagged as a *timing* histogram: samples are
+/// As [`hist!`](macro@crate::hist), but tagged as a *timing* histogram: samples are
 /// wall-clock durations, so the buckets are non-deterministic and every
 /// byte-identity guard skips them.
 #[macro_export]

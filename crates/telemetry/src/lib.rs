@@ -5,7 +5,7 @@
 //! (parallel APSP, conformance, resilience sweeps) is only trustworthy if
 //! wall-clock and bit totals are observable. This crate is that layer:
 //!
-//! * **Spans** ([`span`] / [`span_with`]) — hierarchical, monotonic-clock
+//! * **Spans** ([`span`](fn@span) / [`span_with`]) — hierarchical, monotonic-clock
 //!   timed regions kept on a thread-local stack. A [`Context`] captured
 //!   before `std::thread::scope` and entered inside each worker makes
 //!   spans nest correctly across threads.

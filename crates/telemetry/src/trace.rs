@@ -30,10 +30,11 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Why a hop `u → v` cannot be taken: the simulator's one fault type.
-/// `ort-simnet`'s `FaultState::check_hop` returns it and trace events
-/// carry it; it lives here because `ort-simnet` depends on this crate,
-/// not the other way around.
+/// Why a hop `u → v` cannot be taken: the one fault type. The hop step's
+/// fault check returns it (`ort-simnet`'s `FaultState::check_hop` is
+/// that check), and trace events and a blocked message's `RouteFailure`
+/// carry it; it lives here because `ort-routing` and `ort-simnet` depend
+/// on this crate, not the other way around.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceFault {
     /// The link to the chosen neighbor is down.
@@ -42,14 +43,6 @@ pub enum TraceFault {
     NodeCrashed(usize),
     /// The hop crosses an active partition cut.
     Partitioned,
-}
-
-/// A fault check that can never veto (the fault-free verifier's) has no
-/// fault to trace.
-impl From<std::convert::Infallible> for TraceFault {
-    fn from(never: std::convert::Infallible) -> Self {
-        match never {}
-    }
 }
 
 impl std::fmt::Display for TraceFault {

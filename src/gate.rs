@@ -452,7 +452,7 @@ pub fn mem_probe() -> Json {
 }
 
 /// Times a provably local link toggle through
-/// [`RepairableScheme`](ort_routing::repair::RepairableScheme) against a
+/// [`RepairableScheme`] against a
 /// cold full-table build at [`REPAIR_N`] nodes. The link is a chord
 /// between two pendants of one hub, so its dirty set is exactly its two
 /// endpoints — the most localised delta a connected graph admits. The

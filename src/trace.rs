@@ -2,7 +2,7 @@
 //!
 //! One invocation builds a scheme on a seeded `G(n, 1/2)` graph, routes a
 //! single pair under an installed
-//! [`TraceRecorder`](ort_telemetry::trace::TraceRecorder), replays the
+//! [`TraceRecorder`], replays the
 //! captured walk through [`ort_routing::explain`], and renders the trace
 //! tree with per-hop stretch attribution. The whole run — construction,
 //! worst-pair selection and explanation — shares **one** APSP computation

@@ -7,14 +7,15 @@ use proptest::prelude::*;
 
 use optimal_routing_tables::graphs::generators;
 use optimal_routing_tables::graphs::paths::Apsp;
+use optimal_routing_tables::routing::hop::RouteFailure;
 use optimal_routing_tables::routing::scheme::RoutingScheme;
 use optimal_routing_tables::routing::schemes::full_table::FullTableScheme;
 use optimal_routing_tables::routing::schemes::resilient::ResilientScheme;
 use optimal_routing_tables::simnet::faults::{FaultEvent, FaultPlan, FaultState, TimedFault};
 use optimal_routing_tables::simnet::resilience::resilience_hop_limit;
 use optimal_routing_tables::simnet::rounds::{RetryPolicy, RoundSimulator};
-use optimal_routing_tables::simnet::workloads;
-use optimal_routing_tables::simnet::{Network, SimError};
+use optimal_routing_tables::simnet::Network;
+use optimal_routing_tables::telemetry::trace::TraceFault;
 
 #[test]
 fn crash_and_restart_drains_afterwards() {
@@ -59,7 +60,7 @@ fn bipartition_cuts_exactly_the_cross_pairs_and_heals() {
             let crosses = side.contains(&s) != side.contains(&t);
             match net.send(s, t) {
                 Ok(_) => assert!(!crosses, "({s},{t}) crosses the cut but was delivered"),
-                Err(SimError::Partitioned { .. }) => {
+                Err(RouteFailure::Blocked { fault: TraceFault::Partitioned, .. }) => {
                     assert!(crosses, "({s},{t}) stayed on one side but was cut");
                     cross_failed += 1;
                 }
@@ -95,7 +96,10 @@ fn network_validates_a_plan_against_the_state_it_runs_from() {
     assert_eq!(err.event, FaultEvent::Heal);
     assert_eq!(err.reason, "no partition is active");
     // Rejected atomically: the installed partition still cuts 0 from 3.
-    assert!(matches!(net.send(0, 3), Err(SimError::Partitioned { .. })));
+    assert!(matches!(
+        net.send(0, 3),
+        Err(RouteFailure::Blocked { fault: TraceFault::Partitioned, .. })
+    ));
 }
 
 #[test]
@@ -106,7 +110,8 @@ fn ttl_expiry_is_counted_not_stranded() {
     let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
     let mut sim = RoundSimulator::new(&scheme, 1);
     sim.set_ttl(Some(3));
-    let workload = workloads::incast(12, 1);
+    // Incast: every other node sends to leaf 1.
+    let workload: Vec<(usize, usize)> = (0..12).filter(|&s| s != 1).map(|s| (s, 1)).collect();
     let report = sim.run(&workload);
     assert!(report.errored_by.ttl_expired > 0, "congestion must expire something");
     assert_eq!(report.stranded, 0);

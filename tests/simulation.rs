@@ -4,10 +4,13 @@
 
 use optimal_routing_tables::conformance::registry::SchemeId;
 use optimal_routing_tables::graphs::generators;
+use optimal_routing_tables::graphs::labels::Label;
 use optimal_routing_tables::graphs::paths::Apsp;
-use optimal_routing_tables::graphs::Graph;
+use optimal_routing_tables::graphs::{Graph, NodeId};
+use optimal_routing_tables::routing::hop::RouteFailure;
+use optimal_routing_tables::routing::model::Model;
 use optimal_routing_tables::routing::scheme::{
-    MessageState, RouteError, RoutingScheme, SchemeError,
+    MessageState, NodeEnv, RouteDecision, RouteError, RoutingScheme, SchemeError, Tables,
 };
 use optimal_routing_tables::routing::schemes::resilient::ResilientScheme;
 use optimal_routing_tables::routing::schemes::{
@@ -20,7 +23,8 @@ use optimal_routing_tables::routing::verify;
 use optimal_routing_tables::simnet::faults::FaultPlan;
 use optimal_routing_tables::simnet::resilience::resilience_hop_limit;
 use optimal_routing_tables::simnet::rounds::RoundSimulator;
-use optimal_routing_tables::simnet::{FailureBreakdown, Network, SimError};
+use optimal_routing_tables::simnet::{FailureBreakdown, Network};
+use optimal_routing_tables::telemetry::trace::TraceFault;
 
 const N: usize = 48;
 const SEED: u64 = 77;
@@ -98,7 +102,7 @@ fn registry_schemes(g: &Graph, dists: &Apsp) -> Vec<(String, Box<dyn RoutingSche
 }
 
 /// Fault-free, the simulator and the verifier walk every pair of every
-/// scheme along the same path.
+/// scheme along the same path, or fail with the same [`RouteFailure`].
 #[test]
 fn simulator_and_verifier_agree() {
     let g = generators::gnp_half(N, SEED);
@@ -109,14 +113,74 @@ fn simulator_and_verifier_agree() {
         let mut net = Network::new(scheme);
         for s in 0..N {
             for t in (0..N).filter(|&t| t != s) {
-                let walked = verify::route_pair(scheme, s, t, limit).map_err(|e| e.to_string());
-                let sent = net.send(s, t).map(|d| d.path).map_err(|e| e.to_string());
-                assert_eq!(sent, walked, "{name}: pair ({s},{t})");
+                let walked = verify::route_pair(scheme, s, t, limit);
+                assert_eq!(net.send(s, t).map(|d| d.path), walked, "{name}: pair ({s},{t})");
             }
         }
         let report = verify::verify(&g, scheme, &dists, 1).unwrap();
         assert_eq!(report.delivered as u64, net.stats().delivered, "{name}");
         assert_eq!(report.total_hops, net.stats().total_hops, "{name}");
+    }
+}
+
+/// Full-table routing that gives one fixed verdict at node `at` and
+/// routes correctly everywhere else.
+struct Misrouting {
+    inner: FullTableScheme,
+    at: NodeId,
+    says: Result<RouteDecision, RouteError>,
+}
+
+impl RoutingScheme for Misrouting {
+    fn model(&self) -> Model {
+        self.inner.model()
+    }
+
+    fn tables(&self) -> &Tables {
+        self.inner.tables()
+    }
+
+    fn route_at(
+        &self,
+        u: NodeId,
+        env: &NodeEnv<'_>,
+        dest: &Label,
+        state: &mut MessageState,
+    ) -> Result<RouteDecision, RouteError> {
+        if u == self.at {
+            return self.says.clone();
+        }
+        self.inner.route_at(u, env, dest, state)
+    }
+}
+
+/// A router that misbehaves fails a message the same way at every
+/// walker: `route_pair` and a fault-free `Network::send` return the same
+/// [`RouteFailure`], and a one-message round simulation counts it in the
+/// bucket that failure belongs to.
+#[test]
+fn every_walker_reads_a_misbehaving_router_alike() {
+    // On the path 0-1-2-3, node 1 misroutes the message 0 → 3: a port past
+    // its two, an empty multipath set, a delivery away from 3, an error.
+    let g = generators::path(4);
+    let unknown = RouteError::UnknownDestination;
+    let cases = [
+        (Ok(RouteDecision::Forward(2)), RouteFailure::BadPort { at: 1, port: 2 }, "router"),
+        (Ok(RouteDecision::ForwardAny(Vec::new())), RouteFailure::NoUsablePort { at: 1 }, "router"),
+        (Ok(RouteDecision::Deliver), RouteFailure::Misdelivered { at: 1 }, "misdelivered"),
+        (Err(unknown.clone()), RouteFailure::RouterError { at: 1, error: unknown }, "router"),
+    ];
+    for (says, failure, bucket) in cases {
+        let inner = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
+        let scheme = Misrouting { inner, at: 1, says };
+        let ctx = format!("{:?}", scheme.says);
+        let walked = verify::route_pair(&scheme, 0, 3, verify::default_hop_limit(4));
+        assert_eq!(walked, Err(failure.clone()), "{ctx}");
+        assert_eq!(Network::new(&scheme).send(0, 3), Err(failure), "{ctx}");
+        let round = RoundSimulator::new(&scheme, 1).run(&[(0, 3)]);
+        let counted: Vec<_> =
+            round.errored_by.entries().into_iter().filter(|&(_, c)| c > 0).collect();
+        assert_eq!(counted, [(bucket, 1)], "{ctx}");
     }
 }
 
@@ -152,7 +216,9 @@ fn network_and_round_simulator_agree_under_faults() {
                             assert_eq!(round.latencies, [d.hops() as u32], "{ctx}");
                             assert_eq!(round.reroutes, net.stats().reroutes - reroutes, "{ctx}");
                         }
-                        Err(SimError::HopLimit { .. }) => assert_eq!(round.stranded, 1, "{ctx}"),
+                        Err(RouteFailure::HopLimit { .. }) => {
+                            assert_eq!(round.stranded, 1, "{ctx}");
+                        }
                         Err(e) => {
                             let mut bucket = FailureBreakdown::default();
                             bucket.record(&e);
@@ -248,7 +314,10 @@ fn link_failures_degrade_gracefully() {
     // Cut the last link: now it must fail, and report precisely.
     assert!(net.fail_link(victim, nbrs[0]));
     match net.send(0, victim) {
-        Err(SimError::LinkDown { .. } | SimError::HopLimit { .. }) => {}
+        Err(
+            RouteFailure::Blocked { fault: TraceFault::LinkDown, .. }
+            | RouteFailure::HopLimit { .. },
+        ) => {}
         other => panic!("expected failure, got {other:?}"),
     }
 }

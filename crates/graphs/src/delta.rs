@@ -40,7 +40,7 @@
 //! exact oracle builds byte-identical schemes.
 
 use crate::dist::{DistRow, DistStore};
-use crate::paths::{bfs_distances, Apsp, ApspEngine, UNREACHABLE};
+use crate::paths::{Apsp, ApspEngine, Traversal, UNREACHABLE};
 use crate::{Graph, GraphError, NodeId};
 
 /// The ceiling on `|D| / n` past which repair falls back to a full
@@ -224,8 +224,11 @@ impl DeltaOracle {
             return self.full_rebuild(Vec::new());
         }
 
-        let row_a = bfs_distances(&self.g, a, ApspEngine::Auto);
-        let row_b = bfs_distances(&self.g, b, ApspEngine::Auto);
+        // One traversal serves both probes and every dirty row, so a dense
+        // graph's bitset rows are built once per repair.
+        let walk = Traversal::new(&self.g, ApspEngine::Auto);
+        let row_a = walk.distances(&self.g, a);
+        let row_b = walk.distances(&self.g, b);
         let mut dirty_mask = vec![false; n];
         let mut dirty: Vec<NodeId> = Vec::new();
         for s in 0..n {
@@ -256,7 +259,7 @@ impl DeltaOracle {
             } else if s == b {
                 &row_b
             } else {
-                fresh = bfs_distances(&self.g, s, ApspEngine::Auto);
+                fresh = walk.distances(&self.g, s);
                 &fresh
             };
             let store = self.apsp.store_mut();

@@ -10,7 +10,7 @@
 //! [`DistStore`] is the width-erased cell container: a `u8`, `u16` or
 //! `u32` vector selected per graph by [`width_for`], which derives a sound
 //! diameter upper bound from one cheap traversal per connected component
-//! (`diam ≤ 2·ecc(representative)`). The all-ones cell of each width is
+//! (`diam ≤ 2·ecc(representative)`, [`ComponentSweep`]). The all-ones cell of each width is
 //! the *unreachable* sentinel, mapped to [`UNREACHABLE`] at the `u32`
 //! boundary, so finite distances must stay strictly below
 //! [`CellWidth::max_finite`] — guaranteed by the bound.
@@ -456,48 +456,71 @@ impl DistBand {
     }
 }
 
-/// A sound upper bound on every finite pairwise distance in `g`: one BFS
-/// per connected component (each node is traversed exactly once overall,
-/// so the probe is `O(n + m)` total), bounding each component's diameter
-/// by twice its representative's eccentricity, clamped to `n − 1`.
-#[must_use]
-pub fn diameter_upper_bound(g: &Graph) -> u32 {
-    let n = g.node_count();
-    if n <= 1 {
-        return 0;
-    }
-    let mut dist = vec![UNREACHABLE; n];
-    let mut queue = std::collections::VecDeque::new();
-    let mut bound = 0u64;
-    for s in 0..n {
-        if dist[s] != UNREACHABLE {
-            continue;
-        }
-        dist[s] = 0;
-        queue.push_back(s);
-        let mut ecc = 0u32;
-        while let Some(u) = queue.pop_front() {
-            let du = dist[u];
-            ecc = ecc.max(du);
-            for &v in g.neighbors(u) {
-                if dist[v] == UNREACHABLE {
-                    dist[v] = du + 1;
-                    queue.push_back(v);
-                }
-            }
-        }
-        bound = bound.max(2 * u64::from(ecc));
-    }
-    bound.min((n - 1) as u64) as u32
+/// What one BFS per connected component of `g` finds. Each node is
+/// traversed exactly once overall, so the sweep is `O(n + m)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ComponentSweep {
+    /// The number of connected components (0 for the empty graph).
+    pub components: usize,
+    /// A sound upper bound on every finite pairwise distance: each
+    /// component's diameter is at most twice its representative's
+    /// eccentricity, and the bound is clamped to `n − 1`.
+    pub diameter_bound: u32,
 }
 
-/// The cell width [`crate::paths::Apsp::compute`] uses for `g`: the
-/// narrowest width covering [`diameter_upper_bound`]. Deterministic per
-/// graph — in particular it does not depend on the engine or the thread
-/// count, so compact matrices stay byte-identical across both.
+impl ComponentSweep {
+    /// Sweeps `g`, one BFS per component.
+    #[must_use]
+    pub fn of(g: &Graph) -> Self {
+        let n = g.node_count();
+        let mut dist = vec![UNREACHABLE; n];
+        let mut queue = std::collections::VecDeque::new();
+        let mut components = 0;
+        let mut bound = 0u64;
+        for s in 0..n {
+            if dist[s] != UNREACHABLE {
+                continue;
+            }
+            components += 1;
+            dist[s] = 0;
+            queue.push_back(s);
+            let mut ecc = 0u32;
+            while let Some(u) = queue.pop_front() {
+                let du = dist[u];
+                ecc = ecc.max(du);
+                for &v in g.neighbors(u) {
+                    if dist[v] == UNREACHABLE {
+                        dist[v] = du + 1;
+                        queue.push_back(v);
+                    }
+                }
+            }
+            bound = bound.max(2 * u64::from(ecc));
+        }
+        let diameter_bound = bound.min(n.saturating_sub(1) as u64) as u32;
+        ComponentSweep { components, diameter_bound }
+    }
+
+    /// Whether `g` is connected (vacuously true for `n ≤ 1`).
+    #[must_use]
+    pub fn is_connected(self) -> bool {
+        self.components <= 1
+    }
+
+    /// The cell width [`crate::paths::Apsp::compute`] uses for `g`: the
+    /// narrowest width covering [`ComponentSweep::diameter_bound`].
+    #[must_use]
+    pub fn width(self) -> CellWidth {
+        CellWidth::for_bound(self.diameter_bound)
+    }
+}
+
+/// [`ComponentSweep::width`] of `g`. Deterministic per graph — in
+/// particular it does not depend on the engine or the thread count, so
+/// compact matrices stay byte-identical across both.
 #[must_use]
 pub fn width_for(g: &Graph) -> CellWidth {
-    CellWidth::for_bound(diameter_upper_bound(g))
+    ComponentSweep::of(g).width()
 }
 
 #[cfg(test)]
@@ -562,8 +585,10 @@ mod tests {
             (crate::Graph::from_edges(9, [(0, 1), (1, 2), (5, 6)]).unwrap(), "split"),
             (crate::Graph::empty(4), "isolated"),
         ] {
-            let bound = diameter_upper_bound(&g);
+            let sweep = ComponentSweep::of(&g);
+            let bound = sweep.diameter_bound;
             let apsp = crate::paths::Apsp::compute(&g);
+            assert_eq!(sweep.is_connected(), crate::paths::is_connected(&g), "{name}");
             for u in 0..g.node_count() {
                 for v in 0..g.node_count() {
                     if let Some(d) = apsp.distance(u, v) {
@@ -573,6 +598,10 @@ mod tests {
             }
             assert!(bound <= g.node_count().saturating_sub(1) as u32, "{name}");
         }
+        let split = crate::Graph::from_edges(9, [(0, 1), (1, 2), (5, 6)]).unwrap();
+        assert_eq!(ComponentSweep::of(&split).components, 6);
+        assert_eq!(ComponentSweep::of(&crate::Graph::empty(0)).components, 0);
+        assert!(ComponentSweep::of(&crate::Graph::empty(1)).is_connected());
     }
 
     #[test]

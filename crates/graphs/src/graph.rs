@@ -79,14 +79,17 @@ impl From<CodeError> for GraphError {
 
 /// An undirected simple graph on nodes `0..n`.
 ///
-/// Maintains two synchronized views:
-///
-/// * a **bit matrix** (one [`BitVec`] row per node) for O(1) adjacency
-///   queries — this is also the ground truth for the canonical `E(G)`
-///   encoding of Definition 2;
-/// * **sorted adjacency lists** for O(deg) neighbourhood scans — the order
-///   of `neighbors(u)` defines the paper's "least directly adjacent nodes"
-///   (Lemma 3) and the default port numbering.
+/// The graph is its **sorted adjacency lists** and nothing else, so it
+/// takes O(n + m) memory: the order of `neighbors(u)` defines the paper's
+/// "least directly adjacent nodes" (Lemma 3) and the default port
+/// numbering. [`Graph::has_edge`] is a binary search in the shorter of two
+/// lists. Whatever reads a node's adjacency as a bit string — the
+/// interconnection vector ([`Graph::write_interconnection`]), the
+/// canonical `E(G)` encoding of Definition 2 ([`Graph::to_edge_bits`]),
+/// [`Graph::non_neighbors`], the graph6 writer — is one merge over the
+/// node's list ([`Graph::adjacency_bits`]). A builder that asks, for each
+/// non-neighbour of a node, which of the node's neighbours it touches
+/// uses [`Relays`], an n-entry mask reused from node to node.
 ///
 /// # Example
 ///
@@ -106,7 +109,6 @@ impl From<CodeError> for GraphError {
 #[derive(Clone, PartialEq, Eq)]
 pub struct Graph {
     n: usize,
-    rows: Vec<BitVec>,
     adj: Vec<Vec<NodeId>>,
     edges: usize,
 }
@@ -115,12 +117,7 @@ impl Graph {
     /// Creates an edgeless graph on `n` nodes.
     #[must_use]
     pub fn empty(n: usize) -> Self {
-        Graph {
-            n,
-            rows: (0..n).map(|_| BitVec::zeros(n)).collect(),
-            adj: vec![Vec::new(); n],
-            edges: 0,
-        }
+        Graph { n, adj: vec![Vec::new(); n], edges: 0 }
     }
 
     /// Builds a graph from an edge list.
@@ -157,11 +154,18 @@ impl Graph {
         0..self.n
     }
 
-    /// Whether nodes `u` and `v` are adjacent. Out-of-range queries return
-    /// `false`; `has_edge(u, u)` is always `false`.
+    /// Whether nodes `u` and `v` are adjacent: a binary search in the
+    /// shorter of their two lists, O(log min(d(u), d(v))). Out-of-range
+    /// queries return `false`; `has_edge(u, u)` is always `false`. A loop
+    /// over many pairs sharing a node should merge over that node's list
+    /// ([`Graph::adjacency_bits`]) or mark it in [`Relays`] instead.
     #[must_use]
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        u < self.n && v < self.n && self.rows[u].get(v) == Some(true)
+        if u >= self.n || v >= self.n {
+            return false;
+        }
+        let (a, b) = if self.adj[u].len() <= self.adj[v].len() { (u, v) } else { (v, u) };
+        self.adj[a].binary_search(&b).is_ok()
     }
 
     /// The sorted neighbour list of `u`.
@@ -192,19 +196,50 @@ impl Graph {
     /// Panics if `u ≥ n`.
     #[must_use]
     pub fn non_neighbors(&self, u: NodeId) -> Vec<NodeId> {
-        (0..self.n).filter(|&v| v != u && !self.has_edge(u, v)).collect()
+        self.adjacency_bits(u)
+            .enumerate()
+            .filter(|&(v, adjacent)| v != u && !adjacent)
+            .map(|(v, _)| v)
+            .collect()
     }
 
-    /// The adjacency bit-row of `u`: bit `v` is set iff `{u,v} ∈ E`. This
-    /// is the "standard interconnection vector" the paper codes in `n − 1`
-    /// bits (we keep the self-bit, always 0, for O(1) indexing).
+    /// `u`'s adjacency as `n` bits, one per node `v` in ascending order,
+    /// `true` iff `{u, v} ∈ E` (the self-bit is `false`): one merge over
+    /// `u`'s sorted list, O(n) for the whole row.
     ///
     /// # Panics
     ///
     /// Panics if `u ≥ n`.
-    #[must_use]
-    pub fn adjacency_row(&self, u: NodeId) -> &BitVec {
-        &self.rows[u]
+    pub fn adjacency_bits(&self, u: NodeId) -> impl Iterator<Item = bool> + '_ {
+        let mut nbrs = self.adj[u].iter().peekable();
+        (0..self.n).map(move |v| nbrs.next_if_eq(&&v).is_some())
+    }
+
+    /// Writes `u`'s "standard interconnection vector", the `n − 1` bits
+    /// the paper codes a node's neighbourhood in: bit `v` for every
+    /// `v ≠ u` in ascending order, 1 iff `{u, v} ∈ E`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u ≥ n`.
+    pub fn write_interconnection(&self, u: NodeId, w: &mut BitWriter) {
+        for (v, adjacent) in self.adjacency_bits(u).enumerate() {
+            if v != u {
+                w.write_bit(adjacent);
+            }
+        }
+    }
+
+    /// Every non-adjacent pair `(u, v)` with `u < v`, in the canonical
+    /// lexicographic order of Definition 2: one merge per node.
+    pub fn non_edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+        (0..self.n).flat_map(move |u| {
+            self.adjacency_bits(u)
+                .enumerate()
+                .skip(u + 1)
+                .filter(|&(_, adjacent)| !adjacent)
+                .map(move |(v, _)| (u, v))
+        })
     }
 
     /// The smallest common neighbour of `u` and `v`, if any. On a
@@ -234,14 +269,11 @@ impl Graph {
     /// Returns [`GraphError::NodeOutOfRange`] or [`GraphError::SelfLoop`].
     pub fn add_edge(&mut self, u: NodeId, v: NodeId) -> Result<(), GraphError> {
         self.check_pair(u, v)?;
-        if self.has_edge(u, v) {
+        let Err(pos) = self.adj[u].binary_search(&v) else {
             return Ok(());
-        }
-        self.rows[u].set(v, true);
-        self.rows[v].set(u, true);
-        let pos = self.adj[u].binary_search(&v).unwrap_err();
+        };
         self.adj[u].insert(pos, v);
-        let pos = self.adj[v].binary_search(&u).unwrap_err();
+        let pos = self.adj[v].binary_search(&u).expect_err("lists are symmetric");
         self.adj[v].insert(pos, u);
         self.edges += 1;
         Ok(())
@@ -254,14 +286,11 @@ impl Graph {
     /// Returns [`GraphError::NodeOutOfRange`] or [`GraphError::SelfLoop`].
     pub fn remove_edge(&mut self, u: NodeId, v: NodeId) -> Result<(), GraphError> {
         self.check_pair(u, v)?;
-        if !self.has_edge(u, v) {
+        let Ok(pos) = self.adj[u].binary_search(&v) else {
             return Ok(());
-        }
-        self.rows[u].set(v, false);
-        self.rows[v].set(u, false);
-        let pos = self.adj[u].binary_search(&v).expect("edge present");
+        };
         self.adj[u].remove(pos);
-        let pos = self.adj[v].binary_search(&u).expect("edge present");
+        let pos = self.adj[v].binary_search(&u).expect("lists are symmetric");
         self.adj[v].remove(pos);
         self.edges -= 1;
         Ok(())
@@ -272,11 +301,7 @@ impl Graph {
     /// attach its links with [`Graph::add_edge`].
     pub fn add_node(&mut self) -> NodeId {
         let id = self.n;
-        for row in &mut self.rows {
-            row.push(false);
-        }
         self.n += 1;
-        self.rows.push(BitVec::zeros(self.n));
         self.adj.push(Vec::new());
         id
     }
@@ -300,20 +325,12 @@ impl Graph {
             return Err(GraphError::NodeNotIsolated { node: u, degree });
         }
         self.adj.remove(u);
-        self.rows.remove(u);
         self.n -= 1;
-        for (w, list) in self.adj.iter_mut().enumerate() {
-            for v in list.iter_mut() {
-                debug_assert_ne!(*v, u, "isolated node had a back-reference");
-                if *v > u {
-                    *v -= 1;
-                }
+        for v in self.adj.iter_mut().flatten() {
+            debug_assert_ne!(*v, u, "isolated node had a back-reference");
+            if *v > u {
+                *v -= 1;
             }
-            let mut row = BitVec::zeros(self.n);
-            for &v in list.iter() {
-                row.set(v, true);
-            }
-            self.rows[w] = row;
         }
         Ok(())
     }
@@ -342,15 +359,7 @@ impl Graph {
     /// The complement graph (every non-edge becomes an edge).
     #[must_use]
     pub fn complement(&self) -> Graph {
-        let mut g = Graph::empty(self.n);
-        for u in 0..self.n {
-            for v in u + 1..self.n {
-                if !self.has_edge(u, v) {
-                    g.add_edge(u, v).expect("valid pair");
-                }
-            }
-        }
-        g
+        Graph::from_edges(self.n, self.non_edges()).expect("valid pairs")
     }
 
     /// Position of edge `{u, v}` in the canonical lexicographic enumeration
@@ -401,8 +410,8 @@ impl Graph {
     pub fn to_edge_bits(&self) -> BitVec {
         let mut bits = BitVec::with_capacity(Self::encoding_len(self.n));
         for u in 0..self.n {
-            for v in u + 1..self.n {
-                bits.push(self.has_edge(u, v));
+            for adjacent in self.adjacency_bits(u).skip(u + 1) {
+                bits.push(adjacent);
             }
         }
         bits
@@ -466,6 +475,140 @@ impl Graph {
     }
 }
 
+/// For one node `u` at a time, the *least relay* toward each non-neighbour
+/// `x` of `u`: `u`'s least neighbour adjacent to `x`, the middle of the
+/// canonical length-2 path `u → v → x` that Lemma 3 and the Theorem 1, 2
+/// and 5 constructions pick.
+///
+/// [`Relays::set`] marks `u`'s neighbours in an n-entry table with their
+/// rank (position in `u`'s sorted list) and clears the previous node's
+/// marks; [`Relays::least`] scans `x`'s sorted list for its first marked
+/// entry. Lists ascend and so do ranks, so that entry is the least relay.
+/// One table serves a sweep over every node, so the sweep costs O(n) once
+/// plus O(d) a node to mark, plus the scans, and asks no per-pair
+/// adjacency query.
+///
+/// # Example
+///
+/// ```
+/// use ort_graphs::{Graph, Relays};
+///
+/// # fn main() -> Result<(), ort_graphs::GraphError> {
+/// // 0's neighbours are 1 and 2; 3 hangs off 2, 4 off nothing.
+/// let g = Graph::from_edges(5, [(0, 1), (0, 2), (2, 3)])?;
+/// let mut relays = Relays::new(&g);
+/// relays.set(0);
+/// assert_eq!(relays.rank(2), Some(1));
+/// assert_eq!(relays.least(3), Some(1)); // 0 → 2 → 3
+/// let far: Vec<_> = relays.non_neighbors().collect();
+/// assert_eq!(far, vec![(3, Some(1)), (4, None)]);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone)]
+pub struct Relays<'g> {
+    g: &'g Graph,
+    /// `marks[v] = i + 1` if `v` is the set node's `i`-th neighbour, else 0.
+    marks: Vec<u32>,
+    node: Option<NodeId>,
+}
+
+impl<'g> Relays<'g> {
+    /// An unmarked table over `g`'s nodes; no node is set yet.
+    #[must_use]
+    pub fn new(g: &'g Graph) -> Self {
+        Relays { g, marks: vec![0; g.node_count()], node: None }
+    }
+
+    /// The graph the table answers for.
+    #[must_use]
+    pub fn graph(&self) -> &'g Graph {
+        self.g
+    }
+
+    /// Makes `u` the node the table answers for: unmarks the previous
+    /// node's neighbours and marks `u`'s, O(d) each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u ≥ n`.
+    pub fn set(&mut self, u: NodeId) {
+        if self.node == Some(u) {
+            return;
+        }
+        if let Some(prev) = self.node.take() {
+            for &v in self.g.neighbors(prev) {
+                self.marks[v] = 0;
+            }
+        }
+        for (i, &v) in self.g.neighbors(u).iter().enumerate() {
+            self.marks[v] = u32::try_from(i + 1).expect("degree fits u32");
+        }
+        self.node = Some(u);
+    }
+
+    /// `v`'s rank in the set node's sorted neighbour list, or `None` if
+    /// `v` is not its neighbour (or no node is set).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v ≥ n`.
+    #[must_use]
+    pub fn rank(&self, v: NodeId) -> Option<usize> {
+        (self.marks[v] as usize).checked_sub(1)
+    }
+
+    /// The rank of `x`'s least relay: the first entry of `x`'s sorted list
+    /// that neighbours the set node, or `None` if the two share no
+    /// neighbour.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x ≥ n`.
+    #[must_use]
+    pub fn least(&self, x: NodeId) -> Option<usize> {
+        self.g.neighbors(x).iter().find_map(|&v| self.rank(v))
+    }
+
+    /// Each non-neighbour `x` of the set node (itself excluded), ascending,
+    /// with the rank of its least relay ([`Relays::least`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no node is set.
+    pub fn non_neighbors(&self) -> impl Iterator<Item = (NodeId, Option<usize>)> + '_ {
+        let u = self.node.expect("Relays::set names a node first");
+        (0..self.marks.len())
+            .filter(move |&x| x != u && self.marks[x] == 0)
+            .map(move |x| (x, self.least(x)))
+    }
+
+    /// The least non-neighbour that *escapes* the set node's `t`-prefix
+    /// (Lemma 3): the first with no relay among the node's `t` least
+    /// neighbours, or `None` if the prefix dominates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no node is set.
+    #[must_use]
+    pub fn escapee(&self, t: usize) -> Option<NodeId> {
+        self.non_neighbors().find(|&(_, relay)| relay.is_none_or(|r| r >= t)).map(|(x, _)| x)
+    }
+
+    /// The set node's shortest *dominating prefix* (Lemma 3): the smallest
+    /// `t` such that every non-neighbour has a relay among the node's `t`
+    /// least neighbours, or `None` if some non-neighbour has none
+    /// (distance > 2).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no node is set.
+    #[must_use]
+    pub fn dominating_prefix_len(&self) -> Option<usize> {
+        self.non_neighbors().try_fold(0, |t, (_, relay)| relay.map(|r| t.max(r + 1)))
+    }
+}
+
 impl fmt::Debug for Graph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Graph(n={}, m={})", self.n, self.edges)
@@ -517,13 +660,13 @@ mod tests {
         assert_eq!(g.node_count(), 4);
         assert_eq!(g.degree(3), 0);
         assert!(!g.has_edge(3, 0));
-        // The widened rows still answer old adjacency correctly.
+        // Old adjacency is untouched.
         assert!(g.has_edge(0, 1) && g.has_edge(1, 2) && !g.has_edge(0, 2));
         // The new node is fully usable.
         g.add_edge(3, 0).unwrap();
         assert_eq!(g.neighbors(3), &[0]);
-        assert_eq!(g.adjacency_row(3).len(), 4);
-        assert_eq!(g.adjacency_row(0).len(), 4);
+        assert!(g.adjacency_bits(3).eq([true, false, false, false]));
+        assert!(g.adjacency_bits(0).eq([false, true, false, true]));
     }
 
     #[test]
@@ -540,11 +683,12 @@ mod tests {
         assert!(g.has_edge(2, 3));
         assert!(!g.has_edge(1, 2));
         assert_eq!(g.neighbors(2), &[3]);
-        // Rows shrank with the graph and match the rebuilt adjacency.
+        // Bit rows shrank with the graph and match the renumbered lists.
         for u in g.nodes() {
-            assert_eq!(g.adjacency_row(u).len(), 4);
-            for v in g.nodes() {
-                assert_eq!(g.has_edge(u, v), g.neighbors(u).contains(&v));
+            assert_eq!(g.adjacency_bits(u).count(), 4);
+            for (v, adjacent) in g.adjacency_bits(u).enumerate() {
+                assert_eq!(adjacent, g.neighbors(u).contains(&v));
+                assert_eq!(g.has_edge(u, v), adjacent);
             }
         }
         // Round-trips through the canonical encoding like any other graph.
@@ -605,6 +749,49 @@ mod tests {
         }
         assert_eq!(g.neighbors(3), &[1, 2, 4, 5]);
         assert_eq!(g.degree(3), 4);
+    }
+
+    #[test]
+    fn interconnection_vector_skips_the_self_bit() {
+        let g = Graph::from_edges(5, [(2, 0), (2, 4), (1, 3)]).unwrap();
+        let mut w = BitWriter::new();
+        g.write_interconnection(2, &mut w);
+        assert_eq!(w.finish(), BitVec::from_bit_str("1001"));
+        let mut w = BitWriter::new();
+        g.write_interconnection(0, &mut w);
+        assert_eq!(w.finish(), BitVec::from_bit_str("0100"));
+    }
+
+    #[test]
+    fn non_edges_are_the_complement_in_canonical_order() {
+        let g = Graph::from_edges(4, [(0, 1), (1, 3), (2, 3)]).unwrap();
+        let non: Vec<_> = g.non_edges().collect();
+        assert_eq!(non, vec![(0, 2), (0, 3), (1, 2)]);
+        assert_eq!(g.complement().edges().collect::<Vec<_>>(), non);
+    }
+
+    #[test]
+    fn relays_find_the_least_common_neighbour_by_rank() {
+        // 0 ~ {1, 2, 3}; 4 ~ {2, 3}; 5 ~ {1}; 6 isolated.
+        let g = Graph::from_edges(7, [(0, 1), (0, 2), (0, 3), (4, 2), (4, 3), (5, 1)]).unwrap();
+        let mut relays = Relays::new(&g);
+        relays.set(0);
+        assert_eq!(relays.rank(1), Some(0));
+        assert_eq!(relays.rank(3), Some(2));
+        assert_eq!(relays.rank(4), None);
+        assert_eq!(relays.least(4), Some(1));
+        let all: Vec<_> = relays.non_neighbors().collect();
+        assert_eq!(all, vec![(4, Some(1)), (5, Some(0)), (6, None)]);
+        assert_eq!(relays.dominating_prefix_len(), None);
+        // Moving to another node clears the old marks.
+        relays.set(4);
+        assert_eq!(relays.rank(1), None);
+        assert_eq!(relays.rank(3), Some(1));
+        assert_eq!(relays.non_neighbors().map(|(x, _)| x).collect::<Vec<_>>(), vec![0, 1, 5, 6]);
+        assert_eq!(relays.least(0), Some(0));
+        let mut star = Relays::new(&g);
+        star.set(2);
+        assert_eq!(star.least(4), None, "4 is 2's neighbour, and they share none");
     }
 
     #[test]

@@ -85,8 +85,8 @@ pub fn to_graph6(g: &Graph) -> Result<String, Graph6Error> {
     let mut acc = 0u8;
     let mut filled = 0u8;
     for j in 1..n {
-        for i in 0..j {
-            acc = (acc << 1) | u8::from(g.has_edge(i, j));
+        for adjacent in g.adjacency_bits(j).take(j) {
+            acc = (acc << 1) | u8::from(adjacent);
             filled += 1;
             if filled == 6 {
                 out.push(acc + 63);

@@ -5,8 +5,10 @@
 //! node's incident edges are attached to locally numbered *ports*. This
 //! crate provides:
 //!
-//! * [`Graph`] — an undirected graph with both bit-matrix and adjacency-list
-//!   views, plus the canonical `E(G)` bit-string codec of Definition 2.
+//! * [`Graph`] — an undirected graph held as sorted adjacency lists
+//!   (O(n + m) memory), plus the canonical `E(G)` bit-string codec of
+//!   Definition 2; [`Relays`] answers, for one node at a time, which of
+//!   its neighbours reaches each non-neighbour.
 //! * [`generators`] — deterministic, seeded graph families: `G(n,p)` and
 //!   `G(n,m)` random graphs (the stand-in for Kolmogorov random graphs),
 //!   classic topologies, and the Theorem 9 lower-bound graph `G_B`
@@ -52,4 +54,4 @@ pub mod paths;
 pub mod ports;
 pub mod random_props;
 
-pub use graph::{Graph, GraphError, NodeId};
+pub use graph::{Graph, GraphError, NodeId, Relays};

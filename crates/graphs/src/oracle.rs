@@ -30,7 +30,7 @@
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::dist::{CellWidth, DistBand, DistRow, DistStore};
-use crate::paths::{compute_band, Apsp, ApspEngine, UNREACHABLE};
+use crate::paths::{Apsp, ApspEngine, Traversal, UNREACHABLE};
 use crate::{Graph, NodeId};
 
 /// A source of pairwise hop distances — exact or stretch-bounded.
@@ -186,6 +186,10 @@ impl Distances for Apsp {
 /// once: the same `O(n·m)` traversal work as the full matrix at a
 /// fraction of the memory.
 ///
+/// The oracle resolves its engine once, into a [`Traversal`] it keeps for
+/// its life: on a dense graph that holds the bitset engine's adjacency
+/// rows (`n × ⌈n/64⌉` words), which [`Distances::peak_bytes`] counts.
+///
 /// Interior mutability (a [`Mutex`]) keeps the trait object `Sync`;
 /// queries from concurrent verifiers serialise on the lock, so this
 /// oracle is meant for memory-bound *construction*, not parallel
@@ -200,7 +204,7 @@ impl Distances for Apsp {
 #[derive(Debug)]
 pub struct BandedOracle {
     g: Graph,
-    engine: ApspEngine,
+    walk: Traversal,
     /// [`crate::dist::width_for`] of `g`, worked out once: it is a
     /// whole-graph traversal, and every band and `peak_bytes` needs it.
     width: CellWidth,
@@ -235,7 +239,7 @@ impl BandedOracle {
     pub fn with_engine(g: Graph, band_rows: usize, engine: ApspEngine) -> Self {
         assert!(band_rows >= 1, "band must hold at least one row");
         BandedOracle {
-            engine: engine.resolve(&g),
+            walk: Traversal::new(&g, engine),
             width: crate::dist::width_for(&g),
             g,
             band_rows,
@@ -279,7 +283,7 @@ impl BandedOracle {
             // Dropping the previous band *before* computing the next keeps
             // peak memory at one band.
             st.band = None;
-            st.band = Some(compute_band(&self.g, start, rows, self.engine, self.width));
+            st.band = Some(self.walk.band(&self.g, start, rows, self.width));
             st.bands_computed += 1;
         }
         st.band.as_ref().expect("band just computed")
@@ -307,13 +311,14 @@ impl Distances for BandedOracle {
     }
 
     fn peak_bytes(&self) -> usize {
-        // One band of compact cells plus the traversal engine's per-tile
-        // scratch masks — the scratch is live while the band fills, so a
-        // claim without it would under-state the measured peak (the
+        // One band of compact cells plus the traversal engine's scratch:
+        // the per-tile masks live while the band fills, and the bitset
+        // engine's adjacency rows for the oracle's life, so a claim
+        // without them would under-state the measured peak (the
         // allocator audit enforces claimed ≤ measured).
         let n = self.g.node_count();
         self.band_rows.min(n) * n * self.width.bytes_per_cell()
-            + self.engine.scratch_bytes(&self.g, self.band_rows.min(n))
+            + self.walk.engine().scratch_bytes(&self.g, self.band_rows.min(n))
     }
 }
 
@@ -473,8 +478,9 @@ impl LandmarkOracle {
 /// Fills row `i` of `out` with exact BFS distances from `landmarks[i]`.
 fn fill_landmark_rows<T: crate::dist::DistCell>(g: &Graph, landmarks: &[NodeId], out: &mut [T]) {
     let n = g.node_count();
+    let walk = Traversal::new(g, ApspEngine::Queue);
     for (i, &l) in landmarks.iter().enumerate() {
-        crate::paths::fill_rows(g, ApspEngine::Queue, l, 1, &mut out[i * n..(i + 1) * n]);
+        walk.fill(g, l, 1, &mut out[i * n..(i + 1) * n]);
     }
 }
 

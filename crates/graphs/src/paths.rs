@@ -16,11 +16,12 @@
 //! * **Queue BFS** — the textbook frontier queue over adjacency lists;
 //!   O(n + m) per source, best on small sparse graphs.
 //! * **Bitset BFS** — the frontier and visited sets are `u64` words, and a
-//!   level expands by OR-ing whole adjacency-matrix rows
-//!   ([`crate::Graph::adjacency_row`]) into the next frontier. Each level
-//!   costs O(|frontier| · n/64) word operations, which on dense graphs
-//!   (the paper's G(n, 1/2) regime, diameter 2) beats pointer-chasing the
-//!   adjacency lists by a wide margin.
+//!   level expands by OR-ing whole adjacency bit rows into the next
+//!   frontier. Each level costs O(|frontier| · n/64) word operations,
+//!   which on dense graphs (the paper's G(n, 1/2) regime, diameter 2)
+//!   beats pointer-chasing the adjacency lists by a wide margin. A
+//!   [`Graph`] keeps only its sorted lists, so the rows (`n × ⌈n/64⌉`
+//!   words) are built from them by a [`Traversal`], once per owner.
 //! * **Tiled multi-source BFS** — sources are processed in *tiles* of
 //!   `64·W` at a time ([`ApspEngine::tile_sources`], sized so the tile's
 //!   three per-node bitmask arrays fit in L2). Each node carries a `W`-word
@@ -31,7 +32,9 @@
 //!   the sparse `n = 10⁴+` regime.
 //!
 //! [`ApspEngine::Auto`] picks between them from the average degree and the
-//! graph order. [`Apsp::compute`] additionally fans the work out across
+//! graph order, and [`Traversal::new`] resolves the choice against one
+//! graph; every fill runs through a [`Traversal`]. [`Apsp::compute`]
+//! additionally fans the work out across
 //! [`configured_threads`] workers (`std::thread::scope`). Rows are
 //! assigned to threads in contiguous blocks — whole tiles for the tiled
 //! engine — and each thread writes its own disjoint slice of the matrix,
@@ -40,7 +43,7 @@
 //! One computed [`Apsp`] serves both scheme construction and verification,
 //! so the matrix is computed exactly once per graph; [`apsp_compute_count`]
 //! exposes a process-wide counter that tests use to assert this. For graphs too
-//! large to hold all `n²` cells, [`compute_band`] materialises one
+//! large to hold all `n²` cells, [`Traversal::band`] materialises one
 //! horizontal band of rows at a time (the engine behind
 //! [`crate::oracle::BandedOracle`] and `ort-routing`'s streamed sampled
 //! verify).
@@ -66,8 +69,8 @@ pub fn apsp_compute_count() -> u64 {
     APSP_COMPUTES.load(Ordering::Relaxed)
 }
 
-/// Which single-source traversal backs [`Apsp::compute`] and
-/// [`bfs_distances`].
+/// Which single-source traversal backs [`Apsp::compute`] and every
+/// [`Traversal`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ApspEngine {
     /// Choose per graph: bitset when the average degree is at least
@@ -76,7 +79,8 @@ pub enum ApspEngine {
     Auto,
     /// Frontier-queue BFS over adjacency lists.
     Queue,
-    /// Word-parallel frontier BFS over adjacency-matrix rows.
+    /// Word-parallel frontier BFS over adjacency bit rows, which a
+    /// [`Traversal`] builds from the sorted lists.
     Bitset,
     /// Cache-tiled multi-source BFS: `64·W` sources advance together per
     /// adjacency sweep (see the module docs).
@@ -121,24 +125,26 @@ impl ApspEngine {
         (Self::TILE_L2_BUDGET_BYTES / (3 * 8 * n)).clamp(1, Self::MAX_TILE_WORDS)
     }
 
-    /// Guaranteed per-traversal scratch bytes this engine allocates on
-    /// `g` (after resolving `Auto`) when one fill covers at most
-    /// `sources` rows: the bitset engine's three `⌈n/64⌉`-word masks,
-    /// the tiled engine's three `n × ⌈c/64⌉`-word mask arrays where `c`
-    /// is the largest chunk a fill actually runs (the tile cap, the
-    /// caller's band height, or `n`, whichever binds first), and zero
-    /// for the queue engine (its `VecDeque` growth is
-    /// capacity-policy-dependent, so no guaranteed lower bound is
-    /// claimed). A full-matrix compute passes `sources = n`; the banded
-    /// oracle passes its band height. Audited `peak_bytes` impls add
-    /// this to their owned-buffer totals so every analytic claim stays a
-    /// guaranteed lower bound on the measured peak.
+    /// Guaranteed scratch bytes this engine allocates on `g` (after
+    /// resolving `Auto`) when one fill covers at most `sources` rows: for
+    /// the bitset engine, the adjacency bit rows its [`Traversal`] builds
+    /// (`n × ⌈n/64⌉` words, alive as long as the traversal) plus one
+    /// BFS's three `⌈n/64⌉`-word masks; for the tiled engine, three
+    /// `n × ⌈c/64⌉`-word mask arrays where `c` is the largest chunk a
+    /// fill actually runs (the tile cap, the caller's band height, or
+    /// `n`, whichever binds first); zero for the queue engine (its
+    /// `VecDeque` growth is capacity-policy-dependent, so no guaranteed
+    /// lower bound is claimed). A full-matrix compute passes
+    /// `sources = n`; the banded oracle passes its band height. Audited
+    /// `peak_bytes` impls add this to their owned-buffer totals so every
+    /// analytic claim stays a guaranteed lower bound on the measured
+    /// peak.
     #[must_use]
     pub fn scratch_bytes(self, g: &Graph, sources: usize) -> usize {
         let n = g.node_count();
         match self.resolve(g) {
             ApspEngine::Queue => 0,
-            ApspEngine::Bitset => 3 * n.div_ceil(64) * 8,
+            ApspEngine::Bitset => (n + 3) * n.div_ceil(64) * 8,
             ApspEngine::Tiled => {
                 let chunk = Self::tile_sources(n).min(sources).min(n);
                 3 * n * chunk.div_ceil(64) * 8
@@ -200,22 +206,6 @@ pub fn bfs(g: &Graph, src: NodeId) -> (Vec<Option<u32>>, Vec<Option<NodeId>>) {
     (dist, parent)
 }
 
-/// Single-source distances computed by the chosen engine (no parents).
-/// Every engine produces identical distances; this entry point exists so
-/// property tests can cross-check them.
-#[must_use]
-pub fn bfs_distances(g: &Graph, src: NodeId, engine: ApspEngine) -> Vec<Option<u32>> {
-    let n = g.node_count();
-    let mut row = vec![UNREACHABLE; n];
-    let _expansions = match engine.resolve(g) {
-        ApspEngine::Queue => bfs_queue_into(g, src, &mut row),
-        ApspEngine::Bitset => bfs_bitset_into(g, src, &mut row),
-        ApspEngine::Tiled => msbfs_into(g, src, 1, &mut row),
-        ApspEngine::Auto => unreachable!("resolve() never returns Auto"),
-    };
-    row.into_iter().map(|d| if d == UNREACHABLE { None } else { Some(d) }).collect()
-}
-
 /// Queue BFS writing sentinel-encoded distances straight into a matrix
 /// row (no per-source allocations beyond the queue). Returns the number
 /// of frontier expansions (nodes whose neighbourhoods were scanned) so
@@ -245,19 +235,17 @@ fn bfs_queue_into<T: DistCell>(g: &Graph, src: NodeId, out: &mut [T]) -> u64 {
 
 /// Word-parallel frontier BFS: the frontier, next-frontier and visited
 /// sets are `u64` words, and a level expands by OR-ing the adjacency row
-/// of every frontier node into the next frontier. Relies on
-/// `BitVec::words()` keeping bits past `len()` zero. Returns the number
-/// of frontier expansions (nodes whose adjacency rows were OR-ed), the
-/// same quantity [`bfs_queue_into`] reports, so telemetry totals match
-/// across the per-source engines.
-fn bfs_bitset_into<T: DistCell>(g: &Graph, src: NodeId, out: &mut [T]) -> u64 {
+/// of every frontier node (`rows`, `nwords` words a node, built by
+/// [`bit_rows`]) into the next frontier. Relies on the rows keeping bits
+/// past `n` zero. Returns the number of frontier expansions (nodes whose
+/// adjacency rows were OR-ed), the same quantity [`bfs_queue_into`]
+/// reports, so telemetry totals match across the per-source engines.
+fn bfs_bitset_into<T: DistCell>(rows: &[u64], nwords: usize, src: NodeId, out: &mut [T]) -> u64 {
     out.fill(T::SENTINEL);
-    let n = g.node_count();
-    if n == 0 {
+    if out.is_empty() {
         return 0;
     }
     let mut expanded = 0u64;
-    let nwords = n.div_ceil(64);
     let mut frontier = vec![0u64; nwords];
     let mut next = vec![0u64; nwords];
     let mut visited = vec![0u64; nwords];
@@ -274,7 +262,7 @@ fn bfs_bitset_into<T: DistCell>(g: &Graph, src: NodeId, out: &mut [T]) -> u64 {
             while bits != 0 {
                 let u = wi * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                for (acc, &row) in next.iter_mut().zip(g.adjacency_row(u).words()) {
+                for (acc, &row) in next.iter_mut().zip(&rows[u * nwords..(u + 1) * nwords]) {
                     *acc |= row;
                 }
             }
@@ -375,83 +363,208 @@ fn msbfs_into<T: DistCell>(g: &Graph, src0: NodeId, count: usize, out: &mut [T])
     }
 }
 
-/// Fills the matrix rows for sources `src0..src0 + count` with a
-/// *resolved* engine (never `Auto`), returning the frontier-expansion
-/// count. `out` must hold `count × n` cells. The workhorse behind
-/// [`Apsp::compute`], [`compute_band`] and the banded oracle.
-pub(crate) fn fill_rows<T: DistCell>(
-    g: &Graph,
-    engine: ApspEngine,
-    src0: NodeId,
-    count: usize,
-    out: &mut [T],
-) -> u64 {
-    let n = g.node_count();
-    let mut total = 0u64;
-    match engine {
-        ApspEngine::Queue => {
-            for (i, row) in out.chunks_mut(n.max(1)).take(count).enumerate() {
-                total += bfs_queue_into(g, src0 + i, row);
+/// The bitset engine's adjacency rows: `⌈n/64⌉` words a node, bit `v` of
+/// row `u` set iff `{u, v} ∈ E`. Each row is built one word at a time
+/// from the sorted list: a word gathers its run of neighbours in a
+/// register and is stored once.
+fn bit_rows(g: &Graph) -> Vec<u64> {
+    let nwords = g.node_count().div_ceil(64);
+    let mut rows = Vec::with_capacity(g.node_count() * nwords);
+    for u in g.nodes() {
+        let mut nbrs = g.neighbors(u).iter().peekable();
+        for wi in 0..nwords {
+            let mut word = 0u64;
+            while let Some(&v) = nbrs.next_if(|&&v| v < (wi + 1) * 64) {
+                word |= 1u64 << (v % 64);
             }
+            rows.push(word);
         }
-        ApspEngine::Bitset => {
-            for (i, row) in out.chunks_mut(n.max(1)).take(count).enumerate() {
-                total += bfs_bitset_into(g, src0 + i, row);
-            }
-        }
-        ApspEngine::Tiled => {
-            let tile = ApspEngine::tile_sources(n);
-            let mut off = 0;
-            while off < count {
-                let c = tile.min(count - off);
-                total += msbfs_into(g, src0 + off, c, &mut out[off * n..(off + c) * n]);
-                off += c;
-            }
-        }
-        ApspEngine::Auto => unreachable!("fill_rows requires a resolved engine"),
     }
-    total
+    rows
 }
 
-/// Number of nodes reachable from `src` (including `src` itself), via a
-/// visited-only word-parallel sweep — no distance or parent arrays, so
-/// this is the cheapest possible reachability probe. Generator rejection
-/// loops ([`crate::generators::connected_gnp`]) call this hot.
+/// An [`ApspEngine`] resolved against one graph, holding what that engine
+/// reads besides the graph's sorted adjacency lists.
+///
+/// The bitset engine ORs whole adjacency bit rows, which a [`Graph`] does
+/// not keep: [`Traversal::new`] builds them from the lists
+/// (`n × ⌈n/64⌉` words) and every fill through the traversal reads them.
+/// So the rows are built once per owner: once per [`Apsp::compute_with`]
+/// call, once per [`crate::oracle::BandedOracle`] (kept for its life) and
+/// once per streamed verify pass (shared by its workers), never once per
+/// band. The queue and tiled engines read the lists and hold nothing.
+/// [`ApspEngine::scratch_bytes`] counts the rows.
+///
+/// A traversal answers for the graph it was built from, and every method
+/// takes that graph again.
+///
+/// # Example
+///
+/// ```
+/// use ort_graphs::dist::width_for;
+/// use ort_graphs::generators;
+/// use ort_graphs::paths::{ApspEngine, Traversal};
+///
+/// let g = generators::gnp_half(100, 1);
+/// let walk = Traversal::new(&g, ApspEngine::Auto);
+/// assert_eq!(walk.engine(), ApspEngine::Bitset);
+/// let band = walk.band(&g, 10, 5, width_for(&g));
+/// assert_eq!(band.distance(12, 12), Some(0));
+/// assert_eq!(walk.distances(&g, 12)[12], Some(0));
+/// ```
+#[derive(Clone)]
+pub struct Traversal {
+    engine: ApspEngine,
+    n: usize,
+    /// The bitset engine's rows ([`bit_rows`]); empty for the others.
+    rows: Vec<u64>,
+}
+
+impl std::fmt::Debug for Traversal {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Traversal({}, n={}, {} row words)", self.engine.name(), self.n, self.rows.len())
+    }
+}
+
+impl Traversal {
+    /// Resolves `engine` against `g` and, for the bitset engine, builds
+    /// its adjacency rows from `g`'s sorted lists.
+    #[must_use]
+    pub fn new(g: &Graph, engine: ApspEngine) -> Self {
+        let engine = engine.resolve(g);
+        let rows = if engine == ApspEngine::Bitset { bit_rows(g) } else { Vec::new() };
+        Traversal { engine, n: g.node_count(), rows }
+    }
+
+    /// The resolved engine (never [`ApspEngine::Auto`]).
+    #[must_use]
+    pub fn engine(&self) -> ApspEngine {
+        self.engine
+    }
+
+    /// Single-source distances from `src` (`None` where unreachable).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g`'s node count is not that of the graph the traversal
+    /// was built for, or if `src` is out of range.
+    #[must_use]
+    pub fn distances(&self, g: &Graph, src: NodeId) -> Vec<Option<u32>> {
+        let mut row = vec![UNREACHABLE; g.node_count()];
+        let _expansions = self.fill(g, src, 1, &mut row);
+        row.into_iter().map(|d| if d == UNREACHABLE { None } else { Some(d) }).collect()
+    }
+
+    /// Computes one horizontal band of the distance matrix: the rows of
+    /// sources `start..start + rows`, at cell width `width`, without
+    /// materialising any other row. Peak memory is `rows × n` cells plus
+    /// the engine's scratch ([`ApspEngine::scratch_bytes`]) — the
+    /// streaming building block behind
+    /// [`crate::oracle::BandedOracle`] and the sampled verify.
+    ///
+    /// `width` is [`crate::dist::width_for`]`(g)`, the width
+    /// [`Apsp::compute`] stores `g` at. It is a whole-graph traversal, so
+    /// a caller that fills many bands of one graph works it out once and
+    /// passes it to each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g`'s node count is not that of the graph the traversal
+    /// was built for, if `start + rows` exceeds the node count, or if a
+    /// distance overflows `width`.
+    #[must_use]
+    pub fn band(&self, g: &Graph, start: NodeId, rows: usize, width: CellWidth) -> DistBand {
+        let n = g.node_count();
+        assert!(start + rows <= n, "band {start}..{} exceeds n = {n}", start + rows);
+        let _span = ort_telemetry::span_with(
+            "apsp.band",
+            &[
+                ("start", ort_telemetry::FieldValue::Int(start as u64)),
+                ("rows", ort_telemetry::FieldValue::Int(rows as u64)),
+                ("engine", ort_telemetry::FieldValue::Str(self.engine.name())),
+            ],
+        );
+        ort_telemetry::counter!("apsp.bands").incr();
+        let _mem = ort_telemetry::alloc::mem_span("apsp.band");
+        let mut store = DistStore::unreachable(width, rows * n);
+        let expansions = match &mut store {
+            DistStore::U8(v) => self.fill(g, start, rows, v),
+            DistStore::U16(v) => self.fill(g, start, rows, v),
+            DistStore::U32(v) => self.fill(g, start, rows, v),
+        };
+        ort_telemetry::counter!("apsp.frontier_expansions").add(expansions);
+        DistBand::new(start, rows, n, store)
+    }
+
+    /// Fills the matrix rows for sources `src0..src0 + count`, returning
+    /// the frontier-expansion count. `out` must hold `count × n` cells.
+    /// The workhorse behind [`Apsp::compute`], [`Traversal::band`] and
+    /// the oracles.
+    pub(crate) fn fill<T: DistCell>(
+        &self,
+        g: &Graph,
+        src0: NodeId,
+        count: usize,
+        out: &mut [T],
+    ) -> u64 {
+        let n = g.node_count();
+        assert_eq!(n, self.n, "a traversal fills the graph it was built for");
+        let mut total = 0u64;
+        match self.engine {
+            ApspEngine::Queue => {
+                for (i, row) in out.chunks_mut(n.max(1)).take(count).enumerate() {
+                    total += bfs_queue_into(g, src0 + i, row);
+                }
+            }
+            ApspEngine::Bitset => {
+                let nwords = n.div_ceil(64);
+                for (i, row) in out.chunks_mut(n.max(1)).take(count).enumerate() {
+                    total += bfs_bitset_into(&self.rows, nwords, src0 + i, row);
+                }
+            }
+            ApspEngine::Tiled => {
+                let tile = ApspEngine::tile_sources(n);
+                let mut off = 0;
+                while off < count {
+                    let c = tile.min(count - off);
+                    total += msbfs_into(g, src0 + off, c, &mut out[off * n..(off + c) * n]);
+                    off += c;
+                }
+            }
+            ApspEngine::Auto => unreachable!("Traversal::new resolves the engine"),
+        }
+        total
+    }
+}
+
+/// Number of nodes reachable from `src` (including `src` itself): one
+/// walk over the adjacency lists with an n-entry visited mask, no
+/// distance or parent arrays. Generator rejection loops
+/// ([`crate::generators::connected_gnp`]) and churn plans call this hot.
+///
+/// # Panics
+///
+/// Panics if `src` is out of range on a non-empty graph.
 #[must_use]
 pub fn reachable_count(g: &Graph, src: NodeId) -> usize {
     let n = g.node_count();
     if n == 0 {
         return 0;
     }
-    let nwords = n.div_ceil(64);
-    let mut frontier = vec![0u64; nwords];
-    let mut next = vec![0u64; nwords];
-    let mut visited = vec![0u64; nwords];
-    frontier[src / 64] |= 1u64 << (src % 64);
-    visited[src / 64] |= 1u64 << (src % 64);
-    loop {
-        next.fill(0);
-        for (wi, &fw) in frontier.iter().enumerate() {
-            let mut bits = fw;
-            while bits != 0 {
-                let u = wi * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                for (acc, &row) in next.iter_mut().zip(g.adjacency_row(u).words()) {
-                    *acc |= row;
-                }
+    let mut seen = vec![false; n];
+    let mut stack = vec![src];
+    seen[src] = true;
+    let mut count = 1;
+    while let Some(u) = stack.pop() {
+        for &v in g.neighbors(u) {
+            if !seen[v] {
+                seen[v] = true;
+                count += 1;
+                stack.push(v);
             }
         }
-        let mut any = false;
-        for (nw, vw) in next.iter_mut().zip(visited.iter_mut()) {
-            *nw &= !*vw;
-            *vw |= *nw;
-            any |= *nw != 0;
-        }
-        if !any {
-            return visited.iter().map(|w| w.count_ones() as usize).sum();
-        }
-        std::mem::swap(&mut frontier, &mut next);
     }
+    count
 }
 
 /// Whether the graph is connected (vacuously true for `n ≤ 1`).
@@ -510,51 +623,6 @@ pub fn map_in_order<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> 
             .flat_map(|h| h.join().expect("map_in_order worker panicked"))
             .collect()
     })
-}
-
-/// Computes one horizontal band of the distance matrix: the rows of
-/// sources `start..start + rows`, at cell width `width`, without
-/// materialising any other row. Peak memory is `rows × n` cells (plus
-/// the tiled engine's per-tile masks) — the streaming building block
-/// behind [`crate::oracle::BandedOracle`] and the sampled verify.
-///
-/// `width` is [`crate::dist::width_for`]`(g)`, the width [`Apsp::compute`]
-/// stores `g` at. It is a whole-graph traversal, so a caller that fills
-/// many bands of one graph works it out once and passes it to each.
-///
-/// # Panics
-///
-/// Panics if `start + rows` exceeds the node count, or if a distance
-/// overflows `width`.
-#[must_use]
-pub fn compute_band(
-    g: &Graph,
-    start: NodeId,
-    rows: usize,
-    engine: ApspEngine,
-    width: CellWidth,
-) -> DistBand {
-    let n = g.node_count();
-    assert!(start + rows <= n, "band {start}..{} exceeds n = {n}", start + rows);
-    let engine = engine.resolve(g);
-    let _span = ort_telemetry::span_with(
-        "apsp.band",
-        &[
-            ("start", ort_telemetry::FieldValue::Int(start as u64)),
-            ("rows", ort_telemetry::FieldValue::Int(rows as u64)),
-            ("engine", ort_telemetry::FieldValue::Str(engine.name())),
-        ],
-    );
-    ort_telemetry::counter!("apsp.bands").incr();
-    let _mem = ort_telemetry::alloc::mem_span("apsp.band");
-    let mut store = DistStore::unreachable(width, rows * n);
-    let expansions = match &mut store {
-        DistStore::U8(v) => fill_rows(g, engine, start, rows, v),
-        DistStore::U16(v) => fill_rows(g, engine, start, rows, v),
-        DistStore::U32(v) => fill_rows(g, engine, start, rows, v),
-    };
-    ort_telemetry::counter!("apsp.frontier_expansions").add(expansions);
-    DistBand::new(start, rows, n, store)
 }
 
 /// All-pairs shortest-path distances, computed by BFS traversals and
@@ -618,11 +686,12 @@ impl Apsp {
             ApspEngine::Auto => unreachable!("resolve() never returns Auto"),
         }
         let _mem = ort_telemetry::alloc::mem_span("apsp.compute");
+        let walk = Traversal::new(g, engine);
         let mut store = DistStore::unreachable(width, n * n);
         match &mut store {
-            DistStore::U8(v) => compute_cells(g, engine, threads, v),
-            DistStore::U16(v) => compute_cells(g, engine, threads, v),
-            DistStore::U32(v) => compute_cells(g, engine, threads, v),
+            DistStore::U8(v) => compute_cells(g, &walk, threads, v),
+            DistStore::U16(v) => compute_cells(g, &walk, threads, v),
+            DistStore::U32(v) => compute_cells(g, &walk, threads, v),
         }
         Apsp { n, dist: store }
     }
@@ -732,17 +801,17 @@ impl Apsp {
 /// the tiled engine, since a tile's sources are computed jointly) out
 /// across `threads` workers. Each worker writes a disjoint slice, so the
 /// cells are byte-identical to the serial fill.
-fn compute_cells<T: DistCell>(g: &Graph, engine: ApspEngine, threads: usize, data: &mut [T]) {
+fn compute_cells<T: DistCell>(g: &Graph, walk: &Traversal, threads: usize, data: &mut [T]) {
     let n = g.node_count();
     // Frontier expansions are accumulated per worker and added to the
     // counter in one batch: increments commute, so the total is the
     // same under any thread count.
     let expansions = ort_telemetry::counter!("apsp.frontier_expansions");
     if threads <= 1 || n <= 1 {
-        expansions.add(fill_rows(g, engine, 0, n, data));
+        expansions.add(walk.fill(g, 0, n, data));
         return;
     }
-    let unit = if engine == ApspEngine::Tiled { ApspEngine::tile_sources(n) } else { 1 };
+    let unit = if walk.engine() == ApspEngine::Tiled { ApspEngine::tile_sources(n) } else { 1 };
     let units = n.div_ceil(unit);
     let rows_per = units.div_ceil(threads.min(units)) * unit;
     let ctx = ort_telemetry::Context::current();
@@ -753,7 +822,7 @@ fn compute_cells<T: DistCell>(g: &Graph, engine: ApspEngine, threads: usize, dat
                 let _ctx = ctx.enter();
                 let _span = ort_telemetry::span("apsp.worker");
                 let rows = chunk.len() / n;
-                expansions.add(fill_rows(g, engine, ci * rows_per, rows, chunk));
+                expansions.add(walk.fill(g, ci * rows_per, rows, chunk));
             });
         }
     });
@@ -832,9 +901,8 @@ mod tests {
             (Graph::empty(3), "isolated"),
         ] {
             for src in 0..g.node_count().min(4) {
-                let q = bfs_distances(&g, src, ApspEngine::Queue);
-                let b = bfs_distances(&g, src, ApspEngine::Bitset);
-                let t = bfs_distances(&g, src, ApspEngine::Tiled);
+                let [q, b, t] = [ApspEngine::Queue, ApspEngine::Bitset, ApspEngine::Tiled]
+                    .map(|engine| Traversal::new(&g, engine).distances(&g, src));
                 assert_eq!(q, b, "{name}, src {src}");
                 assert_eq!(q, t, "{name}, src {src} (tiled)");
                 let reference: Vec<_> = bfs(&g, src).0;
@@ -851,7 +919,7 @@ mod tests {
     #[test]
     fn tiled_spans_multiple_tiles_and_words() {
         // n > 64 forces multi-word masks off; a 300-node path at an
-        // explicit tile size exercises tile boundaries inside fill_rows.
+        // explicit tile size exercises tile boundaries inside Traversal::fill.
         let g = generators::path(300);
         let q = Apsp::compute_with(&g, ApspEngine::Queue, 1);
         let t = Apsp::compute_with(&g, ApspEngine::Tiled, 1);
@@ -927,7 +995,7 @@ mod tests {
         let g = generators::connected_gnp(90, 0.06, 7);
         let full = Apsp::compute(&g);
         for engine in [ApspEngine::Queue, ApspEngine::Bitset, ApspEngine::Tiled] {
-            let band = compute_band(&g, 30, 25, engine, crate::dist::width_for(&g));
+            let band = Traversal::new(&g, engine).band(&g, 30, 25, crate::dist::width_for(&g));
             assert_eq!(band.start(), 30);
             assert_eq!(band.rows(), 25);
             assert_eq!(band.store().width(), full.cell_width());

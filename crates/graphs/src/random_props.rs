@@ -12,7 +12,7 @@
 //! preconditions they rely on instead of assuming them.
 
 use crate::paths::Apsp;
-use crate::{Graph, NodeId};
+use crate::{Graph, Relays};
 
 /// Report of Lemma 1: degree concentration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,49 +46,23 @@ pub fn check_degree_concentration(g: &Graph, c: f64, slack: f64) -> DegreeReport
 
 /// Checks Lemma 2: the graph has diameter exactly 2.
 ///
-/// Runs in O(Σ_u d(u)²) via common-neighbour checks, without a full APSP.
+/// Runs one common-neighbour merge per non-adjacent pair
+/// ([`Graph::non_edges`]), without a full APSP.
 #[must_use]
 pub fn has_diameter_two(g: &Graph) -> bool {
-    let n = g.node_count();
-    if n < 3 {
+    if g.node_count() < 3 {
         return false;
     }
     let mut some_non_edge = false;
-    for u in 0..n {
-        for v in u + 1..n {
-            if g.has_edge(u, v) {
-                continue;
-            }
-            some_non_edge = true;
-            if g.common_neighbor(u, v).is_none() {
-                return false;
-            }
+    for (u, v) in g.non_edges() {
+        some_non_edge = true;
+        if g.common_neighbor(u, v).is_none() {
+            return false;
         }
     }
     // Diameter exactly 2 requires at least one non-adjacent pair
     // (complete graphs have diameter 1 — and are maximally compressible).
     some_non_edge
-}
-
-/// Length of the shortest *dominating prefix* of `u`'s neighbour list: the
-/// smallest `t` such that every node outside `N(u) ∪ {u}` is adjacent to
-/// one of the `t` least neighbours of `u`. Returns `None` if even the full
-/// neighbour list does not dominate (distance > 2 from `u` somewhere).
-#[must_use]
-pub fn dominating_prefix_len(g: &Graph, u: NodeId) -> Option<usize> {
-    let nbrs = g.neighbors(u);
-    let outside = g.non_neighbors(u);
-    if outside.is_empty() {
-        return Some(0);
-    }
-    let mut uncovered: Vec<NodeId> = outside;
-    for (t, &v) in nbrs.iter().enumerate() {
-        uncovered.retain(|&w| !g.has_edge(v, w));
-        if uncovered.is_empty() {
-            return Some(t + 1);
-        }
-    }
-    None
 }
 
 /// Report of Lemma 3 over all nodes.
@@ -103,14 +77,19 @@ pub struct CoverReport {
 }
 
 /// Checks Lemma 3 on `g` with randomness parameter `c`: from every node,
-/// the `(c+3)·log₂ n` least neighbours dominate all non-neighbours.
+/// the `(c+3)·log₂ n` least neighbours dominate all non-neighbours. Each
+/// node's shortest dominating prefix is
+/// [`Relays::dominating_prefix_len`], read off one table reused from
+/// node to node.
 #[must_use]
 pub fn check_dominating_prefix(g: &Graph, c: f64) -> CoverReport {
     let n = g.node_count();
     let budget = (c + 3.0) * (n.max(2) as f64).log2();
     let mut max_prefix = Some(0usize);
+    let mut relays = Relays::new(g);
     for u in g.nodes() {
-        match (dominating_prefix_len(g, u), &mut max_prefix) {
+        relays.set(u);
+        match (relays.dominating_prefix_len(), &mut max_prefix) {
             (Some(p), Some(m)) => *m = (*m).max(p),
             _ => {
                 max_prefix = None;
@@ -214,6 +193,12 @@ mod tests {
         assert!(!has_diameter_two(&Graph::empty(0)));
         assert!(!has_diameter_two(&Graph::empty(2)));
         assert!(!has_diameter_two(&Graph::empty(5))); // disconnected
+    }
+
+    fn dominating_prefix_len(g: &Graph, u: crate::NodeId) -> Option<usize> {
+        let mut relays = Relays::new(g);
+        relays.set(u);
+        relays.dominating_prefix_len()
     }
 
     #[test]

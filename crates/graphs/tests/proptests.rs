@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 
 use ort_graphs::oracle::Distances;
-use ort_graphs::paths::{bfs, bfs_distances, floyd_warshall, is_connected, reachable_count, Apsp, ApspEngine};
-use ort_graphs::{generators, Graph};
+use ort_graphs::paths::{bfs, floyd_warshall, is_connected, reachable_count, Apsp, ApspEngine, Traversal};
+use ort_graphs::{generators, graph6, Graph, Relays};
 
 /// Strategy: a random graph given by (n, edge bits as bools).
 fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
@@ -16,27 +16,137 @@ fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
     })
 }
 
+/// Strategy: a seeded `G(n, p)` sample on one side of the bitset
+/// engine's threshold (dense: average degree well above
+/// [`ApspEngine::BITSET_AVG_DEGREE`]; else sparse), then edited the way
+/// churn edits a graph: nodes joined and wired in, links cut, and nodes
+/// detached and removed. Every view the graph offers is read off its one
+/// representation, the sorted lists, so each must survive every edit.
+fn arb_edited_graph() -> impl Strategy<Value = Graph> {
+    any::<u64>().prop_map(|seed| {
+        use rand::Rng;
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
+        let n = rng.gen_range(70..96);
+        let p = if rng.gen_bool(0.5) { 0.6 } else { 0.05 };
+        let mut g = generators::gnp(n, p, &mut rng);
+        for _ in 0..rng.gen_range(0..12usize) {
+            let n = g.node_count();
+            let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            match rng.gen_range(0..3u32) {
+                0 => {
+                    let fresh = g.add_node();
+                    g.add_edge(fresh, a).expect("in range");
+                    g.add_edge(fresh, b).expect("in range");
+                }
+                1 if a != b => g.remove_edge(a, b).expect("in range"),
+                1 => {}
+                _ => {
+                    for v in g.neighbors(a).to_vec() {
+                        g.remove_edge(a, v).expect("in range");
+                    }
+                    g.remove_node(a).expect("detached");
+                }
+            }
+        }
+        g
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn has_edge_and_non_neighbors_read_the_lists(g in arb_edited_graph()) {
+        let n = g.node_count();
+        for u in g.nodes() {
+            let list = g.neighbors(u);
+            prop_assert!(list.windows(2).all(|w| w[0] < w[1]), "list of {} sorted", u);
+            prop_assert_eq!(g.degree(u), list.len());
+            for v in g.nodes() {
+                prop_assert_eq!(g.has_edge(u, v), list.contains(&v), "({}, {})", u, v);
+            }
+            prop_assert!(!g.has_edge(u, n) && !g.has_edge(n, u));
+            let complement: Vec<_> = g.nodes().filter(|&v| v != u && !list.contains(&v)).collect();
+            prop_assert_eq!(g.non_neighbors(u), complement);
+        }
+        let degree_sum: usize = g.nodes().map(|u| g.degree(u)).sum();
+        prop_assert_eq!(degree_sum, 2 * g.edge_count());
+    }
+
+    #[test]
+    fn interconnection_vector_equals_the_pairwise_loop(g in arb_edited_graph()) {
+        for u in g.nodes() {
+            let mut merged = ort_bitio::BitWriter::new();
+            g.write_interconnection(u, &mut merged);
+            let mut pairwise = ort_bitio::BitWriter::new();
+            for x in g.nodes().filter(|&x| x != u) {
+                pairwise.write_bit(g.has_edge(u, x));
+            }
+            prop_assert_eq!(merged.finish(), pairwise.finish(), "node {}", u);
+        }
+    }
+
+    #[test]
+    fn edge_bits_and_graph6_round_trip_after_edits(g in arb_edited_graph()) {
+        let n = g.node_count();
+        let bits = g.to_edge_bits();
+        for (i, bit) in bits.iter().enumerate() {
+            let (u, v) = Graph::index_to_edge(n, i);
+            prop_assert_eq!(bit, g.has_edge(u, v), "pair ({}, {})", u, v);
+        }
+        prop_assert_eq!(&Graph::from_edge_bits(n, &bits).unwrap(), &g);
+        let text = graph6::to_graph6(&g).unwrap();
+        prop_assert_eq!(&graph6::from_graph6(&text).unwrap(), &g);
+        prop_assert_eq!(g.complement().edges().collect::<Vec<_>>(), g.non_edges().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn relays_equal_the_pairwise_scan(g in arb_edited_graph()) {
+        let mut relays = Relays::new(&g);
+        for u in g.nodes() {
+            relays.set(u);
+            let nbrs = g.neighbors(u);
+            let mut prefix = Some(0);
+            for (x, relay) in relays.non_neighbors() {
+                let scan = nbrs.iter().position(|&v| g.has_edge(v, x));
+                prop_assert_eq!(relay, scan, "least relay of {} toward {}", u, x);
+                prefix = prefix.zip(scan).map(|(t, r)| usize::max(t, r + 1));
+            }
+            prop_assert_eq!(relays.dominating_prefix_len(), prefix, "node {}", u);
+            for t in [0, 1, 3, nbrs.len()] {
+                let escapee = g
+                    .non_neighbors(u)
+                    .into_iter()
+                    .find(|&x| !nbrs[..t.min(nbrs.len())].iter().any(|&v| g.has_edge(v, x)));
+                prop_assert_eq!(relays.escapee(t), escapee, "node {}, t = {}", u, t);
+            }
+        }
+    }
+
+    #[test]
+    fn engines_agree_after_edits_on_both_sides_of_the_bitset_threshold(g in arb_edited_graph()) {
+        // The bitset engine reads rows its traversal builds from the
+        // lists; they must agree with the list engines and with
+        // Floyd–Warshall whichever engine `Auto` picks.
+        let queue = Apsp::compute_with(&g, ApspEngine::Queue, 1);
+        prop_assert_eq!(&Apsp::compute_with(&g, ApspEngine::Bitset, 1), &queue);
+        prop_assert_eq!(&Apsp::compute_with(&g, ApspEngine::Tiled, 1), &queue);
+        prop_assert_eq!(&Apsp::compute_with(&g, ApspEngine::Auto, 3), &queue);
+        let fw = floyd_warshall(&g);
+        for u in g.nodes() {
+            for v in g.nodes() {
+                prop_assert_eq!(queue.distance(u, v), fw[u][v]);
+            }
+        }
+    }
+}
+
 proptest! {
     #[test]
     fn edge_bits_roundtrip(g in arb_graph(40)) {
         let bits = g.to_edge_bits();
         let g2 = Graph::from_edge_bits(g.node_count(), &bits).unwrap();
         prop_assert_eq!(g, g2);
-    }
-
-    #[test]
-    fn adjacency_views_agree(g in arb_graph(30)) {
-        for u in g.nodes() {
-            for v in g.nodes() {
-                let row = g.adjacency_row(u).get(v) == Some(true);
-                let list = g.neighbors(u).contains(&v);
-                prop_assert_eq!(row, g.has_edge(u, v));
-                prop_assert_eq!(list, g.has_edge(u, v));
-            }
-            prop_assert_eq!(g.degree(u), g.neighbors(u).len());
-        }
-        let degree_sum: usize = g.nodes().map(|u| g.degree(u)).sum();
-        prop_assert_eq!(degree_sum, 2 * g.edge_count());
     }
 
     #[test]
@@ -124,10 +234,10 @@ proptest! {
     #[test]
     fn bfs_engines_agree_on_arbitrary_graphs(g in arb_graph(70)) {
         // Arbitrary edge bits: covers disconnected and isolated-node cases.
+        let walks = [ApspEngine::Queue, ApspEngine::Bitset, ApspEngine::Tiled]
+            .map(|engine| Traversal::new(&g, engine));
         for src in g.nodes() {
-            let q = bfs_distances(&g, src, ApspEngine::Queue);
-            let b = bfs_distances(&g, src, ApspEngine::Bitset);
-            let t = bfs_distances(&g, src, ApspEngine::Tiled);
+            let [q, b, t] = walks.each_ref().map(|walk| walk.distances(&g, src));
             prop_assert_eq!(&q, &b, "src {}", src);
             prop_assert_eq!(&q, &t, "src {} (tiled)", src);
             let reference = bfs(&g, src).0;
@@ -173,9 +283,10 @@ proptest! {
 
     #[test]
     fn dominating_prefix_is_minimal(g in arb_graph(20)) {
-        use ort_graphs::random_props::dominating_prefix_len;
+        let mut relays = Relays::new(&g);
         for u in g.nodes() {
-            if let Some(t) = dominating_prefix_len(&g, u) {
+            relays.set(u);
+            if let Some(t) = relays.dominating_prefix_len() {
                 // The first t neighbours dominate…
                 let prefix = &g.neighbors(u)[..t];
                 for w in g.non_neighbors(u) {

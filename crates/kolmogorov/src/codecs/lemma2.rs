@@ -34,11 +34,7 @@ pub fn encode(g: &Graph, u: NodeId, v: NodeId) -> Result<BitVec, CodecError> {
     let mut w = BitWriter::new();
     write_node(&mut w, n, u)?;
     write_node(&mut w, n, v)?;
-    for x in 0..n {
-        if x != u {
-            w.write_bit(g.has_edge(u, x));
-        }
-    }
+    g.write_interconnection(u, &mut w);
     write_remainder(&mut w, g, &deleted_positions(g, n, u, v));
     Ok(w.finish())
 }
@@ -117,15 +113,7 @@ pub fn outcome(g: &Graph, u: NodeId, v: NodeId) -> Result<CodecOutcome, CodecErr
 /// the codec needs.
 #[must_use]
 pub fn find_distant_pair(g: &Graph) -> Option<(NodeId, NodeId)> {
-    let n = g.node_count();
-    for u in 0..n {
-        for v in u + 1..n {
-            if !g.has_edge(u, v) && g.common_neighbor(u, v).is_none() {
-                return Some((u, v));
-            }
-        }
-    }
-    None
+    g.non_edges().find(|&(u, v)| g.common_neighbor(u, v).is_none())
 }
 
 #[cfg(test)]

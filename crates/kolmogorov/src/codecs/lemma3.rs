@@ -7,7 +7,7 @@
 //! — deletable from the description, contradiction.
 
 use ort_bitio::{BitReader, BitVec, BitWriter};
-use ort_graphs::{Graph, NodeId};
+use ort_graphs::{Graph, NodeId, Relays};
 
 use super::{
     positions_of_node, read_node, read_remainder, write_node, write_remainder, CodecError,
@@ -46,15 +46,13 @@ pub fn encode(g: &Graph, u: NodeId, w_node: NodeId, t: usize) -> Result<BitVec, 
     write_node(&mut w, n, u)?;
     write_node(&mut w, n, w_node)?;
     // u's full row.
-    for x in 0..n {
-        if x != u {
-            w.write_bit(g.has_edge(u, x));
-        }
-    }
-    // w's row, omitting forced zeros: x == u and x in prefix.
-    for x in 0..n {
-        if x != w_node && x != u && !prefix.contains(&x) {
-            w.write_bit(g.has_edge(w_node, x));
+    g.write_interconnection(u, &mut w);
+    // w's row, omitting forced zeros: x == u and x in prefix (sorted, so
+    // one merge finds them).
+    let mut forced = prefix.iter().peekable();
+    for (x, adjacent) in g.adjacency_bits(w_node).enumerate() {
+        if forced.next_if_eq(&&x).is_none() && x != w_node && x != u {
+            w.write_bit(adjacent);
         }
     }
     write_remainder(&mut w, g, &deleted_positions(n, u, w_node));
@@ -125,16 +123,11 @@ pub fn outcome(g: &Graph, u: NodeId, w: NodeId, t: usize) -> Result<CodecOutcome
 /// if any exists.
 #[must_use]
 pub fn find_escapee(g: &Graph, t: usize) -> Option<(NodeId, NodeId)> {
-    let n = g.node_count();
-    for u in 0..n {
-        let prefix = &g.neighbors(u)[..t.min(g.degree(u))];
-        if prefix.len() < t {
-            continue;
-        }
-        for w in g.non_neighbors(u) {
-            if !prefix.iter().any(|&a| g.has_edge(a, w)) {
-                return Some((u, w));
-            }
+    let mut relays = Relays::new(g);
+    for u in g.nodes().filter(|&u| g.degree(u) >= t) {
+        relays.set(u);
+        if let Some(w) = relays.escapee(t) {
+            return Some((u, w));
         }
     }
     None

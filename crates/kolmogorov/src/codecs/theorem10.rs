@@ -10,7 +10,7 @@
 //! from `E(G)`, forcing `|F(u)| ≥ n²/4 − o(n²)`.
 
 use ort_bitio::{codes, BitReader, BitVec, BitWriter};
-use ort_graphs::{Graph, NodeId};
+use ort_graphs::{Graph, NodeId, Relays};
 
 use super::{
     positions_of_node, read_node, read_remainder, write_node, write_remainder, CodecError,
@@ -44,15 +44,18 @@ pub fn encode(
     if u >= n {
         return Err(CodecError::PreconditionViolated { reason: "node out of range" });
     }
-    // Validate the oracle property before committing to deletion.
+    // Validate the oracle property before committing to deletion: with
+    // the table set at `w`, `rank(v)` is `Some` iff `vw ∈ E`.
     let nbrs = g.neighbors(u).to_vec();
+    let mut adjacency = Relays::new(g);
     for w in g.non_neighbors(u) {
         let used = eval(f_bits, &nbrs, w).ok_or(CodecError::PreconditionViolated {
             reason: "full-information function undefined on a destination",
         })?;
+        adjacency.set(w);
         for &v in &nbrs {
             let claims = used.binary_search(&v).is_ok();
-            if claims != g.has_edge(v, w) {
+            if claims != adjacency.rank(v).is_some() {
                 return Err(CodecError::PreconditionViolated {
                     reason: "full-information function disagrees with adjacency",
                 });
@@ -61,11 +64,7 @@ pub fn encode(
     }
     let mut w = BitWriter::new();
     write_node(&mut w, n, u)?;
-    for x in 0..n {
-        if x != u {
-            w.write_bit(g.has_edge(u, x));
-        }
-    }
+    g.write_interconnection(u, &mut w);
     codes::write_selfdelim_prime(&mut w, f_bits);
     write_remainder(&mut w, g, &deleted_positions(g, n, u));
     Ok(w.finish())
@@ -74,8 +73,9 @@ pub fn encode(
 /// Pairs involving `u`, plus the full `N(u) × non-N(u)` bipartite block.
 fn deleted_positions(g: &Graph, n: usize, u: NodeId) -> Vec<usize> {
     let mut del = positions_of_node(n, u);
+    let non_nbrs = g.non_neighbors(u);
     for &v in g.neighbors(u) {
-        for w in g.non_neighbors(u) {
+        for &w in &non_nbrs {
             del.push(Graph::edge_index(n, v, w));
         }
     }

@@ -51,11 +51,7 @@ pub fn encode(
     }
     let mut w = BitWriter::new();
     write_node(&mut w, n, u)?;
-    for x in 0..n {
-        if x != u {
-            w.write_bit(g.has_edge(u, x));
-        }
-    }
+    g.write_interconnection(u, &mut w);
     codes::write_selfdelim_prime(&mut w, f_bits);
     write_remainder(&mut w, g, &deleted_positions(g, n, u, f_bits, eval)?);
     Ok(w.finish())

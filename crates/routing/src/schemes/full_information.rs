@@ -68,10 +68,12 @@ impl FullInformationScheme {
         let mut writers: Vec<BitWriter> = (0..n).map(|_| BitWriter::new()).collect();
         for t in 0..n {
             read_row(dists, t, |row| {
-                for (u, w) in writers.iter_mut().enumerate() {
+                // Node u's bit of t's adjacency row, by one merge over t's
+                // sorted list.
+                for ((u, w), next_to_t) in writers.iter_mut().enumerate().zip(g.adjacency_bits(t)) {
                     // One d(u)-bit mask per non-neighbour destination; the
                     // outer ascending-t loop preserves the per-node order.
-                    if t == u || g.has_edge(u, t) {
+                    if t == u || next_to_t {
                         continue;
                     }
                     // The closer neighbours come in neighbour order, so one

@@ -16,7 +16,7 @@ use ort_bitio::{lehmer, BitReader, BitWriter};
 use ort_graphs::labels::{Label, LabelRef, Labeling};
 use ort_graphs::oracle::Distances;
 use ort_graphs::ports::PortAssignment;
-use ort_graphs::{Graph, NodeId};
+use ort_graphs::{Graph, NodeId, Relays};
 
 use crate::model::{Knowledge, Model, Relabeling};
 use crate::scheme::{
@@ -75,20 +75,17 @@ impl IaCompactScheme {
         }
         crate::schemes::check_exact_oracle(g, dists)?;
         let mut bits = Vec::with_capacity(n);
+        let mut relays = Relays::new(g);
         for u in 0..n {
             let mut w = BitWriter::new();
             // Interconnection vector (who my neighbours are).
-            for x in 0..n {
-                if x != u {
-                    w.write_bit(g.has_edge(u, x));
-                }
-            }
+            g.write_interconnection(u, &mut w);
             // Port permutation relative to sorted neighbours (which port
             // reaches whom) — exactly the log d! bits Theorem 8 charges.
             let rel = ports.relative_permutation(u);
             lehmer::encode_permutation(&mut w, &rel)?;
             // Next-hop tables (ranks into the sorted neighbour list).
-            w.write_bitvec(&Theorem1Scheme::encode_node_tables(g, u)?);
+            w.write_bitvec(&Theorem1Scheme::encode_node_tables(&mut relays, u)?);
             bits.push(w.finish());
         }
         Ok(IaCompactScheme { tables: Tables { bits, labeling: Labeling::identity(n), ports } })

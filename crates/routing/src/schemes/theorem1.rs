@@ -25,7 +25,7 @@ use ort_bitio::{bits_to_index, BitReader, BitVec, BitWriter};
 use ort_graphs::labels::{Label, LabelRef, Labeling};
 use ort_graphs::oracle::Distances;
 use ort_graphs::ports::PortAssignment;
-use ort_graphs::{Graph, NodeId};
+use ort_graphs::{Graph, NodeId, Relays};
 
 use crate::model::{Knowledge, Model, Relabeling};
 use crate::scheme::{
@@ -178,8 +178,9 @@ impl Theorem1Scheme {
         let mut bits = Vec::with_capacity(n);
         {
             let _s = ort_telemetry::span("theorem1.encode_tables");
+            let mut relays = Relays::new(g);
             for u in 0..n {
-                bits.push(Self::encode_node(g, u, variant, cutoff)?);
+                bits.push(Self::encode_node(&mut relays, u, variant, cutoff)?);
             }
         }
         let _s = ort_telemetry::span("theorem1.port_assignment");
@@ -207,40 +208,36 @@ impl Theorem1Scheme {
     }
 
     /// Encodes just the two tables (the model II payload) for node `u` —
-    /// used directly by the Theorem 3/4 routing centres.
-    pub(crate) fn encode_node_tables(g: &Graph, u: NodeId) -> Result<BitVec, SchemeError> {
-        Self::encode_node(g, u, Variant::NeighborsKnown, CutoffPolicy::NOverLog)
+    /// used directly by the Theorem 3/4 routing centres and IA-compact,
+    /// which sweep nodes with one [`Relays`] table over their graph.
+    pub(crate) fn encode_node_tables(
+        relays: &mut Relays<'_>,
+        u: NodeId,
+    ) -> Result<BitVec, SchemeError> {
+        Self::encode_node(relays, u, Variant::NeighborsKnown, CutoffPolicy::NOverLog)
     }
 
     fn encode_node(
-        g: &Graph,
+        relays: &mut Relays<'_>,
         u: NodeId,
         variant: Variant,
         cutoff: CutoffPolicy,
     ) -> Result<BitVec, SchemeError> {
+        let g = relays.graph();
         let n = g.node_count();
-        let nbrs = g.neighbors(u);
-        let d = nbrs.len();
+        let d = g.degree(u);
         let mut w = BitWriter::new();
         if variant == Variant::PortsFree {
-            // Interconnection vector: adjacency of u, skipping the self bit.
-            for x in 0..n {
-                if x != u {
-                    w.write_bit(g.has_edge(u, x));
-                }
-            }
+            g.write_interconnection(u, &mut w);
         }
         // Rank (1-based) of the least common neighbour for every
         // non-neighbour, in increasing destination order.
-        let non_nbrs = g.non_neighbors(u);
-        let mut ranks = Vec::with_capacity(non_nbrs.len());
-        for &x in &non_nbrs {
-            let rank = nbrs
-                .iter()
-                .position(|&v| g.has_edge(v, x))
-                .ok_or_else(|| SchemeError::Precondition {
-                    reason: format!("nodes {u} and {x} have no common neighbour (diameter > 2)"),
-                })?;
+        relays.set(u);
+        let mut ranks = Vec::with_capacity(n - 1 - d);
+        for (x, relay) in relays.non_neighbors() {
+            let rank = relay.ok_or_else(|| SchemeError::Precondition {
+                reason: format!("nodes {u} and {x} have no common neighbour (diameter > 2)"),
+            })?;
             ranks.push(rank + 1);
         }
         // Cut-off l: the smallest rank bound leaving at most `threshold`

@@ -13,7 +13,7 @@ use ort_bitio::{bits_to_index, BitReader, BitVec, BitWriter};
 use ort_graphs::labels::{Label, LabelRef, Labeling};
 use ort_graphs::oracle::Distances;
 use ort_graphs::ports::PortAssignment;
-use ort_graphs::{Graph, NodeId};
+use ort_graphs::{Graph, NodeId, Relays};
 
 use crate::model::{Knowledge, Model, Relabeling};
 use crate::scheme::{
@@ -72,18 +72,18 @@ impl Theorem2Scheme {
         let k = ((DEFAULT_C + 3.0) * (n.max(2) as f64).log2()).ceil() as usize;
         let width = bits_to_index(n as u64);
         let mut labels = Vec::with_capacity(n);
+        let mut relays = Relays::new(g);
         for v in 0..n {
             let listed: Vec<NodeId> = g.neighbors(v).iter().copied().take(k).collect();
             // Precondition (Lemma 3 at v): every non-neighbour of v is
             // adjacent to a listed neighbour.
-            for u in g.non_neighbors(v) {
-                if !listed.iter().any(|&x| g.has_edge(u, x)) {
-                    return Err(SchemeError::Precondition {
-                        reason: format!(
-                            "node {u} is not adjacent to any of the first {k} neighbours of {v}"
-                        ),
-                    });
-                }
+            relays.set(v);
+            if let Some(u) = relays.escapee(k) {
+                return Err(SchemeError::Precondition {
+                    reason: format!(
+                        "node {u} is not adjacent to any of the first {k} neighbours of {v}"
+                    ),
+                });
             }
             let mut w = BitWriter::new();
             w.write_bits(v as u64, width)?;

@@ -13,8 +13,7 @@ use ort_bitio::{bits_to_index, BitReader, BitWriter};
 use ort_graphs::labels::{Label, LabelRef, Labeling};
 use ort_graphs::oracle::Distances;
 use ort_graphs::ports::PortAssignment;
-use ort_graphs::random_props::dominating_prefix_len;
-use ort_graphs::{Graph, NodeId};
+use ort_graphs::{Graph, NodeId, Relays};
 
 use crate::model::{Knowledge, Model, Relabeling};
 use crate::scheme::{
@@ -72,10 +71,14 @@ impl Theorem3Scheme {
         // marginal graphs some anchors dominate and others do not, so try
         // node 0 first, then the max-degree node, then a short scan.
         let max_deg = (0..n).max_by_key(|&u| g.degree(u)).expect("n >= 2");
+        let mut relays = Relays::new(g);
         let (anchor, t) = std::iter::once(0)
             .chain(std::iter::once(max_deg))
             .chain(0..n.min(16))
-            .find_map(|a| dominating_prefix_len(g, a).map(|t| (a, t)))
+            .find_map(|a| {
+                relays.set(a);
+                relays.dominating_prefix_len().map(|t| (a, t))
+            })
             .ok_or_else(|| SchemeError::Precondition {
                 reason: "no anchor's neighbours dominate the graph".into(),
             })?;
@@ -90,7 +93,7 @@ impl Theorem3Scheme {
             let mut w = BitWriter::new();
             if hub_set.contains(&u) {
                 w.write_bit(true);
-                w.write_bitvec(&Theorem1Scheme::encode_node_tables(g, u)?);
+                w.write_bitvec(&Theorem1Scheme::encode_node_tables(&mut relays, u)?);
             } else {
                 w.write_bit(false);
                 // Port of some adjacent hub (ports sorted by neighbour id).

@@ -13,7 +13,7 @@ use ort_bitio::{bits_to_index, BitReader, BitWriter};
 use ort_graphs::labels::{Label, LabelRef, Labeling};
 use ort_graphs::oracle::Distances;
 use ort_graphs::ports::PortAssignment;
-use ort_graphs::{Graph, NodeId};
+use ort_graphs::{Graph, NodeId, Relays};
 
 use crate::model::{Knowledge, Model, Relabeling};
 use crate::scheme::{
@@ -76,18 +76,22 @@ impl Theorem4Scheme {
         let k = ((DEFAULT_C + 3.0) * (n.max(2) as f64).log2()).ceil() as usize;
         let width = bits_to_index(k as u64);
         let mut bits = Vec::with_capacity(n);
+        // Set at the centre throughout: `rank(x)` is `Some` iff `x` is a
+        // neighbour of the centre.
+        let mut relays = Relays::new(g);
+        relays.set(CENTER);
         for u in 0..n {
             let mut w = BitWriter::new();
             if u == CENTER {
-                w.write_bitvec(&Theorem1Scheme::encode_node_tables(g, u)?);
-            } else if !g.has_edge(u, CENTER) {
+                w.write_bitvec(&Theorem1Scheme::encode_node_tables(&mut relays, u)?);
+            } else if relays.rank(u).is_none() {
                 // Distance-2 node: index (within the first k neighbours) of
                 // a neighbour adjacent to the centre.
                 let idx = g
                     .neighbors(u)
                     .iter()
                     .take(k)
-                    .position(|&x| g.has_edge(x, CENTER))
+                    .position(|&x| relays.rank(x).is_some())
                     .ok_or_else(|| SchemeError::Precondition {
                         reason: format!(
                             "node {u}: no centre-adjacent neighbour in its first {k} neighbours"

@@ -17,7 +17,7 @@ use ort_bitio::BitVec;
 use ort_graphs::labels::{Label, Labeling};
 use ort_graphs::oracle::Distances;
 use ort_graphs::ports::PortAssignment;
-use ort_graphs::{Graph, NodeId};
+use ort_graphs::{Graph, NodeId, Relays};
 
 use crate::model::{Knowledge, Model, Relabeling};
 use crate::scheme::{
@@ -80,16 +80,15 @@ impl Theorem5Scheme {
         }
         crate::schemes::check_exact_oracle(g, dists)?;
         let k = probe_budget_for(n);
+        let mut relays = Relays::new(g);
         for u in 0..n {
-            let prefix: Vec<NodeId> = g.neighbors(u).iter().copied().take(k).collect();
-            for w in g.non_neighbors(u) {
-                if !prefix.iter().any(|&x| g.has_edge(x, w)) {
-                    return Err(SchemeError::Precondition {
-                        reason: format!(
-                            "pair ({u},{w}) has no common neighbour in the first {k} probes"
-                        ),
-                    });
-                }
+            relays.set(u);
+            if let Some(w) = relays.escapee(k) {
+                return Err(SchemeError::Precondition {
+                    reason: format!(
+                        "pair ({u},{w}) has no common neighbour in the first {k} probes"
+                    ),
+                });
             }
         }
         let tables = Tables {

@@ -9,9 +9,9 @@
 //! that fails stays in the report with its [`RouteFailure`], the reading
 //! the simulators give a failed walk too.
 
-use ort_graphs::dist::width_for;
+use ort_graphs::dist::ComponentSweep;
 use ort_graphs::oracle::{read_row, Distances};
-use ort_graphs::paths::{compute_band, is_connected, map_in_order, ApspEngine};
+use ort_graphs::paths::{map_in_order, ApspEngine, Traversal};
 use ort_graphs::{Graph, NodeId};
 
 use crate::hop::{walk, RouteFailure};
@@ -315,11 +315,15 @@ fn pass(
 /// [`ApspEngine::tile_sources`]`(n)` rows, the tiles `Apsp::compute`
 /// fills, and only blocks holding a source with a target are visited.
 /// The worker that walks a block fills that block's band itself
-/// ([`compute_band`]) and drops it before its next block, so each band is
-/// filled once under any `ORT_THREADS` and at most one band per worker
-/// is alive. A pass that samples every source does the traversal work of
-/// one `Apsp::compute`; a sparse sample does a fraction of it. The
-/// benchmark and the churn sweep's sampled probes verify through it.
+/// ([`Traversal::band`]) and drops it before its next block, so each band
+/// is filled once under any `ORT_THREADS` and at most one band per worker
+/// is alive. The pass resolves its engine once, into one [`Traversal`]
+/// its workers share (on a dense graph, the bitset engine's adjacency
+/// rows), and reads connectivity and the cell width from one
+/// [`ComponentSweep`]. A pass that samples every source does the
+/// traversal work of one `Apsp::compute`; a sparse sample does a
+/// fraction of it. The benchmark and the churn sweep's sampled probes
+/// verify through it.
 ///
 /// # Errors
 ///
@@ -329,7 +333,8 @@ pub fn verify_scheme_sampled(
     scheme: &dyn RoutingScheme,
     stride: usize,
 ) -> Result<VerifyReport, SchemeError> {
-    if !is_connected(g) {
+    let sweep = ComponentSweep::of(g);
+    if !sweep.is_connected() {
         return Err(SchemeError::Disconnected);
     }
     let n = g.node_count();
@@ -338,12 +343,13 @@ pub fn verify_scheme_sampled(
         .step_by(tile)
         .filter(|&start| (start..(start + tile).min(n)).any(|s| has_target(s, n, stride)))
         .collect();
-    let width = width_for(g);
+    let walk = Traversal::new(g, ApspEngine::Auto);
+    let width = sweep.width();
     let limit = default_hop_limit(n);
     Ok(pass(n, stride, blocks.len(), |i| {
         let start = blocks[i];
         let rows = tile.min(n - start);
-        let band = compute_band(g, start, rows, ApspEngine::Auto, width);
+        let band = walk.band(g, start, rows, width);
         let mut p = VerifyReport::empty();
         for s in start..start + rows {
             let row = band.row(s);

@@ -14,7 +14,7 @@ use optimal_routing_tables::conformance::enumerate;
 use optimal_routing_tables::graphs::dist::{width_for, CellWidth, DistStore};
 use optimal_routing_tables::graphs::generators;
 use optimal_routing_tables::graphs::oracle::{BandedOracle, Distances, LandmarkOracle};
-use optimal_routing_tables::graphs::paths::{compute_band, Apsp, ApspEngine, UNREACHABLE};
+use optimal_routing_tables::graphs::paths::{Apsp, ApspEngine, Traversal, UNREACHABLE};
 use optimal_routing_tables::graphs::Graph;
 
 /// The queue-engine full matrix — the reference every mode must match.
@@ -84,10 +84,11 @@ fn bands_tile_the_reference_matrix_exactly() {
     let reference = reference(&g);
     let width = width_for(&g);
     for engine in [ApspEngine::Queue, ApspEngine::Bitset, ApspEngine::Tiled] {
+        let walk = Traversal::new(&g, engine);
         let mut start = 0;
         while start < n {
             let rows = 17.min(n - start);
-            let band = compute_band(&g, start, rows, engine, width);
+            let band = walk.band(&g, start, rows, width);
             for u in start..start + rows {
                 for v in 0..n {
                     let want = match reference[u * n + v] {

@@ -97,9 +97,14 @@ fn apsp_heap_plus_scratch_bounds_measured_compute() {
 }
 
 /// `BandedOracle::peak_bytes` (one band at the compact cell width plus
-/// engine scratch) brackets the measured peak of a full ascending sweep:
-/// the sweep never holds two bands, so the measured peak stays within
-/// the same 1.25× slack the bench gate enforces.
+/// engine scratch) brackets the measured peak of construction and a full
+/// ascending sweep: the sweep never holds two bands, so the measured peak
+/// stays within the same 1.25× slack the bench gate enforces. Two
+/// engines: the tiled one on a sparse graph, whose scratch is per-tile
+/// masks, and the bitset one on a dense graph, whose scratch is mostly
+/// the adjacency bit rows the oracle builds at construction and keeps
+/// (512 KiB at n = 2048, four bands' worth). A claim that left the rows
+/// out would sit below the measured peak by more than the slack.
 #[test]
 fn banded_oracle_peak_bytes_brackets_a_full_sweep() {
     if !isolated("banded_oracle_peak_bytes_brackets_a_full_sweep") {
@@ -108,37 +113,75 @@ fn banded_oracle_peak_bytes_brackets_a_full_sweep() {
     if !alloc::installed() {
         return;
     }
-    let n = 1024;
-    let band_rows = 256;
-    let g = generators::power_law_seeded(n, 3, 2.5, 11);
-    // Construction (graph clone) deliberately outside the region: the
-    // claim covers band storage + scratch, not the adjacency copy.
-    let oracle = BandedOracle::with_engine(g, band_rows, ApspEngine::Tiled);
-    let claim = oracle.peak_bytes() as u64;
-    let region = alloc::mem_span("audit.banded");
-    let mut checksum = 0u64;
-    for u in (0..n).step_by(band_rows) {
-        checksum = checksum.wrapping_add(u64::from(oracle.distance(u, 0).expect("connected")));
+    let cases = [
+        (generators::power_law_seeded(1024, 3, 2.5, 11), 256, ApspEngine::Tiled),
+        (generators::gnp_half(2048, 11), 64, ApspEngine::Bitset),
+    ];
+    for (g, band_rows, engine) in cases {
+        let n = g.node_count();
+        assert_eq!(ApspEngine::Auto.resolve(&g), engine, "the case must reach its engine");
+        // The graph moves in, so construction copies no adjacency; the
+        // claim covers band storage and scratch, and construction is
+        // where the bitset engine's rows are built.
+        let region = alloc::mem_span("audit.banded");
+        let oracle = BandedOracle::with_engine(g, band_rows, engine);
+        let mut checksum = 0u64;
+        for u in (0..n).step_by(band_rows) {
+            checksum = checksum.wrapping_add(u64::from(oracle.distance(u, 0).expect("connected")));
+        }
+        let rec = region.finish();
+        let claim = oracle.peak_bytes() as u64;
+        assert!(checksum > 0, "{engine:?}: sweep must traverse real distances");
+        assert!(
+            rec.region_peak_bytes >= claim,
+            "{engine:?}: measured sweep peak {} below the analytic claim {claim}: \
+             the claim overstates band or scratch storage",
+            rec.region_peak_bytes
+        );
+        let cap = (claim as f64 * 1.25) as u64 + ABS_SLACK;
+        assert!(
+            rec.region_peak_bytes <= cap,
+            "{engine:?}: measured sweep peak {} exceeds claim {claim} beyond slack (cap {cap}): \
+             more than one band (or an unaccounted buffer) was live",
+            rec.region_peak_bytes
+        );
+        // One band must be dropped before the next is computed: the peak
+        // is far below two bands plus scratch.
+        let two_bands = 2 * claim;
+        assert!(rec.region_peak_bytes < two_bands, "{engine:?}: sweep held two bands at once");
     }
-    let rec = region.finish();
-    assert!(checksum > 0, "sweep must traverse real distances");
-    assert!(
-        rec.region_peak_bytes >= claim,
-        "measured sweep peak {} below the analytic claim {claim}: \
-         the claim overstates band or scratch storage",
-        rec.region_peak_bytes
-    );
-    let cap = (claim as f64 * 1.25) as u64 + ABS_SLACK;
-    assert!(
-        rec.region_peak_bytes <= cap,
-        "measured sweep peak {} exceeds claim {claim} beyond slack (cap {cap}): \
-         more than one band (or an unaccounted buffer) was live",
-        rec.region_peak_bytes
-    );
-    // One band must be dropped before the next is computed: the peak is
-    // far below two bands plus scratch.
-    let two_bands = 2 * claim;
-    assert!(rec.region_peak_bytes < two_bands, "sweep held two bands at once");
+}
+
+/// A `Graph` is its sorted adjacency lists, O(n + m): a
+/// `power_law_seeded(16384, 2, 2.5)` graph (about 32 000 edges) and its
+/// clone each retain under 4 MiB, where an n × n adjacency bit matrix
+/// alone would take 32 MiB. And the lists really are held: each retains
+/// at least two 8-byte entries per edge.
+#[test]
+fn a_sparse_graph_and_its_clone_each_retain_o_of_n_plus_m() {
+    if !isolated("a_sparse_graph_and_its_clone_each_retain_o_of_n_plus_m") {
+        return;
+    }
+    if !alloc::installed() {
+        return;
+    }
+    const CAP: u64 = 4 << 20;
+    let region = alloc::mem_span("audit.graph");
+    let g = generators::power_law_seeded(16384, 2, 2.5, 1);
+    let built = region.finish();
+    let region = alloc::mem_span("audit.graph_clone");
+    let copy = g.clone();
+    let cloned = region.finish();
+    assert_eq!(copy, g);
+    let lists = (2 * g.edge_count() * std::mem::size_of::<usize>()) as u64;
+    for (what, rec) in [("graph", built), ("clone", cloned)] {
+        assert!(
+            rec.net_bytes >= 0 && (rec.net_bytes as u64) < CAP,
+            "the {what} retains {} bytes, not under {CAP}",
+            rec.net_bytes
+        );
+        assert!(rec.net_bytes as u64 >= lists, "the {what} retains {} < {lists}", rec.net_bytes);
+    }
 }
 
 /// The streamed sampled verify holds one band at a time. At n = 4096 the

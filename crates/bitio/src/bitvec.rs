@@ -174,6 +174,38 @@ impl BitVec {
         }
     }
 
+    /// Overwrites bits `pos..pos + width` with the low `width` bits of
+    /// `value`, MSB first — the field [`crate::BitWriter::write_bits`]
+    /// appends, written in place with one or two word operations. Width 0
+    /// writes nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width > 64`, if `value` does not fit in `width` bits, or
+    /// if the field runs past `len()`.
+    pub fn write_bits_at(&mut self, pos: usize, value: u64, width: u32) {
+        assert!(
+            width <= 64 && (width == 64 || value >> width == 0),
+            "{value} does not fit {width} bits"
+        );
+        assert!(
+            pos + width as usize <= self.len,
+            "field {pos}+{width} out of range for BitVec of len {}",
+            self.len
+        );
+        if width == 0 {
+            return;
+        }
+        let bits = value.reverse_bits() >> (64 - width);
+        let mask = u64::MAX >> (64 - width);
+        let (i, off) = (pos / 64, pos % 64);
+        self.words[i] = (self.words[i] & !(mask << off)) | (bits << off);
+        if off + width as usize > 64 {
+            let done = 64 - off;
+            self.words[i + 1] = (self.words[i + 1] & !(mask >> done)) | (bits >> done);
+        }
+    }
+
     /// Appends all bits of `other`, preserving order.
     pub fn extend_from(&mut self, other: &BitVec) {
         for b in other.iter() {
@@ -342,6 +374,43 @@ mod tests {
         bv.set(64, false);
         assert_eq!(bv.count_ones(), 2);
         assert_eq!(bv.get(64), Some(false));
+    }
+
+    #[test]
+    fn write_bits_at_overwrites_one_field_msb_first() {
+        let ones = BitVec::from_bools(&[true; 130]);
+        // Width 0 writes nothing, even at the very end.
+        let mut bv = ones.clone();
+        bv.write_bits_at(130, 0, 0);
+        bv.write_bits_at(7, 0, 0);
+        assert_eq!(bv, ones);
+        // Width 1 clears exactly one bit and sets it again.
+        bv.write_bits_at(64, 0, 1);
+        assert_eq!(bv.count_ones(), 129);
+        assert_eq!(bv.get(64), Some(false));
+        bv.write_bits_at(64, 1, 1);
+        assert_eq!(bv, ones);
+        // A field across the word boundary at bit 64: 0b10011 puts its
+        // top bit first, at 61, and its last at 65; the rest is untouched.
+        let mut bv = BitVec::zeros(130);
+        bv.write_bits_at(61, 0b10011, 5);
+        let set: Vec<usize> = (0..130).filter(|&i| bv.get(i) == Some(true)).collect();
+        assert_eq!(set, [61, 64, 65]);
+        let mut bv = ones.clone();
+        bv.write_bits_at(61, 0b01100, 5);
+        let clear: Vec<usize> = (0..130).filter(|&i| bv.get(i) == Some(false)).collect();
+        assert_eq!(clear, [61, 64, 65]);
+        // A whole 64-bit field straddling two words, read back in order.
+        let mut bv = BitVec::zeros(130);
+        bv.write_bits_at(33, 0x8000_0000_0000_0001, 64);
+        assert_eq!(bv.count_ones(), 2);
+        assert_eq!((bv.get(33), bv.get(96)), (Some(true), Some(true)));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn write_bits_at_past_the_end_panics() {
+        BitVec::zeros(70).write_bits_at(66, 0, 5);
     }
 
     #[test]

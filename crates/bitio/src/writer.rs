@@ -73,6 +73,50 @@ impl BitWriter {
         Ok(())
     }
 
+    /// Writes each of `values` in `width` bits, MSB first — the bits one
+    /// [`BitWriter::write_bits`] call per value would write — packed into
+    /// whole words before they are appended, so a run of narrow fields
+    /// costs one word append per 64 bits.
+    ///
+    /// # Errors
+    ///
+    /// As [`BitWriter::write_bits`], for the first value that does not
+    /// fit; the values before it are written.
+    pub fn write_fields(
+        &mut self,
+        values: impl IntoIterator<Item = u64>,
+        width: u32,
+    ) -> Result<(), CodeError> {
+        if width == 0 || width == 64 {
+            // No packing to do: zero-width fields write nothing, and
+            // 64-bit ones are whole words already.
+            return values.into_iter().try_for_each(|v| self.write_bits(v, width));
+        }
+        if width > 64 {
+            return Err(CodeError::Overflow { what: "fixed width exceeds 64 bits" });
+        }
+        // `word` holds the next `fill` stream bits, LSB first.
+        let (mut word, mut fill) = (0u64, 0u32);
+        let mut result = Ok(());
+        for value in values {
+            if value >> width != 0 {
+                result = Err(CodeError::Overflow { what: "value does not fit fixed width" });
+                break;
+            }
+            let bits = value.reverse_bits() >> (64 - width);
+            word |= bits << fill;
+            fill += width;
+            if fill >= 64 {
+                self.bits.push_word(word, 64);
+                fill -= 64;
+                // The `fill` bits of this value that did not fit.
+                word = bits >> (width - fill);
+            }
+        }
+        self.bits.push_word(word, fill);
+        result
+    }
+
     /// Writes `k` in unary as `1^k 0` (the paper's unary code used by the
     /// Theorem 1 first routing table).
     ///

@@ -97,3 +97,73 @@ fn fixed_width_errors_are_unchanged() {
     assert_eq!(r.read_bits(5), Err(CodeError::UnexpectedEnd { position: 4 }));
     assert_eq!(r.position(), 0);
 }
+
+#[test]
+fn packed_fields_match_one_write_per_field() {
+    for width in 0..=64u32 {
+        let mask = if width == 64 { u64::MAX } else { (1u64 << width) - 1 };
+        for offset in 0..=64usize {
+            for count in [0usize, 1, 2, 63, 64, 65, 130] {
+                let at = format!("width {width}, offset {offset}, count {count}");
+                let fields: Vec<u64> = (0..count as u64)
+                    .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(i as u32) & mask)
+                    .collect();
+                let mut packed = BitWriter::new();
+                let mut reference = BitWriter::new();
+                for i in 0..offset {
+                    packed.write_bit(prefix_bit(i));
+                    reference.write_bit(prefix_bit(i));
+                }
+                packed.write_fields(fields.iter().copied(), width).unwrap();
+                for &v in &fields {
+                    reference.write_bits(v, width).unwrap();
+                }
+                packed.write_bits(0b101, 3).unwrap();
+                reference.write_bits(0b101, 3).unwrap();
+                assert_eq!(packed.finish(), reference.finish(), "{at}");
+            }
+        }
+    }
+    // The first field that does not fit stops the write, and the fields
+    // before it stay written.
+    let mut w = BitWriter::new();
+    assert_eq!(
+        w.write_fields([1, 2, 4, 1], 2),
+        Err(CodeError::Overflow { what: "value does not fit fixed width" })
+    );
+    assert_eq!(w.finish().to_string(), "0110");
+    let mut w = BitWriter::new();
+    assert_eq!(
+        w.write_fields([0], 65),
+        Err(CodeError::Overflow { what: "fixed width exceeds 64 bits" })
+    );
+}
+
+#[test]
+fn in_place_fields_match_a_bit_at_a_time_rewrite() {
+    for width in 0..=64u32 {
+        for offset in 0..=127usize {
+            for value in values(width) {
+                let at = format!("width {width}, offset {offset}, value {value:#x}");
+                // Prefix, an all-ones field, trailer; then the field is
+                // overwritten in place and must read as if pushed so.
+                let mut bits = BitVec::new();
+                let mut reference = BitVec::new();
+                for i in 0..offset {
+                    bits.push(prefix_bit(i));
+                    reference.push(prefix_bit(i));
+                }
+                for i in (0..width).rev() {
+                    bits.push(true);
+                    reference.push((value >> i) & 1 == 1);
+                }
+                for b in TRAILER {
+                    bits.push(b);
+                    reference.push(b);
+                }
+                bits.write_bits_at(offset, value, width);
+                assert_eq!(bits, reference, "{at}");
+            }
+        }
+    }
+}

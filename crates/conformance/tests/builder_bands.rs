@@ -6,10 +6,11 @@
 //! oracle holds only one band of the distance matrix at a time. This
 //! harness is the proof obligation for that design: across the
 //! exhaustive small-graph corpus, seeded `G(n, 1/2)` and power-law graphs,
-//! every band width, and every `ORT_THREADS` setting, the banded build
-//! must equal the full-matrix ([`Apsp`]) build **byte for byte** — same
-//! per-node bits, same labels, same snapshot bytes, same verification
-//! report — and refusals must be the *same* [`SchemeError`].
+//! every band width (including heights whose edges fall inside the
+//! builders' 64-destination blocks), and every `ORT_THREADS` setting, the
+//! banded build must equal the full-matrix ([`Apsp`]) build **byte for
+//! byte** — same per-node bits, same labels, same snapshot bytes, same
+//! verification report — and refusals must be the *same* [`SchemeError`].
 
 use ort_conformance::enumerate;
 use ort_conformance::registry::SchemeId;
@@ -22,11 +23,12 @@ use ort_routing::snapshot;
 use ort_routing::verify::verify;
 
 /// The band widths exercised per graph: degenerate one-row bands, the
-/// production default (64), a multi-band mid-size, and the full matrix —
-/// clamped to `n` and deduplicated.
+/// production default (64), heights that make the builders' 64-destination
+/// blocks straddle band edges (63, 65, 100), a multi-band mid-size, and the
+/// full matrix — clamped to `n` and deduplicated.
 fn band_widths(n: usize) -> Vec<usize> {
     let mut widths: Vec<usize> =
-        [1usize, 2, 64, 256, n].iter().map(|&w| w.clamp(1, n.max(1))).collect();
+        [1usize, 2, 63, 64, 65, 100, 256, n].iter().map(|&w| w.clamp(1, n.max(1))).collect();
     widths.sort_unstable();
     widths.dedup();
     widths
@@ -183,23 +185,27 @@ fn banded_build_stays_within_one_ascending_pass_per_band_sweep() {
     // destinations in ascending order, so the oracle computes each band a
     // bounded number of times instead of thrashing. Landmark uses two
     // ascending passes; everything else at most one per sweep plus the
-    // connectivity row.
-    let g = generators::gnp_half(96, 6);
-    let bands = 96usize.div_ceil(8) as u64;
-    for (id, max_passes) in [
-        (SchemeId::FullTable, 1),
-        (SchemeId::FullInformation, 1),
-        (SchemeId::MultiInterval, 1),
-        (SchemeId::Landmark, 2),
-    ] {
-        let banded = BandedOracle::new(g.clone(), 8);
-        id.build_with_dists(&g, &banded).expect("banded build");
-        assert!(
-            banded.bands_computed() <= max_passes * bands + 1,
-            "{}: {} bands computed, cap {}",
-            id.name(),
-            banded.bands_computed(),
-            max_passes * bands + 1
-        );
+    // connectivity row. Heights 63, 65 and 100 put band edges inside the
+    // 64-destination blocks the full table and multi-interval gather.
+    let n = 160;
+    let g = generators::gnp_half(n, 6);
+    for band_rows in [8, 63, 64, 65, 100] {
+        let bands = n.div_ceil(band_rows) as u64;
+        for (id, max_passes) in [
+            (SchemeId::FullTable, 1),
+            (SchemeId::FullInformation, 1),
+            (SchemeId::MultiInterval, 1),
+            (SchemeId::Landmark, 2),
+        ] {
+            let banded = BandedOracle::new(g.clone(), band_rows);
+            id.build_with_dists(&g, &banded).expect("banded build");
+            assert!(
+                banded.bands_computed() <= max_passes * bands + 1,
+                "{} at {band_rows}-row bands: {} bands computed, cap {}",
+                id.name(),
+                banded.bands_computed(),
+                max_passes * bands + 1
+            );
+        }
     }
 }

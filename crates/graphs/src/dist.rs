@@ -23,7 +23,12 @@
 //! [`DistRow`] is one source row lent in place at the store's width — the
 //! unit [`crate::oracle::Distances::with_row`] hands to builders — and the
 //! home of the smallest-closer-neighbour rule ([`DistRow::first_hop`]).
+//! [`FirstHopBlock`] is that rule's block form: it copies 64 rows into one
+//! byte a cell and settles every node's first hop toward all 64
+//! destinations in one pass over the node's neighbours, which is how the
+//! table builders apply the rule to all `n²` pairs.
 
+use crate::oracle::Distances;
 use crate::paths::UNREACHABLE;
 use crate::{Graph, NodeId};
 
@@ -322,7 +327,8 @@ impl<'a> DistRow<'a> {
     /// The first-hop rule every scheme builder shares: the smallest-id
     /// neighbour of `u` one hop closer to the row's source `t` — the first
     /// of [`DistRow::closer_neighbors`]. `None` when `u` is `t` itself or
-    /// cannot reach it.
+    /// cannot reach it. A builder that needs the hop from every node
+    /// toward every destination uses the block form, [`FirstHopBlock`].
     ///
     /// # Panics
     ///
@@ -382,6 +388,191 @@ impl Iterator for CloserNeighbors<'_> {
         let w = self.rest[i];
         self.rest = &self.rest[i + 1..];
         Some(w)
+    }
+}
+
+/// Destinations one [`FirstHopBlock`] holds: one bit a lane in a `u64`.
+const LANES: usize = 64;
+
+/// The block form of [`DistRow::first_hop`]: up to 64 destination rows,
+/// gathered node-major with one byte a cell, so that one pass over a
+/// node's sorted neighbours settles its first hop toward every
+/// destination of the block.
+///
+/// Cell `(u, j)` holds `d(u, t_j) mod 256`, where `t_j` is the block's
+/// `j`-th destination. That is all the rule needs. The distances of two
+/// adjacent nodes to `t_j` differ by at most one, so a neighbour `w` of
+/// `u` holds one of three values, and they stay distinct mod 256: `w` is
+/// one hop closer exactly when its byte is `u`'s byte minus one, mod 256.
+/// Rows of every cell width gather the same way, the `u32` rows of
+/// [`Distances::with_row`]'s default copy included.
+///
+/// The `n × 64` bytes are allocated once, by [`FirstHopBlock::new`], and
+/// every [`FirstHopBlock::gather`] reuses them.
+#[derive(Debug, Clone)]
+pub struct FirstHopBlock {
+    /// `cells[u * LANES + j]` is `d(u, dests[j]) mod 256`.
+    cells: Vec<u8>,
+    dests: Vec<NodeId>,
+}
+
+impl FirstHopBlock {
+    /// The most destinations a block holds.
+    pub const LANES: usize = LANES;
+
+    /// An empty block for a graph of `n` nodes.
+    #[must_use]
+    pub fn new(n: usize) -> Self {
+        FirstHopBlock { cells: vec![0; n * LANES], dests: Vec::with_capacity(LANES) }
+    }
+
+    /// Makes `dests` the block's destinations, copying each one's row in
+    /// through [`Distances::with_row`], in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dests` names more than [`FirstHopBlock::LANES`] nodes or
+    /// an out-of-range node, if a row's length is not the block's `n`, or
+    /// if `dists` breaks `with_row`'s contract by never lending a row.
+    pub fn gather(&mut self, dists: &dyn Distances, dests: impl IntoIterator<Item = NodeId>) {
+        self.dests.clear();
+        for (j, t) in dests.into_iter().enumerate() {
+            assert!(j < LANES, "a block holds at most {LANES} destinations");
+            self.dests.push(t);
+            let (cells, mut lent) = (&mut self.cells, false);
+            dists.with_row(t, &mut |row| {
+                lent = true;
+                match row {
+                    DistRow::U8(c) => fill_lane(cells, j, c, |d| d),
+                    DistRow::U16(c) => fill_lane(cells, j, c, |d| d as u8),
+                    DistRow::U32(c) => fill_lane(cells, j, c, |d| d as u8),
+                }
+            });
+            assert!(lent, "with_row lends the row exactly once");
+        }
+    }
+
+    /// `u`'s first hop toward each destination of the block other than
+    /// `u` itself: [`DistRow::first_hop`]'s neighbour, given by its rank
+    /// (index) in `g.neighbors(u)`. `None` if some destination has no
+    /// neighbour one hop closer, as when it is unreachable from `u`.
+    ///
+    /// One pass over `u`'s neighbours in order. Each neighbour's 64 bytes
+    /// are compared with `u`'s minus one, eight lanes to a word, and the
+    /// pass stops once every destination has its hop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` or one of its neighbours is out of range.
+    #[must_use]
+    pub fn first_hops(&self, g: &Graph, u: NodeId) -> Option<BlockHops> {
+        let own = self.lane_words(u);
+        let closer = own.map(minus_one);
+        let mut open = lane_mask(self.dests.len()) & !self.own_lanes(u, &own);
+        let mut hops = BlockHops { ranks: [0; LANES], lanes: open };
+        for (rank, &w) in g.neighbors(u).iter().enumerate() {
+            if open == 0 {
+                break;
+            }
+            let neighbor = self.lane_words(w);
+            let mut hit = open & zero_lanes(std::array::from_fn(|i| neighbor[i] ^ closer[i]));
+            open &= !hit;
+            while hit != 0 {
+                hops.ranks[hit.trailing_zeros() as usize] = rank as u32;
+                hit &= hit - 1;
+            }
+        }
+        (open == 0).then_some(hops)
+    }
+
+    /// Node `u`'s 64 cells as eight little-endian words: lane `j` is byte
+    /// `j % 8` of word `j / 8`.
+    #[inline]
+    fn lane_words(&self, u: NodeId) -> [u64; 8] {
+        let cells = &self.cells[u * LANES..(u + 1) * LANES];
+        std::array::from_fn(|i| {
+            u64::from_le_bytes(cells[8 * i..8 * i + 8].try_into().expect("eight cells"))
+        })
+    }
+
+    /// The lanes whose destination is `u`. Their cells read 0, as do only
+    /// those whose distance is a multiple of 256, so the zero lanes are
+    /// checked against the destinations.
+    fn own_lanes(&self, u: NodeId, own: &[u64; 8]) -> u64 {
+        let mut zero = zero_lanes(*own) & lane_mask(self.dests.len());
+        let mut lanes = 0;
+        while zero != 0 {
+            let j = zero.trailing_zeros() as usize;
+            if self.dests[j] == u {
+                lanes |= 1 << j;
+            }
+            zero &= zero - 1;
+        }
+        lanes
+    }
+}
+
+/// Writes one destination's row into lane `j` of a node-major block.
+fn fill_lane<T: Copy>(cells: &mut [u8], j: usize, row: &[T], byte: impl Fn(T) -> u8) {
+    assert_eq!(row.len() * LANES, cells.len(), "row length is not the block's node count");
+    for (cell, &d) in cells[j..].iter_mut().step_by(LANES).zip(row) {
+        *cell = byte(d);
+    }
+}
+
+/// The low `lanes` bits.
+fn lane_mask(lanes: usize) -> u64 {
+    if lanes == LANES {
+        u64::MAX
+    } else {
+        (1 << lanes) - 1
+    }
+}
+
+const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
+const LOW_SEVEN: u64 = !HIGH_BITS;
+const ONES: u64 = 0x0101_0101_0101_0101;
+
+/// Each byte of `x` minus one, mod 256, with no borrow between bytes.
+#[inline]
+fn minus_one(x: u64) -> u64 {
+    ((x | HIGH_BITS) - ONES) ^ (!x & HIGH_BITS)
+}
+
+/// Bit `j` set iff byte `j % 8` of `words[j / 8]` is zero. Exact: the
+/// per-byte sums cannot carry into the next byte.
+#[inline]
+fn zero_lanes(words: [u64; 8]) -> u64 {
+    words.iter().enumerate().fold(0, |mask, (i, &x)| {
+        // 0x80 in each zero byte, then those eight bits gathered into
+        // the top byte by one multiply.
+        let zero = !(((x & LOW_SEVEN) + LOW_SEVEN) | x | LOW_SEVEN);
+        mask | ((zero >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * i)
+    })
+}
+
+/// What [`FirstHopBlock::first_hops`] finds at one node `u`: a
+/// `(lane, rank)` pair for each destination of the block other than `u`,
+/// in lane order. Lane `j` is the `j`-th destination
+/// [`FirstHopBlock::gather`] was given, and `rank` indexes
+/// `g.neighbors(u)` at `u`'s first hop toward it.
+#[derive(Debug, Clone)]
+pub struct BlockHops {
+    ranks: [u32; LANES],
+    lanes: u64,
+}
+
+impl Iterator for BlockHops {
+    type Item = (usize, usize);
+
+    #[inline]
+    fn next(&mut self) -> Option<(usize, usize)> {
+        if self.lanes == 0 {
+            return None;
+        }
+        let j = self.lanes.trailing_zeros() as usize;
+        self.lanes &= self.lanes - 1;
+        Some((j, self.ranks[j] as usize))
     }
 }
 
@@ -602,6 +793,68 @@ mod tests {
         assert_eq!(ComponentSweep::of(&split).components, 6);
         assert_eq!(ComponentSweep::of(&crate::Graph::empty(0)).components, 0);
         assert!(ComponentSweep::of(&crate::Graph::empty(1)).is_connected());
+    }
+
+    #[test]
+    fn word_lanes_are_exact_for_every_byte() {
+        for b in 0..=255u8 {
+            for lane in 0..8 {
+                // Byte `b` in one lane, other nonzero bytes in the rest.
+                let x = u64::from_le_bytes(std::array::from_fn(|i| {
+                    if i == lane {
+                        b
+                    } else {
+                        b.wrapping_add(1 + i as u8).max(1)
+                    }
+                }));
+                let dec = minus_one(x).to_le_bytes();
+                assert_eq!(dec[lane], b.wrapping_sub(1), "byte {b} lane {lane}");
+                let mut words = [u64::MAX; 8];
+                words[3] = x;
+                let zero = zero_lanes(words);
+                assert_eq!(zero, u64::from(b == 0) << (24 + lane), "byte {b} lane {lane}");
+            }
+        }
+    }
+
+    #[test]
+    fn first_hop_block_agrees_with_first_hop() {
+        // A 700-node path has distances past 255 (u16 cells, and cells
+        // that read 0 mod 256 away from the destination); the others are
+        // u8 graphs with blocks of 64 and a short last block.
+        for g in [generators::path(700), generators::gnp_half(130, 2), generators::grid(9, 11)] {
+            let n = g.node_count();
+            let apsp = crate::paths::Apsp::compute(&g);
+            let mut block = FirstHopBlock::new(n);
+            for first in (0..n).step_by(FirstHopBlock::LANES) {
+                // Destinations in a scrambled order, to show lanes need
+                // not be contiguous.
+                let dests: Vec<NodeId> =
+                    (first..n.min(first + FirstHopBlock::LANES)).rev().collect();
+                block.gather(&apsp, dests.iter().copied());
+                for u in 0..n {
+                    let hops: Vec<(usize, usize)> = block.first_hops(&g, u).unwrap().collect();
+                    let expect: Vec<(usize, usize)> = dests
+                        .iter()
+                        .enumerate()
+                        .filter(|&(_, &t)| t != u)
+                        .map(|(j, &t)| {
+                            let hop = apsp.row(t).first_hop(&g, u).unwrap();
+                            (j, g.neighbors(u).binary_search(&hop).unwrap())
+                        })
+                        .collect();
+                    assert_eq!(hops, expect, "n {n} u {u} block {first}");
+                }
+            }
+        }
+        // A destination another component holds has no hop.
+        let split = crate::Graph::from_edges(4, [(0, 1), (2, 3)]).unwrap();
+        let mut block = FirstHopBlock::new(4);
+        block.gather(&crate::paths::Apsp::compute(&split), [1, 3]);
+        assert!(block.first_hops(&split, 0).is_none());
+        let mut block = FirstHopBlock::new(4);
+        block.gather(&crate::paths::Apsp::compute(&split), [1]);
+        assert_eq!(block.first_hops(&split, 0).map(Iterator::collect), Some(vec![(0, 0)]));
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //!   the shortest-path DAG needed by full-information routing.
 //! * [`dist`] — compact distance storage: `u8`/`u16`/`u32` matrix cells
 //!   chosen from a cheap diameter bound, plus horizontal matrix bands for
-//!   streaming oracles.
+//!   streaming oracles, and the first-hop rule, per row and in blocks of
+//!   64 destinations.
 //! * [`oracle`] — the [`oracle::Distances`] trait over exact and
 //!   approximate distance sources: the full matrix, a banded/streaming
 //!   oracle, and a landmark-based approximate oracle.

@@ -7,6 +7,7 @@
 //! the Theorem 9 experiment.
 
 use ort_bitio::{bits_to_index, BitReader, BitWriter};
+use ort_graphs::dist::FirstHopBlock;
 use ort_graphs::labels::{Label, LabelRef, Labeling};
 use ort_graphs::oracle::{read_row, Distances};
 use ort_graphs::ports::PortAssignment;
@@ -60,18 +61,24 @@ impl FullTableScheme {
     /// labelling — this is how the IA ∧ α (adversarial ports) and β
     /// (permuted labels) experiments instantiate it.
     ///
-    /// The table loop is *row-streamed*: the outer loop walks
-    /// destination labels ascending (= source-band order under α
-    /// labels), borrows the destination's oracle row once
-    /// ([`read_row`]) and appends one port to every other node's writer,
-    /// each the row's [`DistRow::first_hop`](ort_graphs::dist::DistRow::first_hop).
-    /// Per-node append order is unchanged from the historical per-node
-    /// loop, so the bits are identical; peak distance memory with a
-    /// banded oracle is one band.
+    /// The table loop runs in *blocks* of 64 destination labels,
+    /// ascending (= source-band order under α labels). Each block's rows
+    /// are gathered once into a [`FirstHopBlock`], the block form of the
+    /// one first-hop rule
+    /// ([`DistRow::first_hop`](ort_graphs::dist::DistRow::first_hop)).
+    /// Then, node by node, one pass over the node's sorted neighbours
+    /// settles its hop toward all 64 destinations, each hop's rank is
+    /// mapped to its port, and the block's entries are appended to the
+    /// node's table in one packed write
+    /// ([`BitWriter::write_fields`]). Every node's table still receives
+    /// its entries in destination-label order, so the bits are those of
+    /// one `first_hop` per entry; peak distance memory with a banded
+    /// oracle is one band plus the `n × 64`-byte block.
     ///
     /// # Errors
     ///
-    /// Returns [`SchemeError::Disconnected`] for disconnected graphs,
+    /// Returns [`SchemeError::Disconnected`] for disconnected graphs (or
+    /// a destination some node has no hop toward),
     /// [`SchemeError::ApproximateOracle`] for inexact oracles, or
     /// [`SchemeError::Precondition`] if a γ labelling is supplied (the full
     /// table indexes by minimal labels) or the oracle's node count does
@@ -95,19 +102,19 @@ impl FullTableScheme {
             .iter()
             .map(|&w| BitWriter::with_capacity((n - 1) * w as usize))
             .collect();
-        for dest_label in 0..n {
-            let t = labeling.node_of_minimal(dest_label).expect("minimal labels cover 0..n");
-            read_row(dists, t, |row| {
-                for (u, w) in writers.iter_mut().enumerate() {
-                    if u == t {
-                        continue;
-                    }
-                    let hop = row.first_hop(g, u).expect("connected graph has a next hop");
-                    let port = ports.port_to(u, hop).expect("hop is a neighbour");
-                    w.write_bits(port as u64, widths[u])?;
-                }
-                Ok::<_, SchemeError>(())
-            })?;
+        let by_rank = ports_by_rank(g, &ports);
+        let mut block = FirstHopBlock::new(n);
+        for first in (0..n).step_by(FirstHopBlock::LANES) {
+            let labels = first..n.min(first + FirstHopBlock::LANES);
+            block.gather(
+                dists,
+                labels.map(|l| labeling.node_of_minimal(l).expect("minimal labels cover 0..n")),
+            );
+            for (u, w) in writers.iter_mut().enumerate() {
+                let hops = block.first_hops(g, u).ok_or(SchemeError::Disconnected)?;
+                let port = |rank: usize| by_rank.as_ref().map_or(rank, |p| p[u][rank]);
+                w.write_fields(hops.map(|(_, rank)| port(rank) as u64), widths[u])?;
+            }
         }
         let bits = writers.into_iter().map(BitWriter::finish).collect();
         Ok(FullTableScheme { model, tables: Tables { bits, labeling, ports } })
@@ -129,7 +136,9 @@ impl FullTableScheme {
     /// * the **endpoint rows** — degree changed, hence entry width and
     ///   port numbering: both endpoint tables are rebuilt whole;
     /// * entries **toward dirty destinations** at every other node —
-    ///   same width, same ports: the stale entry is bit-spliced.
+    ///   same width, same ports: the dirty rows are gathered 64 to a
+    ///   [`FirstHopBlock`], and each entry is overwritten in place at its
+    ///   fixed bit offset ([`BitVec::write_bits_at`](ort_bitio::BitVec::write_bits_at)).
     ///
     /// The port assignment is re-derived as `sorted(g)` (it differs from
     /// the old one only at the endpoints), so this path is only valid for
@@ -168,6 +177,9 @@ impl FullTableScheme {
             ],
         );
         let _mem = ort_telemetry::alloc::mem_span("repair.scheme_patch");
+        if let Some(&node) = dirty.iter().find(|&&t| t >= n) {
+            return Err(SchemeError::NodeOutOfRange { node });
+        }
         *ports = PortAssignment::sorted(g);
         let mut patched = 0usize;
         // The endpoint tables, rebuilt whole in one pass over every
@@ -192,40 +204,48 @@ impl FullTableScheme {
         for (&u, w) in endpoints.iter().zip(writers) {
             bits[u] = w.finish();
         }
-        // Entries toward each dirty destination, one row each.
-        for &t in dirty {
-            if t >= n {
-                return Err(SchemeError::NodeOutOfRange { node: t });
-            }
-            let dest_l = minimal_label(labeling, t);
-            read_row(dists, t, |row| {
-                for (u, table) in bits.iter_mut().enumerate() {
-                    if u == t || endpoints.contains(&u) {
-                        continue;
-                    }
-                    let width = bits_to_index(g.degree(u) as u64) as usize;
-                    if width == 0 {
-                        // Degree ≤ 1: the entry stores zero bits (port 0 is
-                        // implicit), nothing to splice.
-                        continue;
-                    }
-                    let hop = row.first_hop(g, u).ok_or(SchemeError::Disconnected)?;
-                    let port = ports.port_to(u, hop).expect("hop is a neighbour");
-                    let own_l = minimal_label(labeling, u);
+        // Entries toward the dirty destinations, 64 to a block: every
+        // other node keeps its width and ports, so each of its entries
+        // is overwritten in place.
+        let mut block = FirstHopBlock::new(n);
+        for chunk in dirty.chunks(FirstHopBlock::LANES) {
+            block.gather(dists, chunk.iter().copied());
+            for (u, table) in bits.iter_mut().enumerate() {
+                let width = bits_to_index(g.degree(u) as u64);
+                if width == 0 || endpoints.contains(&u) {
+                    // Degree ≤ 1 stores zero bits (port 0 is implicit).
+                    continue;
+                }
+                let own_l = minimal_label(labeling, u);
+                // Sorted ports: a neighbour's rank is its port.
+                for (j, port) in block.first_hops(g, u).ok_or(SchemeError::Disconnected)? {
+                    let dest_l = minimal_label(labeling, chunk[j]);
                     let index = if dest_l < own_l { dest_l } else { dest_l - 1 };
-                    let base = index * width;
-                    // write_bits is MSB-first: offset k holds value bit
-                    // (width − 1 − k).
-                    for k in 0..width {
-                        table.set(base + k, (port >> (width - 1 - k)) & 1 == 1);
-                    }
+                    table.write_bits_at(index * width as usize, port as u64, width);
                     patched += 1;
                 }
-                Ok::<_, SchemeError>(())
-            })?;
+            }
         }
         Ok(patched)
     }
+}
+
+/// Each node's port for each neighbour rank (index in `g.neighbors(u)`),
+/// so a rank maps to its port in O(1); `None` when `ports` is sorted and
+/// every rank is its own port.
+fn ports_by_rank(g: &Graph, ports: &PortAssignment) -> Option<Vec<Vec<usize>>> {
+    if g.nodes().all(|u| ports.order(u) == g.neighbors(u)) {
+        return None;
+    }
+    let by_rank = g.nodes().map(|u| {
+        let nbrs = g.neighbors(u);
+        let mut by_rank = vec![0; nbrs.len()];
+        for (port, w) in ports.order(u).iter().enumerate() {
+            by_rank[nbrs.binary_search(w).expect("ports permute the neighbours")] = port;
+        }
+        by_rank
+    });
+    Some(by_rank.collect())
 }
 
 /// The minimal label value of `u` (patching rejects γ labellings up

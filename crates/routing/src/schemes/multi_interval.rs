@@ -11,8 +11,9 @@
 //! that: on `G(n, 1/2)` the encoded size tracks the full table.
 
 use ort_bitio::{bits_to_index, codes, BitReader, BitWriter};
+use ort_graphs::dist::FirstHopBlock;
 use ort_graphs::labels::{Label, LabelRef, Labeling};
-use ort_graphs::oracle::{read_row, Distances};
+use ort_graphs::oracle::Distances;
 use ort_graphs::ports::PortAssignment;
 use ort_graphs::{Graph, NodeId};
 
@@ -50,14 +51,17 @@ impl MultiIntervalScheme {
     /// Builds the scheme on any connected graph from the exact distances
     /// `dists`.
     ///
-    /// Row-streamed: the outer loop walks destinations ascending, takes
-    /// each destination's oracle row once ([`read_row`]) for every node's
-    /// first hop, and *extends the last interval run in place* when a port's destination
-    /// set stays contiguous (the maximal-run merge the historical build
-    /// applied to each sorted per-port list, performed online), so full
-    /// per-port destination lists are never materialised and a banded
-    /// oracle's peak distance memory is one band. Encoded bits are
-    /// identical to the historical per-node construction.
+    /// Row-streamed: the outer loop walks destinations ascending in
+    /// blocks of 64, gathers each block's rows once into a
+    /// [`FirstHopBlock`] (the block form of the one first-hop rule) and
+    /// settles every node's first hop toward the whole block in one pass
+    /// over its neighbours. Each hop *extends the last interval run in
+    /// place* when a port's destination set stays contiguous (the
+    /// maximal-run merge the historical build applied to each sorted
+    /// per-port list, performed online), so full per-port destination
+    /// lists are never materialised and a banded oracle's peak distance
+    /// memory is one band plus the block. Encoded bits are identical to
+    /// the historical per-node construction.
     ///
     /// # Errors
     ///
@@ -73,20 +77,19 @@ impl MultiIntervalScheme {
         // routed from u through port p, grown online as t ascends.
         let mut intervals: Vec<Vec<Vec<(NodeId, usize)>>> =
             (0..n).map(|u| vec![Vec::new(); g.degree(u)]).collect();
-        for t in 0..n {
-            read_row(dists, t, |row| {
-                for (u, per_port) in intervals.iter_mut().enumerate() {
-                    if t == u {
-                        continue;
-                    }
-                    let hop = row.first_hop(g, u).expect("connected graph has a next hop");
-                    let p = ports.port_to(u, hop).expect("hop is a neighbour");
+        let mut block = FirstHopBlock::new(n);
+        for first in (0..n).step_by(FirstHopBlock::LANES) {
+            block.gather(dists, first..n.min(first + FirstHopBlock::LANES));
+            for (u, per_port) in intervals.iter_mut().enumerate() {
+                // Sorted ports: a neighbour's rank is its port.
+                for (j, p) in block.first_hops(g, u).ok_or(SchemeError::Disconnected)? {
+                    let t = first + j;
                     match per_port[p].last_mut() {
                         Some((start, len)) if *start + *len == t => *len += 1,
                         _ => per_port[p].push((t, 1)),
                     }
                 }
-            });
+            }
         }
         let mut bits = Vec::with_capacity(n);
         let mut total_intervals = 0usize;

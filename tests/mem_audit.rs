@@ -15,9 +15,12 @@
 #![cfg(feature = "alloc-telemetry")]
 
 use optimal_routing_tables::graphs::delta::DeltaOracle;
+use optimal_routing_tables::graphs::dist::FirstHopBlock;
 use optimal_routing_tables::graphs::generators;
 use optimal_routing_tables::graphs::oracle::{BandedOracle, Distances, LandmarkOracle};
 use optimal_routing_tables::graphs::paths::{Apsp, ApspEngine};
+use optimal_routing_tables::routing::scheme::RoutingScheme;
+use optimal_routing_tables::routing::schemes::full_table::FullTableScheme;
 use optimal_routing_tables::routing::schemes::interval::IntervalScheme;
 use optimal_routing_tables::routing::schemes::theorem2::Theorem2Scheme;
 use optimal_routing_tables::routing::verify;
@@ -182,6 +185,69 @@ fn a_sparse_graph_and_its_clone_each_retain_o_of_n_plus_m() {
         );
         assert!(rec.net_bytes as u64 >= lists, "the {what} retains {} < {lists}", rec.net_bytes);
     }
+}
+
+/// A full-table build through 64-row bands at n = 4096 holds the tables,
+/// the port lists, one band and the `n × 64`-byte first-hop block, and
+/// little else: the measured peak lies between their sum and that sum
+/// plus the banded sweep's slack. The block is allocated once and reused
+/// for all 64 blocks: besides what the oracle allocates for its bands, the
+/// build allocates O(n) times (8 186 at n = 4096), where one block per
+/// block would add 128 and one allocation a node per block n²/64.
+#[test]
+fn full_table_build_holds_tables_one_band_and_one_block() {
+    if !isolated("full_table_build_holds_tables_one_band_and_one_block") {
+        return;
+    }
+    if !alloc::installed() {
+        return;
+    }
+    let n = 4096;
+    let g = generators::gnm_seeded(n, (n as f64 * (n as f64).ln()).ceil() as usize, 1);
+    // What the oracle alone allocates over one ascending sweep of its 64
+    // bands, the same fills the build makes.
+    let copy = g.clone();
+    let before = alloc::total_allocations();
+    let sweep = BandedOracle::new(copy, 64);
+    for u in (0..n).step_by(64) {
+        assert!(sweep.distance(u, 0).is_some(), "G(n, n ln n) is connected");
+    }
+    let oracle_allocations = alloc::total_allocations() - before;
+    drop(sweep);
+    let copy = g.clone();
+    let before = alloc::total_allocations();
+    let region = alloc::mem_span("audit.full_table_build");
+    let oracle = BandedOracle::new(copy, 64);
+    let scheme = FullTableScheme::build(&g, &oracle).expect("G(n, n ln n) is connected");
+    let rec = region.finish();
+    let allocations = alloc::total_allocations() - before;
+    let word = std::mem::size_of::<u64>();
+    let tables: usize = (0..n).map(|u| scheme.node_bits(u).len().div_ceil(64) * word).sum();
+    let ports = 2 * g.edge_count() * std::mem::size_of::<usize>();
+    let block = n * FirstHopBlock::LANES;
+    let claim = (tables + ports + oracle.peak_bytes() + block) as u64;
+    assert!(
+        rec.region_peak_bytes >= claim,
+        "measured build peak {} below tables {tables} + ports {ports} + band {} + block \
+         {block} = {claim}",
+        rec.region_peak_bytes,
+        oracle.peak_bytes()
+    );
+    let cap = (claim as f64 * 1.25) as u64 + ABS_SLACK;
+    assert!(
+        rec.region_peak_bytes <= cap,
+        "measured build peak {} exceeds tables + ports + band + block ({claim}) beyond slack \
+         (cap {cap}): a second band, block or table copy was live",
+        rec.region_peak_bytes
+    );
+    // Beyond the oracle's own: the n tables (none for a degree-1 node's
+    // zero-width table) and the n port lists, plus a handful: the block,
+    // the widths, the outer vectors.
+    let builder = allocations - oracle_allocations;
+    assert!(
+        builder <= 2 * n as u64 + 16,
+        "the build allocated {builder} times besides the oracle's {oracle_allocations}"
+    );
 }
 
 /// The streamed sampled verify holds one band at a time. At n = 4096 the

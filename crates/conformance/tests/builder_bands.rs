@@ -22,6 +22,11 @@ use ort_routing::scheme::{RoutingScheme, SchemeError};
 use ort_routing::snapshot;
 use ort_routing::verify::verify;
 
+// The same test-only inexact oracle `ort-routing`'s unit tests use.
+#[path = "../../routing/src/inexact_oracle.rs"]
+mod inexact_oracle;
+use inexact_oracle::InexactOracle;
+
 /// The band widths exercised per graph: degenerate one-row bands, the
 /// production default (64), heights that make the builders' 64-destination
 /// blocks straddle band edges (63, 65, 100), a multi-band mid-size, and the
@@ -166,13 +171,12 @@ fn banded_build_is_deterministic_across_thread_counts() {
 
 #[test]
 fn approximate_oracle_is_refused_by_every_builder() {
-    use ort_graphs::oracle::LandmarkOracle;
     let g = generators::gnp_half(32, 3);
-    let lo = LandmarkOracle::build(&g, 4);
+    let inexact = InexactOracle::compute(&g);
     for id in SchemeId::ALL {
         assert_eq!(
-            id.build_with_dists(&g, &lo).err(),
-            Some(SchemeError::ApproximateOracle { oracle: "approximate landmark oracle" }),
+            id.build_with_dists(&g, &inexact).err(),
+            Some(SchemeError::ApproximateOracle { oracle: InexactOracle::NAME }),
             "{} must refuse an approximate oracle",
             id.name()
         );

@@ -19,9 +19,9 @@
 //!   chosen from a cheap diameter bound, plus horizontal matrix bands for
 //!   streaming oracles, and the first-hop rule, per row and in blocks of
 //!   64 destinations.
-//! * [`oracle`] — the [`oracle::Distances`] trait over exact and
-//!   approximate distance sources: the full matrix, a banded/streaming
-//!   oracle, and a landmark-based approximate oracle.
+//! * [`oracle`] — the [`oracle::Distances`] trait over the exact distance
+//!   sources: the full matrix, a banded/streaming oracle, and (in
+//!   [`delta`]) the matrix repaired in place under churn.
 //! * [`random_props`] — executable versions of the paper's Lemmas 1–3
 //!   (degree concentration, diameter 2, logarithmic dominating prefix).
 //! * [`ports`] — port-assignment machinery for models IA (fixed,

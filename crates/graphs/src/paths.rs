@@ -8,13 +8,11 @@
 //!
 //! # Engines
 //!
-//! Three single-source traversal strategies back the APSP computation, all
-//! generic over the compact cell widths of [`crate::dist`] (the matrix is
-//! stored as `u8`/`u16`/`u32` cells chosen from a per-graph diameter
-//! bound — see [`crate::dist::width_for`]):
+//! Two fill engines back the APSP computation, both generic over the
+//! compact cell widths of [`crate::dist`] (the matrix is stored as
+//! `u8`/`u16`/`u32` cells chosen from a per-graph diameter bound — see
+//! [`crate::dist::width_for`]):
 //!
-//! * **Queue BFS** — the textbook frontier queue over adjacency lists;
-//!   O(n + m) per source, best on small sparse graphs.
 //! * **Bitset BFS** — the frontier and visited sets are `u64` words, and a
 //!   level expands by OR-ing whole adjacency bit rows into the next
 //!   frontier. Each level costs O(|frontier| · n/64) word operations,
@@ -28,17 +26,18 @@
 //!   mask of the tile's sources whose frontier it belongs to, so one
 //!   level-synchronous sweep of the adjacency lists advances *all* sources
 //!   in the tile together: each edge is touched once per level per tile
-//!   instead of once per level per source. This is the engine that opens
-//!   the sparse `n = 10⁴+` regime.
+//!   instead of once per level per source.
 //!
-//! [`ApspEngine::Auto`] picks between them from the average degree and the
-//! graph order, and [`Traversal::new`] resolves the choice against one
-//! graph; every fill runs through a [`Traversal`]. [`Apsp::compute`]
-//! additionally fans the work out across
-//! [`configured_threads`] workers (`std::thread::scope`). Rows are
-//! assigned to threads in contiguous blocks — whole tiles for the tiled
-//! engine — and each thread writes its own disjoint slice of the matrix,
-//! so the result is byte-identical to the serial computation.
+//! [`ApspEngine::Auto`] picks between them from the average degree alone,
+//! and [`Traversal::new`] resolves the choice against one graph; every
+//! fill runs through a [`Traversal`]. A fill of one source
+//! ([`Traversal::distances`]) is no tile: off the bitset engine it walks
+//! the textbook frontier queue over the adjacency lists, O(n + m) with
+//! one n-cell row of scratch. [`Apsp::compute`] additionally fans the
+//! work out across [`configured_threads`] workers (`std::thread::scope`).
+//! Rows are assigned to threads in contiguous blocks — whole tiles for the
+//! tiled engine — and each thread writes its own disjoint slice of the
+//! matrix, so the result is byte-identical to the serial computation.
 //!
 //! One computed [`Apsp`] serves both scheme construction and verification,
 //! so the matrix is computed exactly once per graph; [`apsp_compute_count`]
@@ -69,16 +68,13 @@ pub fn apsp_compute_count() -> u64 {
     APSP_COMPUTES.load(Ordering::Relaxed)
 }
 
-/// Which single-source traversal backs [`Apsp::compute`] and every
+/// Which traversal fills the rows of [`Apsp::compute`] and every
 /// [`Traversal`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ApspEngine {
     /// Choose per graph: bitset when the average degree is at least
-    /// [`ApspEngine::BITSET_AVG_DEGREE`], else tiled multi-source BFS for
-    /// graphs of at least [`ApspEngine::TILED_MIN_N`] nodes, else queue.
+    /// [`ApspEngine::BITSET_AVG_DEGREE`], else tiled multi-source BFS.
     Auto,
-    /// Frontier-queue BFS over adjacency lists.
-    Queue,
     /// Word-parallel frontier BFS over adjacency bit rows, which a
     /// [`Traversal`] builds from the sorted lists.
     Bitset,
@@ -91,13 +87,8 @@ impl ApspEngine {
     /// Average-degree threshold at which [`ApspEngine::Auto`] switches to
     /// the bitset engine: with ≥ 32 neighbours per node on average, a level
     /// expansion touches most words of most rows, so whole-word ORs beat
-    /// per-neighbour queue pushes.
+    /// per-neighbour mask updates.
     pub const BITSET_AVG_DEGREE: usize = 32;
-
-    /// Graph order from which [`ApspEngine::Auto`] prefers the tiled
-    /// multi-source engine on sparse graphs: below this, per-source queue
-    /// BFS already fits in cache and the tile bookkeeping does not pay.
-    pub const TILED_MIN_N: usize = 1024;
 
     /// Cache budget the tile size is fitted to: the tile's three per-node
     /// mask arrays (`seen`/`frontier`/`next`) together should stay within
@@ -132,9 +123,7 @@ impl ApspEngine {
     /// BFS's three `⌈n/64⌉`-word masks; for the tiled engine, three
     /// `n × ⌈c/64⌉`-word mask arrays where `c` is the largest chunk a
     /// fill actually runs (the tile cap, the caller's band height, or
-    /// `n`, whichever binds first); zero for the queue engine (its
-    /// `VecDeque` growth is capacity-policy-dependent, so no guaranteed
-    /// lower bound is claimed). A full-matrix compute passes
+    /// `n`, whichever binds first). A full-matrix compute passes
     /// `sources = n`; the banded oracle passes its band height. Audited
     /// `peak_bytes` impls add this to their owned-buffer totals so every
     /// analytic claim stays a guaranteed lower bound on the measured
@@ -143,7 +132,6 @@ impl ApspEngine {
     pub fn scratch_bytes(self, g: &Graph, sources: usize) -> usize {
         let n = g.node_count();
         match self.resolve(g) {
-            ApspEngine::Queue => 0,
             ApspEngine::Bitset => (n + 3) * n.div_ceil(64) * 8,
             ApspEngine::Tiled => {
                 let chunk = Self::tile_sources(n).min(sources).min(n);
@@ -162,10 +150,8 @@ impl ApspEngine {
                 let n = g.node_count();
                 if n > 0 && 2 * g.edge_count() / n >= Self::BITSET_AVG_DEGREE {
                     ApspEngine::Bitset
-                } else if n >= Self::TILED_MIN_N {
-                    ApspEngine::Tiled
                 } else {
-                    ApspEngine::Queue
+                    ApspEngine::Tiled
                 }
             }
             other => other,
@@ -175,7 +161,6 @@ impl ApspEngine {
     fn name(self) -> &'static str {
         match self {
             ApspEngine::Auto => "auto",
-            ApspEngine::Queue => "queue",
             ApspEngine::Bitset => "bitset",
             ApspEngine::Tiled => "tiled",
         }
@@ -206,22 +191,18 @@ pub fn bfs(g: &Graph, src: NodeId) -> (Vec<Option<u32>>, Vec<Option<NodeId>>) {
     (dist, parent)
 }
 
-/// Queue BFS writing sentinel-encoded distances straight into a matrix
-/// row (no per-source allocations beyond the queue). Returns the number
-/// of frontier expansions (nodes whose neighbourhoods were scanned) so
-/// callers can feed telemetry with one atomic add per batch instead of
-/// one per node.
-fn bfs_queue_into<T: DistCell>(g: &Graph, src: NodeId, out: &mut [T]) -> u64 {
+/// Queue BFS writing sentinel-encoded distances straight into one row
+/// (no allocation beyond the queue): the one-source fill behind
+/// [`Traversal::distances`] off the bitset engine.
+fn bfs_queue_into<T: DistCell>(g: &Graph, src: NodeId, out: &mut [T]) {
     out.fill(T::SENTINEL);
     if out.is_empty() {
-        return 0;
+        return;
     }
-    let mut expanded = 0u64;
     let mut queue = VecDeque::new();
     out[src] = T::pack(0);
     queue.push_back(src);
     while let Some(u) = queue.pop_front() {
-        expanded += 1;
         let du = out[u].to_dist();
         for &v in g.neighbors(u) {
             if out[v] == T::SENTINEL {
@@ -230,7 +211,6 @@ fn bfs_queue_into<T: DistCell>(g: &Graph, src: NodeId, out: &mut [T]) -> u64 {
             }
         }
     }
-    expanded
 }
 
 /// Word-parallel frontier BFS: the frontier, next-frontier and visited
@@ -238,8 +218,7 @@ fn bfs_queue_into<T: DistCell>(g: &Graph, src: NodeId, out: &mut [T]) -> u64 {
 /// of every frontier node (`rows`, `nwords` words a node, built by
 /// [`bit_rows`]) into the next frontier. Relies on the rows keeping bits
 /// past `n` zero. Returns the number of frontier expansions (nodes whose
-/// adjacency rows were OR-ed), the same quantity [`bfs_queue_into`]
-/// reports, so telemetry totals match across the per-source engines.
+/// adjacency rows were OR-ed).
 fn bfs_bitset_into<T: DistCell>(rows: &[u64], nwords: usize, src: NodeId, out: &mut [T]) -> u64 {
     out.fill(T::SENTINEL);
     if out.is_empty() {
@@ -296,7 +275,7 @@ fn bfs_bitset_into<T: DistCell>(rows: &[u64], nwords: usize, src: NodeId, out: &
 /// source. `out` holds the tile's rows (`count × n` cells, row `i` =
 /// source `src0 + i`). Returns the number of node-level expansions (nodes
 /// whose neighbourhoods were scanned, counted once per level for the whole
-/// tile — a different quantity from the per-source engines' count).
+/// tile — a different quantity from the bitset engine's count).
 fn msbfs_into<T: DistCell>(g: &Graph, src0: NodeId, count: usize, out: &mut [T]) -> u64 {
     out.fill(T::SENTINEL);
     let n = g.node_count();
@@ -392,7 +371,7 @@ fn bit_rows(g: &Graph) -> Vec<u64> {
 /// So the rows are built once per owner: once per [`Apsp::compute_with`]
 /// call, once per [`crate::oracle::BandedOracle`] (kept for its life) and
 /// once per streamed verify pass (shared by its workers), never once per
-/// band. The queue and tiled engines read the lists and hold nothing.
+/// band. The tiled engine reads the lists and holds nothing.
 /// [`ApspEngine::scratch_bytes`] counts the rows.
 ///
 /// A traversal answers for the graph it was built from, and every method
@@ -416,7 +395,7 @@ fn bit_rows(g: &Graph) -> Vec<u64> {
 pub struct Traversal {
     engine: ApspEngine,
     n: usize,
-    /// The bitset engine's rows ([`bit_rows`]); empty for the others.
+    /// The bitset engine's rows ([`bit_rows`]); empty for the tiled one.
     rows: Vec<u64>,
 }
 
@@ -442,7 +421,11 @@ impl Traversal {
         self.engine
     }
 
-    /// Single-source distances from `src` (`None` where unreachable).
+    /// Single-source distances from `src` (`None` where unreachable): the
+    /// one-source fill behind [`crate::delta::DeltaOracle`]'s probes and
+    /// dirty rows. A tile of one source would still hold three n-word
+    /// masks, so off the bitset engine this walks the frontier queue over
+    /// the adjacency lists, with no scratch beyond the queue and the row.
     ///
     /// # Panics
     ///
@@ -450,8 +433,14 @@ impl Traversal {
     /// was built for, or if `src` is out of range.
     #[must_use]
     pub fn distances(&self, g: &Graph, src: NodeId) -> Vec<Option<u32>> {
-        let mut row = vec![UNREACHABLE; g.node_count()];
-        let _expansions = self.fill(g, src, 1, &mut row);
+        let n = g.node_count();
+        assert_eq!(n, self.n, "a traversal fills the graph it was built for");
+        let mut row = vec![UNREACHABLE; n];
+        if self.engine == ApspEngine::Bitset {
+            bfs_bitset_into(&self.rows, n.div_ceil(64), src, &mut row);
+        } else {
+            bfs_queue_into(g, src, &mut row);
+        }
         row.into_iter().map(|d| if d == UNREACHABLE { None } else { Some(d) }).collect()
     }
 
@@ -498,24 +487,12 @@ impl Traversal {
 
     /// Fills the matrix rows for sources `src0..src0 + count`, returning
     /// the frontier-expansion count. `out` must hold `count × n` cells.
-    /// The workhorse behind [`Apsp::compute`], [`Traversal::band`] and
-    /// the oracles.
-    pub(crate) fn fill<T: DistCell>(
-        &self,
-        g: &Graph,
-        src0: NodeId,
-        count: usize,
-        out: &mut [T],
-    ) -> u64 {
+    /// The workhorse behind [`Apsp::compute`] and [`Traversal::band`].
+    fn fill<T: DistCell>(&self, g: &Graph, src0: NodeId, count: usize, out: &mut [T]) -> u64 {
         let n = g.node_count();
         assert_eq!(n, self.n, "a traversal fills the graph it was built for");
         let mut total = 0u64;
         match self.engine {
-            ApspEngine::Queue => {
-                for (i, row) in out.chunks_mut(n.max(1)).take(count).enumerate() {
-                    total += bfs_queue_into(g, src0 + i, row);
-                }
-            }
             ApspEngine::Bitset => {
                 let nwords = n.div_ceil(64);
                 for (i, row) in out.chunks_mut(n.max(1)).take(count).enumerate() {
@@ -653,20 +630,20 @@ impl Apsp {
     /// on [`configured_threads`] workers.
     #[must_use]
     pub fn compute(g: &Graph) -> Self {
-        Self::compute_with(g, ApspEngine::Auto, configured_threads())
+        Self::compute_with(g, configured_threads())
     }
 
-    /// Computes all-pairs distances with an explicit engine on exactly
-    /// `threads` workers (clamped to ≥ 1), bypassing `ORT_THREADS`. The
-    /// matrix is byte-identical under every engine and thread count;
-    /// `threads = 1` keeps every allocation on the calling thread, which
-    /// exact memory attribution relies on.
+    /// Computes all-pairs distances with the auto-selected engine on
+    /// exactly `threads` workers (clamped to ≥ 1), bypassing
+    /// `ORT_THREADS`. The matrix is byte-identical under every thread
+    /// count; `threads = 1` keeps every allocation on the calling thread,
+    /// which exact memory attribution relies on.
     #[must_use]
-    pub fn compute_with(g: &Graph, engine: ApspEngine, threads: usize) -> Self {
+    pub fn compute_with(g: &Graph, threads: usize) -> Self {
         let threads = threads.max(1);
         APSP_COMPUTES.fetch_add(1, Ordering::Relaxed);
         let n = g.node_count();
-        let engine = engine.resolve(g);
+        let engine = ApspEngine::Auto.resolve(g);
         let width = crate::dist::width_for(g);
         let _span = ort_telemetry::span_with(
             "apsp.compute",
@@ -680,7 +657,6 @@ impl Apsp {
         ort_telemetry::counter!("apsp.computes").incr();
         ort_telemetry::counter!("apsp.sources").add(n as u64);
         match engine {
-            ApspEngine::Queue => ort_telemetry::counter!("apsp.engine.queue").incr(),
             ApspEngine::Bitset => ort_telemetry::counter!("apsp.engine.bitset").incr(),
             ApspEngine::Tiled => ort_telemetry::counter!("apsp.engine.tiled").incr(),
             ApspEngine::Auto => unreachable!("resolve() never returns Auto"),
@@ -890,6 +866,8 @@ mod tests {
         assert!(is_connected(&generators::complete(5)));
     }
 
+    /// Both fill engines, forced through [`Traversal::new`], against the
+    /// parent-tracking `bfs`: a whole-graph band, and every one-source row.
     #[test]
     fn engines_agree_on_assorted_graphs() {
         for (g, name) in [
@@ -900,51 +878,58 @@ mod tests {
             (generators::complete(65), "complete"),
             (Graph::empty(3), "isolated"),
         ] {
-            for src in 0..g.node_count().min(4) {
-                let [q, b, t] = [ApspEngine::Queue, ApspEngine::Bitset, ApspEngine::Tiled]
-                    .map(|engine| Traversal::new(&g, engine).distances(&g, src));
-                assert_eq!(q, b, "{name}, src {src}");
-                assert_eq!(q, t, "{name}, src {src} (tiled)");
-                let reference: Vec<_> = bfs(&g, src).0;
-                assert_eq!(q, reference, "{name}, src {src} vs reference");
+            let n = g.node_count();
+            let reference: Vec<Vec<Option<u32>>> = (0..n).map(|s| bfs(&g, s).0).collect();
+            let cells: Vec<u32> =
+                reference.iter().flatten().map(|d| d.unwrap_or(UNREACHABLE)).collect();
+            for engine in [ApspEngine::Bitset, ApspEngine::Tiled] {
+                let walk = Traversal::new(&g, engine);
+                let band = walk.band(&g, 0, n, crate::dist::width_for(&g));
+                assert_eq!(band.store().to_u32_vec(), cells, "{name}: {engine:?} band");
+                for (src, want) in reference.iter().enumerate() {
+                    assert_eq!(&walk.distances(&g, src), want, "{name}: {engine:?}, src {src}");
+                }
             }
-            let qa = Apsp::compute_with(&g, ApspEngine::Queue, 1);
-            let ba = Apsp::compute_with(&g, ApspEngine::Bitset, 1);
-            let ta = Apsp::compute_with(&g, ApspEngine::Tiled, 1);
-            assert_eq!(qa, ba, "{name}: queue and bitset disagree on the matrix");
-            assert_eq!(qa, ta, "{name}: queue and tiled disagree on the matrix");
+            assert_eq!(Apsp::compute_with(&g, 1).matrix_u32(), cells, "{name}: matrix");
         }
     }
 
     #[test]
     fn tiled_spans_multiple_tiles_and_words() {
-        // n > 64 forces multi-word masks off; a 300-node path at an
-        // explicit tile size exercises tile boundaries inside Traversal::fill.
+        // A 300-node path is one tile of 256 sources (four mask words)
+        // and a partial one of 44, and its distances (up to 299) need u16
+        // cells.
         let g = generators::path(300);
-        let q = Apsp::compute_with(&g, ApspEngine::Queue, 1);
-        let t = Apsp::compute_with(&g, ApspEngine::Tiled, 1);
-        assert_eq!(q, t);
-        // Path of 300 nodes has distances up to 299: u16 cells.
-        assert_eq!(q.cell_width(), CellWidth::U16);
-        assert_eq!(q.heap_bytes(), 300 * 300 * 2);
+        assert_eq!(ApspEngine::Auto.resolve(&g), ApspEngine::Tiled);
+        assert_eq!(ApspEngine::tile_sources(300), 256);
+        let t = Apsp::compute_with(&g, 1);
+        assert_eq!(t.cell_width(), CellWidth::U16);
+        assert_eq!(t.heap_bytes(), 300 * 300 * 2);
+        for s in 0..300 {
+            let row: Vec<_> = (0..300).map(|v| t.distance(s, v)).collect();
+            assert_eq!(row, bfs(&g, s).0, "source {s}");
+        }
     }
 
     #[test]
     fn auto_engine_tracks_density_and_order() {
-        assert_eq!(
-            ApspEngine::Auto.resolve(&generators::complete(64)),
-            ApspEngine::Bitset
-        );
-        assert_eq!(ApspEngine::Auto.resolve(&generators::grid(8, 8)), ApspEngine::Queue);
-        assert_eq!(ApspEngine::Auto.resolve(&Graph::empty(0)), ApspEngine::Queue);
-        // Large sparse graphs resolve to the tiled engine.
-        assert_eq!(
-            ApspEngine::Auto.resolve(&generators::grid(40, 40)),
-            ApspEngine::Tiled
-        );
+        assert_eq!(ApspEngine::Auto.resolve(&generators::complete(64)), ApspEngine::Bitset);
+        // Below the degree threshold every graph resolves to the tiled
+        // engine, whatever its order: a complete graph on six nodes, small
+        // grids and paths, and the empty graph included.
+        for g in [
+            generators::complete(6),
+            generators::path(2),
+            generators::grid(8, 8),
+            generators::grid(40, 40),
+            Graph::empty(1),
+            Graph::empty(0),
+        ] {
+            assert_eq!(ApspEngine::Auto.resolve(&g), ApspEngine::Tiled, "n = {}", g.node_count());
+        }
         // Explicit choices pass through untouched.
-        assert_eq!(ApspEngine::Queue.resolve(&generators::complete(64)), ApspEngine::Queue);
         assert_eq!(ApspEngine::Tiled.resolve(&generators::complete(64)), ApspEngine::Tiled);
+        assert_eq!(ApspEngine::Bitset.resolve(&generators::grid(8, 8)), ApspEngine::Bitset);
     }
 
     #[test]
@@ -970,9 +955,9 @@ mod tests {
     fn parallel_matches_serial_bytes() {
         for seed in 0..3u64 {
             let g = generators::gnp_half(65, seed);
-            let serial = Apsp::compute_with(&g, ApspEngine::Auto, 1);
+            let serial = Apsp::compute_with(&g, 1);
             for threads in [2, 3, 8, 100] {
-                let par = Apsp::compute_with(&g, ApspEngine::Auto, threads);
+                let par = Apsp::compute_with(&g, threads);
                 assert_eq!(serial, par, "threads={threads}");
             }
         }
@@ -983,9 +968,10 @@ mod tests {
         // Sparse, larger than one tile, not tile-aligned: the thread
         // chunking must stay on tile boundaries.
         let g = generators::connected_gnp(300, 0.03, 2);
-        let serial = Apsp::compute_with(&g, ApspEngine::Tiled, 1);
+        assert_eq!(ApspEngine::Auto.resolve(&g), ApspEngine::Tiled);
+        let serial = Apsp::compute_with(&g, 1);
         for threads in [2, 3, 5, 16] {
-            let par = Apsp::compute_with(&g, ApspEngine::Tiled, threads);
+            let par = Apsp::compute_with(&g, threads);
             assert_eq!(serial, par, "threads={threads}");
         }
     }
@@ -994,7 +980,7 @@ mod tests {
     fn band_matches_full_matrix() {
         let g = generators::connected_gnp(90, 0.06, 7);
         let full = Apsp::compute(&g);
-        for engine in [ApspEngine::Queue, ApspEngine::Bitset, ApspEngine::Tiled] {
+        for engine in [ApspEngine::Bitset, ApspEngine::Tiled] {
             let band = Traversal::new(&g, engine).band(&g, 30, 25, crate::dist::width_for(&g));
             assert_eq!(band.start(), 30);
             assert_eq!(band.rows(), 25);
@@ -1012,7 +998,7 @@ mod tests {
         let g = generators::cycle(5);
         let before = apsp_compute_count();
         let _ = Apsp::compute(&g);
-        let _ = Apsp::compute_with(&g, ApspEngine::Auto, 1);
+        let _ = Apsp::compute_with(&g, 1);
         // Other tests run concurrently in this process, so the counter may
         // have advanced by more than our two computations — but never less.
         assert!(apsp_compute_count() >= before + 2);

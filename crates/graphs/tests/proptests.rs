@@ -2,9 +2,21 @@
 
 use proptest::prelude::*;
 
+use ort_graphs::dist::width_for;
 use ort_graphs::oracle::Distances;
-use ort_graphs::paths::{bfs, floyd_warshall, is_connected, reachable_count, Apsp, ApspEngine, Traversal};
+use ort_graphs::paths::{
+    bfs, floyd_warshall, is_connected, reachable_count, Apsp, ApspEngine, Traversal, UNREACHABLE,
+};
 use ort_graphs::{generators, graph6, Graph, Relays};
+
+/// The whole-graph band of each fill engine, forced through
+/// [`Traversal::new`], as row-major `u32` cells: bitset, then tiled.
+fn engine_bands(g: &Graph) -> [Vec<u32>; 2] {
+    [ApspEngine::Bitset, ApspEngine::Tiled].map(|engine| {
+        let band = Traversal::new(g, engine).band(g, 0, g.node_count(), width_for(g));
+        band.store().to_u32_vec()
+    })
+}
 
 /// Strategy: a random graph given by (n, edge bits as bools).
 fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
@@ -126,18 +138,15 @@ proptest! {
     #[test]
     fn engines_agree_after_edits_on_both_sides_of_the_bitset_threshold(g in arb_edited_graph()) {
         // The bitset engine reads rows its traversal builds from the
-        // lists; they must agree with the list engines and with
-        // Floyd–Warshall whichever engine `Auto` picks.
-        let queue = Apsp::compute_with(&g, ApspEngine::Queue, 1);
-        prop_assert_eq!(&Apsp::compute_with(&g, ApspEngine::Bitset, 1), &queue);
-        prop_assert_eq!(&Apsp::compute_with(&g, ApspEngine::Tiled, 1), &queue);
-        prop_assert_eq!(&Apsp::compute_with(&g, ApspEngine::Auto, 3), &queue);
+        // lists; both engines' bands, and the full matrix whichever
+        // engine `Auto` picks, must agree with Floyd–Warshall.
         let fw = floyd_warshall(&g);
-        for u in g.nodes() {
-            for v in g.nodes() {
-                prop_assert_eq!(queue.distance(u, v), fw[u][v]);
-            }
+        let reference: Vec<u32> =
+            fw.iter().flatten().map(|d| d.unwrap_or(UNREACHABLE)).collect();
+        for cells in engine_bands(&g) {
+            prop_assert_eq!(&cells, &reference);
         }
+        prop_assert_eq!(Apsp::compute_with(&g, 3).matrix_u32(), reference);
     }
 }
 
@@ -234,20 +243,18 @@ proptest! {
     #[test]
     fn bfs_engines_agree_on_arbitrary_graphs(g in arb_graph(70)) {
         // Arbitrary edge bits: covers disconnected and isolated-node cases.
-        let walks = [ApspEngine::Queue, ApspEngine::Bitset, ApspEngine::Tiled]
-            .map(|engine| Traversal::new(&g, engine));
-        for src in g.nodes() {
-            let [q, b, t] = walks.each_ref().map(|walk| walk.distances(&g, src));
-            prop_assert_eq!(&q, &b, "src {}", src);
-            prop_assert_eq!(&q, &t, "src {} (tiled)", src);
-            let reference = bfs(&g, src).0;
-            prop_assert_eq!(&q, &reference, "src {} vs parent-tracking bfs", src);
+        let reference: Vec<Vec<Option<u32>>> = g.nodes().map(|src| bfs(&g, src).0).collect();
+        let cells: Vec<u32> =
+            reference.iter().flatten().map(|d| d.unwrap_or(UNREACHABLE)).collect();
+        for engine in [ApspEngine::Bitset, ApspEngine::Tiled] {
+            let walk = Traversal::new(&g, engine);
+            for (src, want) in reference.iter().enumerate() {
+                prop_assert_eq!(&walk.distances(&g, src), want, "{:?}, src {}", engine, src);
+            }
         }
-        let qa = Apsp::compute_with(&g, ApspEngine::Queue, 1);
-        let ba = Apsp::compute_with(&g, ApspEngine::Bitset, 1);
-        let ta = Apsp::compute_with(&g, ApspEngine::Tiled, 1);
-        prop_assert_eq!(qa.matrix_u32(), ba.matrix_u32());
-        prop_assert_eq!(qa.matrix_u32(), ta.matrix_u32());
+        for band in engine_bands(&g) {
+            prop_assert_eq!(&band, &cells);
+        }
     }
 
     #[test]
@@ -256,20 +263,18 @@ proptest! {
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed ^ 0x5EED);
         let sparse = generators::gnp(n, 0.08, &mut rng);
         for g in [dense, sparse] {
-            let qa = Apsp::compute_with(&g, ApspEngine::Queue, 1);
-            let ba = Apsp::compute_with(&g, ApspEngine::Bitset, 1);
-            prop_assert_eq!(&qa, &ba);
+            let [bitset, tiled] = engine_bands(&g);
+            prop_assert_eq!(&bitset, &tiled);
             // The public auto-selected entry point agrees with both.
-            let auto = Apsp::compute(&g);
-            prop_assert_eq!(&auto, &qa);
+            prop_assert_eq!(Apsp::compute(&g).matrix_u32(), bitset);
         }
     }
 
     #[test]
     fn parallel_apsp_is_byte_identical(n in 2usize..60, seed in any::<u64>(), threads in 1usize..9) {
         let g = generators::gnp_half(n, seed);
-        let serial = Apsp::compute_with(&g, ApspEngine::Auto, 1);
-        let par = Apsp::compute_with(&g, ApspEngine::Auto, threads);
+        let serial = Apsp::compute_with(&g, 1);
+        let par = Apsp::compute_with(&g, threads);
         prop_assert_eq!(serial.matrix_u32(), par.matrix_u32());
     }
 

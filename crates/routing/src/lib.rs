@@ -51,6 +51,8 @@ pub mod accounting;
 pub mod bounds;
 pub mod explain;
 pub mod hop;
+#[cfg(test)]
+mod inexact_oracle;
 pub mod lower_bounds;
 pub mod model;
 pub mod repair;

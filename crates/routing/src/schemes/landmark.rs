@@ -19,7 +19,7 @@
 use ort_bitio::{bits_to_index, BitReader, BitVec, BitWriter};
 use ort_graphs::dist::DistRow;
 use ort_graphs::labels::{Label, LabelRef, Labeling};
-use ort_graphs::oracle::{read_row, Distances, LandmarkOracle};
+use ort_graphs::oracle::{read_row, Distances};
 use ort_graphs::ports::PortAssignment;
 use ort_graphs::{Graph, NodeId};
 use rand::rngs::StdRng;
@@ -88,8 +88,7 @@ impl LandmarkScheme {
     /// # Errors
     ///
     /// Returns [`SchemeError::Disconnected`] for disconnected graphs,
-    /// [`SchemeError::ApproximateOracle`] for approximate oracles (use
-    /// [`LandmarkScheme::build_from_landmark_oracle`] for those), or
+    /// [`SchemeError::ApproximateOracle`] for inexact oracles, or
     /// [`SchemeError::Precondition`] for graphs with fewer than 2 nodes
     /// or an oracle/graph size mismatch.
     pub fn build(g: &Graph, dists: &dyn Distances, seed: u64) -> Result<Self, SchemeError> {
@@ -165,83 +164,6 @@ impl LandmarkScheme {
                 w.write_bits(v as u64, w_node)?;
                 w.write_bits(port as u64, w_node)?;
             }
-            bits.push(w.finish());
-        }
-        let labeling = Labeling::arbitrary(labels)
-            .map_err(|_| SchemeError::Precondition { reason: "duplicate labels".into() })?;
-        Ok(LandmarkScheme { tables: Tables { bits, labeling, ports }, landmarks })
-    }
-
-    /// Builds the scheme from a [`LandmarkOracle`] — `Õ(n^{3/2})` distance
-    /// cells instead of `n²`, the memory regime the approximate oracle
-    /// exists for. The oracle's own landmark set becomes the scheme's
-    /// (distances to landmarks are exact in the oracle, so toward-ports,
-    /// nearest landmarks and label paths are all exact); *bunches are
-    /// dropped* (every node routes deliver / neighbour / climb–descend),
-    /// so routes cost at most `d(u,v) + 2·r_v` hops instead of the
-    /// bunch-assisted optimum.
-    ///
-    /// # Errors
-    ///
-    /// As [`LandmarkScheme::build`], plus a precondition error on an
-    /// oracle/graph size mismatch.
-    pub fn build_from_landmark_oracle(
-        g: &Graph,
-        lo: &LandmarkOracle,
-    ) -> Result<Self, SchemeError> {
-        let n = g.node_count();
-        if n < 2 {
-            return Err(SchemeError::Precondition { reason: "need at least 2 nodes".into() });
-        }
-        if lo.node_count() != n {
-            return Err(SchemeError::Precondition {
-                reason: "distance oracle does not match the graph".into(),
-            });
-        }
-        if !lo.is_connected() {
-            return Err(SchemeError::Disconnected);
-        }
-        let landmarks = lo.landmarks().to_vec();
-        let count = landmarks.len();
-        let ports = PortAssignment::sorted(g);
-        let w_node = bits_to_index(n as u64);
-        // Toward-ports from the oracle's exact landmark rows.
-        let toward: Vec<Vec<usize>> = (0..count)
-            .map(|li| {
-                let row = lo.landmark_row(li);
-                (0..n)
-                    .map(|v| {
-                        if v == landmarks[li] {
-                            return 0;
-                        }
-                        let hop = row.first_hop(g, v).expect("some neighbour is closer");
-                        ports.port_to(v, hop).expect("neighbour")
-                    })
-                    .collect()
-            })
-            .collect();
-        // Labels: the path from v's nearest landmark down to v, recovered
-        // by descending the landmark's exact row from v (then reversed) —
-        // no all-pairs queries involved.
-        let mut labels = Vec::with_capacity(n);
-        for v in 0..n {
-            let li = lo.nearest(v).expect("connected graph has reachable landmarks");
-            let l = landmarks[li];
-            let mut path = descent(lo.landmark_row(li), g, v);
-            path.reverse();
-            labels.push(Self::encode_label(&ports, v, l, &path, w_node)?);
-        }
-        // Node bits: landmark ports, then an empty bunch.
-        let mut writers: Vec<BitWriter> = (0..n).map(|_| BitWriter::new()).collect();
-        for (&l, row) in landmarks.iter().zip(&toward) {
-            for ((x, w), &port) in writers.iter_mut().enumerate().zip(row) {
-                let port = if x == l { 0 } else { port };
-                w.write_bits(port as u64, w_node)?;
-            }
-        }
-        let mut bits = Vec::with_capacity(n);
-        for mut w in writers {
-            w.write_bits(0, w_node)?; // bunch count
             bits.push(w.finish());
         }
         let labeling = Labeling::arbitrary(labels)
@@ -489,38 +411,12 @@ mod tests {
     }
 
     #[test]
-    fn approximate_oracle_build_delivers_within_contract() {
-        use ort_graphs::oracle::LandmarkOracle;
-        for (g, name) in [
-            (generators::gnp_half(32, 3), "gnp"),
-            (generators::grid(5, 6), "grid"),
-            (generators::cycle(15), "cycle"),
-        ] {
-            let lo = LandmarkOracle::build(&g, 5);
-            let scheme = LandmarkScheme::build_from_landmark_oracle(&g, &lo).unwrap();
-            assert_eq!(scheme.landmarks(), lo.landmarks(), "{name}");
-            let report = verify(&g, &scheme, &Apsp::compute(&g), 1).unwrap();
-            assert!(report.all_delivered(), "{name}: {:?}", report.failures.first());
-            // Bunch-free routes: every delivered pair stays within the
-            // climb-and-descend bound d(u,v) + 2·max r.
-            let max_r = (0..g.node_count()).map(|v| lo.radius(v).unwrap()).max().unwrap();
-            for &(hops, dist) in &report.stretches {
-                assert!(
-                    hops <= dist + 2 * max_r,
-                    "{name}: {hops} hops for distance {dist}, max radius {max_r}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn approximate_build_rejected_on_exact_entry_point() {
-        use ort_graphs::oracle::LandmarkOracle;
+        use crate::inexact_oracle::InexactOracle;
         let g = generators::gnp_half(16, 1);
-        let lo = LandmarkOracle::build(&g, 4);
         assert!(matches!(
-            LandmarkScheme::build(&g, &lo, 1),
-            Err(SchemeError::ApproximateOracle { oracle: "approximate landmark oracle" })
+            LandmarkScheme::build(&g, &InexactOracle::compute(&g), 1),
+            Err(SchemeError::ApproximateOracle { oracle: InexactOracle::NAME })
         ));
     }
 }

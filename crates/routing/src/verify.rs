@@ -502,29 +502,26 @@ mod tests {
 
     #[test]
     fn approximate_oracle_is_rejected_for_verification() {
+        use crate::inexact_oracle::InexactOracle;
         use crate::schemes::full_table::FullTableScheme;
-        use ort_graphs::oracle::LandmarkOracle;
         let g = ort_graphs::generators::gnp_half(16, 2);
         let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
-        let lo = LandmarkOracle::build(&g, 4);
         assert!(matches!(
-            verify(&g, &scheme, &lo, 1),
-            Err(SchemeError::ApproximateOracle { oracle: "approximate landmark oracle" })
+            verify(&g, &scheme, &InexactOracle::compute(&g), 1),
+            Err(SchemeError::ApproximateOracle { oracle: InexactOracle::NAME })
         ));
     }
 
     #[test]
     fn approximate_oracle_rejection_names_the_oracle() {
+        use crate::inexact_oracle::InexactOracle;
         use crate::schemes::full_table::FullTableScheme;
-        use ort_graphs::oracle::LandmarkOracle;
         let g = ort_graphs::generators::gnp_half(16, 2);
         let scheme = FullTableScheme::build(&g, &Apsp::compute(&g)).unwrap();
-        let lo = LandmarkOracle::build(&g, 4);
-        let err = verify(&g, &scheme, &lo, 1).unwrap_err();
+        let err = verify(&g, &scheme, &InexactOracle::compute(&g), 1).unwrap_err();
         assert_eq!(
             err.to_string(),
-            "approximate landmark oracle is approximate: \
-             exact shortest-path distances are required"
+            "inexact test oracle is approximate: exact shortest-path distances are required"
         );
     }
 }

@@ -425,7 +425,7 @@ pub fn mem_probe() -> Json {
     };
 
     let band_rows = ApspEngine::tile_sources(MEM_BANDED_N);
-    let banded = BandedOracle::with_engine(sparse(MEM_BANDED_N), band_rows, ApspEngine::Tiled);
+    let banded = BandedOracle::new(sparse(MEM_BANDED_N), band_rows);
     let region = ort_telemetry::alloc::mem_span("gate.mem.banded");
     for u in (0..MEM_BANDED_N).step_by(band_rows) {
         std::hint::black_box(banded.distance(u, 0));
@@ -437,13 +437,13 @@ pub fn mem_probe() -> Json {
 
     let g = sparse(MEM_APSP_N);
     let region = ort_telemetry::alloc::mem_span("gate.mem.apsp");
-    let apsp = Apsp::compute_with(&g, ApspEngine::Tiled, 1);
+    let apsp = Apsp::compute_with(&g, 1);
     let rec = region.finish();
     let mut apsp_doc = vec![
         ("n", int_json(MEM_APSP_N)),
         (
             "claimed_peak_bytes",
-            int_json(apsp.heap_bytes() + ApspEngine::Tiled.scratch_bytes(&g, MEM_APSP_N)),
+            int_json(apsp.heap_bytes() + ApspEngine::Auto.scratch_bytes(&g, MEM_APSP_N)),
         ),
         ("u32_full_bytes", int_json(MEM_APSP_N * MEM_APSP_N * 4)),
     ];

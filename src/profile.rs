@@ -110,7 +110,7 @@ pub fn run_profile(
         // engine's scratch) is a lower bound for a serial compute only.
         let apsp = phase("profile.apsp", &mut regions, || {
             if audit {
-                Apsp::compute_with(&g, ApspEngine::Auto, 1)
+                Apsp::compute_with(&g, 1)
             } else {
                 Apsp::compute(&g)
             }

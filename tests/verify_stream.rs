@@ -4,9 +4,10 @@
 //! sources need, so it must return exactly what
 //! `verify(g, scheme, &Apsp::compute(g), k)` returns: the whole report,
 //! failures in order included, or the same error. The graphs resolve to
-//! each traversal engine, so the door's bands are filled by each, and the
-//! tiled graph is not a whole number of tiles. The reports do not depend
-//! on `ORT_THREADS`; CI runs this file at 1, 2 and 8 workers.
+//! both fill engines, so the door's bands are filled by each: the tiled
+//! one on a graph smaller than one tile and on one that is not a whole
+//! number of tiles. The reports do not depend on `ORT_THREADS`; CI runs
+//! this file at 1, 2 and 8 workers.
 
 use optimal_routing_tables::graphs::labels::Label;
 use optimal_routing_tables::graphs::paths::{Apsp, ApspEngine};
@@ -63,7 +64,7 @@ fn assert_doors_agree(g: &Graph, apsp: &Apsp, scheme: &dyn RoutingScheme, name: 
 fn the_streamed_door_equals_verify_over_a_full_matrix() {
     assert_eq!(1100 % ApspEngine::tile_sources(1100), 76, "the last tile is partial");
     for (g, engine, name) in [
-        (generators::connected_gnp(48, 0.08, 3), ApspEngine::Queue, "sparse"),
+        (generators::connected_gnp(48, 0.08, 3), ApspEngine::Tiled, "sparse"),
         (generators::gnp_half(96, 2), ApspEngine::Bitset, "dense"),
         // Four tiles of 256 sources and a last one of 76.
         (generators::power_law_seeded(1100, 2, 2.5, 1), ApspEngine::Tiled, "power law"),

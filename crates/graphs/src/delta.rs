@@ -40,7 +40,7 @@
 //! exact oracle builds byte-identical schemes.
 
 use crate::dist::{DistRow, DistStore};
-use crate::paths::{Apsp, ApspEngine, Traversal, UNREACHABLE};
+use crate::paths::{Apsp, ApspEngine, Traversal};
 use crate::{Graph, GraphError, NodeId};
 
 /// The ceiling on `|D| / n` past which repair falls back to a full
@@ -225,15 +225,21 @@ impl DeltaOracle {
         }
 
         // One traversal serves both probes and every dirty row, so a dense
-        // graph's bitset rows are built once per repair.
+        // graph's bitset rows are built once per repair. The probes fill
+        // two scratch rows at the matrix's width; the width check above
+        // guarantees every new distance fits it.
         let walk = Traversal::new(&self.g, ApspEngine::Auto);
-        let row_a = walk.distances(&self.g, a);
-        let row_b = walk.distances(&self.g, b);
+        let endpoints = [a, b];
+        let mut probes = DistStore::unreachable(self.apsp.cell_width(), 2 * n);
+        for (k, &e) in endpoints.iter().enumerate() {
+            walk.fill_row(&self.g, e, &mut probes, k);
+        }
         let mut dirty_mask = vec![false; n];
         let mut dirty: Vec<NodeId> = Vec::new();
-        for s in 0..n {
-            if row_a[s] != self.apsp.distance(a, s) || row_b[s] != self.apsp.distance(b, s) {
-                dirty_mask[s] = true;
+        let old = self.apsp.store();
+        for (s, is_dirty) in dirty_mask.iter_mut().enumerate() {
+            if probes.get(s) != old.get(a * n + s) || probes.get(n + s) != old.get(b * n + s) {
+                *is_dirty = true;
                 dirty.push(s);
             }
         }
@@ -252,23 +258,16 @@ impl DeltaOracle {
             return self.full_rebuild(dirty);
         }
 
+        // Each dirty row is filled straight into its matrix row; an
+        // endpoint's row is its probe.
+        let store = self.apsp.store_mut();
         for &s in &dirty {
-            let fresh;
-            let row = if s == a {
-                &row_a
-            } else if s == b {
-                &row_b
-            } else {
-                fresh = walk.distances(&self.g, s);
-                &fresh
-            };
-            let store = self.apsp.store_mut();
-            for (t, &d) in row.iter().enumerate() {
-                store.set(s * n + t, d.unwrap_or(UNREACHABLE));
+            match endpoints.iter().position(|&e| e == s) {
+                Some(k) => store.copy_row(s, probes.row(k, n)),
+                None => walk.fill_row(&self.g, s, store, s),
             }
         }
         // Mirror the dirty columns into the clean rows: d(t, s) = d(s, t).
-        let store = self.apsp.store_mut();
         for &s in &dirty {
             for (t, &t_dirty) in dirty_mask.iter().enumerate() {
                 if !t_dirty {
@@ -310,12 +309,13 @@ impl crate::oracle::Distances for DeltaOracle {
     fn peak_bytes(&self) -> usize {
         // The resident matrix plus the repair-path scratch every edge
         // delta allocates unconditionally: the two endpoint probe rows
-        // (`Vec<Option<u32>>`, 8 bytes a cell) and the n-byte dirty
-        // mask. The old claim stopped at the matrix, under-stating the
-        // peak of any process that repairs — the allocator audit
-        // (claimed ≤ measured over a construct+repair region) caught it.
+        // (at the matrix's cell width) and the n-byte dirty mask. Dirty
+        // rows are filled in place, so they add nothing. The old claim
+        // stopped at the matrix, under-stating the peak of any process
+        // that repairs — the allocator audit (claimed ≤ measured over a
+        // construct+repair region) caught it.
         let n = self.apsp.node_count();
-        self.apsp.heap_bytes() + 2 * n * 8 + n
+        self.apsp.heap_bytes() + 2 * n * self.apsp.cell_width().bytes_per_cell() + n
     }
 
     fn with_row(&self, v: NodeId, f: &mut dyn FnMut(DistRow<'_>)) {
@@ -326,6 +326,7 @@ impl crate::oracle::Distances for DeltaOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::CellWidth;
     use crate::generators;
     use crate::oracle::Distances;
 
@@ -475,10 +476,11 @@ mod tests {
         let dyn_oracle: &dyn Distances = &oracle;
         assert!(dyn_oracle.is_exact());
         assert_eq!(dyn_oracle.describe(), "delta-repair oracle");
-        // Matrix plus the repair scratch every delta allocates: two
-        // 8-byte-per-cell probe rows and the n-byte dirty mask.
+        // Matrix plus the repair scratch every delta allocates: two probe
+        // rows at the matrix's one byte a cell and the n-byte dirty mask.
         let n = oracle.node_count();
-        assert_eq!(dyn_oracle.peak_bytes(), oracle.apsp().heap_bytes() + 2 * n * 8 + n);
+        assert_eq!(oracle.apsp().cell_width(), CellWidth::U8);
+        assert_eq!(dyn_oracle.peak_bytes(), oracle.apsp().heap_bytes() + 2 * n + n);
         let fresh = Apsp::compute(oracle.graph());
         for u in 0..25 {
             for v in 0..25 {

@@ -261,6 +261,25 @@ impl DistStore {
             DistStore::U32(v) => DistRow::U32(&v[cells]),
         }
     }
+
+    /// Overwrites row `index` of a row-major store of `row.len()`-cell
+    /// rows with `row`, which has the store's width: one slice copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the widths differ or the row runs past the end of the
+    /// store.
+    pub(crate) fn copy_row(&mut self, index: usize, row: DistRow<'_>) {
+        let cells = index * row.len()..(index + 1) * row.len();
+        match (self, row) {
+            (DistStore::U8(v), DistRow::U8(r)) => v[cells].copy_from_slice(r),
+            (DistStore::U16(v), DistRow::U16(r)) => v[cells].copy_from_slice(r),
+            (DistStore::U32(v), DistRow::U32(r)) => v[cells].copy_from_slice(r),
+            (store, row) => {
+                panic!("a {} row copied into a {} store", row.width().name(), store.width().name())
+            }
+        }
+    }
 }
 
 /// One source row of the distance matrix, borrowed at the store's cell

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
-use ort_bitio::BitVec;
+use ort_bitio::{BitReader, BitVec};
 
 use crate::NodeId;
 
@@ -232,11 +232,21 @@ impl Labeling {
     }
 
     /// The node carrying an arbitrary label, if this is a γ labelling.
+    ///
+    /// A label that begins with its node's id in `⌈log₂ n⌉` bits, as
+    /// Theorem 2's and the landmark scheme's labels do, names its node
+    /// without hashing: when the node that id names carries `l`, it is the
+    /// answer. Any other label, a malformed one included, goes through the
+    /// reverse index. Labels are distinct, so both give the same node.
     #[must_use]
     pub fn node_of_bits(&self, l: &BitVec) -> Option<NodeId> {
-        match &self.kind {
-            LabelingKind::Arbitrary { node_of, .. } => node_of.get(l).copied(),
-            _ => None,
+        let LabelingKind::Arbitrary { label, node_of } = &self.kind else {
+            return None;
+        };
+        let width = ort_bitio::bits_to_index(label.len() as u64);
+        match BitReader::new(l).read_bits(width) {
+            Ok(lead) if label.get(lead as usize) == Some(l) => Some(lead as usize),
+            _ => node_of.get(l).copied(),
         }
     }
 

@@ -27,7 +27,7 @@
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use crate::dist::{CellWidth, DistBand, DistRow};
+use crate::dist::{CellWidth, ComponentSweep, DistBand, DistRow};
 use crate::paths::{Apsp, ApspEngine, Traversal, UNREACHABLE};
 use crate::{Graph, NodeId};
 
@@ -200,9 +200,12 @@ impl Distances for Apsp {
 pub struct BandedOracle {
     g: Graph,
     walk: Traversal,
-    /// [`crate::dist::width_for`] of `g`, worked out once: it is a
-    /// whole-graph traversal, and every band and `peak_bytes` needs it.
+    /// The cell width of `g`'s [`ComponentSweep`], worked out once: it is
+    /// a whole-graph traversal, and every band and `peak_bytes` needs it.
     width: CellWidth,
+    /// Whether the same sweep found `g` connected, so
+    /// [`Distances::is_connected`] fills no band.
+    connected: bool,
     band_rows: usize,
     state: Mutex<BandState>,
 }
@@ -223,9 +226,11 @@ impl BandedOracle {
     #[must_use]
     pub fn new(g: Graph, band_rows: usize) -> Self {
         assert!(band_rows >= 1, "band must hold at least one row");
+        let sweep = ComponentSweep::of(&g);
         BandedOracle {
             walk: Traversal::new(&g, ApspEngine::Auto),
-            width: crate::dist::width_for(&g),
+            width: sweep.width(),
+            connected: sweep.is_connected(),
             g,
             band_rows,
             state: Mutex::new(BandState { band: None, bands_computed: 0 }),
@@ -293,6 +298,10 @@ impl Distances for BandedOracle {
 
     fn describe(&self) -> &'static str {
         "banded streaming oracle"
+    }
+
+    fn is_connected(&self) -> bool {
+        self.connected
     }
 
     fn peak_bytes(&self) -> usize {
@@ -440,6 +449,20 @@ mod tests {
         // Revisiting an earlier band recomputes it — streaming, not caching.
         let _ = oracle.distance(0, 1);
         assert_eq!(oracle.bands_computed(), 50u64.div_ceil(8) + 1);
+    }
+
+    #[test]
+    fn banded_connectivity_fills_no_band() {
+        for (g, connected) in [
+            (generators::connected_gnp(50, 0.1, 9), true),
+            (Graph::from_edges(7, [(0, 1), (1, 2), (4, 5)]).unwrap(), false),
+            (Graph::empty(1), true),
+            (Graph::empty(0), true),
+        ] {
+            let oracle = BandedOracle::new(g, 8);
+            assert_eq!(oracle.is_connected(), connected);
+            assert_eq!(oracle.bands_computed(), 0, "the construction sweep answered");
+        }
     }
 
     #[test]

@@ -31,9 +31,9 @@
 //! [`ApspEngine::Auto`] picks between them from the average degree alone,
 //! and [`Traversal::new`] resolves the choice against one graph; every
 //! fill runs through a [`Traversal`]. A fill of one source
-//! ([`Traversal::distances`]) is no tile: off the bitset engine it walks
-//! the textbook frontier queue over the adjacency lists, O(n + m) with
-//! one n-cell row of scratch. [`Apsp::compute`] additionally fans the
+//! ([`Traversal::fill_row`]) is no tile: off the bitset engine it walks
+//! the textbook frontier queue over the adjacency lists, O(n + m), into
+//! a row of the caller's store. [`Apsp::compute`] additionally fans the
 //! work out across [`configured_threads`] workers (`std::thread::scope`).
 //! Rows are assigned to threads in contiguous blocks — whole tiles for the
 //! tiled engine — and each thread writes its own disjoint slice of the
@@ -193,7 +193,7 @@ pub fn bfs(g: &Graph, src: NodeId) -> (Vec<Option<u32>>, Vec<Option<NodeId>>) {
 
 /// Queue BFS writing sentinel-encoded distances straight into one row
 /// (no allocation beyond the queue): the one-source fill behind
-/// [`Traversal::distances`] off the bitset engine.
+/// [`Traversal::fill_row`] off the bitset engine.
 fn bfs_queue_into<T: DistCell>(g: &Graph, src: NodeId, out: &mut [T]) {
     out.fill(T::SENTINEL);
     if out.is_empty() {
@@ -380,7 +380,7 @@ fn bit_rows(g: &Graph) -> Vec<u64> {
 /// # Example
 ///
 /// ```
-/// use ort_graphs::dist::width_for;
+/// use ort_graphs::dist::{width_for, DistStore};
 /// use ort_graphs::generators;
 /// use ort_graphs::paths::{ApspEngine, Traversal};
 ///
@@ -389,7 +389,9 @@ fn bit_rows(g: &Graph) -> Vec<u64> {
 /// assert_eq!(walk.engine(), ApspEngine::Bitset);
 /// let band = walk.band(&g, 10, 5, width_for(&g));
 /// assert_eq!(band.distance(12, 12), Some(0));
-/// assert_eq!(walk.distances(&g, 12)[12], Some(0));
+/// let mut row = DistStore::unreachable(width_for(&g), 100);
+/// walk.fill_row(&g, 12, &mut row, 0);
+/// assert_eq!(row.get(12), 0);
 /// ```
 #[derive(Clone)]
 pub struct Traversal {
@@ -421,27 +423,36 @@ impl Traversal {
         self.engine
     }
 
-    /// Single-source distances from `src` (`None` where unreachable): the
+    /// Fills row `index` of `store`, a row-major store of n-cell rows,
+    /// with the distances from `src` at the store's cell width: the
     /// one-source fill behind [`crate::delta::DeltaOracle`]'s probes and
-    /// dirty rows. A tile of one source would still hold three n-word
-    /// masks, so off the bitset engine this walks the frontier queue over
-    /// the adjacency lists, with no scratch beyond the queue and the row.
+    /// dirty rows, which write straight into their matrix rows. A tile of
+    /// one source would still hold three n-word masks, so off the bitset
+    /// engine this walks the frontier queue over the adjacency lists,
+    /// with no scratch beyond the queue.
     ///
     /// # Panics
     ///
     /// Panics if `g`'s node count is not that of the graph the traversal
-    /// was built for, or if `src` is out of range.
-    #[must_use]
-    pub fn distances(&self, g: &Graph, src: NodeId) -> Vec<Option<u32>> {
+    /// was built for, if `src` is out of range, if the row runs past the
+    /// end of `store`, or if a distance overflows the store's width.
+    pub fn fill_row(&self, g: &Graph, src: NodeId, store: &mut DistStore, index: usize) {
         let n = g.node_count();
         assert_eq!(n, self.n, "a traversal fills the graph it was built for");
-        let mut row = vec![UNREACHABLE; n];
-        if self.engine == ApspEngine::Bitset {
-            bfs_bitset_into(&self.rows, n.div_ceil(64), src, &mut row);
-        } else {
-            bfs_queue_into(g, src, &mut row);
+        let cells = index * n..(index + 1) * n;
+        match store {
+            DistStore::U8(v) => self.one_source(g, src, &mut v[cells]),
+            DistStore::U16(v) => self.one_source(g, src, &mut v[cells]),
+            DistStore::U32(v) => self.one_source(g, src, &mut v[cells]),
         }
-        row.into_iter().map(|d| if d == UNREACHABLE { None } else { Some(d) }).collect()
+    }
+
+    fn one_source<T: DistCell>(&self, g: &Graph, src: NodeId, out: &mut [T]) {
+        if self.engine == ApspEngine::Bitset {
+            bfs_bitset_into(&self.rows, self.n.div_ceil(64), src, out);
+        } else {
+            bfs_queue_into(g, src, out);
+        }
     }
 
     /// Computes one horizontal band of the distance matrix: the rows of
@@ -867,7 +878,8 @@ mod tests {
     }
 
     /// Both fill engines, forced through [`Traversal::new`], against the
-    /// parent-tracking `bfs`: a whole-graph band, and every one-source row.
+    /// parent-tracking `bfs`: a whole-graph band, and every one-source row
+    /// filled in place.
     #[test]
     fn engines_agree_on_assorted_graphs() {
         for (g, name) in [
@@ -884,11 +896,14 @@ mod tests {
                 reference.iter().flatten().map(|d| d.unwrap_or(UNREACHABLE)).collect();
             for engine in [ApspEngine::Bitset, ApspEngine::Tiled] {
                 let walk = Traversal::new(&g, engine);
-                let band = walk.band(&g, 0, n, crate::dist::width_for(&g));
+                let width = crate::dist::width_for(&g);
+                let band = walk.band(&g, 0, n, width);
                 assert_eq!(band.store().to_u32_vec(), cells, "{name}: {engine:?} band");
-                for (src, want) in reference.iter().enumerate() {
-                    assert_eq!(&walk.distances(&g, src), want, "{name}: {engine:?}, src {src}");
+                let mut rows = DistStore::unreachable(width, n * n);
+                for src in 0..n {
+                    walk.fill_row(&g, src, &mut rows, src);
                 }
+                assert_eq!(rows.to_u32_vec(), cells, "{name}: {engine:?} one-source rows");
             }
             assert_eq!(Apsp::compute_with(&g, 1).matrix_u32(), cells, "{name}: matrix");
         }

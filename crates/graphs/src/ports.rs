@@ -13,6 +13,10 @@
 //!   the whole map).
 //! * **Model II** — nodes know their neighbours' labels and which edge
 //!   reaches them, making the port map free information.
+//!
+//! Under a sorted assignment a neighbour's port is its rank, so
+//! [`PortAssignment::port_to`] binary-searches; every assignment records
+//! whether it is sorted ([`PortAssignment::is_sorted`]) when it is built.
 
 use rand::Rng;
 
@@ -22,6 +26,14 @@ use crate::{Graph, NodeId};
 /// A per-node mapping from port numbers to neighbours.
 ///
 /// Invariant: `ports[u]` is a permutation of `g.neighbors(u)`.
+///
+/// Each constructor also records whether every node's order is ascending
+/// ([`PortAssignment::is_sorted`]): always under
+/// [`PortAssignment::sorted`], and checked by the other two. It is a fact
+/// about the orders, not a setting. When it holds, a port is its
+/// neighbour's rank, so [`PortAssignment::port_to`] binary-searches the
+/// order instead of scanning it; an order has no repeats, so both find
+/// the same port.
 ///
 /// # Example
 ///
@@ -39,6 +51,8 @@ use crate::{Graph, NodeId};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PortAssignment {
     ports: Vec<Vec<NodeId>>,
+    /// Whether every order is ascending, worked out at construction.
+    sorted: bool,
 }
 
 impl PortAssignment {
@@ -47,7 +61,14 @@ impl PortAssignment {
     /// chooses, because it is recoverable from the neighbour set alone.
     #[must_use]
     pub fn sorted(g: &Graph) -> Self {
-        PortAssignment { ports: g.nodes().map(|u| g.neighbors(u).to_vec()).collect() }
+        let ports = g.nodes().map(|u| g.neighbors(u).to_vec()).collect();
+        PortAssignment { ports, sorted: true }
+    }
+
+    /// An assignment over `ports`, recording whether every order ascends.
+    fn with_orders(ports: Vec<Vec<NodeId>>) -> Self {
+        let sorted = ports.iter().all(|order| order.is_sorted());
+        PortAssignment { ports, sorted }
     }
 
     /// An adversarial assignment: each node's ports are a uniformly random
@@ -64,7 +85,7 @@ impl PortAssignment {
                 perm.into_iter().map(|i| nbrs[i]).collect()
             })
             .collect();
-        PortAssignment { ports }
+        PortAssignment::with_orders(ports)
     }
 
     /// Builds an assignment from explicit per-node neighbour orders.
@@ -80,7 +101,7 @@ impl PortAssignment {
             sorted.sort_unstable();
             assert_eq!(sorted, g.neighbors(u), "ports of {u} must permute its neighbours");
         }
-        PortAssignment { ports }
+        PortAssignment::with_orders(ports)
     }
 
     /// Number of nodes covered.
@@ -106,11 +127,25 @@ impl PortAssignment {
         self.ports.get(u)?.get(port).copied()
     }
 
+    /// Whether every node's port order is ascending, so that port `i`
+    /// leads to the `i`-th smallest neighbour (a neighbour's rank is its
+    /// port).
+    #[must_use]
+    pub fn is_sorted(&self) -> bool {
+        self.sorted
+    }
+
     /// The port of `u` that leads to `v`, or `None` if `v` is not a
-    /// neighbour.
+    /// neighbour: a binary search when every order ascends, a scan
+    /// otherwise.
     #[must_use]
     pub fn port_to(&self, u: NodeId, v: NodeId) -> Option<usize> {
-        self.ports.get(u)?.iter().position(|&w| w == v)
+        let order = self.ports.get(u)?;
+        if self.sorted {
+            order.binary_search(&v).ok()
+        } else {
+            order.iter().position(|&w| w == v)
+        }
     }
 
     /// The full port order of `u`.
@@ -274,12 +309,14 @@ mod tests {
         let (pa, used) = embed_bits(&g, &ort_bitio::BitVec::new());
         assert_eq!(used, 0);
         assert_eq!(pa, PortAssignment::sorted(&g));
+        assert!(pa.is_sorted(), "from_orders finds sorted orders sorted");
     }
 
     #[test]
     fn sorted_assignment_is_identity_permutation() {
         let g = generators::gnp_half(20, 1);
         let pa = PortAssignment::sorted(&g);
+        assert!(pa.is_sorted());
         for u in g.nodes() {
             assert_eq!(pa.order(u), g.neighbors(u));
             let rel = pa.relative_permutation(u);
@@ -299,6 +336,7 @@ mod tests {
         }
         // Some node's order differs from sorted (overwhelmingly likely).
         assert!(g.nodes().any(|u| pa.order(u) != g.neighbors(u)));
+        assert!(!pa.is_sorted());
     }
 
     #[test]
@@ -344,5 +382,7 @@ mod tests {
         let pa = PortAssignment::from_orders(&g, vec![vec![2, 1], vec![0], vec![0]]);
         assert_eq!(pa.neighbor_at(0, 0), Some(2));
         assert_eq!(pa.relative_permutation(0), vec![1, 0]);
+        assert!(!pa.is_sorted());
+        assert_eq!(pa.port_to(0, 1), Some(1));
     }
 }

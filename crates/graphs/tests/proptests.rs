@@ -2,11 +2,12 @@
 
 use proptest::prelude::*;
 
-use ort_graphs::dist::width_for;
+use ort_graphs::dist::{width_for, DistStore};
 use ort_graphs::oracle::Distances;
 use ort_graphs::paths::{
     bfs, floyd_warshall, is_connected, reachable_count, Apsp, ApspEngine, Traversal, UNREACHABLE,
 };
+use ort_graphs::ports::PortAssignment;
 use ort_graphs::{generators, graph6, Graph, Relays};
 
 /// The whole-graph band of each fill engine, forced through
@@ -241,16 +242,49 @@ proptest! {
     }
 
     #[test]
+    fn port_lookups_match_a_scan(g in arb_graph(40), seed in any::<u64>()) {
+        // Sorted, adversarial, and `from_orders` over both kinds of order:
+        // whatever the assignment, `port_to` finds what a scan of the
+        // order finds, and the sorted flag says whether every order
+        // ascends.
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
+        let adversarial = PortAssignment::adversarial(&g, &mut rng);
+        let orders = |pa: &PortAssignment| g.nodes().map(|u| pa.order(u).to_vec()).collect();
+        let assignments = [
+            PortAssignment::sorted(&g),
+            PortAssignment::from_orders(&g, orders(&adversarial)),
+            PortAssignment::from_orders(&g, orders(&PortAssignment::sorted(&g))),
+            adversarial,
+        ];
+        let n = g.node_count();
+        for pa in &assignments {
+            let ascending = g.nodes().all(|u| pa.order(u).windows(2).all(|w| w[0] < w[1]));
+            prop_assert_eq!(pa.is_sorted(), ascending);
+            for u in g.nodes() {
+                for v in 0..=n {
+                    let scan = pa.order(u).iter().position(|&w| w == v);
+                    prop_assert_eq!(pa.port_to(u, v), scan, "{} → {}", u, v);
+                }
+            }
+            prop_assert_eq!(pa.port_to(n, 0), None);
+        }
+        prop_assert!(assignments[0].is_sorted() && assignments[2].is_sorted());
+    }
+
+    #[test]
     fn bfs_engines_agree_on_arbitrary_graphs(g in arb_graph(70)) {
         // Arbitrary edge bits: covers disconnected and isolated-node cases.
         let reference: Vec<Vec<Option<u32>>> = g.nodes().map(|src| bfs(&g, src).0).collect();
         let cells: Vec<u32> =
             reference.iter().flatten().map(|d| d.unwrap_or(UNREACHABLE)).collect();
+        let n = g.node_count();
         for engine in [ApspEngine::Bitset, ApspEngine::Tiled] {
             let walk = Traversal::new(&g, engine);
-            for (src, want) in reference.iter().enumerate() {
-                prop_assert_eq!(&walk.distances(&g, src), want, "{:?}, src {}", engine, src);
+            let mut rows = DistStore::unreachable(width_for(&g), n * n);
+            for src in 0..n {
+                walk.fill_row(&g, src, &mut rows, src);
             }
+            prop_assert_eq!(&rows.to_u32_vec(), &cells, "{:?} one-source rows", engine);
         }
         for band in engine_bands(&g) {
             prop_assert_eq!(&band, &cells);

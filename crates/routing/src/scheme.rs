@@ -218,32 +218,37 @@ impl<'a> NodeEnv<'a> {
 #[derive(Debug, Clone, Copy)]
 pub struct NeighborLabels<'a> {
     labeling: &'a Labeling,
-    order: &'a [NodeId],
+    ports: &'a PortAssignment,
+    u: NodeId,
 }
 
 impl<'a> NeighborLabels<'a> {
-    /// The labels, under `labeling`, of the nodes in `order` — a node's
-    /// port order ([`PortAssignment::order`]).
+    /// The labels, under `labeling`, of node `u`'s neighbours in the port
+    /// order `ports` gives it ([`PortAssignment::order`]). Nothing is
+    /// checked here: the view is built on every hop.
     #[must_use]
-    pub fn new(labeling: &'a Labeling, order: &'a [NodeId]) -> Self {
-        NeighborLabels { labeling, order }
+    pub fn new(labeling: &'a Labeling, ports: &'a PortAssignment, u: NodeId) -> Self {
+        NeighborLabels { labeling, ports, u }
     }
 
     /// The labels in port order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the view's node is out of range for its ports.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = LabelRef<'a>> + 'a {
         let labeling = self.labeling;
-        self.order.iter().map(move |&v| labeling.label_ref(v))
+        self.ports.order(self.u).iter().map(move |&v| labeling.label_ref(v))
     }
 
     /// The port whose neighbour carries `label`, if any.
     #[must_use]
     pub fn port_of(&self, label: &Label) -> Option<usize> {
         // Every `Labeling` constructor rejects duplicate labels, so at
-        // most one node carries `label`. The labelling's reverse index
-        // names it, which finds the port a scan comparing every
-        // neighbour's label would find, without reading any of them.
-        let node = self.labeling.node_of(label)?;
-        self.order.iter().position(|&v| v == node)
+        // most one node carries `label`. The labelling names it, which
+        // finds the port a scan comparing every neighbour's label would
+        // find, without reading any of them; sorted ports find it by rank.
+        self.ports.port_to(self.u, self.labeling.node_of(label)?)
     }
 }
 
@@ -488,7 +493,7 @@ pub trait RoutingScheme: Send + Sync {
             neighbor_labels: self
                 .model()
                 .neighbors_known()
-                .then(|| NeighborLabels::new(labeling, order)),
+                .then(|| NeighborLabels::new(labeling, pa, u)),
         }
     }
 }
@@ -497,6 +502,7 @@ pub trait RoutingScheme: Send + Sync {
 mod tests {
     use super::*;
     use ort_bitio::BitVec;
+    use ort_graphs::Graph;
 
     #[test]
     fn errors_display() {
@@ -511,8 +517,9 @@ mod tests {
     #[test]
     fn neighbor_labels_are_read_in_place() {
         let labeling = Labeling::permutation(vec![1, 3, 0, 2]).unwrap();
-        let order = [3, 2];
-        let labels = NeighborLabels::new(&labeling, &order);
+        let g = Graph::from_edges(4, [(0, 2), (0, 3)]).unwrap();
+        let ports = PortAssignment::from_orders(&g, vec![vec![3, 2], vec![], vec![0], vec![0]]);
+        let labels = NeighborLabels::new(&labeling, &ports, 0);
         assert_eq!(
             labels.iter().collect::<Vec<_>>(),
             [LabelRef::Minimal(2), LabelRef::Minimal(0)]
@@ -525,9 +532,17 @@ mod tests {
             ["0", "10", "11"].into_iter().map(BitVec::from_bit_str).collect(),
         )
         .unwrap();
-        let gamma_labels = NeighborLabels::new(&gamma, &[2, 1]);
+        let star = Graph::from_edges(3, [(0, 1), (0, 2)]).unwrap();
+        let gamma_ports = PortAssignment::from_orders(&star, vec![vec![2, 1], vec![0], vec![0]]);
+        let gamma_labels = NeighborLabels::new(&gamma, &gamma_ports, 0);
         assert_eq!(gamma_labels.port_of(&gamma.label_of(1)), Some(1));
         assert_eq!(gamma_labels.port_of(&gamma.label_of(0)), None);
+        // Sorted ports: the same answers, found by rank.
+        let sorted = PortAssignment::sorted(&star);
+        let by_rank = NeighborLabels::new(&gamma, &sorted, 0);
+        assert_eq!(by_rank.port_of(&gamma.label_of(1)), Some(0));
+        assert_eq!(by_rank.port_of(&gamma.label_of(2)), Some(1));
+        assert_eq!(by_rank.port_of(&gamma.label_of(0)), None, "self is not a neighbour");
         let env = NodeEnv {
             n: 4,
             label: labeling.label_ref(0),

@@ -231,10 +231,10 @@ impl FullTableScheme {
 }
 
 /// Each node's port for each neighbour rank (index in `g.neighbors(u)`),
-/// so a rank maps to its port in O(1); `None` when `ports` is sorted and
-/// every rank is its own port.
+/// so a rank maps to its port in O(1); `None` when `ports` is sorted
+/// ([`PortAssignment::is_sorted`]) and every rank is its own port.
 fn ports_by_rank(g: &Graph, ports: &PortAssignment) -> Option<Vec<Vec<usize>>> {
-    if g.nodes().all(|u| ports.order(u) == g.neighbors(u)) {
+    if ports.is_sorted() {
         return None;
     }
     let by_rank = g.nodes().map(|u| {

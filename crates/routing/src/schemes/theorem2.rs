@@ -8,8 +8,13 @@
 //! the destination label, find a listed neighbour you are adjacent to, and
 //! forward. The whole cost of the scheme sits in the labels, which model γ
 //! charges: `(1 + (c+3)·log n)·log n` bits per node.
+//!
+//! A hop reads only what it needs, and allocates nothing: the destination's
+//! node comes from its label's leading id (checked against the labelling),
+//! its port by rank under the sorted ports, and the listed ids are read
+//! from the destination label in place.
 
-use ort_bitio::{bits_to_index, BitReader, BitVec, BitWriter};
+use ort_bitio::{bits_to_index, BitReader, BitVec, BitWriter, CodeError};
 use ort_graphs::labels::{Label, LabelRef, Labeling};
 use ort_graphs::oracle::Distances;
 use ort_graphs::ports::PortAssignment;
@@ -114,15 +119,45 @@ impl Theorem2Scheme {
     ///
     /// Returns [`RouteError::Code`] on malformed labels.
     pub fn parse_label(bits: &BitVec, n: usize) -> Result<(NodeId, Vec<NodeId>), RouteError> {
+        let listed = Listed::read(bits, n)?;
+        Ok((listed.id, listed.ids().collect()))
+    }
+}
+
+/// A Theorem 2 label read in place: `id`, then `count` listed ids, each
+/// `width` bits. [`Listed::read`] checks that the label holds every
+/// listed field, so [`Listed::ids`] reads them with no allocation.
+struct Listed<'a> {
+    /// A reader at the first listed field.
+    fields: BitReader<'a>,
+    width: u32,
+    id: NodeId,
+    count: usize,
+}
+
+impl<'a> Listed<'a> {
+    /// Reads the header of label `bits` at node count `n`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RouteError::Code`] holding [`CodeError::UnexpectedEnd`]
+    /// at the label's length if the header or a listed field runs past
+    /// its end: the error that reading the fields one by one meets.
+    fn read(bits: &'a BitVec, n: usize) -> Result<Self, RouteError> {
         let width = bits_to_index(n as u64);
-        let mut r = BitReader::new(bits);
-        let id = r.read_bits(width)? as usize;
-        let count = r.read_bits(width)? as usize;
-        let mut listed = Vec::with_capacity(count);
-        for _ in 0..count {
-            listed.push(r.read_bits(width)? as usize);
+        let mut fields = BitReader::new(bits);
+        let id = fields.read_bits(width)? as NodeId;
+        let count = fields.read_bits(width)? as usize;
+        if width > 0 && count > fields.remaining() / width as usize {
+            return Err(CodeError::UnexpectedEnd { position: bits.len() }.into());
         }
-        Ok((id, listed))
+        Ok(Listed { fields, width, id, count })
+    }
+
+    /// The listed ids, in label order.
+    fn ids(&self) -> impl Iterator<Item = NodeId> + 'a {
+        let (mut r, width) = (self.fields.clone(), self.width);
+        (0..self.count).map_while(move |_| r.read_bits(width).ok().map(|x| x as NodeId))
     }
 }
 
@@ -154,18 +189,20 @@ impl RoutingScheme for Theorem2Scheme {
             return Err(RouteError::MissingInformation { what: "γ destination label" });
         };
         let neighbor_labels = env.require_neighbor_labels()?;
-        // Direct neighbour?
+        // Direct neighbour? The labelling finds the node from the label's
+        // leading id, and sorted ports find its port by rank.
         if let Some(port) = neighbor_labels.port_of(dest) {
             return Ok(RouteDecision::Forward(port));
         }
         // Otherwise: find a neighbour whose original id is listed in the
-        // destination label.
-        let (_, listed) = Theorem2Scheme::parse_label(dest_bits, env.n)?;
+        // destination label, read in place.
+        let listed = Listed::read(dest_bits, env.n)?;
         for (port, l) in neighbor_labels.iter().enumerate() {
             let LabelRef::Bits(lb) = l else {
                 return Err(RouteError::MissingInformation { what: "γ neighbour labels" });
             };
-            if listed.contains(&leading_id(lb, env.n)?) {
+            let id = leading_id(lb, env.n)?;
+            if listed.ids().any(|x| x == id) {
                 return Ok(RouteDecision::Forward(port));
             }
         }
@@ -251,6 +288,186 @@ mod tests {
         let scheme = Theorem2Scheme::build(&g, &dists).unwrap();
         let report = verify(&g, &scheme, &dists, 1).unwrap();
         assert!(report.is_shortest_path());
+    }
+
+    /// Theorem 2's router as it read labels before the in-place read:
+    /// the node carrying `dest` by a scan of the labelling, its port by a
+    /// scan of the order, and the listed ids parsed into a `Vec`. The
+    /// reference `route_at` must match on every input.
+    fn reference_route(
+        scheme: &Theorem2Scheme,
+        u: NodeId,
+        env: &NodeEnv<'_>,
+        dest: &Label,
+    ) -> Result<RouteDecision, RouteError> {
+        scheme.tables.node(u)?;
+        if env.label == *dest {
+            return Ok(RouteDecision::Deliver);
+        }
+        let Label::Bits(dest_bits) = dest else {
+            return Err(RouteError::MissingInformation { what: "γ destination label" });
+        };
+        let neighbor_labels = env.require_neighbor_labels()?;
+        let labeling = scheme.labeling();
+        let order = scheme.port_assignment().order(u);
+        let node = (0..labeling.node_count()).find(|&v| labeling.label_ref(v) == *dest);
+        if let Some(port) = node.and_then(|v| order.iter().position(|&w| w == v)) {
+            return Ok(RouteDecision::Forward(port));
+        }
+        let width = bits_to_index(env.n as u64);
+        let mut r = BitReader::new(dest_bits);
+        r.read_bits(width)?;
+        let count = r.read_bits(width)? as usize;
+        let mut listed = Vec::with_capacity(count);
+        for _ in 0..count {
+            listed.push(r.read_bits(width)? as usize);
+        }
+        for (port, l) in neighbor_labels.iter().enumerate() {
+            let LabelRef::Bits(lb) = l else {
+                return Err(RouteError::MissingInformation { what: "γ neighbour labels" });
+            };
+            if listed.contains(&leading_id(lb, env.n)?) {
+                return Ok(RouteDecision::Forward(port));
+            }
+        }
+        Err(RouteError::UnknownDestination)
+    }
+
+    /// `bits` with `len` bits kept.
+    fn cut(bits: &BitVec, len: usize) -> BitVec {
+        (0..len.min(bits.len())).map(|i| bits.get(i) == Some(true)).collect()
+    }
+
+    /// `bits` with the `width`-bit field at `index` set to `value`.
+    fn set_field(bits: &BitVec, width: u32, index: usize, value: u64) -> BitVec {
+        let mut out = bits.clone();
+        for b in 0..width as usize {
+            let i = index * width as usize + b;
+            if i < out.len() {
+                out.set(i, (value >> (width as usize - 1 - b)) & 1 == 1);
+            }
+        }
+        out
+    }
+
+    /// Every node's decision toward every node's label, and toward
+    /// malformed labels no node carries (each label cut by one bit, cut
+    /// to its header, and emptied, and a minimal label), equals the
+    /// reference's. Returns how many were forwards through a listed
+    /// neighbour and how many were decoding errors.
+    fn assert_matches_reference(scheme: &Theorem2Scheme, what: &str) -> (usize, usize) {
+        let n = scheme.node_count();
+        let width = bits_to_index(n as u64) as usize;
+        let mut dests: Vec<Label> = (0..n).map(|v| scheme.label_of(v)).collect();
+        for v in (0..n).step_by(5) {
+            let Label::Bits(b) = scheme.label_of(v) else { panic!("γ labels") };
+            dests.push(Label::Bits(cut(&b, b.len().saturating_sub(1))));
+            dests.push(Label::Bits(cut(&b, 2 * width)));
+        }
+        dests.extend([Label::Bits(BitVec::new()), Label::Minimal(1)]);
+        let mut state = MessageState::default();
+        let (mut listed, mut errors) = (0, 0);
+        for u in 0..n {
+            let env = scheme.node_env(u);
+            for dest in &dests {
+                let decision = scheme.route_at(u, &env, dest, &mut state);
+                assert_eq!(
+                    decision,
+                    reference_route(scheme, u, &env, dest),
+                    "{what}: {u} → {dest}"
+                );
+                let direct = env.neighbor_labels.and_then(|l| l.port_of(dest)).is_some();
+                listed += usize::from(matches!(decision, Ok(RouteDecision::Forward(_))) && !direct);
+                errors += usize::from(matches!(decision, Err(RouteError::Code(_))));
+            }
+        }
+        (listed, errors)
+    }
+
+    /// `scheme` with every label replaced by `edit(v, label)` and the
+    /// ports by `ports`, assembled as a snapshot load assembles one.
+    fn with_parts(
+        scheme: &Theorem2Scheme,
+        ports: PortAssignment,
+        edit: impl Fn(NodeId, &BitVec) -> BitVec,
+    ) -> Theorem2Scheme {
+        let labels = (0..scheme.node_count())
+            .map(|v| {
+                let Label::Bits(b) = scheme.label_of(v) else { panic!("γ labels") };
+                edit(v, &b)
+            })
+            .collect();
+        let labeling = Labeling::arbitrary(labels).expect("edits keep labels distinct");
+        let bits = vec![BitVec::new(); scheme.node_count()];
+        Theorem2Scheme::from_parts(Tables { bits, labeling, ports })
+    }
+
+    #[test]
+    fn decisions_match_the_parsed_label_rule() {
+        for (n, seed) in [(48, 1), (48, 2), (64, 3), (100, 4)] {
+            let g = generators::gnp_half(n, seed);
+            let scheme = Theorem2Scheme::build(&g, &Apsp::compute(&g)).unwrap();
+            let (listed, _) = assert_matches_reference(&scheme, &format!("gnp_half({n}, {seed})"));
+            assert!(listed > 0, "some hops go through a listed neighbour");
+        }
+    }
+
+    #[test]
+    fn decisions_match_the_parsed_label_rule_on_malformed_schemes() {
+        use rand::SeedableRng;
+        let n = 48;
+        let g = generators::gnp_half(n, 7);
+        let scheme = Theorem2Scheme::build(&g, &Apsp::compute(&g)).unwrap();
+        let w = bits_to_index(n as u64);
+        let header = 2 * w as usize;
+        assert!(1 << w > n, "n leaves field values ≥ n to write");
+        let sorted = || PortAssignment::sorted(&g);
+        // Every fourth label cut somewhere past its leading id (mid-header,
+        // mid-list, or one bit short), so labels stay distinct, and the
+        // last node's cut inside its leading id.
+        let truncated = with_parts(&scheme, sorted(), |v, b| {
+            if v == n - 1 {
+                cut(b, w as usize - 1)
+            } else if v % 4 == 0 {
+                cut(b, w as usize + (v * 7) % (b.len() - w as usize))
+            } else {
+                b.clone()
+            }
+        });
+        // Neighbouring labels swap leading ids, so every leading id names
+        // another node.
+        let swapped = with_parts(&scheme, sorted(), |v, b| set_field(b, w, 0, (v ^ 1) as u64));
+        // Every third listed id is ≥ n.
+        let beyond = with_parts(&scheme, sorted(), |v, b| {
+            let count = (b.len() - header) / w as usize;
+            (0..count).step_by(3).fold(b.clone(), |b, j| {
+                set_field(&b, w, 2 + j, (n + (v + j) % ((1 << w) - n)) as u64)
+            })
+        });
+        // Every third label's count runs past the label's end.
+        let overlong = with_parts(&scheme, sorted(), |v, b| {
+            let count = (b.len() - header) / w as usize;
+            let long = ((count + 1 + v % 5) as u64).min((1 << w) - 1);
+            if v % 3 == 0 {
+                set_field(b, w, 1, long)
+            } else {
+                b.clone()
+            }
+        });
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let adversarial =
+            with_parts(&scheme, PortAssignment::adversarial(&g, &mut rng), |_, b| b.clone());
+        assert!(!adversarial.port_assignment().is_sorted());
+        for (broken, what) in [
+            (&truncated, "truncated labels"),
+            (&swapped, "leading ids naming other nodes"),
+            (&beyond, "listed ids ≥ n"),
+            (&overlong, "counts past the label's end"),
+            (&adversarial, "adversarial ports"),
+        ] {
+            let (listed, errors) = assert_matches_reference(broken, what);
+            assert!(listed > 0 && errors > 0, "{what}: {listed} listed hops, {errors} errors");
+        }
     }
 
     #[test]

@@ -29,10 +29,10 @@ fn assert_engine_matches(g: &Graph, reference: &[u32], engine: ApspEngine, what:
     let walk = Traversal::new(g, engine);
     let band = walk.band(g, 0, n, width_for(g));
     assert_eq!(band.store().to_u32_vec(), reference, "{what} band: n={n}");
+    let mut row = DistStore::unreachable(width_for(g), n);
     for (s, want) in reference.chunks(n.max(1)).enumerate() {
-        let row: Vec<u32> =
-            walk.distances(g, s).into_iter().map(|d| d.unwrap_or(UNREACHABLE)).collect();
-        assert_eq!(row, want, "{what} row {s}: n={n}");
+        walk.fill_row(g, s, &mut row, 0);
+        assert_eq!(row.to_u32_vec(), want, "{what} row {s}: n={n}");
     }
 }
 

@@ -15,11 +15,12 @@
 #![cfg(feature = "alloc-telemetry")]
 
 use optimal_routing_tables::graphs::delta::DeltaOracle;
-use optimal_routing_tables::graphs::dist::FirstHopBlock;
+use optimal_routing_tables::graphs::dist::{CellWidth, DistStore, FirstHopBlock};
 use optimal_routing_tables::graphs::generators;
+use optimal_routing_tables::graphs::labels::Label;
 use optimal_routing_tables::graphs::oracle::{BandedOracle, Distances};
-use optimal_routing_tables::graphs::paths::{Apsp, ApspEngine, Traversal};
-use optimal_routing_tables::routing::scheme::RoutingScheme;
+use optimal_routing_tables::graphs::paths::{Apsp, ApspEngine, Traversal, UNREACHABLE};
+use optimal_routing_tables::routing::scheme::{MessageState, RouteDecision, RoutingScheme};
 use optimal_routing_tables::routing::schemes::full_table::FullTableScheme;
 use optimal_routing_tables::routing::schemes::interval::IntervalScheme;
 use optimal_routing_tables::routing::schemes::theorem2::Theorem2Scheme;
@@ -290,12 +291,13 @@ fn streamed_verify_holds_one_band_at_a_time() {
     assert!(cap < (n * n / 8) as u64, "the cap ({cap}) must sit far below n² cells");
 }
 
-/// A one-source fill (`Traversal::distances`, behind `DeltaOracle`'s
+/// A one-source fill (`Traversal::fill_row`, behind `DeltaOracle`'s
 /// probes and dirty rows) holds its row and a queue, not a tile: on a
-/// sparse graph at n = 65536 it peaks under 16 bytes a node (the
-/// `u32` row it fills plus the `Option<u32>` row it returns, 12 bytes a
-/// node), where a tile of one source would add three n-word masks
-/// (24 bytes a node). And the returned row really is held.
+/// sparse graph at n = 65536, filling a `u32` row in place peaks under
+/// 12 bytes a node (the 4-byte row and the BFS queue), where a tile of
+/// one source would add three n-word masks (24 bytes a node). The fill
+/// allocates no row of its own, so what the region retains is the row
+/// the caller made.
 #[test]
 fn one_source_fill_holds_a_row_not_a_tile() {
     if !isolated("one_source_fill_holds_a_row_not_a_tile") {
@@ -308,19 +310,20 @@ fn one_source_fill_holds_a_row_not_a_tile() {
     let g = generators::power_law_seeded(n, 2, 2.5, 1);
     assert_eq!(ApspEngine::Auto.resolve(&g), ApspEngine::Tiled);
     let region = alloc::mem_span("audit.one_source");
-    let row = Traversal::new(&g, ApspEngine::Auto).distances(&g, 0);
+    let mut row = DistStore::unreachable(CellWidth::U32, n);
+    Traversal::new(&g, ApspEngine::Auto).fill_row(&g, 0, &mut row, 0);
     let rec = region.finish();
-    assert!(row.iter().all(Option::is_some), "power-law graphs are connected");
-    let held = (n * std::mem::size_of::<Option<u32>>()) as u64;
+    assert!((0..n).all(|v| row.get(v) != UNREACHABLE), "power-law graphs are connected");
+    let held = row.heap_bytes() as u64;
     assert!(
         rec.net_bytes >= 0 && rec.net_bytes as u64 >= held,
-        "retained {} below the returned row's {held} bytes",
+        "retained {} below the row's {held} bytes",
         rec.net_bytes
     );
-    let cap = 16 * n as u64 + ABS_SLACK;
+    let cap = 12 * n as u64 + ABS_SLACK;
     assert!(
         rec.region_peak_bytes <= cap,
-        "a one-source fill peaked at {} bytes, over 16 a node plus slack ({cap})",
+        "a one-source fill peaked at {} bytes, over 12 a node plus slack ({cap})",
         rec.region_peak_bytes
     );
 }
@@ -472,9 +475,10 @@ fn nested_mem_spans_attribute_to_parent() {
 }
 
 /// The most allocations [`route_pair_allocations_do_not_grow_with_degree`]
-/// allows per routed message: twice the 4.5 it measures (copies of the
-/// destination and source labels, the path and its one growth, and one
-/// parse of the destination label per two-hop route).
+/// allows per routed message: twice the 4.5 it measured while Theorem 2
+/// parsed the destination label on every two-hop route. It measures 4.0
+/// now (copies of the destination and source labels, the path and its
+/// one growth), since the router reads the label in place.
 const MAX_ALLOCS_PER_MESSAGE: u64 = 9;
 
 /// Routing a message allocates a fixed handful of times, whatever the
@@ -510,6 +514,42 @@ fn route_pair_allocations_do_not_grow_with_degree() {
          (bound {MAX_ALLOCS_PER_MESSAGE} a message) at degree ≈ {}",
         g.degree(0)
     );
+}
+
+/// Theorem 2's hop toward a destination its node is not adjacent to
+/// reads the destination label's listed ids in place, so it allocates
+/// nothing: on G(1024, 1/2), one such hop from each of 256 sources. A
+/// parsed label would cost one allocation a hop.
+#[test]
+fn theorem2_hop_to_a_non_neighbour_allocates_nothing() {
+    if !isolated("theorem2_hop_to_a_non_neighbour_allocates_nothing") {
+        return;
+    }
+    if !alloc::installed() {
+        return;
+    }
+    let n = 1024;
+    let g = generators::gnp_half(n, 1);
+    let scheme = Theorem2Scheme::build(&g, &BandedOracle::new(g.clone(), 64))
+        .expect("G(1024, 1/2) meets Lemma 3");
+    let hops: Vec<(usize, Label)> = (0..256)
+        .map(|u| {
+            let t = (0..n).find(|&t| t != u && !g.has_edge(u, t)).expect("not complete");
+            (u, scheme.label_of(t))
+        })
+        .collect();
+    let mut state = MessageState::default();
+    let before = alloc::total_allocations();
+    let mut forwarded = 0;
+    for (u, dest) in &hops {
+        let env = scheme.node_env(*u);
+        if let Ok(RouteDecision::Forward(_)) = scheme.route_at(*u, &env, dest, &mut state) {
+            forwarded += 1;
+        }
+    }
+    let allocations = alloc::total_allocations() - before;
+    assert_eq!(forwarded, hops.len(), "each hop forwards through a listed neighbour");
+    assert_eq!(allocations, 0, "{allocations} allocations over {} hops", hops.len());
 }
 
 /// The most allocations [`route_pair_allocations_do_not_grow_with_hop_count`]

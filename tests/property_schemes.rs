@@ -4,9 +4,11 @@
 
 use proptest::prelude::*;
 
+use optimal_routing_tables::bitio::{bits_to_index, BitVec, BitWriter};
 use optimal_routing_tables::graphs::generators;
+use optimal_routing_tables::graphs::labels::{Label, Labeling};
 use optimal_routing_tables::graphs::ports::PortAssignment;
-use optimal_routing_tables::routing::scheme::RoutingScheme;
+use optimal_routing_tables::routing::scheme::{NeighborLabels, RoutingScheme};
 use optimal_routing_tables::routing::schemes::{
     full_information::FullInformationScheme, full_table::FullTableScheme,
     ia_compact::IaCompactScheme, interval::IntervalScheme, landmark::LandmarkScheme,
@@ -148,6 +150,55 @@ proptest! {
                 prop_assert_eq!(a.node_bits(u), b.node_bits(u));
             }
             prop_assert_eq!(a.total_size_bits(), b.total_size_bits());
+        }
+    }
+
+    #[test]
+    fn neighbour_label_lookups_match_a_scan(seed in any::<u64>(), n in 2usize..40) {
+        // Whatever the labelling and the port assignment, `port_of` finds
+        // the port a scan comparing every neighbour's label finds: for
+        // permuted minimal labels, for γ labels that lead with their own
+        // node's id (as Theorem 2's do), with another node's id, or are
+        // too short to hold one, and for labels no node carries.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let g = generators::gnp_half(n, seed);
+        let width = bits_to_index(n as u64);
+        let lead = |id: usize, tail: u64| {
+            let mut w = BitWriter::new();
+            w.write_bits(id as u64, width).unwrap();
+            w.write_bits(tail, 8).unwrap();
+            w.finish()
+        };
+        let mut perm: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            perm.swap(i, rng.gen_range(0..=i));
+        }
+        let labelings = [
+            Labeling::permutation(perm.clone()).unwrap(),
+            Labeling::arbitrary((0..n).map(|v| lead(v, rng.gen_range(0..256))).collect()).unwrap(),
+            Labeling::arbitrary((0..n).map(|v| lead(perm[v], v as u64)).collect()).unwrap(),
+            Labeling::arbitrary((0..n).map(|v| BitVec::from_bools(&vec![true; v])).collect()).unwrap(),
+        ];
+        let adversarial = PortAssignment::adversarial(&g, &mut rng);
+        let orders = g.nodes().map(|u| adversarial.order(u).to_vec()).collect();
+        let assignments =
+            [PortAssignment::sorted(&g), PortAssignment::from_orders(&g, orders), adversarial];
+        for labeling in &labelings {
+            let mut long = lead(0, 7);
+            long.push(true);
+            let strays = [Label::Minimal(n), Label::Bits(long), Label::Bits(BitVec::new())];
+            let labels: Vec<Label> =
+                (0..n).map(|v| labeling.label_of(v)).chain(strays).collect();
+            for pa in &assignments {
+                for u in g.nodes() {
+                    let view = NeighborLabels::new(labeling, pa, u);
+                    for label in &labels {
+                        let scan = view.iter().position(|l| l == *label);
+                        prop_assert_eq!(view.port_of(label), scan, "{} → {}", u, label);
+                    }
+                }
+            }
         }
     }
 
